@@ -16,7 +16,6 @@ from .ghilb import (
     build_fan,
     chart_generator,
     cone_of_ggraph,
-    divisor_coefficients,
     enumerate_ggraphs,
     minimal_monomials,
     tautological_degree,
@@ -27,7 +26,6 @@ from .reid import (
     VertexCase,
     carving_ratio,
     classify_fan_vertex,
-    edge_character,
     marked_triangulation,
     regular_triangle_defect,
     vertex_marking,
@@ -52,8 +50,6 @@ from .transforms import (
 from .verify import (
     GroupVerification,
     verify_group,
-    verify_reids_recipe_theorem,
-    verify_shape_correspondence,
 )
 
 __version__ = "0.1.0"
@@ -81,8 +77,6 @@ __all__ = [
     "classify_fan_vertex",
     "cone_is_unimodular",
     "cone_of_ggraph",
-    "divisor_coefficients",
-    "edge_character",
     "enumerate_ggraphs",
     "group_from_generators",
     "junior_points",
@@ -101,7 +95,5 @@ __all__ = [
     "transform_profile",
     "valuation",
     "verify_group",
-    "verify_reids_recipe_theorem",
-    "verify_shape_correspondence",
     "vertex_marking",
 ]

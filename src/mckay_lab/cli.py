@@ -23,7 +23,7 @@ from .quiver import QuiverAnalysis
 from .reid import marked_triangulation
 from .serialize import dumps_canonical, fan_json, report_json
 from .transforms import transform_profile
-from .verify import GroupVerification
+from .verify import verify_group
 
 
 def _write(text: str, out: str | None) -> None:
@@ -177,8 +177,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        verification = GroupVerification(group)
-        report = verification.report()
+        report = verify_group(group)
         _write(report_json(report), args.out)
         for entry in report["per_character"]:
             status = "PASS" if entry["pass"] else "FAIL"

@@ -478,10 +478,6 @@ def chart_generator(fan: GHilbFan, cone: Cone, chi: Character) -> Monomial:
     return fan.ggraphs[fan.cone_index(cone)].representative(chi)
 
 
-def divisor_coefficients(fan: GHilbFan) -> DivisorCoefficients:
-    return fan.q
-
-
 def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
     """Degree of the chi tautological bundle on the compact curve of an edge.
 
@@ -515,7 +511,8 @@ def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
 def _oriented_edge_vector(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
     """Primitive generator of M perpendicular to the edge, positive on the
     far ray of the first adjacent cone."""
-    w = perpendicular_invariant(fan, edge)
+    i, j = edge.rays
+    w = invariant_perpendicular(fan.group, fan.rays[i], fan.rays[j])
     ci = edge.cones[0]
     far = [ri for ri in fan.cone_rays[ci] if ri not in edge.rays][0]
     val = dot3(fan.rays[far].coords, w)
@@ -523,14 +520,3 @@ def _oriented_edge_vector(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
         raise MultiplicityOutOfRange("carving direction degenerate on the far ray")
     return w if val > 0 else tuple(-v for v in w)
 
-
-def perpendicular_invariant(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
-    """A primitive vector of M perpendicular to both rays of the edge.
-
-    The sign is the lexicographic one; callers orient it as needed.
-    """
-    i, j = edge.rays
-    n = fan.group.order
-    u = primitive_signed(cross3(fan.rays[i].scaled(n), fan.rays[j].scaled(n)))
-    order = fan.group.character_order(fan.group.kappa(u))
-    return tuple(v * order for v in u)

@@ -157,32 +157,6 @@ class QuiverAnalysis:
                 out[(chi, o)] = val // n
         return out
 
-    def arrow_vanishing_order(self, tail: Character, orientation: str, ray_idx: int) -> int:
-        """Public form of the multiplicity, asserting chart independence."""
-        fan, group = self.fan, self.group
-        n = group.order
-        e = fan.rays[ray_idx].scaled(n)
-        head = tail * group.kappa_of_variable(orientation)
-        seen = set()
-        for ci in fan.cones_at_ray(ray_idx):
-            graph = fan.ggraphs[ci]
-            val = (
-                e[ORIENTATIONS.index(orientation)]
-                + dot3(e, graph.representative(tail))
-                - dot3(e, graph.representative(head))
-            )
-            seen.add(val)
-        if len(seen) != 1:
-            raise MultiplicityOutOfRange(
-                f"arrow ({tail},{orientation}) is chart-dependent along ray {ray_idx}"
-            )
-        val = seen.pop()
-        if val not in (0, n):
-            raise MultiplicityOutOfRange(
-                f"arrow ({tail},{orientation}) has multiplicity {val}/{n}"
-            )
-        return val // n
-
     def vanishing_counts(self, ray_idx: int) -> tuple[int, int, int]:
         """(a, b, c): how many x-, y-, z-arrows vanish along the divisor."""
         mult = self.multiplicities(ray_idx)

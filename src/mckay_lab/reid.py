@@ -18,7 +18,7 @@ from .errors import (
     RecipeInconsistency,
     UnclassifiableVertex,
 )
-from .ghilb import FanEdge, GHilbFan, perpendicular_invariant
+from .ghilb import FanEdge, GHilbFan, invariant_perpendicular
 from .groups import Character, Monomial, mono_str
 from .intlin import cross3, dot3
 from .lattice import WeightVector
@@ -69,7 +69,9 @@ def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
     """
     if edge.is_boundary:
         raise BoundaryEdge(f"edge {edge.rays} lies in the boundary of the simplex")
-    u = perpendicular_invariant(fan, edge)  # first nonzero entry positive
+    i, j = edge.rays
+    # first nonzero entry positive
+    u = invariant_perpendicular(fan.group, fan.rays[i], fan.rays[j])
     m1 = tuple(max(v, 0) for v in u)
     m2 = tuple(max(-v, 0) for v in u)
     group = fan.group
@@ -77,10 +79,6 @@ def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
     if chi != group.kappa(m2):
         raise RecipeInconsistency(f"ratio sides of {edge.rays} disagree in character")
     return CarvingRatio(m1=m1, m2=m2, character=chi)
-
-
-def edge_character(fan: GHilbFan, edge: FanEdge) -> Character:
-    return carving_ratio(fan, edge).character
 
 
 def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:

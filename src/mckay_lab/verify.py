@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from .ghilb import (
     GHilbFan,
+    _oriented_edge_vector,
     build_fan,
     ggraph_inequalities,
+    minimal_monomials,
     tautological_degree,
 )
-from .groups import GroupData, Monomial, mono_divides
+from .groups import Character, GroupData, Monomial, mono_divides
 from .intlin import dot3
 from .quiver import ORIENTATIONS, QuiverAnalysis, SINK30
 from .reid import MarkedTriangulation, marked_triangulation, regular_triangle_defect
-from .transforms import curve_cell, divisor_cell, transform_profile
+from .transforms import TransformProfile, curve_cell, divisor_cell, transform_profile
 
 
 def _mono(orientation: str, k: int) -> Monomial:
@@ -35,18 +37,19 @@ def _ratio_key(m1: Monomial, m2: Monomial) -> frozenset:
 
 
 class GroupVerification:
-    """One group's full pipeline plus every check result."""
+    """One group's full pipeline over a built fan, plus every check result."""
 
-    def __init__(self, group: GroupData):
-        self.group = group
-        self.fan: GHilbFan = build_fan(group)
-        self.qa = QuiverAnalysis(self.fan)
-        self.marked: MarkedTriangulation = marked_triangulation(self.fan)
+    def __init__(self, fan: GHilbFan):
+        self.group: GroupData = fan.group
+        self.fan = fan
+        self.qa = QuiverAnalysis(fan)
+        self.marked: MarkedTriangulation = marked_triangulation(fan)
+        self._profiles: dict[Character, TransformProfile] = {}
         self.per_character: list[dict] = []
         self.per_divisor: list[dict] = []
         self.properties: dict[str, bool] = {}
         self.failures: list[str] = []
-        if group.order > 1:
+        if self.group.order > 1:
             self._check_characters()
             self._check_divisors()
             self._check_properties()
@@ -58,16 +61,40 @@ class GroupVerification:
     def _fail(self, message: str) -> None:
         self.failures.append(message)
 
+    def profile(self, chi: Character) -> TransformProfile:
+        """The transform profile of chi, computed once per verification."""
+        if chi not in self._profiles:
+            self._profiles[chi] = transform_profile(self.fan, self.qa, chi)
+        return self._profiles[chi]
+
+    def _supports(self, chi: Character) -> tuple[list, list, list]:
+        """The h0, h1 and h2 supports of chi, read off its profile.
+
+        Exact because transform_profile raises unless exactly one degree
+        has support."""
+        profile = self.profile(chi)
+        return tuple(
+            list(profile.components) if profile.degree == d else [] for d in (0, -1, -2)
+        )
+
+    def _multi_curve_divisors(self, curves) -> list:
+        """Divisor cells of the exceptional rays on at least two of the curves."""
+        return sorted(
+            divisor_cell(ri)
+            for ri in self.fan.exceptional_ray_indices()
+            if sum(1 for e in curves if ri in e) >= 2
+        )
+
     # -- Reid's recipe against transform profiles (per character) ----------
 
     def _check_characters(self) -> None:
-        fan, qa, marked = self.fan, self.qa, self.marked
+        fan, marked = self.fan, self.marked
         exceptional = fan.exceptional_ray_indices()
         for chi in self.group.characters:
             divisors = marked.marked_divisors(chi)
             curves = marked.marked_edges(chi)
             klass = marked.marking_class(chi)
-            profile = transform_profile(fan, qa, chi)
+            profile = self.profile(chi)
             entry = {
                 "character": chi.label(),
                 "residues": list(chi.residues),
@@ -98,11 +125,7 @@ class GroupVerification:
                     curve_cell(*curves[0])
                 ]
             elif klass == "curves":
-                expected = sorted(
-                    divisor_cell(ri)
-                    for ri in exceptional
-                    if sum(1 for e in curves if ri in e) >= 2
-                )
+                expected = self._multi_curve_divisors(curves)
                 ok = profile.degree == -1 and sorted(profile.components) == expected
             else:  # a nontrivial character marking nothing: trichotomy broken
                 ok = False
@@ -119,12 +142,12 @@ class GroupVerification:
         for ri in self.fan.exceptional_ray_indices():
             if not self.fan.rays[ri].is_interior:
                 continue
-            entry = self.verify_shape_correspondence(ri)
+            entry = self._shape_entry(ri)
             if not entry["pass"]:
                 self._fail(f"divisor at ray {ri}: shape/case mismatch")
             self.per_divisor.append(entry)
 
-    def verify_shape_correspondence(self, ray_idx: int) -> dict:
+    def _shape_entry(self, ray_idx: int) -> dict:
         fan = self.fan
         ss = self.qa.sink_source_graph(ray_idx)
         case = self.marked.vertex_cases[ray_idx]
@@ -231,7 +254,7 @@ class GroupVerification:
         a, b, c = (lengths[k] for k in "abc")
         fwd = lengths["fwd"]
         kappa = self.group.kappa
-        candidates = []
+        found = False
         for a2, a3 in ((fwd[("y", "x")], fwd[("z", "x")]), (fwd[("z", "x")], fwd[("y", "x")])):
             for b2, b3 in ((fwd[("x", "y")], fwd[("z", "y")]), (fwd[("z", "y")], fwd[("x", "y")])):
                 for c2, c3 in ((fwd[("x", "z")], fwd[("y", "z")]), (fwd[("y", "z")], fwd[("x", "z")])):
@@ -257,14 +280,9 @@ class GroupVerification:
                         sorted(tuple(sorted(p)) for p in predicted + predicted)
                         == ratio_multiset
                     )
-                    if coords_ok and chars_ok and ratios_ok:
-                        candidates.append(
-                            {"a2": a2, "b2": b2, "a3": a3, "b3": b3, "c2": c2, "c3": c3}
-                        )
-        checks["coordinates"] = bool(candidates)
-        checks["ratios"] = bool(candidates)
-        if candidates:
-            ss.lengths = dict(ss.lengths, assignment=candidates[0])
+                    found = found or (coords_ok and chars_ok and ratios_ok)
+        checks["coordinates"] = found
+        checks["ratios"] = found
 
     # -- property suite ------------------------------------------------------
 
@@ -303,23 +321,34 @@ class GroupVerification:
             and len(set(self.fan.ggraphs)) == n
         )
 
-    def _prop_lemma_counts(self) -> bool:
+    def _counts_match_coordinates(self, ray_indices) -> bool:
         n = self.group.order
         return all(
             self.qa.vanishing_counts(ri) == self.fan.rays[ri].scaled(n)
-            for ri in self.fan.exceptional_ray_indices()
+            for ri in ray_indices
         )
 
+    def _prop_lemma_counts(self) -> bool:
+        return self._counts_match_coordinates(self.fan.exceptional_ray_indices())
+
     def _prop_chart_consistency(self) -> bool:
-        # DivisorCoefficients construction raises on failure; reaching here
-        # with a built fan means the table was consistent
-        return self.fan.q is not None
+        """n*q(chi, ray) is the least valuation of chi's minimal monomials on
+        the ray: the divisor table derived without any chart."""
+        fan, group = self.fan, self.group
+        n = group.order
+        scaled = [r.scaled(n) for r in fan.rays]
+        for chi in group.characters:
+            monos = minimal_monomials(group, chi)
+            for ri, e in enumerate(scaled):
+                if n * fan.q(chi, ri) != min(dot3(e, m) for m in monos):
+                    return False
+        return True
 
     def _prop_edge_division(self) -> bool:
         """Across each interior edge the changed generators divide as m | r, m' | r'."""
         fan = self.fan
         for edge in fan.interior_edges():
-            m, m2 = _oriented_carving_pair(self, edge)
+            m, m2 = _oriented_carving_pair(fan, edge)
             gi, gj = (fan.ggraphs[ci] for ci in edge.cones)
             for chi in self.group.characters:
                 r, r2 = gi.representative(chi), gj.representative(chi)
@@ -331,7 +360,7 @@ class GroupVerification:
         """The marking character's two generators are the carving pair itself."""
         fan = self.fan
         for edge in fan.interior_edges():
-            m, m2 = _oriented_carving_pair(self, edge)
+            m, m2 = _oriented_carving_pair(fan, edge)
             chi = self.marked.edge_ratios[edge.rays].character
             gi, gj = (fan.ggraphs[ci] for ci in edge.cones)
             if gi.representative(chi) != m or gj.representative(chi) != m2:
@@ -436,7 +465,7 @@ class GroupVerification:
         for chi in self.group.characters:
             if chi.is_trivial or self.marked.marking_class(chi) != "curve":
                 continue
-            profile = transform_profile(fan, self.qa, chi)
+            profile = self.profile(chi)
             curves = [c[1] for c in profile.components if c[0] == "curve"]
             if not curves:
                 return False
@@ -454,47 +483,28 @@ class GroupVerification:
 
     def _prop_exclusive_degree(self) -> bool:
         """Exactly one cohomological degree has nonempty support per character."""
-        from .transforms import support_h0, support_h1, support_h2
-
-        for chi in self.group.characters:
-            supports = (
-                support_h0(self.fan, self.qa, chi),
-                support_h1(self.fan, self.qa, chi),
-                support_h2(self.fan, self.qa, chi),
-            )
-            if sum(1 for s in supports if s) != 1:
-                return False
-        return True
+        return all(
+            sum(1 for s in self._supports(chi) if s) == 1
+            for chi in self.group.characters
+        )
 
     def _prop_lemma_sources(self) -> bool:
         """Source divisors of a character are those with >= 2 of its curves."""
-        from .transforms import divisor_cell, support_h1
-
-        exceptional = self.fan.exceptional_ray_indices()
-        for chi in self.group.characters:
-            curves = self.marked.marked_edges(chi)
-            expected = sorted(
-                divisor_cell(ri)
-                for ri in exceptional
-                if sum(1 for e in curves if ri in e) >= 2
-            )
-            if support_h1(self.fan, self.qa, chi) != expected:
-                return False
-        return True
+        return all(
+            self._supports(chi)[1]
+            == self._multi_curve_divisors(self.marked.marked_edges(chi))
+            for chi in self.group.characters
+        )
 
     def _prop_h0_two_routes(self) -> bool:
         """Divisor cells of the three-arrow intersection are the (3,0)-sinks."""
-        from .transforms import support_h0
-
+        classes = [
+            (ri, self.qa.sink_source_graph(ri).classes)
+            for ri in self.fan.exceptional_ray_indices()
+        ]
         for chi in self.group.characters:
-            via_b = {
-                c[1] for c in support_h0(self.fan, self.qa, chi) if c[0] == "divisor"
-            }
-            via_class = {
-                ri
-                for ri in self.fan.exceptional_ray_indices()
-                if self.qa.classify_vertex(ri, chi) == SINK30
-            }
+            via_b = {c[1] for c in self._supports(chi)[0] if c[0] == "divisor"}
+            via_class = {ri for ri, by_chi in classes if by_chi[chi] == SINK30}
             if via_b != via_class:
                 return False
         return True
@@ -520,26 +530,7 @@ class GroupVerification:
     def _prop_principal_sums(self) -> bool:
         """Summing an orientation's vanishing divisors gives |G| times the
         principal divisor of that coordinate, corner rays included."""
-        fan, group = self.fan, self.group
-        n = group.order
-        for ri in range(len(fan.rays)):
-            e = fan.rays[ri].scaled(n)
-            graph = fan.ggraphs[fan.cones_at_ray(ri)[0]]
-            for k, o in enumerate(ORIENTATIONS):
-                total = 0
-                for chi in group.characters:
-                    head = chi * group.kappa_of_variable(o)
-                    val = (
-                        e[k]
-                        + dot3(e, graph.representative(chi))
-                        - dot3(e, graph.representative(head))
-                    )
-                    if val not in (0, n):
-                        return False
-                    total += val // n
-                if total != e[k]:
-                    return False
-        return True
+        return self._counts_match_coordinates(range(len(self.fan.rays)))
 
     # -- report ----------------------------------------------------------------
 
@@ -590,16 +581,10 @@ def _lengths_for_report(lengths):
     return out
 
 
-def _oriented_carving_pair(ver: GroupVerification, edge):
+def _oriented_carving_pair(fan: GHilbFan, edge):
     """Carving pair (m, m') with m the generator side of the first chart."""
-    fan = ver.fan
-    ratio = ver.marked.edge_ratios[edge.rays]
-    u = tuple(a - b for a, b in zip(ratio.m2, ratio.m1))
-    ci = edge.cones[0]
-    far = [ri for ri in fan.cone_rays[ci] if ri not in edge.rays][0]
-    if dot3(fan.rays[far].coords, u) > 0:
-        return ratio.m1, ratio.m2
-    return ratio.m2, ratio.m1
+    w = _oriented_edge_vector(fan, edge)
+    return tuple(max(-v, 0) for v in w), tuple(max(v, 0) for v in w)
 
 
 def _divisors_of(m: Monomial):
@@ -611,19 +596,4 @@ def _divisors_of(m: Monomial):
 
 def verify_group(group: GroupData) -> dict:
     """Run the full verification pipeline on one group and return its report."""
-    return GroupVerification(group).report()
-
-
-def verify_reids_recipe_theorem(fan: GHilbFan) -> dict:
-    """Per-character PASS/FAIL for the four-way marking/transform statement."""
-    verification = GroupVerification(fan.group)
-    return {
-        "group": fan.group.spec_string(),
-        "per_character": verification.per_character,
-        "pass": all(e["pass"] for e in verification.per_character),
-    }
-
-
-def verify_shape_correspondence(fan: GHilbFan, ray_idx: int) -> dict:
-    """Shape/case, coordinate-formula and ratio checks for one interior divisor."""
-    return GroupVerification(fan.group).verify_shape_correspondence(ray_idx)
+    return GroupVerification(build_fan(group)).report()

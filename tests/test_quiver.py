@@ -16,10 +16,10 @@ def test_quiver_counts_picture_group(p13):
 
 def test_arrow_vanishing_orders(p3, p4):
     center = p3.ray((f(1, 3),) * 3)
-    assert p3.qa.arrow_vanishing_order(p3.chi(2), "x", center) == 1
-    assert p3.qa.arrow_vanishing_order(p3.chi(0), "x", center) == 0
+    assert p3.qa.multiplicities(center)[(p3.chi(2), "x")] == 1
+    assert p3.qa.multiplicities(center)[(p3.chi(0), "x")] == 0
     p = p4.ray((f(1, 4), f(1, 4), f(1, 2)))
-    assert p4.qa.arrow_vanishing_order(p4.chi(2), "z", p) == 1
+    assert p4.qa.multiplicities(p)[(p4.chi(2), "z")] == 1
 
 
 def test_vanishing_counts(p3, p4):

@@ -5,7 +5,6 @@ import pytest
 from mckay_lab import (
     carving_ratio,
     classify_fan_vertex,
-    edge_character,
     regular_triangle_defect,
     vertex_marking,
 )
@@ -44,13 +43,13 @@ def test_carving_against_brute_force(p13):
 
 def test_edge_characters(p3, p4):
     for edge in p3.fan.interior_edges():
-        assert edge_character(p3.fan, edge) == p3.chi(1)
-    assert edge_character(
+        assert carving_ratio(p3.fan, edge).character == p3.chi(1)
+    assert carving_ratio(
         p4.fan, p4.edge((f(1, 4), f(1, 4), f(1, 2)), (f(1, 2), f(1, 2), 0))
-    ) == p4.chi(1)
-    assert edge_character(
+    ).character == p4.chi(1)
+    assert carving_ratio(
         p4.fan, p4.edge((f(1, 4), f(1, 4), f(1, 2)), (1, 0, 0))
-    ) == p4.chi(2)
+    ).character == p4.chi(2)
 
 
 def test_boundary_edge_rejected(p4):

@@ -1,17 +1,24 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import mckay_lab.verify
 from mckay_lab import (
+    GroupVerification,
+    build_fan,
     parse_group_spec,
     shape_lengths,
     verify_group,
-    verify_reids_recipe_theorem,
-    verify_shape_correspondence,
 )
 from mckay_lab.errors import ShapeUnrecognized
+from mckay_lab.serialize import report_json
 
 f = Fraction
+
+
+def divisor_entry(verification, ray_idx):
+    return next(e for e in verification.per_divisor if e["ray"] == ray_idx)
 
 
 def test_verify_group_passes_fixtures(p3, p4):
@@ -28,10 +35,12 @@ def test_verify_trivial_group_is_vacuous(trivial_group):
     assert report["per_character"] == [] and report["per_divisor"] == []
 
 
-def test_reids_recipe_theorem_wrapper(p4):
-    result = verify_reids_recipe_theorem(p4.fan)
-    assert result["pass"] is True
-    classes = {e["character"]: e["marking_class"] for e in result["per_character"]}
+def test_reids_recipe_theorem_per_character(p4):
+    verification = GroupVerification(p4.fan)
+    assert all(e["pass"] for e in verification.per_character)
+    classes = {
+        e["character"]: e["marking_class"] for e in verification.per_character
+    }
     assert classes == {
         "chi_0": "nothing",
         "chi_1": "curves",
@@ -40,9 +49,9 @@ def test_reids_recipe_theorem_wrapper(p4):
     }
 
 
-def test_shape_correspondence_wrapper(p4):
+def test_shape_correspondence_entry(p4):
     p_ray = p4.ray((f(1, 4), f(1, 4), f(1, 2)))
-    entry = verify_shape_correspondence(p4.fan, p_ray)
+    entry = divisor_entry(GroupVerification(p4.fan), p_ray)
     assert entry["pass"] is True
     assert entry["shape"] == "B" and entry["case"] == "case2"
     assert entry["checks"]["valency_matches_divisibility"]
@@ -56,9 +65,9 @@ def test_shape_lengths_accessor(p3, p4):
         shape_lengths(p4.qa.sink_source_graph(q_ray))
 
 
-def test_case3_shape_assignment_recorded(p33):
+def test_case3_shape_lengths_reported(p33):
     center = p33.ray((f(1, 3),) * 3)
-    entry = verify_shape_correspondence(p33.fan, center)
+    entry = divisor_entry(GroupVerification(p33.fan), center)
     assert entry["pass"] is True
     assert entry["shape"] == "C"
     lengths = entry["lengths"]
@@ -128,4 +137,40 @@ def test_rotated_shape_b_coordinates():
     o1, o2, axis = lengths["orientations"]
     assert (o1, o2, axis) == ("y", "z", "x")
     assert fan.rays[ri].scaled(7) == (7 - b * c - a * c, b * c, a * c)
-    assert verify_shape_correspondence(fan, ri)["pass"]
+    assert divisor_entry(GroupVerification(fan), ri)["pass"]
+
+
+def test_verification_reads_the_given_fan(p4, monkeypatch):
+    def rebuild(group):
+        raise AssertionError("GroupVerification rebuilt the fan")
+
+    monkeypatch.setattr(mckay_lab.verify, "build_fan", rebuild)
+    verification = GroupVerification(p4.fan)
+    assert verification.fan is p4.fan
+    assert verification.passed
+
+
+def test_chart_consistency_catches_a_corrupted_coefficient():
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    verification = GroupVerification(fan)
+    assert verification._prop_chart_consistency()
+    chi = fan.group.characters[1]
+    ri = fan.exceptional_ray_indices()[0]
+    fan.q.q[(chi, ri)] += 1
+    assert not verification._prop_chart_consistency()
+
+
+# sha256 of report_json(verify_group(g)): the report bytes are a fixed
+# output, so any change to them fails here
+REPORT_SHA256 = {
+    "4:1,1,2": "bb91ebbd0970feaec09dea7db17c5a1c126b450144bcfac4892046a114d8636a",
+    "7:1,2,4": "72cd8cb8f9e5a92171d3ee54c614014dffdc9cff5bc413f9c58afab99c10426e",
+    "13:1,5,7": "801d17973e2ea2ba377dc12c1d6796e6d93ce4bf03c36ffdc46f708eff85a323",
+    "3:1,2,0+3:0,1,2": "280c16d895bb8ef5abe9da23156777b6c60b42f574b59a95e9060b2e89aa586f",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(spec):
+    text = report_json(verify_group(parse_group_spec(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[spec]
