@@ -8,68 +8,33 @@ theorems, machine-checked).
 """
 
 from .errors import McKayLabError
-from .groups import Character, GroupData, group_from_generators, parse_group_spec
+from .groups import group_from_generators, parse_group_spec
 from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points, valuation
 from .ghilb import (
-    GGraph,
-    GHilbFan,
     build_fan,
     chart_generator,
     cone_of_ggraph,
     enumerate_ggraphs,
-    minimal_monomials,
     tautological_degree,
 )
 from .reid import (
-    CarvingRatio,
-    MarkedTriangulation,
-    VertexCase,
     carving_ratio,
     classify_fan_vertex,
     marked_triangulation,
     regular_triangle_defect,
     vertex_marking,
 )
-from .quiver import (
-    ChargeLine,
-    QuiverAnalysis,
-    SinkSourceGraph,
-    VertexClass,
-    quiver_counts,
-    quiver_triangles,
-    shape_lengths,
-    torus_positions,
-)
-from .transforms import (
-    TransformProfile,
-    support_h0,
-    support_h1,
-    support_h2,
-    transform_profile,
-)
-from .verify import (
-    GroupVerification,
-    verify_group,
-)
+from .quiver import QuiverAnalysis, quiver_counts, shape_lengths, torus_positions
+from .transforms import support_h0, support_h1, support_h2, transform_profile
+from .verify import GroupVerification, verify_group
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Character",
-    "CarvingRatio",
-    "ChargeLine",
     "Cone",
-    "GGraph",
-    "GHilbFan",
-    "GroupData",
     "GroupVerification",
-    "MarkedTriangulation",
     "McKayLabError",
     "QuiverAnalysis",
-    "SinkSourceGraph",
-    "TransformProfile",
-    "VertexCase",
-    "VertexClass",
     "WeightVector",
     "build_fan",
     "carving_ratio",
@@ -81,10 +46,8 @@ __all__ = [
     "group_from_generators",
     "junior_points",
     "marked_triangulation",
-    "minimal_monomials",
     "parse_group_spec",
     "quiver_counts",
-    "quiver_triangles",
     "regular_triangle_defect",
     "shape_lengths",
     "support_h0",

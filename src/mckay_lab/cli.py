@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success (and all checks passed), 1 verification failure,
-2 invalid input.
+Exit codes: 0 success (and all checks passed), 1 verification failure (in
+corpus, also a group whose pipeline raised), 2 invalid input.
 """
 
 from __future__ import annotations

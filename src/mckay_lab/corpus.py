@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from multiprocessing import Pool
 
+from .errors import McKayLabError
 from .groups import parse_group_spec
 from .serialize import report_json
 from .verify import verify_group
@@ -62,13 +63,18 @@ def enumerate_cyclic(max_order: int) -> list[str]:
 def corpus_specs(spec: CorpusSpec) -> list[str]:
     specs = enumerate_cyclic(spec.max_order)
     for extra in spec.groups:
+        parse_group_spec(extra)  # a bad explicit spec fails before any group runs
         if extra not in specs:
             specs.append(extra)
     return specs
 
 
 def _verify_spec(group_spec: str) -> dict:
-    return verify_group(parse_group_spec(group_spec))
+    """One group's report, or its error as {group, error_type, message}."""
+    try:
+        return verify_group(parse_group_spec(group_spec))
+    except McKayLabError as exc:
+        return {"group": group_spec, "error_type": type(exc).__name__, "message": str(exc)}
 
 
 def run_corpus(spec: CorpusSpec) -> dict:
@@ -76,7 +82,8 @@ def run_corpus(spec: CorpusSpec) -> dict:
 
     Reports are merged in corpus order, so the aggregate is independent of
     the worker count; per-group JSON files are written when an output
-    directory is configured.
+    directory is configured.  A group whose pipeline raises is recorded in
+    the failures and the sweep goes on.
     """
     specs = corpus_specs(spec)
     if spec.jobs > 1 and len(specs) > 1:
@@ -91,6 +98,9 @@ def run_corpus(spec: CorpusSpec) -> dict:
     failures = []
     per_group = []
     for group_spec, report in zip(specs, reports):
+        if "error_type" in report:
+            failures.append(report)
+            continue
         for entry in report["per_divisor"]:
             case_hist[entry["case"]] = case_hist.get(entry["case"], 0) + 1
             shape_hist[str(entry["shape"])] = shape_hist.get(str(entry["shape"]), 0) + 1

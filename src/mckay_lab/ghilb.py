@@ -2,17 +2,17 @@
 
 A cluster is a monomial set that is divisibility-closed, contains one
 monomial per character, and avoids multiples of xyz; its cone is cut out by
-the valuation inequalities v(m) >= v(r_chi) over the divisibility-minimal
-monomials m of each character chi.  All clusters are found by seeding from a
-generic weight and crossing every interior wall of every discovered cone;
-the assembled fan is then validated as a unimodular triangulation.
+the valuation inequalities v(b) >= v(r_chi) over its border monomials
+b = x_i*m outside the cluster (m in the cluster, chi the character of b).
+All clusters are found by seeding from a generic weight and crossing every
+interior wall of every discovered cone; the assembled fan is then validated
+as a unimodular triangulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     BoundaryEdge,
@@ -28,8 +28,6 @@ from .groups import (
     GroupData,
     Monomial,
     MONO_ONE,
-    mono_divides,
-    mono_degree,
 )
 from .intlin import cross3, dot3, primitive, primitive_signed, rank_of
 from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points, valuation
@@ -241,43 +239,7 @@ class GHilbFan:
 
 
 # ---------------------------------------------------------------------------
-# minimal monomials and cluster enumeration
-
-
-@lru_cache(maxsize=None)
-def _box_monomials(n: int) -> tuple[Monomial, ...]:
-    """xyz-free monomials with exponents < n, by total degree then lex."""
-    out = [
-        (i, j, k)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if min(i, j, k) == 0
-    ]
-    out.sort(key=lambda m: (mono_degree(m), m))
-    return tuple(out)
-
-
-def minimal_monomials(group: GroupData, chi: Character) -> set[Monomial]:
-    """Divisibility-minimal regular monomials of character chi."""
-    return set(_minimal_by_character(group)[chi])
-
-
-def _minimal_by_character(group: GroupData) -> dict[Character, tuple[Monomial, ...]]:
-    if not hasattr(group, "_minimal_cache"):
-        buckets: dict[Character, list[Monomial]] = {c: [] for c in group.characters}
-        for m in _box_monomials(group.order):
-            buckets[group.kappa(m)].append(m)
-        result = {}
-        for chi, monos in buckets.items():
-            # monos is degree-sorted, so earlier elements can only divide later ones
-            minimal: list[Monomial] = []
-            for m in monos:
-                if not any(mono_divides(p, m) for p in minimal):
-                    minimal.append(m)
-            result[chi] = tuple(minimal)
-        group._minimal_cache = result
-    return group._minimal_cache
+# seed cluster and cluster enumeration
 
 
 def seed_ggraph(group: GroupData) -> GGraph:
@@ -286,16 +248,17 @@ def seed_ggraph(group: GroupData) -> GGraph:
     With v = (1, n, n^2), n the group order, every character has a unique
     valuation-minimizing monomial (distinct bounded exponent vectors cannot
     pair to the same base-n value), and the minimizers form a cluster: a
-    divisor of a minimizer is the minimizer of its own character.
+    divisor of a minimizer is the minimizer of its own character.  Since xyz
+    is invariant, x and y generate the characters, so each minimizer is z-free
+    (x^i y^j with i, j < n weighs less than n^2) and is the first x^i y^j of
+    its character in (j, i) order.
     """
     n = group.order
-    v = (1, n, n * n)
     best: dict[Character, Monomial] = {}
-    for m in _box_monomials(n):
-        chi = group.kappa(m)
-        cur = best.get(chi)
-        if cur is None or dot3(v, m) < dot3(v, cur):
-            best[chi] = m
+    for m in ((i, j, 0) for j in range(n) for i in range(n)):
+        best.setdefault(group.kappa(m), m)
+        if len(best) == n:
+            break
     return GGraph(group, best)
 
 
@@ -378,24 +341,27 @@ def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
 
 
 # ---------------------------------------------------------------------------
-# cones of clusters
+# cones of clusters, cut by border monomials
 
 
 def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int, int]]:
     """Integer normals a with the cone of the cluster equal to {v >= 0, a.v >= 0}.
 
-    Normals that are nonnegative throughout are implied by the octant and
-    dropped; the rest are deduplicated up to positive scaling.
+    One normal b - r per border monomial b = x_i*m outside the cluster (m in
+    the cluster, r the representative of b's character): every monomial
+    outside the cluster is a multiple of a border monomial.  Normals that are
+    nonnegative throughout are implied by the octant and dropped; the rest
+    are deduplicated up to positive scaling.
     """
     normals = []
     seen = set()
-    minimal = _minimal_by_character(group)
-    for chi in group.characters:
-        r = graph.representative(chi)
-        for m in minimal[chi]:
-            if m == r:
+    for m in graph._key:
+        for i in range(3):
+            b = tuple(v + (1 if k == i else 0) for k, v in enumerate(m))
+            if b in graph:
                 continue
-            vec = (m[0] - r[0], m[1] - r[1], m[2] - r[2])
+            r = graph.representative(group.kappa(b))
+            vec = (b[0] - r[0], b[1] - r[1], b[2] - r[2])
             if min(vec) >= 0:
                 continue
             key = primitive(vec)

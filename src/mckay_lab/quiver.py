@@ -18,7 +18,7 @@ from .errors import (
     ShapeUnrecognized,
     WalkDiverged,
 )
-from .ghilb import GHilbFan
+from .ghilb import GHilbFan, seed_ggraph
 from .groups import Character, GroupData, VARIABLES
 from .intlin import dot3
 
@@ -426,13 +426,11 @@ def torus_positions(group: GroupData) -> dict[Character, tuple[int, int]]:
     a reduced basis of that lattice gives one well-defined point per
     character inside a half-open fundamental parallelogram.
     """
-    from .ghilb import _minimal_by_character
-
     basis = _reduced_projected_lattice(group)
-    minimal = _minimal_by_character(group)
+    lift = seed_ggraph(group).representatives
     pos = {}
     for chi in group.characters:
-        w = minimal[chi][0]  # deterministic lift: smallest minimal monomial
+        w = lift[chi]
         pos[chi] = _reduce_mod_lattice((w[0] - w[2], w[1] - w[2]), basis)
     return pos
 

@@ -9,12 +9,14 @@ combinatorial facts.  Everything is reported; nothing is silently skipped.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
+
 from .ghilb import (
     GHilbFan,
     _oriented_edge_vector,
     build_fan,
     ggraph_inequalities,
-    minimal_monomials,
     tautological_degree,
 )
 from .groups import Character, GroupData, Monomial, mono_divides
@@ -332,16 +334,14 @@ class GroupVerification:
         return self._counts_match_coordinates(self.fan.exceptional_ray_indices())
 
     def _prop_chart_consistency(self) -> bool:
-        """n*q(chi, ray) is the least valuation of chi's minimal monomials on
-        the ray: the divisor table derived without any chart."""
+        """n*q(chi, ray) is the least valuation of chi's monomials on the ray:
+        the divisor table derived without any chart."""
         fan, group = self.fan, self.group
         n = group.order
-        scaled = [r.scaled(n) for r in fan.rays]
-        for chi in group.characters:
-            monos = minimal_monomials(group, chi)
-            for ri, e in enumerate(scaled):
-                if n * fan.q(chi, ri) != min(dot3(e, m) for m in monos):
-                    return False
+        for ri, ray in enumerate(fan.rays):
+            least = _least_valuations(group, ray.scaled(n))
+            if any(n * fan.q(chi, ri) != least[chi] for chi in group.characters):
+                return False
         return True
 
     def _prop_edge_division(self) -> bool:
@@ -585,6 +585,28 @@ def _oriented_carving_pair(fan: GHilbFan, edge):
     """Carving pair (m, m') with m the generator side of the first chart."""
     w = _oriented_edge_vector(fan, edge)
     return tuple(max(-v, 0) for v in w), tuple(max(v, 0) for v in w)
+
+
+def _least_valuations(group: GroupData, weight) -> dict[Character, int]:
+    """The least weight.m over the monomials m of each character.
+
+    A monomial is a path from the trivial character in the McKay quiver, so
+    this is Dijkstra with an o-arrow costing weight[o] (all nonnegative).
+    """
+    steps = (group.kappa_x, group.kappa_y, group.kappa_z)
+    least: dict[Character, int] = {}
+    tie = count()  # characters do not compare; equal distances pop in push order
+    heap = [(0, next(tie), group.trivial_character)]
+    while heap:
+        d, _, chi = heappop(heap)
+        if chi in least:
+            continue
+        least[chi] = d
+        for w, step in zip(weight, steps):
+            nxt = chi * step
+            if nxt not in least:
+                heappush(heap, (d + w, next(tie), nxt))
+    return least
 
 
 def _divisors_of(m: Monomial):

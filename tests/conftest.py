@@ -1,13 +1,31 @@
 """Shared fixtures: the hand-checked groups and their pipelines, built once."""
 
 import pytest
+from hypothesis import strategies as st
 
 from mckay_lab import (
     QuiverAnalysis,
     build_fan,
+    group_from_generators,
     marked_triangulation,
     parse_group_spec,
 )
+
+
+def sl3_cyclic(max_r=12):
+    """Generators (r, (a, b, c)) of cyclic subgroups of SL3 with 2 <= r <= max_r."""
+    return st.tuples(
+        st.integers(min_value=2, max_value=max_r),
+        st.integers(min_value=0, max_value=max_r - 1),
+        st.integers(min_value=0, max_value=max_r - 1),
+    ).map(lambda t: (t[0], (t[1] % t[0], t[2] % t[0], (-t[1] - t[2]) % t[0])))
+
+
+# cyclic groups of order <= 10 and products of two cyclic groups of order <= 4
+small_groups = st.one_of(
+    sl3_cyclic(10).map(lambda g: [g]),
+    st.lists(sl3_cyclic(4), min_size=2, max_size=2),
+).map(group_from_generators)
 
 
 class Pipeline:

@@ -3,13 +3,15 @@ algorithms, used to compute and freeze expected values."""
 
 from fractions import Fraction
 
-from mckay_lab.groups import MONO_ONE, mono_degree
+from mckay_lab.groups import MONO_ONE, mono_degree, mono_divides
+from mckay_lab.intlin import dot3, primitive
 
 
-def naive_ggraphs(group):
-    """Depth-first enumeration over divisibility-closed, one-per-character,
-    xyz-free monomial sets (feasible for small orders only)."""
-    n = group.order
+def box_monomials(n):
+    """xyz-free monomials with exponents < n, by total degree then lex.
+
+    Every divisibility-minimal monomial of a character lies in this box:
+    x^n, y^n, z^n and xyz are invariant."""
     pool = [
         (i, j, k)
         for i in range(n)
@@ -18,6 +20,53 @@ def naive_ggraphs(group):
         if min(i, j, k) == 0
     ]
     pool.sort(key=lambda m: (mono_degree(m), m))
+    return pool
+
+
+def minimal_monomials(group):
+    """The divisibility-minimal monomials of each character, by box scan."""
+    result = {chi: [] for chi in group.characters}
+    for m in box_monomials(group.order):  # degree-sorted: divisors come first
+        minimal = result[group.kappa(m)]
+        if not any(mono_divides(p, m) for p in minimal):
+            minimal.append(m)
+    return result
+
+
+def minimal_monomial_normals(group, graph):
+    """A cluster's cone normals m - r over every minimal monomial m of every
+    character (r its representative): the cut before border monomials."""
+    normals = []
+    seen = set()
+    for chi, monos in minimal_monomials(group).items():
+        r = graph.representative(chi)
+        for m in monos:
+            vec = (m[0] - r[0], m[1] - r[1], m[2] - r[2])
+            if m == r or min(vec) >= 0:
+                continue
+            key = primitive(vec)
+            if key not in seen:
+                seen.add(key)
+                normals.append(vec)
+    return normals
+
+
+def box_least(group, weight):
+    """Per character, the least weight.m over the box and a monomial attaining it
+    (the first in box order)."""
+    best = {}
+    for m in box_monomials(group.order):
+        chi = group.kappa(m)
+        if chi not in best or dot3(weight, m) < best[chi][0]:
+            best[chi] = (dot3(weight, m), m)
+    return best
+
+
+def naive_ggraphs(group):
+    """Depth-first enumeration over divisibility-closed, one-per-character,
+    xyz-free monomial sets (feasible for small orders only)."""
+    n = group.order
+    pool = box_monomials(n)
     kappa = {m: group.kappa(m) for m in pool}
     suffix = [set() for _ in range(len(pool) + 1)]
     for i in range(len(pool) - 1, -1, -1):

@@ -106,3 +106,37 @@ def test_verify_report_summary(capsys):
         "nothing": 1,
     }
     assert report["summary"]["shape_histogram"] == {"B": 1}
+
+
+def test_corpus_rejects_a_bad_group_before_any_group_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("mckay_lab.corpus.verify_group", calls.append)
+    code, out, err = run(capsys, "corpus", "--max-order", "6", "--group", "5:1,1,2")
+    assert code == 2 and out == ""
+    assert "sum to 0 mod 5" in err
+    assert calls == []
+
+
+def test_corpus_records_a_raising_group_and_goes_on(capsys, monkeypatch):
+    import mckay_lab.corpus
+    from mckay_lab.errors import FanValidationFailed
+
+    verify_group = mckay_lab.corpus.verify_group
+
+    def flaky(group):
+        if group.spec_string() == "3:1,1,1":
+            raise FanValidationFailed("seeded fault")
+        return verify_group(group)
+
+    monkeypatch.setattr(mckay_lab.corpus, "verify_group", flaky)
+    code, out, _ = run(capsys, "corpus", "--max-order", "4", "--jobs", "1")
+    assert code == 1
+    aggregate = json.loads(out)
+    assert aggregate["pass"] is False
+    assert aggregate["failures"] == [
+        {"group": "3:1,1,1", "error_type": "FanValidationFailed", "message": "seeded fault"}
+    ]
+    assert [g["group"] for g in aggregate["per_group"]] == [
+        "2:0,1,1", "3:0,1,2", "4:0,1,3", "4:1,1,2"
+    ]
+    assert all(g["pass"] for g in aggregate["per_group"])

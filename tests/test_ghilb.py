@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from mckay_lab import (
     Cone,
@@ -11,25 +11,18 @@ from mckay_lab import (
     cone_of_ggraph,
     enumerate_ggraphs,
     group_from_generators,
-    minimal_monomials,
     tautological_degree,
 )
 from mckay_lab.errors import BoundaryEdge, UnknownCone
-from mckay_lab.ghilb import ggraph_inequalities, seed_ggraph
+from mckay_lab.ghilb import _extreme_rays, ggraph_inequalities, seed_ggraph
 from mckay_lab.intlin import dot3
 
-from oracles import naive_ggraphs
+from conftest import sl3_cyclic, small_groups
+from oracles import box_least, minimal_monomial_normals, naive_ggraphs
 
 
 def monoset(graph):
     return frozenset(graph.monomials)
-
-
-def test_minimal_monomials_examples(p3, p2):
-    chi1 = p3.chi(1)
-    assert minimal_monomials(p3.group, chi1) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert minimal_monomials(p3.group, p3.chi(0)) == {(0, 0, 0)}
-    assert minimal_monomials(p2.group, p2.chi(1)) == {(1, 0, 0), (0, 1, 0)}
 
 
 def test_enumerate_ggraphs_examples(p3, p4, trivial_group):
@@ -51,13 +44,7 @@ def test_enumerate_ggraphs_examples(p3, p4, trivial_group):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.tuples(
-        st.integers(min_value=2, max_value=10),
-        st.integers(min_value=0, max_value=9),
-        st.integers(min_value=0, max_value=9),
-    ).map(lambda t: (t[0], (t[1] % t[0], t[2] % t[0], (-t[1] - t[2]) % t[0])))
-)
+@given(sl3_cyclic(10))
 def test_wall_crossing_matches_naive_search(gen):
     """The production enumeration agrees with the brute-force staircase DFS."""
     group = group_from_generators([gen])
@@ -68,6 +55,26 @@ def test_wall_crossing_matches_naive_search(gen):
 def test_seed_ggraph_is_a_cluster(p13):
     graph = seed_ggraph(p13.group)
     assert len(graph.monomials) == 13
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_seed_ggraph_is_the_box_argmin(group):
+    """The z-free seed search finds the (1, n, n^2)-minimizer of the whole box."""
+    n = group.order
+    best = box_least(group, (1, n, n * n))
+    assert seed_ggraph(group).representatives == {chi: m for chi, (_, m) in best.items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_groups)
+def test_border_cones_match_minimal_monomial_cones(group):
+    """Border monomials cut every cluster's cone exactly as the minimal
+    monomials of every character do."""
+    for graph in enumerate_ggraphs(group):
+        assert _extreme_rays(ggraph_inequalities(group, graph)) == _extreme_rays(
+            minimal_monomial_normals(group, graph)
+        )
 
 
 def test_cone_of_ggraph_examples(p3, p4, trivial_group):

@@ -1,39 +1,18 @@
 """Randomized invariants over small groups, plus spot property suites."""
 
-from hypothesis import given, settings, strategies as st
+from math import gcd
+
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mckay_lab import (
     build_fan,
     group_from_generators,
     junior_points,
-    minimal_monomials,
     valuation,
     verify_group,
 )
-from mckay_lab.groups import mono_divides
 
-
-def sl3_cyclic(max_r=12):
-    return st.tuples(
-        st.integers(min_value=2, max_value=max_r),
-        st.integers(min_value=0, max_value=max_r - 1),
-        st.integers(min_value=0, max_value=max_r - 1),
-    ).map(lambda t: (t[0], (t[1] % t[0], t[2] % t[0], (-t[1] - t[2]) % t[0])))
-
-
-@settings(max_examples=30, deadline=None)
-@given(sl3_cyclic(), st.tuples(*[st.integers(0, 8)] * 3))
-def test_minimal_monomials_dominate(gen, mono):
-    group = group_from_generators([gen])
-    chi = group.kappa(mono)
-    mins = minimal_monomials(group, chi)
-    assert any(mono_divides(m, mono) for m in mins)
-    assert all(
-        not mono_divides(m1, m2)
-        for m1 in mins
-        for m2 in mins
-        if m1 != m2
-    )
+from conftest import sl3_cyclic
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,3 +54,23 @@ def test_full_verification_passes(gen):
 def test_full_verification_passes_on_products(gen1, gen2):
     group = group_from_generators([gen1, gen2])
     assert verify_group(group)["pass"]
+
+
+def _fan_picture(group):
+    fan = build_fan(group)
+    return fan.rays, fan.cone_rays, [frozenset(g.monomials) for g in fan.ggraphs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(sl3_cyclic(), st.integers(min_value=1, max_value=40))
+@example((36, (1, 1, 34)), 35)  # 36:35,35,2 against 36:1,1,34
+def test_fan_is_independent_of_the_generator(gen, k):
+    """k*(a,b,c) with gcd(k, r) = 1 generates the same subgroup, so the rays,
+    the cones and each cone's cluster are the same."""
+    r, weights = gen
+    assume(gcd(k, r) == 1)
+    other = (r, tuple(k * w % r for w in weights))
+    assert _fan_picture(group_from_generators([gen])) == _fan_picture(
+        group_from_generators([other])
+    )
+

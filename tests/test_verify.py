@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mckay_lab.verify
 from mckay_lab import (
@@ -13,6 +14,10 @@ from mckay_lab import (
 )
 from mckay_lab.errors import ShapeUnrecognized
 from mckay_lab.serialize import report_json
+from mckay_lab.verify import _least_valuations
+
+from conftest import small_groups
+from oracles import box_least
 
 f = Fraction
 
@@ -158,6 +163,15 @@ def test_chart_consistency_catches_a_corrupted_coefficient():
     ri = fan.exceptional_ray_indices()[0]
     fan.q.q[(chi, ri)] += 1
     assert not verification._prop_chart_consistency()
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups, st.tuples(*[st.integers(0, 12)] * 3))
+def test_least_valuations_match_box_minima(group, weight):
+    """Shortest paths in the McKay quiver give the least weight over each
+    character's monomials, as a scan of the whole box does."""
+    best = box_least(group, weight)
+    assert _least_valuations(group, weight) == {chi: v for chi, (v, _) in best.items()}
 
 
 # sha256 of report_json(verify_group(g)): the report bytes are a fixed
