@@ -30,7 +30,7 @@ from .groups import (
     MONO_ONE,
 )
 from .intlin import cross3, dot3, primitive, primitive_signed, rank_of
-from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points, valuation
+from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points
 
 
 class GGraph:
@@ -95,34 +95,40 @@ class FanEdge:
 
 
 class DivisorCoefficients:
-    """The table q[chi, ray] = e(r_chi), checked for chart consistency."""
+    """The integer table q[chi, ray] = n*q(chi, ray) = (n*e).r_chi, n = |G|.
+
+    Every chart at the ray must give the same value; calling the table gives
+    the exact q(chi, ray) itself."""
 
     def __init__(self, fan: "GHilbFan"):
         self.fan = fan
-        self.q: dict[tuple[Character, int], Fraction] = {}
-        for ray_idx, ray in enumerate(fan.rays):
+        self.q: dict[tuple[Character, int], int] = {}
+        for ray_idx, e in enumerate(fan.scaled_rays):
             cone_indices = fan.cones_at_ray(ray_idx)
             for chi in fan.group.characters:
-                vals = {
-                    valuation(ray, fan.ggraphs[ci].representative(chi))
-                    for ci in cone_indices
-                }
+                vals = {dot3(e, fan.ggraphs[ci].representative(chi)) for ci in cone_indices}
                 if len(vals) != 1:
                     raise InconsistentCharts(
-                        f"charts at ray {ray} disagree on q for {chi}: {sorted(vals)}"
+                        f"charts at ray {fan.rays[ray_idx]} disagree on n*q for {chi}: "
+                        f"{sorted(vals)}"
                     )
                 self.q[(chi, ray_idx)] = vals.pop()
 
     def __call__(self, chi: Character, ray_idx: int) -> Fraction:
-        return self.q[(chi, ray_idx)]
+        return Fraction(self.q[(chi, ray_idx)], self.fan.group.order)
 
 
 class GHilbFan:
-    """The validated triangulation of the junior simplex with its cluster charts."""
+    """The validated triangulation of the junior simplex with its cluster charts.
+
+    Besides the charts it holds the integer facts every later layer reads:
+    the scaled rays n*e, the divisor table n*q and one carving vector per
+    interior edge (lexicographic sign, keyed by the edge's ray pair)."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cones: list[Cone]):
         self.group = group
         self.rays: tuple[WeightVector, ...] = tuple(junior_points(group))
+        self.scaled_rays = tuple(r.scaled(group.order) for r in self.rays)
         self._ray_index = {r: i for i, r in enumerate(self.rays)}
         self.ggraphs = tuple(ggraphs)
         self.cones = tuple(cones)
@@ -137,6 +143,12 @@ class GHilbFan:
         self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
         self._validate()
         self.q = DivisorCoefficients(self)
+        self.carving_vectors = {
+            e.rays: invariant_perpendicular(
+                group, self.scaled_rays[e.rays[0]], self.scaled_rays[e.rays[1]]
+            )
+            for e in self.interior_edges()
+        }
 
     # -- lookups ------------------------------------------------------------
 
@@ -263,12 +275,12 @@ def seed_ggraph(group: GroupData) -> GGraph:
 
 
 def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:
-    """Primitive invariant-lattice vector perpendicular to two junior points.
+    """Primitive invariant-lattice vector perpendicular to two scaled junior
+    points n*e and n*f.
 
     Sign is lexicographic; callers orient as needed.
     """
-    n = group.order
-    u = primitive_signed(cross3(e.scaled(n), f.scaled(n)))
+    u = primitive_signed(cross3(e, f))
     order = group.character_order(group.kappa(u))
     return tuple(w * order for w in u)
 
@@ -283,7 +295,7 @@ def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GG
     """
     e, f = facet
     (g,) = [r for r in cone.rays if r not in facet]
-    t = invariant_perpendicular(group, e, f)
+    t = invariant_perpendicular(group, e.scaled(group.order), f.scaled(group.order))
     if dot3(g.coords, t) < 0:
         t = tuple(-v for v in t)
     elif dot3(g.coords, t) == 0:
@@ -477,11 +489,10 @@ def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
 def _oriented_edge_vector(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
     """Primitive generator of M perpendicular to the edge, positive on the
     far ray of the first adjacent cone."""
-    i, j = edge.rays
-    w = invariant_perpendicular(fan.group, fan.rays[i], fan.rays[j])
+    w = fan.carving_vectors[edge.rays]
     ci = edge.cones[0]
     far = [ri for ri in fan.cone_rays[ci] if ri not in edge.rays][0]
-    val = dot3(fan.rays[far].coords, w)
+    val = dot3(fan.scaled_rays[far], w)
     if val == 0:
         raise MultiplicityOutOfRange("carving direction degenerate on the far ray")
     return w if val > 0 else tuple(-v for v in w)

@@ -22,14 +22,6 @@ MONO_ONE: Monomial = (0, 0, 0)
 VARIABLES = ("x", "y", "z")
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-
-
-def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    return (m1[0] - m2[0], m1[1] - m2[1], m1[2] - m2[2])
-
-
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     return m1[0] <= m2[0] and m1[1] <= m2[1] and m1[2] <= m2[2]
 

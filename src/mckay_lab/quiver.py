@@ -20,7 +20,6 @@ from .errors import (
 )
 from .ghilb import GHilbFan, seed_ggraph
 from .groups import Character, GroupData, VARIABLES
-from .intlin import dot3
 
 ORIENTATIONS = VARIABLES  # ("x", "y", "z")
 
@@ -32,10 +31,6 @@ class VertexClass:
     kind: str  # "sink" | "source" | "charge" | "tile"
     bidegree: tuple[int, int]  # charges emitted/received: (1,0)-type vs (0,1)-type
     orientation: str | None = None  # line orientation, None for (3,0)/(0,3)/(3,3)
-
-    @property
-    def is_sink(self) -> bool:
-        return self.kind == "sink"
 
     @property
     def is_source(self) -> bool:
@@ -139,17 +134,17 @@ class QuiverAnalysis:
         return self._mult[ray_idx]
 
     def _compute_mult(self, ray_idx: int) -> dict[tuple[Character, str], int]:
-        fan, group = self.fan, self.group
+        """n times the order of the arrow (chi, o) is
+        n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the divisor table."""
+        group = self.group
         n = group.order
-        e = fan.rays[ray_idx].scaled(n)
-        cone_idx = fan.cones_at_ray(ray_idx)[0]
-        graph = fan.ggraphs[cone_idx]
+        e = self.fan.scaled_rays[ray_idx]
+        q = self.fan.q.q
         out: dict[tuple[Character, str], int] = {}
         for chi in group.characters:
-            r_tail = graph.representative(chi)
             for k, o in enumerate(ORIENTATIONS):
                 head = chi * group.kappa_of_variable(o)
-                val = e[k] + dot3(e, r_tail) - dot3(e, graph.representative(head))
+                val = e[k] + q[(chi, ray_idx)] - q[(head, ray_idx)]
                 if val not in (0, n):
                     raise MultiplicityOutOfRange(
                         f"arrow ({chi},{o}) has multiplicity {val}/{n} along ray {ray_idx}"

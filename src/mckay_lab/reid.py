@@ -18,7 +18,7 @@ from .errors import (
     RecipeInconsistency,
     UnclassifiableVertex,
 )
-from .ghilb import FanEdge, GHilbFan, invariant_perpendicular
+from .ghilb import FanEdge, GHilbFan
 from .groups import Character, Monomial, mono_str
 from .intlin import cross3, dot3
 from .lattice import WeightVector
@@ -69,9 +69,7 @@ def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
     """
     if edge.is_boundary:
         raise BoundaryEdge(f"edge {edge.rays} lies in the boundary of the simplex")
-    i, j = edge.rays
-    # first nonzero entry positive
-    u = invariant_perpendicular(fan.group, fan.rays[i], fan.rays[j])
+    u = fan.carving_vectors[edge.rays]  # first nonzero entry positive
     m1 = tuple(max(v, 0) for v in u)
     m2 = tuple(max(-v, 0) for v in u)
     group = fan.group

@@ -188,8 +188,7 @@ class GroupVerification:
         return entry
 
     def _coords_check(self, ray_idx: int, scaled_expected) -> bool:
-        n = self.group.order
-        return self.fan.rays[ray_idx].scaled(n) == tuple(scaled_expected)
+        return self.fan.scaled_rays[ray_idx] == tuple(scaled_expected)
 
     def _check_shape_a(self, ray_idx, ss, checks, ratio_multiset) -> None:
         a, b, c = (ss.lengths[k] for k in "abc")
@@ -324,10 +323,8 @@ class GroupVerification:
         )
 
     def _counts_match_coordinates(self, ray_indices) -> bool:
-        n = self.group.order
         return all(
-            self.qa.vanishing_counts(ri) == self.fan.rays[ri].scaled(n)
-            for ri in ray_indices
+            self.qa.vanishing_counts(ri) == self.fan.scaled_rays[ri] for ri in ray_indices
         )
 
     def _prop_lemma_counts(self) -> bool:
@@ -337,10 +334,9 @@ class GroupVerification:
         """n*q(chi, ray) is the least valuation of chi's monomials on the ray:
         the divisor table derived without any chart."""
         fan, group = self.fan, self.group
-        n = group.order
-        for ri, ray in enumerate(fan.rays):
-            least = _least_valuations(group, ray.scaled(n))
-            if any(n * fan.q(chi, ri) != least[chi] for chi in group.characters):
+        for ri, e in enumerate(fan.scaled_rays):
+            least = _least_valuations(group, e)
+            if any(fan.q.q[(chi, ri)] != least[chi] for chi in group.characters):
                 return False
         return True
 
@@ -446,13 +442,11 @@ class GroupVerification:
     def _prop_cone_oracle(self) -> bool:
         """Junior points satisfying a cluster's inequalities are its cone's rays."""
         fan = self.fan
-        n = self.group.order
-        scaled = [r.scaled(n) for r in fan.rays]
         for ci, graph in enumerate(fan.ggraphs):
             normals = ggraph_inequalities(self.group, graph)
             inside = {
                 ri
-                for ri, s in enumerate(scaled)
+                for ri, s in enumerate(fan.scaled_rays)
                 if all(dot3(a, s) >= 0 for a in normals)
             }
             if inside != set(fan.cone_rays[ci]):

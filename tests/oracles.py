@@ -62,6 +62,23 @@ def box_least(group, weight):
     return best
 
 
+def chart_pairing(group, ray, graph):
+    """Arrow orders read off one chart: e_o + e(r_chi) - e(r_chi*kappa_o) for
+    every arrow (chi, o), with e the ray's rational weight and r the chart's
+    generators."""
+    e = ray.coords
+    out = {}
+    for chi in group.characters:
+        for k, o in enumerate("xyz"):
+            head = chi * group.kappa_of_variable(o)
+            out[(chi, o)] = (
+                e[k]
+                + dot3(e, graph.representative(chi))
+                - dot3(e, graph.representative(head))
+            )
+    return out
+
+
 def naive_ggraphs(group):
     """Depth-first enumeration over divisibility-closed, one-per-character,
     xyz-free monomial sets (feasible for small orders only)."""

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from mckay_lab.cli import main
 
@@ -140,3 +143,41 @@ def test_corpus_records_a_raising_group_and_goes_on(capsys, monkeypatch):
         "2:0,1,1", "3:0,1,2", "4:0,1,3", "4:1,1,2"
     ]
     assert all(g["pass"] for g in aggregate["per_group"])
+
+
+# sha256 of the read-path outputs, recorded before the divisor table moved to
+# integers: the query bytes are fixed outputs, like the verify reports
+QUERY_SHA256 = {
+    "4:1,1,2": {
+        "fan": "6617d1e61d264be63a057041f77025b8134c80dcfc17d60e98e246f108c7a995",
+        "reid": "effa6aa13df967df2ece433f2eabd9c81dc85dd07f81f37befca678845f090d3",
+        "quiver": "e902d5a3bb172ecb8cb994989e4b01370907874788c52e9607b231d36f19a7e4",
+        "ssgraph": "920239b22806547b8ee59cd0b5dd0aa4b20caaba6154ad47b267caba0afc5f6f",
+        "transforms": "3bea8cb4fb22932d1ad0d6200ccd1e70d5b65e317d3f45a483b9282980d19a87",
+    },
+    "13:1,5,7": {
+        "fan": "6061455e3938133fbe2749ffcc8e58f34e02f16c7a55a51122e7985465966cce",
+        "reid": "c3262ac0791d130bab0a85cc70d2a5a692f8c7ef7084a0a9fbe9c61b8a5bd2da",
+        "quiver": "0a5c71f2c7925358e093215cf188fd80547bb32e0c55cbd3ef9163b858e447e7",
+        "ssgraph": "0709367fa3875025eccf6782eb23a5766dd9e6f52f54f08430a8a5779d3c55b4",
+        "transforms": "462b74c8a099479a467ab19cc35299f3f1b95e042e28624c84fdccbfb6e95dbd",
+    },
+    "3:1,2,0+3:0,1,2": {
+        "fan": "878c61e22d48cbcf9d47a3b91de270f8684ccc6529d85509bc0d836d99cf0df2",
+        "reid": "957d90ebefbbf2f0f77782a267979a4f2619db3ee79b35f57b842f8c4d87d372",
+        "quiver": "fd043a5f97db3c80307dce571b125e9694964f8cb2a40e27629bc33175bf2f48",
+        "ssgraph": "076c563431cc6d0c314ec4d77ae4909091121bbc07c2b512299b830efa05db04",
+        "transforms": "574deef74a3f77d0d36a669e40895d845adbbaae061a2f9e34a62141b540463a",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "spec,command",
+    [(spec, command) for spec, pins in sorted(QUERY_SHA256.items()) for command in pins],
+)
+def test_query_bytes_are_pinned(capsys, spec, command):
+    extra = ["--format", "svg"] if command == "reid" else []
+    code, out, _ = run(capsys, command, "--group", spec, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QUERY_SHA256[spec][command]

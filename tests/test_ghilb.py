@@ -13,8 +13,13 @@ from mckay_lab import (
     group_from_generators,
     tautological_degree,
 )
-from mckay_lab.errors import BoundaryEdge, UnknownCone
-from mckay_lab.ghilb import _extreme_rays, ggraph_inequalities, seed_ggraph
+from mckay_lab.errors import BoundaryEdge, InconsistentCharts, UnknownCone
+from mckay_lab.ghilb import (
+    GHilbFan,
+    _extreme_rays,
+    ggraph_inequalities,
+    seed_ggraph,
+)
 from mckay_lab.intlin import dot3
 
 from conftest import sl3_cyclic, small_groups
@@ -160,6 +165,16 @@ def test_divisor_coefficients_examples(p3, p4):
     assert all(p3.fan.q(p3.chi(0), ri) == 0 for ri in range(len(p3.fan.rays)))
     p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     assert p4.fan.q(p4.chi(3), p) == Fraction(3, 4)
+
+
+def test_disagreeing_charts_are_rejected(p13):
+    """Swapping the clusters of the two cones on an interior edge leaves the
+    cones valid but makes the charts at a far ray disagree on q."""
+    ci, cj = p13.fan.interior_edges()[0].cones
+    ggraphs = list(p13.fan.ggraphs)
+    ggraphs[ci], ggraphs[cj] = ggraphs[cj], ggraphs[ci]
+    with pytest.raises(InconsistentCharts):
+        GHilbFan(p13.group, ggraphs, list(p13.fan.cones))
 
 
 def test_tautological_degree_examples(p3, p4):

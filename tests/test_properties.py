@@ -5,6 +5,7 @@ from math import gcd
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mckay_lab import (
+    QuiverAnalysis,
     build_fan,
     group_from_generators,
     junior_points,
@@ -12,7 +13,8 @@ from mckay_lab import (
     verify_group,
 )
 
-from conftest import sl3_cyclic
+from conftest import sl3_cyclic, small_groups
+from oracles import chart_pairing
 
 
 @settings(max_examples=25, deadline=None)
@@ -41,6 +43,22 @@ def test_chart_consistency_of_divisor_coefficients(gen):
             assert q == valuation(fan.rays[ri], fan.ggraphs[ci].representative(chi))
         if chi.is_trivial:
             assert all(fan.q(chi, ri) == 0 for ri in range(len(fan.rays)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups)
+def test_divisor_table_agrees_with_every_chart(group):
+    """The table-read arrow orders and q equal the pairings of each chart at
+    each ray, not only the first."""
+    fan = build_fan(group)
+    qa = QuiverAnalysis(fan)
+    for ri, ray in enumerate(fan.rays):
+        mult = qa.multiplicities(ri)
+        for ci in fan.cones_at_ray(ri):
+            graph = fan.ggraphs[ci]
+            assert chart_pairing(group, ray, graph) == mult
+            for chi in group.characters:
+                assert fan.q(chi, ri) == valuation(ray, graph.representative(chi))
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,6 +1,15 @@
 from fractions import Fraction
 
-from mckay_lab import quiver_counts, torus_positions
+import pytest
+
+from mckay_lab import (
+    QuiverAnalysis,
+    build_fan,
+    parse_group_spec,
+    quiver_counts,
+    torus_positions,
+)
+from mckay_lab.errors import MultiplicityOutOfRange
 from mckay_lab.quiver import SINK03, SINK30, SOURCE33
 
 f = Fraction
@@ -20,6 +29,16 @@ def test_arrow_vanishing_orders(p3, p4):
     assert p3.qa.multiplicities(center)[(p3.chi(0), "x")] == 0
     p = p4.ray((f(1, 4), f(1, 4), f(1, 2)))
     assert p4.qa.multiplicities(p)[(p4.chi(2), "z")] == 1
+
+
+def test_multiplicities_read_the_divisor_table():
+    """The arrow orders come from fan.q alone: one corrupted entry breaks them."""
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    chi = fan.group.characters[1]
+    ri = fan.exceptional_ray_indices()[0]
+    fan.q.q[(chi, ri)] += 1
+    with pytest.raises(MultiplicityOutOfRange):
+        QuiverAnalysis(fan).multiplicities(ri)
 
 
 def test_vanishing_counts(p3, p4):
