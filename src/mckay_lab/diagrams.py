@@ -47,8 +47,7 @@ def quiver_dot(group: GroupData) -> str:
             f'  {names[chi]} [label="{chi.label()}", pos="{_fixed(x)},{_fixed(y)}!"];'
         )
     for chi in order:
-        for o in ORIENTATIONS:
-            head = chi * group.kappa_of_variable(o)
+        for o, head in zip(ORIENTATIONS, group.heads[chi]):
             lines.append(f'  {names[chi]} -> {names[head]} [label="{o}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -73,8 +72,7 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int) -> str:
         label = f"{chi.label()}\\n{classes[chi].label()}"
         lines.append(f'  {names[chi]} [label="{label}", pos="{_fixed(x)},{_fixed(y)}!"];')
     for chi in order:
-        for o in ORIENTATIONS:
-            head = chi * group.kappa_of_variable(o)
+        for o, head in zip(ORIENTATIONS, group.heads[chi]):
             style = "color=black, penwidth=2" if mult[(chi, o)] else "color=grey"
             lines.append(
                 f'  {names[chi]} -> {names[head]} [label="{o}", {style}];'

@@ -317,13 +317,15 @@ def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GG
 def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
     """All torus-fixed clusters with their cones, by wall-crossing closure.
 
-    Starting from the cluster of a generic chart, repeatedly cross every
-    interior facet of every discovered chart; the dual graph of the
-    triangulation is connected, so this reaches all |G| clusters.
+    Starting from the cluster of a generic chart, cross every interior facet
+    of every discovered chart once (a facet crossed from the cone on its
+    other side leads back to a cluster already reached); the dual graph of
+    the triangulation is connected, so this reaches all |G| clusters.
     """
     n = group.order
     seed = seed_ggraph(group)
     found: dict[tuple, tuple[GGraph, Cone]] = {}
+    crossed: set[tuple[WeightVector, WeightVector]] = set()
     queue = [seed]
     while queue:
         graph = queue.pop()
@@ -337,8 +339,11 @@ def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
         for a in range(3):
             for b in range(a + 1, 3):
                 e, f = rays[a], rays[b]
-                if any(e.coords[k] == 0 and f.coords[k] == 0 for k in range(3)):
-                    continue  # boundary facet of the octant
+                if (e, f) in crossed or any(
+                    e.coords[k] == 0 and f.coords[k] == 0 for k in range(3)
+                ):
+                    continue  # crossed from the other side, or on the octant
+                crossed.add((e, f))
                 neighbor = flip_ggraph(group, graph, cone, (e, f))
                 if neighbor._key not in found:
                     queue.append(neighbor)

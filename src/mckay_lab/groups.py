@@ -96,11 +96,11 @@ class GroupData:
         self.invariant_basis = _invariant_basis(self.weight_basis)
         self._check_indices()
 
-        self.kappa_x = self.kappa((1, 0, 0))
-        self.kappa_y = self.kappa((0, 1, 0))
-        self.kappa_z = self.kappa((0, 0, 1))
         self.trivial_character = self.kappa(MONO_ONE)
-        self.characters = self._character_closure()
+        # the McKay quiver's arrows, one triple per character indexed like
+        # VARIABLES: heads[chi][k] = chi * kappa(k-th variable), and
+        # tails[chi][k] is the tail of the k-arrow into chi
+        self.characters, self.heads, self.tails = self._character_closure()
 
     # -- characters --------------------------------------------------------
 
@@ -109,9 +109,6 @@ class GroupData:
         return Character(
             tuple(dot3(w, m) % r for r, w in self.generators), self.moduli
         )
-
-    def kappa_of_variable(self, var: str) -> Character:
-        return {"x": self.kappa_x, "y": self.kappa_y, "z": self.kappa_z}[var]
 
     def is_invariant(self, m: Monomial) -> bool:
         return self.kappa(m).is_trivial
@@ -123,21 +120,23 @@ class GroupData:
         return k
 
     def _character_closure(self):
-        seen = {self.trivial_character}
+        """The characters and the arrow tables: x, y and z generate the
+        characters, so the closure multiplies every character by all three."""
+        gens = tuple(self.kappa(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        heads = {}
         frontier = [self.trivial_character]
-        gens = (self.kappa_x, self.kappa_y, self.kappa_z)
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = cur * g
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != self.order:
+            if cur not in heads:
+                heads[cur] = tuple(cur * g for g in gens)
+                frontier.extend(heads[cur])
+        if len(heads) != self.order:
             raise NotInSL3(
-                f"character count {len(seen)} != group order {self.order}"
+                f"character count {len(heads)} != group order {self.order}"
             )
-        return tuple(sorted(seen, key=lambda c: c.residues))
+        back = [{ends[k]: chi for chi, ends in heads.items()} for k in range(3)]
+        tails = {chi: tuple(b[chi] for b in back) for chi in heads}
+        return tuple(sorted(heads, key=lambda c: c.residues)), heads, tails
 
     # -- lattices ----------------------------------------------------------
 

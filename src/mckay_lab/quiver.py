@@ -6,6 +6,12 @@ Along a fixed exceptional divisor each arrow either survives or vanishes to
 first order, every quiver triangle loses exactly one of its three arrows,
 and the vanishing pattern around a vertex places it in one of 18 classes:
 two sinks, seven sources, six charges and three tiles.
+
+The arrows are the group's tables ``heads`` and ``tails``.  QuiverAnalysis
+derives, once per ray, the arrow orders (from the fan's divisor table) and
+the vertex classes.  Charge lines and shapes are sought on interior
+divisors only, where they are theorems; the sink-source graph of a boundary
+divisor holds its vertex classes alone.
 """
 
 from __future__ import annotations
@@ -99,7 +105,6 @@ class SinkSourceGraph:
     shape: str | None = None  # "A" | "B" | "C", None when unrecognized
     shape_axis: str | None = None  # B: orientation of the lone third line
     lengths: dict | None = None
-    problems: list[str] = field(default_factory=list)
 
     @property
     def sources(self) -> list[Character]:
@@ -123,6 +128,7 @@ class QuiverAnalysis:
         self.fan = fan
         self.group = fan.group
         self._mult: dict[int, dict[tuple[Character, str], int]] = {}
+        self._classes: dict[int, dict[Character, VertexClass]] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
 
     # -- multiplicities ------------------------------------------------------
@@ -142,9 +148,9 @@ class QuiverAnalysis:
         q = self.fan.q.q
         out: dict[tuple[Character, str], int] = {}
         for chi in group.characters:
+            heads = group.heads[chi]
             for k, o in enumerate(ORIENTATIONS):
-                head = chi * group.kappa_of_variable(o)
-                val = e[k] + q[(chi, ray_idx)] - q[(head, ray_idx)]
+                val = e[k] + q[(chi, ray_idx)] - q[(heads[k], ray_idx)]
                 if val not in (0, n):
                     raise MultiplicityOutOfRange(
                         f"arrow ({chi},{o}) has multiplicity {val}/{n} along ray {ray_idx}"
@@ -162,30 +168,29 @@ class QuiverAnalysis:
     def triangles_consistent(self, ray_idx: int) -> bool:
         """Exactly one vanishing arrow in each of the 2|G| quiver triangles."""
         mult = self.multiplicities(ray_idx)
-        group = self.group
-        kx, ky, kz = group.kappa_x, group.kappa_y, group.kappa_z
-        for chi in group.characters:
-            cyc = mult[(chi, "x")] + mult[(chi * kx, "y")] + mult[(chi * kx * ky, "z")]
-            acyc = mult[(chi, "x")] + mult[(chi * kx, "z")] + mult[(chi * kx * kz, "y")]
-            if cyc != 1 or acyc != 1:
-                return False
-        return True
+        return all(
+            sum(mult[arrow] for arrow in triangle) == 1
+            for triangle in quiver_triangles(self.group)
+        )
 
     # -- vertex classes ------------------------------------------------------
 
-    def classify_vertex(self, ray_idx: int, chi: Character) -> VertexClass:
-        mult = self.multiplicities(ray_idx)
-        group = self.group
-        outs = frozenset(o for o in ORIENTATIONS if mult[(chi, o)])
-        ins = frozenset(
-            o
-            for o in ORIENTATIONS
-            if mult[(chi * group.kappa_of_variable(o).inverse(), o)]
-        )
-        return _classify_pattern(outs, ins)
-
-    def all_classes(self, ray_idx: int) -> dict[Character, VertexClass]:
-        return {c: self.classify_vertex(ray_idx, c) for c in self.group.characters}
+    def classes(self, ray_idx: int) -> dict[Character, VertexClass]:
+        """The class of every vertex along the ray's divisor, from its
+        vanishing out-arrows and in-arrows."""
+        if ray_idx not in self._classes:
+            mult = self.multiplicities(ray_idx)
+            tails = self.group.tails
+            self._classes[ray_idx] = {
+                chi: _classify_pattern(
+                    frozenset(o for o in ORIENTATIONS if mult[(chi, o)]),
+                    frozenset(
+                        o for k, o in enumerate(ORIENTATIONS) if mult[(tails[chi][k], o)]
+                    ),
+                )
+                for chi in self.group.characters
+            }
+        return self._classes[ray_idx]
 
     # -- sink-source graphs ---------------------------------------------------
 
@@ -195,19 +200,12 @@ class QuiverAnalysis:
         return self._graphs[ray_idx]
 
     def _build_graph(self, ray_idx: int) -> SinkSourceGraph:
-        classes = self.all_classes(ray_idx)
-        ss = SinkSourceGraph(ray_index=ray_idx, classes=classes)
-        interior = self.fan.rays[ray_idx].is_interior
-        if not self.triangles_consistent(ray_idx):
-            ss.problems.append("triangle identity fails")
-        try:
+        """The classes on every divisor; the charge lines and the shape only
+        on interior ones, where the shapes are theorems."""
+        ss = SinkSourceGraph(ray_index=ray_idx, classes=self.classes(ray_idx))
+        if self.fan.rays[ray_idx].is_interior:
             self._walk_lines(ss)
-        except (WalkDiverged, InvalidSpokePattern) as exc:
-            ss.problems.append(str(exc))
-            if interior:
-                raise
-            return ss
-        self._detect_shape(ss, interior)
+            self._detect_shape(ss)
         return ss
 
     def _walk_lines(self, ss: SinkSourceGraph) -> None:
@@ -240,15 +238,14 @@ class QuiverAnalysis:
 
     def _walk_one(self, classes, source: Character, orientation: str, direction: int) -> ChargeLine:
         group = self.group
-        step = group.kappa_of_variable(orientation)
-        if direction < 0:
-            step = step.inverse()
+        k = ORIENTATIONS.index(orientation)
+        step = group.heads if direction > 0 else group.tails
         want_chirality = (1, 0) if direction > 0 else (0, 1)
         want_sink = SINK30 if direction > 0 else SINK03
         path = [source]
         cur = source
         for _ in range(group.order + 1):
-            cur = cur * step
+            cur = step[cur][k]
             path.append(cur)
             cls = classes[cur]
             if cls == want_sink:
@@ -270,19 +267,15 @@ class QuiverAnalysis:
                 )
         raise WalkDiverged(f"line from {source} exceeded {group.order} steps")
 
-    def _detect_shape(self, ss: SinkSourceGraph, interior: bool) -> None:
+    def _detect_shape(self, ss: SinkSourceGraph) -> None:
         classes = ss.classes
         sources = ss.sources
-        trivial = self.group.trivial_character
         sink03s = ss.sink03_vertices()
-
-        def fail(msg: str):
-            ss.problems.append(msg)
-            if interior:
-                raise ShapeUnrecognized(f"ray {ss.ray_index}: {msg}")
-
-        if sink03s != [trivial]:
-            return fail(f"(0,3)-sinks are {sink03s}, expected the trivial character")
+        if sink03s != [self.group.trivial_character]:
+            raise ShapeUnrecognized(
+                f"ray {ss.ray_index}: (0,3)-sinks are {sink03s}, "
+                "expected the trivial character"
+            )
 
         kinds = sorted(classes[s].bidegree for s in sources)
         if len(sources) == 1 and classes[sources[0]] == SOURCE33:
@@ -295,7 +288,9 @@ class QuiverAnalysis:
             ss.shape = "C"
             self._lengths_c(ss)
         else:
-            return fail(f"source pattern {kinds} matches no shape")
+            raise ShapeUnrecognized(
+                f"ray {ss.ray_index}: source pattern {kinds} matches no shape"
+            )
 
     # -- shape lengths ---------------------------------------------------------
 
@@ -349,12 +344,12 @@ class QuiverAnalysis:
 
     def _steps_until(self, start: Character, orientation: str, targets: set) -> int:
         """Forward steps from a vertex until first landing on a target vertex."""
-        step = self.group.kappa_of_variable(orientation)
+        heads, k = self.group.heads, ORIENTATIONS.index(orientation)
         cur = start
-        for k in range(1, self.group.order + 1):
-            cur = cur * step
+        for steps in range(1, self.group.order + 1):
+            cur = heads[cur][k]
             if cur in targets:
-                return k
+                return steps
         raise WalkDiverged(f"no target reached from {start} along {orientation}")
 
     def _lengths_c(self, ss: SinkSourceGraph) -> None:
@@ -399,15 +394,12 @@ def quiver_triangles(group: GroupData) -> set[frozenset]:
     Every triangle uses one arrow of each orientation; the two chiralities
     contribute |G| cycles each, keyed by the tail of their x-arrow.
     """
-    kx, ky, kz = group.kappa_x, group.kappa_y, group.kappa_z
+    heads = group.heads
     triangles = set()
     for chi in group.characters:
-        triangles.add(
-            frozenset({(chi, "x"), (chi * kx, "y"), (chi * kx * ky, "z")})
-        )
-        triangles.add(
-            frozenset({(chi, "x"), (chi * kx, "z"), (chi * kx * kz, "y")})
-        )
+        hx = heads[chi][0]
+        triangles.add(frozenset({(chi, "x"), (hx, "y"), (heads[hx][1], "z")}))
+        triangles.add(frozenset({(chi, "x"), (hx, "z"), (heads[hx][2], "y")}))
     return triangles
 
 

@@ -63,7 +63,7 @@ def support_h1(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     return sorted(
         divisor_cell(ri)
         for ri in fan.exceptional_ray_indices()
-        if qa.classify_vertex(ri, chi).is_source
+        if qa.classes(ri)[chi].is_source
     )
 
 

@@ -492,10 +492,7 @@ class GroupVerification:
 
     def _prop_h0_two_routes(self) -> bool:
         """Divisor cells of the three-arrow intersection are the (3,0)-sinks."""
-        classes = [
-            (ri, self.qa.sink_source_graph(ri).classes)
-            for ri in self.fan.exceptional_ray_indices()
-        ]
+        classes = [(ri, self.qa.classes(ri)) for ri in self.fan.exceptional_ray_indices()]
         for chi in self.group.characters:
             via_b = {c[1] for c in self._supports(chi)[0] if c[0] == "divisor"}
             via_class = {ri for ri, by_chi in classes if by_chi[chi] == SINK30}
@@ -514,10 +511,8 @@ class GroupVerification:
             for chi in group.characters:
                 if all(mult[(chi, o)] for o in ORIENTATIONS):
                     return False
-                if all(
-                    mult[(chi * group.kappa_of_variable(o).inverse(), o)]
-                    for o in ORIENTATIONS
-                ):
+                tails = group.tails[chi]
+                if all(mult[(tails[k], o)] for k, o in enumerate(ORIENTATIONS)):
                     return False
         return True
 
@@ -587,7 +582,6 @@ def _least_valuations(group: GroupData, weight) -> dict[Character, int]:
     A monomial is a path from the trivial character in the McKay quiver, so
     this is Dijkstra with an o-arrow costing weight[o] (all nonnegative).
     """
-    steps = (group.kappa_x, group.kappa_y, group.kappa_z)
     least: dict[Character, int] = {}
     tie = count()  # characters do not compare; equal distances pop in push order
     heap = [(0, next(tie), group.trivial_character)]
@@ -596,8 +590,7 @@ def _least_valuations(group: GroupData, weight) -> dict[Character, int]:
         if chi in least:
             continue
         least[chi] = d
-        for w, step in zip(weight, steps):
-            nxt = chi * step
+        for w, nxt in zip(weight, group.heads[chi]):
             if nxt not in least:
                 heappush(heap, (d + w, next(tie), nxt))
     return least

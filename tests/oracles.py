@@ -70,7 +70,7 @@ def chart_pairing(group, ray, graph):
     out = {}
     for chi in group.characters:
         for k, o in enumerate("xyz"):
-            head = chi * group.kappa_of_variable(o)
+            head = chi * group.kappa(tuple(int(i == k) for i in range(3)))
             out[(chi, o)] = (
                 e[k]
                 + dot3(e, graph.representative(chi))

@@ -162,12 +162,26 @@ QUERY_SHA256 = {
         "ssgraph": "0709367fa3875025eccf6782eb23a5766dd9e6f52f54f08430a8a5779d3c55b4",
         "transforms": "462b74c8a099479a467ab19cc35299f3f1b95e042e28624c84fdccbfb6e95dbd",
     },
+    "6:1,2,3": {
+        "fan": "369d1d31b2b1706f7c33b4a36e827ba13f307b95dd5f5dc00b037a9e7a8f6ee1",
+        "reid": "64a2b491879862c0050c526fc82121efece8af8dfcf3502a6c160f516c8bbedc",
+        "quiver": "d09d68b0e3b84686056ca9cc307689420161d8ae0205c14c5f1e1bf29ef4bb9f",
+        "ssgraph": "340dddf2e3e8f8a0804a30a8eb560e74aac0e5dc19bfa14b1524d6e0ee0d347c",
+        "transforms": "79fbb1c93324a76e938d0b4111dcdc488f7c3934fae3cd82ef8ed89a9c796699",
+    },
     "3:1,2,0+3:0,1,2": {
         "fan": "878c61e22d48cbcf9d47a3b91de270f8684ccc6529d85509bc0d836d99cf0df2",
         "reid": "957d90ebefbbf2f0f77782a267979a4f2619db3ee79b35f57b842f8c4d87d372",
         "quiver": "fd043a5f97db3c80307dce571b125e9694964f8cb2a40e27629bc33175bf2f48",
         "ssgraph": "076c563431cc6d0c314ec4d77ae4909091121bbc07c2b512299b830efa05db04",
         "transforms": "574deef74a3f77d0d36a669e40895d845adbbaae061a2f9e34a62141b540463a",
+    },
+    "4:1,3,0+4:0,1,3": {
+        "fan": "0046f58e05aef5a1e8c3792bf5d9187e3fafbf478ce4a8b92345299e60da8b00",
+        "reid": "a95e823a598340e5359c10133b8756978de27a5e8110cdcdf60684a3b9819afa",
+        "quiver": "590bbffa8a772d02d9dfa4849284fa46bc1f85ab5b39ac101117d9b7d63c9daa",
+        "ssgraph": "090ab1c87462d40489b7c43b92b8f735b53b3e0448363c0fd95dccf5f571c43e",
+        "transforms": "d0bd21bcea1351b05ad5b94b1b768dbe1d82be1bd6bf07582966f7e206b15a4a",
     },
 }
 

@@ -11,6 +11,7 @@ from mckay_lab import (
     cone_of_ggraph,
     enumerate_ggraphs,
     group_from_generators,
+    parse_group_spec,
     tautological_degree,
 )
 from mckay_lab.errors import BoundaryEdge, InconsistentCharts, UnknownCone
@@ -55,6 +56,24 @@ def test_wall_crossing_matches_naive_search(gen):
     group = group_from_generators([gen])
     ours = {frozenset(g.monomials) for g in enumerate_ggraphs(group)}
     assert ours == set(naive_ggraphs(group))
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
+def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
+    """Wall crossing flips across each interior edge of the fan once, not
+    once from each of its two cones."""
+    from mckay_lab import ghilb
+
+    flips = []
+    original = ghilb.flip_ggraph
+
+    def counted(group, graph, cone, facet):
+        flips.append(frozenset(facet))
+        return original(group, graph, cone, facet)
+
+    monkeypatch.setattr(ghilb, "flip_ggraph", counted)
+    fan = build_fan(parse_group_spec(spec))
+    assert len(flips) == len(set(flips)) == len(fan.interior_edges())
 
 
 def test_seed_ggraph_is_a_cluster(p13):

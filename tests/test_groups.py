@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mckay_lab import group_from_generators, parse_group_spec
 from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
 from mckay_lab.groups import mono_str
+
+from conftest import small_groups
 
 
 def test_order_from_picture_group():
@@ -132,3 +134,17 @@ def test_element_count_matches_order(gen):
     assert len(g.elements) == g.order
     ages = {g.age(el) for el in g.elements}
     assert ages <= {0, 1, 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups)
+def test_arrow_tables_match_kappa(group):
+    """heads[chi][k] is chi times the character of the k-th variable, and
+    tails inverts heads arrow by arrow."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert set(group.heads) == set(group.tails) == set(group.characters)
+    for chi in group.characters:
+        for k, unit in enumerate(units):
+            head = group.heads[chi][k]
+            assert head == chi * group.kappa(unit)
+            assert group.tails[head][k] == chi

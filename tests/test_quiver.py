@@ -54,9 +54,10 @@ def test_triangle_identity(p13):
 
 def test_vertex_classes_at_center(p3):
     center = p3.ray((f(1, 3),) * 3)
-    assert p3.qa.classify_vertex(center, p3.chi(2)) == SINK30
-    assert p3.qa.classify_vertex(center, p3.chi(0)) == SINK03
-    assert p3.qa.classify_vertex(center, p3.chi(1)) == SOURCE33
+    classes = p3.qa.classes(center)
+    assert classes[p3.chi(2)] == SINK30
+    assert classes[p3.chi(0)] == SINK03
+    assert classes[p3.chi(1)] == SOURCE33
 
 
 def test_shape_a(p3):
@@ -100,6 +101,17 @@ def test_boundary_divisor_all_charges(p4):
         cls = ss.classes[chi]
         assert cls.kind == "charge" and cls.orientation == "z"
     assert not ss.sink03_vertices()
+
+
+def test_boundary_divisor_gets_classes_only(p4):
+    """On the boundary divisor Q no charge line is walked and no shape is
+    sought: the graph carries the vertex classes alone."""
+    q = p4.ray((f(1, 2), f(1, 2), 0))
+    ss = p4.qa.sink_source_graph(q)
+    assert ss.classes == p4.qa.classes(q)
+    assert len(ss.classes) == p4.group.order
+    assert ss.lines == []
+    assert ss.shape is None and ss.lengths is None
 
 
 def test_shape_c(p33):

@@ -5,12 +5,14 @@ import pytest
 from mckay_lab import (
     QuiverAnalysis,
     build_fan,
+    parse_group_spec,
     support_h0,
     support_h1,
     support_h2,
     transform_profile,
 )
 from mckay_lab.errors import NoExceptionalLocus
+from mckay_lab.quiver import SOURCE33
 
 f = Fraction
 
@@ -21,6 +23,18 @@ def test_support_h0_examples(p3, p4):
     assert support_h0(p3.fan, p3.qa, p3.chi(1)) == []
     p = p4.ray((f(1, 4), f(1, 4), f(1, 2)))
     assert support_h0(p4.fan, p4.qa, p4.chi(3)) == [("divisor", p)]
+
+
+def test_support_h1_reads_the_memoized_classes():
+    """support_h1 takes each vertex class from QuiverAnalysis.classes: a
+    corrupted entry shows up in the support instead of being recomputed."""
+    fan = build_fan(parse_group_spec("3:1,1,1"))
+    qa = QuiverAnalysis(fan)
+    (center,) = fan.exceptional_ray_indices()
+    sink = fan.group.characters[2]
+    assert support_h1(fan, qa, sink) == []
+    qa.classes(center)[sink] = SOURCE33
+    assert support_h1(fan, qa, sink) == [("divisor", center)]
 
 
 def test_support_h1_examples(p3, p4):

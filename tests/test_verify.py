@@ -179,8 +179,10 @@ def test_least_valuations_match_box_minima(group, weight):
 REPORT_SHA256 = {
     "4:1,1,2": "bb91ebbd0970feaec09dea7db17c5a1c126b450144bcfac4892046a114d8636a",
     "7:1,2,4": "72cd8cb8f9e5a92171d3ee54c614014dffdc9cff5bc413f9c58afab99c10426e",
+    "6:1,2,3": "02c20e9f13e52ccc3905296a3dba7a8aa6d0561b3f36e7a223ee4074c5d35191",
     "13:1,5,7": "801d17973e2ea2ba377dc12c1d6796e6d93ce4bf03c36ffdc46f708eff85a323",
     "3:1,2,0+3:0,1,2": "280c16d895bb8ef5abe9da23156777b6c60b42f574b59a95e9060b2e89aa586f",
+    "4:1,3,0+4:0,1,3": "14e9bf0fde46ca97eea691ff3d59b69e3f3e7eefee35af63c1eecdf0f6dfa4aa",
 }
 
 
