@@ -53,10 +53,10 @@ def quiver_dot(group: GroupData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int) -> str:
-    """One divisor's quiver with vanishing arrows black and alive arrows grey."""
+def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str:
+    """One divisor's quiver with vanishing arrows black and alive arrows grey,
+    placed at the group's torus positions."""
     group = fan.group
-    pos = torus_positions(group)
     mult = qa.multiplicities(ray_idx)
     classes = qa.sink_source_graph(ray_idx).classes
     ray = fan.rays[ray_idx]
@@ -83,8 +83,9 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int) -> str:
 
 def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
     """One DOT graph per exceptional divisor, concatenated."""
+    pos = torus_positions(fan.group)
     return "".join(
-        sink_source_dot(fan, qa, ri) for ri in fan.exceptional_ray_indices()
+        sink_source_dot(fan, qa, ri, pos) for ri in fan.exceptional_ray_indices()
     )
 
 

@@ -3,16 +3,20 @@
 A cluster is a monomial set that is divisibility-closed, contains one
 monomial per character, and avoids multiples of xyz; its cone is cut out by
 the valuation inequalities v(b) >= v(r_chi) over its border monomials
-b = x_i*m outside the cluster (m in the cluster, chi the character of b).
-All clusters are found by seeding from a generic weight and crossing every
-interior wall of every discovered cone; the assembled fan is then validated
-as a unimodular triangulation.
+b = x_i*m outside the cluster (m in the cluster, chi the character of b, read
+off the arrow table).  The cone is found in integers: each inequality clips
+the triangle (1,0,0), (0,1,0), (0,0,1) of the octant along a line, and the
+three corners left are the cone's rays (Craw-Reid: each cone is a triangle
+of the junior simplex cut out by lines).  All clusters are found by seeding
+from a generic weight and crossing every interior wall of every discovered
+cone; the assembled fan is then validated as a unimodular triangulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     BoundaryEdge,
@@ -45,9 +49,6 @@ class GGraph:
 
     def representative(self, chi: Character) -> Monomial:
         return self.representatives[chi]
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self.monomials
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GGraph) and self._key == other._key
@@ -141,13 +142,15 @@ class GHilbFan:
                 self._cones_at_ray[ri].append(ci)
         self.edges = self._collect_edges()
         self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
+        self._interior_edges = tuple(e for e in self.edges if not e.is_boundary)
+        self._exceptional = tuple(i for i, r in enumerate(self.rays) if not r.is_corner)
         self._validate()
         self.q = DivisorCoefficients(self)
         self.carving_vectors = {
             e.rays: invariant_perpendicular(
                 group, self.scaled_rays[e.rays[0]], self.scaled_rays[e.rays[1]]
             )
-            for e in self.interior_edges()
+            for e in self._interior_edges
         }
 
     # -- lookups ------------------------------------------------------------
@@ -171,15 +174,15 @@ class GHilbFan:
                 return ci
         raise UnknownCone(f"{cone} is not a maximal cone of the fan")
 
-    def interior_edges(self) -> list[FanEdge]:
-        return [e for e in self.edges if not e.is_boundary]
+    def interior_edges(self) -> tuple[FanEdge, ...]:
+        return self._interior_edges
 
     def edges_at_ray(self, ray_idx: int) -> list[FanEdge]:
         return [e for e in self.edges if ray_idx in e.rays]
 
-    def exceptional_ray_indices(self) -> list[int]:
+    def exceptional_ray_indices(self) -> tuple[int, ...]:
         """Rays of exceptional divisors: the non-corner junior points."""
-        return [i for i, r in enumerate(self.rays) if not r.is_corner]
+        return self._exceptional
 
     # -- construction helpers -----------------------------------------------
 
@@ -288,29 +291,27 @@ def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:
 def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GGraph:
     """The cluster of the chart across one interior facet of a cone.
 
-    Every representative moves by the largest power of the facet's carving
-    direction t (oriented positively on the cone's far ray) that keeps it a
-    regular monomial: smaller shifts fail to generate on the far chart
-    because t has negative valuation there.
+    Every representative r moves by the largest power k of the facet's
+    carving direction t (oriented positively on the cone's far ray) that
+    keeps it a regular monomial, k = min r_i // -t_i over t_i < 0: smaller
+    shifts fail to generate on the far chart because t has negative
+    valuation there.
     """
+    n = group.order
     e, f = facet
     (g,) = [r for r in cone.rays if r not in facet]
-    t = invariant_perpendicular(group, e.scaled(group.order), f.scaled(group.order))
+    t = invariant_perpendicular(group, e.scaled(n), f.scaled(n))
     if dot3(g.coords, t) < 0:
         t = tuple(-v for v in t)
     elif dot3(g.coords, t) == 0:
         raise LowerDimensionalCone(f"facet {facet} is not a facet of {cone}")
+    negative = [(i, -v) for i, v in enumerate(t) if v < 0]
     shifted: dict[Character, Monomial] = {}
     for chi, r in graph.representatives.items():
-        cur = r
-        for _ in range(3 * group.order + 1):
-            nxt = (cur[0] + t[0], cur[1] + t[1], cur[2] + t[2])
-            if min(nxt) < 0:
-                break
-            cur = nxt
-        else:
+        k = min((r[i] // v for i, v in negative), default=3 * n + 1)
+        if k > 3 * n:
             raise SearchExhausted(f"unbounded shift across facet {facet}")
-        shifted[chi] = cur
+        shifted[chi] = (r[0] + k * t[0], r[1] + k * t[1], r[2] + k * t[2])
     return GGraph(group, shifted)
 
 
@@ -365,19 +366,20 @@ def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int,
     """Integer normals a with the cone of the cluster equal to {v >= 0, a.v >= 0}.
 
     One normal b - r per border monomial b = x_i*m outside the cluster (m in
-    the cluster, r the representative of b's character): every monomial
-    outside the cluster is a multiple of a border monomial.  Normals that are
-    nonnegative throughout are implied by the octant and dropped; the rest
-    are deduplicated up to positive scaling.
+    the cluster, r the representative of b's character, read off the arrow
+    table): every monomial outside the cluster is a multiple of a border
+    monomial.  Normals that are nonnegative throughout are implied by the
+    octant and dropped; the rest are deduplicated up to positive scaling.
     """
+    reps = graph.representatives
     normals = []
     seen = set()
-    for m in graph._key:
-        for i in range(3):
-            b = tuple(v + (1 if k == i else 0) for k, v in enumerate(m))
-            if b in graph:
+    for chi, m in sorted(reps.items(), key=itemgetter(1)):
+        for i, psi in enumerate(group.heads[chi]):
+            b = (m[0] + (i == 0), m[1] + (i == 1), m[2] + (i == 2))
+            r = reps[psi]
+            if r == b:
                 continue
-            r = graph.representative(group.kappa(b))
             vec = (b[0] - r[0], b[1] - r[1], b[2] - r[2])
             if min(vec) >= 0:
                 continue
@@ -389,40 +391,33 @@ def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int,
 
 
 def _extreme_rays(normals) -> list[tuple[int, int, int]]:
-    """Extreme rays of {v >= 0} cut by the given halfspaces (incremental DD)."""
-    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    seen: list[tuple[int, int, int]] = []
+    """Extreme rays of {v >= 0} cut by the given halfspaces a.v >= 0.
 
-    def is_extreme(r) -> bool:
-        tight = [a for a in octant + seen if dot3(a, r) == 0]
-        return rank_of(tight) >= 2
-
+    The octant meets the plane of the junior simplex in the triangle (1,0,0),
+    (0,1,0), (0,0,1); each halfspace clips that polygon along a line, in
+    integer homogeneous coordinates.  An edge (p, q) whose ends lie strictly
+    on opposite sides gets the new vertex |a.p|*q + |a.q|*p, made primitive;
+    vertices on the line are kept.  The result, possibly a segment, a point
+    or empty, is returned as a sorted list of primitive rays.
+    """
+    poly = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for a in normals:
-        vals = [dot3(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            seen.append(a)
+        vals = [dot3(a, p) for p in poly]
+        if min(vals) >= 0:
             continue
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        new = []
-        for rp, vp in zip(rays, vals):
-            if vp <= 0:
-                continue
-            for rm, vm in zip(rays, vals):
-                if vm >= 0:
-                    continue
-                combo = primitive_signed(
-                    tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                )
-                new.append(combo)
-        seen.append(a)
-        candidates = {r for r in keep + new}
-        rays = [
-            r
-            for r in sorted(candidates)
-            if all(dot3(b, r) >= 0 for b in seen) and is_extreme(r)
-        ]
-    return rays
+        clipped = []
+        for k, (p, vp) in enumerate(zip(poly, vals)):
+            q, vq = poly[k - 1], vals[k - 1]
+            if vp * vq < 0:
+                cut = primitive(tuple(abs(vp) * x + abs(vq) * y for x, y in zip(q, p)))
+                if cut not in clipped:
+                    clipped.append(cut)
+            if vp >= 0 and p not in clipped:
+                clipped.append(p)
+        poly = clipped
+        if not poly:
+            break
+    return sorted(poly)
 
 
 def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
@@ -435,11 +430,9 @@ def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
     juniors = []
     for r in rays:
         total = sum(r)
-        coords = tuple(Fraction(v, total) for v in r)
-        wv = WeightVector(coords)
-        if not group.in_weight_lattice(coords):
-            raise LowerDimensionalCone(f"ray {coords} is not a lattice point")
-        juniors.append(wv)
+        if any(dot3(r, m) % total for m in group.invariant_basis):
+            raise LowerDimensionalCone(f"ray {r} is not a lattice point")
+        juniors.append(WeightVector(tuple(Fraction(v, total) for v in r)))
     return Cone(tuple(juniors))
 
 

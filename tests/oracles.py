@@ -3,8 +3,9 @@ algorithms, used to compute and freeze expected values."""
 
 from fractions import Fraction
 
+from mckay_lab.ghilb import invariant_perpendicular
 from mckay_lab.groups import MONO_ONE, mono_degree, mono_divides
-from mckay_lab.intlin import dot3, primitive
+from mckay_lab.intlin import dot3, primitive, primitive_signed, rank_of
 
 
 def box_monomials(n):
@@ -49,6 +50,69 @@ def minimal_monomial_normals(group, graph):
                 seen.add(key)
                 normals.append(vec)
     return normals
+
+
+def extreme_rays_dd(normals):
+    """Extreme rays of {v >= 0} cut by the halfspaces a.v >= 0, by incremental
+    double description: every positive/negative pair of rays is combined, and
+    a candidate is kept when the constraints tight at it have rank >= 2.
+
+    When no halfspace cuts the octant, its rays come back in octant order."""
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    seen = []
+
+    def is_extreme(r):
+        tight = [a for a in octant + seen if dot3(a, r) == 0]
+        return rank_of(tight) >= 2
+
+    for a in normals:
+        vals = [dot3(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            seen.append(a)
+            continue
+        keep = [r for r, v in zip(rays, vals) if v >= 0]
+        new = []
+        for rp, vp in zip(rays, vals):
+            if vp <= 0:
+                continue
+            for rm, vm in zip(rays, vals):
+                if vm >= 0:
+                    continue
+                new.append(
+                    primitive_signed(tuple(vp * x - vm * y for x, y in zip(rm, rp)))
+                )
+        seen.append(a)
+        rays = [
+            r
+            for r in sorted(set(keep + new))
+            if all(dot3(b, r) >= 0 for b in seen) and is_extreme(r)
+        ]
+    return rays
+
+
+def stepped_flip(group, graph, cone, facet):
+    """The representatives across a facet of a cluster's cone: each moves by
+    the facet's carving direction t (positive on the far ray) one step at a
+    time, while the next step keeps it a regular monomial."""
+    n = group.order
+    e, f = facet
+    (g,) = [r for r in cone.rays if r not in facet]
+    t = invariant_perpendicular(group, e.scaled(n), f.scaled(n))
+    if dot3(g.coords, t) < 0:
+        t = tuple(-v for v in t)
+    shifted = {}
+    for chi, r in graph.representatives.items():
+        cur = r
+        for _ in range(3 * n + 1):
+            nxt = (cur[0] + t[0], cur[1] + t[1], cur[2] + t[2])
+            if min(nxt) < 0:
+                break
+            cur = nxt
+        else:
+            raise AssertionError(f"unbounded shift across facet {facet}")
+        shifted[chi] = cur
+    return shifted
 
 
 def box_least(group, weight):

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mckay_lab import (
     Cone,
@@ -14,17 +15,31 @@ from mckay_lab import (
     parse_group_spec,
     tautological_degree,
 )
-from mckay_lab.errors import BoundaryEdge, InconsistentCharts, UnknownCone
+from mckay_lab.errors import (
+    BoundaryEdge,
+    InconsistentCharts,
+    LowerDimensionalCone,
+    SearchExhausted,
+    UnknownCone,
+)
 from mckay_lab.ghilb import (
     GHilbFan,
     _extreme_rays,
+    flip_ggraph,
     ggraph_inequalities,
     seed_ggraph,
 )
+from mckay_lab.groups import GroupData
 from mckay_lab.intlin import dot3
 
 from conftest import sl3_cyclic, small_groups
-from oracles import box_least, minimal_monomial_normals, naive_ggraphs
+from oracles import (
+    box_least,
+    extreme_rays_dd,
+    minimal_monomial_normals,
+    naive_ggraphs,
+    stepped_flip,
+)
 
 
 def monoset(graph):
@@ -99,6 +114,106 @@ def test_border_cones_match_minimal_monomial_cones(group):
         assert _extreme_rays(ggraph_inequalities(group, graph)) == _extreme_rays(
             minimal_monomial_normals(group, graph)
         )
+
+
+@st.composite
+def normal_lists(draw):
+    """Short lists of small integer normals, some drawn twice; a zero entry
+    makes a normal vanish on a vertex of the octant triangle."""
+    bound = draw(st.sampled_from([1, 2, 3, 5]))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    normals = draw(st.lists(st.tuples(entry, entry, entry), max_size=7))
+    if normals:
+        for vec in draw(st.lists(st.sampled_from(normals), max_size=2)):
+            normals.insert(draw(st.integers(0, len(normals))), vec)
+    return normals
+
+
+@settings(max_examples=400, deadline=None)
+@given(normal_lists())
+@example([])  # nothing cuts
+@example([(0, 0, 0), (2, 1, 2), (2, 1, 2)])  # nothing cuts, twice over
+@example([(1, -1, 0)])  # vanishes on the vertex (0, 0, 1)
+@example([(1, -1, 0), (1, -1, 0), (0, 1, -1)])  # repeated, then a cut through a vertex
+@example([(1, -1, 0), (-1, 1, 0)])  # a segment
+@example([(-1, 0, 0), (0, -1, 0)])  # a point
+@example([(-1, 0, 0), (0, -1, 0), (0, 0, -1)])  # empty
+@example([(1, 1, -1), (-1, 1, 1), (1, -1, 1)])  # the medial triangle
+@example([(2, -1, 0), (0, 2, -1), (-1, 0, 2)])  # an interior triangle
+def test_clipping_matches_double_description(normals):
+    """Clipping the octant triangle finds the rays double description finds,
+    sorted, for degenerate and empty cuts too."""
+    assert _extreme_rays(normals) == sorted(extreme_rays_dd(normals))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_groups)
+def test_clipping_matches_double_description_on_clusters(group):
+    for graph in enumerate_ggraphs(group):
+        normals = ggraph_inequalities(group, graph)
+        assert _extreme_rays(normals) == sorted(extreme_rays_dd(normals))
+
+
+def test_cone_extraction_makes_no_kappa_call(monkeypatch, p13, p33):
+    """Border characters come from the arrow table, membership from the
+    cluster's own representatives."""
+
+    def refuse(self, m):
+        raise AssertionError("kappa called during cone extraction")
+
+    for pipe in (p13, p33):
+        with monkeypatch.context() as patch:
+            patch.setattr(GroupData, "kappa", refuse)
+            cones = [cone_of_ggraph(pipe.group, g) for g in pipe.fan.ggraphs]
+        assert cones == list(pipe.fan.cones)
+
+
+def test_non_lattice_ray_is_rejected(monkeypatch, p3):
+    """A rank-3 triple of rays with a ray outside the weight lattice (here
+    (1/2, 1/2, 0) for 1/3(1,1,1)) cuts no cone of the fan."""
+    from mckay_lab import ghilb
+
+    monkeypatch.setattr(
+        ghilb, "_extreme_rays", lambda normals: [(0, 0, 1), (0, 1, 0), (1, 1, 0)]
+    )
+    with pytest.raises(LowerDimensionalCone, match="not a lattice point"):
+        cone_of_ggraph(p3.group, p3.fan.ggraphs[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_groups)
+def test_flip_matches_stepping(group):
+    """The closed-form shift k = min r_i // -t_i equals stepping by t until
+    the next step leaves the octant, across every interior facet."""
+    fan = build_fan(group)
+    for edge in fan.interior_edges():
+        facet = tuple(fan.rays[ri] for ri in edge.rays)
+        for ci in edge.cones:
+            graph, cone = fan.ggraphs[ci], fan.cones[ci]
+            flipped = flip_ggraph(group, graph, cone, facet)
+            assert flipped.representatives == stepped_flip(group, graph, cone, facet)
+
+
+def test_unbounded_flip_is_exhausted(monkeypatch, p3):
+    """A carving direction with no negative entry, or one whose shift would
+    exceed 3n steps, exhausts the search."""
+    from types import SimpleNamespace
+
+    from mckay_lab import ghilb
+
+    center, y, z = (
+        WeightVector(tuple(Fraction(c) for c in coords))
+        for coords in ((Fraction(1, 3),) * 3, (0, 1, 0), (0, 0, 1))
+    )
+    cone = Cone((center, y, z))  # the facet (center, y) is positive on z
+    graph = p3.fan.ggraphs[p3.fan.cone_index(cone)]
+    monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (1, 1, 1))
+    with pytest.raises(SearchExhausted, match="unbounded shift"):
+        flip_ggraph(p3.group, graph, cone, (center, y))
+    monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (-1, 1, 1))
+    far = SimpleNamespace(representatives={p3.chi(0): (3 * 3 + 1, 0, 0)})
+    with pytest.raises(SearchExhausted, match="unbounded shift"):
+        flip_ggraph(p3.group, far, cone, (center, y))
 
 
 def test_cone_of_ggraph_examples(p3, p4, trivial_group):
@@ -206,6 +321,16 @@ def test_tautological_degree_examples(p3, p4):
     boundary = p4.edge((f(1, 2), f(1, 2), 0), (1, 0, 0))
     with pytest.raises(BoundaryEdge):
         tautological_degree(p4.fan, p4.chi(1), boundary)
+
+
+def test_fan_derives_its_index_tuples_once(p13):
+    fan = p13.fan
+    assert fan.exceptional_ray_indices() is fan.exceptional_ray_indices()
+    assert fan.exceptional_ray_indices() == tuple(
+        i for i, r in enumerate(fan.rays) if not r.is_corner
+    )
+    assert fan.interior_edges() is fan.interior_edges()
+    assert fan.interior_edges() == tuple(e for e in fan.edges if not e.is_boundary)
 
 
 def test_fan_edges_and_boundary_flags(p4):

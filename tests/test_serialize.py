@@ -68,6 +68,25 @@ def test_sink_source_dot(p4):
     assert text == all_sink_source_dot(p4.fan, p4.qa)
 
 
+def test_sink_source_dot_places_the_quiver_once(monkeypatch):
+    """The torus positions are shared by every divisor's graph."""
+    from mckay_lab import QuiverAnalysis, build_fan, diagrams, parse_group_spec
+
+    fan = build_fan(parse_group_spec("31:1,5,25"))
+    qa = QuiverAnalysis(fan)
+    calls = []
+    original = diagrams.torus_positions
+
+    def counted(group):
+        calls.append(group)
+        return original(group)
+
+    monkeypatch.setattr(diagrams, "torus_positions", counted)
+    text = all_sink_source_dot(fan, qa)
+    assert len(calls) == 1
+    assert text.count("digraph") == len(fan.exceptional_ray_indices()) == 15
+
+
 def test_trivial_group_svg(trivial_group):
     from mckay_lab import build_fan, marked_triangulation
 
