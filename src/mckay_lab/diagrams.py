@@ -58,7 +58,7 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str
     placed at the group's torus positions."""
     group = fan.group
     mult = qa.multiplicities(ray_idx)
-    classes = qa.sink_source_graph(ray_idx).classes
+    classes = qa.classes(ray_idx)
     ray = fan.rays[ray_idx]
     lines = [
         f"// {FORMAT_TAG} sink-source group={group.spec_string()} ray={ray_idx} at {ray}",

@@ -45,6 +45,7 @@ class GGraph:
         self.representatives = dict(representatives)
         self.monomials = frozenset(representatives.values())
         self._key = tuple(sorted(self.monomials))
+        self._normals: list[tuple[int, int, int]] | None = None  # ggraph_inequalities
         self._validate()
 
     def representative(self, chi: Character) -> Monomial:
@@ -142,6 +143,7 @@ class GHilbFan:
                 self._cones_at_ray[ri].append(ci)
         self.edges = self._collect_edges()
         self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
+        self._cone_set = frozenset(self.cone_rays)
         self._interior_edges = tuple(e for e in self.edges if not e.is_boundary)
         self._exceptional = tuple(i for i, r in enumerate(self.rays) if not r.is_corner)
         self._validate()
@@ -173,6 +175,11 @@ class GHilbFan:
             if rays == triple:
                 return ci
         raise UnknownCone(f"{cone} is not a maximal cone of the fan")
+
+    def is_face(self, rays) -> bool:
+        """Whether a set of ray indices spans a ray, an edge or a cone of the fan."""
+        key = tuple(sorted(rays))
+        return len(key) == 1 or key in self._edge_index or key in self._cone_set
 
     def interior_edges(self) -> tuple[FanEdge, ...]:
         return self._interior_edges
@@ -370,7 +377,14 @@ def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int,
     table): every monomial outside the cluster is a multiple of a border
     monomial.  Normals that are nonnegative throughout are implied by the
     octant and dropped; the rest are deduplicated up to positive scaling.
+    The normals are computed once per cluster and kept on it.
     """
+    if graph._normals is None:
+        graph._normals = _border_normals(group, graph)
+    return graph._normals
+
+
+def _border_normals(group: GroupData, graph: GGraph) -> list[tuple[int, int, int]]:
     reps = graph.representatives
     normals = []
     seen = set()
@@ -455,7 +469,13 @@ def chart_generator(fan: GHilbFan, cone: Cone, chi: Character) -> Monomial:
 
 
 def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
-    """Degree of the chi tautological bundle on the compact curve of an edge.
+    """Degree of the chi tautological bundle on the compact curve of an edge."""
+    return tautological_degrees(fan, edge)[chi]
+
+
+def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> dict[Character, int]:
+    """Degree of every character's tautological bundle on the compact curve
+    of an edge.
 
     With r, r' the chart generators on the two sides, r'/r = (m'/m)^k for the
     carving ratio m:m' oriented positively against the far ray of the first
@@ -463,25 +483,22 @@ def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
     """
     if edge.is_boundary:
         raise BoundaryEdge(f"edge {edge.rays} has a single chart")
-    ci, cj = edge.cones
-    r = fan.ggraphs[ci].representative(chi)
-    r2 = fan.ggraphs[cj].representative(chi)
-    if r == r2:
-        return 0
-    delta = (r2[0] - r[0], r2[1] - r[1], r2[2] - r[2])
+    reps, reps2 = (fan.ggraphs[ci].representatives for ci in edge.cones)
     w = _oriented_edge_vector(fan, edge)
-    # delta must be an integer multiple of w
-    ks = {d // ww for d, ww in zip(delta, w) if ww}
-    if len(ks) != 1 or any(d != ks.copy().pop() * ww for d, ww in zip(delta, w)):
-        raise MultiplicityOutOfRange(
-            f"generator ratio across {edge.rays} is not a power of the carving ratio"
-        )
-    k = ks.pop()
-    if k < 0:
-        raise MultiplicityOutOfRange(
-            f"negative tautological degree {k} across {edge.rays}"
-        )
-    return k
+    i = next(i for i, v in enumerate(w) if v)
+    degrees = {}
+    for chi, r in reps.items():
+        r2 = reps2[chi]
+        k = (r2[i] - r[i]) // w[i]
+        # r' - r must be an integer multiple of w
+        if (r2[0] - r[0], r2[1] - r[1], r2[2] - r[2]) != (k * w[0], k * w[1], k * w[2]):
+            raise MultiplicityOutOfRange(
+                f"generator ratio across {edge.rays} is not a power of the carving ratio"
+            )
+        if k < 0:
+            raise MultiplicityOutOfRange(f"negative tautological degree {k} across {edge.rays}")
+        degrees[chi] = k
+    return degrees
 
 
 def _oriented_edge_vector(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:

@@ -96,19 +96,21 @@ class GroupData:
         self.invariant_basis = _invariant_basis(self.weight_basis)
         self._check_indices()
 
+        self._by_residues: dict[tuple, Character] = {}
         self.trivial_character = self.kappa(MONO_ONE)
         # the McKay quiver's arrows, one triple per character indexed like
         # VARIABLES: heads[chi][k] = chi * kappa(k-th variable), and
         # tails[chi][k] is the tail of the k-arrow into chi
         self.characters, self.heads, self.tails = self._character_closure()
+        self._by_residues = {chi.residues: chi for chi in self.characters}
 
     # -- characters --------------------------------------------------------
 
     def kappa(self, m: Monomial) -> Character:
-        """Character of a (Laurent) monomial: its class in Z^3/M."""
-        return Character(
-            tuple(dot3(w, m) % r for r, w in self.generators), self.moduli
-        )
+        """Character of a (Laurent) monomial: its class in Z^3/M, the group's own object."""
+        residues = tuple(dot3(w, m) % r for r, w in self.generators)
+        chi = self._by_residues.get(residues)
+        return Character(residues, self.moduli) if chi is None else chi
 
     def is_invariant(self, m: Monomial) -> bool:
         return self.kappa(m).is_trivial
@@ -134,6 +136,8 @@ class GroupData:
             raise NotInSL3(
                 f"character count {len(heads)} != group order {self.order}"
             )
+        canonical = {chi: chi for chi in heads}
+        heads = {chi: tuple(canonical[h] for h in ends) for chi, ends in heads.items()}
         back = [{ends[k]: chi for chi, ends in heads.items()} for k in range(3)]
         tails = {chi: tuple(b[chi] for b in back) for chi in heads}
         return tuple(sorted(heads, key=lambda c: c.residues)), heads, tails

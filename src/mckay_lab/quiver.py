@@ -17,6 +17,7 @@ divisor holds its vertex classes alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     InvalidSpokePattern,
@@ -128,6 +129,7 @@ class QuiverAnalysis:
         self.fan = fan
         self.group = fan.group
         self._mult: dict[int, dict[tuple[Character, str], int]] = {}
+        self._masks: dict[int, tuple[int, int, int, int]] = {}
         self._classes: dict[int, dict[Character, VertexClass]] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
 
@@ -136,18 +138,27 @@ class QuiverAnalysis:
     def multiplicities(self, ray_idx: int) -> dict[tuple[Character, str], int]:
         """Vanishing order in {0,1} of every arrow along the ray's divisor."""
         if ray_idx not in self._mult:
-            self._mult[ray_idx] = self._compute_mult(ray_idx)
+            self._mult[ray_idx], self._masks[ray_idx] = self._compute_mult(ray_idx)
         return self._mult[ray_idx]
 
-    def _compute_mult(self, ray_idx: int) -> dict[tuple[Character, str], int]:
+    def masks(self, ray_idx: int) -> tuple[int, int, int, int]:
+        """Bitmasks over the index of group.characters: bit k of the o-th mask
+        is set when the o-arrow out of the k-th character vanishes along the
+        ray; the fourth mask is the three's intersection."""
+        self.multiplicities(ray_idx)
+        return self._masks[ray_idx]
+
+    def _compute_mult(self, ray_idx: int) -> tuple[dict, tuple[int, int, int, int]]:
         """n times the order of the arrow (chi, o) is
-        n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the divisor table."""
+        n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the divisor table;
+        returned as a table and as the ray's masks."""
         group = self.group
         n = group.order
         e = self.fan.scaled_rays[ray_idx]
         q = self.fan.q.q
         out: dict[tuple[Character, str], int] = {}
-        for chi in group.characters:
+        masks = [0, 0, 0]
+        for bit, chi in enumerate(group.characters):
             heads = group.heads[chi]
             for k, o in enumerate(ORIENTATIONS):
                 val = e[k] + q[(chi, ray_idx)] - q[(heads[k], ray_idx)]
@@ -155,22 +166,42 @@ class QuiverAnalysis:
                     raise MultiplicityOutOfRange(
                         f"arrow ({chi},{o}) has multiplicity {val}/{n} along ray {ray_idx}"
                     )
-                out[(chi, o)] = val // n
-        return out
+                val //= n
+                out[(chi, o)] = val
+                masks[k] |= val << bit
+        x, y, z = masks
+        return out, (x, y, z, x & y & z)
+
+    @cached_property
+    def h0_loci(self) -> dict[Character, tuple[list[int], list[tuple[int, int]]]]:
+        """Per character, the exceptional rays killing its three out-arrows and
+        the interior edges (i, j) where each dies along i or j but neither ray
+        kills all three: one sweep of the masks serves every character."""
+        chars = self.group.characters
+        loci = {chi: ([], []) for chi in chars}
+        for ri in self.fan.exceptional_ray_indices():
+            for k in _bits(self.masks(ri)[3]):
+                loci[chars[k]][0].append(ri)
+        for edge in self.fan.interior_edges():
+            xi, yi, zi, all_i = self.masks(edge.rays[0])
+            xj, yj, zj, all_j = self.masks(edge.rays[1])
+            for k in _bits((xi | xj) & (yi | yj) & (zi | zj) & ~all_i & ~all_j):
+                loci[chars[k]][1].append(edge.rays)
+        return loci
 
     def vanishing_counts(self, ray_idx: int) -> tuple[int, int, int]:
         """(a, b, c): how many x-, y-, z-arrows vanish along the divisor."""
-        mult = self.multiplicities(ray_idx)
-        return tuple(
-            sum(mult[(chi, o)] for chi in self.group.characters) for o in ORIENTATIONS
-        )
+        return tuple(mask.bit_count() for mask in self.masks(ray_idx)[:3])
+
+    @cached_property
+    def _triangles(self) -> set[frozenset]:
+        return quiver_triangles(self.group)
 
     def triangles_consistent(self, ray_idx: int) -> bool:
         """Exactly one vanishing arrow in each of the 2|G| quiver triangles."""
         mult = self.multiplicities(ray_idx)
         return all(
-            sum(mult[arrow] for arrow in triangle) == 1
-            for triangle in quiver_triangles(self.group)
+            sum(mult[arrow] for arrow in triangle) == 1 for triangle in self._triangles
         )
 
     # -- vertex classes ------------------------------------------------------
@@ -373,6 +404,14 @@ class QuiverAnalysis:
             # length of the forward p-line emitted by the source of the o-line
             "fwd": fwd,
         }
+
+
+def _bits(mask: int):
+    """The indices of the set bits of a nonnegative integer, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def shape_lengths(ss: SinkSourceGraph) -> dict:

@@ -11,6 +11,7 @@ and receive one or two characters accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BoundaryEdge,
@@ -253,15 +254,22 @@ class MarkedTriangulation:
     edge_ratios: dict[tuple[int, int], CarvingRatio] = field(default_factory=dict)
     vertex_cases: dict[int, VertexCase] = field(default_factory=dict)
 
+    @cached_property
+    def _marks(self) -> tuple[dict, dict]:
+        """Per character, its marked edges and divisors, in sorted order."""
+        edges, divisors = {}, {}
+        for key, ratio in sorted(self.edge_ratios.items()):
+            edges.setdefault(ratio.character, []).append(key)
+        for ri, case in sorted(self.vertex_cases.items()):
+            for chi in set(case.markings):
+                divisors.setdefault(chi, []).append(ri)
+        return edges, divisors
+
     def marked_edges(self, chi: Character) -> list[tuple[int, int]]:
-        return [k for k, r in sorted(self.edge_ratios.items()) if r.character == chi]
+        return list(self._marks[0].get(chi, ()))
 
     def marked_divisors(self, chi: Character) -> list[int]:
-        return [
-            ri
-            for ri, case in sorted(self.vertex_cases.items())
-            if chi in case.markings
-        ]
+        return list(self._marks[1].get(chi, ()))
 
     def marking_class(self, chi: Character) -> str:
         """One of 'divisor', 'curve', 'curves', 'nothing'."""

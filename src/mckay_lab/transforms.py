@@ -7,6 +7,10 @@ data: degree 0 lives where all three arrows out of the character die (a
 curve components), degree -1 on the divisors where the character is a
 source, and degree -2 only for the trivial character, on the whole
 exceptional locus.
+
+The degree-0 supports of all characters come from one sweep over the
+bitmasks of vanishing arrows per ray (``QuiverAnalysis.masks``), and two
+cells meet when their rays span a face of the fan.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from .errors import EmptySupport, MultiDegreeSupport, NoExceptionalLocus
 from .ghilb import GHilbFan
 from .groups import Character
-from .quiver import ORIENTATIONS, QuiverAnalysis
+from .quiver import QuiverAnalysis
 
 # support cells: ("divisor", ray) or ("curve", (ray, ray))
 Cell = tuple
@@ -32,29 +36,14 @@ def curve_cell(i: int, j: int) -> Cell:
 def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     """Maximal cells where all three arrows out of chi vanish jointly.
 
-    A divisor qualifies when the three arrows all vanish along it; a compact
-    curve qualifies when every arrow dies on one of its two divisors but
-    neither divisor kills all three.
+    A divisor qualifies when the three arrows all vanish along it (chi's bit
+    is in x & y & z of its masks); a compact curve (i, j) when every arrow
+    dies on i or j but neither kills all three (chi's bit is in
+    (x_i | x_j) & (y_i | y_j) & (z_i | z_j) & ~all_i & ~all_j).
     """
     _require_nontrivial_locus(fan)
-    divisors = []
-    for ri in fan.exceptional_ray_indices():
-        mult = qa.multiplicities(ri)
-        if all(mult[(chi, o)] for o in ORIENTATIONS):
-            divisors.append(ri)
-    cells = [divisor_cell(ri) for ri in divisors]
-    chosen = set(divisors)
-    for edge in fan.interior_edges():
-        i, j = edge.rays
-        if i in chosen or j in chosen:
-            continue  # the curve lies inside an included divisor
-        mi, mj = qa.multiplicities(i), qa.multiplicities(j)
-        covered = all(mi[(chi, o)] or mj[(chi, o)] for o in ORIENTATIONS)
-        all_i = all(mi[(chi, o)] for o in ORIENTATIONS)
-        all_j = all(mj[(chi, o)] for o in ORIENTATIONS)
-        if covered and not all_i and not all_j:
-            cells.append(curve_cell(i, j))
-    return sorted(cells)
+    divisors, curves = qa.h0_loci[chi]
+    return sorted([divisor_cell(ri) for ri in divisors] + [curve_cell(*e) for e in curves])
 
 
 def support_h1(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
@@ -136,23 +125,15 @@ def _cell_rays(cell: Cell) -> tuple[int, ...]:
 
 
 def _is_connected(fan: GHilbFan, cells) -> bool:
-    """Connectivity of a cell set under nonempty scheme intersection."""
+    """Connectivity of a cell set under nonempty scheme intersection: two
+    cells meet when their rays together span a ray, an edge or a cone."""
     if not cells:
         return True
-    cone_sets = [frozenset(t) for t in fan.cone_rays]
-
-    def meets(c1: Cell, c2: Cell) -> bool:
-        both = set(_cell_rays(c1)) | set(_cell_rays(c2))
-        return any(both <= rays for rays in cone_sets)
-
-    remaining = list(cells)
-    component = {remaining.pop()}
-    grew = True
-    while grew and remaining:
-        grew = False
-        for cell in list(remaining):
-            if any(meets(cell, c) for c in component):
-                component.add(cell)
-                remaining.remove(cell)
-                grew = True
-    return not remaining
+    stack, seen = [cells[0]], {cells[0]}
+    while stack:
+        rays = set(_cell_rays(stack.pop()))
+        for cell in cells:
+            if cell not in seen and fan.is_face(rays | set(_cell_rays(cell))):
+                seen.add(cell)
+                stack.append(cell)
+    return len(seen) == len(set(cells))

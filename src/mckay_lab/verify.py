@@ -9,6 +9,7 @@ combinatorial facts.  Everything is reported; nothing is silently skipped.
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 
@@ -17,7 +18,7 @@ from .ghilb import (
     _oriented_edge_vector,
     build_fan,
     ggraph_inequalities,
-    tautological_degree,
+    tautological_degrees,
 )
 from .groups import Character, GroupData, Monomial, mono_divides
 from .intlin import dot3
@@ -68,6 +69,11 @@ class GroupVerification:
         if chi not in self._profiles:
             self._profiles[chi] = transform_profile(self.fan, self.qa, chi)
         return self._profiles[chi]
+
+    @cached_property
+    def _degrees(self) -> dict[tuple[int, int], dict[Character, int]]:
+        """Every character's tautological degree on each interior edge."""
+        return {e.rays: tautological_degrees(self.fan, e) for e in self.fan.interior_edges()}
 
     def _supports(self, chi: Character) -> tuple[list, list, list]:
         """The h0, h1 and h2 supports of chi, read off its profile.
@@ -365,32 +371,20 @@ class GroupVerification:
 
     def _prop_ratio_primitivity(self) -> bool:
         """No invariant ratio of strict divisors of the carving pair."""
-        group = self.group
-        for ratio in self.marked.edge_ratios.values():
-            m1, m2 = ratio.m1, ratio.m2
-            for d1 in _divisors_of(m1):
-                for d2 in _divisors_of(m2):
-                    if (d1, d2) == (m1, m2) or d1 == d2:
-                        continue
-                    diff = tuple(x - y for x, y in zip(d1, d2))
-                    if any(diff) and group.is_invariant(diff):
-                        return False
-        return True
+        return all(
+            ratio_is_primitive(self.group, r.m1, r.m2)
+            for r in self.marked.edge_ratios.values()
+        )
 
     def _prop_tautological_degrees(self) -> bool:
         """Degree 1 for the marking character, >= 0 always, 0 for trivial."""
-        fan = self.fan
-        for edge in fan.interior_edges():
-            mark = self.marked.edge_ratios[edge.rays].character
-            for chi in self.group.characters:
-                deg = tautological_degree(fan, chi, edge)
-                if deg < 0:
-                    return False
-                if chi == mark and deg != 1:
-                    return False
-                if chi.is_trivial and deg != 0:
-                    return False
-        return True
+        trivial = self.group.trivial_character
+        return all(
+            min(degrees.values()) >= 0
+            and degrees[self.marked.edge_ratios[rays].character] == 1
+            and degrees[trivial] == 0
+            for rays, degrees in self._degrees.items()
+        )
 
     def _prop_unique_sink(self) -> bool:
         """Interior divisors: one (0,3)-sink, at the trivial character, and
@@ -455,7 +449,6 @@ class GroupVerification:
 
     def _prop_degree_sums(self) -> bool:
         """Over a curve-supported degree-0 transform the twist degrees cancel."""
-        fan = self.fan
         for chi in self.group.characters:
             if chi.is_trivial or self.marked.marking_class(chi) != "curve":
                 continue
@@ -463,11 +456,9 @@ class GroupVerification:
             curves = [c[1] for c in profile.components if c[0] == "curve"]
             if not curves:
                 return False
+            degrees = [self._degrees[pair] for pair in curves]
             for other in self.group.characters:
-                total = sum(
-                    tautological_degree(fan, other, fan.edge_between(*pair))
-                    for pair in curves
-                )
+                total = sum(d[other] for d in degrees)
                 if other == chi:
                     if total != len(curves):
                         return False
@@ -507,10 +498,10 @@ class GroupVerification:
         for ri, ray in enumerate(fan.rays):
             if not ray.is_corner:
                 continue
+            if self.qa.masks(ri)[3]:
+                return False
             mult = self.qa.multiplicities(ri)
             for chi in group.characters:
-                if all(mult[(chi, o)] for o in ORIENTATIONS):
-                    return False
                 tails = group.tails[chi]
                 if all(mult[(tails[k], o)] for k, o in enumerate(ORIENTATIONS)):
                     return False
@@ -594,6 +585,19 @@ def _least_valuations(group: GroupData, weight) -> dict[Character, int]:
             if nxt not in least:
                 heappush(heap, (d + w, next(tie), nxt))
     return least
+
+
+def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:
+    """No divisor d1 of m1 shares its character with a divisor d2 of m2, but
+    for d1 = d2 and the pair itself (divisors of m2 grouped by character)."""
+    by_character: dict[Character, list] = {}
+    for d2 in _divisors_of(m2):
+        by_character.setdefault(group.kappa(d2), []).append(d2)
+    return not any(
+        d1 != d2 and (d1, d2) != (m1, m2)
+        for d1 in _divisors_of(m1)
+        for d2 in by_character.get(group.kappa(d1), ())
+    )
 
 
 def _divisors_of(m: Monomial):

@@ -224,3 +224,95 @@ def brute_carving_vector(group, e_coords, f_coords, bound):
                 if best is None or size < best[0]:
                     best = (size, v)
     return best[1] if best else None
+
+
+def support_h0_scan(fan, qa, chi):
+    """The h0 support of one character by a scan of every exceptional ray and
+    interior edge through the arrow-order tables."""
+    orientations = ("x", "y", "z")
+    divisors = []
+    for ri in fan.exceptional_ray_indices():
+        mult = qa.multiplicities(ri)
+        if all(mult[(chi, o)] for o in orientations):
+            divisors.append(ri)
+    cells = [("divisor", ri) for ri in divisors]
+    chosen = set(divisors)
+    for edge in fan.interior_edges():
+        i, j = edge.rays
+        if i in chosen or j in chosen:
+            continue  # the curve lies inside an included divisor
+        mi, mj = qa.multiplicities(i), qa.multiplicities(j)
+        covered = all(mi[(chi, o)] or mj[(chi, o)] for o in orientations)
+        all_i = all(mi[(chi, o)] for o in orientations)
+        all_j = all(mj[(chi, o)] for o in orientations)
+        if covered and not all_i and not all_j:
+            cells.append(("curve", (min(i, j), max(i, j))))
+    return sorted(cells)
+
+
+def is_connected_pairwise(fan, cells):
+    """Connectivity of a cell set, two cells meeting when some maximal cone
+    holds the rays of both."""
+    if not cells:
+        return True
+    cone_sets = [frozenset(t) for t in fan.cone_rays]
+
+    def rays(cell):
+        return {cell[1]} if cell[0] == "divisor" else set(cell[1])
+
+    def meets(c1, c2):
+        both = rays(c1) | rays(c2)
+        return any(both <= cone for cone in cone_sets)
+
+    remaining = list(cells)
+    component = {remaining.pop()}
+    grew = True
+    while grew and remaining:
+        grew = False
+        for cell in list(remaining):
+            if any(meets(cell, c) for c in component):
+                component.add(cell)
+                remaining.remove(cell)
+                grew = True
+    return not remaining
+
+
+def ratio_is_primitive_pairwise(group, m1, m2):
+    """No invariant ratio d1/d2 of divisors d1 | m1, d2 | m2, but for d1 = d2
+    and the pair itself, by testing every pair."""
+
+    def divisors(m):
+        return [
+            (i, j, k)
+            for i in range(m[0] + 1)
+            for j in range(m[1] + 1)
+            for k in range(m[2] + 1)
+        ]
+
+    for d1 in divisors(m1):
+        for d2 in divisors(m2):
+            if (d1, d2) == (m1, m2) or d1 == d2:
+                continue
+            diff = tuple(x - y for x, y in zip(d1, d2))
+            if any(diff) and group.is_invariant(diff):
+                return False
+    return True
+
+
+def tautological_degree_single(fan, chi, edge):
+    """One character's degree on an edge's curve: the k with r' - r = k*w for
+    the chart generators r, r' and the oriented carving vector w."""
+    ci, cj = edge.cones
+    r = fan.ggraphs[ci].representative(chi)
+    r2 = fan.ggraphs[cj].representative(chi)
+    if r == r2:
+        return 0
+    delta = tuple(b - a for a, b in zip(r, r2))
+    w = fan.carving_vectors[edge.rays]
+    far = [ri for ri in fan.cone_rays[ci] if ri not in edge.rays][0]
+    if dot3(fan.scaled_rays[far], w) < 0:
+        w = tuple(-v for v in w)
+    ks = {d // v for d, v in zip(delta, w) if v}
+    if len(ks) != 1 or any(d != next(iter(ks)) * v for d, v in zip(delta, w)):
+        raise AssertionError(f"generator ratio across {edge.rays} is not a power")
+    return ks.pop()

@@ -8,6 +8,7 @@ from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
 from mckay_lab.groups import mono_str
 
 from conftest import small_groups
+from oracles import box_monomials
 
 
 def test_order_from_picture_group():
@@ -148,3 +149,17 @@ def test_arrow_tables_match_kappa(group):
             head = group.heads[chi][k]
             assert head == chi * group.kappa(unit)
             assert group.tails[head][k] == chi
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups)
+def test_characters_are_the_groups_own_objects(group):
+    """Every arrow-table entry, and kappa of every box monomial, is the
+    element of group.characters with its residues, not an equal copy."""
+    own = {chi.residues: chi for chi in group.characters}
+    for chi in group.characters:
+        for end in group.heads[chi] + group.tails[chi]:
+            assert end is own[end.residues]
+    for m in box_monomials(group.order):
+        chi = group.kappa(m)
+        assert chi is own[chi.residues]
