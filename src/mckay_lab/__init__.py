@@ -9,7 +9,7 @@ theorems, machine-checked).
 
 from .errors import McKayLabError
 from .groups import group_from_generators, parse_group_spec
-from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points, valuation
+from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points
 from .ghilb import (
     build_fan,
     chart_generator,
@@ -56,7 +56,6 @@ __all__ = [
     "tautological_degree",
     "torus_positions",
     "transform_profile",
-    "valuation",
     "verify_group",
     "vertex_marking",
 ]

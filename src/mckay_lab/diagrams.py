@@ -57,7 +57,7 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str
     """One divisor's quiver with vanishing arrows black and alive arrows grey,
     placed at the group's torus positions."""
     group = fan.group
-    mult = qa.multiplicities(ray_idx)
+    outs = qa.masks(ray_idx)[0]
     classes = qa.classes(ray_idx)
     ray = fan.rays[ray_idx]
     lines = [
@@ -65,18 +65,15 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str
         f"digraph divisor_{ray_idx} {{",
         '  layout=neato; node [shape=circle, fontsize=9];',
     ]
-    order = sorted(pos, key=lambda c: c.residues)
-    names = {chi: f"v{idx}" for idx, chi in enumerate(order)}
-    for chi in order:
+    # vertex k is the k-th character, sorted by residues: bit k of a mask
+    for k, chi in enumerate(group.characters):
         x, y = _skew_to_cartesian(*pos[chi])
         label = f"{chi.label()}\\n{classes[chi].label()}"
-        lines.append(f'  {names[chi]} [label="{label}", pos="{_fixed(x)},{_fixed(y)}!"];')
-    for chi in order:
-        for o, head in zip(ORIENTATIONS, group.heads[chi]):
-            style = "color=black, penwidth=2" if mult[(chi, o)] else "color=grey"
-            lines.append(
-                f'  {names[chi]} -> {names[head]} [label="{o}", {style}];'
-            )
+        lines.append(f'  v{k} [label="{label}", pos="{_fixed(x)},{_fixed(y)}!"];')
+    for k, chi in enumerate(group.characters):
+        for o, head, vanishing in zip(ORIENTATIONS, group.heads[chi], outs):
+            style = "color=black, penwidth=2" if vanishing >> k & 1 else "color=grey"
+            lines.append(f'  v{k} -> v{group.index[head]} [label="{o}", {style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,9 @@ the triangle (1,0,0), (0,1,0), (0,0,1) of the octant along a line, and the
 three corners left are the cone's rays (Craw-Reid: each cone is a triangle
 of the junior simplex cut out by lines).  All clusters are found by seeding
 from a generic weight and crossing every interior wall of every discovered
-cone; the assembled fan is then validated as a unimodular triangulation.
+cone; the assembled fan is then validated as a unimodular triangulation
+and derives its integer facts once, among them the divisor table: per ray,
+one row of n*q over group.characters, built by every chart at the ray.
 """
 
 from __future__ import annotations
@@ -97,35 +99,36 @@ class FanEdge:
 
 
 class DivisorCoefficients:
-    """The integer table q[chi, ray] = n*q(chi, ray) = (n*e).r_chi, n = |G|.
+    """The integer divisor table: rows[ray][k] = n*q(chi, ray) = (n*e).r_chi
+    for the k-th character chi of group.characters, n = |G|.
 
-    Every chart at the ray must give the same value; calling the table gives
-    the exact q(chi, ray) itself."""
+    Every chart at the ray builds its own row, and the rows must agree."""
 
     def __init__(self, fan: "GHilbFan"):
-        self.fan = fan
-        self.q: dict[tuple[Character, int], int] = {}
+        self.rows: list[list[int]] = []
+        chars = fan.group.characters
         for ray_idx, e in enumerate(fan.scaled_rays):
-            cone_indices = fan.cones_at_ray(ray_idx)
-            for chi in fan.group.characters:
-                vals = {dot3(e, fan.ggraphs[ci].representative(chi)) for ci in cone_indices}
-                if len(vals) != 1:
+            rows = [
+                [dot3(e, fan.ggraphs[ci].representatives[chi]) for chi in chars]
+                for ci in fan.cones_at_ray(ray_idx)
+            ]
+            for row in rows[1:]:
+                if row != rows[0]:
+                    k = next(k for k, v in enumerate(row) if v != rows[0][k])
                     raise InconsistentCharts(
-                        f"charts at ray {fan.rays[ray_idx]} disagree on n*q for {chi}: "
-                        f"{sorted(vals)}"
+                        f"charts at ray {fan.rays[ray_idx]} disagree on n*q for "
+                        f"{chars[k]}: {sorted({r[k] for r in rows})}"
                     )
-                self.q[(chi, ray_idx)] = vals.pop()
-
-    def __call__(self, chi: Character, ray_idx: int) -> Fraction:
-        return Fraction(self.q[(chi, ray_idx)], self.fan.group.order)
+            self.rows.append(rows[0])
 
 
 class GHilbFan:
     """The validated triangulation of the junior simplex with its cluster charts.
 
     Besides the charts it holds the integer facts every later layer reads:
-    the scaled rays n*e, the divisor table n*q and one carving vector per
-    interior edge (lexicographic sign, keyed by the edge's ray pair)."""
+    the scaled rays n*e, the divisor table n*q (one row per ray, indexed
+    like group.characters) and one carving vector per interior edge
+    (lexicographic sign, keyed by the edge's ray pair)."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cones: list[Cone]):
         self.group = group

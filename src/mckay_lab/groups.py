@@ -103,6 +103,9 @@ class GroupData:
         # tails[chi][k] is the tail of the k-arrow into chi
         self.characters, self.heads, self.tails = self._character_closure()
         self._by_residues = {chi.residues: chi for chi in self.characters}
+        # each character's position in self.characters: the bit or entry
+        # that stands for it in every per-ray table
+        self.index = {chi: k for k, chi in enumerate(self.characters)}
 
     # -- characters --------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Junior simplex points, valuations and simplicial cones in the weight lattice."""
+"""Junior simplex points and simplicial cones in the weight lattice."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCone
-from .groups import GroupData, Monomial
-from .intlin import det3, dot3
+from .groups import GroupData
+from .intlin import det3
 
 CORNERS = (
     (Fraction(1), Fraction(0), Fraction(0)),
@@ -66,11 +66,6 @@ def junior_points(group: GroupData) -> list[WeightVector]:
         if sum(el) == 1:
             points.add(WeightVector(tuple(el)))
     return sorted(points)
-
-
-def valuation(e: WeightVector, m: Monomial) -> Fraction:
-    """The Q-valuation e(m) of a Laurent monomial along the divisor of e."""
-    return Fraction(dot3(e.coords, m))
 
 
 def cone_is_unimodular(group: GroupData, cone: Cone) -> bool:

@@ -8,16 +8,18 @@ and the vanishing pattern around a vertex places it in one of 18 classes:
 two sinks, seven sources, six charges and three tiles.
 
 The arrows are the group's tables ``heads`` and ``tails``.  QuiverAnalysis
-derives, once per ray, the arrow orders (from the fan's divisor table) and
-the vertex classes.  Charge lines and shapes are sought on interior
-divisors only, where they are theorems; the sink-source graph of a boundary
-divisor holds its vertex classes alone.
+derives, once per ray, the arrow orders from the ray's row of the fan's
+divisor table, as bitmasks of vanishing out- and in-arrows per orientation
+over the positions in ``group.characters``; a vertex's class depends only
+on its two 3-bit spoke patterns.  Charge lines and shapes are sought on
+interior divisors only, where they are theorems; the sink-source graph of a
+boundary divisor holds its vertex classes alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     InvalidSpokePattern,
@@ -58,27 +60,29 @@ SINK03 = VertexClass("sink", (0, 3))
 SOURCE33 = VertexClass("source", (3, 3))
 
 
-def _classify_pattern(outs: frozenset, ins: frozenset) -> VertexClass:
-    """Map the vanishing out/in spoke orientations to a vertex class."""
+@cache
+def _classify_pattern(outs: int, ins: int) -> VertexClass:
+    """Map the 3-bit patterns of vanishing out- and in-spokes (bit k for the
+    k-th orientation) to a vertex class."""
     if outs and ins:
-        if outs == ins and len(outs) == 1:
-            return VertexClass("tile", (0, 0), next(iter(outs)))
-        raise InvalidSpokePattern(f"mixed vanishing spokes out={outs} in={ins}")
+        if outs == ins and outs.bit_count() == 1:
+            return VertexClass("tile", (0, 0), _orientation(outs))
+        raise InvalidSpokePattern(f"mixed vanishing spokes out={outs:03b} in={ins:03b} (zyx)")
     if not outs and not ins:
         return SOURCE33
     spokes = outs or ins
     out_side = bool(outs)
-    if len(spokes) == 3:
+    if spokes == 0b111:
         return SINK30 if out_side else SINK03
-    if len(spokes) == 1:
-        o = next(iter(spokes))
+    if spokes.bit_count() == 1:
         # a vanishing out-spoke keeps one backward line: a (2,1)-source
-        return VertexClass("source", (2, 1) if out_side else (1, 2), o)
-    if len(spokes) == 2:
-        o = next(iter(set(ORIENTATIONS) - spokes))
-        # out-pairs sit on lines running along the arrows, in-pairs against them
-        return VertexClass("charge", (1, 0) if out_side else (0, 1), o)
-    raise InvalidSpokePattern(f"out={outs} in={ins}")
+        return VertexClass("source", (2, 1) if out_side else (1, 2), _orientation(spokes))
+    # out-pairs sit on lines running along the arrows, in-pairs against them
+    return VertexClass("charge", (1, 0) if out_side else (0, 1), _orientation(0b111 ^ spokes))
+
+
+def _orientation(bit: int) -> str:
+    return ORIENTATIONS[bit.bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -128,49 +132,44 @@ class QuiverAnalysis:
     def __init__(self, fan: GHilbFan):
         self.fan = fan
         self.group = fan.group
-        self._mult: dict[int, dict[tuple[Character, str], int]] = {}
-        self._masks: dict[int, tuple[int, int, int, int]] = {}
+        self._masks: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
         self._classes: dict[int, dict[Character, VertexClass]] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
+        # the arrow table by position: the heads of the k-th character's arrows
+        index, heads = self.group.index, self.group.heads
+        self._heads = [tuple(index[h] for h in heads[chi]) for chi in self.group.characters]
 
-    # -- multiplicities ------------------------------------------------------
+    # -- arrow orders --------------------------------------------------------
 
-    def multiplicities(self, ray_idx: int) -> dict[tuple[Character, str], int]:
-        """Vanishing order in {0,1} of every arrow along the ray's divisor."""
-        if ray_idx not in self._mult:
-            self._mult[ray_idx], self._masks[ray_idx] = self._compute_mult(ray_idx)
-        return self._mult[ray_idx]
-
-    def masks(self, ray_idx: int) -> tuple[int, int, int, int]:
-        """Bitmasks over the index of group.characters: bit k of the o-th mask
-        is set when the o-arrow out of the k-th character vanishes along the
-        ray; the fourth mask is the three's intersection."""
-        self.multiplicities(ray_idx)
+    def masks(self, ray_idx: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """(outs, ins), bitmasks over the index of group.characters: bit k of
+        outs[o] is set when the o-arrow out of the k-th character vanishes
+        along the ray's divisor, bit k of ins[o] when the o-arrow into it
+        does.  Every arrow vanishes to order 0 or 1."""
+        if ray_idx not in self._masks:
+            self._masks[ray_idx] = self._compute_mult(ray_idx)
         return self._masks[ray_idx]
 
-    def _compute_mult(self, ray_idx: int) -> tuple[dict, tuple[int, int, int, int]]:
-        """n times the order of the arrow (chi, o) is
-        n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the divisor table;
-        returned as a table and as the ray's masks."""
-        group = self.group
-        n = group.order
+    def _compute_mult(self, ray_idx: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """n times the order of the o-arrow out of chi is
+        n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the ray's row of the
+        divisor table; it must be 0 or n."""
+        n = self.group.order
         e = self.fan.scaled_rays[ray_idx]
-        q = self.fan.q.q
-        out: dict[tuple[Character, str], int] = {}
-        masks = [0, 0, 0]
-        for bit, chi in enumerate(group.characters):
-            heads = group.heads[chi]
-            for k, o in enumerate(ORIENTATIONS):
-                val = e[k] + q[(chi, ray_idx)] - q[(heads[k], ray_idx)]
-                if val not in (0, n):
+        row = self.fan.q.rows[ray_idx]
+        outs, ins = [0, 0, 0], [0, 0, 0]
+        for k, heads in enumerate(self._heads):
+            for o, h in enumerate(heads):
+                val = e[o] + row[k] - row[h]
+                if val == n:
+                    outs[o] |= 1 << k
+                    ins[o] |= 1 << h
+                elif val:
                     raise MultiplicityOutOfRange(
-                        f"arrow ({chi},{o}) has multiplicity {val}/{n} along ray {ray_idx}"
+                        f"arrow ({self.group.characters[k]},{ORIENTATIONS[o]}) "
+                        f"has multiplicity {val}/{n} along ray {ray_idx}"
                     )
-                val //= n
-                out[(chi, o)] = val
-                masks[k] |= val << bit
-        x, y, z = masks
-        return out, (x, y, z, x & y & z)
+        return tuple(outs), tuple(ins)
 
     @cached_property
     def h0_loci(self) -> dict[Character, tuple[list[int], list[tuple[int, int]]]]:
@@ -180,28 +179,35 @@ class QuiverAnalysis:
         chars = self.group.characters
         loci = {chi: ([], []) for chi in chars}
         for ri in self.fan.exceptional_ray_indices():
-            for k in _bits(self.masks(ri)[3]):
+            x, y, z = self.masks(ri)[0]
+            for k in _bits(x & y & z):
                 loci[chars[k]][0].append(ri)
         for edge in self.fan.interior_edges():
-            xi, yi, zi, all_i = self.masks(edge.rays[0])
-            xj, yj, zj, all_j = self.masks(edge.rays[1])
-            for k in _bits((xi | xj) & (yi | yj) & (zi | zj) & ~all_i & ~all_j):
+            xi, yi, zi = self.masks(edge.rays[0])[0]
+            xj, yj, zj = self.masks(edge.rays[1])[0]
+            dead = (xi | xj) & (yi | yj) & (zi | zj) & ~(xi & yi & zi) & ~(xj & yj & zj)
+            for k in _bits(dead):
                 loci[chars[k]][1].append(edge.rays)
         return loci
 
     def vanishing_counts(self, ray_idx: int) -> tuple[int, int, int]:
         """(a, b, c): how many x-, y-, z-arrows vanish along the divisor."""
-        return tuple(mask.bit_count() for mask in self.masks(ray_idx)[:3])
+        return tuple(mask.bit_count() for mask in self.masks(ray_idx)[0])
 
     @cached_property
-    def _triangles(self) -> set[frozenset]:
-        return quiver_triangles(self.group)
+    def _triangles(self) -> list[tuple[tuple[int, int], ...]]:
+        # quiver_triangles, each arrow (chi, o) as (position of chi, index of o)
+        index = self.group.index
+        return [
+            tuple((index[chi], ORIENTATIONS.index(o)) for chi, o in triangle)
+            for triangle in quiver_triangles(self.group)
+        ]
 
     def triangles_consistent(self, ray_idx: int) -> bool:
         """Exactly one vanishing arrow in each of the 2|G| quiver triangles."""
-        mult = self.multiplicities(ray_idx)
+        outs = self.masks(ray_idx)[0]
         return all(
-            sum(mult[arrow] for arrow in triangle) == 1 for triangle in self._triangles
+            sum(outs[o] >> k & 1 for k, o in triangle) == 1 for triangle in self._triangles
         )
 
     # -- vertex classes ------------------------------------------------------
@@ -210,16 +216,13 @@ class QuiverAnalysis:
         """The class of every vertex along the ray's divisor, from its
         vanishing out-arrows and in-arrows."""
         if ray_idx not in self._classes:
-            mult = self.multiplicities(ray_idx)
-            tails = self.group.tails
+            (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
             self._classes[ray_idx] = {
                 chi: _classify_pattern(
-                    frozenset(o for o in ORIENTATIONS if mult[(chi, o)]),
-                    frozenset(
-                        o for k, o in enumerate(ORIENTATIONS) if mult[(tails[chi][k], o)]
-                    ),
+                    (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
+                    (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
                 )
-                for chi in self.group.characters
+                for k, chi in enumerate(self.group.characters)
             }
         return self._classes[ray_idx]
 

@@ -339,12 +339,10 @@ class GroupVerification:
     def _prop_chart_consistency(self) -> bool:
         """n*q(chi, ray) is the least valuation of chi's monomials on the ray:
         the divisor table derived without any chart."""
-        fan, group = self.fan, self.group
-        for ri, e in enumerate(fan.scaled_rays):
-            least = _least_valuations(group, e)
-            if any(fan.q.q[(chi, ri)] != least[chi] for chi in group.characters):
-                return False
-        return True
+        return all(
+            row == _least_valuations(self.group, e)
+            for row, e in zip(self.fan.q.rows, self.fan.scaled_rays)
+        )
 
     def _prop_edge_division(self) -> bool:
         """Across each interior edge the changed generators divide as m | r, m' | r'."""
@@ -494,16 +492,10 @@ class GroupVerification:
     def _prop_corner_support(self) -> bool:
         """No character's three arrows all vanish along a corner ray, in
         either direction: supports stay off the strict-transform planes."""
-        fan, group = self.fan, self.group
-        for ri, ray in enumerate(fan.rays):
-            if not ray.is_corner:
-                continue
-            if self.qa.masks(ri)[3]:
-                return False
-            mult = self.qa.multiplicities(ri)
-            for chi in group.characters:
-                tails = group.tails[chi]
-                if all(mult[(tails[k], o)] for k, o in enumerate(ORIENTATIONS)):
+        for ri, ray in enumerate(self.fan.rays):
+            if ray.is_corner:
+                (x, y, z), (ix, iy, iz) = self.qa.masks(ri)
+                if x & y & z or ix & iy & iz:
                     return False
         return True
 
@@ -567,8 +559,9 @@ def _oriented_carving_pair(fan: GHilbFan, edge):
     return tuple(max(-v, 0) for v in w), tuple(max(v, 0) for v in w)
 
 
-def _least_valuations(group: GroupData, weight) -> dict[Character, int]:
-    """The least weight.m over the monomials m of each character.
+def _least_valuations(group: GroupData, weight) -> list[int]:
+    """The least weight.m over the monomials m of each character, in the
+    order of group.characters.
 
     A monomial is a path from the trivial character in the McKay quiver, so
     this is Dijkstra with an o-arrow costing weight[o] (all nonnegative).
@@ -584,7 +577,7 @@ def _least_valuations(group: GroupData, weight) -> dict[Character, int]:
         for w, nxt in zip(weight, group.heads[chi]):
             if nxt not in least:
                 heappush(heap, (d + w, next(tie), nxt))
-    return least
+    return [least[chi] for chi in group.characters]
 
 
 def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:

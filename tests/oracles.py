@@ -126,6 +126,23 @@ def box_least(group, weight):
     return best
 
 
+def valuation(e, m):
+    """The Q-valuation e(m) of a Laurent monomial along the divisor of the
+    junior point e."""
+    return Fraction(dot3(e.coords, m))
+
+
+def divisor_q(fan, chi, ri):
+    """The exact q(chi, ray) from the fan's integer table n*q."""
+    return Fraction(fan.q.rows[ri][fan.group.index[chi]], fan.group.order)
+
+
+def arrow_order(qa, ri, chi, o):
+    """The vanishing order (0 or 1) of the o-arrow out of chi along the ray,
+    read off the ray's out-arrow mask."""
+    return qa.masks(ri)[0]["xyz".index(o)] >> qa.group.index[chi] & 1
+
+
 def chart_pairing(group, ray, graph):
     """Arrow orders read off one chart: e_o + e(r_chi) - e(r_chi*kappa_o) for
     every arrow (chi, o), with e the ray's rational weight and r the chart's
@@ -228,12 +245,11 @@ def brute_carving_vector(group, e_coords, f_coords, bound):
 
 def support_h0_scan(fan, qa, chi):
     """The h0 support of one character by a scan of every exceptional ray and
-    interior edge through the arrow-order tables."""
+    interior edge, one arrow order at a time."""
     orientations = ("x", "y", "z")
     divisors = []
     for ri in fan.exceptional_ray_indices():
-        mult = qa.multiplicities(ri)
-        if all(mult[(chi, o)] for o in orientations):
+        if all(arrow_order(qa, ri, chi, o) for o in orientations):
             divisors.append(ri)
     cells = [("divisor", ri) for ri in divisors]
     chosen = set(divisors)
@@ -241,10 +257,10 @@ def support_h0_scan(fan, qa, chi):
         i, j = edge.rays
         if i in chosen or j in chosen:
             continue  # the curve lies inside an included divisor
-        mi, mj = qa.multiplicities(i), qa.multiplicities(j)
-        covered = all(mi[(chi, o)] or mj[(chi, o)] for o in orientations)
-        all_i = all(mi[(chi, o)] for o in orientations)
-        all_j = all(mj[(chi, o)] for o in orientations)
+        oi = [arrow_order(qa, i, chi, o) for o in orientations]
+        oj = [arrow_order(qa, j, chi, o) for o in orientations]
+        covered = all(a or b for a, b in zip(oi, oj))
+        all_i, all_j = all(oi), all(oj)
         if covered and not all_i and not all_j:
             cells.append(("curve", (min(i, j), max(i, j))))
     return sorted(cells)

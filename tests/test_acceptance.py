@@ -15,7 +15,14 @@ from conftest import pipeline
 
 f = Fraction
 
-PRODUCT_FIXTURES = ["2:1,1,0+2:0,1,1", "3:1,2,0+3:0,1,2"]
+# Z/2 x Z/2 and Z/3 x Z/3, then Z/m x Z/m for m = 4, 5, 6
+PRODUCT_FIXTURES = [
+    "2:1,1,0+2:0,1,1",
+    "3:1,2,0+3:0,1,2",
+    "4:1,3,0+4:0,1,3",
+    "5:1,4,0+5:0,1,4",
+    "6:1,5,0+6:0,1,5",
+]
 CORPUS = corpus_specs(CorpusSpec(max_order=30, groups=PRODUCT_FIXTURES))
 
 

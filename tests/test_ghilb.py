@@ -35,6 +35,7 @@ from mckay_lab.intlin import dot3
 from conftest import sl3_cyclic, small_groups
 from oracles import (
     box_least,
+    divisor_q,
     extreme_rays_dd,
     minimal_monomial_normals,
     naive_ggraphs,
@@ -295,10 +296,10 @@ def test_chart_generator_examples(p3, p4):
 
 def test_divisor_coefficients_examples(p3, p4):
     center = p3.ray((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-    assert p3.fan.q(p3.chi(1), center) == Fraction(1, 3)
-    assert all(p3.fan.q(p3.chi(0), ri) == 0 for ri in range(len(p3.fan.rays)))
+    assert divisor_q(p3.fan, p3.chi(1), center) == Fraction(1, 3)
+    assert all(divisor_q(p3.fan, p3.chi(0), ri) == 0 for ri in range(len(p3.fan.rays)))
     p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    assert p4.fan.q(p4.chi(3), p) == Fraction(3, 4)
+    assert divisor_q(p4.fan, p4.chi(3), p) == Fraction(3, 4)
 
 
 def test_disagreeing_charts_are_rejected(p13):

@@ -10,11 +10,10 @@ from mckay_lab import (
     group_from_generators,
     junior_points,
     parse_group_spec,
-    valuation,
 )
 from mckay_lab.errors import DegenerateCone
 
-from oracles import cyclic_junior_count, cyclic_juniors
+from oracles import cyclic_junior_count, cyclic_juniors, valuation
 
 
 def wv(*coords):

@@ -5,16 +5,16 @@ from math import gcd
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mckay_lab import (
+    GroupVerification,
     QuiverAnalysis,
     build_fan,
     group_from_generators,
     junior_points,
-    valuation,
     verify_group,
 )
 
 from conftest import sl3_cyclic, small_groups
-from oracles import chart_pairing
+from oracles import arrow_order, chart_pairing, divisor_q, valuation
 
 
 @settings(max_examples=25, deadline=None)
@@ -38,11 +38,11 @@ def test_chart_consistency_of_divisor_coefficients(gen):
     fan = build_fan(group)  # DivisorCoefficients raises on any disagreement
     for chi in group.characters:
         for ri in range(len(fan.rays)):
-            q = fan.q(chi, ri)
+            q = divisor_q(fan, chi, ri)
             ci = fan.cones_at_ray(ri)[0]
             assert q == valuation(fan.rays[ri], fan.ggraphs[ci].representative(chi))
         if chi.is_trivial:
-            assert all(fan.q(chi, ri) == 0 for ri in range(len(fan.rays)))
+            assert all(divisor_q(fan, chi, ri) == 0 for ri in range(len(fan.rays)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -53,12 +53,14 @@ def test_divisor_table_agrees_with_every_chart(group):
     fan = build_fan(group)
     qa = QuiverAnalysis(fan)
     for ri, ray in enumerate(fan.rays):
-        mult = qa.multiplicities(ri)
+        mult = {
+            (chi, o): arrow_order(qa, ri, chi, o) for chi in group.characters for o in "xyz"
+        }
         for ci in fan.cones_at_ray(ri):
             graph = fan.ggraphs[ci]
             assert chart_pairing(group, ray, graph) == mult
             for chi in group.characters:
-                assert fan.q(chi, ri) == valuation(ray, graph.representative(chi))
+                assert divisor_q(fan, chi, ri) == valuation(ray, graph.representative(chi))
 
 
 @settings(max_examples=12, deadline=None)
@@ -92,3 +94,37 @@ def test_fan_is_independent_of_the_generator(gen, k):
         group_from_generators([other])
     )
 
+
+def _charted_cones(fan, sigma):
+    """Each cone's rays, mapped by sigma, with its cluster mapped by sigma."""
+    return {
+        frozenset(sigma(fan.rays[ri].coords) for ri in triple): frozenset(
+            sigma(m) for m in fan.ggraphs[ci].monomials
+        )
+        for ci, triple in enumerate(fan.cone_rays)
+    }
+
+
+def _character_facts(fan):
+    return {
+        tuple(e["residues"]): (e["marking_class"], e["degree"], len(e["components"]))
+        for e in GroupVerification(fan).per_character
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(sl3_cyclic(max_r=10), st.permutations(range(3)))
+def test_permuting_the_weights_permutes_everything(gen, perm):
+    """With the weights permuted by sigma, sigma maps the rays, each cone and
+    its cluster onto the new fan; the monomial sigma(m) has the character of
+    m, which keeps its marking class, degree and component count."""
+    r, weights = gen
+
+    def sigma(v):
+        return tuple(v[p] for p in perm)
+
+    fan = build_fan(group_from_generators([gen]))
+    permuted = build_fan(group_from_generators([(r, sigma(weights))]))
+    assert {sigma(ray.coords) for ray in fan.rays} == {ray.coords for ray in permuted.rays}
+    assert _charted_cones(fan, sigma) == _charted_cones(permuted, tuple)
+    assert _character_facts(fan) == _character_facts(permuted)

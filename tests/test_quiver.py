@@ -9,8 +9,10 @@ from mckay_lab import (
     quiver_counts,
     torus_positions,
 )
-from mckay_lab.errors import MultiplicityOutOfRange
-from mckay_lab.quiver import SINK03, SINK30, SOURCE33
+from mckay_lab.errors import InvalidSpokePattern, MultiplicityOutOfRange
+from mckay_lab.quiver import SINK03, SINK30, SOURCE33, VertexClass, _classify_pattern
+
+from oracles import arrow_order
 
 f = Fraction
 
@@ -25,20 +27,19 @@ def test_quiver_counts_picture_group(p13):
 
 def test_arrow_vanishing_orders(p3, p4):
     center = p3.ray((f(1, 3),) * 3)
-    assert p3.qa.multiplicities(center)[(p3.chi(2), "x")] == 1
-    assert p3.qa.multiplicities(center)[(p3.chi(0), "x")] == 0
+    assert arrow_order(p3.qa, center, p3.chi(2), "x") == 1
+    assert arrow_order(p3.qa, center, p3.chi(0), "x") == 0
     p = p4.ray((f(1, 4), f(1, 4), f(1, 2)))
-    assert p4.qa.multiplicities(p)[(p4.chi(2), "z")] == 1
+    assert arrow_order(p4.qa, p, p4.chi(2), "z") == 1
 
 
 def test_multiplicities_read_the_divisor_table():
     """The arrow orders come from fan.q alone: one corrupted entry breaks them."""
     fan = build_fan(parse_group_spec("13:1,5,7"))
-    chi = fan.group.characters[1]
     ri = fan.exceptional_ray_indices()[0]
-    fan.q.q[(chi, ri)] += 1
+    fan.q.rows[ri][1] += 1
     with pytest.raises(MultiplicityOutOfRange):
-        QuiverAnalysis(fan).multiplicities(ri)
+        QuiverAnalysis(fan).masks(ri)
 
 
 def test_vanishing_counts(p3, p4):
@@ -50,6 +51,31 @@ def test_vanishing_counts(p3, p4):
 def test_triangle_identity(p13):
     for ri in p13.fan.exceptional_ray_indices():
         assert p13.qa.triangles_consistent(ri)
+
+
+def test_the_64_spoke_patterns_give_the_18_classes():
+    """Two sinks, seven sources, six charges and three tiles; the other 46
+    (out, in) patterns of vanishing spokes are invalid."""
+    labels, invalid = set(), 0
+    for outs in range(8):
+        for ins in range(8):
+            try:
+                labels.add(_classify_pattern(outs, ins).label())
+            except InvalidSpokePattern:
+                invalid += 1
+    assert invalid == 46
+    assert labels == {"(3,0)-sink", "(0,3)-sink", "(3,3)-source"} | {
+        f"{o}-{kind}"
+        for o in "xyz"
+        for kind in ("(2,1)-source", "(1,2)-source", "(1,0)-charge", "(0,1)-charge", "(0,0)-tile")
+    }
+    # bit k of a pattern is the k-th orientation
+    assert _classify_pattern(0b001, 0) == VertexClass("source", (2, 1), "x")
+    assert _classify_pattern(0, 0b100) == VertexClass("source", (1, 2), "z")
+    assert _classify_pattern(0b101, 0) == VertexClass("charge", (1, 0), "y")
+    assert _classify_pattern(0, 0b110) == VertexClass("charge", (0, 1), "x")
+    assert _classify_pattern(0b010, 0b010) == VertexClass("tile", (0, 0), "y")
+    assert _classify_pattern(0b111, 0) == SINK30 and _classify_pattern(0, 0b111) == SINK03
 
 
 def test_vertex_classes_at_center(p3):

@@ -161,8 +161,22 @@ def test_chart_consistency_catches_a_corrupted_coefficient():
     assert verification._prop_chart_consistency()
     chi = fan.group.characters[1]
     ri = fan.exceptional_ray_indices()[0]
-    fan.q.q[(chi, ri)] += 1
+    fan.q.rows[ri][fan.group.index[chi]] += 1
     assert not verification._prop_chart_consistency()
+
+
+def test_corner_in_arrows_all_vanishing_break_strict_transforms():
+    """A character whose three in-arrows all vanish along a corner ray, with
+    no character losing all three out-arrows there, fails the property."""
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    verification = GroupVerification(fan)
+    qa = verification.qa
+    assert verification._prop_corner_support()
+    corner = next(ri for ri, ray in enumerate(fan.rays) if ray.is_corner)
+    outs, ins = qa.masks(corner)
+    assert not outs[0] & outs[1] & outs[2]
+    qa._masks[corner] = (outs, tuple(mask | 1 << 5 for mask in ins))
+    assert not verification._prop_corner_support()
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,7 +185,7 @@ def test_least_valuations_match_box_minima(group, weight):
     """Shortest paths in the McKay quiver give the least weight over each
     character's monomials, as a scan of the whole box does."""
     best = box_least(group, weight)
-    assert _least_valuations(group, weight) == {chi: v for chi, (v, _) in best.items()}
+    assert _least_valuations(group, weight) == [best[chi][0] for chi in group.characters]
 
 
 # sha256 of report_json(verify_group(g)): the report bytes are a fixed
