@@ -1,7 +1,11 @@
 """G-Hilb fan construction from torus-fixed clusters.
 
 A cluster is a monomial set that is divisibility-closed, contains one
-monomial per character, and avoids multiples of xyz; its cone is cut out by
+monomial per character, and avoids multiples of xyz.  It is stored as a row,
+one monomial per position of group.characters, and checked by the tail
+table: each m/x_i must be the representative at the tail of the x_i-arrow
+into m's position, which by induction on degree gives both closure and every
+representative's character without computing one.  Its cone is cut out by
 the valuation inequalities v(b) >= v(r_chi) over its border monomials
 b = x_i*m outside the cluster (m in the cluster, chi the character of b, read
 off the arrow table).  The cone is found in integers: each inequality clips
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import (
     BoundaryEdge,
@@ -40,18 +43,19 @@ from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points
 
 
 class GGraph:
-    """One monomial per character, divisibility-closed and xyz-free."""
+    """One monomial per character, divisibility-closed and xyz-free, stored
+    as a row: row[k] represents the k-th character of group.characters."""
 
-    def __init__(self, group: GroupData, representatives: dict[Character, Monomial]):
+    def __init__(self, group: GroupData, row):
         self.group = group
-        self.representatives = dict(representatives)
-        self.monomials = frozenset(representatives.values())
+        self.row: tuple[Monomial, ...] = tuple(row)
+        self.monomials = frozenset(self.row)
         self._key = tuple(sorted(self.monomials))
         self._normals: list[tuple[int, int, int]] | None = None  # ggraph_inequalities
         self._validate()
 
     def representative(self, chi: Character) -> Monomial:
-        return self.representatives[chi]
+        return self.row[self.group.index[chi]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GGraph) and self._key == other._key
@@ -65,25 +69,30 @@ class GGraph:
         return "{" + ", ".join(mono_str(m) for m in self._key) + "}"
 
     def _validate(self) -> None:
+        """Each m - e_i (m_i > 0) must be the representative at the tail of
+        the i-arrow into m's position.  By induction on degree from 1, that
+        holds exactly when every representative has its own character and
+        the cluster is divisibility-closed."""
         group = self.group
         n = group.order
-        if len(self.representatives) != n or len(self.monomials) != n:
+        row = self.row
+        if len(row) != n or len(self.monomials) != n:
             raise SearchExhausted(f"cluster needs exactly {n} distinct monomials")
-        if self.representatives.get(group.trivial_character) != MONO_ONE:
+        if row[group.index[group.trivial_character]] != MONO_ONE:
             raise SearchExhausted("the trivial character must be represented by 1")
-        for chi, m in self.representatives.items():
-            if group.kappa(m) != chi:
-                raise SearchExhausted(f"representative {m} has the wrong character")
-            if min(m) > 0:
-                raise SearchExhausted(f"representative {m} is divisible by xyz")
+        for m, tails in zip(row, group.tail_rows):
+            if min(m) != 0:
+                raise SearchExhausted(f"representative {m} is not an xyz-free monomial")
             if max(m) >= n:
                 raise SearchExhausted(f"representative {m} has an exponent >= {n}")
-        for m in self.monomials:
             for i in range(3):
                 if m[i]:
-                    lower = tuple(v - (1 if j == i else 0) for j, v in enumerate(m))
-                    if lower not in self.monomials:
-                        raise SearchExhausted(f"{m} has divisor {lower} outside the cluster")
+                    lower = (m[0] - (i == 0), m[1] - (i == 1), m[2] - (i == 2))
+                    if row[tails[i]] != lower:
+                        raise SearchExhausted(
+                            f"divisor {lower} of {m} is not the representative "
+                            f"{row[tails[i]]} of its character"
+                        )
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,7 @@ class DivisorCoefficients:
         chars = fan.group.characters
         for ray_idx, e in enumerate(fan.scaled_rays):
             rows = [
-                [dot3(e, fan.ggraphs[ci].representatives[chi]) for chi in chars]
-                for ci in fan.cones_at_ray(ray_idx)
+                [dot3(e, m) for m in fan.ggraphs[ci].row] for ci in fan.cones_at_ray(ray_idx)
             ]
             for row in rows[1:]:
                 if row != rows[0]:
@@ -132,13 +140,14 @@ class GHilbFan:
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cones: list[Cone]):
         self.group = group
+        n = group.order
         self.rays: tuple[WeightVector, ...] = tuple(junior_points(group))
-        self.scaled_rays = tuple(r.scaled(group.order) for r in self.rays)
-        self._ray_index = {r: i for i, r in enumerate(self.rays)}
+        self.scaled_rays = tuple(r.scaled(n) for r in self.rays)
+        self._ray_index = {s: i for i, s in enumerate(self.scaled_rays)}
         self.ggraphs = tuple(ggraphs)
         self.cones = tuple(cones)
         self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(
-            tuple(sorted(self._ray_index[r] for r in c.rays)) for c in cones
+            tuple(sorted(self._ray_index[r.scaled(n)] for r in c.rays)) for c in cones
         )
         self._cones_at_ray: dict[int, list[int]] = {i: [] for i in range(len(self.rays))}
         for ci, triple in enumerate(self.cone_rays):
@@ -146,7 +155,7 @@ class GHilbFan:
                 self._cones_at_ray[ri].append(ci)
         self.edges = self._collect_edges()
         self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
-        self._cone_set = frozenset(self.cone_rays)
+        self._cone_index = {rays: ci for ci, rays in enumerate(self.cone_rays)}
         self._interior_edges = tuple(e for e in self.edges if not e.is_boundary)
         self._exceptional = tuple(i for i, r in enumerate(self.rays) if not r.is_corner)
         self._validate()
@@ -161,7 +170,7 @@ class GHilbFan:
     # -- lookups ------------------------------------------------------------
 
     def ray_index(self, ray: WeightVector) -> int:
-        return self._ray_index[ray]
+        return self._ray_index[ray.scaled(self.group.order)]
 
     def cones_at_ray(self, ray_idx: int) -> list[int]:
         return self._cones_at_ray[ray_idx]
@@ -173,16 +182,20 @@ class GHilbFan:
         return self.edges[self._edge_index[key]]
 
     def cone_index(self, cone: Cone) -> int:
-        triple = tuple(sorted(self._ray_index.get(r, -1) for r in cone.rays))
-        for ci, rays in enumerate(self.cone_rays):
-            if rays == triple:
-                return ci
-        raise UnknownCone(f"{cone} is not a maximal cone of the fan")
+        n = self.group.order
+        # n*e as exact numbers: an integral one hashes and compares as the
+        # integer triple, any other misses
+        triple = tuple(
+            sorted(self._ray_index.get(tuple(v * n for v in r.coords), -1) for r in cone.rays)
+        )
+        if triple not in self._cone_index:
+            raise UnknownCone(f"{cone} is not a maximal cone of the fan")
+        return self._cone_index[triple]
 
     def is_face(self, rays) -> bool:
         """Whether a set of ray indices spans a ray, an edge or a cone of the fan."""
         key = tuple(sorted(rays))
-        return len(key) == 1 or key in self._edge_index or key in self._cone_set
+        return len(key) == 1 or key in self._edge_index or key in self._cone_index
 
     def interior_edges(self) -> tuple[FanEdge, ...]:
         return self._interior_edges
@@ -211,7 +224,7 @@ class GHilbFan:
         n = group.order
         if len(self.cones) != n:
             raise FanValidationFailed(f"{len(self.cones)} cones for a group of order {n}")
-        if len(set(self.cone_rays)) != n:
+        if len(self._cone_index) != n:
             raise FanValidationFailed("duplicate maximal cones")
         used_rays = {ri for triple in self.cone_rays for ri in triple}
         if used_rays != set(range(len(self.rays))):
@@ -222,7 +235,7 @@ class GHilbFan:
         for edge in self.edges:
             i, j = edge.rays
             geometric_boundary = any(
-                self.rays[i].coords[k] == 0 and self.rays[j].coords[k] == 0
+                self.scaled_rays[i][k] == 0 and self.scaled_rays[j][k] == 0
                 for k in range(3)
             )
             if geometric_boundary != (len(edge.cones) == 1) or len(edge.cones) > 2:
@@ -279,12 +292,17 @@ def seed_ggraph(group: GroupData) -> GGraph:
     its character in (j, i) order.
     """
     n = group.order
-    best: dict[Character, Monomial] = {}
+    index = group.index
+    row: list[Monomial | None] = [None] * n
+    left = n
     for m in ((i, j, 0) for j in range(n) for i in range(n)):
-        best.setdefault(group.kappa(m), m)
-        if len(best) == n:
-            break
-    return GGraph(group, best)
+        k = index[group.kappa(m)]
+        if row[k] is None:
+            row[k] = m
+            left -= 1
+            if not left:
+                break
+    return GGraph(group, row)
 
 
 def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:
@@ -311,17 +329,18 @@ def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GG
     e, f = facet
     (g,) = [r for r in cone.rays if r not in facet]
     t = invariant_perpendicular(group, e.scaled(n), f.scaled(n))
-    if dot3(g.coords, t) < 0:
+    side = dot3(g.scaled(n), t)
+    if side < 0:
         t = tuple(-v for v in t)
-    elif dot3(g.coords, t) == 0:
+    elif side == 0:
         raise LowerDimensionalCone(f"facet {facet} is not a facet of {cone}")
     negative = [(i, -v) for i, v in enumerate(t) if v < 0]
-    shifted: dict[Character, Monomial] = {}
-    for chi, r in graph.representatives.items():
+    shifted = []
+    for r in graph.row:
         k = min((r[i] // v for i, v in negative), default=3 * n + 1)
         if k > 3 * n:
             raise SearchExhausted(f"unbounded shift across facet {facet}")
-        shifted[chi] = (r[0] + k * t[0], r[1] + k * t[1], r[2] + k * t[2])
+        shifted.append((r[0] + k * t[0], r[1] + k * t[1], r[2] + k * t[2]))
     return GGraph(group, shifted)
 
 
@@ -336,7 +355,7 @@ def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
     n = group.order
     seed = seed_ggraph(group)
     found: dict[tuple, tuple[GGraph, Cone]] = {}
-    crossed: set[tuple[WeightVector, WeightVector]] = set()
+    crossed: set[tuple[tuple[int, int, int], tuple[int, int, int]]] = set()  # n*e, n*f
     queue = [seed]
     while queue:
         graph = queue.pop()
@@ -347,15 +366,16 @@ def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
         if len(found) > n:
             raise SearchExhausted(f"more than {n} clusters reached by wall crossing")
         rays = cone.rays
+        scaled = [r.scaled(n) for r in rays]
         for a in range(3):
             for b in range(a + 1, 3):
-                e, f = rays[a], rays[b]
-                if (e, f) in crossed or any(
-                    e.coords[k] == 0 and f.coords[k] == 0 for k in range(3)
+                wall = (scaled[a], scaled[b])
+                if wall in crossed or any(
+                    wall[0][k] == 0 and wall[1][k] == 0 for k in range(3)
                 ):
                     continue  # crossed from the other side, or on the octant
-                crossed.add((e, f))
-                neighbor = flip_ggraph(group, graph, cone, (e, f))
+                crossed.add(wall)
+                neighbor = flip_ggraph(group, graph, cone, (rays[a], rays[b]))
                 if neighbor._key not in found:
                     queue.append(neighbor)
     if len(found) != n:
@@ -388,13 +408,14 @@ def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int,
 
 
 def _border_normals(group: GroupData, graph: GGraph) -> list[tuple[int, int, int]]:
-    reps = graph.representatives
+    row, heads = graph.row, group.head_rows
     normals = []
     seen = set()
-    for chi, m in sorted(reps.items(), key=itemgetter(1)):
-        for i, psi in enumerate(group.heads[chi]):
+    for k in sorted(range(len(row)), key=row.__getitem__):
+        m = row[k]
+        for i, h in enumerate(heads[k]):
             b = (m[0] + (i == 0), m[1] + (i == 1), m[2] + (i == 2))
-            r = reps[psi]
+            r = row[h]
             if r == b:
                 continue
             vec = (b[0] - r[0], b[1] - r[1], b[2] - r[2])
@@ -455,11 +476,13 @@ def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
 
 def build_fan(group: GroupData) -> GHilbFan:
     """Enumerate all clusters, take their cones, and assemble the validated fan."""
+    n = group.order
     ggraphs = enumerate_ggraphs(group)
-    paired = sorted(
-        ((cone_of_ggraph(group, g), g) for g in ggraphs), key=lambda p: p[0].rays
-    )
-    return GHilbFan(group, [g for _, g in paired], [c for c, _ in paired])
+    cones = [cone_of_ggraph(group, g) for g in ggraphs]
+    # lex order on the scaled rays n*e is lex order on the rays e
+    keys = [tuple(r.scaled(n) for r in c.rays) for c in cones]
+    order = sorted(range(len(cones)), key=keys.__getitem__)
+    return GHilbFan(group, [ggraphs[k] for k in order], [cones[k] for k in order])
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +496,12 @@ def chart_generator(fan: GHilbFan, cone: Cone, chi: Character) -> Monomial:
 
 def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
     """Degree of the chi tautological bundle on the compact curve of an edge."""
-    return tautological_degrees(fan, edge)[chi]
+    return tautological_degrees(fan, edge)[fan.group.index[chi]]
 
 
-def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> dict[Character, int]:
+def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> list[int]:
     """Degree of every character's tautological bundle on the compact curve
-    of an edge.
+    of an edge, in the order of group.characters.
 
     With r, r' the chart generators on the two sides, r'/r = (m'/m)^k for the
     carving ratio m:m' oriented positively against the far ray of the first
@@ -486,12 +509,11 @@ def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> dict[Character, int]:
     """
     if edge.is_boundary:
         raise BoundaryEdge(f"edge {edge.rays} has a single chart")
-    reps, reps2 = (fan.ggraphs[ci].representatives for ci in edge.cones)
+    row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
     w = _oriented_edge_vector(fan, edge)
     i = next(i for i, v in enumerate(w) if v)
-    degrees = {}
-    for chi, r in reps.items():
-        r2 = reps2[chi]
+    degrees = []
+    for r, r2 in zip(row, row2):
         k = (r2[i] - r[i]) // w[i]
         # r' - r must be an integer multiple of w
         if (r2[0] - r[0], r2[1] - r[1], r2[2] - r[2]) != (k * w[0], k * w[1], k * w[2]):
@@ -500,7 +522,7 @@ def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> dict[Character, int]:
             )
         if k < 0:
             raise MultiplicityOutOfRange(f"negative tautological degree {k} across {edge.rays}")
-        degrees[chi] = k
+        degrees.append(k)
     return degrees
 
 

@@ -48,6 +48,14 @@ class Character:
     residues: tuple[int, ...]
     moduli: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        # kept on the object: the dataclass hash builds a tuple per lookup
+        fields = self.__dict__
+        h = fields.get("_hash")
+        if h is None:
+            h = fields["_hash"] = hash((self.residues, self.moduli))
+        return h
+
     def __mul__(self, other: "Character") -> "Character":
         return Character(
             tuple((a + b) % r for a, b, r in zip(self.residues, other.residues, self.moduli)),
@@ -106,6 +114,11 @@ class GroupData:
         # each character's position in self.characters: the bit or entry
         # that stands for it in every per-ray table
         self.index = {chi: k for k, chi in enumerate(self.characters)}
+        # the arrow tables by position: head_rows[k][o] and tail_rows[k][o]
+        # are the positions of heads[chi][o] and tails[chi][o], chi the k-th
+        # character
+        self.head_rows = self._rows(self.heads)
+        self.tail_rows = self._rows(self.tails)
 
     # -- characters --------------------------------------------------------
 
@@ -144,6 +157,10 @@ class GroupData:
         back = [{ends[k]: chi for chi, ends in heads.items()} for k in range(3)]
         tails = {chi: tuple(b[chi] for b in back) for chi in heads}
         return tuple(sorted(heads, key=lambda c: c.residues)), heads, tails
+
+    def _rows(self, table) -> tuple[tuple[int, int, int], ...]:
+        index = self.index
+        return tuple(tuple(index[end] for end in table[chi]) for chi in self.characters)
 
     # -- lattices ----------------------------------------------------------
 

@@ -37,9 +37,9 @@ class WeightVector:
 
     def scaled(self, n: int) -> tuple[int, int, int]:
         """Integer coordinates n*l (n a multiple of every denominator)."""
-        triple = tuple(Fraction(v) * n for v in self.coords)
-        assert all(v.denominator == 1 for v in triple)
-        return tuple(int(v) for v in triple)
+        triple = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
+        assert not any(rest for _, rest in triple)
+        return tuple(v for v, _ in triple)
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self.coords) + ")"
@@ -69,10 +69,14 @@ def junior_points(group: GroupData) -> list[WeightVector]:
 
 
 def cone_is_unimodular(group: GroupData, cone: Cone) -> bool:
-    """True iff the three rays form a Z-basis of L, i.e. |det| = 1/|G|."""
+    """True iff the three rays form a Z-basis of L, i.e. |det| = 1/n for
+    n = |G|: in integers, |det(n*e1, n*e2, n*e3)| = n^2."""
     if cone.dim != 3:
         raise DegenerateCone(f"expected a 3-cone, got dimension {cone.dim}")
-    d = det3([r.coords for r in cone.rays])
+    n = group.order
+    if any(n % v.denominator for r in cone.rays for v in r.coords):
+        return False  # a ray outside (1/n)Z^3 lies outside L
+    d = det3([r.scaled(n) for r in cone.rays])
     if d == 0:
         raise DegenerateCone("cone rays are linearly dependent")
-    return abs(d) == Fraction(1, group.order)
+    return abs(d) == n * n

@@ -135,9 +135,6 @@ class QuiverAnalysis:
         self._masks: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
         self._classes: dict[int, dict[Character, VertexClass]] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
-        # the arrow table by position: the heads of the k-th character's arrows
-        index, heads = self.group.index, self.group.heads
-        self._heads = [tuple(index[h] for h in heads[chi]) for chi in self.group.characters]
 
     # -- arrow orders --------------------------------------------------------
 
@@ -158,7 +155,7 @@ class QuiverAnalysis:
         e = self.fan.scaled_rays[ray_idx]
         row = self.fan.q.rows[ray_idx]
         outs, ins = [0, 0, 0], [0, 0, 0]
-        for k, heads in enumerate(self._heads):
+        for k, heads in enumerate(self.group.head_rows):
             for o, h in enumerate(heads):
                 val = e[o] + row[k] - row[h]
                 if val == n:
@@ -456,10 +453,8 @@ def torus_positions(group: GroupData) -> dict[Character, tuple[int, int]]:
     character inside a half-open fundamental parallelogram.
     """
     basis = _reduced_projected_lattice(group)
-    lift = seed_ggraph(group).representatives
     pos = {}
-    for chi in group.characters:
-        w = lift[chi]
+    for chi, w in zip(group.characters, seed_ggraph(group).row):
         pos[chi] = _reduce_mod_lattice((w[0] - w[2], w[1] - w[2]), basis)
     return pos
 

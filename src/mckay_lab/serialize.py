@@ -44,8 +44,8 @@ def fan_payload(fan: GHilbFan) -> dict:
             {
                 "ray_indices": list(fan.cone_rays[ci]),
                 "ggraph": {
-                    chi.label(): mono_str(graph.representative(chi))
-                    for chi in fan.group.characters
+                    chi.label(): mono_str(m)
+                    for chi, m in zip(fan.group.characters, graph.row)
                 },
             }
             for ci, graph in enumerate(fan.ggraphs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import count
 
 from .ghilb import (
     GHilbFan,
@@ -71,8 +70,9 @@ class GroupVerification:
         return self._profiles[chi]
 
     @cached_property
-    def _degrees(self) -> dict[tuple[int, int], dict[Character, int]]:
-        """Every character's tautological degree on each interior edge."""
+    def _degrees(self) -> dict[tuple[int, int], list[int]]:
+        """Every character's tautological degree on each interior edge, in
+        the order of group.characters."""
         return {e.rays: tautological_degrees(self.fan, e) for e in self.fan.interior_edges()}
 
     def _supports(self, chi: Character) -> tuple[list, list, list]:
@@ -349,9 +349,8 @@ class GroupVerification:
         fan = self.fan
         for edge in fan.interior_edges():
             m, m2 = _oriented_carving_pair(fan, edge)
-            gi, gj = (fan.ggraphs[ci] for ci in edge.cones)
-            for chi in self.group.characters:
-                r, r2 = gi.representative(chi), gj.representative(chi)
+            row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
+            for r, r2 in zip(row, row2):
                 if r != r2 and not (mono_divides(m, r) and mono_divides(m2, r2)):
                     return False
         return True
@@ -361,9 +360,9 @@ class GroupVerification:
         fan = self.fan
         for edge in fan.interior_edges():
             m, m2 = _oriented_carving_pair(fan, edge)
-            chi = self.marked.edge_ratios[edge.rays].character
-            gi, gj = (fan.ggraphs[ci] for ci in edge.cones)
-            if gi.representative(chi) != m or gj.representative(chi) != m2:
+            k = self.group.index[self.marked.edge_ratios[edge.rays].character]
+            row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
+            if row[k] != m or row2[k] != m2:
                 return False
         return True
 
@@ -376,10 +375,11 @@ class GroupVerification:
 
     def _prop_tautological_degrees(self) -> bool:
         """Degree 1 for the marking character, >= 0 always, 0 for trivial."""
-        trivial = self.group.trivial_character
+        index = self.group.index
+        trivial = index[self.group.trivial_character]
         return all(
-            min(degrees.values()) >= 0
-            and degrees[self.marked.edge_ratios[rays].character] == 1
+            min(degrees) >= 0
+            and degrees[index[self.marked.edge_ratios[rays].character]] == 1
             and degrees[trivial] == 0
             for rays, degrees in self._degrees.items()
         )
@@ -454,14 +454,11 @@ class GroupVerification:
             curves = [c[1] for c in profile.components if c[0] == "curve"]
             if not curves:
                 return False
-            degrees = [self._degrees[pair] for pair in curves]
-            for other in self.group.characters:
-                total = sum(d[other] for d in degrees)
-                if other == chi:
-                    if total != len(curves):
-                        return False
-                elif total != 0:
-                    return False
+            totals = [sum(col) for col in zip(*(self._degrees[pair] for pair in curves))]
+            expected = [0] * self.group.order
+            expected[self.group.index[chi]] = len(curves)
+            if totals != expected:
+                return False
         return True
 
     def _prop_exclusive_degree(self) -> bool:
@@ -564,20 +561,22 @@ def _least_valuations(group: GroupData, weight) -> list[int]:
     order of group.characters.
 
     A monomial is a path from the trivial character in the McKay quiver, so
-    this is Dijkstra with an o-arrow costing weight[o] (all nonnegative).
+    this is Dijkstra over positions with an o-arrow costing weight[o] (all
+    nonnegative); each position's distance is unique, whatever the order
+    ties pop in.
     """
-    least: dict[Character, int] = {}
-    tie = count()  # characters do not compare; equal distances pop in push order
-    heap = [(0, next(tie), group.trivial_character)]
+    heads = group.head_rows
+    least: list[int | None] = [None] * group.order
+    heap = [(0, group.index[group.trivial_character])]
     while heap:
-        d, _, chi = heappop(heap)
-        if chi in least:
+        d, k = heappop(heap)
+        if least[k] is not None:
             continue
-        least[chi] = d
-        for w, nxt in zip(weight, group.heads[chi]):
-            if nxt not in least:
-                heappush(heap, (d + w, next(tie), nxt))
-    return [least[chi] for chi in group.characters]
+        least[k] = d
+        for w, h in zip(weight, heads[k]):
+            if least[h] is None:
+                heappush(heap, (d + w, h))
+    return least
 
 
 def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:

@@ -52,6 +52,26 @@ def minimal_monomial_normals(group, graph):
     return normals
 
 
+def is_cluster_by_kappa(group, row):
+    """The cluster check read off characters: one distinct monomial per
+    character, 1 for the trivial one, each xyz-free with exponents < n and
+    of its own character by kappa, and every divisor m/x_i inside."""
+    n = group.order
+    monomials = set(row)
+    if len(row) != n or len(monomials) != n:
+        return False
+    if row[group.index[group.trivial_character]] != MONO_ONE:
+        return False
+    for chi, m in zip(group.characters, row):
+        if group.kappa(m) != chi or min(m) > 0 or max(m) >= n:
+            return False
+        for i in range(3):
+            lower = tuple(v - (j == i) for j, v in enumerate(m))
+            if m[i] and lower not in monomials:
+                return False
+    return True
+
+
 def extreme_rays_dd(normals):
     """Extreme rays of {v >= 0} cut by the halfspaces a.v >= 0, by incremental
     double description: every positive/negative pair of rays is combined, and
@@ -92,17 +112,17 @@ def extreme_rays_dd(normals):
 
 
 def stepped_flip(group, graph, cone, facet):
-    """The representatives across a facet of a cluster's cone: each moves by
-    the facet's carving direction t (positive on the far ray) one step at a
-    time, while the next step keeps it a regular monomial."""
+    """The row of representatives across a facet of a cluster's cone: each
+    moves by the facet's carving direction t (positive on the far ray) one
+    step at a time, while the next step keeps it a regular monomial."""
     n = group.order
     e, f = facet
     (g,) = [r for r in cone.rays if r not in facet]
     t = invariant_perpendicular(group, e.scaled(n), f.scaled(n))
     if dot3(g.coords, t) < 0:
         t = tuple(-v for v in t)
-    shifted = {}
-    for chi, r in graph.representatives.items():
+    shifted = []
+    for r in graph.row:
         cur = r
         for _ in range(3 * n + 1):
             nxt = (cur[0] + t[0], cur[1] + t[1], cur[2] + t[2])
@@ -111,8 +131,8 @@ def stepped_flip(group, graph, cone, facet):
             cur = nxt
         else:
             raise AssertionError(f"unbounded shift across facet {facet}")
-        shifted[chi] = cur
-    return shifted
+        shifted.append(cur)
+    return tuple(shifted)
 
 
 def box_least(group, weight):

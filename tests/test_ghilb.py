@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from mckay_lab.errors import (
     UnknownCone,
 )
 from mckay_lab.ghilb import (
+    GGraph,
     GHilbFan,
     _extreme_rays,
     flip_ggraph,
@@ -37,6 +39,7 @@ from oracles import (
     box_least,
     divisor_q,
     extreme_rays_dd,
+    is_cluster_by_kappa,
     minimal_monomial_normals,
     naive_ggraphs,
     stepped_flip,
@@ -103,7 +106,84 @@ def test_seed_ggraph_is_the_box_argmin(group):
     """The z-free seed search finds the (1, n, n^2)-minimizer of the whole box."""
     n = group.order
     best = box_least(group, (1, n, n * n))
-    assert seed_ggraph(group).representatives == {chi: m for chi, (_, m) in best.items()}
+    assert seed_ggraph(group).row == tuple(best[chi][1] for chi in group.characters)
+
+
+def power(i, a):
+    """The monomial v^a for v the i-th variable."""
+    return tuple(a if j == i else 0 for j in range(3))
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_swapped_representatives_are_rejected(p3, i):
+    """{1, v, v^2} is a cluster of 1/3(1,1,1) for each variable v; with v and
+    v^2 swapped it stays closed, but each has the other's character, which
+    only the tail comparison in v's own coordinate sees."""
+    one, v, v2 = (power(i, a) for a in range(3))
+    assert GGraph(p3.group, (one, v, v2)).row == (one, v, v2)
+    with pytest.raises(SearchExhausted, match="is not the representative"):
+        GGraph(p3.group, (one, v2, v))
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_unclosed_representative_is_rejected(p3, i):
+    """In {1, v, v^2}, w^2 (w the next variable) has the character of v^2,
+    but its divisor w is not in the cluster."""
+    w2 = power((i + 1) % 3, 2)
+    with pytest.raises(SearchExhausted, match="is not the representative"):
+        GGraph(p3.group, (power(i, 0), power(i, 1), w2))
+
+
+def single_entry_perturbations(row, n):
+    """Rows with one entry moved by one step in a coordinate, or replaced by
+    a pure power v^a with a < n."""
+    for k, m in enumerate(row):
+        moved = {power(i, a) for i in range(3) for a in range(n)}
+        for i in range(3):
+            for d in (-1, 1):
+                moved.add(tuple(v + d * (j == i) for j, v in enumerate(m)))
+        for other in sorted(moved - {m}):
+            if min(other) >= 0:
+                yield row[:k] + (other,) + row[k + 1 :]
+
+
+def accepted(group, row):
+    try:
+        GGraph(group, row)
+    except SearchExhausted:
+        return False
+    return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_groups)
+@example(parse_group_spec("3:1,1,1"))
+@example(parse_group_spec("13:1,5,7"))
+@example(parse_group_spec("3:1,2,0+3:0,1,2"))
+def test_tail_check_matches_kappa_and_closure(group):
+    """On every cluster and every single-entry perturbation of it, the check
+    by the tail table accepts exactly what kappa plus closure accepts."""
+    for graph in enumerate_ggraphs(group):
+        assert is_cluster_by_kappa(group, graph.row)
+        for row in single_entry_perturbations(graph.row, group.order):
+            assert accepted(group, row) == is_cluster_by_kappa(group, row), row
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
+def test_fan_build_calls_kappa_for_seed_and_carving_only(monkeypatch, spec):
+    """Flipped clusters are checked by the tail table, cones by the arrow
+    table: the seed search and the carving vectors are kappa's only callers."""
+    group = parse_group_spec(spec)
+    callers = []
+    kappa = GroupData.kappa
+
+    def counted(self, m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kappa(self, m)
+
+    monkeypatch.setattr(GroupData, "kappa", counted)
+    build_fan(group)
+    assert set(callers) == {"seed_ggraph", "invariant_perpendicular"}
 
 
 @settings(max_examples=20, deadline=None)
@@ -192,7 +272,7 @@ def test_flip_matches_stepping(group):
         for ci in edge.cones:
             graph, cone = fan.ggraphs[ci], fan.cones[ci]
             flipped = flip_ggraph(group, graph, cone, facet)
-            assert flipped.representatives == stepped_flip(group, graph, cone, facet)
+            assert flipped.row == stepped_flip(group, graph, cone, facet)
 
 
 def test_unbounded_flip_is_exhausted(monkeypatch, p3):
@@ -212,7 +292,7 @@ def test_unbounded_flip_is_exhausted(monkeypatch, p3):
     with pytest.raises(SearchExhausted, match="unbounded shift"):
         flip_ggraph(p3.group, graph, cone, (center, y))
     monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (-1, 1, 1))
-    far = SimpleNamespace(representatives={p3.chi(0): (3 * 3 + 1, 0, 0)})
+    far = SimpleNamespace(row=((3 * 3 + 1, 0, 0),))
     with pytest.raises(SearchExhausted, match="unbounded shift"):
         flip_ggraph(p3.group, far, cone, (center, y))
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mckay_lab import group_from_generators, parse_group_spec
 from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
-from mckay_lab.groups import mono_str
+from mckay_lab.groups import Character, mono_str
 
 from conftest import small_groups
 from oracles import box_monomials
@@ -140,15 +140,18 @@ def test_element_count_matches_order(gen):
 @settings(max_examples=40, deadline=None)
 @given(small_groups)
 def test_arrow_tables_match_kappa(group):
-    """heads[chi][k] is chi times the character of the k-th variable, and
-    tails inverts heads arrow by arrow."""
+    """heads[chi][k] is chi times the character of the k-th variable, tails
+    inverts heads arrow by arrow, and the rows hold both by position."""
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert set(group.heads) == set(group.tails) == set(group.characters)
     for chi in group.characters:
+        pos = group.index[chi]
         for k, unit in enumerate(units):
             head = group.heads[chi][k]
             assert head == chi * group.kappa(unit)
             assert group.tails[head][k] == chi
+            assert group.characters[group.head_rows[pos][k]] == head
+            assert group.characters[group.tail_rows[pos][k]] == group.tails[chi][k]
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,3 +166,14 @@ def test_characters_are_the_groups_own_objects(group):
     for m in box_monomials(group.order):
         chi = group.kappa(m)
         assert chi is own[chi.residues]
+
+
+def test_character_hash_is_the_field_hash():
+    """The hash kept on each character is the hash of its fields, so an
+    equal copy finds the group's own object in a dict."""
+    group = parse_group_spec("3:1,2,0+3:0,1,2")
+    for chi in group.characters:
+        copy = Character(chi.residues, chi.moduli)
+        assert copy is not chi and copy == chi
+        assert hash(copy) == hash(chi) == hash((chi.residues, chi.moduli))
+        assert group.index[copy] == group.index[chi]

@@ -78,10 +78,10 @@ def test_per_edge_degrees_match_the_per_character_reading(group):
     fan = build_fan(group)
     for edge in fan.interior_edges():
         degrees = tautological_degrees(fan, edge)
-        assert set(degrees) == set(group.characters)
-        for chi in group.characters:
+        assert len(degrees) == group.order
+        for k, chi in enumerate(group.characters):
             expected = tautological_degree_single(fan, chi, edge)
-            assert degrees[chi] == tautological_degree(fan, chi, edge) == expected
+            assert degrees[k] == tautological_degree(fan, chi, edge) == expected
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
