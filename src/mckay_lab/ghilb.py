@@ -11,17 +11,19 @@ b = x_i*m outside the cluster (m in the cluster, chi the character of b, read
 off the arrow table).  The cone is found in integers: each inequality clips
 the triangle (1,0,0), (0,1,0), (0,0,1) of the octant along a line, and the
 three corners left are the cone's rays (Craw-Reid: each cone is a triangle
-of the junior simplex cut out by lines).  All clusters are found by seeding
-from a generic weight and crossing every interior wall of every discovered
-cone; the assembled fan is then validated as a unimodular triangulation
-and derives its integer facts once, among them the divisor table: per ray,
-one row of n*q over group.characters, built by every chart at the ray.
+of the junior simplex cut out by lines).  Each corner is looked up in the
+group's junior table, so a cone's rays are the group's own junior points,
+and the cone is extracted once per cluster and kept on it.  All clusters
+are found by seeding from a generic weight and crossing each interior wall
+that no second found cone has closed yet: one flip per new cluster.  The
+assembled fan is then validated as a unimodular triangulation and derives
+its integer facts once, among them the divisor table: per ray, one row of
+n*q over group.characters, built by every chart at the ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BoundaryEdge,
@@ -39,7 +41,7 @@ from .groups import (
     MONO_ONE,
 )
 from .intlin import cross3, dot3, primitive, primitive_signed, rank_of
-from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points
+from .lattice import Cone, WeightVector, cone_is_unimodular, junior_point, junior_table
 
 
 class GGraph:
@@ -52,6 +54,7 @@ class GGraph:
         self.monomials = frozenset(self.row)
         self._key = tuple(sorted(self.monomials))
         self._normals: list[tuple[int, int, int]] | None = None  # ggraph_inequalities
+        self._cone: Cone | None = None  # cone_of_ggraph
         self._validate()
 
     def representative(self, chi: Character) -> Monomial:
@@ -141,8 +144,9 @@ class GHilbFan:
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cones: list[Cone]):
         self.group = group
         n = group.order
-        self.rays: tuple[WeightVector, ...] = tuple(junior_points(group))
-        self.scaled_rays = tuple(r.scaled(n) for r in self.rays)
+        juniors = junior_table(group)
+        self.rays: tuple[WeightVector, ...] = tuple(juniors.values())
+        self.scaled_rays = tuple(juniors)
         self._ray_index = {s: i for i, s in enumerate(self.scaled_rays)}
         self.ggraphs = tuple(ggraphs)
         self.cones = tuple(cones)
@@ -200,8 +204,9 @@ class GHilbFan:
     def interior_edges(self) -> tuple[FanEdge, ...]:
         return self._interior_edges
 
-    def edges_at_ray(self, ray_idx: int) -> list[FanEdge]:
-        return [e for e in self.edges if ray_idx in e.rays]
+    def edges_at_ray(self, ray_idx: int) -> tuple[FanEdge, ...]:
+        """The edges at a ray, in the order of self.edges."""
+        return self._edges_at_ray[ray_idx]
 
     def exceptional_ray_indices(self) -> tuple[int, ...]:
         """Rays of exceptional divisors: the non-corner junior points."""
@@ -210,14 +215,21 @@ class GHilbFan:
     # -- construction helpers -----------------------------------------------
 
     def _collect_edges(self) -> tuple[FanEdge, ...]:
+        """The edges in ray-pair order, indexed by ray once into _edges_at_ray."""
         pairs: dict[tuple[int, int], list[int]] = {}
         for ci, triple in enumerate(self.cone_rays):
             for k in range(3):
                 for l in range(k + 1, 3):
                     pairs.setdefault((triple[k], triple[l]), []).append(ci)
-        return tuple(
+        edges = tuple(
             FanEdge(rays=key, cones=tuple(sorted(cs))) for key, cs in sorted(pairs.items())
         )
+        at_ray: dict[int, list[FanEdge]] = {i: [] for i in range(len(self.rays))}
+        for edge in edges:
+            for ri in edge.rays:
+                at_ray[ri].append(edge)
+        self._edges_at_ray = {ri: tuple(es) for ri, es in at_ray.items()}
+        return edges
 
     def _validate(self) -> None:
         group = self.group
@@ -347,40 +359,59 @@ def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GG
 def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
     """All torus-fixed clusters with their cones, by wall-crossing closure.
 
-    Starting from the cluster of a generic chart, cross every interior facet
-    of every discovered chart once (a facet crossed from the cone on its
-    other side leads back to a cluster already reached); the dual graph of
-    the triangulation is connected, so this reaches all |G| clusters.
+    Each cluster's cone is extracted when the cluster is found.  An interior
+    wall (an edge off the octant's boundary) is open from the first found
+    cone that has it until the second; a cone taken from the queue flips only
+    across its walls that are still open, so every flip reaches a new cluster
+    and |G| clusters take |G| - 1 flips.  The dual graph of the triangulation
+    is connected, so no wall is left open at the end.  A flip that reaches a
+    cluster already found, or a cluster whose cone does not have the wall it
+    crossed, raises InconsistentCharts naming the wall.
     """
     n = group.order
-    seed = seed_ggraph(group)
     found: dict[tuple, tuple[GGraph, Cone]] = {}
-    crossed: set[tuple[tuple[int, int, int], tuple[int, int, int]]] = set()  # n*e, n*f
-    queue = [seed]
-    while queue:
-        graph = queue.pop()
-        if graph._key in found:
-            continue
+    open_walls: set[tuple[tuple[int, int, int], tuple[int, int, int]]] = set()  # n*e, n*f
+
+    def add(graph: GGraph) -> Cone:
         cone = cone_of_ggraph(group, graph)
         found[graph._key] = (graph, cone)
         if len(found) > n:
             raise SearchExhausted(f"more than {n} clusters reached by wall crossing")
-        rays = cone.rays
-        scaled = [r.scaled(n) for r in rays]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                wall = (scaled[a], scaled[b])
-                if wall in crossed or any(
-                    wall[0][k] == 0 and wall[1][k] == 0 for k in range(3)
-                ):
-                    continue  # crossed from the other side, or on the octant
-                crossed.add(wall)
-                neighbor = flip_ggraph(group, graph, cone, (rays[a], rays[b]))
-                if neighbor._key not in found:
-                    queue.append(neighbor)
+        open_walls.symmetric_difference_update(wall for _, wall in _interior_walls(cone, n))
+        return cone
+
+    seed = seed_ggraph(group)
+    queue = [(seed, add(seed))]
+    while queue:
+        graph, cone = queue.pop()
+        for facet, wall in _interior_walls(cone, n):
+            if wall not in open_walls:
+                continue  # closed by a cone found since
+            neighbor = flip_ggraph(group, graph, cone, facet)
+            if neighbor._key in found:
+                raise InconsistentCharts(
+                    f"the flip across wall {facet} reaches {neighbor}, already found"
+                )
+            far = add(neighbor)
+            if wall in open_walls:
+                raise InconsistentCharts(
+                    f"the flip across wall {facet} reaches {neighbor}, whose cone "
+                    f"{far} does not have the wall"
+                )
+            queue.append((neighbor, far))
     if len(found) != n:
         raise SearchExhausted(f"found {len(found)} clusters, expected {n}")
     return [pair for _, pair in sorted(found.items())]
+
+
+def _interior_walls(cone: Cone, n: int):
+    """The cone's edges off the octant's boundary, each as its pair of rays
+    and as the pair of their scaled coordinates n*e."""
+    rays = cone.rays
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        e, f = rays[a].scaled(n), rays[b].scaled(n)
+        if all(e[k] or f[k] for k in range(3)):
+            yield (rays[a], rays[b]), (e, f)
 
 
 def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
@@ -459,19 +490,25 @@ def _extreme_rays(normals) -> list[tuple[int, int, int]]:
 
 
 def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
-    """The maximal cone whose chart carries the given cluster."""
-    rays = _extreme_rays(ggraph_inequalities(group, graph))
-    if len(rays) != 3 or rank_of(rays) != 3:
-        raise LowerDimensionalCone(
-            f"cluster {graph} cuts a cone with rays {rays}"
-        )
-    juniors = []
-    for r in rays:
-        total = sum(r)
-        if any(dot3(r, m) % total for m in group.invariant_basis):
-            raise LowerDimensionalCone(f"ray {r} is not a lattice point")
-        juniors.append(WeightVector(tuple(Fraction(v, total) for v in r)))
-    return Cone(tuple(juniors))
+    """The maximal cone whose chart carries the given cluster.
+
+    Extracted once per cluster and kept on it.  Each clipped ray r is looked
+    up as n*r/sum(r) in the group's junior table, so the cone's rays are the
+    group's own junior points and no Fraction is built; a ray that misses
+    the table is not a lattice point.
+    """
+    if graph._cone is None:
+        rays = _extreme_rays(ggraph_inequalities(group, graph))
+        if len(rays) != 3 or rank_of(rays) != 3:
+            raise LowerDimensionalCone(f"cluster {graph} cuts a cone with rays {rays}")
+        juniors = []
+        for r in rays:
+            point = junior_point(group, r)
+            if point is None:
+                raise LowerDimensionalCone(f"ray {r} is not a lattice point")
+            juniors.append(point)
+        graph._cone = Cone(tuple(juniors))
+    return graph._cone
 
 
 def build_fan(group: GroupData) -> GHilbFan:

@@ -10,6 +10,7 @@ character (a*i + b*j + c*k) mod r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,6 +100,8 @@ class GroupData:
 
         self.elements = _element_closure(gens)
         self.order = len(self.elements)
+        # the junior points keyed by n*e, built by lattice.junior_table
+        self._junior_table = None
 
         self.weight_basis = _weight_basis(gens)
         self.invariant_basis = _invariant_basis(self.weight_basis)
@@ -222,19 +225,25 @@ def _normalize_generators(generators):
 
 
 def _element_closure(gens):
-    """All fractional weight vectors of group elements, as triples in [0,1)^3."""
-    zero = (Fraction(0), Fraction(0), Fraction(0))
+    """All fractional weight vectors of group elements, as triples in [0,1)^3.
+
+    The walk runs on the integer triples N*e mod N, N the lcm of the
+    generator orders; each element becomes Fractions once, at the end.
+    Sorting the integer triples sorts the elements.
+    """
+    modulus = math.lcm(*(r for r, _ in gens))
+    steps = [tuple(w * (modulus // r) for w in weights) for r, weights in gens]
+    zero = (0, 0, 0)
     seen = {zero}
     frontier = [zero]
-    steps = [tuple(Fraction(w, r) for w in weights) for r, weights in gens]
     while frontier:
-        cur = frontier.pop()
+        a, b, c = frontier.pop()
         for s in steps:
-            nxt = tuple((a + b) % 1 for a, b in zip(cur, s))
+            nxt = ((a + s[0]) % modulus, (b + s[1]) % modulus, (c + s[2]) % modulus)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return tuple(sorted(seen))
+    return tuple(tuple(Fraction(v, modulus) for v in e) for e in sorted(seen))
 
 
 def _weight_basis(gens):

@@ -1,4 +1,10 @@
-"""Junior simplex points and simplicial cones in the weight lattice."""
+"""Junior simplex points and simplicial cones in the weight lattice.
+
+Each group keeps one table of its junior points, keyed by the integer
+triples n*e (n = |G|), so every cone, fan and lookup shares one
+`WeightVector` per junior point; a ray's scaled coordinates are computed
+once per scale and kept on the `WeightVector`.
+"""
 
 from __future__ import annotations
 
@@ -36,10 +42,19 @@ class WeightVector:
         return all(v > 0 for v in self.coords)
 
     def scaled(self, n: int) -> tuple[int, int, int]:
-        """Integer coordinates n*l (n a multiple of every denominator)."""
-        triple = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
-        assert not any(rest for _, rest in triple)
-        return tuple(v for v, _ in triple)
+        """Integer coordinates n*l (n a multiple of every denominator), kept
+        on the object per n."""
+        # kept beside the dataclass field, which alone drives eq, order and hash
+        fields = self.__dict__
+        memo = fields.get("_scaled")
+        if memo is None:
+            memo = fields["_scaled"] = {}
+        triple = memo.get(n)
+        if triple is None:
+            pairs = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
+            assert not any(rest for _, rest in pairs)
+            triple = memo[n] = tuple(v for v, _ in pairs)
+        return triple
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self.coords) + ")"
@@ -59,13 +74,34 @@ class Cone:
         return len(self.rays)
 
 
+def junior_table(group: GroupData) -> dict[tuple[int, int, int], WeightVector]:
+    """All lattice points e of the junior simplex, corners included, keyed by
+    n*e and in lex order; built once per group and kept on it."""
+    table = group._junior_table
+    if table is None:
+        n = group.order
+        points = {WeightVector(c) for c in CORNERS}
+        points.update(WeightVector(el) for el in group.elements if sum(el) == 1)
+        table = group._junior_table = {p.scaled(n): p for p in sorted(points)}
+    return table
+
+
 def junior_points(group: GroupData) -> list[WeightVector]:
     """All lattice points of the junior simplex, corners included, in lex order."""
-    points = {WeightVector(c) for c in CORNERS}
-    for el in group.elements:
-        if sum(el) == 1:
-            points.add(WeightVector(tuple(el)))
-    return sorted(points)
+    return list(junior_table(group).values())
+
+
+def junior_point(group: GroupData, ray) -> WeightVector | None:
+    """The junior point r/sum(r) of a nonzero nonnegative integer ray r, or
+    None when it is not a point of L.
+
+    L meets the junior simplex exactly in the table's keys, so r/sum(r) is
+    in L exactly when n*r is divisible by sum(r) and the quotient is a key.
+    The floor quotient suffices: when some entry does not divide, the floors
+    sum to less than n, and no key does.
+    """
+    n, total = group.order, sum(ray)
+    return junior_table(group).get(tuple(n * v // total for v in ray))
 
 
 def cone_is_unimodular(group: GroupData, cone: Cone) -> bool:

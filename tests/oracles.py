@@ -223,6 +223,30 @@ def naive_ggraphs(group):
     return found
 
 
+def fraction_element_closure(gens):
+    """The group's elements as Fraction triples in [0,1)^3, by a closure walk
+    in Fractions, sorted."""
+    zero = (Fraction(0), Fraction(0), Fraction(0))
+    seen = {zero}
+    frontier = [zero]
+    steps = [tuple(Fraction(w, r) for w in weights) for r, weights in gens]
+    while frontier:
+        cur = frontier.pop()
+        for s in steps:
+            nxt = tuple((a + b) % 1 for a, b in zip(cur, s))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(seen))
+
+
+def in_lattice_by_pairing(group, ray):
+    """Whether r/sum(r) lies in L, for a nonzero nonnegative integer ray r:
+    it pairs integrally with every vector of the invariant basis."""
+    total = sum(ray)
+    return not any(dot3(ray, m) % total for m in group.invariant_basis)
+
+
 def cyclic_juniors(r, weights):
     """Junior points of 1/r(a,b,c) by direct enumeration of group powers."""
     out = set()

@@ -79,8 +79,8 @@ def test_wall_crossing_matches_naive_search(gen):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
 def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
-    """Wall crossing flips across each interior edge of the fan once, not
-    once from each of its two cones."""
+    """Wall crossing flips once per new cluster: |G| - 1 flips, on distinct
+    walls, each an interior edge of the fan."""
     from mckay_lab import ghilb
 
     flips = []
@@ -91,8 +91,72 @@ def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
         return original(group, graph, cone, facet)
 
     monkeypatch.setattr(ghilb, "flip_ggraph", counted)
+    group = parse_group_spec(spec)
+    fan = build_fan(group)
+    interior = {frozenset(fan.rays[ri] for ri in e.rays) for e in fan.interior_edges()}
+    assert len(flips) == len(set(flips)) == group.order - 1
+    assert set(flips) <= interior
+
+
+def test_flip_to_a_found_cluster_is_inconsistent(monkeypatch, p13):
+    """A flip that leads back to a cluster already found is refused, naming
+    the wall."""
+    from mckay_lab import ghilb
+
+    monkeypatch.setattr(ghilb, "flip_ggraph", lambda group, graph, cone, facet: graph)
+    with pytest.raises(InconsistentCharts, match="the flip across wall .* already found"):
+        build_fan(p13.group)
+
+
+def test_flip_to_a_cone_without_the_wall_is_inconsistent(monkeypatch, p13):
+    """A flip that leads to a new cluster whose cone does not have the
+    crossed wall is refused, naming the wall."""
+    from mckay_lab import ghilb
+
+    fan = p13.fan
+    reached = {seed_ggraph(p13.group)}
+
+    def elsewhere(group, graph, cone, facet):
+        ci = next(
+            ci
+            for ci, g in enumerate(fan.ggraphs)
+            if g not in reached and not set(facet) <= set(fan.cones[ci].rays)
+        )
+        reached.add(fan.ggraphs[ci])
+        return GGraph(group, fan.ggraphs[ci].row)
+
+    monkeypatch.setattr(ghilb, "flip_ggraph", elsewhere)
+    with pytest.raises(InconsistentCharts, match="the flip across wall .* does not have the wall"):
+        build_fan(p13.group)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
+def test_cone_rays_are_the_fan_rays(spec):
+    """Every cone's rays are the group's own junior points, object for object."""
     fan = build_fan(parse_group_spec(spec))
-    assert len(flips) == len(set(flips)) == len(fan.interior_edges())
+    assert all(fan.rays[fan.ray_index(r)] is r for cone in fan.cones for r in cone.rays)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
+def test_each_cone_is_extracted_once(monkeypatch, spec):
+    """build_fan asks for each cluster's cone twice but extracts it once."""
+    from mckay_lab import ghilb
+
+    calls = {"cone": 0, "extract": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(ghilb, "cone_of_ggraph", counting("cone", ghilb.cone_of_ggraph))
+    monkeypatch.setattr(ghilb, "_extreme_rays", counting("extract", ghilb._extreme_rays))
+    group = parse_group_spec(spec)
+    fan = build_fan(group)
+    assert calls == {"cone": 2 * group.order, "extract": group.order}
+    assert all(cone_of_ggraph(group, g) is c for g, c in zip(fan.ggraphs, fan.cones))
 
 
 def test_seed_ggraph_is_a_cluster(p13):
@@ -243,9 +307,10 @@ def test_cone_extraction_makes_no_kappa_call(monkeypatch, p13, p33):
         raise AssertionError("kappa called during cone extraction")
 
     for pipe in (p13, p33):
+        fresh = [GGraph(pipe.group, g.row) for g in pipe.fan.ggraphs]
         with monkeypatch.context() as patch:
             patch.setattr(GroupData, "kappa", refuse)
-            cones = [cone_of_ggraph(pipe.group, g) for g in pipe.fan.ggraphs]
+            cones = [cone_of_ggraph(pipe.group, g) for g in fresh]
         assert cones == list(pipe.fan.cones)
 
 
@@ -258,7 +323,7 @@ def test_non_lattice_ray_is_rejected(monkeypatch, p3):
         ghilb, "_extreme_rays", lambda normals: [(0, 0, 1), (0, 1, 0), (1, 1, 0)]
     )
     with pytest.raises(LowerDimensionalCone, match="not a lattice point"):
-        cone_of_ggraph(p3.group, p3.fan.ggraphs[0])
+        cone_of_ggraph(p3.group, GGraph(p3.group, p3.fan.ggraphs[0].row))
 
 
 @settings(max_examples=20, deadline=None)
@@ -412,6 +477,12 @@ def test_fan_derives_its_index_tuples_once(p13):
     )
     assert fan.interior_edges() is fan.interior_edges()
     assert fan.interior_edges() == tuple(e for e in fan.edges if not e.is_boundary)
+
+
+def test_edges_at_ray_match_a_scan(p13, p33):
+    for fan in (p13.fan, p33.fan):
+        for ri in range(len(fan.rays)):
+            assert list(fan.edges_at_ray(ri)) == [e for e in fan.edges if ri in e.rays]
 
 
 def test_fan_edges_and_boundary_flags(p4):

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from mckay_lab import group_from_generators, parse_group_spec
 from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
-from mckay_lab.groups import Character, mono_str
+from mckay_lab.groups import Character, _element_closure, mono_str
 
 from conftest import small_groups
-from oracles import box_monomials
+from oracles import box_monomials, fraction_element_closure
 
 
 def test_order_from_picture_group():
@@ -31,6 +31,21 @@ def test_product_group_order():
     assert all(
         g.character_order(c) == 2 for c in g.characters if not c.is_trivial
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups)
+def test_integer_element_closure_matches_fraction_walk(group):
+    elements = _element_closure(group.generators)
+    assert elements == fraction_element_closure(group.generators)
+    assert all(type(v) is Fraction for e in elements for v in e)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_integer_element_closure_on_products(m):
+    gens = ((m, (1, m - 1, 0)), (m, (0, 1, m - 1)))
+    assert _element_closure(gens) == fraction_element_closure(gens)
+    assert len(_element_closure(gens)) == m * m
 
 
 def test_rejects_non_sl3():

@@ -12,8 +12,11 @@ from mckay_lab import (
     parse_group_spec,
 )
 from mckay_lab.errors import DegenerateCone
+from mckay_lab.intlin import primitive
+from mckay_lab.lattice import junior_point, junior_table
 
-from oracles import cyclic_junior_count, cyclic_juniors, valuation
+from conftest import small_groups
+from oracles import cyclic_junior_count, cyclic_juniors, in_lattice_by_pairing, valuation
 
 
 def wv(*coords):
@@ -98,3 +101,42 @@ def test_interior_valuations_of_invariants_are_positive_integers(gen, mono):
         if p.is_interior:
             v = valuation(p, mono)
             assert v.denominator == 1 and v >= 1
+
+
+nonnegative_rays = st.tuples(*[st.integers(0, 40)] * 3).filter(any).map(primitive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_groups, nonnegative_rays)
+def test_junior_lookup_matches_invariant_pairing(group, ray):
+    """The junior table finds r/sum(r) exactly when it pairs integrally with
+    the invariant basis, and then finds that point."""
+    point = junior_point(group, ray)
+    assert (point is not None) == in_lattice_by_pairing(group, ray)
+    if point is not None:
+        assert point.coords == tuple(Fraction(v, sum(ray)) for v in ray)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_junior_lookup_finds_every_junior_point(group):
+    for point in junior_points(group):
+        ray = primitive(point.scaled(group.order))
+        assert in_lattice_by_pairing(group, ray)
+        assert junior_point(group, ray) is point
+
+
+def test_junior_table_is_built_once_per_group():
+    g = parse_group_spec("13:1,5,7")
+    table = junior_table(g)
+    assert junior_table(g) is table
+    assert list(table) == [p.scaled(13) for p in junior_points(g)]
+    assert all(a is b for a, b in zip(junior_points(g), table.values()))
+
+
+def test_scaled_is_kept_per_scale():
+    p = wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert p.scaled(4) is p.scaled(4) == (1, 1, 2)
+    assert p.scaled(8) == (2, 2, 4)
+    assert p == wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert hash(p) == hash(wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
