@@ -53,9 +53,9 @@ def quiver_dot(group: GroupData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str:
+def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, places) -> str:
     """One divisor's quiver with vanishing arrows black and alive arrows grey,
-    placed at the group's torus positions."""
+    the k-th character placed at places[k], its formatted torus position."""
     group = fan.group
     outs = qa.masks(ray_idx)[0]
     classes = qa.classes(ray_idx)
@@ -67,9 +67,8 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str
     ]
     # vertex k is the k-th character, sorted by residues: bit k of a mask
     for k, chi in enumerate(group.characters):
-        x, y = _skew_to_cartesian(*pos[chi])
         label = f"{chi.label()}\\n{classes[chi].label()}"
-        lines.append(f'  v{k} [label="{label}", pos="{_fixed(x)},{_fixed(y)}!"];')
+        lines.append(f'  v{k} [label="{label}", pos="{places[k]}!"];')
     for k, chi in enumerate(group.characters):
         for o, head, vanishing in zip(ORIENTATIONS, group.heads[chi], outs):
             style = "color=black, penwidth=2" if vanishing >> k & 1 else "color=grey"
@@ -79,10 +78,15 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, pos) -> str
 
 
 def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
-    """One DOT graph per exceptional divisor, concatenated."""
+    """One DOT graph per exceptional divisor, concatenated; the characters'
+    positions are formatted once for all of them."""
     pos = torus_positions(fan.group)
+    places = []
+    for chi in fan.group.characters:
+        x, y = _skew_to_cartesian(*pos[chi])
+        places.append(f"{_fixed(x)},{_fixed(y)}")
     return "".join(
-        sink_source_dot(fan, qa, ri, pos) for ri in fan.exceptional_ray_indices()
+        sink_source_dot(fan, qa, ri, places) for ri in fan.exceptional_ray_indices()
     )
 
 

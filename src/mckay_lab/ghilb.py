@@ -5,25 +5,27 @@ monomial per character, and avoids multiples of xyz.  It is stored as a row,
 one monomial per position of group.characters, and checked by the tail
 table: each m/x_i must be the representative at the tail of the x_i-arrow
 into m's position, which by induction on degree gives both closure and every
-representative's character without computing one.  Its cone is cut out by
-the valuation inequalities v(b) >= v(r_chi) over its border monomials
-b = x_i*m outside the cluster (m in the cluster, chi the character of b, read
-off the arrow table).  The cone is found in integers: each inequality clips
-the triangle (1,0,0), (0,1,0), (0,0,1) of the octant along a line, and the
-three corners left are the cone's rays (Craw-Reid: each cone is a triangle
-of the junior simplex cut out by lines).  Each corner is looked up in the
-group's junior table, so a cone's rays are the group's own junior points,
-and the cone is extracted once per cluster and kept on it.  All clusters
-are found by seeding from a generic weight and crossing each interior wall
-that no second found cone has closed yet: one flip per new cluster.  The
-assembled fan is then validated as a unimodular triangulation and derives
-its integer facts once, among them the divisor table: per ray, one row of
-n*q over group.characters, built by every chart at the ray.
+representative's character without computing one.
+
+The divisor table comes first: per junior point e, n*q(chi, e) is the least
+(n*e).m over the monomials m of chi, one Dijkstra over the McKay quiver per
+point, and the row's sum is the height H(e).  A cluster's cone is read off
+the table (Nakamura; Craw-Reid): with S the sum of the cluster's monomials,
+(n*e).S >= H(e) at every junior point, term by term, with equality exactly
+when every representative is least on e, that is when e lies in the cone.
+So one integer scan over the junior points finds the cone's rays, the
+group's own junior points; it runs once per cluster and the cone is kept on
+the cluster.  All clusters are found by seeding from a generic weight and
+crossing each interior wall that no second found cone has closed yet: one
+flip per new cluster.  The assembled fan is then validated as a unimodular
+triangulation, each chart is checked against the table at its three rays by
+the same height identity, and the fan derives its integer facts once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import (
     BoundaryEdge,
@@ -40,8 +42,8 @@ from .groups import (
     Monomial,
     MONO_ONE,
 )
-from .intlin import cross3, dot3, primitive, primitive_signed, rank_of
-from .lattice import Cone, WeightVector, cone_is_unimodular, junior_point, junior_table
+from .intlin import cross3, det3, dot3, primitive, primitive_signed
+from .lattice import Cone, WeightVector, cone_is_unimodular, junior_table
 
 
 class GGraph:
@@ -53,6 +55,8 @@ class GGraph:
         self.row: tuple[Monomial, ...] = tuple(row)
         self.monomials = frozenset(self.row)
         self._key = tuple(sorted(self.monomials))
+        # the sum S of the monomials: (n*e).S is the chart's height at e
+        self.total = tuple(map(sum, zip(*self.row)))
         self._normals: list[tuple[int, int, int]] | None = None  # ggraph_inequalities
         self._cone: Cone | None = None  # cone_of_ggraph
         self._validate()
@@ -112,25 +116,29 @@ class FanEdge:
 
 class DivisorCoefficients:
     """The integer divisor table: rows[ray][k] = n*q(chi, ray) = (n*e).r_chi
-    for the k-th character chi of group.characters, n = |G|.
+    for the k-th character chi of group.characters, n = |G|, the group's
+    Dijkstra rows (divisor_table).
 
-    Every chart at the ray builds its own row, and the rows must agree."""
+    Every chart must reproduce the row at each of its three rays.  Each term
+    (n*e).r_chi is at least n*q(chi, e), so the chart does exactly when its
+    height (n*e).S, S the sum of its cluster, is the row's sum H(e): one
+    product per ray, and a mismatch names the first character that differs."""
 
     def __init__(self, fan: "GHilbFan"):
-        self.rows: list[list[int]] = []
-        chars = fan.group.characters
-        for ray_idx, e in enumerate(fan.scaled_rays):
-            rows = [
-                [dot3(e, m) for m in fan.ggraphs[ci].row] for ci in fan.cones_at_ray(ray_idx)
-            ]
-            for row in rows[1:]:
-                if row != rows[0]:
-                    k = next(k for k, v in enumerate(row) if v != rows[0][k])
+        rows, planes = divisor_table(fan.group)
+        for graph, triple in zip(fan.ggraphs, fan.cone_rays):
+            sx, sy, sz = graph.total
+            for ri in triple:
+                a, b, c, height, _ = planes[ri]
+                if a * sx + b * sy + c * sz != height:
+                    e, row = fan.scaled_rays[ri], rows[ri]
+                    k = next(k for k, m in enumerate(graph.row) if dot3(e, m) != row[k])
                     raise InconsistentCharts(
-                        f"charts at ray {fan.rays[ray_idx]} disagree on n*q for "
-                        f"{chars[k]}: {sorted({r[k] for r in rows})}"
+                        f"the chart of {graph} at ray {fan.rays[ri]} gives n*q "
+                        f"{dot3(e, graph.row[k])} for {fan.group.characters[k]}, "
+                        f"not {row[k]}"
                     )
-            self.rows.append(rows[0])
+        self.rows: list[list[int]] = rows
 
 
 class GHilbFan:
@@ -333,9 +341,9 @@ def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GG
 
     Every representative r moves by the largest power k of the facet's
     carving direction t (oriented positively on the cone's far ray) that
-    keeps it a regular monomial, k = min r_i // -t_i over t_i < 0: smaller
-    shifts fail to generate on the far chart because t has negative
-    valuation there.
+    keeps it a regular monomial, k = min r_i // -t_i over the one or two
+    t_i < 0: smaller shifts fail to generate on the far chart because t has
+    negative valuation there.
     """
     n = group.order
     e, f = facet
@@ -347,13 +355,22 @@ def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GG
     elif side == 0:
         raise LowerDimensionalCone(f"facet {facet} is not a facet of {cone}")
     negative = [(i, -v) for i, v in enumerate(t) if v < 0]
-    shifted = []
-    for r in graph.row:
-        k = min((r[i] // v for i, v in negative), default=3 * n + 1)
-        if k > 3 * n:
-            raise SearchExhausted(f"unbounded shift across facet {facet}")
-        shifted.append((r[0] + k * t[0], r[1] + k * t[1], r[2] + k * t[2]))
-    return GGraph(group, shifted)
+    if not negative:
+        raise SearchExhausted(f"unbounded shift across facet {facet}")
+    # t vanishes on two nonnegative rays, so one or two t_i < 0 (one: both
+    # pairs below are the same)
+    (i, v), (j, w) = negative[0], negative[-1]
+    row = graph.row
+    shifts = []
+    for r in row:
+        a, b = r[i] // v, r[j] // w
+        shifts.append(a if a < b else b)
+    if max(shifts) > 3 * n:
+        raise SearchExhausted(f"unbounded shift across facet {facet}")
+    t0, t1, t2 = t
+    return GGraph(
+        group, [(r[0] + k * t0, r[1] + k * t1, r[2] + k * t2) for r, k in zip(row, shifts)]
+    )
 
 
 def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
@@ -420,7 +437,76 @@ def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
 
 
 # ---------------------------------------------------------------------------
-# cones of clusters, cut by border monomials
+# the divisor table, and the cones of clusters read off it
+
+
+def least_valuations(group: GroupData, weight) -> list[int]:
+    """The least weight.m over the monomials m of each character, in the
+    order of group.characters.
+
+    A monomial is a path from the trivial character in the McKay quiver, so
+    this is Dijkstra over positions with an o-arrow costing weight[o] (all
+    nonnegative); each position's distance is unique, whatever the order
+    ties pop in.
+    """
+    heads = group.head_rows
+    least: list[int | None] = [None] * group.order
+    heap = [(0, group.index[group.trivial_character])]
+    while heap:
+        d, k = heappop(heap)
+        if least[k] is not None:
+            continue
+        least[k] = d
+        for w, h in zip(weight, heads[k]):
+            if least[h] is None:
+                heappush(heap, (d + w, h))
+    return least
+
+
+def divisor_table(group: GroupData) -> tuple[list[list[int]], list[tuple]]:
+    """(rows, planes) over the group's junior points, in junior-table order;
+    built once per group and kept on it.
+
+    rows[ri] is least_valuations(n*e): n*q(chi, e) for every character chi.
+    planes[ri] is (a, b, c, H, e) for n*e = (a, b, c), with the height H the
+    row's sum and e the junior point itself."""
+    table = group._divisor_table
+    if table is None:
+        rows, planes = [], []
+        for scaled, point in junior_table(group).items():
+            row = least_valuations(group, scaled)
+            rows.append(row)
+            planes.append((*scaled, sum(row), point))
+        table = group._divisor_table = (rows, planes)
+    return table
+
+
+def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
+    """The maximal cone whose chart carries the given cluster.
+
+    With S the sum of the cluster's monomials, (n*e).S >= H(e) at every
+    junior point e, with equality exactly on the cone (see divisor_table):
+    the rays are the junior points on that height plane, which must be three
+    linearly independent ones.  Extracted once per cluster and kept on it.
+    """
+    if graph._cone is None:
+        rays = _height_rays(group, graph.total)
+        n = group.order
+        if len(rays) != 3 or not det3([r.scaled(n) for r in rays]):
+            raise LowerDimensionalCone(f"cluster {graph} has the height plane of {rays}")
+        graph._cone = Cone(tuple(rays))
+    return graph._cone
+
+
+def _height_rays(group: GroupData, total) -> list[WeightVector]:
+    """The junior points e with (n*e).total equal to their height H(e)."""
+    sx, sy, sz = total
+    planes = divisor_table(group)[1]
+    return [e for a, b, c, height, e in planes if a * sx + b * sy + c * sz == height]
+
+
+# ---------------------------------------------------------------------------
+# border monomials: an independent cut of each cluster's cone
 
 
 def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int, int]]:
@@ -457,58 +543,6 @@ def _border_normals(group: GroupData, graph: GGraph) -> list[tuple[int, int, int
                 seen.add(key)
                 normals.append(vec)
     return normals
-
-
-def _extreme_rays(normals) -> list[tuple[int, int, int]]:
-    """Extreme rays of {v >= 0} cut by the given halfspaces a.v >= 0.
-
-    The octant meets the plane of the junior simplex in the triangle (1,0,0),
-    (0,1,0), (0,0,1); each halfspace clips that polygon along a line, in
-    integer homogeneous coordinates.  An edge (p, q) whose ends lie strictly
-    on opposite sides gets the new vertex |a.p|*q + |a.q|*p, made primitive;
-    vertices on the line are kept.  The result, possibly a segment, a point
-    or empty, is returned as a sorted list of primitive rays.
-    """
-    poly = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for a in normals:
-        vals = [dot3(a, p) for p in poly]
-        if min(vals) >= 0:
-            continue
-        clipped = []
-        for k, (p, vp) in enumerate(zip(poly, vals)):
-            q, vq = poly[k - 1], vals[k - 1]
-            if vp * vq < 0:
-                cut = primitive(tuple(abs(vp) * x + abs(vq) * y for x, y in zip(q, p)))
-                if cut not in clipped:
-                    clipped.append(cut)
-            if vp >= 0 and p not in clipped:
-                clipped.append(p)
-        poly = clipped
-        if not poly:
-            break
-    return sorted(poly)
-
-
-def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
-    """The maximal cone whose chart carries the given cluster.
-
-    Extracted once per cluster and kept on it.  Each clipped ray r is looked
-    up as n*r/sum(r) in the group's junior table, so the cone's rays are the
-    group's own junior points and no Fraction is built; a ray that misses
-    the table is not a lattice point.
-    """
-    if graph._cone is None:
-        rays = _extreme_rays(ggraph_inequalities(group, graph))
-        if len(rays) != 3 or rank_of(rays) != 3:
-            raise LowerDimensionalCone(f"cluster {graph} cuts a cone with rays {rays}")
-        juniors = []
-        for r in rays:
-            point = junior_point(group, r)
-            if point is None:
-                raise LowerDimensionalCone(f"ray {r} is not a lattice point")
-            juniors.append(point)
-        graph._cone = Cone(tuple(juniors))
-    return graph._cone
 
 
 def build_fan(group: GroupData) -> GHilbFan:

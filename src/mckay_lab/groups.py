@@ -100,8 +100,10 @@ class GroupData:
 
         self.elements = _element_closure(gens)
         self.order = len(self.elements)
-        # the junior points keyed by n*e, built by lattice.junior_table
+        # the junior points keyed by n*e, built by lattice.junior_table, and
+        # their divisor table, built by ghilb.divisor_table
         self._junior_table = None
+        self._divisor_table = None
 
         self.weight_basis = _weight_basis(gens)
         self.invariant_basis = _invariant_basis(self.weight_basis)

@@ -187,18 +187,3 @@ def smith_diagonal(mat) -> list[int]:
             break
     return [abs(a[s][s]) for s in range(rank)]
 
-
-def rank_of(vectors) -> int:
-    """Rank of a set of integer 3-vectors (at most 3)."""
-    vs = [v for v in vectors if any(v)]
-    if not vs:
-        return 0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            c = cross3(vs[i], vs[j])
-            if any(c):
-                for k in range(len(vs)):
-                    if dot3(c, vs[k]):
-                        return 3
-                return 2
-    return 1

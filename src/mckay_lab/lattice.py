@@ -1,7 +1,7 @@
 """Junior simplex points and simplicial cones in the weight lattice.
 
 Each group keeps one table of its junior points, keyed by the integer
-triples n*e (n = |G|), so every cone, fan and lookup shares one
+triples n*e (n = |G|), so every cone, fan and divisor table shares one
 `WeightVector` per junior point; a ray's scaled coordinates are computed
 once per scale and kept on the `WeightVector`.
 """
@@ -89,19 +89,6 @@ def junior_table(group: GroupData) -> dict[tuple[int, int, int], WeightVector]:
 def junior_points(group: GroupData) -> list[WeightVector]:
     """All lattice points of the junior simplex, corners included, in lex order."""
     return list(junior_table(group).values())
-
-
-def junior_point(group: GroupData, ray) -> WeightVector | None:
-    """The junior point r/sum(r) of a nonzero nonnegative integer ray r, or
-    None when it is not a point of L.
-
-    L meets the junior simplex exactly in the table's keys, so r/sum(r) is
-    in L exactly when n*r is divisible by sum(r) and the quotient is a key.
-    The floor quotient suffices: when some entry does not divide, the floors
-    sum to less than n, and no key does.
-    """
-    n, total = group.order, sum(ray)
-    return junior_table(group).get(tuple(n * v // total for v in ray))
 
 
 def cone_is_unimodular(group: GroupData, cone: Cone) -> bool:

@@ -10,7 +10,6 @@ combinatorial facts.  Everything is reported; nothing is silently skipped.
 from __future__ import annotations
 
 from functools import cached_property
-from heapq import heappop, heappush
 
 from .ghilb import (
     GHilbFan,
@@ -337,11 +336,14 @@ class GroupVerification:
         return self._counts_match_coordinates(self.fan.exceptional_ray_indices())
 
     def _prop_chart_consistency(self) -> bool:
-        """n*q(chi, ray) is the least valuation of chi's monomials on the ray:
-        the divisor table derived without any chart."""
+        """Every chart reproduces the divisor table at each of its three rays,
+        entry by entry: (n*e).r_chi = n*q(chi, e) for every character."""
+        fan = self.fan
+        rows, scaled = fan.q.rows, fan.scaled_rays
         return all(
-            row == _least_valuations(self.group, e)
-            for row, e in zip(self.fan.q.rows, self.fan.scaled_rays)
+            [dot3(scaled[ri], m) for m in graph.row] == rows[ri]
+            for graph, triple in zip(fan.ggraphs, fan.cone_rays)
+            for ri in triple
         )
 
     def _prop_edge_division(self) -> bool:
@@ -554,29 +556,6 @@ def _oriented_carving_pair(fan: GHilbFan, edge):
     """Carving pair (m, m') with m the generator side of the first chart."""
     w = _oriented_edge_vector(fan, edge)
     return tuple(max(-v, 0) for v in w), tuple(max(v, 0) for v in w)
-
-
-def _least_valuations(group: GroupData, weight) -> list[int]:
-    """The least weight.m over the monomials m of each character, in the
-    order of group.characters.
-
-    A monomial is a path from the trivial character in the McKay quiver, so
-    this is Dijkstra over positions with an o-arrow costing weight[o] (all
-    nonnegative); each position's distance is unique, whatever the order
-    ties pop in.
-    """
-    heads = group.head_rows
-    least: list[int | None] = [None] * group.order
-    heap = [(0, group.index[group.trivial_character])]
-    while heap:
-        d, k = heappop(heap)
-        if least[k] is not None:
-            continue
-        least[k] = d
-        for w, h in zip(weight, heads[k]):
-            if least[h] is None:
-                heappush(heap, (d + w, h))
-    return least
 
 
 def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:

@@ -3,9 +3,10 @@ algorithms, used to compute and freeze expected values."""
 
 from fractions import Fraction
 
-from mckay_lab.ghilb import invariant_perpendicular
+from mckay_lab.ghilb import ggraph_inequalities, invariant_perpendicular
 from mckay_lab.groups import MONO_ONE, mono_degree, mono_divides
-from mckay_lab.intlin import dot3, primitive, primitive_signed, rank_of
+from mckay_lab.intlin import cross3, dot3, primitive, primitive_signed
+from mckay_lab.lattice import junior_table
 
 
 def box_monomials(n):
@@ -70,6 +71,72 @@ def is_cluster_by_kappa(group, row):
             if m[i] and lower not in monomials:
                 return False
     return True
+
+
+def rank_of(vectors) -> int:
+    """Rank of a set of integer 3-vectors (at most 3)."""
+    vs = [v for v in vectors if any(v)]
+    if not vs:
+        return 0
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            c = cross3(vs[i], vs[j])
+            if any(c):
+                for k in range(len(vs)):
+                    if dot3(c, vs[k]):
+                        return 3
+                return 2
+    return 1
+
+
+def extreme_rays_clipped(normals):
+    """Extreme rays of {v >= 0} cut by the given halfspaces a.v >= 0.
+
+    The octant meets the plane of the junior simplex in the triangle (1,0,0),
+    (0,1,0), (0,0,1); each halfspace clips that polygon along a line, in
+    integer homogeneous coordinates.  An edge (p, q) whose ends lie strictly
+    on opposite sides gets the new vertex |a.p|*q + |a.q|*p, made primitive;
+    vertices on the line are kept.  The result, possibly a segment, a point
+    or empty, is returned as a sorted list of primitive rays.
+    """
+    poly = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for a in normals:
+        vals = [dot3(a, p) for p in poly]
+        if min(vals) >= 0:
+            continue
+        clipped = []
+        for k, (p, vp) in enumerate(zip(poly, vals)):
+            q, vq = poly[k - 1], vals[k - 1]
+            if vp * vq < 0:
+                cut = primitive(tuple(abs(vp) * x + abs(vq) * y for x, y in zip(q, p)))
+                if cut not in clipped:
+                    clipped.append(cut)
+            if vp >= 0 and p not in clipped:
+                clipped.append(p)
+        poly = clipped
+        if not poly:
+            break
+    return sorted(poly)
+
+
+def junior_point(group, ray):
+    """The junior point r/sum(r) of a nonzero nonnegative integer ray r, or
+    None when it is not a point of L.
+
+    L meets the junior simplex exactly in the junior table's keys, so r/sum(r)
+    is in L exactly when n*r is divisible by sum(r) and the quotient is a
+    key.  The floor quotient suffices: when some entry does not divide, the
+    floors sum to less than n, and no key does.
+    """
+    n, total = group.order, sum(ray)
+    return junior_table(group).get(tuple(n * v // total for v in ray))
+
+
+def clipped_cone(group, graph):
+    """A cluster's cone rays as junior points, by clipping the octant
+    triangle with the cluster's border normals (None for a ray off L)."""
+    normals = ggraph_inequalities(group, graph)
+    return [junior_point(group, r) for r in extreme_rays_clipped(normals)]
 
 
 def extreme_rays_dd(normals):

@@ -183,6 +183,22 @@ QUERY_SHA256 = {
         "ssgraph": "090ab1c87462d40489b7c43b92b8f735b53b3e0448363c0fd95dccf5f571c43e",
         "transforms": "d0bd21bcea1351b05ad5b94b1b768dbe1d82be1bd6bf07582966f7e206b15a4a",
     },
+    # non-isolated: zero-weight arrows in the Dijkstra rows of its boundary rays
+    "12:1,1,10": {
+        "fan": "6afa241a2ade9fd83f4e1a54055be4bb16522e027eda2ffe5444fdbd0e15aae6",
+        "reid": "c6f99c8bcf7817abdbc37cf6efade3c20438077465dd64f01d0cfeaab73d416f",
+        "quiver": "c282b114ab48b6c38059e6aab8e14df47e631b390be64e678f079922de1d28a2",
+        "ssgraph": "93da79f6d3916cc00b9b231a369a0960f97276c2491a21a32c03d0c7aa3d1b9b",
+        "transforms": "a7458c43a9a56048d86e184009145281383dc0c6783f20decff8ef00436c1a13",
+    },
+    # Z/2 x Z/4, a product of two different orders
+    "2:1,1,0+4:0,1,3": {
+        "fan": "53f2f97aa7a95899f67bc7c7f878d81086ccc722fdda289890f1677bd663d969",
+        "reid": "48bc2860c5fead127d6749fb027bd21b8b99ffb6218a5eabebea32e7322fcaaa",
+        "quiver": "d79275d2d950d48922d5524759414ad61ae9ed59e8e61ac0edf09b25e6ce176e",
+        "ssgraph": "94584f1b6a0d5d43bbe82b1b6678c5d444f885e4e2f0df87739f7ea6917ffe2a",
+        "transforms": "4ab4fa3b60933d73727eec5d9d6e81aef35df89a214663b05a6c8cd0a3324bd2",
+    },
 }
 
 

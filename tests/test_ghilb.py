@@ -26,7 +26,7 @@ from mckay_lab.errors import (
 from mckay_lab.ghilb import (
     GGraph,
     GHilbFan,
-    _extreme_rays,
+    divisor_table,
     flip_ggraph,
     ggraph_inequalities,
     seed_ggraph,
@@ -37,7 +37,9 @@ from mckay_lab.intlin import dot3
 from conftest import sl3_cyclic, small_groups
 from oracles import (
     box_least,
+    clipped_cone,
     divisor_q,
+    extreme_rays_clipped,
     extreme_rays_dd,
     is_cluster_by_kappa,
     minimal_monomial_normals,
@@ -139,10 +141,11 @@ def test_cone_rays_are_the_fan_rays(spec):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
 def test_each_cone_is_extracted_once(monkeypatch, spec):
-    """build_fan asks for each cluster's cone twice but extracts it once."""
+    """build_fan asks for each cluster's cone twice but scans the heights
+    once per cluster, and cuts nothing by border normals."""
     from mckay_lab import ghilb
 
-    calls = {"cone": 0, "extract": 0}
+    calls = {"cone": 0, "scan": 0, "normals": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -152,10 +155,11 @@ def test_each_cone_is_extracted_once(monkeypatch, spec):
         return counted
 
     monkeypatch.setattr(ghilb, "cone_of_ggraph", counting("cone", ghilb.cone_of_ggraph))
-    monkeypatch.setattr(ghilb, "_extreme_rays", counting("extract", ghilb._extreme_rays))
+    monkeypatch.setattr(ghilb, "_height_rays", counting("scan", ghilb._height_rays))
+    monkeypatch.setattr(ghilb, "_border_normals", counting("normals", ghilb._border_normals))
     group = parse_group_spec(spec)
     fan = build_fan(group)
-    assert calls == {"cone": 2 * group.order, "extract": group.order}
+    assert calls == {"cone": 2 * group.order, "scan": group.order, "normals": 0}
     assert all(cone_of_ggraph(group, g) is c for g, c in zip(fan.ggraphs, fan.cones))
 
 
@@ -256,9 +260,26 @@ def test_border_cones_match_minimal_monomial_cones(group):
     """Border monomials cut every cluster's cone exactly as the minimal
     monomials of every character do."""
     for graph in enumerate_ggraphs(group):
-        assert _extreme_rays(ggraph_inequalities(group, graph)) == _extreme_rays(
+        assert extreme_rays_clipped(ggraph_inequalities(group, graph)) == extreme_rays_clipped(
             minimal_monomial_normals(group, graph)
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+@example(parse_group_spec("2:1,1,0+2:0,1,1"))
+@example(parse_group_spec("3:1,2,0+3:0,1,2"))
+@example(parse_group_spec("4:1,3,0+4:0,1,3"))
+@example(parse_group_spec("5:1,4,0+5:0,1,4"))
+@example(parse_group_spec("6:1,5,0+6:0,1,5"))
+@example(parse_group_spec("72:1,1,70"))  # zero-weight arrows on the boundary rays
+def test_height_cones_match_clipped_cones(group):
+    """The junior points on a cluster's height plane are the corners that
+    clipping the octant triangle by its border normals leaves."""
+    for graph in enumerate_ggraphs(group):
+        cone = cone_of_ggraph(group, GGraph(group, graph.row))
+        clipped = clipped_cone(group, graph)
+        assert len(clipped) == 3 and set(cone.rays) == set(clipped)
 
 
 @st.composite
@@ -288,7 +309,7 @@ def normal_lists(draw):
 def test_clipping_matches_double_description(normals):
     """Clipping the octant triangle finds the rays double description finds,
     sorted, for degenerate and empty cuts too."""
-    assert _extreme_rays(normals) == sorted(extreme_rays_dd(normals))
+    assert extreme_rays_clipped(normals) == sorted(extreme_rays_dd(normals))
 
 
 @settings(max_examples=20, deadline=None)
@@ -296,12 +317,12 @@ def test_clipping_matches_double_description(normals):
 def test_clipping_matches_double_description_on_clusters(group):
     for graph in enumerate_ggraphs(group):
         normals = ggraph_inequalities(group, graph)
-        assert _extreme_rays(normals) == sorted(extreme_rays_dd(normals))
+        assert extreme_rays_clipped(normals) == sorted(extreme_rays_dd(normals))
 
 
 def test_cone_extraction_makes_no_kappa_call(monkeypatch, p13, p33):
-    """Border characters come from the arrow table, membership from the
-    cluster's own representatives."""
+    """The height scan reads the divisor table, which Dijkstra builds over
+    the arrow table, and the sum of the cluster's own representatives."""
 
     def refuse(self, m):
         raise AssertionError("kappa called during cone extraction")
@@ -314,16 +335,26 @@ def test_cone_extraction_makes_no_kappa_call(monkeypatch, p13, p33):
         assert cones == list(pipe.fan.cones)
 
 
-def test_non_lattice_ray_is_rejected(monkeypatch, p3):
-    """A rank-3 triple of rays with a ray outside the weight lattice (here
-    (1/2, 1/2, 0) for 1/3(1,1,1)) cuts no cone of the fan."""
+@pytest.mark.parametrize("points", [2, 4])
+def test_height_plane_off_three_points_is_rejected(points):
+    """A cluster whose height plane holds two junior points (one ray's
+    height raised by one) or four (a point off the cone given the cluster's
+    own height there) cuts no cone of the fan."""
     from mckay_lab import ghilb
 
-    monkeypatch.setattr(
-        ghilb, "_extreme_rays", lambda normals: [(0, 0, 1), (0, 1, 0), (1, 1, 0)]
-    )
-    with pytest.raises(LowerDimensionalCone, match="not a lattice point"):
-        cone_of_ggraph(p3.group, GGraph(p3.group, p3.fan.ggraphs[0].row))
+    group = parse_group_spec("13:1,5,7")
+    graph = build_fan(group).ggraphs[0]
+    rows, planes = divisor_table(group)
+    sx, sy, sz = graph.total
+    heights = [a * sx + b * sy + c * sz for a, b, c, _, _ in planes]
+    ri = next(ri for ri, p in enumerate(planes) if (heights[ri] == p[3]) == (points == 2))
+    a, b, c, _, point = planes[ri]
+    moved = list(planes)
+    moved[ri] = (a, b, c, heights[ri] + (points == 2), point)
+    group._divisor_table = (rows, moved)
+    assert len(ghilb._height_rays(group, graph.total)) == points
+    with pytest.raises(LowerDimensionalCone, match="height plane"):
+        cone_of_ggraph(group, GGraph(group, graph.row))
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,10 +11,11 @@ from mckay_lab.intlin import (
     mat3_inverse,
     primitive,
     primitive_signed,
-    rank_of,
     smith_diagonal,
     xgcd,
 )
+
+from oracles import rank_of
 
 ints = st.integers(min_value=-40, max_value=40)
 

@@ -13,10 +13,16 @@ from mckay_lab import (
 )
 from mckay_lab.errors import DegenerateCone
 from mckay_lab.intlin import primitive
-from mckay_lab.lattice import junior_point, junior_table
+from mckay_lab.lattice import junior_table
 
 from conftest import small_groups
-from oracles import cyclic_junior_count, cyclic_juniors, in_lattice_by_pairing, valuation
+from oracles import (
+    cyclic_junior_count,
+    cyclic_juniors,
+    in_lattice_by_pairing,
+    junior_point,
+    valuation,
+)
 
 
 def wv(*coords):

@@ -13,8 +13,8 @@ from mckay_lab import (
     verify_group,
 )
 from mckay_lab.errors import ShapeUnrecognized
+from mckay_lab.ghilb import least_valuations
 from mckay_lab.serialize import report_json
-from mckay_lab.verify import _least_valuations
 
 from conftest import small_groups
 from oracles import box_least
@@ -185,7 +185,7 @@ def test_least_valuations_match_box_minima(group, weight):
     """Shortest paths in the McKay quiver give the least weight over each
     character's monomials, as a scan of the whole box does."""
     best = box_least(group, weight)
-    assert _least_valuations(group, weight) == [best[chi][0] for chi in group.characters]
+    assert least_valuations(group, weight) == [best[chi][0] for chi in group.characters]
 
 
 # sha256 of report_json(verify_group(g)): the report bytes are a fixed
@@ -197,6 +197,10 @@ REPORT_SHA256 = {
     "13:1,5,7": "801d17973e2ea2ba377dc12c1d6796e6d93ce4bf03c36ffdc46f708eff85a323",
     "3:1,2,0+3:0,1,2": "280c16d895bb8ef5abe9da23156777b6c60b42f574b59a95e9060b2e89aa586f",
     "4:1,3,0+4:0,1,3": "14e9bf0fde46ca97eea691ff3d59b69e3f3e7eefee35af63c1eecdf0f6dfa4aa",
+    # non-isolated: zero-weight arrows in the Dijkstra rows of its boundary rays
+    "12:1,1,10": "63bb37ac1ca114299a8cff5021853d8f4851684960ba737ace998959df250b88",
+    # Z/2 x Z/4, a product of two different orders
+    "2:1,1,0+4:0,1,3": "47c8b7e86ee93ad14d393b8aa9b73e8d4f2363aa9e92fa5c282b275857ec9083",
 }
 
 
