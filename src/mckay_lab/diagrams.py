@@ -117,21 +117,18 @@ def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
     size = 640
     pad = 60
     pts = _simplex_points(fan)
-
-    def xy(ri):
-        x, y = pts[ri]
-        return (
-            _fixed(pad + x * (size - 2 * pad)),
-            _fixed(pad + (_ROOT3_HALF - y) * (size - 2 * pad)),
-        )
-
+    # each ray's position, formatted once for its edges and its circle
+    xy = [
+        (_fixed(pad + x * (size - 2 * pad)), _fixed(pad + (_ROOT3_HALF - y) * (size - 2 * pad)))
+        for x, y in pts.values()
+    ]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
         f"<!-- {FORMAT_TAG} marked-simplex group={fan.group.spec_string()} -->",
     ]
     for edge in fan.edges:
         i, j = edge.rays
-        (x1, y1), (x2, y2) = xy(i), xy(j)
+        (x1, y1), (x2, y2) = xy[i], xy[j]
         lines.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             f'stroke="{"#999" if edge.is_boundary else "#333"}" stroke-width="1"/>'
@@ -139,15 +136,13 @@ def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
         if not edge.is_boundary:
             ratio = marked.edge_ratios[edge.rays]
             mx = _fixed((pts[i][0] + pts[j][0]) / 2 * (size - 2 * pad) + pad)
-            my = _fixed(
-                (_ROOT3_HALF - (pts[i][1] + pts[j][1]) / 2) * (size - 2 * pad) + pad
-            )
+            my = _fixed((_ROOT3_HALF - (pts[i][1] + pts[j][1]) / 2) * (size - 2 * pad) + pad)
             lines.append(
                 f'<text x="{mx}" y="{my}" font-size="10" fill="#0044aa">'
                 f"{ratio.text()} [{ratio.character.label()}]</text>"
             )
     for ri, ray in enumerate(fan.rays):
-        x, y = xy(ri)
+        x, y = xy[ri]
         lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#000"/>')
         mark = _marking_text(marked, ri)
         label = f"{ray}" + (f" [{mark}]" if mark else "")

@@ -178,6 +178,7 @@ class GHilbFan:
             )
             for e in self._interior_edges
         }
+        self._carving_ratios: dict = {}  # reid.carving_ratio, by edge.rays
 
     # -- lookups ------------------------------------------------------------
 

@@ -27,10 +27,6 @@ def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     return m1[0] <= m2[0] and m1[1] <= m2[1] and m1[2] <= m2[2]
 
 
-def mono_degree(m: Monomial) -> int:
-    return m[0] + m[1] + m[2]
-
-
 def mono_str(m: Monomial) -> str:
     """Compact text form: (2,1,0) -> 'x^2y', (0,0,0) -> '1'."""
     parts = []
@@ -133,14 +129,10 @@ class GroupData:
         chi = self._by_residues.get(residues)
         return Character(residues, self.moduli) if chi is None else chi
 
-    def is_invariant(self, m: Monomial) -> bool:
-        return self.kappa(m).is_trivial
-
     def character_order(self, chi: Character) -> int:
-        k, acc = 1, chi
-        while not acc.is_trivial:
-            acc, k = acc * chi, k + 1
-        return k
+        """The lcm over the generators of r/gcd(a, r), a the residue of chi
+        against a generator of order r."""
+        return math.lcm(*(r // math.gcd(a, r) for a, r in zip(chi.residues, self.moduli)))
 
     def _character_closure(self):
         """The characters and the arrow tables: x, y and z generate the

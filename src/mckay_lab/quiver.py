@@ -187,6 +187,16 @@ class QuiverAnalysis:
                 loci[chars[k]][1].append(edge.rays)
         return loci
 
+    @cached_property
+    def h1_loci(self) -> dict[Character, list[int]]:
+        """Per character, the exceptional rays whose sink-source graph makes
+        it a source: one walk of each ray's classes serves every character."""
+        loci = {chi: [] for chi in self.group.characters}
+        for ri in self.fan.exceptional_ray_indices():
+            for chi in (c for c, cls in self.classes(ri).items() if cls.is_source):
+                loci[chi].append(ri)
+        return loci
+
     def vanishing_counts(self, ray_idx: int) -> tuple[int, int, int]:
         """(a, b, c): how many x-, y-, z-arrows vanish along the divisor."""
         return tuple(mask.bit_count() for mask in self.masks(ray_idx)[0])

@@ -6,6 +6,9 @@ m1:m2 whose common character marks the edge.  Non-corner vertices then fall
 into three local patterns (a meeting point of three corner lines, an interior
 point of exactly one corner line, or a crossing of three non-corner lines)
 and receive one or two characters accordingly.
+
+Each edge's ratio is read off its carving vector once and kept on the fan;
+collinearity at a vertex is read off the scaled rays n*e.
 """
 
 from __future__ import annotations
@@ -67,16 +70,23 @@ def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
 
     m1 is the side containing the lexicographically smallest variable that
     appears in the ratio; the marking character does not depend on the side.
+    Built once per edge and kept on the fan, for every reader of the edge.
     """
     if edge.is_boundary:
         raise BoundaryEdge(f"edge {edge.rays} lies in the boundary of the simplex")
-    u = fan.carving_vectors[edge.rays]  # first nonzero entry positive
+    if edge.rays not in fan._carving_ratios:
+        fan._carving_ratios[edge.rays] = _carving_ratio(fan, edge.rays)
+    return fan._carving_ratios[edge.rays]
+
+
+def _carving_ratio(fan: GHilbFan, rays: tuple[int, int]) -> CarvingRatio:
+    u = fan.carving_vectors[rays]  # first nonzero entry positive
     m1 = tuple(max(v, 0) for v in u)
     m2 = tuple(max(-v, 0) for v in u)
     group = fan.group
     chi = group.kappa(m1)
     if chi != group.kappa(m2):
-        raise RecipeInconsistency(f"ratio sides of {edge.rays} disagree in character")
+        raise RecipeInconsistency(f"ratio sides of {rays} disagree in character")
     return CarvingRatio(m1=m1, m2=m2, character=chi)
 
 
@@ -99,7 +109,7 @@ def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
                 f"{len(members)} edges at {vertex} share the ratio {sorted(pair)}"
             )
         if len(members) == 2:
-            _assert_geometric_collinearity(fan, vertex, edges, members)
+            _assert_geometric_collinearity(fan, ray_idx, edges, members)
 
     lines = [members for members in groups.values() if len(members) == 2]
     corner_lines = [ms for ms in lines if ratios[ms[0]].is_corner_line]
@@ -197,18 +207,18 @@ def _case3(group, vertex, ratios) -> VertexCase:
     return VertexCase(tag="case3", valency=6, markings=marks)
 
 
-def _assert_geometric_collinearity(fan, vertex, edges, members) -> None:
-    """Two edges with equal ratios must be geometrically opposite at the vertex."""
+def _assert_geometric_collinearity(fan, ray_idx, edges, members) -> None:
+    """Two edges with equal ratios must be geometrically opposite at the
+    vertex: their directions n*f - n*e on the scaled rays are antiparallel."""
+    scaled = fan.scaled_rays
     dirs = []
     for k in members:
-        other = [ri for ri in edges[k].rays if ri != fan.ray_index(vertex)][0]
-        dirs.append(
-            tuple(a - b for a, b in zip(fan.rays[other].coords, vertex.coords))
-        )
+        other = [ri for ri in edges[k].rays if ri != ray_idx][0]
+        dirs.append(tuple(a - b for a, b in zip(scaled[other], scaled[ray_idx])))
     cross = cross3(dirs[0], dirs[1])
     if any(cross) or dot3(dirs[0], dirs[1]) >= 0:
         raise RecipeInconsistency(
-            f"edges at {vertex} share a ratio but are not collinear"
+            f"edges at {fan.rays[ray_idx]} share a ratio but are not collinear"
         )
 
 

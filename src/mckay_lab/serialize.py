@@ -21,11 +21,6 @@ def fraction_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    num, den = text.split("/")
-    return Fraction(int(num), int(den))
-
-
 def fan_payload(fan: GHilbFan) -> dict:
     """The fan as plain JSON-ready data."""
     return {
@@ -67,11 +62,6 @@ def dumps_canonical(payload: dict) -> str:
 
 def fan_json(fan: GHilbFan) -> str:
     return dumps_canonical(fan_payload(fan))
-
-
-def reemit(text: str) -> str:
-    """Parse serialized JSON and re-emit it canonically (a byte identity)."""
-    return dumps_canonical(json.loads(text))
 
 
 def report_json(report: dict) -> str:

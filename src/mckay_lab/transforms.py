@@ -9,8 +9,10 @@ source, and degree -2 only for the trivial character, on the whole
 exceptional locus.
 
 The degree-0 supports of all characters come from one sweep over the
-bitmasks of vanishing arrows per ray (``QuiverAnalysis.masks``), and two
-cells meet when their rays span a face of the fan.
+bitmasks of vanishing arrows per ray (``QuiverAnalysis.h0_loci``), the
+degree -1 supports from one sweep over each ray's vertex classes
+(``QuiverAnalysis.h1_loci``), and two cells meet when their rays span a
+face of the fan.
 """
 
 from __future__ import annotations
@@ -47,13 +49,10 @@ def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
 
 
 def support_h1(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
-    """Divisors whose sink-source graph classifies chi as a source."""
+    """Divisors whose sink-source graph classifies chi as a source, read off
+    the one sweep of the vertex classes (``QuiverAnalysis.h1_loci``)."""
     _require_nontrivial_locus(fan)
-    return sorted(
-        divisor_cell(ri)
-        for ri in fan.exceptional_ray_indices()
-        if qa.classes(ri)[chi].is_source
-    )
+    return [divisor_cell(ri) for ri in qa.h1_loci[chi]]
 
 
 def support_h2(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:

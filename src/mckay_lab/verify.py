@@ -5,19 +5,15 @@ character's marking class against its transform degree and exact support),
 the shape/case correspondence with coordinate and ratio predictions for
 every interior exceptional divisor, and a property suite of the supporting
 combinatorial facts.  Everything is reported; nothing is silently skipped.
+Each per-edge and per-ray fact is derived once, in integers, and the cone
+oracle checks each cluster's inequalities at its own three rays.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .ghilb import (
-    GHilbFan,
-    _oriented_edge_vector,
-    build_fan,
-    ggraph_inequalities,
-    tautological_degrees,
-)
+from .ghilb import GHilbFan, _oriented_edge_vector, build_fan, tautological_degrees
 from .groups import Character, GroupData, Monomial, mono_divides
 from .intlin import dot3
 from .quiver import ORIENTATIONS, QuiverAnalysis, SINK30
@@ -158,13 +154,10 @@ class GroupVerification:
         fan = self.fan
         ss = self.qa.sink_source_graph(ray_idx)
         case = self.marked.vertex_cases[ray_idx]
-        computed = sorted(
-            (sorted(edge.rays), self.marked.edge_ratios[edge.rays])
+        ratio_multiset = sorted(
+            tuple(sorted(self.marked.edge_ratios[edge.rays].pair))
             for edge in fan.edges_at_ray(ray_idx)
             if not edge.is_boundary
-        )
-        ratio_multiset = sorted(
-            tuple(sorted(r.pair)) for _, r in computed
         )
         entry = {
             "ray": ray_idx,
@@ -420,31 +413,40 @@ class GroupVerification:
         return total == self.group.order - 1
 
     def _prop_triangle_defects(self) -> bool:
+        """r' >= 0 on every triangle whose three edges are interior."""
         fan = self.fan
-        for ci, triple in enumerate(fan.cone_rays):
-            edges = [
-                fan.edge_between(triple[a], triple[b])
-                for a in range(3)
-                for b in range(a + 1, 3)
-            ]
-            if any(e.is_boundary for e in edges):
-                continue
-            if regular_triangle_defect(fan, ci) < 0:
-                return False
-        return True
+        return all(
+            regular_triangle_defect(fan, ci) >= 0
+            for ci, (a, b, c) in enumerate(fan.cone_rays)
+            if not any(fan.edge_between(*e).is_boundary for e in ((a, b), (a, c), (b, c)))
+        )
 
     def _prop_cone_oracle(self) -> bool:
-        """Junior points satisfying a cluster's inequalities are its cone's rays."""
+        """Each cluster's cone is the triangle T of its three rays, checked
+        at those rays alone: every arrow (k, o) with head h has slack
+        (n*p).(r_k + e_o - r_h) >= 0 at each ray p (the cone holds T), and
+        each edge of T off the octant's boundary has an arrow tight at both
+        its ends and positive at the third ray (the cone lies in T).  T is
+        unimodular, so it holds no other junior point."""
         fan = self.fan
-        for ci, graph in enumerate(fan.ggraphs):
-            normals = ggraph_inequalities(self.group, graph)
-            inside = {
-                ri
-                for ri, s in enumerate(fan.scaled_rays)
-                if all(dot3(a, s) >= 0 for a in normals)
-            }
-            if inside != set(fan.cone_rays[ci]):
-                return False
+        columns = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
+        for graph, triple in zip(fan.ggraphs, fan.cone_rays):
+            rays = [fan.scaled_rays[ri] for ri in triple]
+            slacks = []
+            for s in rays:
+                a, b, c = s
+                v = [a * m[0] + b * m[1] + c * m[2] for m in graph.row]
+                slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
+                if min(slack) < 0:
+                    return False
+                slacks.append(slack)
+            for i, j, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                e, f = rays[i], rays[j]
+                if all(e[k] or f[k] for k in range(3)) and not any(
+                    not si and not sj and st
+                    for si, sj, st in zip(slacks[i], slacks[j], slacks[third])
+                ):
+                    return False
         return True
 
     def _prop_degree_sums(self) -> bool:
@@ -560,14 +562,15 @@ def _oriented_carving_pair(fan: GHilbFan, edge):
 
 def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:
     """No divisor d1 of m1 shares its character with a divisor d2 of m2, but
-    for d1 = d2 and the pair itself (divisors of m2 grouped by character)."""
-    by_character: dict[Character, list] = {}
+    for d1 = d2 and the pair itself (divisors of m2 grouped by residues)."""
+    gens = group.generators
+    by_character: dict[tuple, list] = {}
     for d2 in _divisors_of(m2):
-        by_character.setdefault(group.kappa(d2), []).append(d2)
+        by_character.setdefault(tuple(dot3(w, d2) % r for r, w in gens), []).append(d2)
     return not any(
         d1 != d2 and (d1, d2) != (m1, m2)
         for d1 in _divisors_of(m1)
-        for d2 in by_character.get(group.kappa(d1), ())
+        for d2 in by_character.get(tuple(dot3(w, d1) % r for r, w in gens), ())
     )
 
 

@@ -28,6 +28,10 @@ small_groups = st.one_of(
 ).map(group_from_generators)
 
 
+# Z/m x Z/m for m = 2..6, as specs
+SQUARE_PRODUCTS = [f"{m}:1,{m - 1},0+{m}:0,1,{m - 1}" for m in range(2, 7)]
+
+
 class Pipeline:
     """Everything computed for one group, for compact test access."""
 

@@ -1,12 +1,41 @@
 """Brute-force reference implementations, independent of the library's
 algorithms, used to compute and freeze expected values."""
 
+import json
 from fractions import Fraction
 
 from mckay_lab.ghilb import ggraph_inequalities, invariant_perpendicular
-from mckay_lab.groups import MONO_ONE, mono_degree, mono_divides
+from mckay_lab.groups import MONO_ONE, mono_divides
 from mckay_lab.intlin import cross3, dot3, primitive, primitive_signed
 from mckay_lab.lattice import junior_table
+from mckay_lab.serialize import dumps_canonical
+
+
+def mono_degree(m):
+    return m[0] + m[1] + m[2]
+
+
+def is_invariant(group, m):
+    """Whether a (Laurent) monomial has the trivial character."""
+    return group.kappa(m).is_trivial
+
+
+def character_order_by_powers(chi):
+    """The order of a character, by multiplying it until the trivial one."""
+    k, acc = 1, chi
+    while not acc.is_trivial:
+        acc, k = acc * chi, k + 1
+    return k
+
+
+def parse_fraction(text):
+    num, den = text.split("/")
+    return Fraction(int(num), int(den))
+
+
+def reemit(text):
+    """Parse serialized JSON and re-emit it canonically (a byte identity)."""
+    return dumps_canonical(json.loads(text))
 
 
 def box_monomials(n):
@@ -117,6 +146,22 @@ def extreme_rays_clipped(normals):
         if not poly:
             break
     return sorted(poly)
+
+
+def cone_oracle_scan(fan):
+    """Whether every cluster's inequalities (its border normals) hold at
+    exactly the junior points of its own cone, by testing every junior
+    point against every normal of every cluster."""
+    for ci, graph in enumerate(fan.ggraphs):
+        normals = ggraph_inequalities(fan.group, graph)
+        inside = {
+            ri
+            for ri, s in enumerate(fan.scaled_rays)
+            if all(dot3(a, s) >= 0 for a in normals)
+        }
+        if inside != set(fan.cone_rays[ci]):
+            return False
+    return True
 
 
 def junior_point(group, ray):
@@ -342,7 +387,7 @@ def brute_carving_vector(group, e_coords, f_coords, bound):
         for j in range(-bound, bound + 1):
             for k in range(-bound, bound + 1):
                 v = (i, j, k)
-                if v == (0, 0, 0) or not group.is_invariant(v):
+                if v == (0, 0, 0) or not is_invariant(group, v):
                     continue
                 if sum(a * b for a, b in zip(e_coords, v)) != 0:
                     continue
@@ -375,6 +420,16 @@ def support_h0_scan(fan, qa, chi):
         if covered and not all_i and not all_j:
             cells.append(("curve", (min(i, j), max(i, j))))
     return sorted(cells)
+
+
+def support_h1_scan(fan, qa, chi):
+    """The h1 support of one character by a scan of every exceptional ray's
+    vertex classes."""
+    return sorted(
+        ("divisor", ri)
+        for ri in fan.exceptional_ray_indices()
+        if qa.classes(ri)[chi].is_source
+    )
 
 
 def is_connected_pairwise(fan, cells):
@@ -421,7 +476,7 @@ def ratio_is_primitive_pairwise(group, m1, m2):
             if (d1, d2) == (m1, m2) or d1 == d2:
                 continue
             diff = tuple(x - y for x, y in zip(d1, d2))
-            if any(diff) and group.is_invariant(diff):
+            if any(diff) and is_invariant(group, diff):
                 return False
     return True
 

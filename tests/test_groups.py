@@ -7,8 +7,8 @@ from mckay_lab import group_from_generators, parse_group_spec
 from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
 from mckay_lab.groups import Character, _element_closure, mono_str
 
-from conftest import small_groups
-from oracles import box_monomials, fraction_element_closure
+from conftest import SQUARE_PRODUCTS, small_groups
+from oracles import box_monomials, character_order_by_powers, fraction_element_closure
 
 
 def test_order_from_picture_group():
@@ -31,6 +31,18 @@ def test_product_group_order():
     assert all(
         g.character_order(c) == 2 for c in g.characters if not c.is_trivial
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        small_groups,
+        st.sampled_from(SQUARE_PRODUCTS).map(parse_group_spec),
+    )
+)
+def test_character_order_from_residues_matches_the_powers(group):
+    for chi in group.characters:
+        assert group.character_order(chi) == character_order_by_powers(chi)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,15 +8,10 @@ from mckay_lab.diagrams import (
     marked_simplex_tikz,
     quiver_dot,
 )
-from mckay_lab.serialize import (
-    fan_json,
-    fan_payload,
-    fraction_str,
-    parse_fraction,
-    reemit,
-    report_json,
-)
+from mckay_lab.serialize import fan_json, fan_payload, fraction_str, report_json
 from mckay_lab.verify import verify_group
+
+from oracles import parse_fraction, reemit
 
 
 def test_fraction_strings():

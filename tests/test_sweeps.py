@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mckay_lab.ghilb
 import mckay_lab.quiver
+import mckay_lab.reid
 import mckay_lab.verify
 from mckay_lab import (
     GroupVerification,
@@ -22,11 +23,12 @@ from mckay_lab.ghilb import tautological_degrees
 from mckay_lab.transforms import _is_connected
 from mckay_lab.verify import ratio_is_primitive
 
-from conftest import small_groups
+from conftest import SQUARE_PRODUCTS, small_groups
 from oracles import (
     is_connected_pairwise,
     ratio_is_primitive_pairwise,
     support_h0_scan,
+    support_h1_scan,
     tautological_degree_single,
 )
 
@@ -41,6 +43,17 @@ def test_h0_supports_from_masks_match_the_scan(group):
     qa = QuiverAnalysis(fan)
     for chi in group.characters:
         assert support_h0(fan, qa, chi) == support_h0_scan(fan, qa, chi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_h1_loci_match_the_per_ray_class_scan(group):
+    assume(group.order > 1)
+    fan = build_fan(group)
+    qa = QuiverAnalysis(fan)
+    for chi in group.characters:
+        assert support_h1(fan, qa, chi) == support_h1_scan(fan, qa, chi)
+        assert [("divisor", ri) for ri in qa.h1_loci[chi]] == support_h1_scan(fan, qa, chi)
 
 
 @settings(max_examples=20, deadline=None)
@@ -72,6 +85,41 @@ def test_primitivity_by_character_matches_the_pair_loop(group, m1, m2):
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SQUARE_PRODUCTS + ["2:1,1,0+4:0,1,3"]), monomials, monomials)
+def test_primitivity_by_residues_matches_the_pair_loop_on_products(spec, m1, m2):
+    group = parse_group_spec(spec)
+    assert ratio_is_primitive(group, m1, m2) == ratio_is_primitive_pairwise(group, m1, m2)
+    for ratio in marked_triangulation(build_fan(group)).edge_ratios.values():
+        assert ratio_is_primitive(group, ratio.m1, ratio.m2)
+        assert ratio_is_primitive_pairwise(group, ratio.m1, ratio.m2)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_each_carving_ratio_is_built_once_per_fan(spec, monkeypatch):
+    """The markings, the vertex cases and the triangle defects of a
+    verification share one ratio per interior edge, and a second fan of the
+    same group builds its own."""
+    built = []
+    build = mckay_lab.reid._carving_ratio
+
+    def count(fan, rays):
+        built.append(rays)
+        return build(fan, rays)
+
+    monkeypatch.setattr(mckay_lab.reid, "_carving_ratio", count)
+    group = parse_group_spec(spec)
+    edges = sorted(e.rays for e in build_fan(group).interior_edges())
+    for _ in range(2):
+        fan = build_fan(group)
+        verification = GroupVerification(fan)
+        assert verification.passed
+        for edge in fan.interior_edges():
+            ratio = mckay_lab.reid.carving_ratio(fan, edge)
+            assert ratio is verification.marked.edge_ratios[edge.rays]
+    assert sorted(built) == sorted(edges + edges)
+
+
+@settings(max_examples=30, deadline=None)
 @given(small_groups)
 def test_per_edge_degrees_match_the_per_character_reading(group):
     assume(group.order > 1)
@@ -86,9 +134,10 @@ def test_per_edge_degrees_match_the_per_character_reading(group):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
 def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
-    """Each cluster's normals once (the cone is cut twice in build_fan and
-    tested again by the cone oracle), the quiver triangles once per
-    QuiverAnalysis, and the degrees once per interior edge."""
+    """No cluster's border normals (build_fan reads each cone off the
+    height table, and the cone oracle tests each cluster at its three
+    rays), the quiver triangles once per QuiverAnalysis, and the degrees
+    once per interior edge."""
     seen = {"normals": [], "triangles": 0, "degrees": []}
     normals = mckay_lab.ghilb._border_normals
     triangles = mckay_lab.quiver.quiver_triangles
@@ -113,7 +162,6 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
     fan = build_fan(group)
     verification = GroupVerification(fan)
     assert verification.passed
-    assert len(seen["normals"]) == group.order
-    assert {id(g) for g in seen["normals"]} == {id(g) for g in fan.ggraphs}
+    assert seen["normals"] == []
     assert seen["triangles"] == 1
     assert sorted(seen["degrees"]) == [e.rays for e in fan.interior_edges()]

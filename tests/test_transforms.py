@@ -26,13 +26,14 @@ def test_support_h0_examples(p3, p4):
 
 
 def test_support_h1_reads_the_memoized_classes():
-    """support_h1 takes each vertex class from QuiverAnalysis.classes: a
-    corrupted entry shows up in the support instead of being recomputed."""
+    """support_h1 takes each vertex class from QuiverAnalysis.classes, by
+    the one sweep h1_loci: a corrupted entry shows up in the support instead
+    of being recomputed."""
     fan = build_fan(parse_group_spec("3:1,1,1"))
-    qa = QuiverAnalysis(fan)
     (center,) = fan.exceptional_ray_indices()
     sink = fan.group.characters[2]
-    assert support_h1(fan, qa, sink) == []
+    assert support_h1(fan, QuiverAnalysis(fan), sink) == []
+    qa = QuiverAnalysis(fan)
     qa.classes(center)[sink] = SOURCE33
     assert support_h1(fan, qa, sink) == [("divisor", center)]
 

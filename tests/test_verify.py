@@ -1,8 +1,9 @@
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mckay_lab.verify
 from mckay_lab import (
@@ -16,8 +17,8 @@ from mckay_lab.errors import ShapeUnrecognized
 from mckay_lab.ghilb import least_valuations
 from mckay_lab.serialize import report_json
 
-from conftest import small_groups
-from oracles import box_least
+from conftest import SQUARE_PRODUCTS, small_groups
+from oracles import box_least, cone_oracle_scan
 
 f = Fraction
 
@@ -180,6 +181,68 @@ def test_corner_in_arrows_all_vanishing_break_strict_transforms():
 
 
 @settings(max_examples=30, deadline=None)
+@given(small_groups)
+@example(parse_group_spec("2:1,1,0+2:0,1,1"))
+@example(parse_group_spec("3:1,2,0+3:0,1,2"))
+@example(parse_group_spec("4:1,3,0+4:0,1,3"))
+@example(parse_group_spec("5:1,4,0+5:0,1,4"))
+@example(parse_group_spec("6:1,5,0+6:0,1,5"))
+@example(parse_group_spec("72:1,1,70"))  # zero-weight arrows on the boundary rays
+def test_cone_oracle_matches_the_junior_scan(group):
+    """The three-ray oracle and the scan of every junior point against every
+    border normal agree on built fans: both hold."""
+    if group.order > 1:
+        fan = build_fan(group)
+        assert GroupVerification(fan)._prop_cone_oracle() is cone_oracle_scan(fan) is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_groups, st.sampled_from(SQUARE_PRODUCTS).map(parse_group_spec)), st.data())
+def test_cone_oracles_reject_swapped_clusters(group, data):
+    """Two clusters traded between their cones fail both oracles."""
+    if group.order > 1:
+        fan = build_fan(group)
+        verification = GroupVerification(fan)
+        i, j = data.draw(st.lists(st.integers(0, group.order - 1), min_size=2, max_size=2, unique=True))
+        graphs = list(fan.ggraphs)
+        graphs[i], graphs[j] = graphs[j], graphs[i]
+        fan.ggraphs = tuple(graphs)
+        assert verification._prop_cone_oracle() is cone_oracle_scan(fan) is False
+
+
+def _one_cluster_oracle(fan, ci, rays):
+    """The three-ray oracle on the ci-th cluster alone, at the given
+    scaled rays in place of its triangle's."""
+    alone = SimpleNamespace(ggraphs=(fan.ggraphs[ci],), cone_rays=((0, 1, 2),), scaled_rays=rays)
+    return GroupVerification._prop_cone_oracle(SimpleNamespace(fan=alone, group=fan.group))
+
+
+@pytest.mark.parametrize("spec", ["3:1,1,1", "13:1,5,7", "3:1,2,0+3:0,1,2", "12:1,1,10"])
+def test_cone_oracle_checks_both_inclusions(spec):
+    """At a cluster's own rays the oracle holds.  It fails when one ray is
+    moved to the sum of the three, inside the cone, so the cone is larger
+    than the triangle; and when a ray facing a boundary edge is reflected
+    through the origin, which keeps every interior edge's tight arrow but
+    leaves the ray outside the cone."""
+    fan = build_fan(parse_group_spec(spec))
+    reflected = 0
+    for ci, triple in enumerate(fan.cone_rays):
+        rays = [fan.scaled_rays[ri] for ri in triple]
+        assert _one_cluster_oracle(fan, ci, tuple(rays))
+        inner = tuple(map(sum, zip(*rays)))
+        for p in range(3):
+            moved = list(rays)
+            moved[p] = inner
+            assert not _one_cluster_oracle(fan, ci, tuple(moved))
+            q, r = (rays[k] for k in range(3) if k != p)
+            if any(not q[k] and not r[k] for k in range(3)):
+                moved[p] = tuple(-v for v in rays[p])
+                assert not _one_cluster_oracle(fan, ci, tuple(moved))
+                reflected += 1
+    assert reflected
+
+
+@settings(max_examples=30, deadline=None)
 @given(small_groups, st.tuples(*[st.integers(0, 12)] * 3))
 def test_least_valuations_match_box_minima(group, weight):
     """Shortest paths in the McKay quiver give the least weight over each
@@ -201,6 +264,10 @@ REPORT_SHA256 = {
     "12:1,1,10": "63bb37ac1ca114299a8cff5021853d8f4851684960ba737ace998959df250b88",
     # Z/2 x Z/4, a product of two different orders
     "2:1,1,0+4:0,1,3": "47c8b7e86ee93ad14d393b8aa9b73e8d4f2363aa9e92fa5c282b275857ec9083",
+    # the three groups of the verify_large benchmark workload
+    "79:1,11,67": "03785fdbdac8768e63bfec7a90d497841fdc5fbcd343f86d58366c3b40b0865e",
+    "72:1,1,70": "bb27bebbb078717f01e694b3bc39f47ee135fc60a5f2596cb9ba23de51438dc3",
+    "8:1,7,0+8:0,1,7": "860c74b0670169cfaed6ba554e02d65da03799f2f42340f570c4914201ebb196",
 }
 
 
