@@ -29,26 +29,22 @@ def _fixed(value: Fraction, digits: int = 3) -> str:
     return f"{sign}{whole // scale}.{whole % scale:0{digits}d}"
 
 
-def _skew_to_cartesian(u: int, v: int) -> tuple[Fraction, Fraction]:
-    # unit steps at 0 and 120 degrees
-    return (Fraction(2 * u - v, 2), v * _ROOT3_HALF)
+def _place(u: int, v: int) -> str:
+    """The formatted cartesian point of a torus position in skew
+    coordinates, whose unit steps are at 0 and 120 degrees."""
+    return f"{_fixed(Fraction(2 * u - v, 2))},{_fixed(v * _ROOT3_HALF)}"
 
 
 def quiver_dot(group: GroupData) -> str:
     """The McKay quiver with its unrolled torus positions."""
-    pos = torus_positions(group)
     lines = [f"// {FORMAT_TAG} quiver group={group.spec_string()}", "digraph mckay_quiver {"]
     lines.append('  layout=neato; node [shape=circle, fontsize=10];')
-    order = sorted(pos, key=lambda c: c.residues)
-    names = {chi: f"v{idx}" for idx, chi in enumerate(order)}
-    for chi in order:
-        x, y = _skew_to_cartesian(*pos[chi])
-        lines.append(
-            f'  {names[chi]} [label="{chi.label()}", pos="{_fixed(x)},{_fixed(y)}!"];'
-        )
-    for chi in order:
-        for o, head in zip(ORIENTATIONS, group.heads[chi]):
-            lines.append(f'  {names[chi]} -> {names[head]} [label="{o}"];')
+    # vertex k is the k-th character, sorted by residues
+    for k, (chi, (u, v)) in enumerate(zip(group.characters, torus_positions(group))):
+        lines.append(f'  v{k} [label="{chi.label()}", pos="{_place(u, v)}!"];')
+    for k, heads in enumerate(group.head_rows):
+        for o, h in zip(ORIENTATIONS, heads):
+            lines.append(f'  v{k} -> v{h} [label="{o}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -67,12 +63,12 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, places) -> 
     ]
     # vertex k is the k-th character, sorted by residues: bit k of a mask
     for k, chi in enumerate(group.characters):
-        label = f"{chi.label()}\\n{classes[chi].label()}"
+        label = f"{chi.label()}\\n{classes[k].label()}"
         lines.append(f'  v{k} [label="{label}", pos="{places[k]}!"];')
-    for k, chi in enumerate(group.characters):
-        for o, head, vanishing in zip(ORIENTATIONS, group.heads[chi], outs):
+    for k, heads in enumerate(group.head_rows):
+        for o, h, vanishing in zip(ORIENTATIONS, heads, outs):
             style = "color=black, penwidth=2" if vanishing >> k & 1 else "color=grey"
-            lines.append(f'  v{k} -> v{group.index[head]} [label="{o}", {style}];')
+            lines.append(f'  v{k} -> v{h} [label="{o}", {style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -80,11 +76,7 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, places) -> 
 def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
     """One DOT graph per exceptional divisor, concatenated; the characters'
     positions are formatted once for all of them."""
-    pos = torus_positions(fan.group)
-    places = []
-    for chi in fan.group.characters:
-        x, y = _skew_to_cartesian(*pos[chi])
-        places.append(f"{_fixed(x)},{_fixed(y)}")
+    places = [_place(u, v) for u, v in torus_positions(fan.group)]
     return "".join(
         sink_source_dot(fan, qa, ri, places) for ri in fan.exceptional_ray_indices()
     )

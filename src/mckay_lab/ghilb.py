@@ -179,6 +179,7 @@ class GHilbFan:
             for e in self._interior_edges
         }
         self._carving_ratios: dict = {}  # reid.carving_ratio, by edge.rays
+        self._oriented_vectors: dict = {}  # _oriented_edge_vector, by edge.rays
 
     # -- lookups ------------------------------------------------------------
 
@@ -600,10 +601,16 @@ def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> list[int]:
 
 def _oriented_edge_vector(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
     """Primitive generator of M perpendicular to the edge, positive on the
-    far ray of the first adjacent cone."""
+    far ray of the first adjacent cone; oriented once per edge and kept on
+    the fan."""
+    if edge.rays not in fan._oriented_vectors:
+        fan._oriented_vectors[edge.rays] = _orient_edge(fan, edge)
+    return fan._oriented_vectors[edge.rays]
+
+
+def _orient_edge(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
     w = fan.carving_vectors[edge.rays]
-    ci = edge.cones[0]
-    far = [ri for ri in fan.cone_rays[ci] if ri not in edge.rays][0]
+    far = [ri for ri in fan.cone_rays[edge.cones[0]] if ri not in edge.rays][0]
     val = dot3(fan.scaled_rays[far], w)
     if val == 0:
         raise MultiplicityOutOfRange("carving direction degenerate on the far ray")

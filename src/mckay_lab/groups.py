@@ -1,11 +1,13 @@
 """Finite abelian diagonal subgroups of SL(3,C) as lattice quotients.
 
 A group generated by diag(eps^a, eps^b, eps^c), eps a primitive r-th root of
-unity, is stored through the weight overlattice L = Z^3 + sum Z*(a,b,c)/r and
-the sublattice M of Z^3 of invariant Laurent monomials.  Characters are the
-classes of Z^3/M, represented by their pairing residues against the given
-generators, so that for a cyclic 1/r(a,b,c) the monomial x^i y^j z^k has
-character (a*i + b*j + c*k) mod r.
+unity, is stored through the sublattice M of Z^3 of invariant Laurent
+monomials, M = {m : (a,b,c).m = 0 mod r for every generator}, held as its
+Hermite basis.  Characters are the classes of Z^3/M, represented by their
+pairing residues against the given generators, so that for a cyclic
+1/r(a,b,c) the monomial x^i y^j z^k has character (a*i + b*j + c*k) mod r.
+The McKay quiver is kept by position in the sorted characters: one row of
+three heads and one of three tails per character.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyGenerators, NotInLattice, NotInSL3
-from .intlin import det3, dot3, hnf_rows, hnf_rows_rational, mat3_inverse, smith_diagonal
+from .intlin import det3, dot3, hnf_rows
 
 Monomial = tuple  # (i, j, k) exponents of x^i y^j z^k; Laurent if negatives allowed
 
@@ -101,25 +103,28 @@ class GroupData:
         self._junior_table = None
         self._divisor_table = None
 
-        self.weight_basis = _weight_basis(gens)
-        self.invariant_basis = _invariant_basis(self.weight_basis)
+        self.invariant_basis = _invariant_basis(gens)
         self._check_indices()
 
         self._by_residues: dict[tuple, Character] = {}
         self.trivial_character = self.kappa(MONO_ONE)
-        # the McKay quiver's arrows, one triple per character indexed like
-        # VARIABLES: heads[chi][k] = chi * kappa(k-th variable), and
-        # tails[chi][k] is the tail of the k-arrow into chi
-        self.characters, self.heads, self.tails = self._character_closure()
+        # the characters sorted by residues, and the McKay quiver's arrows by
+        # position in them, indexed like VARIABLES: head_rows[k][o] is the
+        # position of the k-th character times kappa(o-th variable), and
+        # tail_rows[k][o] the position of the tail of the o-arrow into it
+        self.characters, heads = self._character_closure()
         self._by_residues = {chi.residues: chi for chi in self.characters}
-        # each character's position in self.characters: the bit or entry
-        # that stands for it in every per-ray table
+        # each character's position: the bit or entry that stands for it in
+        # every per-ray table
         self.index = {chi: k for k, chi in enumerate(self.characters)}
-        # the arrow tables by position: head_rows[k][o] and tail_rows[k][o]
-        # are the positions of heads[chi][o] and tails[chi][o], chi the k-th
-        # character
-        self.head_rows = self._rows(self.heads)
-        self.tail_rows = self._rows(self.tails)
+        self.head_rows = tuple(
+            tuple(self.index[h] for h in heads[chi]) for chi in self.characters
+        )
+        tails = [[0, 0, 0] for _ in self.characters]
+        for k, row in enumerate(self.head_rows):
+            for o, h in enumerate(row):
+                tails[h][o] = k
+        self.tail_rows = tuple(map(tuple, tails))
 
     # -- characters --------------------------------------------------------
 
@@ -135,34 +140,28 @@ class GroupData:
         return math.lcm(*(r // math.gcd(a, r) for a, r in zip(chi.residues, self.moduli)))
 
     def _character_closure(self):
-        """The characters and the arrow tables: x, y and z generate the
-        characters, so the closure multiplies every character by all three."""
-        gens = tuple(self.kappa(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        """The characters, sorted by residues, and each one's three heads: x,
+        y and z generate the characters, so the closure multiplies every
+        character by all three."""
+        units = tuple(self.kappa(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         heads = {}
         frontier = [self.trivial_character]
         while frontier:
             cur = frontier.pop()
             if cur not in heads:
-                heads[cur] = tuple(cur * g for g in gens)
+                heads[cur] = tuple(cur * g for g in units)
                 frontier.extend(heads[cur])
         if len(heads) != self.order:
             raise NotInSL3(
                 f"character count {len(heads)} != group order {self.order}"
             )
-        canonical = {chi: chi for chi in heads}
-        heads = {chi: tuple(canonical[h] for h in ends) for chi, ends in heads.items()}
-        back = [{ends[k]: chi for chi, ends in heads.items()} for k in range(3)]
-        tails = {chi: tuple(b[chi] for b in back) for chi in heads}
-        return tuple(sorted(heads, key=lambda c: c.residues)), heads, tails
-
-    def _rows(self, table) -> tuple[tuple[int, int, int], ...]:
-        index = self.index
-        return tuple(tuple(index[end] for end in table[chi]) for chi in self.characters)
+        return tuple(sorted(heads, key=lambda c: c.residues)), heads
 
     # -- lattices ----------------------------------------------------------
 
     def in_weight_lattice(self, l) -> bool:
-        """Membership in L, tested by integrality against the M basis."""
+        """Membership in the weight lattice L, the dual of M: l.m is an
+        integer for every row m of the M basis."""
         return all(dot3(l, m).denominator == 1 for m in self.invariant_basis)
 
     def age(self, l) -> int:
@@ -182,20 +181,12 @@ class GroupData:
         return "+".join(f"{r}:{w[0]},{w[1]},{w[2]}" for r, w in self.generators) or "1:0,0,0"
 
     def _check_indices(self) -> None:
-        # |G| = [L : Z^3] = [Z^3 : M]; both computed from determinants
-        d = det3(self.weight_basis)
-        if d == 0 or Fraction(1) / abs(d) != self.order:
-            raise NotInSL3("weight lattice index disagrees with element count")
-        if abs(det3(self.invariant_basis)) != self.order:
-            raise NotInSL3("invariant lattice index disagrees with element count")
-        diag = smith_diagonal([list(r) for r in self.invariant_basis])
-        prod = 1
-        for v in diag:
-            prod *= v
-        if prod != self.order:
-            raise NotInSL3("Smith normal form index disagrees with element count")
-        if not self.in_weight_lattice((1, 1, 1)):
-            raise NotInSL3("xyz is not invariant")  # would contradict SL3
+        # |G| = [Z^3 : M]: the lattice against the element walk
+        index = abs(det3(self.invariant_basis))
+        if index != self.order:
+            raise NotInSL3(
+                f"invariant lattice index {index} != element count {self.order}"
+            )
 
     def __repr__(self) -> str:
         return f"GroupData({self.spec_string()!r}, order={self.order})"
@@ -240,28 +231,18 @@ def _element_closure(gens):
     return tuple(tuple(Fraction(v, modulus) for v in e) for e in sorted(seen))
 
 
-def _weight_basis(gens):
+def _invariant_basis(gens):
+    """The Hermite basis of M, from one echelon form: the rows
+    (w_1[j], ..., w_k[j] | e_j) and (r_i * e_i | 0) span the pairs
+    (w.m + r*c | m), so the echelon rows that vanish on the k generator
+    columns span M.  M holds N*Z^3, N the lcm of the orders, so three rows
+    are left."""
+    k = len(gens)
     rows = [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
+        tuple(w[j] for _, w in gens) + tuple(int(i == j) for i in range(3)) for j in range(3)
     ]
-    rows += [tuple(Fraction(w, r) for w in weights) for r, weights in gens]
-    basis = hnf_rows_rational(rows)
-    if len(basis) != 3:
-        raise NotInSL3("weight lattice is not full rank")
-    return tuple(basis)
-
-
-def _invariant_basis(weight_basis):
-    # M = { m in Z^3 : B m in Z^3 } = B^{-1} Z^3 for B the L basis rows,
-    # so a basis of M sits in the columns of B^{-1}
-    inverse = mat3_inverse(weight_basis)
-    rows = [tuple(inverse[i][j] for i in range(3)) for j in range(3)]
-    for row in rows:
-        if any(v.denominator != 1 for v in row):
-            raise NotInSL3("invariant lattice basis is not integral")
-    return tuple(tuple(int(v) for v in row) for row in hnf_rows([tuple(int(v) for v in r) for r in rows]))
+    rows += [tuple(r * (i == t) for t in range(k)) + (0, 0, 0) for i, (r, _) in enumerate(gens)]
+    return tuple(row[k:] for row in hnf_rows(rows) if not any(row[:k]))
 
 
 def group_from_generators(generators) -> GroupData:

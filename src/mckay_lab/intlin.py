@@ -1,17 +1,16 @@
-"""Small exact linear algebra over Z and Q for rank-3 lattices.
+"""Small exact integer linear algebra for rank-3 lattices.
 
-Everything here works on plain tuples/lists of ints or Fractions; matrices
-are lists of row tuples.  Sizes never exceed a handful of rows, so the
-implementations favour clarity over asymptotics.
+Everything here works on plain tuples/lists of ints (dot3 also pairs
+Fractions); matrices are lists of row tuples.  Sizes never exceed a handful
+of rows, so the implementations favour clarity over asymptotics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
-Vec3 = tuple  # length-3 tuple of ints or Fractions
+Vec3 = tuple  # length-3 tuple of ints
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -29,13 +28,9 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def vec_gcd(v) -> int:
-    return gcd(*v)
-
-
 def primitive(v: Vec3) -> Vec3:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
     return tuple(a // g for a in v)
@@ -62,22 +57,9 @@ def cross3(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-def det3(rows) -> Fraction | int:
+def det3(rows) -> int:
     a, b, c = rows
     return dot3(a, cross3(b, c))
-
-
-def mat3_inverse(rows):
-    """Inverse of a 3x3 matrix given as row tuples, entries int or Fraction."""
-    d = det3(rows)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    a, b, c = rows
-    # adjugate columns are cross products of the rows
-    cols = (cross3(b, c), cross3(c, a), cross3(a, b))
-    return tuple(
-        tuple(Fraction(cols[j][i], 1) / d for j in range(3)) for i in range(3)
-    )
 
 
 def hnf_rows(rows) -> list:
@@ -119,71 +101,3 @@ def hnf_rows(rows) -> list:
         if pivot_row == len(mat):
             break
     return [tuple(r) for r in mat[:pivot_row]]
-
-
-def hnf_rows_rational(rows) -> list:
-    """HNF for rational rows: scale to Z, reduce, scale back."""
-    denom = 1
-    for r in rows:
-        for v in r:
-            denom = denom * Fraction(v).denominator // gcd(denom, Fraction(v).denominator)
-    int_rows = [tuple(int(Fraction(v) * denom) for v in r) for r in rows]
-    return [tuple(Fraction(v, denom) for v in r) for r in hnf_rows(int_rows)]
-
-
-def smith_diagonal(mat) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns the nonnegative invariant factors d1 | d2 | ... (zeros trimmed).
-    """
-    a = [list(r) for r in mat]
-    m, n = len(a), len(a[0]) if a else 0
-
-    def clear(s) -> bool:
-        # diagonalize position s against its row and column
-        while True:
-            piv = None
-            for i in range(s, m):
-                for j in range(s, n):
-                    if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                return False
-            i0, j0 = piv
-            if i0 != s:
-                a[s], a[i0] = a[i0], a[s]
-            if j0 != s:
-                for row in a:
-                    row[s], row[j0] = row[j0], row[s]
-            done = True
-            for i in range(s + 1, m):
-                if a[i][s]:
-                    q = a[i][s] // a[s][s]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                    if a[i][s]:
-                        done = False
-            for j in range(s + 1, n):
-                if a[s][j]:
-                    q = a[s][j] // a[s][s]
-                    for row in a:
-                        row[j] -= q * row[s]
-                    if a[s][j]:
-                        done = False
-            if done:
-                return True
-
-    rank = 0
-    while rank < min(m, n) and clear(rank):
-        rank += 1
-    # enforce the divisibility chain d_k | d_{k+1}
-    while True:
-        for s in range(rank - 1):
-            if a[s + 1][s + 1] % a[s][s]:
-                a[s] = [x + y for x, y in zip(a[s], a[s + 1])]
-                for t in range(s, rank):
-                    clear(t)
-                break
-        else:
-            break
-    return [abs(a[s][s]) for s in range(rank)]
-

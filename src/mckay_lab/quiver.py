@@ -7,11 +7,12 @@ first order, every quiver triangle loses exactly one of its three arrows,
 and the vanishing pattern around a vertex places it in one of 18 classes:
 two sinks, seven sources, six charges and three tiles.
 
-The arrows are the group's tables ``heads`` and ``tails``.  QuiverAnalysis
-derives, once per ray, the arrow orders from the ray's row of the fan's
-divisor table, as bitmasks of vanishing out- and in-arrows per orientation
-over the positions in ``group.characters``; a vertex's class depends only
-on its two 3-bit spoke patterns.  Charge lines and shapes are sought on
+Vertices are keyed by position in ``group.characters`` throughout, and the
+arrows are the group's position tables ``head_rows`` and ``tail_rows``.
+QuiverAnalysis derives, once per ray, the arrow orders from the ray's row
+of the fan's divisor table, as bitmasks of vanishing out- and in-arrows per
+orientation over those positions; a vertex's class depends only on its two
+3-bit spoke patterns.  Charge lines and shapes are sought on
 interior divisors only, where they are theorems; the sink-source graph of a
 boundary divisor holds its vertex classes alone.
 """
@@ -28,7 +29,8 @@ from .errors import (
     WalkDiverged,
 )
 from .ghilb import GHilbFan, seed_ggraph
-from .groups import Character, GroupData, VARIABLES
+from .groups import GroupData, VARIABLES
+from .intlin import hnf_rows
 
 ORIENTATIONS = VARIABLES  # ("x", "y", "z")
 
@@ -91,9 +93,9 @@ class ChargeLine:
 
     orientation: str
     chirality: tuple[int, int]  # (1,0): along the arrows, (0,1): against them
-    source: Character
-    sink: Character
-    vertices: tuple[Character, ...]  # from source to sink, endpoints included
+    source: int
+    sink: int
+    vertices: tuple[int, ...]  # from source to sink, endpoints included
 
     @property
     def length(self) -> int:
@@ -105,25 +107,22 @@ class SinkSourceGraph:
     """Per-divisor analysis: vertex classes, charge lines, shape and lengths."""
 
     ray_index: int
-    classes: dict[Character, VertexClass]
+    classes: tuple[VertexClass, ...]
     lines: list[ChargeLine] = field(default_factory=list)
     shape: str | None = None  # "A" | "B" | "C", None when unrecognized
     shape_axis: str | None = None  # B: orientation of the lone third line
     lengths: dict | None = None
 
     @property
-    def sources(self) -> list[Character]:
-        return sorted(
-            (c for c, k in self.classes.items() if k.is_source),
-            key=lambda c: c.residues,
-        )
+    def sources(self) -> list[int]:
+        return [k for k, cls in enumerate(self.classes) if cls.is_source]
 
     @property
     def sink30_count(self) -> int:
-        return sum(1 for k in self.classes.values() if k == SINK30)
+        return self.classes.count(SINK30)
 
-    def sink03_vertices(self) -> list[Character]:
-        return [c for c, k in self.classes.items() if k == SINK03]
+    def sink03_vertices(self) -> list[int]:
+        return [k for k, cls in enumerate(self.classes) if cls == SINK03]
 
 
 class QuiverAnalysis:
@@ -133,7 +132,7 @@ class QuiverAnalysis:
         self.fan = fan
         self.group = fan.group
         self._masks: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
-        self._classes: dict[int, dict[Character, VertexClass]] = {}
+        self._classes: dict[int, tuple[VertexClass, ...]] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
 
     # -- arrow orders --------------------------------------------------------
@@ -169,32 +168,32 @@ class QuiverAnalysis:
         return tuple(outs), tuple(ins)
 
     @cached_property
-    def h0_loci(self) -> dict[Character, tuple[list[int], list[tuple[int, int]]]]:
+    def h0_loci(self) -> list[tuple[list[int], list[tuple[int, int]]]]:
         """Per character, the exceptional rays killing its three out-arrows and
         the interior edges (i, j) where each dies along i or j but neither ray
         kills all three: one sweep of the masks serves every character."""
-        chars = self.group.characters
-        loci = {chi: ([], []) for chi in chars}
+        loci = [([], []) for _ in self.group.characters]
         for ri in self.fan.exceptional_ray_indices():
             x, y, z = self.masks(ri)[0]
             for k in _bits(x & y & z):
-                loci[chars[k]][0].append(ri)
+                loci[k][0].append(ri)
         for edge in self.fan.interior_edges():
             xi, yi, zi = self.masks(edge.rays[0])[0]
             xj, yj, zj = self.masks(edge.rays[1])[0]
             dead = (xi | xj) & (yi | yj) & (zi | zj) & ~(xi & yi & zi) & ~(xj & yj & zj)
             for k in _bits(dead):
-                loci[chars[k]][1].append(edge.rays)
+                loci[k][1].append(edge.rays)
         return loci
 
     @cached_property
-    def h1_loci(self) -> dict[Character, list[int]]:
+    def h1_loci(self) -> list[list[int]]:
         """Per character, the exceptional rays whose sink-source graph makes
         it a source: one walk of each ray's classes serves every character."""
-        loci = {chi: [] for chi in self.group.characters}
+        loci = [[] for _ in self.group.characters]
         for ri in self.fan.exceptional_ray_indices():
-            for chi in (c for c, cls in self.classes(ri).items() if cls.is_source):
-                loci[chi].append(ri)
+            for k, cls in enumerate(self.classes(ri)):
+                if cls.is_source:
+                    loci[k].append(ri)
         return loci
 
     def vanishing_counts(self, ray_idx: int) -> tuple[int, int, int]:
@@ -203,12 +202,7 @@ class QuiverAnalysis:
 
     @cached_property
     def _triangles(self) -> list[tuple[tuple[int, int], ...]]:
-        # quiver_triangles, each arrow (chi, o) as (position of chi, index of o)
-        index = self.group.index
-        return [
-            tuple((index[chi], ORIENTATIONS.index(o)) for chi, o in triangle)
-            for triangle in quiver_triangles(self.group)
-        ]
+        return quiver_triangles(self.group)
 
     def triangles_consistent(self, ray_idx: int) -> bool:
         """Exactly one vanishing arrow in each of the 2|G| quiver triangles."""
@@ -219,18 +213,18 @@ class QuiverAnalysis:
 
     # -- vertex classes ------------------------------------------------------
 
-    def classes(self, ray_idx: int) -> dict[Character, VertexClass]:
-        """The class of every vertex along the ray's divisor, from its
-        vanishing out-arrows and in-arrows."""
+    def classes(self, ray_idx: int) -> tuple[VertexClass, ...]:
+        """The class of every vertex along the ray's divisor, by position in
+        group.characters, from its vanishing out-arrows and in-arrows."""
         if ray_idx not in self._classes:
             (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
-            self._classes[ray_idx] = {
-                chi: _classify_pattern(
+            self._classes[ray_idx] = tuple(
+                _classify_pattern(
                     (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
                     (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
                 )
-                for k, chi in enumerate(self.group.characters)
-            }
+                for k in range(self.group.order)
+            )
         return self._classes[ray_idx]
 
     # -- sink-source graphs ---------------------------------------------------
@@ -267,20 +261,19 @@ class QuiverAnalysis:
             for orientation, direction in emitted:
                 ss.lines.append(self._walk_one(classes, source, orientation, direction))
         # every charge vertex must lie on exactly one line
-        visits: dict[Character, int] = {}
+        visits = [0] * len(classes)
         for line in ss.lines:
             for v in line.vertices[1:-1]:
-                visits[v] = visits.get(v, 0) + 1
-        charges = {c for c, k in classes.items() if k.kind == "charge"}
-        if set(visits) != charges or any(v != 1 for v in visits.values()):
+                visits[v] += 1
+        if visits != [int(cls.kind == "charge") for cls in classes]:
             raise InvalidSpokePattern(
                 f"charge vertices not covered exactly once on ray {ss.ray_index}"
             )
 
-    def _walk_one(self, classes, source: Character, orientation: str, direction: int) -> ChargeLine:
+    def _walk_one(self, classes, source: int, orientation: str, direction: int) -> ChargeLine:
         group = self.group
         k = ORIENTATIONS.index(orientation)
-        step = group.heads if direction > 0 else group.tails
+        step = group.head_rows if direction > 0 else group.tail_rows
         want_chirality = (1, 0) if direction > 0 else (0, 1)
         want_sink = SINK30 if direction > 0 else SINK03
         path = [source]
@@ -304,18 +297,19 @@ class QuiverAnalysis:
                 and cls.bidegree == want_chirality
             ):
                 raise InvalidSpokePattern(
-                    f"line from {source} ({orientation},{direction}) hits {cls} at {cur}"
+                    f"line from {group.characters[source]} ({orientation},{direction}) "
+                    f"hits {cls} at {group.characters[cur]}"
                 )
-        raise WalkDiverged(f"line from {source} exceeded {group.order} steps")
+        raise WalkDiverged(f"line from {group.characters[source]} exceeded {group.order} steps")
 
     def _detect_shape(self, ss: SinkSourceGraph) -> None:
         classes = ss.classes
         sources = ss.sources
         sink03s = ss.sink03_vertices()
-        if sink03s != [self.group.trivial_character]:
+        if sink03s != [self.group.index[self.group.trivial_character]]:
             raise ShapeUnrecognized(
-                f"ray {ss.ray_index}: (0,3)-sinks are {sink03s}, "
-                "expected the trivial character"
+                f"ray {ss.ray_index}: (0,3)-sinks are "
+                f"{[self.group.characters[k] for k in sink03s]}, expected the trivial character"
             )
 
         kinds = sorted(classes[s].bidegree for s in sources)
@@ -383,15 +377,17 @@ class QuiverAnalysis:
         ss.lengths = {"a": a, "b": b, "c": c, "a1": a1, "b1": b1,
                       "orientations": (o1, o2, axis)}
 
-    def _steps_until(self, start: Character, orientation: str, targets: set) -> int:
+    def _steps_until(self, start: int, orientation: str, targets: set) -> int:
         """Forward steps from a vertex until first landing on a target vertex."""
-        heads, k = self.group.heads, ORIENTATIONS.index(orientation)
+        heads, k = self.group.head_rows, ORIENTATIONS.index(orientation)
         cur = start
         for steps in range(1, self.group.order + 1):
             cur = heads[cur][k]
             if cur in targets:
                 return steps
-        raise WalkDiverged(f"no target reached from {start} along {orientation}")
+        raise WalkDiverged(
+            f"no target reached from {self.group.characters[start]} along {orientation}"
+        )
 
     def _lengths_c(self, ss: SinkSourceGraph) -> None:
         back = self._backward_lines(ss)
@@ -437,22 +433,22 @@ def quiver_counts(group: GroupData) -> dict[str, int]:
     return {"vertices": n, "arrows": 3 * n, "triangles": len(quiver_triangles(group))}
 
 
-def quiver_triangles(group: GroupData) -> set[frozenset]:
-    """The 2|G| directed 3-cycles, each as a frozenset of (tail, orientation).
+def quiver_triangles(group: GroupData) -> list[tuple[tuple[int, int], ...]]:
+    """The 2|G| directed 3-cycles, each as its three arrows in path order,
+    an arrow being (position of its tail, index of its orientation).
 
     Every triangle uses one arrow of each orientation; the two chiralities
     contribute |G| cycles each, keyed by the tail of their x-arrow.
     """
-    heads = group.heads
-    triangles = set()
-    for chi in group.characters:
-        hx = heads[chi][0]
-        triangles.add(frozenset({(chi, "x"), (hx, "y"), (heads[hx][1], "z")}))
-        triangles.add(frozenset({(chi, "x"), (hx, "z"), (heads[hx][2], "y")}))
+    heads = group.head_rows
+    triangles = []
+    for k, (hx, _, _) in enumerate(heads):
+        triangles.append(((k, 0), (hx, 1), (heads[hx][1], 2)))
+        triangles.append(((k, 0), (hx, 2), (heads[hx][2], 1)))
     return triangles
 
 
-def torus_positions(group: GroupData) -> dict[Character, tuple[int, int]]:
+def torus_positions(group: GroupData) -> list[tuple[int, int]]:
     """Positions of the quiver vertices in a fundamental domain of the torus.
 
     A monomial exponent (a, b, c) sits at a*u + b*v + c*w for unit steps u, v
@@ -460,19 +456,18 @@ def torus_positions(group: GroupData) -> dict[Character, tuple[int, int]]:
     (a-c, b-c).  Projected invariant monomials form a rank-2 lattice (xyz
     projects to zero), and reducing any exponent lift of a character against
     a reduced basis of that lattice gives one well-defined point per
-    character inside a half-open fundamental parallelogram.
+    character, by position in group.characters, inside a half-open
+    fundamental parallelogram.
     """
     basis = _reduced_projected_lattice(group)
-    pos = {}
-    for chi, w in zip(group.characters, seed_ggraph(group).row):
-        pos[chi] = _reduce_mod_lattice((w[0] - w[2], w[1] - w[2]), basis)
-    return pos
+    return [
+        _reduce_mod_lattice((w[0] - w[2], w[1] - w[2]), basis)
+        for w in seed_ggraph(group).row
+    ]
 
 
 def _reduced_projected_lattice(group: GroupData):
     """A Lagrange-reduced basis of the projected invariant lattice in Z^2."""
-    from .intlin import hnf_rows
-
     rows = hnf_rows([(m[0] - m[2], m[1] - m[2]) for m in group.invariant_basis])
     if len(rows) != 2:
         raise InvalidSpokePattern("projected invariant lattice is not rank 2")

@@ -265,21 +265,22 @@ class MarkedTriangulation:
     vertex_cases: dict[int, VertexCase] = field(default_factory=dict)
 
     @cached_property
-    def _marks(self) -> tuple[dict, dict]:
-        """Per character, its marked edges and divisors, in sorted order."""
-        edges, divisors = {}, {}
+    def _marks(self) -> tuple[list, list]:
+        """Per character position, its marked edges and divisors, sorted."""
+        index = self.fan.group.index
+        edges, divisors = [[] for _ in index], [[] for _ in index]
         for key, ratio in sorted(self.edge_ratios.items()):
-            edges.setdefault(ratio.character, []).append(key)
+            edges[index[ratio.character]].append(key)
         for ri, case in sorted(self.vertex_cases.items()):
-            for chi in set(case.markings):
-                divisors.setdefault(chi, []).append(ri)
+            for k in {index[chi] for chi in case.markings}:
+                divisors[k].append(ri)
         return edges, divisors
 
     def marked_edges(self, chi: Character) -> list[tuple[int, int]]:
-        return list(self._marks[0].get(chi, ()))
+        return list(self._marks[0][self.fan.group.index[chi]])
 
     def marked_divisors(self, chi: Character) -> list[int]:
-        return list(self._marks[1].get(chi, ()))
+        return list(self._marks[1][self.fan.group.index[chi]])
 
     def marking_class(self, chi: Character) -> str:
         """One of 'divisor', 'curve', 'curves', 'nothing'."""

@@ -44,7 +44,7 @@ def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     (x_i | x_j) & (y_i | y_j) & (z_i | z_j) & ~all_i & ~all_j).
     """
     _require_nontrivial_locus(fan)
-    divisors, curves = qa.h0_loci[chi]
+    divisors, curves = qa.h0_loci[fan.group.index[chi]]
     return sorted([divisor_cell(ri) for ri in divisors] + [curve_cell(*e) for e in curves])
 
 
@@ -52,7 +52,7 @@ def support_h1(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     """Divisors whose sink-source graph classifies chi as a source, read off
     the one sweep of the vertex classes (``QuiverAnalysis.h1_loci``)."""
     _require_nontrivial_locus(fan)
-    return [divisor_cell(ri) for ri in qa.h1_loci[chi]]
+    return [divisor_cell(ri) for ri in qa.h1_loci[fan.group.index[chi]]]
 
 
 def support_h2(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:

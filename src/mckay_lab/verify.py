@@ -328,15 +328,24 @@ class GroupVerification:
     def _prop_lemma_counts(self) -> bool:
         return self._counts_match_coordinates(self.fan.exceptional_ray_indices())
 
+    @cached_property
+    def _chart_values(self) -> list[list[list[int]]]:
+        """Per cluster, at each ray p of its cone, the values (n*p).r_k of
+        its monomials by position: the chart's valuations at its rays."""
+        fan = self.fan
+        return [
+            [[dot3(fan.scaled_rays[ri], m) for m in graph.row] for ri in triple]
+            for graph, triple in zip(fan.ggraphs, fan.cone_rays)
+        ]
+
     def _prop_chart_consistency(self) -> bool:
         """Every chart reproduces the divisor table at each of its three rays,
         entry by entry: (n*e).r_chi = n*q(chi, e) for every character."""
-        fan = self.fan
-        rows, scaled = fan.q.rows, fan.scaled_rays
+        rows = self.fan.q.rows
         return all(
-            [dot3(scaled[ri], m) for m in graph.row] == rows[ri]
-            for graph, triple in zip(fan.ggraphs, fan.cone_rays)
-            for ri in triple
+            v == rows[ri]
+            for at_rays, triple in zip(self._chart_values, self.fan.cone_rays)
+            for v, ri in zip(at_rays, triple)
         )
 
     def _prop_edge_division(self) -> bool:
@@ -386,7 +395,7 @@ class GroupVerification:
             ss = self.qa.sink_source_graph(ri)
             sinks = ss.sink03_vertices()
             if self.fan.rays[ri].is_interior:
-                if sinks != [self.group.trivial_character]:
+                if sinks != [self.group.index[self.group.trivial_character]]:
                     return False
                 if ss.shape in ("A", "B") and ss.sink30_count != 1:
                     return False
@@ -430,12 +439,10 @@ class GroupVerification:
         unimodular, so it holds no other junior point."""
         fan = self.fan
         columns = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
-        for graph, triple in zip(fan.ggraphs, fan.cone_rays):
+        for at_rays, triple in zip(self._chart_values, fan.cone_rays):
             rays = [fan.scaled_rays[ri] for ri in triple]
             slacks = []
-            for s in rays:
-                a, b, c = s
-                v = [a * m[0] + b * m[1] + c * m[2] for m in graph.row]
+            for s, v in zip(rays, at_rays):
                 slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
                 if min(slack) < 0:
                     return False
@@ -481,14 +488,17 @@ class GroupVerification:
         )
 
     def _prop_h0_two_routes(self) -> bool:
-        """Divisor cells of the three-arrow intersection are the (3,0)-sinks."""
-        classes = [(ri, self.qa.classes(ri)) for ri in self.fan.exceptional_ray_indices()]
-        for chi in self.group.characters:
-            via_b = {c[1] for c in self._supports(chi)[0] if c[0] == "divisor"}
-            via_class = {ri for ri, by_chi in classes if by_chi[chi] == SINK30}
-            if via_b != via_class:
-                return False
-        return True
+        """Divisor cells of the three-arrow intersection are the (3,0)-sinks,
+        these read off one walk of each ray's classes."""
+        via_class = [set() for _ in self.group.characters]
+        for ri in self.fan.exceptional_ray_indices():
+            for k, cls in enumerate(self.qa.classes(ri)):
+                if cls == SINK30:
+                    via_class[k].add(ri)
+        return all(
+            {c[1] for c in self._supports(chi)[0] if c[0] == "divisor"} == via_class[k]
+            for k, chi in enumerate(self.group.characters)
+        )
 
     def _prop_corner_support(self) -> bool:
         """No character's three arrows all vanish along a corner ray, in

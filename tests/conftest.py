@@ -31,6 +31,21 @@ small_groups = st.one_of(
 # Z/m x Z/m for m = 2..6, as specs
 SQUARE_PRODUCTS = [f"{m}:1,{m - 1},0+{m}:0,1,{m - 1}" for m in range(2, 7)]
 
+# Z/m x Z/mn for m, n in {2, 3}: Z/2 x Z/4, Z/2 x Z/6, Z/3 x Z/6, Z/3 x Z/9
+RECTANGULAR_PRODUCTS = [
+    f"{m}:1,{m - 1},0+{m * n}:0,1,{m * n - 1}" for m in (2, 3) for n in (2, 3)
+]
+
+# presentations with a generator that already lies in the group, each
+# against the presentation without it
+REDUNDANT_PRESENTATIONS = {
+    "7:1,2,4+7:2,4,1": "7:1,2,4",
+    "7:3,6,5+7:1,2,4": "7:1,2,4",
+    "6:1,2,3+3:2,1,0+2:1,0,1": "6:1,2,3",
+    "9:1,2,6+3:1,2,0": "9:1,2,6",
+    "3:1,2,0+3:0,1,2+3:1,0,2": "3:1,2,0+3:0,1,2",
+}
+
 
 class Pipeline:
     """Everything computed for one group, for compact test access."""
@@ -52,6 +67,10 @@ class Pipeline:
         return next(
             c for c in self.group.characters if c.residues == tuple(residues)
         )
+
+    def pos(self, *residues):
+        """The position in group.characters of the character with these residues."""
+        return self.group.index[self.chi(*residues)]
 
     def edge(self, coords_a, coords_b):
         return self.fan.edge_between(self.ray(coords_a), self.ray(coords_b))

@@ -428,7 +428,7 @@ def support_h1_scan(fan, qa, chi):
     return sorted(
         ("divisor", ri)
         for ri in fan.exceptional_ray_indices()
-        if qa.classes(ri)[chi].is_source
+        if qa.classes(ri)[fan.group.index[chi]].is_source
     )
 
 

@@ -101,15 +101,26 @@ def test_criterion_3_vanishing_counts(reports):
     _announce("3 (arrow counts give divisor coordinates)", not bad, f"bad: {bad}" if bad else "")
 
 
+def _triangles_are_the_3_cycles(group) -> bool:
+    """Each triangle is a closed path: every arrow starts at the head of the
+    one before and the third arrow's head is the first arrow's tail.  Each
+    uses every orientation once, and the 2|G| of them are distinct."""
+    heads = group.head_rows
+    triangles = quiver_triangles(group)
+    for (t1, o1), (t2, o2), (t3, o3) in triangles:
+        if (heads[t1][o1], heads[t2][o2], heads[t3][o3]) != (t2, t3, t1):
+            return False
+        if sorted((o1, o2, o3)) != [0, 1, 2]:
+            return False
+    return len(set(triangles)) == len(triangles) == 2 * group.order
+
+
 def test_criterion_4_structural_counts(reports):
     ok = all(
         report["properties"]["counts"] and report["cones"] == report["order"]
         for report in reports.values()
     )
-    for spec in CORPUS:
-        group = parse_group_spec(spec)
-        if len(quiver_triangles(group)) != 2 * group.order:
-            ok = False
+    ok = ok and all(_triangles_are_the_3_cycles(parse_group_spec(spec)) for spec in CORPUS)
     # the quiver picture group, in its own presentation (its corpus class
     # representative is 13:1,2,10)
     pic = parse_group_spec("13:1,5,7")

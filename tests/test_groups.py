@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mckay_lab.groups
 from mckay_lab import group_from_generators, parse_group_spec
 from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
 from mckay_lab.groups import Character, _element_closure, mono_str
+from mckay_lab.intlin import det3, dot3, hnf_rows
 
-from conftest import SQUARE_PRODUCTS, small_groups
+from conftest import REDUNDANT_PRESENTATIONS, RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from oracles import box_monomials, character_order_by_powers, fraction_element_closure
 
 
@@ -18,9 +20,6 @@ def test_order_from_picture_group():
 def test_trivial_group():
     g = group_from_generators([(1, (0, 0, 0))])
     assert g.order == 1
-    assert g.weight_basis == tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
     assert g.invariant_basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -74,8 +73,33 @@ def test_redundant_generators_are_idempotent():
     g1 = group_from_generators([(3, (1, 1, 1))])
     g2 = group_from_generators([(3, (1, 1, 1)), (3, (2, 2, 2))])
     assert g1.order == g2.order == 3
-    assert g1.weight_basis == g2.weight_basis
     assert g1.invariant_basis == g2.invariant_basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        small_groups,
+        st.sampled_from(
+            SQUARE_PRODUCTS + RECTANGULAR_PRODUCTS + list(REDUNDANT_PRESENTATIONS)
+        ).map(parse_group_spec),
+    )
+)
+def test_invariant_basis_is_the_hermite_basis_of_m(group):
+    """Every row is invariant under every generator, the rows have index |G|
+    in Z^3, so they span all of M, and they are already in Hermite form."""
+    basis = group.invariant_basis
+    assert all(dot3(w, m) % r == 0 for m in basis for r, w in group.generators)
+    assert abs(det3(basis)) == group.order
+    assert tuple(hnf_rows(basis)) == basis
+
+
+def test_index_check_rejects_a_short_element_walk(monkeypatch):
+    """An element walk that misses one element disagrees with [Z^3 : M]."""
+    closure = mckay_lab.groups._element_closure
+    monkeypatch.setattr(mckay_lab.groups, "_element_closure", lambda gens: closure(gens)[:-1])
+    with pytest.raises(NotInSL3, match="invariant lattice index 13 != element count 12"):
+        parse_group_spec("13:1,5,7")
 
 
 def test_kappa_examples():
@@ -167,29 +191,25 @@ def test_element_count_matches_order(gen):
 @settings(max_examples=40, deadline=None)
 @given(small_groups)
 def test_arrow_tables_match_kappa(group):
-    """heads[chi][k] is chi times the character of the k-th variable, tails
-    inverts heads arrow by arrow, and the rows hold both by position."""
+    """head_rows[k][o] is the position of the k-th character times the
+    character of the o-th variable, and tail_rows inverts it arrow by arrow."""
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert set(group.heads) == set(group.tails) == set(group.characters)
-    for chi in group.characters:
-        pos = group.index[chi]
-        for k, unit in enumerate(units):
-            head = group.heads[chi][k]
-            assert head == chi * group.kappa(unit)
-            assert group.tails[head][k] == chi
-            assert group.characters[group.head_rows[pos][k]] == head
-            assert group.characters[group.tail_rows[pos][k]] == group.tails[chi][k]
+    chars = group.characters
+    assert len(group.head_rows) == len(group.tail_rows) == group.order
+    for k, chi in enumerate(chars):
+        for o, unit in enumerate(units):
+            head = group.head_rows[k][o]
+            assert chars[head] == chi * group.kappa(unit)
+            assert group.tail_rows[head][o] == k
+            assert chars[group.tail_rows[k][o]] * group.kappa(unit) == chi
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_groups)
 def test_characters_are_the_groups_own_objects(group):
-    """Every arrow-table entry, and kappa of every box monomial, is the
-    element of group.characters with its residues, not an equal copy."""
+    """kappa of every box monomial is the element of group.characters with
+    its residues, not an equal copy."""
     own = {chi.residues: chi for chi in group.characters}
-    for chi in group.characters:
-        for end in group.heads[chi] + group.tails[chi]:
-            assert end is own[end.residues]
     for m in box_monomials(group.order):
         chi = group.kappa(m)
         assert chi is own[chi.residues]

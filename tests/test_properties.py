@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mckay_lab import (
@@ -10,10 +11,11 @@ from mckay_lab import (
     build_fan,
     group_from_generators,
     junior_points,
+    parse_group_spec,
     verify_group,
 )
 
-from conftest import sl3_cyclic, small_groups
+from conftest import RECTANGULAR_PRODUCTS, REDUNDANT_PRESENTATIONS, sl3_cyclic, small_groups
 from oracles import arrow_order, chart_pairing, divisor_q, valuation
 
 
@@ -93,6 +95,27 @@ def test_fan_is_independent_of_the_generator(gen, k):
     assert _fan_picture(group_from_generators([gen])) == _fan_picture(
         group_from_generators([other])
     )
+
+
+@pytest.mark.parametrize("spec", sorted(REDUNDANT_PRESENTATIONS))
+def test_a_redundant_generator_changes_nothing(spec):
+    """A generator already in G, listed first or last, leaves the order, M,
+    the rays, the cones and each cone's cluster as they were.  Clusters are
+    compared as monomial sets: a redundant generator listed first can
+    reorder the residues, so rows by position may differ."""
+    groups = parse_group_spec(spec), parse_group_spec(REDUNDANT_PRESENTATIONS[spec])
+    fans = [build_fan(group) for group in groups]
+    assert groups[0].order == groups[1].order
+    assert groups[0].invariant_basis == groups[1].invariant_basis
+    assert fans[0].scaled_rays == fans[1].scaled_rays
+    assert fans[0].cone_rays == fans[1].cone_rays
+    assert [g.monomials for g in fans[0].ggraphs] == [g.monomials for g in fans[1].ggraphs]
+
+
+@pytest.mark.parametrize("spec", RECTANGULAR_PRODUCTS)
+def test_full_verification_passes_on_rectangular_products(spec):
+    """Z/m x Z/mn with n > 1: products whose factors differ in order."""
+    assert verify_group(parse_group_spec(spec))["pass"] is True
 
 
 def _charted_cones(fan, sigma):

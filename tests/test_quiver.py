@@ -25,6 +25,12 @@ def test_quiver_counts_picture_group(p13):
     }
 
 
+def test_trivial_group_has_both_triangles(trivial_group):
+    """The one vertex carries the two 3-cycles xyz and xzy, which are
+    distinct as paths although they use the same three loops."""
+    assert quiver_counts(trivial_group)["triangles"] == 2
+
+
 def test_arrow_vanishing_orders(p3, p4):
     center = p3.ray((f(1, 3),) * 3)
     assert arrow_order(p3.qa, center, p3.chi(2), "x") == 1
@@ -81,9 +87,9 @@ def test_the_64_spoke_patterns_give_the_18_classes():
 def test_vertex_classes_at_center(p3):
     center = p3.ray((f(1, 3),) * 3)
     classes = p3.qa.classes(center)
-    assert classes[p3.chi(2)] == SINK30
-    assert classes[p3.chi(0)] == SINK03
-    assert classes[p3.chi(1)] == SOURCE33
+    assert classes[p3.pos(2)] == SINK30
+    assert classes[p3.pos(0)] == SINK03
+    assert classes[p3.pos(1)] == SOURCE33
 
 
 def test_shape_a(p3):
@@ -93,9 +99,9 @@ def test_shape_a(p3):
     assert ss.sink30_count == 1
     # six unit lines from the source, three forward to chi_2, three back to chi_0
     assert len(ss.lines) == 6
-    assert {(l.source.residues, l.sink.residues) for l in ss.lines} == {
-        ((1,), (2,)),
-        ((1,), (0,)),
+    assert {(l.source, l.sink) for l in ss.lines} == {
+        (p3.pos(1), p3.pos(2)),
+        (p3.pos(1), p3.pos(0)),
     }
 
 
@@ -108,23 +114,23 @@ def test_shape_b_at_p(p4):
     assert (lengths["a1"], lengths["b1"]) == (1, 1)
     # the (1,2)-source is chi_1 (its z in-spoke dies), the (2,1) is chi_2
     classes = ss.classes
-    assert classes[p4.chi(1)].kind == "source"
-    assert classes[p4.chi(1)].bidegree == (1, 2)
-    assert classes[p4.chi(2)].bidegree == (2, 1)
-    assert classes[p4.chi(3)] == SINK30
+    assert classes[p4.pos(1)].kind == "source"
+    assert classes[p4.pos(1)].bidegree == (1, 2)
+    assert classes[p4.pos(2)].bidegree == (2, 1)
+    assert classes[p4.pos(3)] == SINK30
     # x and y lines run chi_0 -> chi_1; the z line runs chi_0 -> chi_2
     back = {l.orientation: l for l in ss.lines if l.chirality == (0, 1)}
-    assert back["x"].vertices == (p4.chi(1), p4.chi(0))
-    assert back["y"].vertices == (p4.chi(1), p4.chi(0))
-    assert back["z"].vertices == (p4.chi(2), p4.chi(0))
+    assert back["x"].vertices == (p4.pos(1), p4.pos(0))
+    assert back["y"].vertices == (p4.pos(1), p4.pos(0))
+    assert back["z"].vertices == (p4.pos(2), p4.pos(0))
 
 
 def test_boundary_divisor_all_charges(p4):
     q = p4.ray((f(1, 2), f(1, 2), 0))
     ss = p4.qa.sink_source_graph(q)
     assert ss.shape is None
-    for chi in (p4.chi(1), p4.chi(3)):
-        cls = ss.classes[chi]
+    for k in (p4.pos(1), p4.pos(3)):
+        cls = ss.classes[k]
         assert cls.kind == "charge" and cls.orientation == "z"
     assert not ss.sink03_vertices()
 
@@ -153,7 +159,9 @@ def test_shape_c(p33):
     assert len(kinds) == 1  # all three sources share a chirality
     assert ss.sink30_count == 2
     # the two (3,0)-sinks carry exactly the two vertex-marking characters
-    sinks = {c.residues for c, k in ss.classes.items() if k == SINK30}
+    sinks = {
+        p33.group.characters[k].residues for k, cls in enumerate(ss.classes) if cls == SINK30
+    }
     marks = {c.residues for c in p33.marked.vertex_cases[center].markings}
     assert sinks == marks
 
@@ -162,5 +170,5 @@ def test_torus_positions_deterministic(p13):
     pos1 = torus_positions(p13.group)
     pos2 = torus_positions(p13.group)
     assert pos1 == pos2
-    assert pos1[p13.chi(0)] == (0, 0)
-    assert len(set(pos1.values())) == 13
+    assert pos1[p13.pos(0)] == (0, 0)
+    assert len(set(pos1)) == 13

@@ -53,7 +53,9 @@ def test_h1_loci_match_the_per_ray_class_scan(group):
     qa = QuiverAnalysis(fan)
     for chi in group.characters:
         assert support_h1(fan, qa, chi) == support_h1_scan(fan, qa, chi)
-        assert [("divisor", ri) for ri in qa.h1_loci[chi]] == support_h1_scan(fan, qa, chi)
+        assert [("divisor", ri) for ri in qa.h1_loci[group.index[chi]]] == support_h1_scan(
+            fan, qa, chi
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -137,11 +139,12 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
     """No cluster's border normals (build_fan reads each cone off the
     height table, and the cone oracle tests each cluster at its three
     rays), the quiver triangles once per QuiverAnalysis, and the degrees
-    once per interior edge."""
-    seen = {"normals": [], "triangles": 0, "degrees": []}
+    and the oriented carving vector once per interior edge."""
+    seen = {"normals": [], "triangles": 0, "degrees": [], "oriented": []}
     normals = mckay_lab.ghilb._border_normals
     triangles = mckay_lab.quiver.quiver_triangles
     degrees = mckay_lab.verify.tautological_degrees
+    orient = mckay_lab.ghilb._orient_edge
 
     def count_normals(group, graph):
         seen["normals"].append(graph)
@@ -155,9 +158,14 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
         seen["degrees"].append(edge.rays)
         return degrees(fan, edge)
 
+    def count_orient(fan, edge):
+        seen["oriented"].append(edge.rays)
+        return orient(fan, edge)
+
     monkeypatch.setattr(mckay_lab.ghilb, "_border_normals", count_normals)
     monkeypatch.setattr(mckay_lab.quiver, "quiver_triangles", count_triangles)
     monkeypatch.setattr(mckay_lab.verify, "tautological_degrees", count_degrees)
+    monkeypatch.setattr(mckay_lab.ghilb, "_orient_edge", count_orient)
     group = parse_group_spec(spec)
     fan = build_fan(group)
     verification = GroupVerification(fan)
@@ -165,3 +173,4 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
     assert seen["normals"] == []
     assert seen["triangles"] == 1
     assert sorted(seen["degrees"]) == [e.rays for e in fan.interior_edges()]
+    assert sorted(seen["oriented"]) == [e.rays for e in fan.interior_edges()]

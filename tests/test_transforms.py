@@ -34,7 +34,9 @@ def test_support_h1_reads_the_memoized_classes():
     sink = fan.group.characters[2]
     assert support_h1(fan, QuiverAnalysis(fan), sink) == []
     qa = QuiverAnalysis(fan)
-    qa.classes(center)[sink] = SOURCE33
+    classes = list(qa.classes(center))
+    classes[2] = SOURCE33
+    qa._classes[center] = tuple(classes)
     assert support_h1(fan, qa, sink) == [("divisor", center)]
 
 

@@ -207,6 +207,7 @@ def test_cone_oracles_reject_swapped_clusters(group, data):
         graphs = list(fan.ggraphs)
         graphs[i], graphs[j] = graphs[j], graphs[i]
         fan.ggraphs = tuple(graphs)
+        del verification._chart_values  # memoised from the unswapped clusters
         assert verification._prop_cone_oracle() is cone_oracle_scan(fan) is False
 
 
@@ -214,7 +215,9 @@ def _one_cluster_oracle(fan, ci, rays):
     """The three-ray oracle on the ci-th cluster alone, at the given
     scaled rays in place of its triangle's."""
     alone = SimpleNamespace(ggraphs=(fan.ggraphs[ci],), cone_rays=((0, 1, 2),), scaled_rays=rays)
-    return GroupVerification._prop_cone_oracle(SimpleNamespace(fan=alone, group=fan.group))
+    verification = SimpleNamespace(fan=alone, group=fan.group)
+    verification._chart_values = GroupVerification._chart_values.func(verification)
+    return GroupVerification._prop_cone_oracle(verification)
 
 
 @pytest.mark.parametrize("spec", ["3:1,1,1", "13:1,5,7", "3:1,2,0+3:0,1,2", "12:1,1,10"])
