@@ -9,7 +9,7 @@ theorems, machine-checked).
 
 from .errors import McKayLabError
 from .groups import group_from_generators, parse_group_spec
-from .lattice import Cone, WeightVector, cone_is_unimodular, junior_points
+from .lattice import Cone, WeightVector, junior_points
 from .ghilb import (
     build_fan,
     chart_generator,
@@ -40,7 +40,6 @@ __all__ = [
     "carving_ratio",
     "chart_generator",
     "classify_fan_vertex",
-    "cone_is_unimodular",
     "cone_of_ggraph",
     "enumerate_ggraphs",
     "group_from_generators",

@@ -13,22 +13,26 @@ point, and the row's sum is the height H(e).  A cluster's cone is read off
 the table (Nakamura; Craw-Reid): with S the sum of the cluster's monomials,
 (n*e).S >= H(e) at every junior point, term by term, with equality exactly
 when every representative is least on e, that is when e lies in the cone.
-So one integer scan over the junior points finds the cone's rays, the
-group's own junior points; it runs once per cluster and the cone is kept on
-the cluster.  All clusters are found by seeding from a generic weight and
-crossing each interior wall that no second found cone has closed yet: one
-flip per new cluster.  The assembled fan is then validated as a unimodular
-triangulation, each chart is checked against the table at its three rays by
-the same height identity, and the fan derives its integer facts once.
+So one integer scan over the junior table finds the cone's rays as table
+indices, in lex order; it runs once per cluster and is kept on it.  All
+clusters are found by seeding from a generic weight and crossing each
+interior wall (a ray-index pair) that no second found cone has closed yet:
+one flip per new cluster, whose carving vector the fan reuses.  The fan is
+then validated as a unimodular triangulation, each chart is checked against
+the table at its three rays by the same height identity, and the fan
+derives its integer facts once.  The whole path runs on integers: the
+`WeightVector`s and `Cone`s are output views, and no `Fraction` is compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
 from .errors import (
     BoundaryEdge,
+    DegenerateCone,
     FanValidationFailed,
     InconsistentCharts,
     LowerDimensionalCone,
@@ -43,37 +47,41 @@ from .groups import (
     MONO_ONE,
 )
 from .intlin import cross3, det3, dot3, primitive, primitive_signed
-from .lattice import Cone, WeightVector, cone_is_unimodular, junior_table
+from .lattice import Cone, WeightVector, junior_table
 
 
 class GGraph:
     """One monomial per character, divisibility-closed and xyz-free, stored
-    as a row: row[k] represents the k-th character of group.characters."""
+    as a row: row[k] represents the k-th character of group.characters.  The
+    row fixes the monomial set (built on demand), so it keys the cluster."""
 
     def __init__(self, group: GroupData, row):
         self.group = group
         self.row: tuple[Monomial, ...] = tuple(row)
-        self.monomials = frozenset(self.row)
-        self._key = tuple(sorted(self.monomials))
         # the sum S of the monomials: (n*e).S is the chart's height at e
         self.total = tuple(map(sum, zip(*self.row)))
         self._normals: list[tuple[int, int, int]] | None = None  # ggraph_inequalities
-        self._cone: Cone | None = None  # cone_of_ggraph
+        self._cone: Cone | None = None  # cone_of_ggraph: the cone and its ray indices
+        self._cone_rays: tuple[int, int, int] | None = None
         self._validate()
+
+    @cached_property
+    def monomials(self) -> frozenset:
+        return frozenset(self.row)
 
     def representative(self, chi: Character) -> Monomial:
         return self.row[self.group.index[chi]]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GGraph) and self._key == other._key
+        return isinstance(other, GGraph) and self.row == other.row
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.row)
 
     def __repr__(self) -> str:
         from .groups import mono_str
 
-        return "{" + ", ".join(mono_str(m) for m in self._key) + "}"
+        return "{" + ", ".join(mono_str(m) for m in sorted(self.row)) + "}"
 
     def _validate(self) -> None:
         """Each m - e_i (m_i > 0) must be the representative at the tail of
@@ -83,23 +91,28 @@ class GGraph:
         group = self.group
         n = group.order
         row = self.row
-        if len(row) != n or len(self.monomials) != n:
+        if len(row) != n or len(set(row)) != n:
             raise SearchExhausted(f"cluster needs exactly {n} distinct monomials")
         if row[group.index[group.trivial_character]] != MONO_ONE:
             raise SearchExhausted("the trivial character must be represented by 1")
         for m, tails in zip(row, group.tail_rows):
-            if min(m) != 0:
+            a, b, c = m
+            tx, ty, tz = tails
+            if a < 0 or b < 0 or c < 0 or (a and b and c):
                 raise SearchExhausted(f"representative {m} is not an xyz-free monomial")
-            if max(m) >= n:
+            if a >= n or b >= n or c >= n:
                 raise SearchExhausted(f"representative {m} has an exponent >= {n}")
-            for i in range(3):
-                if m[i]:
-                    lower = (m[0] - (i == 0), m[1] - (i == 1), m[2] - (i == 2))
-                    if row[tails[i]] != lower:
-                        raise SearchExhausted(
-                            f"divisor {lower} of {m} is not the representative "
-                            f"{row[tails[i]]} of its character"
-                        )
+            if (
+                (a and row[tx] != (a - 1, b, c))
+                or (b and row[ty] != (a, b - 1, c))
+                or (c and row[tz] != (a, b, c - 1))
+            ):
+                lowers = ((a - 1, b, c), (a, b - 1, c), (a, b, c - 1))
+                i = next(i for i in range(3) if m[i] and row[tails[i]] != lowers[i])
+                raise SearchExhausted(
+                    f"divisor {lowers[i]} of {m} is not the representative "
+                    f"{row[tails[i]]} of its character"
+                )
 
 
 @dataclass(frozen=True)
@@ -147,9 +160,10 @@ class GHilbFan:
     Besides the charts it holds the integer facts every later layer reads:
     the scaled rays n*e, the divisor table n*q (one row per ray, indexed
     like group.characters) and one carving vector per interior edge
-    (lexicographic sign, keyed by the edge's ray pair)."""
+    (lexicographic sign, keyed by the edge's ray pair).  Each cone comes as
+    its ascending ray indices, which the checks read, and as a `Cone` view."""
 
-    def __init__(self, group: GroupData, ggraphs: list[GGraph], cones: list[Cone]):
+    def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays, cones: list[Cone]):
         self.group = group
         n = group.order
         juniors = junior_table(group)
@@ -158,9 +172,7 @@ class GHilbFan:
         self._ray_index = {s: i for i, s in enumerate(self.scaled_rays)}
         self.ggraphs = tuple(ggraphs)
         self.cones = tuple(cones)
-        self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(
-            tuple(sorted(self._ray_index[r.scaled(n)] for r in c.rays)) for c in cones
-        )
+        self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(cone_rays)
         self._cones_at_ray: dict[int, list[int]] = {i: [] for i in range(len(self.rays))}
         for ci, triple in enumerate(self.cone_rays):
             for ri in triple:
@@ -169,7 +181,8 @@ class GHilbFan:
         self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
         self._cone_index = {rays: ci for ci, rays in enumerate(self.cone_rays)}
         self._interior_edges = tuple(e for e in self.edges if not e.is_boundary)
-        self._exceptional = tuple(i for i, r in enumerate(self.rays) if not r.is_corner)
+        # a corner is the one junior point with a coordinate n
+        self._exceptional = tuple(i for i, s in enumerate(self.scaled_rays) if n not in s)
         self._validate()
         self.q = DivisorCoefficients(self)
         self.carving_vectors = {
@@ -242,8 +255,7 @@ class GHilbFan:
         return edges
 
     def _validate(self) -> None:
-        group = self.group
-        n = group.order
+        n = self.group.order
         if len(self.cones) != n:
             raise FanValidationFailed(f"{len(self.cones)} cones for a group of order {n}")
         if len(self._cone_index) != n:
@@ -251,15 +263,17 @@ class GHilbFan:
         used_rays = {ri for triple in self.cone_rays for ri in triple}
         if used_rays != set(range(len(self.rays))):
             raise FanValidationFailed("fan rays do not match the junior points")
-        for cone in self.cones:
-            if not cone_is_unimodular(group, cone):
-                raise FanValidationFailed(f"non-unimodular cone {cone}")
+        # unimodular: the rays are a basis of L, |det(n*e1, n*e2, n*e3)| = n^2
+        scaled = self.scaled_rays
+        for ci, (a, b, c) in enumerate(self.cone_rays):
+            d = det3((scaled[a], scaled[b], scaled[c]))
+            if d == 0:
+                raise DegenerateCone("cone rays are linearly dependent")
+            if abs(d) != n * n:
+                raise FanValidationFailed(f"non-unimodular cone {self.cones[ci]}")
         for edge in self.edges:
-            i, j = edge.rays
-            geometric_boundary = any(
-                self.scaled_rays[i][k] == 0 and self.scaled_rays[j][k] == 0
-                for k in range(3)
-            )
+            e, f = (scaled[ri] for ri in edge.rays)
+            geometric_boundary = not ((e[0] or f[0]) and (e[1] or f[1]) and (e[2] or f[2]))
             if geometric_boundary != (len(edge.cones) == 1) or len(edge.cones) > 2:
                 raise FanValidationFailed(
                     f"edge {edge.rays} is glued by {len(edge.cones)} cones"
@@ -277,7 +291,7 @@ class GHilbFan:
                     degree[other] = degree.get(other, 0) + 1
         odd = [v for v, d in degree.items() if d == 1]
         bad = [v for v, d in degree.items() if d > 2]
-        on_boundary = self.rays[ray_idx].is_boundary
+        on_boundary = 0 in self.scaled_rays[ray_idx]
         if bad or (len(odd) != 0 if not on_boundary else len(odd) != 2):
             raise FanValidationFailed(f"bad vertex link at ray {self.rays[ray_idx]}")
         # single component: walk the link graph
@@ -329,113 +343,112 @@ def seed_ggraph(group: GroupData) -> GGraph:
 
 def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:
     """Primitive invariant-lattice vector perpendicular to two scaled junior
-    points n*e and n*f.
+    points n*e and n*f, kept on the group by the pair: the flip across a
+    wall and the fan's carving vector of that edge share one.
 
     Sign is lexicographic; callers orient as needed.
     """
-    u = primitive_signed(cross3(e, f))
-    order = group.character_order(group.kappa(u))
-    return tuple(w * order for w in u)
+    memo = group._perpendiculars
+    t = memo.get((e, f))
+    if t is None:
+        u = primitive_signed(cross3(e, f))
+        order = group.character_order(group.kappa(u))
+        t = memo[e, f] = tuple(w * order for w in u)
+    return t
 
 
-def flip_ggraph(group: GroupData, graph: GGraph, cone: Cone, facet: tuple) -> GGraph:
-    """The cluster of the chart across one interior facet of a cone.
+def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
+    """The cluster of the chart across the wall (e, f) of a cluster's cone,
+    g its third ray, all three as scaled junior points n*e.
 
-    Every representative r moves by the largest power k of the facet's
-    carving direction t (oriented positively on the cone's far ray) that
-    keeps it a regular monomial, k = min r_i // -t_i over the one or two
-    t_i < 0: smaller shifts fail to generate on the far chart because t has
-    negative valuation there.
+    Every representative r moves by the largest power k of the wall's
+    carving direction t (positive on g) that keeps it a regular monomial,
+    k = min r_i // -t_i over the one or two t_i < 0: smaller shifts fail to
+    generate on the far chart because t has negative valuation there.
     """
     n = group.order
-    e, f = facet
-    (g,) = [r for r in cone.rays if r not in facet]
-    t = invariant_perpendicular(group, e.scaled(n), f.scaled(n))
-    side = dot3(g.scaled(n), t)
+    t = invariant_perpendicular(group, e, f)
+    side = dot3(g, t)
     if side < 0:
         t = tuple(-v for v in t)
     elif side == 0:
-        raise LowerDimensionalCone(f"facet {facet} is not a facet of {cone}")
+        raise LowerDimensionalCone(f"wall {(e, f)} is not a facet of a cone with third ray {g}")
     negative = [(i, -v) for i, v in enumerate(t) if v < 0]
     if not negative:
-        raise SearchExhausted(f"unbounded shift across facet {facet}")
+        raise SearchExhausted(f"unbounded shift across facet {(e, f)}")
     # t vanishes on two nonnegative rays, so one or two t_i < 0 (one: both
     # pairs below are the same)
     (i, v), (j, w) = negative[0], negative[-1]
-    row = graph.row
-    shifts = []
-    for r in row:
-        a, b = r[i] // v, r[j] // w
-        shifts.append(a if a < b else b)
-    if max(shifts) > 3 * n:
-        raise SearchExhausted(f"unbounded shift across facet {facet}")
     t0, t1, t2 = t
-    return GGraph(
-        group, [(r[0] + k * t0, r[1] + k * t1, r[2] + k * t2) for r, k in zip(row, shifts)]
-    )
+    row = []
+    for r in graph.row:
+        a, b = r[i] // v, r[j] // w
+        k = a if a < b else b
+        if k > 3 * n:
+            raise SearchExhausted(f"unbounded shift across facet {(e, f)}")
+        row.append((r[0] + k * t0, r[1] + k * t1, r[2] + k * t2))
+    return GGraph(group, row)
 
 
-def _ggraphs_with_cones(group: GroupData) -> list[tuple[GGraph, Cone]]:
-    """All torus-fixed clusters with their cones, by wall-crossing closure.
+def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
+    """All torus-fixed clusters, by wall-crossing closure, in the order found.
 
     Each cluster's cone is extracted when the cluster is found.  An interior
-    wall (an edge off the octant's boundary) is open from the first found
-    cone that has it until the second; a cone taken from the queue flips only
-    across its walls that are still open, so every flip reaches a new cluster
-    and |G| clusters take |G| - 1 flips.  The dual graph of the triangulation
-    is connected, so no wall is left open at the end.  A flip that reaches a
-    cluster already found, or a cluster whose cone does not have the wall it
-    crossed, raises InconsistentCharts naming the wall.
+    wall (an edge off the octant's boundary, a ray-index pair) is open from
+    the first found cone that has it until the second; a cluster flips only
+    across its walls still open, so |G| clusters take |G| - 1 flips, and the
+    dual graph is connected, so no wall stays open.  A flip that reaches a
+    cluster already found (by row), or one whose cone does not have the wall
+    it crossed, raises InconsistentCharts naming the wall.
     """
     n = group.order
-    found: dict[tuple, tuple[GGraph, Cone]] = {}
-    open_walls: set[tuple[tuple[int, int, int], tuple[int, int, int]]] = set()  # n*e, n*f
+    scaled = list(junior_table(group))
+    found: dict[tuple, GGraph] = {}
+    open_walls: set[tuple[int, int]] = set()
 
     def add(graph: GGraph) -> Cone:
         cone = cone_of_ggraph(group, graph)
-        found[graph._key] = (graph, cone)
+        found[graph.row] = graph
         if len(found) > n:
             raise SearchExhausted(f"more than {n} clusters reached by wall crossing")
-        open_walls.symmetric_difference_update(wall for _, wall in _interior_walls(cone, n))
+        open_walls.symmetric_difference_update(
+            wall for wall, _ in _interior_walls(graph._cone_rays, scaled)
+        )
         return cone
 
     seed = seed_ggraph(group)
-    queue = [(seed, add(seed))]
+    add(seed)
+    queue = [seed]
     while queue:
-        graph, cone = queue.pop()
-        for facet, wall in _interior_walls(cone, n):
+        graph = queue.pop()
+        for wall, g in _interior_walls(graph._cone_rays, scaled):
             if wall not in open_walls:
                 continue  # closed by a cone found since
-            neighbor = flip_ggraph(group, graph, cone, facet)
-            if neighbor._key in found:
+            neighbor = flip_ggraph(group, graph, scaled[wall[0]], scaled[wall[1]], scaled[g])
+            if neighbor.row in found:
                 raise InconsistentCharts(
-                    f"the flip across wall {facet} reaches {neighbor}, already found"
+                    f"the flip across wall {wall} reaches {neighbor}, already found"
                 )
             far = add(neighbor)
             if wall in open_walls:
                 raise InconsistentCharts(
-                    f"the flip across wall {facet} reaches {neighbor}, whose cone "
+                    f"the flip across wall {wall} reaches {neighbor}, whose cone "
                     f"{far} does not have the wall"
                 )
-            queue.append((neighbor, far))
+            queue.append(neighbor)
     if len(found) != n:
         raise SearchExhausted(f"found {len(found)} clusters, expected {n}")
-    return [pair for _, pair in sorted(found.items())]
+    return list(found.values())
 
 
-def _interior_walls(cone: Cone, n: int):
-    """The cone's edges off the octant's boundary, each as its pair of rays
-    and as the pair of their scaled coordinates n*e."""
-    rays = cone.rays
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        e, f = rays[a].scaled(n), rays[b].scaled(n)
-        if all(e[k] or f[k] for k in range(3)):
-            yield (rays[a], rays[b]), (e, f)
-
-
-def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
-    """All torus-fixed clusters of the group, in a deterministic order."""
-    return [g for g, _ in _ggraphs_with_cones(group)]
+def _interior_walls(triple, scaled):
+    """The cone's edges off the octant's boundary, each as its ray-index
+    pair and the index of the third ray."""
+    a, b, c = triple
+    for i, j, g in ((a, b, c), (a, c, b), (b, c, a)):
+        e, f = scaled[i], scaled[j]
+        if (e[0] or f[0]) and (e[1] or f[1]) and (e[2] or f[2]):
+            yield (i, j), g
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +502,29 @@ def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
     With S the sum of the cluster's monomials, (n*e).S >= H(e) at every
     junior point e, with equality exactly on the cone (see divisor_table):
     the rays are the junior points on that height plane, which must be three
-    linearly independent ones.  Extracted once per cluster and kept on it.
+    linearly independent ones.  Extracted once per cluster and kept on it,
+    with the rays' indices, found in table order, which is lex order.
     """
     if graph._cone is None:
-        rays = _height_rays(group, graph.total)
-        n = group.order
-        if len(rays) != 3 or not det3([r.scaled(n) for r in rays]):
+        triple = _height_rays(group, graph.total)
+        planes = divisor_table(group)[1]
+        if len(triple) != 3 or not det3([planes[ri][:3] for ri in triple]):
+            rays = [planes[ri][4] for ri in triple]
             raise LowerDimensionalCone(f"cluster {graph} has the height plane of {rays}")
-        graph._cone = Cone(tuple(rays))
+        graph._cone_rays = tuple(triple)
+        graph._cone = Cone.from_sorted(tuple(planes[ri][4] for ri in triple))
     return graph._cone
 
 
-def _height_rays(group: GroupData, total) -> list[WeightVector]:
-    """The junior points e with (n*e).total equal to their height H(e)."""
+def _height_rays(group: GroupData, total) -> list[int]:
+    """The indices of the junior points e with (n*e).total equal to H(e)."""
     sx, sy, sz = total
     planes = divisor_table(group)[1]
-    return [e for a, b, c, height, e in planes if a * sx + b * sy + c * sz == height]
+    return [
+        ri
+        for ri, (a, b, c, height, _) in enumerate(planes)
+        if a * sx + b * sy + c * sz == height
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +568,17 @@ def _border_normals(group: GroupData, graph: GGraph) -> list[tuple[int, int, int
 
 
 def build_fan(group: GroupData) -> GHilbFan:
-    """Enumerate all clusters, take their cones, and assemble the validated fan."""
-    n = group.order
+    """Enumerate all clusters, take their cones, and assemble the validated
+    fan, its cones in the lex order of their ray-index triples."""
     ggraphs = enumerate_ggraphs(group)
     cones = [cone_of_ggraph(group, g) for g in ggraphs]
-    # lex order on the scaled rays n*e is lex order on the rays e
-    keys = [tuple(r.scaled(n) for r in c.rays) for c in cones]
-    order = sorted(range(len(cones)), key=keys.__getitem__)
-    return GHilbFan(group, [ggraphs[k] for k in order], [cones[k] for k in order])
+    order = sorted(range(len(cones)), key=lambda k: ggraphs[k]._cone_rays)
+    return GHilbFan(
+        group,
+        [ggraphs[k] for k in order],
+        [ggraphs[k]._cone_rays for k in order],
+        [cones[k] for k in order],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyGenerators, NotInLattice, NotInSL3
+from .errors import EmptyGenerators, NotInSL3
 from .intlin import det3, dot3, hnf_rows
 
 Monomial = tuple  # (i, j, k) exponents of x^i y^j z^k; Laurent if negatives allowed
@@ -61,14 +61,6 @@ class Character:
             self.moduli,
         )
 
-    def __pow__(self, k: int) -> "Character":
-        return Character(
-            tuple((a * k) % r for a, r in zip(self.residues, self.moduli)), self.moduli
-        )
-
-    def inverse(self) -> "Character":
-        return self ** (-1)
-
     @property
     def is_trivial(self) -> bool:
         return not any(self.residues)
@@ -96,12 +88,17 @@ class GroupData:
         # residue coordinates pair against every nontrivial generator
         self.moduli = tuple(r for r, _ in gens) or ()
 
-        self.elements = _element_closure(gens)
+        # the elements e as N*e (N the lcm of the generator orders) in lex
+        # order, and as Fraction triples sharing one object per value
+        self.modulus, self.element_triples = _element_closure(gens)
+        fractions = [Fraction(v, self.modulus) for v in range(self.modulus)]
+        self.elements = tuple(tuple(fractions[v] for v in e) for e in self.element_triples)
         self.order = len(self.elements)
         # the junior points keyed by n*e, built by lattice.junior_table, and
         # their divisor table, built by ghilb.divisor_table
         self._junior_table = None
         self._divisor_table = None
+        self._perpendiculars: dict = {}  # ghilb.invariant_perpendicular
 
         self.invariant_basis = _invariant_basis(gens)
         self._check_indices()
@@ -157,25 +154,6 @@ class GroupData:
             )
         return tuple(sorted(heads, key=lambda c: c.residues)), heads
 
-    # -- lattices ----------------------------------------------------------
-
-    def in_weight_lattice(self, l) -> bool:
-        """Membership in the weight lattice L, the dual of M: l.m is an
-        integer for every row m of the M basis."""
-        return all(dot3(l, m).denominator == 1 for m in self.invariant_basis)
-
-    def age(self, l) -> int:
-        """Coordinate sum of a fractional weight vector in L with coords in [0,1)."""
-        coords = tuple(Fraction(v) for v in l)
-        if any(v < 0 or v >= 1 for v in coords):
-            raise NotInLattice(f"{l} has coordinates outside [0,1)")
-        if not self.in_weight_lattice(coords):
-            raise NotInLattice(f"{l} is not in the weight lattice")
-        total = sum(coords)
-        if total.denominator != 1:
-            raise NotInSL3(f"age of {l} is not an integer")
-        return int(total)
-
     def spec_string(self) -> str:
         """Round-trippable 'r:a,b,c+...' syntax."""
         return "+".join(f"{r}:{w[0]},{w[1]},{w[2]}" for r, w in self.generators) or "1:0,0,0"
@@ -210,11 +188,9 @@ def _normalize_generators(generators):
 
 
 def _element_closure(gens):
-    """All fractional weight vectors of group elements, as triples in [0,1)^3.
-
-    The walk runs on the integer triples N*e mod N, N the lcm of the
-    generator orders; each element becomes Fractions once, at the end.
-    Sorting the integer triples sorts the elements.
+    """(N, the sorted triples N*e) over the group's elements e in [0,1)^3,
+    N the lcm of the generator orders: the walk runs on the integer triples
+    N*e mod N, and sorting them sorts the elements.
     """
     modulus = math.lcm(*(r for r, _ in gens))
     steps = [tuple(w * (modulus // r) for w in weights) for r, weights in gens]
@@ -228,7 +204,7 @@ def _element_closure(gens):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return tuple(tuple(Fraction(v, modulus) for v in e) for e in sorted(seen))
+    return modulus, tuple(sorted(seen))
 
 
 def _invariant_basis(gens):

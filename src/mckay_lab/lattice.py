@@ -1,9 +1,9 @@
 """Junior simplex points and simplicial cones in the weight lattice.
 
-Each group keeps one table of its junior points, keyed by the integer
-triples n*e (n = |G|), so every cone, fan and divisor table shares one
-`WeightVector` per junior point; a ray's scaled coordinates are computed
-once per scale and kept on the `WeightVector`.
+Each group keeps one table of its junior points, keyed by n*e (n = |G|) in
+lex order and read off the integer element walk, so every cone, fan and
+divisor table shares one index per junior point.  Its `WeightVector`s are
+output views over the group's own `Fraction`s, with n*e already kept.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCone
 from .groups import GroupData
-from .intlin import det3
 
 CORNERS = (
     (Fraction(1), Fraction(0), Fraction(0)),
@@ -45,16 +43,12 @@ class WeightVector:
         """Integer coordinates n*l (n a multiple of every denominator), kept
         on the object per n."""
         # kept beside the dataclass field, which alone drives eq, order and hash
-        fields = self.__dict__
-        memo = fields.get("_scaled")
-        if memo is None:
-            memo = fields["_scaled"] = {}
-        triple = memo.get(n)
-        if triple is None:
+        memo = self.__dict__.setdefault("_scaled", {})
+        if n not in memo:
             pairs = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
             assert not any(rest for _, rest in pairs)
-            triple = memo[n] = tuple(v for v, _ in pairs)
-        return triple
+            memo[n] = tuple(v for v, _ in pairs)
+        return memo[n]
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self.coords) + ")"
@@ -69,6 +63,13 @@ class Cone:
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(sorted(self.rays)))
 
+    @classmethod
+    def from_sorted(cls, rays: tuple[WeightVector, ...]) -> "Cone":
+        """A cone of rays already in lex order, taken as they are."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", rays)
+        return cone
+
     @property
     def dim(self) -> int:
         return len(self.rays)
@@ -76,30 +77,28 @@ class Cone:
 
 def junior_table(group: GroupData) -> dict[tuple[int, int, int], WeightVector]:
     """All lattice points e of the junior simplex, corners included, keyed by
-    n*e and in lex order; built once per group and kept on it."""
+    n*e and in lex order; built once per group and kept on it.  An element
+    N*e (N = group.modulus) is junior when it sums to N, and n*e = n*(N*e)//N;
+    the corners go first, after the elements with x = 0, and last."""
     table = group._junior_table
     if table is None:
-        n = group.order
-        points = {WeightVector(c) for c in CORNERS}
-        points.update(WeightVector(el) for el in group.elements if sum(el) == 1)
-        table = group._junior_table = {p.scaled(n): p for p in sorted(points)}
+        n, modulus = group.order, group.modulus
+        x, y, z = ((tuple(n * (i == k) for i in range(3)), c) for k, c in enumerate(CORNERS))
+        points = [z]
+        for (a, b, c), coords in zip(group.element_triples, group.elements):
+            if a + b + c == modulus:
+                if a and y:
+                    points.append(y)
+                    y = None
+                points.append(((a * n // modulus, b * n // modulus, c * n // modulus), coords))
+        points += [y, x] if y else [x]
+        table = group._junior_table = {}
+        for triple, coords in points:
+            point = table[triple] = WeightVector(coords)
+            point.__dict__["_scaled"] = {n: triple}  # as scaled(n) keeps it
     return table
 
 
 def junior_points(group: GroupData) -> list[WeightVector]:
     """All lattice points of the junior simplex, corners included, in lex order."""
     return list(junior_table(group).values())
-
-
-def cone_is_unimodular(group: GroupData, cone: Cone) -> bool:
-    """True iff the three rays form a Z-basis of L, i.e. |det| = 1/n for
-    n = |G|: in integers, |det(n*e1, n*e2, n*e3)| = n^2."""
-    if cone.dim != 3:
-        raise DegenerateCone(f"expected a 3-cone, got dimension {cone.dim}")
-    n = group.order
-    if any(n % v.denominator for r in cone.rays for v in r.coords):
-        return False  # a ray outside (1/n)Z^3 lies outside L
-    d = det3([r.scaled(n) for r in cone.rays])
-    if d == 0:
-        raise DegenerateCone("cone rays are linearly dependent")
-    return abs(d) == n * n

@@ -4,10 +4,11 @@ algorithms, used to compute and freeze expected values."""
 import json
 from fractions import Fraction
 
+from mckay_lab.errors import DegenerateCone, NotInLattice, NotInSL3
 from mckay_lab.ghilb import ggraph_inequalities, invariant_perpendicular
-from mckay_lab.groups import MONO_ONE, mono_divides
-from mckay_lab.intlin import cross3, dot3, primitive, primitive_signed
-from mckay_lab.lattice import junior_table
+from mckay_lab.groups import MONO_ONE, Character, mono_divides
+from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
+from mckay_lab.lattice import CORNERS, WeightVector, junior_table
 from mckay_lab.serialize import dumps_canonical
 
 
@@ -26,6 +27,57 @@ def character_order_by_powers(chi):
     while not acc.is_trivial:
         acc, k = acc * chi, k + 1
     return k
+
+
+def character_power(chi, k):
+    """chi^k, residue by residue."""
+    return Character(tuple((a * k) % r for a, r in zip(chi.residues, chi.moduli)), chi.moduli)
+
+
+def character_inverse(chi):
+    return character_power(chi, -1)
+
+
+def in_weight_lattice(group, l):
+    """Membership in the weight lattice L, the dual of M: l.m is an
+    integer for every row m of the M basis."""
+    return all(dot3(l, m).denominator == 1 for m in group.invariant_basis)
+
+
+def age(group, l):
+    """Coordinate sum of a fractional weight vector in L with coords in [0,1)."""
+    coords = tuple(Fraction(v) for v in l)
+    if any(v < 0 or v >= 1 for v in coords):
+        raise NotInLattice(f"{l} has coordinates outside [0,1)")
+    if not in_weight_lattice(group, coords):
+        raise NotInLattice(f"{l} is not in the weight lattice")
+    total = sum(coords)
+    if total.denominator != 1:
+        raise NotInSL3(f"age of {l} is not an integer")
+    return int(total)
+
+
+def cone_is_unimodular(group, cone):
+    """True iff the three rays form a Z-basis of L, i.e. |det| = 1/n for
+    n = |G|: in integers, |det(n*e1, n*e2, n*e3)| = n^2."""
+    if cone.dim != 3:
+        raise DegenerateCone(f"expected a 3-cone, got dimension {cone.dim}")
+    n = group.order
+    if any(n % v.denominator for r in cone.rays for v in r.coords):
+        return False  # a ray outside (1/n)Z^3 lies outside L
+    d = det3([r.scaled(n) for r in cone.rays])
+    if d == 0:
+        raise DegenerateCone("cone rays are linearly dependent")
+    return abs(d) == n * n
+
+
+def junior_table_by_fractions(group):
+    """The junior points keyed by n*e, by sorting Fraction points: the corners
+    plus every element whose coordinates sum to 1."""
+    n = group.order
+    points = {WeightVector(c) for c in CORNERS}
+    points.update(WeightVector(el) for el in group.elements if sum(el) == 1)
+    return {p.scaled(n): p for p in sorted(points)}
 
 
 def parse_fraction(text):
@@ -223,15 +275,14 @@ def extreme_rays_dd(normals):
     return rays
 
 
-def stepped_flip(group, graph, cone, facet):
-    """The row of representatives across a facet of a cluster's cone: each
-    moves by the facet's carving direction t (positive on the far ray) one
-    step at a time, while the next step keeps it a regular monomial."""
+def stepped_flip(group, graph, e, f, g):
+    """The row of representatives across the wall (e, f) of a cluster's cone,
+    g its third ray (all scaled junior points n*e): each moves by the wall's
+    carving direction t (positive on g) one step at a time, while the next
+    step keeps it a regular monomial."""
     n = group.order
-    e, f = facet
-    (g,) = [r for r in cone.rays if r not in facet]
-    t = invariant_perpendicular(group, e.scaled(n), f.scaled(n))
-    if dot3(g.coords, t) < 0:
+    t = invariant_perpendicular(group, e, f)
+    if dot3(g, t) < 0:
         t = tuple(-v for v in t)
     shifted = []
     for r in graph.row:
@@ -242,7 +293,7 @@ def stepped_flip(group, graph, cone, facet):
                 break
             cur = nxt
         else:
-            raise AssertionError(f"unbounded shift across facet {facet}")
+            raise AssertionError(f"unbounded shift across facet {(e, f)}")
         shifted.append(cur)
     return tuple(shifted)
 

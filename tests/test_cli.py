@@ -199,6 +199,22 @@ QUERY_SHA256 = {
         "ssgraph": "94584f1b6a0d5d43bbe82b1b6678c5d444f885e4e2f0df87739f7ea6917ffe2a",
         "transforms": "4ab4fa3b60933d73727eec5d9d6e81aef35df89a214663b05a6c8cd0a3324bd2",
     },
+    # unreduced generators: the lcm N of the generator orders differs from |G|
+    # (N = 4, |G| = 2 and N = 6, |G| = 3)
+    "4:0,2,2": {
+        "fan": "86272d59cce92d181d1e7b8b4e77cf50e41dc84e7c55faf66f3f4504c984a048",
+        "reid": "67cc57bc0c8bc68a9f83e7dc9488ed067c16ed6842d54b028769b9c580e38768",
+        "quiver": "ddbc33c206635cb6c0ae079fa71f4c096a8a9e814932bdf63d8f9012b0082176",
+        "ssgraph": "716237a8329fafb15fe5ed19abf3e246ee433d4ea351924afb584568ca1eb788",
+        "transforms": "d2da2b7cd7edb4070a9dc0b7a710e7585b320157554e6bf9d15e022fc4978a7e",
+    },
+    "6:2,2,2": {
+        "fan": "ebd4ea58a5075037e656f50a0f9752c5159f0816fa8d4b1506e25b42c46bd2ec",
+        "reid": "5394f977cdb2717d28cd6738d3d9dd2f7efa8a6ecbde53f062e1293a3a1ffbfa",
+        "quiver": "2d312ecb155e42ae0b38b41cea597c3f9e1c6ab51bd1e3aa500c610ecc84500e",
+        "ssgraph": "29621a0973c534f1a8c515f8b114c4930f654de15ddad14972e1df565cabfb8d",
+        "transforms": "a228aa7a6fc639bd6ace99a7e3b806a894f86f71f4568746a3d57cdb896a211b",
+    },
 }
 
 

@@ -88,14 +88,16 @@ def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
     flips = []
     original = ghilb.flip_ggraph
 
-    def counted(group, graph, cone, facet):
-        flips.append(frozenset(facet))
-        return original(group, graph, cone, facet)
+    def counted(group, graph, e, f, g):
+        flips.append(frozenset((e, f)))
+        return original(group, graph, e, f, g)
 
     monkeypatch.setattr(ghilb, "flip_ggraph", counted)
     group = parse_group_spec(spec)
     fan = build_fan(group)
-    interior = {frozenset(fan.rays[ri] for ri in e.rays) for e in fan.interior_edges()}
+    interior = {
+        frozenset(fan.scaled_rays[ri] for ri in e.rays) for e in fan.interior_edges()
+    }
     assert len(flips) == len(set(flips)) == group.order - 1
     assert set(flips) <= interior
 
@@ -105,7 +107,7 @@ def test_flip_to_a_found_cluster_is_inconsistent(monkeypatch, p13):
     the wall."""
     from mckay_lab import ghilb
 
-    monkeypatch.setattr(ghilb, "flip_ggraph", lambda group, graph, cone, facet: graph)
+    monkeypatch.setattr(ghilb, "flip_ggraph", lambda group, graph, e, f, g: graph)
     with pytest.raises(InconsistentCharts, match="the flip across wall .* already found"):
         build_fan(p13.group)
 
@@ -118,11 +120,12 @@ def test_flip_to_a_cone_without_the_wall_is_inconsistent(monkeypatch, p13):
     fan = p13.fan
     reached = {seed_ggraph(p13.group)}
 
-    def elsewhere(group, graph, cone, facet):
+    def elsewhere(group, graph, e, f, g):
         ci = next(
             ci
-            for ci, g in enumerate(fan.ggraphs)
-            if g not in reached and not set(facet) <= set(fan.cones[ci].rays)
+            for ci, h in enumerate(fan.ggraphs)
+            if h not in reached
+            and not {e, f} <= {fan.scaled_rays[ri] for ri in fan.cone_rays[ci]}
         )
         reached.add(fan.ggraphs[ci])
         return GGraph(group, fan.ggraphs[ci].row)
@@ -364,11 +367,11 @@ def test_flip_matches_stepping(group):
     the next step leaves the octant, across every interior facet."""
     fan = build_fan(group)
     for edge in fan.interior_edges():
-        facet = tuple(fan.rays[ri] for ri in edge.rays)
+        e, f = (fan.scaled_rays[ri] for ri in edge.rays)
         for ci in edge.cones:
-            graph, cone = fan.ggraphs[ci], fan.cones[ci]
-            flipped = flip_ggraph(group, graph, cone, facet)
-            assert flipped.row == stepped_flip(group, graph, cone, facet)
+            (g,) = (fan.scaled_rays[ri] for ri in fan.cone_rays[ci] if ri not in edge.rays)
+            flipped = flip_ggraph(group, fan.ggraphs[ci], e, f, g)
+            assert flipped.row == stepped_flip(group, fan.ggraphs[ci], e, f, g)
 
 
 def test_unbounded_flip_is_exhausted(monkeypatch, p3):
@@ -384,13 +387,14 @@ def test_unbounded_flip_is_exhausted(monkeypatch, p3):
     )
     cone = Cone((center, y, z))  # the facet (center, y) is positive on z
     graph = p3.fan.ggraphs[p3.fan.cone_index(cone)]
+    scaled = (center.scaled(3), y.scaled(3), z.scaled(3))  # the wall, then z
     monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (1, 1, 1))
     with pytest.raises(SearchExhausted, match="unbounded shift"):
-        flip_ggraph(p3.group, graph, cone, (center, y))
+        flip_ggraph(p3.group, graph, *scaled)
     monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (-1, 1, 1))
     far = SimpleNamespace(row=((3 * 3 + 1, 0, 0),))
     with pytest.raises(SearchExhausted, match="unbounded shift"):
-        flip_ggraph(p3.group, far, cone, (center, y))
+        flip_ggraph(p3.group, far, *scaled)
 
 
 def test_cone_of_ggraph_examples(p3, p4, trivial_group):
@@ -485,7 +489,7 @@ def test_disagreeing_charts_are_rejected(p13):
     ggraphs = list(p13.fan.ggraphs)
     ggraphs[ci], ggraphs[cj] = ggraphs[cj], ggraphs[ci]
     with pytest.raises(InconsistentCharts):
-        GHilbFan(p13.group, ggraphs, list(p13.fan.cones))
+        GHilbFan(p13.group, ggraphs, p13.fan.cone_rays, p13.fan.cones)
 
 
 def test_tautological_degree_examples(p3, p4):
@@ -535,3 +539,36 @@ def test_cone_membership_oracle(p13):
             ri for ri, s in enumerate(scaled) if all(dot3(a, s) >= 0 for a in normals)
         }
         assert inside == set(fan.cone_rays[ci])
+
+
+# every comparison and arithmetic operator Fraction defines
+FRACTION_OPERATORS = (
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__pos__", "__neg__", "__abs__",
+)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_build_fan_makes_no_fraction_comparison_or_arithmetic(monkeypatch, spec):
+    """On a parsed group the fan is built on junior-table indices and integer
+    triples: with every Fraction operator raising, the junior table and the
+    fan still build, equal to a build without the patch."""
+    reference = build_fan(parse_group_spec(spec))
+    group = parse_group_spec(spec)
+    assert group._junior_table is None  # built under the patch
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was compared or computed with")
+
+    with monkeypatch.context() as patch:
+        for name in FRACTION_OPERATORS:
+            if name in vars(Fraction):
+                patch.setattr(Fraction, name, refuse)
+        fan = build_fan(group)
+    assert fan.cone_rays == reference.cone_rays
+    assert [g.row for g in fan.ggraphs] == [g.row for g in reference.ggraphs]
+    assert fan.carving_vectors == reference.carving_vectors
+    assert [r.coords for r in fan.rays] == [r.coords for r in reference.rays]

@@ -1,22 +1,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mckay_lab import (
     Cone,
     WeightVector,
-    cone_is_unimodular,
     group_from_generators,
     junior_points,
     parse_group_spec,
 )
 from mckay_lab.errors import DegenerateCone
 from mckay_lab.intlin import primitive
-from mckay_lab.lattice import junior_table
+from mckay_lab.lattice import CORNERS as CORNER_COORDS, junior_table
 
-from conftest import small_groups
+from conftest import REDUNDANT_PRESENTATIONS, RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from oracles import (
+    cone_is_unimodular,
+    junior_table_by_fractions,
     cyclic_junior_count,
     cyclic_juniors,
     in_lattice_by_pairing,
@@ -147,3 +148,27 @@ def test_scaled_is_kept_per_scale():
     assert p.scaled(8) == (2, 2, 4)
     assert p == wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     assert hash(p) == hash(wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        small_groups,
+        st.sampled_from(
+            SQUARE_PRODUCTS + RECTANGULAR_PRODUCTS + list(REDUNDANT_PRESENTATIONS)
+        ).map(parse_group_spec),
+    )
+)
+@example(parse_group_spec("4:0,2,2"))  # N = 4, |G| = 2
+@example(parse_group_spec("6:2,2,2"))  # N = 6, |G| = 3
+def test_integer_junior_table_matches_the_fraction_sort(group):
+    """The table read off the integer element walk equals the one built by
+    sorting Fraction points, key for key and coordinate for coordinate; its
+    points hold the group's own coordinate tuples and already keep n*e."""
+    table = junior_table(group)
+    reference = junior_table_by_fractions(group)
+    assert list(table) == list(reference)
+    assert [p.coords for p in table.values()] == [p.coords for p in reference.values()]
+    own = {id(coords) for coords in group.elements + CORNER_COORDS}
+    assert all(id(p.coords) in own for p in table.values())
+    assert all(p.__dict__["_scaled"] == {group.order: key} for key, p in table.items())

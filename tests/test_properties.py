@@ -28,7 +28,7 @@ def test_fan_structure(gen):
     assert len(fan.cones) == n
     assert set(fan.rays) == set(junior_points(group))
     # volumes of unimodular cones cover the whole simplex
-    from mckay_lab import cone_is_unimodular
+    from oracles import cone_is_unimodular
 
     assert all(cone_is_unimodular(group, c) for c in fan.cones)
 

@@ -271,6 +271,9 @@ REPORT_SHA256 = {
     "79:1,11,67": "03785fdbdac8768e63bfec7a90d497841fdc5fbcd343f86d58366c3b40b0865e",
     "72:1,1,70": "bb27bebbb078717f01e694b3bc39f47ee135fc60a5f2596cb9ba23de51438dc3",
     "8:1,7,0+8:0,1,7": "860c74b0670169cfaed6ba554e02d65da03799f2f42340f570c4914201ebb196",
+    # unreduced generators: the lcm N of the generator orders differs from |G|
+    "4:0,2,2": "03301d26b6668437891d74f43930b7aafb76be6edcb7ca60eceb31e6783e467f",
+    "6:2,2,2": "1e41cf4c0ce991dfada31debe5a92d8ff69cfe0dfbe51caf1c4d6e3a247d5b52",
 }
 
 
