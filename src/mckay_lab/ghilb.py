@@ -40,13 +40,8 @@ from .errors import (
     SearchExhausted,
     UnknownCone,
 )
-from .groups import (
-    Character,
-    GroupData,
-    Monomial,
-    MONO_ONE,
-)
-from .intlin import cross3, det3, dot3, primitive, primitive_signed
+from .groups import Character, GroupData, Monomial, MONO_ONE, mono_str
+from .intlin import cross3, det3, dot3, primitive_signed
 from .lattice import Cone, WeightVector, junior_table
 
 
@@ -60,7 +55,6 @@ class GGraph:
         self.row: tuple[Monomial, ...] = tuple(row)
         # the sum S of the monomials: (n*e).S is the chart's height at e
         self.total = tuple(map(sum, zip(*self.row)))
-        self._normals: list[tuple[int, int, int]] | None = None  # ggraph_inequalities
         self._cone: Cone | None = None  # cone_of_ggraph: the cone and its ray indices
         self._cone_rays: tuple[int, int, int] | None = None
         self._validate()
@@ -79,8 +73,6 @@ class GGraph:
         return hash(self.row)
 
     def __repr__(self) -> str:
-        from .groups import mono_str
-
         return "{" + ", ".join(mono_str(m) for m in sorted(self.row)) + "}"
 
     def _validate(self) -> None:
@@ -159,9 +151,9 @@ class GHilbFan:
 
     Besides the charts it holds the integer facts every later layer reads:
     the scaled rays n*e, the divisor table n*q (one row per ray, indexed
-    like group.characters) and one carving vector per interior edge
-    (lexicographic sign, keyed by the edge's ray pair).  Each cone comes as
-    its ascending ray indices, which the checks read, and as a `Cone` view."""
+    like group.characters) and one carving vector per interior edge, by ray
+    pair, positive on the far ray of the edge's first cone.  Each cone comes
+    as its ascending ray indices, which the checks read, and as a `Cone` view."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays, cones: list[Cone]):
         self.group = group
@@ -181,18 +173,19 @@ class GHilbFan:
         self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
         self._cone_index = {rays: ci for ci, rays in enumerate(self.cone_rays)}
         self._interior_edges = tuple(e for e in self.edges if not e.is_boundary)
-        # a corner is the one junior point with a coordinate n
+        # a corner has a coordinate n, an interior point no coordinate 0
         self._exceptional = tuple(i for i, s in enumerate(self.scaled_rays) if n not in s)
+        self._interior_rays = tuple(i for i, s in enumerate(self.scaled_rays) if 0 not in s)
         self._validate()
         self.q = DivisorCoefficients(self)
-        self.carving_vectors = {
-            e.rays: invariant_perpendicular(
-                group, self.scaled_rays[e.rays[0]], self.scaled_rays[e.rays[1]]
-            )
-            for e in self._interior_edges
-        }
+        scaled = self.scaled_rays
+        self.carving_vectors: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for edge in self._interior_edges:
+            i, j = edge.rays
+            w = invariant_perpendicular(group, scaled[i], scaled[j])
+            (far,) = set(self.cone_rays[edge.cones[0]]) - {i, j}  # w is not 0 there: unimodular
+            self.carving_vectors[i, j] = w if dot3(scaled[far], w) > 0 else tuple(-v for v in w)
         self._carving_ratios: dict = {}  # reid.carving_ratio, by edge.rays
-        self._oriented_vectors: dict = {}  # _oriented_edge_vector, by edge.rays
 
     # -- lookups ------------------------------------------------------------
 
@@ -235,6 +228,10 @@ class GHilbFan:
         """Rays of exceptional divisors: the non-corner junior points."""
         return self._exceptional
 
+    def interior_ray_indices(self) -> tuple[int, ...]:
+        """Rays of compact exceptional divisors: the junior points off the boundary."""
+        return self._interior_rays
+
     # -- construction helpers -----------------------------------------------
 
     def _collect_edges(self) -> tuple[FanEdge, ...]:
@@ -272,16 +269,16 @@ class GHilbFan:
             if abs(d) != n * n:
                 raise FanValidationFailed(f"non-unimodular cone {self.cones[ci]}")
         for edge in self.edges:
-            e, f = (scaled[ri] for ri in edge.rays)
-            geometric_boundary = not ((e[0] or f[0]) and (e[1] or f[1]) and (e[2] or f[2]))
-            if geometric_boundary != (len(edge.cones) == 1) or len(edge.cones) > 2:
+            i, j = edge.rays
+            if len(edge.cones) != (2 if spans_interior_edge(scaled[i], scaled[j]) else 1):
                 raise FanValidationFailed(
                     f"edge {edge.rays} is glued by {len(edge.cones)} cones"
                 )
+        interior = set(self._interior_rays)
         for ri in range(len(self.rays)):
-            self._validate_link(ri)
+            self._validate_link(ri, ri not in interior)
 
-    def _validate_link(self, ray_idx: int) -> None:
+    def _validate_link(self, ray_idx: int, on_boundary: bool) -> None:
         """The triangles around a vertex must close into a disc (or half-disc)."""
         cones_here = self.cones_at_ray(ray_idx)
         degree: dict[int, int] = {}
@@ -291,7 +288,6 @@ class GHilbFan:
                     degree[other] = degree.get(other, 0) + 1
         odd = [v for v, d in degree.items() if d == 1]
         bad = [v for v, d in degree.items() if d > 2]
-        on_boundary = 0 in self.scaled_rays[ray_idx]
         if bad or (len(odd) != 0 if not on_boundary else len(odd) != 2):
             raise FanValidationFailed(f"bad vertex link at ray {self.rays[ray_idx]}")
         # single component: walk the link graph
@@ -325,19 +321,20 @@ def seed_ggraph(group: GroupData) -> GGraph:
     divisor of a minimizer is the minimizer of its own character.  Since xyz
     is invariant, x and y generate the characters, so each minimizer is z-free
     (x^i y^j with i, j < n weighs less than n^2) and is the first x^i y^j of
-    its character in (j, i) order.
+    its character in (j, i) order, stepped to along x and y by the arrow table.
     """
     n = group.order
-    index = group.index
+    heads = group.head_rows
     row: list[Monomial | None] = [None] * n
-    left = n
-    for m in ((i, j, 0) for j in range(n) for i in range(n)):
-        k = index[group.kappa(m)]
-        if row[k] is None:
-            row[k] = m
-            left -= 1
-            if not left:
-                break
+    k = group.index[group.trivial_character]
+    for j in range(n):
+        for i in range(n):  # n steps along x lead back to the position of y^j
+            if row[k] is None:
+                row[k] = (i, j, 0)
+            k = heads[k][0]
+        if None not in row:
+            break
+        k = heads[k][1]
     return GGraph(group, row)
 
 
@@ -446,9 +443,14 @@ def _interior_walls(triple, scaled):
     pair and the index of the third ray."""
     a, b, c = triple
     for i, j, g in ((a, b, c), (a, c, b), (b, c, a)):
-        e, f = scaled[i], scaled[j]
-        if (e[0] or f[0]) and (e[1] or f[1]) and (e[2] or f[2]):
+        if spans_interior_edge(scaled[i], scaled[j]):
             yield (i, j), g
+
+
+def spans_interior_edge(e, f) -> bool:
+    """Whether two scaled junior points n*e, n*f span an edge off the
+    octant's boundary: no coordinate vanishes on both."""
+    return bool((e[0] or f[0]) and (e[1] or f[1]) and (e[2] or f[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,46 +529,6 @@ def _height_rays(group: GroupData, total) -> list[int]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# border monomials: an independent cut of each cluster's cone
-
-
-def ggraph_inequalities(group: GroupData, graph: GGraph) -> list[tuple[int, int, int]]:
-    """Integer normals a with the cone of the cluster equal to {v >= 0, a.v >= 0}.
-
-    One normal b - r per border monomial b = x_i*m outside the cluster (m in
-    the cluster, r the representative of b's character, read off the arrow
-    table): every monomial outside the cluster is a multiple of a border
-    monomial.  Normals that are nonnegative throughout are implied by the
-    octant and dropped; the rest are deduplicated up to positive scaling.
-    The normals are computed once per cluster and kept on it.
-    """
-    if graph._normals is None:
-        graph._normals = _border_normals(group, graph)
-    return graph._normals
-
-
-def _border_normals(group: GroupData, graph: GGraph) -> list[tuple[int, int, int]]:
-    row, heads = graph.row, group.head_rows
-    normals = []
-    seen = set()
-    for k in sorted(range(len(row)), key=row.__getitem__):
-        m = row[k]
-        for i, h in enumerate(heads[k]):
-            b = (m[0] + (i == 0), m[1] + (i == 1), m[2] + (i == 2))
-            r = row[h]
-            if r == b:
-                continue
-            vec = (b[0] - r[0], b[1] - r[1], b[2] - r[2])
-            if min(vec) >= 0:
-                continue
-            key = primitive(vec)
-            if key not in seen:
-                seen.add(key)
-                normals.append(vec)
-    return normals
-
-
 def build_fan(group: GroupData) -> GHilbFan:
     """Enumerate all clusters, take their cones, and assemble the validated
     fan, its cones in the lex order of their ray-index triples."""
@@ -600,13 +562,13 @@ def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> list[int]:
     of an edge, in the order of group.characters.
 
     With r, r' the chart generators on the two sides, r'/r = (m'/m)^k for the
-    carving ratio m:m' oriented positively against the far ray of the first
-    chart; the degree is that k, and it is never negative.
+    edge's carving vector m' - m, positive on the far ray of the first chart;
+    the degree is that k, and it is never negative.
     """
     if edge.is_boundary:
         raise BoundaryEdge(f"edge {edge.rays} has a single chart")
     row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
-    w = _oriented_edge_vector(fan, edge)
+    w = fan.carving_vectors[edge.rays]
     i = next(i for i, v in enumerate(w) if v)
     degrees = []
     for r, r2 in zip(row, row2):
@@ -620,22 +582,4 @@ def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> list[int]:
             raise MultiplicityOutOfRange(f"negative tautological degree {k} across {edge.rays}")
         degrees.append(k)
     return degrees
-
-
-def _oriented_edge_vector(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
-    """Primitive generator of M perpendicular to the edge, positive on the
-    far ray of the first adjacent cone; oriented once per edge and kept on
-    the fan."""
-    if edge.rays not in fan._oriented_vectors:
-        fan._oriented_vectors[edge.rays] = _orient_edge(fan, edge)
-    return fan._oriented_vectors[edge.rays]
-
-
-def _orient_edge(fan: GHilbFan, edge: FanEdge) -> tuple[int, int, int]:
-    w = fan.carving_vectors[edge.rays]
-    far = [ri for ri in fan.cone_rays[edge.cones[0]] if ri not in edge.rays][0]
-    val = dot3(fan.scaled_rays[far], w)
-    if val == 0:
-        raise MultiplicityOutOfRange("carving direction degenerate on the far ray")
-    return w if val > 0 else tuple(-v for v in w)
 

@@ -238,7 +238,7 @@ class QuiverAnalysis:
         """The classes on every divisor; the charge lines and the shape only
         on interior ones, where the shapes are theorems."""
         ss = SinkSourceGraph(ray_index=ray_idx, classes=self.classes(ray_idx))
-        if self.fan.rays[ray_idx].is_interior:
+        if 0 not in self.fan.scaled_rays[ray_idx]:  # an interior ray
             self._walk_lines(ss)
             self._detect_shape(ss)
         return ss

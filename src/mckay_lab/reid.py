@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     BoundaryEdge,
@@ -80,9 +81,10 @@ def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
 
 
 def _carving_ratio(fan: GHilbFan, rays: tuple[int, int]) -> CarvingRatio:
-    u = fan.carving_vectors[rays]  # first nonzero entry positive
-    m1 = tuple(max(v, 0) for v in u)
-    m2 = tuple(max(-v, 0) for v in u)
+    u = fan.carving_vectors[rays]
+    s = 1 if next(v for v in u if v) > 0 else -1  # lexicographic: m1 has the first variable
+    m1 = tuple(max(s * v, 0) for v in u)
+    m2 = tuple(max(-s * v, 0) for v in u)
     group = fan.group
     chi = group.kappa(m1)
     if chi != group.kappa(m2):
@@ -92,10 +94,17 @@ def _carving_ratio(fan: GHilbFan, rays: tuple[int, int]) -> CarvingRatio:
 
 def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
     """Classify a non-corner junior point and compute its marking."""
-    if vertex.is_corner:
+    n = fan.group.order
+    # d*e in integers: d = n, as the fan keeps it, for a point of the group's
+    # lattice; a multiple of n for any other point, which scales the same way
+    d = lcm(n, *(v.denominator for v in vertex.coords))
+    scaled = vertex.scaled(d)
+    if d in scaled:
         raise UnclassifiableVertex(f"{vertex} is a corner of the simplex")
-    if vertex.is_boundary:
+    if 0 in scaled:
         return VertexCase(tag="boundary", valency=0, markings=())
+    if d != n:
+        raise UnclassifiableVertex(f"{vertex} is not a point of the group's lattice")
 
     ray_idx = fan.ray_index(vertex)
     edges = fan.edges_at_ray(ray_idx)  # all interior: the vertex is interior
@@ -226,17 +235,15 @@ def regular_triangle_defect(fan: GHilbFan, cone_index: int) -> int:
     """The exponent r' with the three edge ratios multiplying to (xyz)^r'.
 
     Defined for maximal cones all of whose edges are interior; searches the
-    eight orientation choices of the three carving directions.
+    eight orientation choices of the three carving vectors.
     """
-    triple = fan.cone_rays[cone_index]
+    a, b, c = triple = fan.cone_rays[cone_index]
     vectors = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            edge = fan.edge_between(triple[a], triple[b])
-            if edge.is_boundary:
-                raise BoundaryEdge(f"cone {triple} has boundary edge {edge.rays}")
-            ratio = carving_ratio(fan, edge)
-            vectors.append(tuple(x - y for x, y in zip(ratio.m1, ratio.m2)))
+    for i, j in ((a, b), (a, c), (b, c)):
+        edge = fan.edge_between(i, j)
+        if edge.is_boundary:
+            raise BoundaryEdge(f"cone {triple} has boundary edge {edge.rays}")
+        vectors.append(fan.carving_vectors[edge.rays])
     return product_defect(vectors)
 
 

@@ -23,6 +23,7 @@ def fraction_str(value) -> str:
 
 def fan_payload(fan: GHilbFan) -> dict:
     """The fan as plain JSON-ready data."""
+    n = fan.group.order
     return {
         "format": FAN_FORMAT,
         "group": fan.group.spec_string(),
@@ -30,10 +31,10 @@ def fan_payload(fan: GHilbFan) -> dict:
         "rays": [
             {
                 "coords": [fraction_str(v) for v in ray.coords],
-                "corner": ray.is_corner,
-                "boundary": ray.is_boundary,
+                "corner": n in s,
+                "boundary": 0 in s,
             }
-            for ray in fan.rays
+            for ray, s in zip(fan.rays, fan.scaled_rays)
         ],
         "cones": [
             {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .ghilb import GHilbFan, _oriented_edge_vector, build_fan, tautological_degrees
+from .ghilb import GHilbFan, build_fan, spans_interior_edge, tautological_degrees
 from .groups import Character, GroupData, Monomial, mono_divides
 from .intlin import dot3
 from .quiver import ORIENTATIONS, QuiverAnalysis, SINK30
@@ -142,9 +142,7 @@ class GroupVerification:
     # -- shapes against vertex cases (per interior divisor) ----------------
 
     def _check_divisors(self) -> None:
-        for ri in self.fan.exceptional_ray_indices():
-            if not self.fan.rays[ri].is_interior:
-                continue
+        for ri in self.fan.interior_ray_indices():
             entry = self._shape_entry(ri)
             if not entry["pass"]:
                 self._fail(f"divisor at ray {ri}: shape/case mismatch")
@@ -156,8 +154,7 @@ class GroupVerification:
         case = self.marked.vertex_cases[ray_idx]
         ratio_multiset = sorted(
             tuple(sorted(self.marked.edge_ratios[edge.rays].pair))
-            for edge in fan.edges_at_ray(ray_idx)
-            if not edge.is_boundary
+            for edge in fan.edges_at_ray(ray_idx)  # all interior, as the ray is
         )
         entry = {
             "ray": ray_idx,
@@ -394,7 +391,7 @@ class GroupVerification:
         for ri in self.fan.exceptional_ray_indices():
             ss = self.qa.sink_source_graph(ri)
             sinks = ss.sink03_vertices()
-            if self.fan.rays[ri].is_interior:
+            if 0 not in self.fan.scaled_rays[ri]:
                 if sinks != [self.group.index[self.group.trivial_character]]:
                     return False
                 if ss.shape in ("A", "B") and ss.sink30_count != 1:
@@ -424,10 +421,11 @@ class GroupVerification:
     def _prop_triangle_defects(self) -> bool:
         """r' >= 0 on every triangle whose three edges are interior."""
         fan = self.fan
+        s = fan.scaled_rays
         return all(
             regular_triangle_defect(fan, ci) >= 0
             for ci, (a, b, c) in enumerate(fan.cone_rays)
-            if not any(fan.edge_between(*e).is_boundary for e in ((a, b), (a, c), (b, c)))
+            if all(spans_interior_edge(s[i], s[j]) for i, j in ((a, b), (a, c), (b, c)))
         )
 
     def _prop_cone_oracle(self) -> bool:
@@ -448,8 +446,7 @@ class GroupVerification:
                     return False
                 slacks.append(slack)
             for i, j, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                e, f = rays[i], rays[j]
-                if all(e[k] or f[k] for k in range(3)) and not any(
+                if spans_interior_edge(rays[i], rays[j]) and not any(
                     not si and not sj and st
                     for si, sj, st in zip(slacks[i], slacks[j], slacks[third])
                 ):
@@ -503,8 +500,9 @@ class GroupVerification:
     def _prop_corner_support(self) -> bool:
         """No character's three arrows all vanish along a corner ray, in
         either direction: supports stay off the strict-transform planes."""
-        for ri, ray in enumerate(self.fan.rays):
-            if ray.is_corner:
+        n = self.group.order
+        for ri, s in enumerate(self.fan.scaled_rays):
+            if n in s:
                 (x, y, z), (ix, iy, iz) = self.qa.masks(ri)
                 if x & y & z or ix & iy & iz:
                     return False
@@ -533,9 +531,7 @@ class GroupVerification:
             "order": n,
             "rays": len(self.fan.rays),
             "cones": len(self.fan.cones),
-            "interior_divisors": sum(
-                1 for r in self.fan.rays if r.is_interior and not r.is_corner
-            ),
+            "interior_divisors": len(self.fan.interior_ray_indices()),
             "per_character": self.per_character,
             "per_divisor": self.per_divisor,
             "properties": self.properties,
@@ -566,7 +562,7 @@ def _lengths_for_report(lengths):
 
 def _oriented_carving_pair(fan: GHilbFan, edge):
     """Carving pair (m, m') with m the generator side of the first chart."""
-    w = _oriented_edge_vector(fan, edge)
+    w = fan.carving_vectors[edge.rays]
     return tuple(max(-v, 0) for v in w), tuple(max(v, 0) for v in w)
 
 

@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 from mckay_lab.errors import DegenerateCone, NotInLattice, NotInSL3
-from mckay_lab.ghilb import ggraph_inequalities, invariant_perpendicular
+from mckay_lab.ghilb import invariant_perpendicular
 from mckay_lab.groups import MONO_ONE, Character, mono_divides
 from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
 from mckay_lab.lattice import CORNERS, WeightVector, junior_table
@@ -114,6 +114,35 @@ def minimal_monomials(group):
         if not any(mono_divides(p, m) for p in minimal):
             minimal.append(m)
     return result
+
+
+def ggraph_inequalities(group, graph):
+    """Integer normals a with the cone of the cluster equal to {v >= 0, a.v >= 0}.
+
+    One normal b - r per border monomial b = x_i*m outside the cluster (m in
+    the cluster, r the representative of b's character, read off the arrow
+    table): every monomial outside the cluster is a multiple of a border
+    monomial.  Normals that are nonnegative throughout are implied by the
+    octant and dropped; the rest are deduplicated up to positive scaling.
+    """
+    row, heads = graph.row, group.head_rows
+    normals = []
+    seen = set()
+    for k in sorted(range(len(row)), key=row.__getitem__):
+        m = row[k]
+        for i, h in enumerate(heads[k]):
+            b = (m[0] + (i == 0), m[1] + (i == 1), m[2] + (i == 2))
+            r = row[h]
+            if r == b:
+                continue
+            vec = (b[0] - r[0], b[1] - r[1], b[2] - r[2])
+            if min(vec) >= 0:
+                continue
+            key = primitive(vec)
+            if key not in seen:
+                seen.add(key)
+                normals.append(vec)
+    return normals
 
 
 def minimal_monomial_normals(group, graph):

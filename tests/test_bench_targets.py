@@ -11,8 +11,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 BENCHMARK = ROOT / "BENCHMARK.json"
 
-# retired with the minimal-monomial table; its metric ghilb.minimal_s reads 0
-RETIRED = {("ghilb", "_minimal_by_character")}
+# retired with the minimal-monomial table; its metric ghilb.minimal_s reads 0.
+# ggraph_inequalities, the border-normal cut, moved to tests/oracles.py: no
+# runtime path called it, and ghilb.inequalities and ghilb.inequalities_calls
+# already read 0 on every workload before it moved.
+RETIRED = {("ghilb", "_minimal_by_character"), ("ghilb", "ggraph_inequalities")}
 
 
 def _load_tracer():

@@ -28,7 +28,6 @@ from mckay_lab.ghilb import (
     GHilbFan,
     divisor_table,
     flip_ggraph,
-    ggraph_inequalities,
     seed_ggraph,
 )
 from mckay_lab.groups import GroupData
@@ -41,6 +40,7 @@ from oracles import (
     divisor_q,
     extreme_rays_clipped,
     extreme_rays_dd,
+    ggraph_inequalities,
     is_cluster_by_kappa,
     minimal_monomial_normals,
     naive_ggraphs,
@@ -145,10 +145,10 @@ def test_cone_rays_are_the_fan_rays(spec):
 @pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
 def test_each_cone_is_extracted_once(monkeypatch, spec):
     """build_fan asks for each cluster's cone twice but scans the heights
-    once per cluster, and cuts nothing by border normals."""
+    once per cluster."""
     from mckay_lab import ghilb
 
-    calls = {"cone": 0, "scan": 0, "normals": 0}
+    calls = {"cone": 0, "scan": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -159,10 +159,9 @@ def test_each_cone_is_extracted_once(monkeypatch, spec):
 
     monkeypatch.setattr(ghilb, "cone_of_ggraph", counting("cone", ghilb.cone_of_ggraph))
     monkeypatch.setattr(ghilb, "_height_rays", counting("scan", ghilb._height_rays))
-    monkeypatch.setattr(ghilb, "_border_normals", counting("normals", ghilb._border_normals))
     group = parse_group_spec(spec)
     fan = build_fan(group)
-    assert calls == {"cone": 2 * group.order, "scan": group.order, "normals": 0}
+    assert calls == {"cone": 2 * group.order, "scan": group.order}
     assert all(cone_of_ggraph(group, g) is c for g, c in zip(fan.ggraphs, fan.cones))
 
 
@@ -243,7 +242,8 @@ def test_tail_check_matches_kappa_and_closure(group):
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
 def test_fan_build_calls_kappa_for_seed_and_carving_only(monkeypatch, spec):
     """Flipped clusters are checked by the tail table, cones by the arrow
-    table: the seed search and the carving vectors are kappa's only callers."""
+    table, the seed by the head table: the carving vectors are kappa's only
+    caller."""
     group = parse_group_spec(spec)
     callers = []
     kappa = GroupData.kappa
@@ -254,7 +254,7 @@ def test_fan_build_calls_kappa_for_seed_and_carving_only(monkeypatch, spec):
 
     monkeypatch.setattr(GroupData, "kappa", counted)
     build_fan(group)
-    assert set(callers) == {"seed_ggraph", "invariant_perpendicular"}
+    assert set(callers) == {"invariant_perpendicular"}
 
 
 @settings(max_examples=20, deadline=None)
@@ -572,3 +572,26 @@ def test_build_fan_makes_no_fraction_comparison_or_arithmetic(monkeypatch, spec)
     assert [g.row for g in fan.ggraphs] == [g.row for g in reference.ggraphs]
     assert fan.carving_vectors == reference.carving_vectors
     assert [r.coords for r in fan.rays] == [r.coords for r in reference.rays]
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "72:1,1,70", "3:1,2,0+3:0,1,2"])
+def test_verify_and_fan_json_make_no_fraction_comparison_or_arithmetic(monkeypatch, spec):
+    """Every reader of a ray's kind (corner, boundary, interior) reads it off
+    n*e: with every Fraction operator raising, the verify report and the fan
+    JSON come out byte for byte as without the patch."""
+    from mckay_lab import verify_group
+    from mckay_lab.serialize import fan_json, report_json
+
+    reference = parse_group_spec(spec)
+    expected = (report_json(verify_group(reference)), fan_json(build_fan(reference)))
+    group = parse_group_spec(spec)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was compared or computed with")
+
+    with monkeypatch.context() as patch:
+        for name in FRACTION_OPERATORS:
+            if name in vars(Fraction):
+                patch.setattr(Fraction, name, refuse)
+        got = (report_json(verify_group(group)), fan_json(build_fan(group)))
+    assert got == expected

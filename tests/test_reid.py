@@ -1,16 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckay_lab import (
+    build_fan,
     carving_ratio,
     classify_fan_vertex,
+    parse_group_spec,
     regular_triangle_defect,
     vertex_marking,
 )
 from mckay_lab.errors import BoundaryEdge, UnclassifiableVertex
+from mckay_lab.intlin import dot3
+from mckay_lab.lattice import WeightVector
 from mckay_lab.reid import product_defect
 
+from conftest import SQUARE_PRODUCTS, small_groups
 from oracles import brute_carving_vector
 
 f = Fraction
@@ -73,6 +80,14 @@ def test_classification_examples(p3, p4, trivial_group):
     corner = p4.fan.rays[p4.ray((1, 0, 0))]
     with pytest.raises(UnclassifiableVertex):
         classify_fan_vertex(p4.fan, corner)
+
+
+def test_classification_off_the_group_lattice(p3):
+    """A point off the group's lattice keeps the corner and boundary tests:
+    on the boundary it is a boundary vertex, inside it is refused."""
+    assert classify_fan_vertex(p3.fan, WeightVector((f(1, 2), f(1, 2), f(0)))).tag == "boundary"
+    with pytest.raises(UnclassifiableVertex, match="lattice"):
+        classify_fan_vertex(p3.fan, WeightVector((f(1, 2), f(1, 4), f(1, 4))))
 
 
 def test_vertex_markings(p3, p4, p6, p13):
@@ -140,3 +155,34 @@ def test_regular_triangle_defect_on_interior_cones():
         defects.append(regular_triangle_defect(fan, ci))
     # 1/7(1,2,4) has four all-interior triangles, each basic: defect 1
     assert defects == [1, 1, 1, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_groups, st.sampled_from(SQUARE_PRODUCTS).map(parse_group_spec)))
+def test_each_edge_has_one_oriented_carving_vector(group):
+    """Each interior edge's carving vector vanishes on its two rays, is
+    positive on the far ray of its first cone and negative on that of its
+    second, and its lexicographically positive sign is the ratio's m1 - m2;
+    the triangle defect does not depend on the sign of any one vector."""
+    fan = build_fan(group)
+    scaled = fan.scaled_rays
+    for edge in fan.interior_edges():
+        w = fan.carving_vectors[edge.rays]
+        assert [dot3(scaled[ri], w) for ri in edge.rays] == [0, 0]
+        (near,), (far,) = (
+            [ri for ri in fan.cone_rays[ci] if ri not in edge.rays] for ci in edge.cones
+        )
+        assert dot3(scaled[near], w) > 0 > dot3(scaled[far], w)
+        ratio = carving_ratio(fan, edge)
+        lex = w if next(v for v in w if v) > 0 else tuple(-v for v in w)
+        assert tuple(a - b for a, b in zip(ratio.m1, ratio.m2)) == lex
+    for a, b, c in fan.cone_rays:
+        edges = [fan.edge_between(i, j) for i, j in ((a, b), (a, c), (b, c))]
+        if any(e.is_boundary for e in edges):
+            continue
+        vectors = [fan.carving_vectors[e.rays] for e in edges]
+        defect = product_defect(vectors)
+        for k in range(3):
+            flipped = list(vectors)
+            flipped[k] = tuple(-v for v in vectors[k])
+            assert product_defect(flipped) == defect

@@ -136,19 +136,11 @@ def test_per_edge_degrees_match_the_per_character_reading(group):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
 def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
-    """No cluster's border normals (build_fan reads each cone off the
-    height table, and the cone oracle tests each cluster at its three
-    rays), the quiver triangles once per QuiverAnalysis, and the degrees
-    and the oriented carving vector once per interior edge."""
-    seen = {"normals": [], "triangles": 0, "degrees": [], "oriented": []}
-    normals = mckay_lab.ghilb._border_normals
+    """The quiver triangles once per QuiverAnalysis, and the degrees once
+    per interior edge."""
+    seen = {"triangles": 0, "degrees": []}
     triangles = mckay_lab.quiver.quiver_triangles
     degrees = mckay_lab.verify.tautological_degrees
-    orient = mckay_lab.ghilb._orient_edge
-
-    def count_normals(group, graph):
-        seen["normals"].append(graph)
-        return normals(group, graph)
 
     def count_triangles(group):
         seen["triangles"] += 1
@@ -158,19 +150,11 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
         seen["degrees"].append(edge.rays)
         return degrees(fan, edge)
 
-    def count_orient(fan, edge):
-        seen["oriented"].append(edge.rays)
-        return orient(fan, edge)
-
-    monkeypatch.setattr(mckay_lab.ghilb, "_border_normals", count_normals)
     monkeypatch.setattr(mckay_lab.quiver, "quiver_triangles", count_triangles)
     monkeypatch.setattr(mckay_lab.verify, "tautological_degrees", count_degrees)
-    monkeypatch.setattr(mckay_lab.ghilb, "_orient_edge", count_orient)
     group = parse_group_spec(spec)
     fan = build_fan(group)
     verification = GroupVerification(fan)
     assert verification.passed
-    assert seen["normals"] == []
     assert seen["triangles"] == 1
     assert sorted(seen["degrees"]) == [e.rays for e in fan.interior_edges()]
-    assert sorted(seen["oriented"]) == [e.rays for e in fan.interior_edges()]
