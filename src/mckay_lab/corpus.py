@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from multiprocessing import Pool
@@ -11,6 +12,9 @@ from .errors import McKayLabError
 from .groups import parse_group_spec
 from .serialize import report_json
 from .verify import verify_group
+
+# the histograms of each report's summary, added up over the corpus
+HISTOGRAMS = ("case_histogram", "shape_histogram", "marking_histogram")
 
 
 @dataclass
@@ -92,21 +96,15 @@ def run_corpus(spec: CorpusSpec) -> dict:
     else:
         reports = [_verify_spec(s) for s in specs]
 
-    case_hist: dict[str, int] = {}
-    shape_hist: dict[str, int] = {}
-    marking_hist: dict[str, int] = {}
+    histograms = {key: Counter() for key in HISTOGRAMS}
     failures = []
     per_group = []
     for group_spec, report in zip(specs, reports):
         if "error_type" in report:
             failures.append(report)
             continue
-        for entry in report["per_divisor"]:
-            case_hist[entry["case"]] = case_hist.get(entry["case"], 0) + 1
-            shape_hist[str(entry["shape"])] = shape_hist.get(str(entry["shape"]), 0) + 1
-        for entry in report["per_character"]:
-            klass = entry["marking_class"]
-            marking_hist[klass] = marking_hist.get(klass, 0) + 1
+        for key, counts in histograms.items():
+            counts.update(report["summary"][key])
         if not report["pass"]:
             failures.append({"group": group_spec, "failures": report["failures"]})
         per_group.append(
@@ -124,9 +122,7 @@ def run_corpus(spec: CorpusSpec) -> dict:
         "groups": len(specs),
         "pass": not failures,
         "failures": failures,
-        "case_histogram": dict(sorted(case_hist.items())),
-        "shape_histogram": dict(sorted(shape_hist.items())),
-        "marking_histogram": dict(sorted(marking_hist.items())),
+        **{key: dict(sorted(counts.items())) for key, counts in histograms.items()},
         "per_group": per_group,
     }
 

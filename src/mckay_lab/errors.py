@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
-Errors split into two families: input errors (bad group data, bad arguments)
-and internal verification guards.  The latter fire only when a structural
-fact that the pipeline relies on fails to hold, which on valid input means
-a bug, so they should never be caught and ignored.
+Errors split into two families: input errors (bad group data or arguments,
+a point that is no ray of the fan) and internal verification guards.  The
+latter fire only when a structural fact the pipeline relies on fails to hold,
+which on valid input means a bug, so they should never be caught and ignored.
 """
 
 
@@ -23,7 +23,7 @@ class NotInSL3(McKayLabError):
 
 
 class NotInLattice(McKayLabError):
-    """A rational triple does not lie in the weight lattice."""
+    """A rational triple times n is not integral, so it is off the group's lattice."""
 
 
 class BoundaryEdge(McKayLabError):

@@ -190,7 +190,12 @@ class GHilbFan:
     # -- lookups ------------------------------------------------------------
 
     def ray_index(self, ray: WeightVector) -> int:
-        return self._ray_index[ray.scaled(self.group.order)]
+        """The one lookup from a point to a ray index: NotInLattice off the
+        lattice (1/n)Z^3, UnknownCone for any other point but the fan's rays."""
+        ri = self._ray_index.get(ray.scaled(self.group.order))
+        if ri is None:
+            raise UnknownCone(f"{ray} is not a ray of the fan")
+        return ri
 
     def cones_at_ray(self, ray_idx: int) -> list[int]:
         return self._cones_at_ray[ray_idx]
@@ -202,12 +207,7 @@ class GHilbFan:
         return self.edges[self._edge_index[key]]
 
     def cone_index(self, cone: Cone) -> int:
-        n = self.group.order
-        # n*e as exact numbers: an integral one hashes and compares as the
-        # integer triple, any other misses
-        triple = tuple(
-            sorted(self._ray_index.get(tuple(v * n for v in r.coords), -1) for r in cone.rays)
-        )
+        triple = tuple(sorted(self.ray_index(r) for r in cone.rays))
         if triple not in self._cone_index:
             raise UnknownCone(f"{cone} is not a maximal cone of the fan")
         return self._cone_index[triple]
@@ -321,18 +321,24 @@ def seed_ggraph(group: GroupData) -> GGraph:
     divisor of a minimizer is the minimizer of its own character.  Since xyz
     is invariant, x and y generate the characters, so each minimizer is z-free
     (x^i y^j with i, j < n weighs less than n^2) and is the first x^i y^j of
-    its character in (j, i) order, stepped to along x and y by the arrow table.
+    its character in (j, i) order, stepped to along x and y by the arrow table;
+    each row's walk along x stops where it closes, at the order of x.
     """
     n = group.order
     heads = group.head_rows
     row: list[Monomial | None] = [None] * n
+    filled = 0
     k = group.index[group.trivial_character]
     for j in range(n):
-        for i in range(n):  # n steps along x lead back to the position of y^j
+        start = k  # the position of y^j, where the walk along x closes
+        for i in range(n):
             if row[k] is None:
                 row[k] = (i, j, 0)
+                filled += 1
             k = heads[k][0]
-        if None not in row:
+            if k == start:
+                break
+        if filled == n:
             break
         k = heads[k][1]
     return GGraph(group, row)
@@ -363,7 +369,6 @@ def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
     k = min r_i // -t_i over the one or two t_i < 0: smaller shifts fail to
     generate on the far chart because t has negative valuation there.
     """
-    n = group.order
     t = invariant_perpendicular(group, e, f)
     side = dot3(g, t)
     if side < 0:
@@ -381,8 +386,6 @@ def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
     for r in graph.row:
         a, b = r[i] // v, r[j] // w
         k = a if a < b else b
-        if k > 3 * n:
-            raise SearchExhausted(f"unbounded shift across facet {(e, f)}")
         row.append((r[0] + k * t0, r[1] + k * t1, r[2] + k * t2))
     return GGraph(group, row)
 

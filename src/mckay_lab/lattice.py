@@ -3,7 +3,7 @@
 Each group keeps one table of its junior points, keyed by n*e (n = |G|) in
 lex order and read off the integer element walk, so every cone, fan and
 divisor table shares one index per junior point.  Its `WeightVector`s are
-output views over the group's own `Fraction`s, with n*e already kept.
+output views over the group's own `Fraction`s.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import NotInLattice
 from .groups import GroupData
 
 CORNERS = (
@@ -40,15 +41,11 @@ class WeightVector:
         return all(v > 0 for v in self.coords)
 
     def scaled(self, n: int) -> tuple[int, int, int]:
-        """Integer coordinates n*l (n a multiple of every denominator), kept
-        on the object per n."""
-        # kept beside the dataclass field, which alone drives eq, order and hash
-        memo = self.__dict__.setdefault("_scaled", {})
-        if n not in memo:
-            pairs = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
-            assert not any(rest for _, rest in pairs)
-            memo[n] = tuple(v for v, _ in pairs)
-        return memo[n]
+        """Integer coordinates n*l; NotInLattice unless every one is integral."""
+        pairs = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
+        if any(rest for _, rest in pairs):
+            raise NotInLattice(f"{self} is not a point of the lattice (1/{n})Z^3")
+        return tuple(v for v, _ in pairs)
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self.coords) + ")"
@@ -94,8 +91,7 @@ def junior_table(group: GroupData) -> dict[tuple[int, int, int], WeightVector]:
         points += [y, x] if y else [x]
         table = group._junior_table = {}
         for triple, coords in points:
-            point = table[triple] = WeightVector(coords)
-            point.__dict__["_scaled"] = {n: triple}  # as scaled(n) keeps it
+            table[triple] = WeightVector(coords)
     return table
 
 

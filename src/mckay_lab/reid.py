@@ -8,14 +8,15 @@ point of exactly one corner line, or a crossing of three non-corner lines)
 and receive one or two characters accordingly.
 
 Each edge's ratio is read off its carving vector once and kept on the fan;
-collinearity at a vertex is read off the scaled rays n*e.
+collinearity at a vertex is read off the scaled rays n*e.  The recipe runs
+on ray indices; a point becomes one only through `GHilbFan.ray_index`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 
 from .errors import (
     BoundaryEdge,
@@ -29,6 +30,11 @@ from .intlin import cross3, dot3
 from .lattice import WeightVector
 
 
+def ratio_key(m1: Monomial, m2: Monomial) -> tuple[Monomial, Monomial]:
+    """The key of a ratio's line, whatever its orientation: its sides, sorted."""
+    return (m1, m2) if m1 < m2 else (m2, m1)
+
+
 @dataclass(frozen=True)
 class CarvingRatio:
     """The coprime monomial pair m1:m2 generating the lattice line of an edge."""
@@ -38,8 +44,8 @@ class CarvingRatio:
     character: Character
 
     @property
-    def pair(self) -> frozenset:
-        return frozenset((self.m1, self.m2))
+    def pair(self) -> tuple[Monomial, Monomial]:
+        return ratio_key(self.m1, self.m2)
 
     @property
     def is_corner_line(self) -> bool:
@@ -63,7 +69,9 @@ class VertexCase:
     tag: str  # "case1" | "case2" | "case3" | "boundary"
     valency: int
     markings: tuple[Character, ...]  # one character (cases 1-2), two (case 3)
-    line_character: Character | None = None  # case 2: the corner line through it
+
+
+BOUNDARY = VertexCase(tag="boundary", valency=0, markings=())
 
 
 def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
@@ -93,29 +101,28 @@ def _carving_ratio(fan: GHilbFan, rays: tuple[int, int]) -> CarvingRatio:
 
 
 def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
-    """Classify a non-corner junior point and compute its marking."""
-    n = fan.group.order
-    # d*e in integers: d = n, as the fan keeps it, for a point of the group's
-    # lattice; a multiple of n for any other point, which scales the same way
-    d = lcm(n, *(v.denominator for v in vertex.coords))
-    scaled = vertex.scaled(d)
-    if d in scaled:
+    """Classify a non-corner point of the simplex and compute its marking:
+    a boundary point is not marked, and an interior one must be a ray of the
+    fan (NotInLattice or UnknownCone from `GHilbFan.ray_index` otherwise)."""
+    if vertex.is_corner:
         raise UnclassifiableVertex(f"{vertex} is a corner of the simplex")
-    if 0 in scaled:
-        return VertexCase(tag="boundary", valency=0, markings=())
-    if d != n:
-        raise UnclassifiableVertex(f"{vertex} is not a point of the group's lattice")
+    if vertex.is_boundary:
+        return BOUNDARY
+    return _classify_ray(fan, fan.ray_index(vertex))
 
-    ray_idx = fan.ray_index(vertex)
+
+def _classify_ray(fan: GHilbFan, ray_idx: int) -> VertexCase:
+    """Classify an interior ray of the fan by its edges' ratios."""
+    vertex = fan.rays[ray_idx]
     edges = fan.edges_at_ray(ray_idx)  # all interior: the vertex is interior
     ratios = [carving_ratio(fan, e) for e in edges]
-    groups: dict[frozenset, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for k, ratio in enumerate(ratios):
         groups.setdefault(ratio.pair, []).append(k)
     for pair, members in groups.items():
         if len(members) > 2:
             raise UnclassifiableVertex(
-                f"{len(members)} edges at {vertex} share the ratio {sorted(pair)}"
+                f"{len(members)} edges at {vertex} share the ratio {pair}"
             )
         if len(members) == 2:
             _assert_geometric_collinearity(fan, ray_idx, edges, members)
@@ -161,21 +168,13 @@ def _case1(vertex, ratios) -> VertexCase:
 
 def _case2(vertex, ratios, line_members) -> VertexCase:
     line_char = ratios[line_members[0]].character
-    rest = [r for k, r in enumerate(ratios) if k not in line_members]
-    counts: dict[Character, int] = {}
-    for r in rest:
-        counts[r.character] = counts.get(r.character, 0) + 1
+    counts = Counter(r.character for k, r in enumerate(ratios) if k not in line_members)
     doubled = [c for c, k in counts.items() if k == 2]
     if len(doubled) != 1 or any(k > 2 for k in counts.values()):
         raise RecipeInconsistency(
             f"case-2 vertex {vertex} lacks a character marking exactly two side edges"
         )
-    return VertexCase(
-        tag="case2",
-        valency=len(ratios),
-        markings=(line_char * doubled[0],),
-        line_character=line_char,
-    )
+    return VertexCase(tag="case2", valency=len(ratios), markings=(line_char * doubled[0],))
 
 
 def _case3(group, vertex, ratios) -> VertexCase:
@@ -307,6 +306,7 @@ def marked_triangulation(fan: GHilbFan) -> MarkedTriangulation:
     marked = MarkedTriangulation(fan)
     for edge in fan.interior_edges():
         marked.edge_ratios[edge.rays] = carving_ratio(fan, edge)
+    interior = set(fan.interior_ray_indices())
     for ri in fan.exceptional_ray_indices():
-        marked.vertex_cases[ri] = classify_fan_vertex(fan, fan.rays[ri])
+        marked.vertex_cases[ri] = _classify_ray(fan, ri) if ri in interior else BOUNDARY
     return marked

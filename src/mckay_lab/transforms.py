@@ -63,6 +63,10 @@ def support_h2(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     return sorted(divisor_cell(ri) for ri in fan.exceptional_ray_indices())
 
 
+# what the transform is in each degree
+DESCRIPTORS = {0: "L_chi^{-1} (x) O_supp", -1: "sheaf[1]", -2: "O_Y(Exc) (x) O_Exc[2]"}
+
+
 @dataclass(frozen=True)
 class TransformProfile:
     """Unique nonzero cohomological degree and support of one transform."""
@@ -75,42 +79,26 @@ class TransformProfile:
 
 
 def transform_profile(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> TransformProfile:
-    _require_nontrivial_locus(fan)
-    h0 = support_h0(fan, qa, chi)
-    h1 = support_h1(fan, qa, chi)
-    h2 = support_h2(fan, qa, chi)
-    if chi.is_trivial:
-        # independent content: the honest degree-0 and -1 supports must vanish
-        if h0 or h1:
-            raise MultiDegreeSupport(
-                f"trivial character has higher support: h0={h0} h1={h1}"
-            )
-        return TransformProfile(
-            character=chi,
-            degree=-2,
-            components=tuple(h2),
-            descriptor="O_Y(Exc) (x) O_Exc[2]",
-            connected=_is_connected(fan, h2),
-        )
-    nonempty = [deg for deg, sup in ((0, h0), (-1, h1)) if sup]
+    """The one degree among 0, -1 and -2 where chi's transform has support;
+    -2 is the trivial character's, whose degree-0 and -1 supports must vanish."""
+    supports = {
+        0: support_h0(fan, qa, chi),
+        -1: support_h1(fan, qa, chi),
+        -2: support_h2(fan, qa, chi),
+    }
+    nonempty = [degree for degree, cells in supports.items() if cells]
     if len(nonempty) > 1:
         raise MultiDegreeSupport(f"{chi} supported in degrees {nonempty}")
     if not nonempty:
         raise EmptySupport(f"{chi} has empty support in all degrees")
-    if nonempty == [0]:
-        return TransformProfile(
-            character=chi,
-            degree=0,
-            components=tuple(h0),
-            descriptor="L_chi^{-1} (x) O_supp",
-            connected=_is_connected(fan, h0),
-        )
+    (degree,) = nonempty
+    cells = supports[degree]
     return TransformProfile(
         character=chi,
-        degree=-1,
-        components=tuple(h1),
-        descriptor="sheaf[1]",
-        connected=_is_connected(fan, h1),
+        degree=degree,
+        components=tuple(cells),
+        descriptor=DESCRIPTORS[degree],
+        connected=_is_connected(fan, cells),
     )
 
 

@@ -11,13 +11,14 @@ oracle checks each cluster's inequalities at its own three rays.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .ghilb import GHilbFan, build_fan, spans_interior_edge, tautological_degrees
 from .groups import Character, GroupData, Monomial, mono_divides
 from .intlin import dot3
 from .quiver import ORIENTATIONS, QuiverAnalysis, SINK30
-from .reid import MarkedTriangulation, marked_triangulation, regular_triangle_defect
+from .reid import MarkedTriangulation, marked_triangulation, ratio_key, regular_triangle_defect
 from .transforms import TransformProfile, curve_cell, divisor_cell, transform_profile
 
 
@@ -27,10 +28,6 @@ def _mono(orientation: str, k: int) -> Monomial:
 
 def _mono_sum(*monos) -> Monomial:
     return tuple(sum(m[i] for m in monos) for i in range(3))
-
-
-def _ratio_key(m1: Monomial, m2: Monomial) -> frozenset:
-    return frozenset((tuple(m1), tuple(m2)))
 
 
 class GroupVerification:
@@ -153,7 +150,7 @@ class GroupVerification:
         ss = self.qa.sink_source_graph(ray_idx)
         case = self.marked.vertex_cases[ray_idx]
         ratio_multiset = sorted(
-            tuple(sorted(self.marked.edge_ratios[edge.rays].pair))
+            self.marked.edge_ratios[edge.rays].pair
             for edge in fan.edges_at_ray(ray_idx)  # all interior, as the ray is
         )
         entry = {
@@ -171,14 +168,13 @@ class GroupVerification:
             ("B", "case2"),
             ("C", "case3"),
         )
+        # an interior ray has shape A, B or C, or _build_graph has raised
         if ss.shape == "A":
             self._check_shape_a(ray_idx, ss, checks, ratio_multiset)
         elif ss.shape == "B":
             self._check_shape_b(ray_idx, ss, case, checks, ratio_multiset)
-        elif ss.shape == "C":
-            self._check_shape_c(ray_idx, ss, checks, ratio_multiset)
         else:
-            checks["shape_recognized"] = False
+            self._check_shape_c(ray_idx, ss, checks, ratio_multiset)
         entry["pass"] = all(checks.values())
         return entry
 
@@ -189,7 +185,7 @@ class GroupVerification:
         a, b, c = (ss.lengths[k] for k in "abc")
         checks["coordinates"] = self._coords_check(ray_idx, (b * c, a * c, a * b))
         predicted = sorted(
-            tuple(sorted(_ratio_key(_mono(o1, k1), _mono(o2, k2))))
+            ratio_key(_mono(o1, k1), _mono(o2, k2))
             for (o1, k1), (o2, k2) in (
                 (("x", a), ("y", b)),
                 (("y", b), ("z", c)),
@@ -211,38 +207,38 @@ class GroupVerification:
         expected_valency = 4 if (div_a and div_b) else (6 if not (div_a or div_b) else 5)
         checks["valency_matches_divisibility"] = case.valency == expected_valency
 
-        line = _ratio_key(_mono(o1, a), _mono(o2, b))
+        line = ratio_key(_mono(o1, a), _mono(o2, b))
         predicted = [line, line]
         if div_b:
-            predicted.append(_ratio_key(_mono(o1, a + a1), _mono(axis, c)))
+            predicted.append(ratio_key(_mono(o1, a + a1), _mono(axis, c)))
         else:
             predicted.append(
-                _ratio_key(
+                ratio_key(
                     _mono(o1, a + a1), _mono_sum(_mono(o2, (-b1) % b), _mono(axis, c))
                 )
             )
         if div_a:
-            predicted.append(_ratio_key(_mono(o2, b + b1), _mono(axis, c)))
+            predicted.append(ratio_key(_mono(o2, b + b1), _mono(axis, c)))
         else:
             predicted.append(
-                _ratio_key(
+                ratio_key(
                     _mono(o2, b + b1), _mono_sum(_mono(o1, (-a1) % a), _mono(axis, c))
                 )
             )
         if not div_a:
             predicted.append(
-                _ratio_key(
+                ratio_key(
                     _mono(axis, c), _mono_sum(_mono(o1, a1 % a), _mono(o2, b1))
                 )
             )
         if not div_b:
             predicted.append(
-                _ratio_key(
+                ratio_key(
                     _mono(axis, c), _mono_sum(_mono(o1, a1), _mono(o2, b1 % b))
                 )
             )
         # the two side edges may coincide as ratios (one straight line)
-        checks["ratios"] = sorted(tuple(sorted(p)) for p in predicted) == ratio_multiset
+        checks["ratios"] = sorted(predicted) == ratio_multiset
 
     def _check_shape_c(self, ray_idx, ss, checks, ratio_multiset) -> None:
         n = self.group.order
@@ -268,14 +264,11 @@ class GroupVerification:
                         and kappa(_mono("z", c)) == kappa((a2, b3, 0))
                     )
                     predicted = [
-                        _ratio_key(_mono("x", a), (0, b2, c3)),
-                        _ratio_key(_mono("y", b), (a3, 0, c2)),
-                        _ratio_key(_mono("z", c), (a2, b3, 0)),
+                        ratio_key(_mono("x", a), (0, b2, c3)),
+                        ratio_key(_mono("y", b), (a3, 0, c2)),
+                        ratio_key(_mono("z", c), (a2, b3, 0)),
                     ]
-                    ratios_ok = (
-                        sorted(tuple(sorted(p)) for p in predicted + predicted)
-                        == ratio_multiset
-                    )
+                    ratios_ok = sorted(predicted + predicted) == ratio_multiset
                     found = found or (coords_ok and chars_ok and ratios_ok)
         checks["coordinates"] = found
         checks["ratios"] = found
@@ -517,15 +510,9 @@ class GroupVerification:
 
     def report(self) -> dict:
         n = self.group.order
-        shape_hist: dict[str, int] = {}
-        case_hist: dict[str, int] = {}
-        for entry in self.per_divisor:
-            shape_hist[str(entry["shape"])] = shape_hist.get(str(entry["shape"]), 0) + 1
-            case_hist[entry["case"]] = case_hist.get(entry["case"], 0) + 1
-        marking_hist: dict[str, int] = {}
-        for entry in self.per_character:
-            k = entry["marking_class"]
-            marking_hist[k] = marking_hist.get(k, 0) + 1
+        shape_hist = Counter(entry["shape"] for entry in self.per_divisor)
+        case_hist = Counter(entry["case"] for entry in self.per_divisor)
+        marking_hist = Counter(entry["marking_class"] for entry in self.per_character)
         return {
             "group": self.group.spec_string(),
             "order": n,
@@ -549,8 +536,6 @@ class GroupVerification:
 
 
 def _lengths_for_report(lengths):
-    if lengths is None:
-        return None
     out = {}
     for key, value in lengths.items():
         if key == "fwd":

@@ -1,0 +1,120 @@
+"""The byte manifest of the CLI: for each listed group and each of eight
+outputs, the sha256 of stdout, the sha256 of stderr and the exit code.
+
+    python tests/golden/check.py --check    # one line per differing (group, command)
+    python tests/golden/check.py --record   # rewrite the digests of the listed groups
+
+Every command runs in process through `mckay_lab.cli.main`.  The group list
+in manifest.json is the input: `--record` keeps it and rewrites only the
+digests, and a group is added by listing it there.  Re-recording a digest
+changes a check, so every (group, command) that moves must be named, with
+its reason, where the change is described.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+MANIFEST = Path(__file__).with_name("manifest.json")
+
+try:
+    from mckay_lab.cli import main as cli_main
+except ImportError:  # run from a checkout without the package installed
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+    from mckay_lab.cli import main as cli_main
+
+# output name -> CLI arguments after the group; the names are those of the
+# digests pinned in tests/test_cli.py
+COMMANDS = {
+    "fan": ("fan",),
+    "reid": ("reid", "--format", "svg"),
+    "reid_json": ("reid", "--format", "json"),
+    "reid_tikz": ("reid", "--format", "tikz"),
+    "quiver": ("quiver",),
+    "ssgraph": ("ssgraph",),
+    "transforms": ("transforms",),
+    "verify": ("verify",),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_command(spec: str, command: str) -> dict:
+    """The stdout and stderr digests and the exit code of one CLI run."""
+    name, *options = COMMANDS[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([name, "--group", spec, *options])
+    return {"stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue()), "exit": code}
+
+
+def load() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+def record(manifest: dict) -> dict:
+    """The manifest with every listed group's digests computed afresh."""
+    digests = {
+        spec: {command: run_command(spec, command) for command in COMMANDS}
+        for spec in manifest["groups"]
+    }
+    return {"groups": manifest["groups"], "digests": digests}
+
+
+def dumps(manifest: dict) -> str:
+    """The manifest as JSON with one line per group and per (group, command),
+    so a re-recording diff names each output that moved."""
+    groups = ",\n".join(f"  {json.dumps(spec)}" for spec in manifest["groups"])
+    blocks = []
+    for spec, entries in manifest["digests"].items():
+        rows = ",\n".join(
+            f"   {json.dumps(command)}: {json.dumps(entry)}" for command, entry in entries.items()
+        )
+        blocks.append(f"  {json.dumps(spec)}: {{\n{rows}\n  }}")
+    digests = ",\n".join(blocks)
+    return f'{{\n "groups": [\n{groups}\n ],\n "digests": {{\n{digests}\n }}\n}}\n'
+
+
+def check(manifest: dict, groups=None) -> list[str]:
+    """One line per (group, command) whose output differs from the manifest,
+    naming the parts that differ; over the listed groups, or over `groups`."""
+    lines = []
+    for spec in manifest["groups"] if groups is None else groups:
+        expected = manifest["digests"].get(spec, {})
+        for command in COMMANDS:
+            got = run_command(spec, command)
+            want = expected.get(command)
+            if want is None:
+                lines.append(f"{spec} {command}: not recorded")
+            elif got != want:
+                parts = ", ".join(k for k in ("stdout", "stderr", "exit") if got[k] != want[k])
+                lines.append(f"{spec} {command}: differs in {parts}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="compare every output with the manifest")
+    mode.add_argument("--record", action="store_true", help="rewrite the manifest's digests")
+    args = parser.parse_args(argv)
+    manifest = load()
+    if args.record:
+        MANIFEST.write_text(dumps(record(manifest)))
+        return 0
+    lines = check(manifest)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,7 @@ from mckay_lab import (
     junior_points,
     parse_group_spec,
 )
-from mckay_lab.errors import DegenerateCone
+from mckay_lab.errors import DegenerateCone, NotInLattice
 from mckay_lab.intlin import primitive
 from mckay_lab.lattice import CORNERS as CORNER_COORDS, junior_table
 
@@ -142,12 +142,16 @@ def test_junior_table_is_built_once_per_group():
     assert all(a is b for a, b in zip(junior_points(g), table.values()))
 
 
-def test_scaled_is_kept_per_scale():
+def test_scaled_raises_off_the_lattice():
+    """n*l in integers for l in (1/n)Z^3, and NotInLattice, an input error,
+    for any other scale; nothing is kept on the point."""
     p = wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    assert p.scaled(4) is p.scaled(4) == (1, 1, 2)
+    assert p.scaled(4) == (1, 1, 2)
     assert p.scaled(8) == (2, 2, 4)
-    assert p == wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    assert hash(p) == hash(wv(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    for n in (1, 2, 3, 6):
+        with pytest.raises(NotInLattice, match="not a point of the lattice"):
+            p.scaled(n)
+    assert vars(p) == {"coords": p.coords}
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,11 +168,11 @@ def test_scaled_is_kept_per_scale():
 def test_integer_junior_table_matches_the_fraction_sort(group):
     """The table read off the integer element walk equals the one built by
     sorting Fraction points, key for key and coordinate for coordinate; its
-    points hold the group's own coordinate tuples and already keep n*e."""
+    points hold the group's own coordinate tuples and scale to their keys."""
     table = junior_table(group)
     reference = junior_table_by_fractions(group)
     assert list(table) == list(reference)
     assert [p.coords for p in table.values()] == [p.coords for p in reference.values()]
     own = {id(coords) for coords in group.elements + CORNER_COORDS}
     assert all(id(p.coords) in own for p in table.values())
-    assert all(p.__dict__["_scaled"] == {group.order: key} for key, p in table.items())
+    assert all(p.scaled(group.order) == key for key, p in table.items())

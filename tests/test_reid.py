@@ -12,12 +12,12 @@ from mckay_lab import (
     regular_triangle_defect,
     vertex_marking,
 )
-from mckay_lab.errors import BoundaryEdge, UnclassifiableVertex
+from mckay_lab.errors import BoundaryEdge, NotInLattice, UnclassifiableVertex, UnknownCone
 from mckay_lab.intlin import dot3
-from mckay_lab.lattice import WeightVector
+from mckay_lab.lattice import Cone, WeightVector
 from mckay_lab.reid import product_defect
 
-from conftest import SQUARE_PRODUCTS, small_groups
+from conftest import SQUARE_PRODUCTS, pipeline, small_groups
 from oracles import brute_carving_vector
 
 f = Fraction
@@ -84,10 +84,36 @@ def test_classification_examples(p3, p4, trivial_group):
 
 def test_classification_off_the_group_lattice(p3):
     """A point off the group's lattice keeps the corner and boundary tests:
-    on the boundary it is a boundary vertex, inside it is refused."""
+    on the boundary it is a boundary vertex, inside it is an input error."""
     assert classify_fan_vertex(p3.fan, WeightVector((f(1, 2), f(1, 2), f(0)))).tag == "boundary"
-    with pytest.raises(UnclassifiableVertex, match="lattice"):
+    with pytest.raises(NotInLattice, match="lattice"):
         classify_fan_vertex(p3.fan, WeightVector((f(1, 2), f(1, 4), f(1, 4))))
+
+
+@pytest.mark.parametrize(
+    "spec,coords,error",
+    [
+        ("3:1,1,1", (f(1, 2), f(1, 4), f(1, 4)), NotInLattice),  # n*e is not integral
+        ("5:1,1,3", (f(1, 5), f(2, 5), f(2, 5)), UnknownCone),  # n*e integral, e not in L
+        ("3:1,1,1", (f(2, 3), f(2, 3), f(2, 3)), UnknownCone),  # in L, off the junior simplex
+    ],
+)
+def test_a_point_that_is_no_ray_is_an_input_error(spec, coords, error):
+    """Every lookup from a point goes through GHilbFan.ray_index, which
+    refuses a point that is no ray of the fan with an input error, never a
+    KeyError or an AssertionError."""
+    fan = pipeline(spec).fan
+    point = WeightVector(coords)
+    cone = Cone((point, *fan.cones[0].rays[1:]))
+    lookups = (
+        lambda: fan.ray_index(point),
+        lambda: fan.cone_index(cone),
+        lambda: classify_fan_vertex(fan, point),
+        lambda: vertex_marking(fan, point),
+    )
+    for lookup in lookups:
+        with pytest.raises(error):
+            lookup()
 
 
 def test_vertex_markings(p3, p4, p6, p13):
