@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (and all checks passed), 1 verification failure (in
-corpus, also a group whose pipeline raised), 2 invalid input.
+corpus, also a group whose pipeline raised), 2 invalid input (an InputError
+or an OSError), 3 a failed internal guard (an InternalGuardError: a bug).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .diagrams import (
     marked_simplex_tikz,
     quiver_dot,
 )
-from .errors import McKayLabError
+from .errors import InputError, InternalGuardError
 from .ghilb import build_fan
 from .groups import parse_group_spec
 from .quiver import QuiverAnalysis
@@ -62,7 +63,7 @@ def _transforms_payload(fan, qa, char_index: int | None) -> dict:
     characters = fan.group.characters
     if char_index is not None:
         if not 0 <= char_index < len(characters):
-            raise McKayLabError(f"character index {char_index} out of range")
+            raise InputError(f"character index {char_index} out of range")
         characters = (characters[char_index],)
     entries = []
     for chi in characters:
@@ -117,12 +118,12 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except McKayLabError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+    except InternalGuardError as exc:
+        print(f"error: internal guard {type(exc).__name__} failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:
@@ -191,8 +192,6 @@ def _dispatch(args) -> int:
             file=sys.stderr,
         )
         return 0 if report["pass"] else 1
-
-    raise McKayLabError(f"unknown command {args.command}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
-Errors split into two families: input errors (bad group data or arguments,
-a point that is no ray of the fan) and internal verification guards.  The
-latter fire only when a structural fact the pipeline relies on fails to hold,
-which on valid input means a bug, so they should never be caught and ignored.
+Every error is in one of two families.  An `InputError` is bad group data or
+arguments, or a point that is no ray or no marked vertex of the fan (CLI exit
+2).  An `InternalGuardError` fires when a structural fact the pipeline relies
+on fails: on valid input a bug, never to be caught and ignored (CLI exit 3).
 """
 
 
@@ -11,87 +11,103 @@ class McKayLabError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(McKayLabError):
+    """The caller's input is invalid."""
+
+
+class InternalGuardError(McKayLabError):
+    """A structural fact the pipeline relies on failed to hold."""
+
+
 # ---------------------------------------------------------------------------
 # input errors
 
-class EmptyGenerators(McKayLabError):
+class EmptyGenerators(InputError):
     """A group was requested from an empty generator list."""
 
 
-class NotInSL3(McKayLabError):
+class NotInSL3(InputError):
     """Generator weights do not sum to 0 mod r."""
 
 
-class NotInLattice(McKayLabError):
+class NotInLattice(InputError):
     """A rational triple times n is not integral, so it is off the group's lattice."""
 
 
-class BoundaryEdge(McKayLabError):
+class BoundaryEdge(InputError):
     """Operation requires an interior edge of the triangulation."""
 
 
-class UnknownCone(McKayLabError):
+class UnknownCone(InputError):
     """The cone is not a maximal cone of the fan."""
 
 
-class NoExceptionalLocus(McKayLabError):
+class NoExceptionalLocus(InputError):
     """Transform analysis needs a nontrivial group."""
+
+
+class UnmarkedVertex(InputError):
+    """The point is a corner or a boundary point of the simplex: it has no marking."""
 
 
 # ---------------------------------------------------------------------------
 # internal guards (bugs or genuine counterexamples; never expected on valid input)
 
-class DegenerateCone(McKayLabError):
+class InconsistentGroup(InternalGuardError):
+    """The element walk, the character closure and the lattice index disagree on |G|."""
+
+
+class DegenerateCone(InternalGuardError):
     """Cone rays are linearly dependent."""
 
 
-class SearchExhausted(McKayLabError):
+class SearchExhausted(InternalGuardError):
     """Torus-fixed cluster search returned the wrong count."""
 
 
-class LowerDimensionalCone(McKayLabError):
+class LowerDimensionalCone(InternalGuardError):
     """A cluster's inequality system has no 3-dimensional solution cone."""
 
 
-class FanValidationFailed(McKayLabError):
+class FanValidationFailed(InternalGuardError):
     """An assembled fan violates a triangulation invariant."""
 
 
-class InconsistentCharts(McKayLabError):
+class InconsistentCharts(InternalGuardError):
     """Two charts sharing a ray disagree on a divisor coefficient."""
 
 
-class UnclassifiableVertex(McKayLabError):
+class UnclassifiableVertex(InternalGuardError):
     """A triangulation vertex fits none of the three local patterns."""
 
 
-class RecipeInconsistency(McKayLabError):
+class RecipeInconsistency(InternalGuardError):
     """The marking recipe's internal agreement checks failed."""
 
 
-class NoOrientationWorks(McKayLabError):
+class NoOrientationWorks(InternalGuardError):
     """No sign assignment turns an edge-ratio product into a power of xyz."""
 
 
-class MultiplicityOutOfRange(McKayLabError):
+class MultiplicityOutOfRange(InternalGuardError):
     """An arrow vanishing multiplicity fell outside {0, 1}."""
 
 
-class InvalidSpokePattern(McKayLabError):
+class InvalidSpokePattern(InternalGuardError):
     """A quiver vertex shows a vanishing pattern outside the 18 classes."""
 
 
-class ShapeUnrecognized(McKayLabError):
+class ShapeUnrecognized(InternalGuardError):
     """A sink-source graph of a compact divisor matches none of the 3 shapes."""
 
 
-class WalkDiverged(McKayLabError):
+class WalkDiverged(InternalGuardError):
     """A charge-line walk failed to terminate within the step budget."""
 
 
-class MultiDegreeSupport(McKayLabError):
+class MultiDegreeSupport(InternalGuardError):
     """A transform has nonempty support in more than one degree."""
 
 
-class EmptySupport(McKayLabError):
+class EmptySupport(InternalGuardError):
     """A transform has empty support in every degree."""

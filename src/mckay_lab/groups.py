@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyGenerators, NotInSL3
+from .errors import EmptyGenerators, InconsistentGroup, NotInSL3
 from .intlin import det3, dot3, hnf_rows
 
 Monomial = tuple  # (i, j, k) exponents of x^i y^j z^k; Laurent if negatives allowed
@@ -149,7 +149,7 @@ class GroupData:
                 heads[cur] = tuple(cur * g for g in units)
                 frontier.extend(heads[cur])
         if len(heads) != self.order:
-            raise NotInSL3(
+            raise InconsistentGroup(
                 f"character count {len(heads)} != group order {self.order}"
             )
         return tuple(sorted(heads, key=lambda c: c.residues)), heads
@@ -162,7 +162,7 @@ class GroupData:
         # |G| = [Z^3 : M]: the lattice against the element walk
         index = abs(det3(self.invariant_basis))
         if index != self.order:
-            raise NotInSL3(
+            raise InconsistentGroup(
                 f"invariant lattice index {index} != element count {self.order}"
             )
 

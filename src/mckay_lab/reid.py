@@ -23,6 +23,7 @@ from .errors import (
     NoOrientationWorks,
     RecipeInconsistency,
     UnclassifiableVertex,
+    UnmarkedVertex,
 )
 from .ghilb import FanEdge, GHilbFan
 from .groups import Character, Monomial, mono_str
@@ -105,7 +106,7 @@ def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
     a boundary point is not marked, and an interior one must be a ray of the
     fan (NotInLattice or UnknownCone from `GHilbFan.ray_index` otherwise)."""
     if vertex.is_corner:
-        raise UnclassifiableVertex(f"{vertex} is a corner of the simplex")
+        raise UnmarkedVertex(f"{vertex} is a corner of the simplex")
     if vertex.is_boundary:
         return BOUNDARY
     return _classify_ray(fan, fan.ray_index(vertex))
@@ -148,7 +149,7 @@ def _classify_ray(fan: GHilbFan, ray_idx: int) -> VertexCase:
 def vertex_marking(fan: GHilbFan, vertex: WeightVector) -> tuple[Character, ...]:
     case = classify_fan_vertex(fan, vertex)
     if case.tag == "boundary":
-        raise UnclassifiableVertex(f"{vertex} lies on the boundary and is not marked")
+        raise UnmarkedVertex(f"{vertex} lies on the boundary and is not marked")
     return case.markings
 
 

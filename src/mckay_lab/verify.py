@@ -209,34 +209,14 @@ class GroupVerification:
 
         line = ratio_key(_mono(o1, a), _mono(o2, b))
         predicted = [line, line]
-        if div_b:
-            predicted.append(ratio_key(_mono(o1, a + a1), _mono(axis, c)))
-        else:
-            predicted.append(
-                ratio_key(
-                    _mono(o1, a + a1), _mono_sum(_mono(o2, (-b1) % b), _mono(axis, c))
-                )
-            )
-        if div_a:
-            predicted.append(ratio_key(_mono(o2, b + b1), _mono(axis, c)))
-        else:
-            predicted.append(
-                ratio_key(
-                    _mono(o2, b + b1), _mono_sum(_mono(o1, (-a1) % a), _mono(axis, c))
-                )
-            )
-        if not div_a:
-            predicted.append(
-                ratio_key(
-                    _mono(axis, c), _mono_sum(_mono(o1, a1 % a), _mono(o2, b1))
-                )
-            )
-        if not div_b:
-            predicted.append(
-                ratio_key(
-                    _mono(axis, c), _mono_sum(_mono(o1, a1), _mono(o2, b1 % b))
-                )
-            )
+        tip = _mono(axis, c)
+        sides = ((o1, a, a1), (o2, b, b1))
+        # each side (o, l, l1) against the other (p, m, m1), both ways round
+        for (o, l, l1), (p, m, m1) in (sides, sides[::-1]):
+            far = tip if m1 % m == 0 else _mono_sum(_mono(p, (-m1) % m), tip)
+            predicted.append(ratio_key(_mono(o, l + l1), far))
+            if l1 % l:
+                predicted.append(ratio_key(tip, _mono_sum(_mono(o, l1 % l), _mono(p, m1))))
         # the two side edges may coincide as ratios (one straight line)
         checks["ratios"] = sorted(predicted) == ratio_multiset
 

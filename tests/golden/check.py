@@ -9,6 +9,11 @@ in manifest.json is the input: `--record` keeps it and rewrites only the
 digests, and a group is added by listing it there.  Re-recording a digest
 changes a check, so every (group, command) that moves must be named, with
 its reason, where the change is described.
+
+`--check` also holds the manifest to the benchmark's reference digests in
+bench/reference.json, which it only reads: where both pin the same output,
+the reference digest is the first 20 hex digits of the manifest's stdout
+digest.
 """
 
 from __future__ import annotations
@@ -19,18 +24,20 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[2]
 MANIFEST = Path(__file__).with_name("manifest.json")
+REFERENCE = ROOT / "bench" / "reference.json"
 
 try:
     from mckay_lab.cli import main as cli_main
 except ImportError:  # run from a checkout without the package installed
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     from mckay_lab.cli import main as cli_main
 
-# output name -> CLI arguments after the group; the names are those of the
-# digests pinned in tests/test_cli.py
+# output name -> CLI arguments after the group
 COMMANDS = {
     "fan": ("fan",),
     "reid": ("reid", "--format", "svg"),
@@ -100,17 +107,50 @@ def check(manifest: dict, groups=None) -> list[str]:
     return lines
 
 
+def cross_check(manifest: dict) -> tuple[list[str], Counter]:
+    """One line per digest of bench/reference.json that is not the 20-digit
+    prefix of the manifest's stdout digest of the same output, naming the
+    workload and the key; and the number of digests compared per workload.
+
+    A corpus22 or verify_large key is a group, whose verify report is
+    digested; a query key is "<CLI arguments> <group>".  Keys with no
+    manifest entry, such as the corpus aggregate, are skipped."""
+    reference = json.loads(REFERENCE.read_text())
+    by_argv = {" ".join(args): name for name, args in COMMANDS.items()}
+    lines, compared = [], Counter()
+    for workload, digests in reference.items():
+        for key, digest in digests.items():
+            if workload == "query":
+                argv, _, spec = key.rpartition(" ")
+                command = by_argv.get(argv)
+            else:  # corpus22 and verify_large
+                spec, command = key, "verify"
+            entry = manifest["digests"].get(spec, {}).get(command)
+            if entry is None:
+                continue
+            compared[workload] += 1
+            if entry["stdout"][:20] != digest:
+                lines.append(
+                    f"{workload} {key}: manifest stdout {entry['stdout'][:20]} != reference {digest}"
+                )
+    return lines, compared
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--check", action="store_true", help="compare every output with the manifest")
+    mode.add_argument(
+        "--check",
+        action="store_true",
+        help="compare every output with the manifest, and the manifest with the bench reference",
+    )
     mode.add_argument("--record", action="store_true", help="rewrite the manifest's digests")
     args = parser.parse_args(argv)
     manifest = load()
     if args.record:
         MANIFEST.write_text(dumps(record(manifest)))
         return 0
-    lines = check(manifest)
+    lines = check(manifest) + cross_check(manifest)[0]
     for line in lines:
         print(line)
     return 1 if lines else 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import mckay_lab.groups
 from mckay_lab import group_from_generators, parse_group_spec
-from mckay_lab.errors import EmptyGenerators, NotInLattice, NotInSL3
+from mckay_lab.errors import EmptyGenerators, InconsistentGroup, NotInLattice, NotInSL3
 from mckay_lab.groups import Character, _element_closure, mono_str
 from mckay_lab.intlin import det3, dot3, hnf_rows
 
@@ -105,14 +105,15 @@ def test_invariant_basis_is_the_hermite_basis_of_m(group):
 
 
 def test_index_check_rejects_a_short_element_walk(monkeypatch):
-    """An element walk that misses one element disagrees with [Z^3 : M]."""
+    """An element walk that misses one element disagrees with [Z^3 : M]: a
+    seeded internal fault, so an internal guard fires, not an input error."""
     closure = mckay_lab.groups._element_closure
     monkeypatch.setattr(
         mckay_lab.groups,
         "_element_closure",
         lambda gens: (lambda modulus, triples: (modulus, triples[:-1]))(*closure(gens)),
     )
-    with pytest.raises(NotInSL3, match="invariant lattice index 13 != element count 12"):
+    with pytest.raises(InconsistentGroup, match="invariant lattice index 13 != element count 12"):
         parse_group_spec("13:1,5,7")
 
 

@@ -12,7 +12,7 @@ from mckay_lab import (
     regular_triangle_defect,
     vertex_marking,
 )
-from mckay_lab.errors import BoundaryEdge, NotInLattice, UnclassifiableVertex, UnknownCone
+from mckay_lab.errors import BoundaryEdge, NotInLattice, UnknownCone, UnmarkedVertex
 from mckay_lab.intlin import dot3
 from mckay_lab.lattice import Cone, WeightVector
 from mckay_lab.reid import product_defect
@@ -78,7 +78,7 @@ def test_classification_examples(p3, p4, trivial_group):
     assert classify_fan_vertex(p4.fan, q).tag == "boundary"
 
     corner = p4.fan.rays[p4.ray((1, 0, 0))]
-    with pytest.raises(UnclassifiableVertex):
+    with pytest.raises(UnmarkedVertex):
         classify_fan_vertex(p4.fan, corner)
 
 
