@@ -9,7 +9,7 @@ theorems, machine-checked).
 
 from .errors import McKayLabError
 from .groups import group_from_generators, parse_group_spec
-from .lattice import Cone, WeightVector, junior_points
+from .lattice import WeightVector, junior_points
 from .ghilb import (
     build_fan,
     chart_generator,
@@ -31,7 +31,6 @@ from .verify import GroupVerification, verify_group
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cone",
     "GroupVerification",
     "McKayLabError",
     "QuiverAnalysis",

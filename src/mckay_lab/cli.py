@@ -20,7 +20,7 @@ from .diagrams import (
 from .errors import InputError, InternalGuardError
 from .ghilb import build_fan
 from .groups import parse_group_spec
-from .quiver import QuiverAnalysis
+from .quiver import QuiverAnalysis, quiver_counts
 from .reid import marked_triangulation
 from .serialize import dumps_canonical, fan_json, report_json
 from .transforms import transform_profile
@@ -79,7 +79,7 @@ def _transforms_payload(fan, qa, char_index: int | None) -> dict:
     return {"group": fan.group.spec_string(), "profiles": entries}
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mckay-lab",
         description="Exact G-Hilb fans, markings and quiver analysis "
@@ -113,8 +113,16 @@ def main(argv=None) -> int:
     corpus.add_argument("--group", action="append", default=[], help="extra group specs")
     corpus.add_argument("--jobs", type=int, default=1)
     corpus.add_argument("--out", default=None, help="directory for per-group reports")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once: argparse's append action copies its default list, so the
+# shared parser keeps no state between calls
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         return _dispatch(args)
@@ -159,8 +167,6 @@ def _dispatch(args) -> int:
         if args.format == "dot":
             _write(quiver_dot(group), args.out)
         else:
-            from .quiver import quiver_counts
-
             payload = {"group": group.spec_string(), **quiver_counts(group)}
             _write(dumps_canonical(payload), args.out)
         return 0

@@ -39,7 +39,7 @@ class BoundaryEdge(InputError):
 
 
 class UnknownCone(InputError):
-    """The cone is not a maximal cone of the fan."""
+    """The given point or rays are no ray, edge or cone of the fan."""
 
 
 class NoExceptionalLocus(InputError):

@@ -20,8 +20,9 @@ interior wall (a ray-index pair) that no second found cone has closed yet:
 one flip per new cluster, whose carving vector the fan reuses.  The fan is
 then validated as a unimodular triangulation, each chart is checked against
 the table at its three rays by the same height identity, and the fan
-derives its integer facts once.  The whole path runs on integers: the
-`WeightVector`s and `Cone`s are output views, and no `Fraction` is compared.
+derives its integer facts once.  The whole path runs on integers: a cone is
+its ascending ray-index triple, the `WeightVector`s are output views, and
+no `Fraction` is compared.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .groups import Character, GroupData, Monomial, MONO_ONE, mono_str
 from .intlin import cross3, det3, dot3, primitive_signed
-from .lattice import Cone, WeightVector, junior_table
+from .lattice import WeightVector, junior_table
 
 
 class GGraph:
@@ -55,8 +56,7 @@ class GGraph:
         self.row: tuple[Monomial, ...] = tuple(row)
         # the sum S of the monomials: (n*e).S is the chart's height at e
         self.total = tuple(map(sum, zip(*self.row)))
-        self._cone: Cone | None = None  # cone_of_ggraph: the cone and its ray indices
-        self._cone_rays: tuple[int, int, int] | None = None
+        self._cone_rays: tuple[int, int, int] | None = None  # cone_of_ggraph
         self._validate()
 
     @cached_property
@@ -152,10 +152,10 @@ class GHilbFan:
     Besides the charts it holds the integer facts every later layer reads:
     the scaled rays n*e, the divisor table n*q (one row per ray, indexed
     like group.characters) and one carving vector per interior edge, by ray
-    pair, positive on the far ray of the edge's first cone.  Each cone comes
-    as its ascending ray indices, which the checks read, and as a `Cone` view."""
+    pair, positive on the far ray of the edge's first cone.  Each cone is its
+    ascending ray-index triple, cone_rays[k] that of the chart ggraphs[k]."""
 
-    def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays, cones: list[Cone]):
+    def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays):
         self.group = group
         n = group.order
         juniors = junior_table(group)
@@ -163,7 +163,6 @@ class GHilbFan:
         self.scaled_rays = tuple(juniors)
         self._ray_index = {s: i for i, s in enumerate(self.scaled_rays)}
         self.ggraphs = tuple(ggraphs)
-        self.cones = tuple(cones)
         self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(cone_rays)
         self._cones_at_ray: dict[int, list[int]] = {i: [] for i in range(len(self.rays))}
         for ci, triple in enumerate(self.cone_rays):
@@ -206,10 +205,11 @@ class GHilbFan:
             raise UnknownCone(f"rays {key} do not span an edge of the fan")
         return self.edges[self._edge_index[key]]
 
-    def cone_index(self, cone: Cone) -> int:
-        triple = tuple(sorted(self.ray_index(r) for r in cone.rays))
+    def cone_index(self, rays) -> int:
+        """The index of the maximal cone on three rays, given in any order."""
+        triple = tuple(sorted(self.ray_index(r) for r in rays))
         if triple not in self._cone_index:
-            raise UnknownCone(f"{cone} is not a maximal cone of the fan")
+            raise UnknownCone(f"rays {triple} do not span a maximal cone of the fan")
         return self._cone_index[triple]
 
     def is_face(self, rays) -> bool:
@@ -253,8 +253,8 @@ class GHilbFan:
 
     def _validate(self) -> None:
         n = self.group.order
-        if len(self.cones) != n:
-            raise FanValidationFailed(f"{len(self.cones)} cones for a group of order {n}")
+        if len(self.cone_rays) != n:
+            raise FanValidationFailed(f"{len(self.cone_rays)} cones for a group of order {n}")
         if len(self._cone_index) != n:
             raise FanValidationFailed("duplicate maximal cones")
         used_rays = {ri for triple in self.cone_rays for ri in triple}
@@ -262,12 +262,12 @@ class GHilbFan:
             raise FanValidationFailed("fan rays do not match the junior points")
         # unimodular: the rays are a basis of L, |det(n*e1, n*e2, n*e3)| = n^2
         scaled = self.scaled_rays
-        for ci, (a, b, c) in enumerate(self.cone_rays):
+        for a, b, c in self.cone_rays:
             d = det3((scaled[a], scaled[b], scaled[c]))
             if d == 0:
-                raise DegenerateCone("cone rays are linearly dependent")
+                raise DegenerateCone(f"the rays of cone {(a, b, c)} are linearly dependent")
             if abs(d) != n * n:
-                raise FanValidationFailed(f"non-unimodular cone {self.cones[ci]}")
+                raise FanValidationFailed(f"non-unimodular cone {(a, b, c)}")
         for edge in self.edges:
             i, j = edge.rays
             if len(edge.cones) != (2 if spans_interior_edge(scaled[i], scaled[j]) else 1):
@@ -406,14 +406,12 @@ def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
     found: dict[tuple, GGraph] = {}
     open_walls: set[tuple[int, int]] = set()
 
-    def add(graph: GGraph) -> Cone:
+    def add(graph: GGraph) -> tuple[int, int, int]:
         cone = cone_of_ggraph(group, graph)
         found[graph.row] = graph
         if len(found) > n:
             raise SearchExhausted(f"more than {n} clusters reached by wall crossing")
-        open_walls.symmetric_difference_update(
-            wall for wall, _ in _interior_walls(graph._cone_rays, scaled)
-        )
+        open_walls.symmetric_difference_update(wall for wall, _ in _interior_walls(cone, scaled))
         return cone
 
     seed = seed_ggraph(group)
@@ -501,24 +499,24 @@ def divisor_table(group: GroupData) -> tuple[list[list[int]], list[tuple]]:
     return table
 
 
-def cone_of_ggraph(group: GroupData, graph: GGraph) -> Cone:
-    """The maximal cone whose chart carries the given cluster.
+def cone_of_ggraph(group: GroupData, graph: GGraph) -> tuple[int, int, int]:
+    """The maximal cone whose chart carries the given cluster, as the
+    ascending junior-table indices of its rays.
 
     With S the sum of the cluster's monomials, (n*e).S >= H(e) at every
     junior point e, with equality exactly on the cone (see divisor_table):
     the rays are the junior points on that height plane, which must be three
     linearly independent ones.  Extracted once per cluster and kept on it,
-    with the rays' indices, found in table order, which is lex order.
+    found in table order, which is lex order.
     """
-    if graph._cone is None:
+    if graph._cone_rays is None:
         triple = _height_rays(group, graph.total)
         planes = divisor_table(group)[1]
         if len(triple) != 3 or not det3([planes[ri][:3] for ri in triple]):
             rays = [planes[ri][4] for ri in triple]
             raise LowerDimensionalCone(f"cluster {graph} has the height plane of {rays}")
         graph._cone_rays = tuple(triple)
-        graph._cone = Cone.from_sorted(tuple(planes[ri][4] for ri in triple))
-    return graph._cone
+    return graph._cone_rays
 
 
 def _height_rays(group: GroupData, total) -> list[int]:
@@ -536,23 +534,19 @@ def build_fan(group: GroupData) -> GHilbFan:
     """Enumerate all clusters, take their cones, and assemble the validated
     fan, its cones in the lex order of their ray-index triples."""
     ggraphs = enumerate_ggraphs(group)
-    cones = [cone_of_ggraph(group, g) for g in ggraphs]
-    order = sorted(range(len(cones)), key=lambda k: ggraphs[k]._cone_rays)
-    return GHilbFan(
-        group,
-        [ggraphs[k] for k in order],
-        [ggraphs[k]._cone_rays for k in order],
-        [cones[k] for k in order],
-    )
+    cone_rays = [cone_of_ggraph(group, g) for g in ggraphs]
+    order = sorted(range(len(ggraphs)), key=cone_rays.__getitem__)
+    return GHilbFan(group, [ggraphs[k] for k in order], [cone_rays[k] for k in order])
 
 
 # ---------------------------------------------------------------------------
 # chart data
 
 
-def chart_generator(fan: GHilbFan, cone: Cone, chi: Character) -> Monomial:
-    """The monomial generating the chi-eigensheaf on the chart of the cone."""
-    return fan.ggraphs[fan.cone_index(cone)].representative(chi)
+def chart_generator(fan: GHilbFan, rays, chi: Character) -> Monomial:
+    """The monomial generating the chi-eigensheaf on the chart of the cone
+    spanned by three rays, given in any order."""
+    return fan.ggraphs[fan.cone_index(rays)].representative(chi)
 
 
 def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:

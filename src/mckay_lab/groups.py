@@ -77,9 +77,12 @@ class Character:
 
 
 class GroupData:
-    """Immutable container for one finite abelian diagonal subgroup.
+    """Container for one finite abelian diagonal subgroup.
 
-    Built by :func:`group_from_generators`; do not mutate after construction.
+    Built by :func:`group_from_generators`; do not mutate after construction,
+    except for three memos that later layers fill on first use:
+    `_junior_table` (lattice.junior_table), `_divisor_table`
+    (ghilb.divisor_table) and `_perpendiculars` (ghilb.invariant_perpendicular).
     """
 
     def __init__(self, generators):

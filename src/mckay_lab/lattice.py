@@ -1,9 +1,10 @@
-"""Junior simplex points and simplicial cones in the weight lattice.
+"""Junior simplex points in the weight lattice.
 
 Each group keeps one table of its junior points, keyed by n*e (n = |G|) in
-lex order and read off the integer element walk, so every cone, fan and
-divisor table shares one index per junior point.  Its `WeightVector`s are
-output views over the group's own `Fraction`s.
+lex order and read off the integer element walk, so every fan and divisor
+table shares one index per junior point, and a cone is the triple of its
+rays' indices.  Its `WeightVector`s are output views over the group's own
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -49,27 +50,6 @@ class WeightVector:
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(v) for v in self.coords) + ")"
-
-
-@dataclass(frozen=True)
-class Cone:
-    """A simplicial cone spanned by 1-3 junior-simplex rays."""
-
-    rays: tuple[WeightVector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(sorted(self.rays)))
-
-    @classmethod
-    def from_sorted(cls, rays: tuple[WeightVector, ...]) -> "Cone":
-        """A cone of rays already in lex order, taken as they are."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "rays", rays)
-        return cone
-
-    @property
-    def dim(self) -> int:
-        return len(self.rays)
 
 
 def junior_table(group: GroupData) -> dict[tuple[int, int, int], WeightVector]:

@@ -23,6 +23,7 @@ from .errors import (
     NoOrientationWorks,
     RecipeInconsistency,
     UnclassifiableVertex,
+    UnknownCone,
     UnmarkedVertex,
 )
 from .ghilb import FanEdge, GHilbFan
@@ -104,7 +105,10 @@ def _carving_ratio(fan: GHilbFan, rays: tuple[int, int]) -> CarvingRatio:
 def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
     """Classify a non-corner point of the simplex and compute its marking:
     a boundary point is not marked, and an interior one must be a ray of the
-    fan (NotInLattice or UnknownCone from `GHilbFan.ray_index` otherwise)."""
+    fan (NotInLattice or UnknownCone from `GHilbFan.ray_index` otherwise).
+    A point off the junior simplex raises UnknownCone."""
+    if any(v < 0 for v in vertex.coords) or sum(vertex.coords) != 1:
+        raise UnknownCone(f"{vertex} is not a point of the junior simplex")
     if vertex.is_corner:
         raise UnmarkedVertex(f"{vertex} is a corner of the simplex")
     if vertex.is_boundary:

@@ -286,7 +286,7 @@ class GroupVerification:
         n = self.group.order
         return (
             len(self.fan.ggraphs) == n
-            and len(self.fan.cones) == n
+            and len(self.fan.cone_rays) == n
             and len(set(self.fan.ggraphs)) == n
         )
 
@@ -497,7 +497,7 @@ class GroupVerification:
             "group": self.group.spec_string(),
             "order": n,
             "rays": len(self.fan.rays),
-            "cones": len(self.fan.cones),
+            "cones": len(self.fan.cone_rays),
             "interior_divisors": len(self.fan.interior_ray_indices()),
             "per_character": self.per_character,
             "per_divisor": self.per_divisor,

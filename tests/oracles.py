@@ -57,15 +57,15 @@ def age(group, l):
     return int(total)
 
 
-def cone_is_unimodular(group, cone):
+def cone_is_unimodular(group, rays):
     """True iff the three rays form a Z-basis of L, i.e. |det| = 1/n for
     n = |G|: in integers, |det(n*e1, n*e2, n*e3)| = n^2."""
-    if cone.dim != 3:
-        raise DegenerateCone(f"expected a 3-cone, got dimension {cone.dim}")
+    if len(rays) != 3:
+        raise DegenerateCone(f"expected a 3-cone, got {len(rays)} rays")
     n = group.order
-    if any(n % v.denominator for r in cone.rays for v in r.coords):
+    if any(n % v.denominator for r in rays for v in r.coords):
         return False  # a ray outside (1/n)Z^3 lies outside L
-    d = det3([r.scaled(n) for r in cone.rays])
+    d = det3([r.scaled(n) for r in rays])
     if d == 0:
         raise DegenerateCone("cone rays are linearly dependent")
     return abs(d) == n * n

@@ -5,6 +5,7 @@ import pytest
 
 import mckay_lab.errors as errors
 from mckay_lab.cli import main
+from mckay_lab.corpus import enumerate_cyclic
 
 from golden import check as golden
 
@@ -111,6 +112,17 @@ def test_corpus_command(capsys, tmp_path):
     specs = {g["group"] for g in aggregate["per_group"]}
     # 1/2(1,1,0) appears through its sorted-weight representative
     assert {"2:0,1,1", "3:1,1,1", "4:1,1,2", "2:1,1,0+2:0,1,1"} <= specs
+
+
+def test_the_shared_parser_keeps_no_group_between_calls(capsys):
+    """main parses with one parser built at import; a --group given to one
+    corpus run must not stay in the default list of the next."""
+    code1, out1, _ = run(capsys, "corpus", "--max-order", "4", "--group", "7:1,2,4")
+    code2, out2, _ = run(capsys, "corpus", "--max-order", "4")
+    assert code1 == code2 == 0
+    fresh = len(enumerate_cyclic(4))
+    assert json.loads(out1)["groups"] == fresh + 1
+    assert json.loads(out2)["groups"] == fresh
 
 
 def test_corpus_determinism_across_jobs(capsys):

@@ -1,0 +1,21 @@
+"""The README's library sketch runs against the code as it stands."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_sketch() -> str:
+    """The first python block under the README's "Library sketch" heading."""
+    section = README.read_text().split("## Library sketch", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_sketch_runs():
+    namespace = {}
+    exec(compile(library_sketch(), str(README), "exec"), namespace)
+    fan, chi = namespace["fan"], namespace["chi"]
+    assert len(fan.cone_rays) == 4
+    assert namespace["generator"] == fan.ggraphs[0].representative(chi)
+    assert namespace["report"]["pass"] is True

@@ -1,12 +1,12 @@
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mckay_lab import (
-    Cone,
     WeightVector,
     build_fan,
     chart_generator,
@@ -32,8 +32,9 @@ from mckay_lab.ghilb import (
 )
 from mckay_lab.groups import GroupData
 from mckay_lab.intlin import dot3
+from mckay_lab.lattice import junior_table
 
-from conftest import sl3_cyclic, small_groups
+from conftest import SQUARE_PRODUCTS, sl3_cyclic, small_groups
 from oracles import (
     box_least,
     clipped_cone,
@@ -138,8 +139,39 @@ def test_flip_to_a_cone_without_the_wall_is_inconsistent(monkeypatch, p13):
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
 def test_cone_rays_are_the_fan_rays(spec):
     """Every cone's rays are the group's own junior points, object for object."""
-    fan = build_fan(parse_group_spec(spec))
-    assert all(fan.rays[fan.ray_index(r)] is r for cone in fan.cones for r in cone.rays)
+    group = parse_group_spec(spec)
+    fan = build_fan(group)
+    points = list(junior_table(group).values())
+    assert all(
+        fan.rays[ri] is points[ri] and fan.ray_index(points[ri]) == ri
+        for triple in fan.cone_rays
+        for ri in triple
+    )
+
+
+def square_products(test):
+    """Run a property on every Z/m x Z/m of SQUARE_PRODUCTS as well."""
+    for spec in SQUARE_PRODUCTS:
+        test = example(parse_group_spec(spec))(test)
+    return test
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups)
+@square_products
+def test_a_cone_is_its_ray_index_triple(group):
+    """The k-th cluster's cone, extracted afresh, is fan.cone_rays[k];
+    cone_index finds k from its three rays in each order, and the chart on
+    them generates every character by the cluster's representative."""
+    fan = build_fan(group)
+    for k, graph in enumerate(fan.ggraphs):
+        assert cone_of_ggraph(group, GGraph(group, graph.row)) == fan.cone_rays[k]
+        rays = [fan.rays[ri] for ri in fan.cone_rays[k]]
+        assert [fan.cone_index(order) for order in permutations(rays)] == [k] * 6
+        rays.reverse()
+        assert [chart_generator(fan, rays, chi) for chi in group.characters] == [
+            graph.representative(chi) for chi in group.characters
+        ]
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
@@ -162,7 +194,7 @@ def test_each_cone_is_extracted_once(monkeypatch, spec):
     group = parse_group_spec(spec)
     fan = build_fan(group)
     assert calls == {"cone": 2 * group.order, "scan": group.order}
-    assert all(cone_of_ggraph(group, g) is c for g, c in zip(fan.ggraphs, fan.cones))
+    assert all(cone_of_ggraph(group, g) is c for g, c in zip(fan.ggraphs, fan.cone_rays))
 
 
 def test_seed_ggraph_is_a_cluster(p13):
@@ -304,10 +336,11 @@ def test_border_cones_match_minimal_monomial_cones(group):
 def test_height_cones_match_clipped_cones(group):
     """The junior points on a cluster's height plane are the corners that
     clipping the octant triangle by its border normals leaves."""
+    points = list(junior_table(group).values())
     for graph in enumerate_ggraphs(group):
         cone = cone_of_ggraph(group, GGraph(group, graph.row))
         clipped = clipped_cone(group, graph)
-        assert len(clipped) == 3 and set(cone.rays) == set(clipped)
+        assert len(clipped) == 3 and {points[ri] for ri in cone} == set(clipped)
 
 
 @st.composite
@@ -360,7 +393,7 @@ def test_cone_extraction_makes_no_kappa_call(monkeypatch, p13, p33):
         with monkeypatch.context() as patch:
             patch.setattr(GroupData, "kappa", refuse)
             cones = [cone_of_ggraph(pipe.group, g) for g in fresh]
-        assert cones == list(pipe.fan.cones)
+        assert cones == list(pipe.fan.cone_rays)
 
 
 @pytest.mark.parametrize("points", [2, 4])
@@ -410,7 +443,7 @@ def test_unbounded_flip_is_exhausted(monkeypatch, p3):
         WeightVector(tuple(Fraction(c) for c in coords))
         for coords in ((Fraction(1, 3),) * 3, (0, 1, 0), (0, 0, 1))
     )
-    cone = Cone((center, y, z))  # the facet (center, y) is positive on z
+    cone = (center, y, z)  # the facet (center, y) is positive on z
     graph = p3.fan.ggraphs[p3.fan.cone_index(cone)]
     scaled = (center.scaled(3), y.scaled(3), z.scaled(3))  # the wall, then z
     monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (1, 1, 1))
@@ -422,12 +455,17 @@ def test_unbounded_flip_is_exhausted(monkeypatch, p3):
         flip_ggraph(p3.group, far, *scaled)
 
 
+def coords_of(group, triple):
+    points = list(junior_table(group).values())
+    return {points[ri].coords for ri in triple}
+
+
 def test_cone_of_ggraph_examples(p3, p4, trivial_group):
     def cone_for(pipe, monomials):
         graph = next(
             g for g in pipe.fan.ggraphs if monoset(g) == monomials
         )
-        return {r.coords for r in cone_of_ggraph(pipe.group, graph).rays}
+        return coords_of(pipe.group, cone_of_ggraph(pipe.group, graph))
 
     f = Fraction
     assert cone_for(p3, {(0, 0, 0), (1, 0, 0), (2, 0, 0)}) == {
@@ -441,7 +479,7 @@ def test_cone_of_ggraph_examples(p3, p4, trivial_group):
         (0, 1, 0),
     }
     graph = enumerate_ggraphs(trivial_group)[0]
-    assert {r.coords for r in cone_of_ggraph(trivial_group, graph).rays} == {
+    assert coords_of(trivial_group, cone_of_ggraph(trivial_group, graph)) == {
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -449,8 +487,8 @@ def test_cone_of_ggraph_examples(p3, p4, trivial_group):
 
 
 def test_build_fan_examples(p3, p4, p13):
-    assert len(p3.fan.cones) == 3
-    assert len(p13.fan.cones) == 13 and len(p13.fan.rays) == 9
+    assert len(p3.fan.cone_rays) == 3
+    assert len(p13.fan.cone_rays) == 13 and len(p13.fan.rays) == 9
     f = Fraction
     p = (f(1, 4), f(1, 4), f(1, 2))
     q = (f(1, 2), f(1, 2), f(0))
@@ -460,9 +498,7 @@ def test_build_fan_examples(p3, p4, p13):
         frozenset({p, (1, 0, 0), (0, 0, 1)}),
         frozenset({p, (0, 1, 0), (0, 0, 1)}),
     }
-    got = {
-        frozenset(tuple(r.coords) for r in cone.rays) for cone in p4.fan.cones
-    }
+    got = {frozenset(coords_of(p4.group, triple)) for triple in p4.fan.cone_rays}
     assert {frozenset(map(tuple, s)) for s in got} == {
         frozenset(map(tuple, s)) for s in expected
     }
@@ -471,29 +507,25 @@ def test_build_fan_examples(p3, p4, p13):
 def test_chart_generator_examples(p3, p4):
     f = Fraction
     cone3 = next(
-        c
-        for c in p3.fan.cones
-        if {r.coords for r in c.rays}
-        == {(f(1, 3), f(1, 3), f(1, 3)), (0, 1, 0), (0, 0, 1)}
+        [p3.fan.rays[ri] for ri in c]
+        for c in p3.fan.cone_rays
+        if coords_of(p3.group, c) == {(f(1, 3), f(1, 3), f(1, 3)), (0, 1, 0), (0, 0, 1)}
     )
     assert chart_generator(p3.fan, cone3, p3.chi(1)) == (1, 0, 0)
     assert chart_generator(p3.fan, cone3, p3.chi(0)) == (0, 0, 0)
     cone4 = next(
-        c
-        for c in p4.fan.cones
-        if {r.coords for r in c.rays}
-        == {(f(1, 4), f(1, 4), f(1, 2)), (f(1, 2), f(1, 2), 0), (0, 1, 0)}
+        [p4.fan.rays[ri] for ri in c]
+        for c in p4.fan.cone_rays
+        if coords_of(p4.group, c) == {(f(1, 4), f(1, 4), f(1, 2)), (f(1, 2), f(1, 2), 0), (0, 1, 0)}
     )
     assert chart_generator(p4.fan, cone4, p4.chi(2)) == (0, 0, 1)
     with pytest.raises(UnknownCone):
         chart_generator(
             p4.fan,
-            Cone(
-                (
-                    WeightVector((Fraction(1), Fraction(0), Fraction(0))),
-                    WeightVector((Fraction(0), Fraction(1), Fraction(0))),
-                    WeightVector((Fraction(0), Fraction(0), Fraction(1))),
-                )
+            (
+                WeightVector((Fraction(1), Fraction(0), Fraction(0))),
+                WeightVector((Fraction(0), Fraction(1), Fraction(0))),
+                WeightVector((Fraction(0), Fraction(0), Fraction(1))),
             ),
             p4.chi(0),
         )
@@ -514,7 +546,7 @@ def test_disagreeing_charts_are_rejected(p13):
     ggraphs = list(p13.fan.ggraphs)
     ggraphs[ci], ggraphs[cj] = ggraphs[cj], ggraphs[ci]
     with pytest.raises(InconsistentCharts):
-        GHilbFan(p13.group, ggraphs, p13.fan.cone_rays, p13.fan.cones)
+        GHilbFan(p13.group, ggraphs, p13.fan.cone_rays)
 
 
 def test_tautological_degree_examples(p3, p4):
@@ -594,7 +626,8 @@ def test_build_fan_makes_no_fraction_comparison_or_arithmetic(monkeypatch, spec)
             if name in vars(Fraction):
                 patch.setattr(Fraction, name, refuse)
         fan = build_fan(group)
-        generators = [chart_generator(fan, fan.cones[0], chi) for chi in group.characters]
+        rays = [fan.rays[ri] for ri in fan.cone_rays[0]]
+        generators = [chart_generator(fan, rays, chi) for chi in group.characters]
     assert generators == list(reference.ggraphs[0].row)
     assert fan.cone_rays == reference.cone_rays
     assert [g.row for g in fan.ggraphs] == [g.row for g in reference.ggraphs]

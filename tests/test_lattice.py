@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mckay_lab import (
-    Cone,
     WeightVector,
     group_from_generators,
     junior_points,
@@ -72,12 +71,12 @@ def test_valuation_examples():
 def test_unimodularity_examples():
     g3 = parse_group_spec("3:1,1,1")
     center = wv(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    assert cone_is_unimodular(g3, Cone((center, CORNERS[1], CORNERS[2])))
-    assert not cone_is_unimodular(g3, Cone(tuple(CORNERS)))
+    assert cone_is_unimodular(g3, (center, CORNERS[1], CORNERS[2]))
+    assert not cone_is_unimodular(g3, tuple(CORNERS))
     triv = parse_group_spec("1:0,0,0")
-    assert cone_is_unimodular(triv, Cone(tuple(CORNERS)))
+    assert cone_is_unimodular(triv, tuple(CORNERS))
     with pytest.raises(DegenerateCone):
-        cone_is_unimodular(g3, Cone((CORNERS[0], CORNERS[0], CORNERS[1])))
+        cone_is_unimodular(g3, (CORNERS[0], CORNERS[0], CORNERS[1]))
 
 
 def sl3_weights():

@@ -25,12 +25,14 @@ def test_fan_structure(gen):
     group = group_from_generators([gen])
     fan = build_fan(group)
     n = group.order
-    assert len(fan.cones) == n
+    assert len(fan.cone_rays) == n
     assert set(fan.rays) == set(junior_points(group))
     # volumes of unimodular cones cover the whole simplex
     from oracles import cone_is_unimodular
 
-    assert all(cone_is_unimodular(group, c) for c in fan.cones)
+    assert all(
+        cone_is_unimodular(group, [fan.rays[ri] for ri in triple]) for triple in fan.cone_rays
+    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from mckay_lab import (
 )
 from mckay_lab.errors import BoundaryEdge, NotInLattice, UnknownCone, UnmarkedVertex
 from mckay_lab.intlin import dot3
-from mckay_lab.lattice import Cone, WeightVector
+from mckay_lab.lattice import WeightVector
 from mckay_lab.reid import product_defect
 
 from conftest import SQUARE_PRODUCTS, pipeline, small_groups
@@ -91,6 +91,19 @@ def test_classification_off_the_group_lattice(p3):
 
 
 @pytest.mark.parametrize(
+    "coords", [(0, 0, 0), (2, 0, 0), (0, f(3, 2), f(-1, 2)), (0, f(1, 2), f(1, 4))]
+)
+def test_a_point_off_the_junior_simplex_is_no_vertex(p3, coords):
+    """A point with a negative coordinate, or whose coordinates do not sum
+    to 1, is neither a boundary vertex nor a marked one."""
+    point = WeightVector(tuple(f(c) for c in coords))
+    with pytest.raises(UnknownCone, match="junior simplex"):
+        classify_fan_vertex(p3.fan, point)
+    with pytest.raises(UnknownCone, match="junior simplex"):
+        vertex_marking(p3.fan, point)
+
+
+@pytest.mark.parametrize(
     "spec,coords,error",
     [
         ("3:1,1,1", (f(1, 2), f(1, 4), f(1, 4)), NotInLattice),  # n*e is not integral
@@ -104,7 +117,7 @@ def test_a_point_that_is_no_ray_is_an_input_error(spec, coords, error):
     KeyError or an AssertionError."""
     fan = pipeline(spec).fan
     point = WeightVector(coords)
-    cone = Cone((point, *fan.cones[0].rays[1:]))
+    cone = (point, *(fan.rays[ri] for ri in fan.cone_rays[0][1:]))
     lookups = (
         lambda: fan.ray_index(point),
         lambda: fan.cone_index(cone),
