@@ -91,7 +91,7 @@ def run_corpus(spec: CorpusSpec) -> dict:
     """
     specs = corpus_specs(spec)
     if spec.jobs > 1 and len(specs) > 1:
-        with Pool(spec.jobs) as pool:
+        with Pool(min(spec.jobs, len(specs))) as pool:
             reports = pool.map(_verify_spec, specs)
     else:
         reports = [_verify_spec(s) for s in specs]

@@ -78,7 +78,7 @@ def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
     positions are formatted once for all of them."""
     places = [_place(u, v) for u, v in torus_positions(fan.group)]
     return "".join(
-        sink_source_dot(fan, qa, ri, places) for ri in fan.exceptional_ray_indices()
+        sink_source_dot(fan, qa, ri, places) for ri in fan.exceptional_ray_indices
     )
 
 
@@ -118,15 +118,15 @@ def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
         f"<!-- {FORMAT_TAG} marked-simplex group={fan.group.spec_string()} -->",
     ]
-    for edge in fan.edges:
-        i, j = edge.rays
+    for (i, j), cones in fan.edges.items():
         (x1, y1), (x2, y2) = xy[i], xy[j]
+        boundary = len(cones) == 1
         lines.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="{"#999" if edge.is_boundary else "#333"}" stroke-width="1"/>'
+            f'stroke="{"#999" if boundary else "#333"}" stroke-width="1"/>'
         )
-        if not edge.is_boundary:
-            ratio = marked.edge_ratios[edge.rays]
+        if not boundary:
+            ratio = marked.edge_ratios[i, j]
             mx = _fixed((pts[i][0] + pts[j][0]) / 2 * (size - 2 * pad) + pad)
             my = _fixed((_ROOT3_HALF - (pts[i][1] + pts[j][1]) / 2) * (size - 2 * pad) + pad)
             lines.append(
@@ -153,16 +153,16 @@ def marked_simplex_tikz(fan: GHilbFan, marked: MarkedTriangulation) -> str:
         f"% {FORMAT_TAG} marked-simplex group={fan.group.spec_string()}",
         "\\begin{tikzpicture}[scale=1]",
     ]
-    for edge in fan.edges:
-        i, j = edge.rays
+    for (i, j), cones in fan.edges.items():
         (x1, y1), (x2, y2) = pts[i], pts[j]
-        style = "gray" if edge.is_boundary else "black"
+        boundary = len(cones) == 1
+        style = "gray" if boundary else "black"
         seg = (
             f"\\draw[{style}] ({_fixed(x1 * scale)},{_fixed(y1 * scale)})"
             f" -- ({_fixed(x2 * scale)},{_fixed(y2 * scale)})"
         )
-        if not edge.is_boundary:
-            ratio = marked.edge_ratios[edge.rays]
+        if not boundary:
+            ratio = marked.edge_ratios[i, j]
             seg += (
                 " node[midway, font=\\tiny, sloped, above]"
                 f" {{{ratio.text()} [{ratio.character.label()}]}}"

@@ -27,7 +27,6 @@ no `Fraction` is compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
@@ -107,18 +106,6 @@ class GGraph:
                 )
 
 
-@dataclass(frozen=True)
-class FanEdge:
-    """A 2-cone of the fan: a pair of ray indices plus the cones gluing along it."""
-
-    rays: tuple[int, int]
-    cones: tuple[int, ...]
-
-    @property
-    def is_boundary(self) -> bool:
-        return len(self.cones) == 1
-
-
 class DivisorCoefficients:
     """The integer divisor table: rows[ray][k] = n*q(chi, ray) = (n*e).r_chi
     for the k-th character chi of group.characters, n = |G|, the group's
@@ -149,42 +136,55 @@ class DivisorCoefficients:
 class GHilbFan:
     """The validated triangulation of the junior simplex with its cluster charts.
 
-    Besides the charts it holds the integer facts every later layer reads:
-    the scaled rays n*e, the divisor table n*q (one row per ray, indexed
-    like group.characters) and one carving vector per interior edge, by ray
-    pair, positive on the far ray of the edge's first cone.  Each cone is its
-    ascending ray-index triple, cone_rays[k] that of the chart ggraphs[k]."""
+    Besides the charts it holds the integer facts every later layer reads,
+    each a plain table built here and never written after: the scaled rays
+    n*e, the divisor table n*q (one row per ray, indexed like
+    group.characters) and one carving vector per interior edge, positive on
+    the far ray of the edge's first cone.  Each cone is its ascending
+    ray-index triple, cone_rays[k] that of the chart ggraphs[k]; each edge
+    is its ascending ray-index pair, a key of `edges` in ray-pair order,
+    whose value is the sorted indices of the cones next to it: one cone on
+    the boundary, two inside."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays):
         self.group = group
         n = group.order
         juniors = junior_table(group)
         self.rays: tuple[WeightVector, ...] = tuple(juniors.values())
-        self.scaled_rays = tuple(juniors)
-        self._ray_index = {s: i for i, s in enumerate(self.scaled_rays)}
+        self.scaled_rays = scaled = tuple(juniors)
+        self._ray_index = {s: i for i, s in enumerate(scaled)}
         self.ggraphs = tuple(ggraphs)
         self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(cone_rays)
-        self._cones_at_ray: dict[int, list[int]] = {i: [] for i in range(len(self.rays))}
-        for ci, triple in enumerate(self.cone_rays):
-            for ri in triple:
-                self._cones_at_ray[ri].append(ci)
-        self.edges = self._collect_edges()
-        self._edge_index = {e.rays: k for k, e in enumerate(self.edges)}
         self._cone_index = {rays: ci for ci, rays in enumerate(self.cone_rays)}
-        self._interior_edges = tuple(e for e in self.edges if not e.is_boundary)
-        # a corner has a coordinate n, an interior point no coordinate 0
-        self._exceptional = tuple(i for i, s in enumerate(self.scaled_rays) if n not in s)
-        self._interior_rays = tuple(i for i, s in enumerate(self.scaled_rays) if 0 not in s)
+        pairs: dict[tuple[int, int], list[int]] = {}
+        cones_at: list[list[int]] = [[] for _ in scaled]
+        for ci, (a, b, c) in enumerate(self.cone_rays):
+            for key in ((a, b), (a, c), (b, c)):
+                pairs.setdefault(key, []).append(ci)
+            for ri in (a, b, c):
+                cones_at[ri].append(ci)
+        self.edges: dict[tuple[int, int], tuple[int, ...]] = {
+            key: tuple(cs) for key, cs in sorted(pairs.items())
+        }
+        edges_at: list[list[tuple[int, int]]] = [[] for _ in scaled]
+        for key in self.edges:
+            for ri in key:
+                edges_at[ri].append(key)
+        self.cones_at_ray = tuple(map(tuple, cones_at))
+        self.edges_at_ray = tuple(map(tuple, edges_at))  # each in the order of edges
+        self.interior_edges = tuple(key for key, cs in self.edges.items() if len(cs) != 1)
+        # exceptional rays are the non-corner junior points (no coordinate
+        # n), interior rays those of compact divisors (no coordinate 0)
+        self.exceptional_ray_indices = tuple(i for i, s in enumerate(scaled) if n not in s)
+        self.interior_ray_indices = tuple(i for i, s in enumerate(scaled) if 0 not in s)
         self._validate()
         self.q = DivisorCoefficients(self)
-        scaled = self.scaled_rays
         self.carving_vectors: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for edge in self._interior_edges:
-            i, j = edge.rays
+        for i, j in self.interior_edges:
             w = invariant_perpendicular(group, scaled[i], scaled[j])
-            (far,) = set(self.cone_rays[edge.cones[0]]) - {i, j}  # w is not 0 there: unimodular
+            first = self.edges[i, j][0]
+            (far,) = set(self.cone_rays[first]) - {i, j}  # w is not 0 there: unimodular
             self.carving_vectors[i, j] = w if dot3(scaled[far], w) > 0 else tuple(-v for v in w)
-        self._carving_ratios: dict = {}  # reid.carving_ratio, by edge.rays
 
     # -- lookups ------------------------------------------------------------
 
@@ -196,14 +196,21 @@ class GHilbFan:
             raise UnknownCone(f"{ray} is not a ray of the fan")
         return ri
 
-    def cones_at_ray(self, ray_idx: int) -> list[int]:
-        return self._cones_at_ray[ray_idx]
-
-    def edge_between(self, i: int, j: int) -> FanEdge:
-        key = (min(i, j), max(i, j))
-        if key not in self._edge_index:
+    def edge_between(self, i: int, j: int) -> tuple[int, int]:
+        """The one lookup from two ray indices to an edge, its ascending
+        pair: UnknownCone if they span no edge of the fan."""
+        key = (i, j) if i < j else (j, i)
+        if key not in self.edges:
             raise UnknownCone(f"rays {key} do not span an edge of the fan")
-        return self.edges[self._edge_index[key]]
+        return key
+
+    def carving_vector(self, rays) -> tuple[int, int, int]:
+        """The carving vector of the edge on a ray-index pair, given in any
+        order: UnknownCone for no edge, BoundaryEdge for a boundary one."""
+        key = self.edge_between(*rays)
+        if key not in self.carving_vectors:
+            raise BoundaryEdge(f"edge {key} lies in the boundary of the simplex")
+        return self.carving_vectors[key]
 
     def cone_index(self, rays) -> int:
         """The index of the maximal cone on three rays, given in any order."""
@@ -215,41 +222,9 @@ class GHilbFan:
     def is_face(self, rays) -> bool:
         """Whether a set of ray indices spans a ray, an edge or a cone of the fan."""
         key = tuple(sorted(rays))
-        return len(key) == 1 or key in self._edge_index or key in self._cone_index
+        return len(key) == 1 or key in self.edges or key in self._cone_index
 
-    def interior_edges(self) -> tuple[FanEdge, ...]:
-        return self._interior_edges
-
-    def edges_at_ray(self, ray_idx: int) -> tuple[FanEdge, ...]:
-        """The edges at a ray, in the order of self.edges."""
-        return self._edges_at_ray[ray_idx]
-
-    def exceptional_ray_indices(self) -> tuple[int, ...]:
-        """Rays of exceptional divisors: the non-corner junior points."""
-        return self._exceptional
-
-    def interior_ray_indices(self) -> tuple[int, ...]:
-        """Rays of compact exceptional divisors: the junior points off the boundary."""
-        return self._interior_rays
-
-    # -- construction helpers -----------------------------------------------
-
-    def _collect_edges(self) -> tuple[FanEdge, ...]:
-        """The edges in ray-pair order, indexed by ray once into _edges_at_ray."""
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for ci, triple in enumerate(self.cone_rays):
-            for k in range(3):
-                for l in range(k + 1, 3):
-                    pairs.setdefault((triple[k], triple[l]), []).append(ci)
-        edges = tuple(
-            FanEdge(rays=key, cones=tuple(sorted(cs))) for key, cs in sorted(pairs.items())
-        )
-        at_ray: dict[int, list[FanEdge]] = {i: [] for i in range(len(self.rays))}
-        for edge in edges:
-            for ri in edge.rays:
-                at_ray[ri].append(edge)
-        self._edges_at_ray = {ri: tuple(es) for ri, es in at_ray.items()}
-        return edges
+    # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
         n = self.group.order
@@ -268,19 +243,16 @@ class GHilbFan:
                 raise DegenerateCone(f"the rays of cone {(a, b, c)} are linearly dependent")
             if abs(d) != n * n:
                 raise FanValidationFailed(f"non-unimodular cone {(a, b, c)}")
-        for edge in self.edges:
-            i, j = edge.rays
-            if len(edge.cones) != (2 if spans_interior_edge(scaled[i], scaled[j]) else 1):
-                raise FanValidationFailed(
-                    f"edge {edge.rays} is glued by {len(edge.cones)} cones"
-                )
-        interior = set(self._interior_rays)
+        for (i, j), cones in self.edges.items():
+            if len(cones) != (2 if spans_interior_edge(scaled[i], scaled[j]) else 1):
+                raise FanValidationFailed(f"edge {(i, j)} is glued by {len(cones)} cones")
+        interior = set(self.interior_ray_indices)
         for ri in range(len(self.rays)):
             self._validate_link(ri, ri not in interior)
 
     def _validate_link(self, ray_idx: int, on_boundary: bool) -> None:
         """The triangles around a vertex must close into a disc (or half-disc)."""
-        cones_here = self.cones_at_ray(ray_idx)
+        cones_here = self.cones_at_ray[ray_idx]
         degree: dict[int, int] = {}
         for ci in cones_here:
             for other in self.cone_rays[ci]:
@@ -549,23 +521,24 @@ def chart_generator(fan: GHilbFan, rays, chi: Character) -> Monomial:
     return fan.ggraphs[fan.cone_index(rays)].representative(chi)
 
 
-def tautological_degree(fan: GHilbFan, chi: Character, edge: FanEdge) -> int:
-    """Degree of the chi tautological bundle on the compact curve of an edge."""
-    return tautological_degrees(fan, edge)[fan.group.index[chi]]
+def tautological_degree(fan: GHilbFan, chi: Character, rays) -> int:
+    """Degree of the chi tautological bundle on the compact curve of the edge
+    on a ray-index pair."""
+    return tautological_degrees(fan, rays)[fan.group.index[chi]]
 
 
-def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> list[int]:
+def tautological_degrees(fan: GHilbFan, rays) -> list[int]:
     """Degree of every character's tautological bundle on the compact curve
-    of an edge, in the order of group.characters.
+    of the edge on a ray-index pair, in the order of group.characters:
+    UnknownCone for no edge, BoundaryEdge for a boundary one.
 
     With r, r' the chart generators on the two sides, r'/r = (m'/m)^k for the
     edge's carving vector m' - m, positive on the far ray of the first chart;
     the degree is that k, and it is never negative.
     """
-    if edge.is_boundary:
-        raise BoundaryEdge(f"edge {edge.rays} has a single chart")
-    row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
-    w = fan.carving_vectors[edge.rays]
+    rays = fan.edge_between(*rays)
+    w = fan.carving_vector(rays)
+    row, row2 = (fan.ggraphs[ci].row for ci in fan.edges[rays])
     i = next(i for i, v in enumerate(w) if v)
     degrees = []
     for r, r2 in zip(row, row2):
@@ -573,10 +546,9 @@ def tautological_degrees(fan: GHilbFan, edge: FanEdge) -> list[int]:
         # r' - r must be an integer multiple of w
         if (r2[0] - r[0], r2[1] - r[1], r2[2] - r[2]) != (k * w[0], k * w[1], k * w[2]):
             raise MultiplicityOutOfRange(
-                f"generator ratio across {edge.rays} is not a power of the carving ratio"
+                f"generator ratio across {rays} is not a power of the carving ratio"
             )
         if k < 0:
-            raise MultiplicityOutOfRange(f"negative tautological degree {k} across {edge.rays}")
+            raise MultiplicityOutOfRange(f"negative tautological degree {k} across {rays}")
         degrees.append(k)
     return degrees
-

@@ -173,16 +173,16 @@ class QuiverAnalysis:
         the interior edges (i, j) where each dies along i or j but neither ray
         kills all three: one sweep of the masks serves every character."""
         loci = [([], []) for _ in self.group.characters]
-        for ri in self.fan.exceptional_ray_indices():
+        for ri in self.fan.exceptional_ray_indices:
             x, y, z = self.masks(ri)[0]
             for k in _bits(x & y & z):
                 loci[k][0].append(ri)
-        for edge in self.fan.interior_edges():
-            xi, yi, zi = self.masks(edge.rays[0])[0]
-            xj, yj, zj = self.masks(edge.rays[1])[0]
+        for i, j in self.fan.interior_edges:
+            xi, yi, zi = self.masks(i)[0]
+            xj, yj, zj = self.masks(j)[0]
             dead = (xi | xj) & (yi | yj) & (zi | zj) & ~(xi & yi & zi) & ~(xj & yj & zj)
             for k in _bits(dead):
-                loci[k][1].append(edge.rays)
+                loci[k][1].append((i, j))
         return loci
 
     @cached_property
@@ -190,7 +190,7 @@ class QuiverAnalysis:
         """Per character, the exceptional rays whose sink-source graph makes
         it a source: one walk of each ray's classes serves every character."""
         loci = [[] for _ in self.group.characters]
-        for ri in self.fan.exceptional_ray_indices():
+        for ri in self.fan.exceptional_ray_indices:
             for k, cls in enumerate(self.classes(ri)):
                 if cls.is_source:
                     loci[k].append(ri)

@@ -7,26 +7,27 @@ into three local patterns (a meeting point of three corner lines, an interior
 point of exactly one corner line, or a crossing of three non-corner lines)
 and receive one or two characters accordingly.
 
-Each edge's ratio is read off its carving vector once and kept on the fan;
-collinearity at a vertex is read off the scaled rays n*e.  The recipe runs
-on ray indices; a point becomes one only through `GHilbFan.ray_index`.
+An edge is its ray-index pair.  Each interior edge's ratio is read off its
+carving vector once per marked triangulation, into its one table
+`edge_ratios`; collinearity at a vertex is read off the scaled rays n*e.
+The recipe runs on ray indices; a point becomes one only through
+`GHilbFan.ray_index`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    BoundaryEdge,
     NoOrientationWorks,
     RecipeInconsistency,
     UnclassifiableVertex,
     UnknownCone,
     UnmarkedVertex,
 )
-from .ghilb import FanEdge, GHilbFan
+from .ghilb import GHilbFan
 from .groups import Character, Monomial, mono_str
 from .intlin import cross3, dot3
 from .lattice import WeightVector
@@ -76,22 +77,14 @@ class VertexCase:
 BOUNDARY = VertexCase(tag="boundary", valency=0, markings=())
 
 
-def carving_ratio(fan: GHilbFan, edge: FanEdge) -> CarvingRatio:
-    """The ratio carving an interior edge, sides ordered deterministically.
+def carving_ratio(fan: GHilbFan, rays) -> CarvingRatio:
+    """The ratio carving the interior edge on a ray-index pair, sides ordered
+    deterministically: UnknownCone for no edge, BoundaryEdge for a boundary one.
 
     m1 is the side containing the lexicographically smallest variable that
     appears in the ratio; the marking character does not depend on the side.
-    Built once per edge and kept on the fan, for every reader of the edge.
     """
-    if edge.is_boundary:
-        raise BoundaryEdge(f"edge {edge.rays} lies in the boundary of the simplex")
-    if edge.rays not in fan._carving_ratios:
-        fan._carving_ratios[edge.rays] = _carving_ratio(fan, edge.rays)
-    return fan._carving_ratios[edge.rays]
-
-
-def _carving_ratio(fan: GHilbFan, rays: tuple[int, int]) -> CarvingRatio:
-    u = fan.carving_vectors[rays]
+    u = fan.carving_vector(rays)
     s = 1 if next(v for v in u if v) > 0 else -1  # lexicographic: m1 has the first variable
     m1 = tuple(max(s * v, 0) for v in u)
     m2 = tuple(max(-s * v, 0) for v in u)
@@ -113,14 +106,16 @@ def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
         raise UnmarkedVertex(f"{vertex} is a corner of the simplex")
     if vertex.is_boundary:
         return BOUNDARY
-    return _classify_ray(fan, fan.ray_index(vertex))
+    ri = fan.ray_index(vertex)
+    return _classify_ray(fan, ri, {e: carving_ratio(fan, e) for e in fan.edges_at_ray[ri]})
 
 
-def _classify_ray(fan: GHilbFan, ray_idx: int) -> VertexCase:
-    """Classify an interior ray of the fan by its edges' ratios."""
+def _classify_ray(fan: GHilbFan, ray_idx: int, edge_ratios) -> VertexCase:
+    """Classify an interior ray of the fan by its edges' ratios, read from
+    edge_ratios by ray pair."""
     vertex = fan.rays[ray_idx]
-    edges = fan.edges_at_ray(ray_idx)  # all interior: the vertex is interior
-    ratios = [carving_ratio(fan, e) for e in edges]
+    edges = fan.edges_at_ray[ray_idx]  # all interior: the vertex is interior
+    ratios = [edge_ratios[e] for e in edges]
     groups: dict[tuple, list[int]] = {}
     for k, ratio in enumerate(ratios):
         groups.setdefault(ratio.pair, []).append(k)
@@ -226,7 +221,7 @@ def _assert_geometric_collinearity(fan, ray_idx, edges, members) -> None:
     scaled = fan.scaled_rays
     dirs = []
     for k in members:
-        other = [ri for ri in edges[k].rays if ri != ray_idx][0]
+        other = [ri for ri in edges[k] if ri != ray_idx][0]
         dirs.append(tuple(a - b for a, b in zip(scaled[other], scaled[ray_idx])))
     cross = cross3(dirs[0], dirs[1])
     if any(cross) or dot3(dirs[0], dirs[1]) >= 0:
@@ -241,14 +236,8 @@ def regular_triangle_defect(fan: GHilbFan, cone_index: int) -> int:
     Defined for maximal cones all of whose edges are interior; searches the
     eight orientation choices of the three carving vectors.
     """
-    a, b, c = triple = fan.cone_rays[cone_index]
-    vectors = []
-    for i, j in ((a, b), (a, c), (b, c)):
-        edge = fan.edge_between(i, j)
-        if edge.is_boundary:
-            raise BoundaryEdge(f"cone {triple} has boundary edge {edge.rays}")
-        vectors.append(fan.carving_vectors[edge.rays])
-    return product_defect(vectors)
+    a, b, c = fan.cone_rays[cone_index]
+    return product_defect([fan.carving_vector(e) for e in ((a, b), (a, c), (b, c))])
 
 
 def product_defect(vectors) -> int:
@@ -272,8 +261,8 @@ class MarkedTriangulation:
     """All edge and vertex markings of a fan, plus per-character tallies."""
 
     fan: GHilbFan
-    edge_ratios: dict[tuple[int, int], CarvingRatio] = field(default_factory=dict)
-    vertex_cases: dict[int, VertexCase] = field(default_factory=dict)
+    edge_ratios: dict[tuple[int, int], CarvingRatio]  # the one ratio of each interior edge
+    vertex_cases: dict[int, VertexCase]
 
     @cached_property
     def _marks(self) -> tuple[list, list]:
@@ -307,11 +296,12 @@ class MarkedTriangulation:
 
 
 def marked_triangulation(fan: GHilbFan) -> MarkedTriangulation:
-    """Compute every carving ratio and every vertex marking of the fan."""
-    marked = MarkedTriangulation(fan)
-    for edge in fan.interior_edges():
-        marked.edge_ratios[edge.rays] = carving_ratio(fan, edge)
-    interior = set(fan.interior_ray_indices())
-    for ri in fan.exceptional_ray_indices():
-        marked.vertex_cases[ri] = _classify_ray(fan, ri) if ri in interior else BOUNDARY
-    return marked
+    """Compute every carving ratio, once per interior edge, and every vertex
+    marking of the fan."""
+    ratios = {e: carving_ratio(fan, e) for e in fan.interior_edges}
+    interior = set(fan.interior_ray_indices)
+    cases = {
+        ri: _classify_ray(fan, ri, ratios) if ri in interior else BOUNDARY
+        for ri in fan.exceptional_ray_indices
+    }
+    return MarkedTriangulation(fan, ratios, cases)

@@ -48,11 +48,11 @@ def fan_payload(fan: GHilbFan) -> dict:
         ],
         "edges": [
             {
-                "ray_indices": list(edge.rays),
-                "adjacent_cones": list(edge.cones),
-                "boundary": edge.is_boundary,
+                "ray_indices": list(rays),
+                "adjacent_cones": list(cones),
+                "boundary": len(cones) == 1,
             }
-            for edge in fan.edges
+            for rays, cones in fan.edges.items()
         ],
     }
 

@@ -65,7 +65,7 @@ class GroupVerification:
     def _degrees(self) -> dict[tuple[int, int], list[int]]:
         """Every character's tautological degree on each interior edge, in
         the order of group.characters."""
-        return {e.rays: tautological_degrees(self.fan, e) for e in self.fan.interior_edges()}
+        return {e: tautological_degrees(self.fan, e) for e in self.fan.interior_edges}
 
     def _supports(self, chi: Character) -> tuple[list, list, list]:
         """The h0, h1 and h2 supports of chi, read off its profile.
@@ -81,7 +81,7 @@ class GroupVerification:
         """Divisor cells of the exceptional rays on at least two of the curves."""
         return sorted(
             divisor_cell(ri)
-            for ri in self.fan.exceptional_ray_indices()
+            for ri in self.fan.exceptional_ray_indices
             if sum(1 for e in curves if ri in e) >= 2
         )
 
@@ -89,7 +89,7 @@ class GroupVerification:
 
     def _check_characters(self) -> None:
         fan, marked = self.fan, self.marked
-        exceptional = fan.exceptional_ray_indices()
+        exceptional = fan.exceptional_ray_indices
         for chi in self.group.characters:
             divisors = marked.marked_divisors(chi)
             curves = marked.marked_edges(chi)
@@ -139,7 +139,7 @@ class GroupVerification:
     # -- shapes against vertex cases (per interior divisor) ----------------
 
     def _check_divisors(self) -> None:
-        for ri in self.fan.interior_ray_indices():
+        for ri in self.fan.interior_ray_indices:
             entry = self._shape_entry(ri)
             if not entry["pass"]:
                 self._fail(f"divisor at ray {ri}: shape/case mismatch")
@@ -150,8 +150,8 @@ class GroupVerification:
         ss = self.qa.sink_source_graph(ray_idx)
         case = self.marked.vertex_cases[ray_idx]
         ratio_multiset = sorted(
-            self.marked.edge_ratios[edge.rays].pair
-            for edge in fan.edges_at_ray(ray_idx)  # all interior, as the ray is
+            self.marked.edge_ratios[e].pair
+            for e in fan.edges_at_ray[ray_idx]  # all interior, as the ray is
         )
         entry = {
             "ray": ray_idx,
@@ -261,7 +261,7 @@ class GroupVerification:
         props["vanishing_counts_match_coordinates"] = self._prop_lemma_counts()
         props["one_vanishing_arrow_per_triangle"] = all(
             self.qa.triangles_consistent(ri)
-            for ri in self.fan.exceptional_ray_indices()
+            for ri in self.fan.exceptional_ray_indices
         )
         props["chart_consistency"] = self._prop_chart_consistency()
         props["generator_division_across_edges"] = self._prop_edge_division()
@@ -296,7 +296,7 @@ class GroupVerification:
         )
 
     def _prop_lemma_counts(self) -> bool:
-        return self._counts_match_coordinates(self.fan.exceptional_ray_indices())
+        return self._counts_match_coordinates(self.fan.exceptional_ray_indices)
 
     @cached_property
     def _chart_values(self) -> list[list[list[int]]]:
@@ -321,9 +321,9 @@ class GroupVerification:
     def _prop_edge_division(self) -> bool:
         """Across each interior edge the changed generators divide as m | r, m' | r'."""
         fan = self.fan
-        for edge in fan.interior_edges():
-            m, m2 = _oriented_carving_pair(fan, edge)
-            row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
+        for e in fan.interior_edges:
+            m, m2 = _oriented_carving_pair(fan, e)
+            row, row2 = (fan.ggraphs[ci].row for ci in fan.edges[e])
             for r, r2 in zip(row, row2):
                 if r != r2 and not (mono_divides(m, r) and mono_divides(m2, r2)):
                     return False
@@ -332,10 +332,10 @@ class GroupVerification:
     def _prop_edge_marking_generators(self) -> bool:
         """The marking character's two generators are the carving pair itself."""
         fan = self.fan
-        for edge in fan.interior_edges():
-            m, m2 = _oriented_carving_pair(fan, edge)
-            k = self.group.index[self.marked.edge_ratios[edge.rays].character]
-            row, row2 = (fan.ggraphs[ci].row for ci in edge.cones)
+        for e in fan.interior_edges:
+            m, m2 = _oriented_carving_pair(fan, e)
+            k = self.group.index[self.marked.edge_ratios[e].character]
+            row, row2 = (fan.ggraphs[ci].row for ci in fan.edges[e])
             if row[k] != m or row2[k] != m2:
                 return False
         return True
@@ -361,7 +361,7 @@ class GroupVerification:
     def _prop_unique_sink(self) -> bool:
         """Interior divisors: one (0,3)-sink, at the trivial character, and
         one (3,0)-sink for shapes A and B."""
-        for ri in self.fan.exceptional_ray_indices():
+        for ri in self.fan.exceptional_ray_indices:
             ss = self.qa.sink_source_graph(ri)
             sinks = ss.sink03_vertices()
             if 0 not in self.fan.scaled_rays[ri]:
@@ -461,7 +461,7 @@ class GroupVerification:
         """Divisor cells of the three-arrow intersection are the (3,0)-sinks,
         these read off one walk of each ray's classes."""
         via_class = [set() for _ in self.group.characters]
-        for ri in self.fan.exceptional_ray_indices():
+        for ri in self.fan.exceptional_ray_indices:
             for k, cls in enumerate(self.qa.classes(ri)):
                 if cls == SINK30:
                     via_class[k].add(ri)
@@ -498,7 +498,7 @@ class GroupVerification:
             "order": n,
             "rays": len(self.fan.rays),
             "cones": len(self.fan.cone_rays),
-            "interior_divisors": len(self.fan.interior_ray_indices()),
+            "interior_divisors": len(self.fan.interior_ray_indices),
             "per_character": self.per_character,
             "per_divisor": self.per_divisor,
             "properties": self.properties,
@@ -525,9 +525,11 @@ def _lengths_for_report(lengths):
     return out
 
 
-def _oriented_carving_pair(fan: GHilbFan, edge):
-    """Carving pair (m, m') with m the generator side of the first chart."""
-    w = fan.carving_vectors[edge.rays]
+def _oriented_carving_pair(fan: GHilbFan, rays):
+    """Carving pair (m, m') of the edge on a ray-index pair, m the generator
+    side of the first chart: UnknownCone for no edge, BoundaryEdge for a
+    boundary one."""
+    w = fan.carving_vector(rays)
     return tuple(max(-v, 0) for v in w), tuple(max(v, 0) for v in w)
 
 

@@ -4,7 +4,10 @@ outputs, the sha256 of stdout, the sha256 of stderr and the exit code.
     python tests/golden/check.py --check    # one line per differing (group, command)
     python tests/golden/check.py --record   # rewrite the digests of the listed groups
 
-Every command runs in process through `mckay_lab.cli.main`.  The group list
+Every command runs in process through `mckay_lab.cli.main`.  Each group is
+parsed once and its fan built once, shared by its eight commands: while they
+run, `cli.parse_group_spec`, `cli.build_fan` and `verify.build_fan` return
+that group and that fan (no reader writes into a fan).  The group list
 in manifest.json is the input: `--record` keeps it and rewrites only the
 digests, and a group is added by listing it there.  Re-recording a digest
 changes a check, so every (group, command) that moves must be named, with
@@ -32,10 +35,11 @@ MANIFEST = Path(__file__).with_name("manifest.json")
 REFERENCE = ROOT / "bench" / "reference.json"
 
 try:
-    from mckay_lab.cli import main as cli_main
+    from mckay_lab import cli, verify
 except ImportError:  # run from a checkout without the package installed
     sys.path.insert(0, str(ROOT / "src"))
-    from mckay_lab.cli import main as cli_main
+    from mckay_lab import cli, verify
+from mckay_lab.errors import McKayLabError
 
 # output name -> CLI arguments after the group
 COMMANDS = {
@@ -59,8 +63,27 @@ def run_command(spec: str, command: str) -> dict:
     name, *options = COMMANDS[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main([name, "--group", spec, *options])
+        code = cli.main([name, "--group", spec, *options])
     return {"stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue()), "exit": code}
+
+
+def run_group(spec: str) -> dict:
+    """Every command's run_command entry on one group, which is parsed once
+    and whose fan is built once.  A spec that fails to parse or build is
+    left to each command, which reports its error."""
+    parse, build = cli.parse_group_spec, cli.build_fan
+    try:
+        group = parse(spec)
+        fan = build(group)
+    except McKayLabError:
+        return {command: run_command(spec, command) for command in COMMANDS}
+    saved = cli.parse_group_spec, cli.build_fan, verify.build_fan
+    cli.parse_group_spec = lambda s: group if s == spec else parse(s)
+    cli.build_fan = verify.build_fan = lambda g: fan if g is group else build(g)
+    try:
+        return {command: run_command(spec, command) for command in COMMANDS}
+    finally:
+        cli.parse_group_spec, cli.build_fan, verify.build_fan = saved
 
 
 def load() -> dict:
@@ -69,10 +92,7 @@ def load() -> dict:
 
 def record(manifest: dict) -> dict:
     """The manifest with every listed group's digests computed afresh."""
-    digests = {
-        spec: {command: run_command(spec, command) for command in COMMANDS}
-        for spec in manifest["groups"]
-    }
+    digests = {spec: run_group(spec) for spec in manifest["groups"]}
     return {"groups": manifest["groups"], "digests": digests}
 
 
@@ -96,8 +116,7 @@ def check(manifest: dict, groups=None) -> list[str]:
     lines = []
     for spec in manifest["groups"] if groups is None else groups:
         expected = manifest["digests"].get(spec, {})
-        for command in COMMANDS:
-            got = run_command(spec, command)
+        for command, got in run_group(spec).items():
             want = expected.get(command)
             if want is None:
                 lines.append(f"{spec} {command}: not recorded")

@@ -484,13 +484,12 @@ def support_h0_scan(fan, qa, chi):
     interior edge, one arrow order at a time."""
     orientations = ("x", "y", "z")
     divisors = []
-    for ri in fan.exceptional_ray_indices():
+    for ri in fan.exceptional_ray_indices:
         if all(arrow_order(qa, ri, chi, o) for o in orientations):
             divisors.append(ri)
     cells = [("divisor", ri) for ri in divisors]
     chosen = set(divisors)
-    for edge in fan.interior_edges():
-        i, j = edge.rays
+    for i, j in fan.interior_edges:
         if i in chosen or j in chosen:
             continue  # the curve lies inside an included divisor
         oi = [arrow_order(qa, i, chi, o) for o in orientations]
@@ -507,7 +506,7 @@ def support_h1_scan(fan, qa, chi):
     vertex classes."""
     return sorted(
         ("divisor", ri)
-        for ri in fan.exceptional_ray_indices()
+        for ri in fan.exceptional_ray_indices
         if qa.classes(ri)[fan.group.index[chi]].is_source
     )
 
@@ -561,20 +560,21 @@ def ratio_is_primitive_pairwise(group, m1, m2):
     return True
 
 
-def tautological_degree_single(fan, chi, edge):
-    """One character's degree on an edge's curve: the k with r' - r = k*w for
-    the chart generators r, r' and the oriented carving vector w."""
-    ci, cj = edge.cones
+def tautological_degree_single(fan, chi, rays):
+    """One character's degree on the curve of the edge on a ray-index pair:
+    the k with r' - r = k*w for the chart generators r, r' and the oriented
+    carving vector w."""
+    ci, cj = fan.edges[rays]
     r = fan.ggraphs[ci].representative(chi)
     r2 = fan.ggraphs[cj].representative(chi)
     if r == r2:
         return 0
     delta = tuple(b - a for a, b in zip(r, r2))
-    w = fan.carving_vectors[edge.rays]
-    far = [ri for ri in fan.cone_rays[ci] if ri not in edge.rays][0]
+    w = fan.carving_vectors[rays]
+    far = [ri for ri in fan.cone_rays[ci] if ri not in rays][0]
     if dot3(fan.scaled_rays[far], w) < 0:
         w = tuple(-v for v in w)
     ks = {d // v for d, v in zip(delta, w) if v}
     if len(ks) != 1 or any(d != next(iter(ks)) * v for d, v in zip(delta, w)):
-        raise AssertionError(f"generator ratio across {edge.rays} is not a power")
+        raise AssertionError(f"generator ratio across {rays} is not a power")
     return ks.pop()

@@ -132,6 +132,32 @@ def test_corpus_determinism_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_the_corpus_pool_is_no_larger_than_the_corpus(capsys, monkeypatch):
+    """--jobs beyond the number of groups asks for one worker per group; a
+    fake Pool records the size asked for and maps in process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, items):
+            return list(map(function, items))
+
+    monkeypatch.setattr("mckay_lab.corpus.Pool", FakePool)
+    code1, out1, _ = run(capsys, "corpus", "--max-order", "3", "--jobs", "4000")
+    code2, out2, _ = run(capsys, "corpus", "--max-order", "3", "--jobs", "1")
+    assert sizes == [len(enumerate_cyclic(3))]
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_empty_corpus_passes_trivially(capsys):
     code, out, _ = run(capsys, "corpus", "--max-order", "1")
     assert code == 0

@@ -18,4 +18,6 @@ def test_readme_library_sketch_runs():
     fan, chi = namespace["fan"], namespace["chi"]
     assert len(fan.cone_rays) == 4
     assert namespace["generator"] == fan.ggraphs[0].representative(chi)
+    assert namespace["edge"] == (0, 2) and len(namespace["cones"]) == 2
+    assert namespace["ratio"].text() == "x:y"
     assert namespace["report"]["pass"] is True

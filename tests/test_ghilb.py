@@ -97,7 +97,7 @@ def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
     group = parse_group_spec(spec)
     fan = build_fan(group)
     interior = {
-        frozenset(fan.scaled_rays[ri] for ri in e.rays) for e in fan.interior_edges()
+        frozenset(fan.scaled_rays[ri] for ri in e) for e in fan.interior_edges
     }
     assert len(flips) == len(set(flips)) == group.order - 1
     assert set(flips) <= interior
@@ -424,10 +424,10 @@ def test_flip_matches_stepping(group):
     """The closed-form shift k = min r_i // -t_i equals stepping by t until
     the next step leaves the octant, across every interior facet."""
     fan = build_fan(group)
-    for edge in fan.interior_edges():
-        e, f = (fan.scaled_rays[ri] for ri in edge.rays)
-        for ci in edge.cones:
-            (g,) = (fan.scaled_rays[ri] for ri in fan.cone_rays[ci] if ri not in edge.rays)
+    for edge in fan.interior_edges:
+        e, f = (fan.scaled_rays[ri] for ri in edge)
+        for ci in fan.edges[edge]:
+            (g,) = (fan.scaled_rays[ri] for ri in fan.cone_rays[ci] if ri not in edge)
             flipped = flip_ggraph(group, fan.ggraphs[ci], e, f, g)
             assert flipped.row == stepped_flip(group, fan.ggraphs[ci], e, f, g)
 
@@ -542,7 +542,7 @@ def test_divisor_coefficients_examples(p3, p4):
 def test_disagreeing_charts_are_rejected(p13):
     """Swapping the clusters of the two cones on an interior edge leaves the
     cones valid but makes the charts at a far ray disagree on q."""
-    ci, cj = p13.fan.interior_edges()[0].cones
+    ci, cj = p13.fan.edges[p13.fan.interior_edges[0]]
     ggraphs = list(p13.fan.ggraphs)
     ggraphs[ci], ggraphs[cj] = ggraphs[cj], ggraphs[ci]
     with pytest.raises(InconsistentCharts):
@@ -563,26 +563,26 @@ def test_tautological_degree_examples(p3, p4):
 
 def test_fan_derives_its_index_tuples_once(p13):
     fan = p13.fan
-    assert fan.exceptional_ray_indices() is fan.exceptional_ray_indices()
-    assert fan.exceptional_ray_indices() == tuple(
+    assert fan.exceptional_ray_indices is fan.exceptional_ray_indices
+    assert fan.exceptional_ray_indices == tuple(
         i for i, r in enumerate(fan.rays) if not r.is_corner
     )
-    assert fan.interior_edges() is fan.interior_edges()
-    assert fan.interior_edges() == tuple(e for e in fan.edges if not e.is_boundary)
+    assert fan.interior_edges is fan.interior_edges
+    assert fan.interior_edges == tuple(e for e, cones in fan.edges.items() if len(cones) != 1)
 
 
 def test_edges_at_ray_match_a_scan(p13, p33):
     for fan in (p13.fan, p33.fan):
         for ri in range(len(fan.rays)):
-            assert list(fan.edges_at_ray(ri)) == [e for e in fan.edges if ri in e.rays]
+            assert list(fan.edges_at_ray[ri]) == [e for e in fan.edges if ri in e]
 
 
 def test_fan_edges_and_boundary_flags(p4):
-    interior = p4.fan.interior_edges()
+    interior = p4.fan.interior_edges
     assert len(interior) == 4
-    assert all(len(e.cones) == 2 for e in interior)
-    boundary = [e for e in p4.fan.edges if e.is_boundary]
-    assert all(len(e.cones) == 1 for e in boundary)
+    assert all(len(p4.fan.edges[e]) == 2 for e in interior)
+    boundary = [e for e in p4.fan.edges if e not in interior]
+    assert all(len(p4.fan.edges[e]) == 1 for e in boundary)
 
 
 def test_cone_membership_oracle(p13):
@@ -656,3 +656,34 @@ def test_verify_and_fan_json_make_no_fraction_comparison_or_arithmetic(monkeypat
                 patch.setattr(Fraction, name, refuse)
         got = (report_json(verify_group(group)), fan_json(build_fan(group)))
     assert got == expected
+
+
+def _contents(fan) -> dict:
+    """The fan's attributes, each dict, list or tuple copied."""
+    return {
+        name: type(value)(value) if isinstance(value, (dict, list, tuple)) else value
+        for name, value in vars(fan).items()
+    }
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_no_reader_writes_into_a_fan(spec):
+    """Every reader of a fan leaves it as GHilbFan.__init__ made it, so one
+    fan can serve every command on its group."""
+    from mckay_lab import GroupVerification, QuiverAnalysis, marked_triangulation
+    from mckay_lab import transform_profile
+    from mckay_lab.diagrams import all_sink_source_dot, marked_simplex_svg, marked_simplex_tikz
+    from mckay_lab.serialize import fan_json
+
+    fan = build_fan(parse_group_spec(spec))
+    before = _contents(fan)
+    marked = marked_triangulation(fan)
+    qa = QuiverAnalysis(fan)
+    for chi in fan.group.characters:
+        transform_profile(fan, qa, chi)
+    assert GroupVerification(fan).passed
+    fan_json(fan)
+    marked_simplex_svg(fan, marked)
+    marked_simplex_tikz(fan, marked)
+    all_sink_source_dot(fan, qa)
+    assert _contents(fan) == before

@@ -48,3 +48,27 @@ def test_a_moved_reference_output_names_its_workload_and_key():
     entry["stdout"] = ("0" if entry["stdout"][0] != "0" else "1") + entry["stdout"][1:]
     lines, _ = golden.cross_check(manifest)
     assert len(lines) == 1 and lines[0].startswith("corpus22 12:1,1,10: manifest stdout ")
+
+
+def test_each_group_is_parsed_once_and_its_fan_built_once(monkeypatch):
+    """The eight commands of a group share its one parse and its one fan,
+    and the CLI's own functions are back in place afterwards."""
+    import mckay_lab.cli as cli
+    import mckay_lab.verify as verify
+
+    calls = []
+
+    def counted(name, function):
+        def call(arg):
+            calls.append(name)
+            return function(arg)
+
+        return call
+
+    monkeypatch.setattr(cli, "parse_group_spec", counted("parse", cli.parse_group_spec))
+    monkeypatch.setattr(cli, "build_fan", counted("build", cli.build_fan))
+    monkeypatch.setattr(verify, "build_fan", counted("build", verify.build_fan))
+    patched = cli.parse_group_spec, cli.build_fan, verify.build_fan
+    assert golden.check(golden.load(), groups=["4:1,1,2", "3:1,2,0+3:0,1,2"]) == []
+    assert calls == ["parse", "build"] * 2
+    assert (cli.parse_group_spec, cli.build_fan, verify.build_fan) == patched

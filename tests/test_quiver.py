@@ -42,7 +42,7 @@ def test_arrow_vanishing_orders(p3, p4):
 def test_multiplicities_read_the_divisor_table():
     """The arrow orders come from fan.q alone: one corrupted entry breaks them."""
     fan = build_fan(parse_group_spec("13:1,5,7"))
-    ri = fan.exceptional_ray_indices()[0]
+    ri = fan.exceptional_ray_indices[0]
     fan.q.rows[ri][1] += 1
     with pytest.raises(MultiplicityOutOfRange):
         QuiverAnalysis(fan).masks(ri)
@@ -55,7 +55,7 @@ def test_vanishing_counts(p3, p4):
 
 
 def test_triangle_identity(p13):
-    for ri in p13.fan.exceptional_ray_indices():
+    for ri in p13.fan.exceptional_ray_indices:
         assert p13.qa.triangles_consistent(ri)
 
 

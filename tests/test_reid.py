@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,15 @@ from mckay_lab import (
     classify_fan_vertex,
     parse_group_spec,
     regular_triangle_defect,
+    tautological_degree,
     vertex_marking,
 )
 from mckay_lab.errors import BoundaryEdge, NotInLattice, UnknownCone, UnmarkedVertex
+from mckay_lab.ghilb import tautological_degrees
 from mckay_lab.intlin import dot3
 from mckay_lab.lattice import WeightVector
 from mckay_lab.reid import product_defect
+from mckay_lab.verify import _oriented_carving_pair
 
 from conftest import SQUARE_PRODUCTS, pipeline, small_groups
 from oracles import brute_carving_vector
@@ -37,10 +41,10 @@ def test_carving_ratio_examples(p3, p4, p6):
 def test_carving_against_brute_force(p13):
     """The perpendicular primitive invariant agrees with a box search."""
     fan = p13.fan
-    for edge in fan.interior_edges():
+    for edge in fan.interior_edges:
         ratio = carving_ratio(fan, edge)
         vec = tuple(a - b for a, b in zip(ratio.m1, ratio.m2))
-        i, j = edge.rays
+        i, j = edge
         brute = brute_carving_vector(
             p13.group, fan.rays[i].coords, fan.rays[j].coords, bound=13
         )
@@ -49,7 +53,7 @@ def test_carving_against_brute_force(p13):
 
 
 def test_edge_characters(p3, p4):
-    for edge in p3.fan.interior_edges():
+    for edge in p3.fan.interior_edges:
         assert carving_ratio(p3.fan, edge).character == p3.chi(1)
     assert carving_ratio(
         p4.fan, p4.edge((f(1, 4), f(1, 4), f(1, 2)), (f(1, 2), f(1, 2), 0))
@@ -129,6 +133,36 @@ def test_a_point_that_is_no_ray_is_an_input_error(spec, coords, error):
             lookup()
 
 
+@pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
+def test_a_pair_that_is_no_interior_edge_is_an_input_error(spec):
+    """Every lookup from a ray-index pair goes through GHilbFan.edge_between,
+    which refuses a pair that spans no edge with UnknownCone; the readers of
+    an interior edge refuse a boundary one with BoundaryEdge, which
+    edge_between returns.  Never a KeyError."""
+    fan = pipeline(spec).fan
+    chi = fan.group.characters[1]
+    readers = (
+        lambda pair: carving_ratio(fan, pair),
+        lambda pair: tautological_degree(fan, chi, pair),
+        lambda pair: tautological_degrees(fan, pair),
+        lambda pair: _oriented_carving_pair(fan, pair),
+    )
+    n = len(fan.rays)
+    no_edge = next(p for p in combinations(range(n), 2) if p not in fan.edges)
+    for i, j in (no_edge, no_edge[::-1], (0, 0), (0, n)):
+        with pytest.raises(UnknownCone):
+            fan.edge_between(i, j)
+        for reader in readers:
+            with pytest.raises(UnknownCone):
+                reader((i, j))
+    boundary = next(e for e, cones in fan.edges.items() if len(cones) == 1)
+    for pair in (boundary, boundary[::-1]):
+        assert fan.edge_between(*pair) == boundary
+        for reader in readers:
+            with pytest.raises(BoundaryEdge):
+                reader(pair)
+
+
 def test_vertex_markings(p3, p4, p6, p13):
     center = p3.fan.rays[p3.ray((f(1, 3),) * 3)]
     assert vertex_marking(p3.fan, center) == (p3.chi(2),)
@@ -142,7 +176,7 @@ def test_vertex_markings(p3, p4, p6, p13):
     # age-2-free group: six case-2 vertices, markings pair up with edges
     marks = {
         p13.marked.vertex_cases[ri].markings[0].residues[0]
-        for ri in p13.fan.exceptional_ray_indices()
+        for ri in p13.fan.exceptional_ray_indices
     }
     assert marks == {3, 6, 8, 9, 11, 12}
 
@@ -189,7 +223,7 @@ def test_regular_triangle_defect_on_interior_cones():
             for a in range(3)
             for b in range(a + 1, 3)
         ]
-        if any(e.is_boundary for e in edges):
+        if any(len(fan.edges[e]) == 1 for e in edges):
             continue
         defects.append(regular_triangle_defect(fan, ci))
     # 1/7(1,2,4) has four all-interior triangles, each basic: defect 1
@@ -205,11 +239,11 @@ def test_each_edge_has_one_oriented_carving_vector(group):
     the triangle defect does not depend on the sign of any one vector."""
     fan = build_fan(group)
     scaled = fan.scaled_rays
-    for edge in fan.interior_edges():
-        w = fan.carving_vectors[edge.rays]
-        assert [dot3(scaled[ri], w) for ri in edge.rays] == [0, 0]
+    for edge in fan.interior_edges:
+        w = fan.carving_vectors[edge]
+        assert [dot3(scaled[ri], w) for ri in edge] == [0, 0]
         (near,), (far,) = (
-            [ri for ri in fan.cone_rays[ci] if ri not in edge.rays] for ci in edge.cones
+            [ri for ri in fan.cone_rays[ci] if ri not in edge] for ci in fan.edges[edge]
         )
         assert dot3(scaled[near], w) > 0 > dot3(scaled[far], w)
         ratio = carving_ratio(fan, edge)
@@ -217,9 +251,9 @@ def test_each_edge_has_one_oriented_carving_vector(group):
         assert tuple(a - b for a, b in zip(ratio.m1, ratio.m2)) == lex
     for a, b, c in fan.cone_rays:
         edges = [fan.edge_between(i, j) for i, j in ((a, b), (a, c), (b, c))]
-        if any(e.is_boundary for e in edges):
+        if any(len(fan.edges[e]) == 1 for e in edges):
             continue
-        vectors = [fan.carving_vectors[e.rays] for e in edges]
+        vectors = [fan.carving_vectors[e] for e in edges]
         defect = product_defect(vectors)
         for k in range(3):
             flipped = list(vectors)

@@ -68,8 +68,8 @@ def test_connectivity_by_faces_matches_the_cone_scan(group):
     for chi in group.characters:
         for support in (f(fan, qa, chi) for f in (support_h0, support_h1, support_h2)):
             assert _is_connected(fan, support) == is_connected_pairwise(fan, support)
-    cells = [("divisor", ri) for ri in fan.exceptional_ray_indices()]
-    cells += [("curve", e.rays) for e in fan.interior_edges()]
+    cells = [("divisor", ri) for ri in fan.exceptional_ray_indices]
+    cells += [("curve", e) for e in fan.interior_edges]
     for a, c1 in enumerate(cells):
         for c2 in cells[a + 1:]:
             assert _is_connected(fan, [c1, c2]) == is_connected_pairwise(fan, [c1, c2])
@@ -99,26 +99,24 @@ def test_primitivity_by_residues_matches_the_pair_loop_on_products(spec, m1, m2)
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
 def test_each_carving_ratio_is_built_once_per_fan(spec, monkeypatch):
     """The markings, the vertex cases and the triangle defects of a
-    verification share one ratio per interior edge, and a second fan of the
-    same group builds its own."""
+    verification share one ratio per interior edge, built into its one table
+    edge_ratios, and a second verification of the same fan builds its own."""
     built = []
-    build = mckay_lab.reid._carving_ratio
+    build = mckay_lab.reid.carving_ratio
 
     def count(fan, rays):
         built.append(rays)
         return build(fan, rays)
 
-    monkeypatch.setattr(mckay_lab.reid, "_carving_ratio", count)
-    group = parse_group_spec(spec)
-    edges = sorted(e.rays for e in build_fan(group).interior_edges())
+    monkeypatch.setattr(mckay_lab.reid, "carving_ratio", count)
+    fan = build_fan(parse_group_spec(spec))
     for _ in range(2):
-        fan = build_fan(group)
+        built.clear()
         verification = GroupVerification(fan)
         assert verification.passed
-        for edge in fan.interior_edges():
-            ratio = mckay_lab.reid.carving_ratio(fan, edge)
-            assert ratio is verification.marked.edge_ratios[edge.rays]
-    assert sorted(built) == sorted(edges + edges)
+        assert sorted(built) == list(fan.interior_edges)
+        for edge in fan.interior_edges:
+            assert build(fan, edge) == verification.marked.edge_ratios[edge]
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,7 +124,7 @@ def test_each_carving_ratio_is_built_once_per_fan(spec, monkeypatch):
 def test_per_edge_degrees_match_the_per_character_reading(group):
     assume(group.order > 1)
     fan = build_fan(group)
-    for edge in fan.interior_edges():
+    for edge in fan.interior_edges:
         degrees = tautological_degrees(fan, edge)
         assert len(degrees) == group.order
         for k, chi in enumerate(group.characters):
@@ -147,7 +145,7 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
         return triangles(group)
 
     def count_degrees(fan, edge):
-        seen["degrees"].append(edge.rays)
+        seen["degrees"].append(edge)
         return degrees(fan, edge)
 
     monkeypatch.setattr(mckay_lab.quiver, "quiver_triangles", count_triangles)
@@ -157,4 +155,4 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
     verification = GroupVerification(fan)
     assert verification.passed
     assert seen["triangles"] == 1
-    assert sorted(seen["degrees"]) == [e.rays for e in fan.interior_edges()]
+    assert sorted(seen["degrees"]) == list(fan.interior_edges)

@@ -135,7 +135,7 @@ def test_rotated_shape_b_coordinates():
     fan = build_fan(group)
     qa = QuiverAnalysis(fan)
     axes = {}
-    for ri in fan.exceptional_ray_indices():
+    for ri in fan.exceptional_ray_indices:
         ss = qa.sink_source_graph(ri)
         axes[ss.shape_axis] = (ri, ss.lengths)
     assert set(axes) == {"x", "y", "z"}
@@ -162,7 +162,7 @@ def test_chart_consistency_catches_a_corrupted_coefficient():
     verification = GroupVerification(fan)
     assert verification._prop_chart_consistency()
     chi = fan.group.characters[1]
-    ri = fan.exceptional_ray_indices()[0]
+    ri = fan.exceptional_ray_indices[0]
     fan.q.rows[ri][fan.group.index[chi]] += 1
     assert not verification._prop_chart_consistency()
 
