@@ -1,15 +1,14 @@
 """Exact-arithmetic McKay correspondence engine for abelian subgroups of SL(3,C).
 
-The pipeline, in dependency order: groups (characters via lattice quotients),
-lattice (junior simplex), ghilb (torus-fixed clusters and the fan), reid
-(carving ratios and markings), quiver (arrow vanishing and sink-source
-graphs), transforms (degrees and supports), verify (the correspondence
-theorems, machine-checked).
+The pipeline, in dependency order: groups (characters via lattice quotients,
+the junior simplex and the divisor table), ghilb (torus-fixed clusters and
+the fan), reid (carving ratios and markings), quiver (arrow vanishing and
+sink-source graphs), transforms (degrees and supports), verify (the
+correspondence theorems, machine-checked).
 """
 
 from .errors import McKayLabError
-from .groups import group_from_generators, parse_group_spec
-from .lattice import WeightVector, junior_points
+from .groups import WeightVector, group_from_generators, parse_group_spec
 from .ghilb import (
     build_fan,
     chart_generator,
@@ -42,7 +41,6 @@ __all__ = [
     "cone_of_ggraph",
     "enumerate_ggraphs",
     "group_from_generators",
-    "junior_points",
     "marked_triangulation",
     "parse_group_spec",
     "quiver_counts",

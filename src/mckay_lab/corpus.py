@@ -87,9 +87,12 @@ def run_corpus(spec: CorpusSpec) -> dict:
     Reports are merged in corpus order, so the aggregate is independent of
     the worker count; per-group JSON files are written when an output
     directory is configured.  A group whose pipeline raises is recorded in
-    the failures and the sweep goes on.
+    the failures and the sweep goes on.  An output directory that cannot be
+    made fails before any group runs.
     """
     specs = corpus_specs(spec)
+    if spec.output_dir:
+        os.makedirs(spec.output_dir, exist_ok=True)
     if spec.jobs > 1 and len(specs) > 1:
         with Pool(min(spec.jobs, len(specs))) as pool:
             reports = pool.map(_verify_spec, specs)
@@ -128,7 +131,6 @@ def run_corpus(spec: CorpusSpec) -> dict:
 
 
 def _write_group_report(output_dir: str, group_spec: str, report: dict) -> None:
-    os.makedirs(output_dir, exist_ok=True)
     name = group_spec.replace(":", "_").replace(",", "-").replace("+", "_x_")
     with open(os.path.join(output_dir, f"{name}.json"), "w") as fh:
         fh.write(report_json(report))

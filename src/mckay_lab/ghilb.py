@@ -7,28 +7,27 @@ table: each m/x_i must be the representative at the tail of the x_i-arrow
 into m's position, which by induction on degree gives both closure and every
 representative's character without computing one.
 
-The divisor table comes first: per junior point e, n*q(chi, e) is the least
-(n*e).m over the monomials m of chi, one Dijkstra over the McKay quiver per
-point, and the row's sum is the height H(e).  A cluster's cone is read off
-the table (Nakamura; Craw-Reid): with S the sum of the cluster's monomials,
-(n*e).S >= H(e) at every junior point, term by term, with equality exactly
-when every representative is least on e, that is when e lies in the cone.
-So one integer scan over the junior table finds the cone's rays as table
-indices, in lex order; it runs once per cluster and is kept on it.  All
-clusters are found by seeding from a generic weight and crossing each
-interior wall (a ray-index pair) that no second found cone has closed yet:
-one flip per new cluster, whose carving vector the fan reuses.  The fan is
-then validated as a unimodular triangulation, each chart is checked against
-the table at its three rays by the same height identity, and the fan
-derives its integer facts once.  The whole path runs on integers: a cone is
-its ascending ray-index triple, the `WeightVector`s are output views, and
-no `Fraction` is compared.
+The junior points and the divisor table belong to the group: per junior
+point e, n*q(chi, e) is the least (n*e).m over the monomials m of chi, and
+the row's sum is the height H(e) (GroupData.divisor_rows and heights).  A
+cluster's cone is read off the table (Nakamura; Craw-Reid): with S the sum
+of the cluster's monomials, (n*e).S >= H(e) at every junior point, term by
+term, with equality exactly when every representative is least on e, that is
+when e lies in the cone.  So one integer scan over the junior points finds
+the cone's rays as their indices, in lex order; it runs once per cluster and
+is kept on it.  All clusters are found by seeding from a generic weight and
+crossing each interior wall (a ray-index pair) that no second found cone has
+closed yet: one flip per new cluster, whose carving vector the fan reuses.
+The fan is then validated as a unimodular triangulation, each chart is
+checked against the table at its three rays by the same height identity, and
+the fan derives its integer facts once.  The whole path runs on integers: a
+cone is its ascending ray-index triple, the `WeightVector`s are output
+views, and no `Fraction` is compared.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from heapq import heappop, heappush
 
 from .errors import (
     BoundaryEdge,
@@ -40,9 +39,8 @@ from .errors import (
     SearchExhausted,
     UnknownCone,
 )
-from .groups import Character, GroupData, Monomial, MONO_ONE, mono_str
+from .groups import Character, GroupData, Monomial, MONO_ONE, WeightVector, mono_str
 from .intlin import cross3, det3, dot3, primitive_signed
-from .lattice import WeightVector, junior_table
 
 
 class GGraph:
@@ -107,9 +105,9 @@ class GGraph:
 
 
 class DivisorCoefficients:
-    """The integer divisor table: rows[ray][k] = n*q(chi, ray) = (n*e).r_chi
-    for the k-th character chi of group.characters, n = |G|, the group's
-    Dijkstra rows (divisor_table).
+    """The fan's check of its charts against the group's divisor table:
+    rows[ray][k] = n*q(chi, ray) for the k-th character chi of
+    group.characters, n = |G|, is group.divisor_rows itself.
 
     Every chart must reproduce the row at each of its three rays.  Each term
     (n*e).r_chi is at least n*q(chi, e), so the chart does exactly when its
@@ -117,13 +115,12 @@ class DivisorCoefficients:
     product per ray, and a mismatch names the first character that differs."""
 
     def __init__(self, fan: "GHilbFan"):
-        rows, planes = divisor_table(fan.group)
+        rows, heights = fan.group.divisor_rows, fan.group.heights
         for graph, triple in zip(fan.ggraphs, fan.cone_rays):
-            sx, sy, sz = graph.total
             for ri in triple:
-                a, b, c, height, _ = planes[ri]
-                if a * sx + b * sy + c * sz != height:
-                    e, row = fan.scaled_rays[ri], rows[ri]
+                e = fan.scaled_rays[ri]
+                if dot3(e, graph.total) != heights[ri]:
+                    row = rows[ri]
                     k = next(k for k, m in enumerate(graph.row) if dot3(e, m) != row[k])
                     raise InconsistentCharts(
                         f"the chart of {graph} at ray {fan.rays[ri]} gives n*q "
@@ -137,21 +134,21 @@ class GHilbFan:
     """The validated triangulation of the junior simplex with its cluster charts.
 
     Besides the charts it holds the integer facts every later layer reads,
-    each a plain table built here and never written after: the scaled rays
-    n*e, the divisor table n*q (one row per ray, indexed like
-    group.characters) and one carving vector per interior edge, positive on
-    the far ray of the edge's first cone.  Each cone is its ascending
-    ray-index triple, cone_rays[k] that of the chart ggraphs[k]; each edge
-    is its ascending ray-index pair, a key of `edges` in ray-pair order,
-    whose value is the sorted indices of the cones next to it: one cone on
-    the boundary, two inside."""
+    each a plain table never written after: the group's junior points as its
+    rays and scaled rays n*e, the group's divisor table n*q (one row per
+    ray, indexed like group.characters), checked against every chart, and
+    one carving vector per interior edge, positive on the far ray of the
+    edge's first cone.  Each cone is its ascending ray-index triple,
+    cone_rays[k] that of the chart ggraphs[k]; each edge is its ascending
+    ray-index pair, a key of `edges` in ray-pair order, whose value is the
+    sorted indices of the cones next to it: one cone on the boundary, two
+    inside."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays):
         self.group = group
         n = group.order
-        juniors = junior_table(group)
-        self.rays: tuple[WeightVector, ...] = tuple(juniors.values())
-        self.scaled_rays = scaled = tuple(juniors)
+        self.rays: tuple[WeightVector, ...] = group.junior_points
+        self.scaled_rays = scaled = group.juniors
         self._ray_index = {s: i for i, s in enumerate(scaled)}
         self.ggraphs = tuple(ggraphs)
         self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(cone_rays)
@@ -318,18 +315,14 @@ def seed_ggraph(group: GroupData) -> GGraph:
 
 def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:
     """Primitive invariant-lattice vector perpendicular to two scaled junior
-    points n*e and n*f, kept on the group by the pair: the flip across a
-    wall and the fan's carving vector of that edge share one.
+    points n*e and n*f: the direction of the flip across their wall and the
+    fan's carving vector of their edge.
 
     Sign is lexicographic; callers orient as needed.
     """
-    memo = group._perpendiculars
-    t = memo.get((e, f))
-    if t is None:
-        u = primitive_signed(cross3(e, f))
-        order = group.character_order(group.kappa(u))
-        t = memo[e, f] = tuple(w * order for w in u)
-    return t
+    u = primitive_signed(cross3(e, f))
+    order = group.character_order(group.kappa(u))
+    return tuple(w * order for w in u)
 
 
 def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
@@ -374,7 +367,7 @@ def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
     it crossed, raises InconsistentCharts naming the wall.
     """
     n = group.order
-    scaled = list(junior_table(group))
+    scaled = group.juniors
     found: dict[tuple, GGraph] = {}
     open_walls: set[tuple[int, int]] = set()
 
@@ -427,65 +420,24 @@ def spans_interior_edge(e, f) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the divisor table, and the cones of clusters read off it
-
-
-def least_valuations(group: GroupData, weight) -> list[int]:
-    """The least weight.m over the monomials m of each character, in the
-    order of group.characters.
-
-    A monomial is a path from the trivial character in the McKay quiver, so
-    this is Dijkstra over positions with an o-arrow costing weight[o] (all
-    nonnegative); each position's distance is unique, whatever the order
-    ties pop in.
-    """
-    heads = group.head_rows
-    least: list[int | None] = [None] * group.order
-    heap = [(0, group.index[group.trivial_character])]
-    while heap:
-        d, k = heappop(heap)
-        if least[k] is not None:
-            continue
-        least[k] = d
-        for w, h in zip(weight, heads[k]):
-            if least[h] is None:
-                heappush(heap, (d + w, h))
-    return least
-
-
-def divisor_table(group: GroupData) -> tuple[list[list[int]], list[tuple]]:
-    """(rows, planes) over the group's junior points, in junior-table order;
-    built once per group and kept on it.
-
-    rows[ri] is least_valuations(n*e): n*q(chi, e) for every character chi.
-    planes[ri] is (a, b, c, H, e) for n*e = (a, b, c), with the height H the
-    row's sum and e the junior point itself."""
-    table = group._divisor_table
-    if table is None:
-        rows, planes = [], []
-        for scaled, point in junior_table(group).items():
-            row = least_valuations(group, scaled)
-            rows.append(row)
-            planes.append((*scaled, sum(row), point))
-        table = group._divisor_table = (rows, planes)
-    return table
+# the cones of clusters, read off the group's divisor table
 
 
 def cone_of_ggraph(group: GroupData, graph: GGraph) -> tuple[int, int, int]:
     """The maximal cone whose chart carries the given cluster, as the
-    ascending junior-table indices of its rays.
+    ascending indices of its rays in group.juniors.
 
     With S the sum of the cluster's monomials, (n*e).S >= H(e) at every
-    junior point e, with equality exactly on the cone (see divisor_table):
-    the rays are the junior points on that height plane, which must be three
-    linearly independent ones.  Extracted once per cluster and kept on it,
-    found in table order, which is lex order.
+    junior point e, with equality exactly on the cone (see the module
+    docstring): the rays are the junior points on that height plane, which
+    must be three linearly independent ones.  Extracted once per cluster and
+    kept on it, found in the order of group.juniors, which is lex order.
     """
     if graph._cone_rays is None:
         triple = _height_rays(group, graph.total)
-        planes = divisor_table(group)[1]
-        if len(triple) != 3 or not det3([planes[ri][:3] for ri in triple]):
-            rays = [planes[ri][4] for ri in triple]
+        juniors = group.juniors
+        if len(triple) != 3 or not det3([juniors[ri] for ri in triple]):
+            rays = [group.junior_points[ri] for ri in triple]
             raise LowerDimensionalCone(f"cluster {graph} has the height plane of {rays}")
         graph._cone_rays = tuple(triple)
     return graph._cone_rays
@@ -494,10 +446,9 @@ def cone_of_ggraph(group: GroupData, graph: GGraph) -> tuple[int, int, int]:
 def _height_rays(group: GroupData, total) -> list[int]:
     """The indices of the junior points e with (n*e).total equal to H(e)."""
     sx, sy, sz = total
-    planes = divisor_table(group)[1]
     return [
         ri
-        for ri, (a, b, c, height, _) in enumerate(planes)
+        for ri, ((a, b, c), height) in enumerate(zip(group.juniors, group.heights))
         if a * sx + b * sy + c * sz == height
     ]
 

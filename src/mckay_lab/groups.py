@@ -1,4 +1,5 @@
-"""Finite abelian diagonal subgroups of SL(3,C) as lattice quotients.
+"""Finite abelian diagonal subgroups of SL(3,C) as lattice quotients, and
+the facts that depend on the group alone.
 
 A group generated by diag(eps^a, eps^b, eps^c), eps a primitive r-th root of
 unity, is stored through the sublattice M of Z^3 of invariant Laurent
@@ -8,6 +9,13 @@ pairing residues against the given generators, so that for a cyclic
 1/r(a,b,c) the monomial x^i y^j z^k has character (a*i + b*j + c*k) mod r.
 The McKay quiver is kept by position in the sorted characters: one row of
 three heads and one of three tails per character.
+
+The junior points e (the elements with coordinate sum 1, and the corners)
+are read off the integer element walk in lex order, as n*e (n = |G|) and as
+`WeightVector` views over the elements' own `Fraction`s; a ray index of any
+fan is a position in them.  The divisor table holds n*q(chi, e), the least
+(n*e).m over the monomials m of chi, per junior point and character, and
+each row's sum, the height H(e); it is built on first use.
 """
 
 from __future__ import annotations
@@ -15,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from heapq import heappop, heappush
 
-from .errors import EmptyGenerators, InconsistentGroup, NotInSL3
+from .errors import EmptyGenerators, InconsistentGroup, NotInLattice, NotInSL3
 from .intlin import det3, dot3, hnf_rows
 
 Monomial = tuple  # (i, j, k) exponents of x^i y^j z^k; Laurent if negatives allowed
@@ -40,20 +50,49 @@ def mono_str(m: Monomial) -> str:
     return "".join(parts) or "1"
 
 
+CORNERS = (
+    (Fraction(1), Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(1)),
+)
+
+
+@dataclass(frozen=True, order=True)
+class WeightVector:
+    """A point of the junior simplex: l in L with l >= 0 and sum(l) = 1."""
+
+    coords: tuple[Fraction, Fraction, Fraction]
+
+    @property
+    def is_corner(self) -> bool:
+        return self.coords in CORNERS
+
+    @property
+    def is_boundary(self) -> bool:
+        """True on the boundary of the simplex (some coordinate vanishes)."""
+        return any(v == 0 for v in self.coords)
+
+    @property
+    def is_interior(self) -> bool:
+        return all(v > 0 for v in self.coords)
+
+    def scaled(self, n: int) -> tuple[int, int, int]:
+        """Integer coordinates n*l; NotInLattice unless every one is integral."""
+        pairs = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
+        if any(rest for _, rest in pairs):
+            raise NotInLattice(f"{self} is not a point of the lattice (1/{n})Z^3")
+        return tuple(v for v, _ in pairs)
+
+    def __repr__(self) -> str:
+        return "(" + ",".join(str(v) for v in self.coords) + ")"
+
+
 @dataclass(frozen=True)
 class Character:
     """An element of Z^3/M, as pairing residues against the group generators."""
 
     residues: tuple[int, ...]
     moduli: tuple[int, ...]
-
-    def __hash__(self) -> int:
-        # kept on the object: the dataclass hash builds a tuple per lookup
-        fields = self.__dict__
-        h = fields.get("_hash")
-        if h is None:
-            h = fields["_hash"] = hash((self.residues, self.moduli))
-        return h
 
     def __mul__(self, other: "Character") -> "Character":
         return Character(
@@ -79,10 +118,9 @@ class Character:
 class GroupData:
     """Container for one finite abelian diagonal subgroup.
 
-    Built by :func:`group_from_generators`; do not mutate after construction,
-    except for three memos that later layers fill on first use:
-    `_junior_table` (lattice.junior_table), `_divisor_table`
-    (ghilb.divisor_table) and `_perpendiculars` (ghilb.invariant_perpendicular).
+    Built by :func:`group_from_generators` and never written after its
+    constructor, but for the divisor table (`divisor_rows` and `heights`),
+    which it builds itself on first use.
     """
 
     def __init__(self, generators):
@@ -97,11 +135,7 @@ class GroupData:
         fractions = [Fraction(v, self.modulus) for v in range(self.modulus)]
         self.elements = tuple(tuple(fractions[v] for v in e) for e in self.element_triples)
         self.order = len(self.elements)
-        # the junior points keyed by n*e, built by lattice.junior_table, and
-        # their divisor table, built by ghilb.divisor_table
-        self._junior_table = None
-        self._divisor_table = None
-        self._perpendiculars: dict = {}  # ghilb.invariant_perpendicular
+        self.juniors, self.junior_points = self._read_juniors()
 
         self.invariant_basis = _invariant_basis(gens)
         self._check_indices()
@@ -125,6 +159,59 @@ class GroupData:
             for o, h in enumerate(row):
                 tails[h][o] = k
         self.tail_rows = tuple(map(tuple, tails))
+
+    def _read_juniors(self):
+        """The junior points e in lex order, corners included: as n*e and as
+        `WeightVector`s.  An element N*e (N = modulus) is junior when it sums
+        to N, and n*e = n*(N*e)//N; the corners go first, after the elements
+        with x = 0, and last."""
+        n, modulus = self.order, self.modulus
+        x, y, z = ((tuple(n * (i == k) for i in range(3)), c) for k, c in enumerate(CORNERS))
+        points = [z]
+        for (a, b, c), coords in zip(self.element_triples, self.elements):
+            if a + b + c == modulus:
+                if a and y:
+                    points.append(y)
+                    y = None
+                points.append(((a * n // modulus, b * n // modulus, c * n // modulus), coords))
+        points += [y, x] if y else [x]
+        scaled, coords = zip(*points)
+        return scaled, tuple(map(WeightVector, coords))
+
+    # -- the divisor table -------------------------------------------------
+
+    def least_valuations(self, weight) -> list[int]:
+        """The least weight.m over the monomials m of each character, in the
+        order of characters.
+
+        A monomial is a path from the trivial character in the McKay quiver,
+        so this is Dijkstra over positions with an o-arrow costing weight[o]
+        (all nonnegative); each position's distance is unique, whatever the
+        order ties pop in.
+        """
+        heads = self.head_rows
+        least: list[int | None] = [None] * self.order
+        heap = [(0, self.index[self.trivial_character])]
+        while heap:
+            d, k = heappop(heap)
+            if least[k] is not None:
+                continue
+            least[k] = d
+            for w, h in zip(weight, heads[k]):
+                if least[h] is None:
+                    heappush(heap, (d + w, h))
+        return least
+
+    @cached_property
+    def divisor_rows(self) -> list[list[int]]:
+        """One row per junior point e, by position in juniors:
+        least_valuations(n*e), that is n*q(chi, e) for every character chi."""
+        return [self.least_valuations(s) for s in self.juniors]
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """The height H(e) of every junior point e, the sum of its row."""
+        return tuple(map(sum, self.divisor_rows))
 
     # -- characters --------------------------------------------------------
 

@@ -28,9 +28,8 @@ from .errors import (
     UnmarkedVertex,
 )
 from .ghilb import GHilbFan
-from .groups import Character, Monomial, mono_str
+from .groups import Character, Monomial, WeightVector, mono_str
 from .intlin import cross3, dot3
-from .lattice import WeightVector
 
 
 def ratio_key(m1: Monomial, m2: Monomial) -> tuple[Monomial, Monomial]:

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 from mckay_lab.errors import DegenerateCone, NotInLattice, NotInSL3
 from mckay_lab.ghilb import invariant_perpendicular
-from mckay_lab.groups import MONO_ONE, Character, mono_divides
+from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides
 from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
-from mckay_lab.lattice import CORNERS, WeightVector, junior_table
 from mckay_lab.serialize import dumps_canonical
 
 
@@ -249,13 +248,14 @@ def junior_point(group, ray):
     """The junior point r/sum(r) of a nonzero nonnegative integer ray r, or
     None when it is not a point of L.
 
-    L meets the junior simplex exactly in the junior table's keys, so r/sum(r)
-    is in L exactly when n*r is divisible by sum(r) and the quotient is a
-    key.  The floor quotient suffices: when some entry does not divide, the
-    floors sum to less than n, and no key does.
+    L meets the junior simplex exactly in the junior points, so r/sum(r) is
+    in L exactly when n*r is divisible by sum(r) and the quotient is in
+    group.juniors.  The floor quotient suffices: when some entry does not
+    divide, the floors sum to less than n, and no scaled junior point does.
     """
     n, total = group.order, sum(ray)
-    return junior_table(group).get(tuple(n * v // total for v in ray))
+    table = dict(zip(group.juniors, group.junior_points))
+    return table.get(tuple(n * v // total for v in ray))
 
 
 def clipped_cone(group, graph):

@@ -187,6 +187,27 @@ def test_corpus_rejects_a_bad_group_before_any_group_runs(capsys, monkeypatch):
     assert calls == []
 
 
+def test_corpus_rejects_an_unusable_out_before_any_group_runs(capsys, monkeypatch, tmp_path):
+    """An output directory under a regular file cannot be made: the corpus
+    exits 2 before it verifies a group."""
+    import mckay_lab.corpus
+
+    calls = []
+    verify_group = mckay_lab.corpus.verify_group
+
+    def counted(group):
+        calls.append(group.spec_string())
+        return verify_group(group)
+
+    monkeypatch.setattr(mckay_lab.corpus, "verify_group", counted)
+    blocker = tmp_path / "report.json"
+    blocker.write_text("")
+    code, out, err = run(capsys, "corpus", "--max-order", "6", "--out", str(blocker / "sub"))
+    assert code == 2 and out == ""
+    assert "error:" in err
+    assert calls == []
+
+
 def test_corpus_records_a_raising_group_and_goes_on(capsys, monkeypatch):
     import mckay_lab.corpus
     from mckay_lab.errors import FanValidationFailed

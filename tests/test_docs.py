@@ -1,9 +1,10 @@
-"""The README's library sketch runs against the code as it stands."""
+"""The README's library sketch and module table match the code as it stands."""
 
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "mckay_lab"
 
 
 def library_sketch() -> str:
@@ -21,3 +22,16 @@ def test_readme_library_sketch_runs():
     assert namespace["edge"] == (0, 2) and len(namespace["cones"]) == 2
     assert namespace["ratio"].text() == "x:y"
     assert namespace["report"]["pass"] is True
+
+
+def key_modules() -> list[str]:
+    """Every `mckay_lab.<name>` in the README's "Key modules" table."""
+    section = README.read_text().split("Key modules:", 1)[1]
+    table = re.match(r"\s*((?:\|.*\n)+)", section).group(1)
+    return re.findall(r"`mckay_lab\.(\w+)`", table)
+
+
+def test_readme_module_table_names_package_files():
+    names = key_modules()
+    assert "groups" in names
+    assert [name for name in names if not (PACKAGE / f"{name}.py").is_file()] == []

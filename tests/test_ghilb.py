@@ -26,13 +26,11 @@ from mckay_lab.errors import (
 from mckay_lab.ghilb import (
     GGraph,
     GHilbFan,
-    divisor_table,
     flip_ggraph,
     seed_ggraph,
 )
 from mckay_lab.groups import GroupData
 from mckay_lab.intlin import dot3
-from mckay_lab.lattice import junior_table
 
 from conftest import SQUARE_PRODUCTS, sl3_cyclic, small_groups
 from oracles import (
@@ -141,7 +139,7 @@ def test_cone_rays_are_the_fan_rays(spec):
     """Every cone's rays are the group's own junior points, object for object."""
     group = parse_group_spec(spec)
     fan = build_fan(group)
-    points = list(junior_table(group).values())
+    points = group.junior_points
     assert all(
         fan.rays[ri] is points[ri] and fan.ray_index(points[ri]) == ri
         for triple in fan.cone_rays
@@ -336,7 +334,7 @@ def test_border_cones_match_minimal_monomial_cones(group):
 def test_height_cones_match_clipped_cones(group):
     """The junior points on a cluster's height plane are the corners that
     clipping the octant triangle by its border normals leaves."""
-    points = list(junior_table(group).values())
+    points = group.junior_points
     for graph in enumerate_ggraphs(group):
         cone = cone_of_ggraph(group, GGraph(group, graph.row))
         clipped = clipped_cone(group, graph)
@@ -397,7 +395,7 @@ def test_cone_extraction_makes_no_kappa_call(monkeypatch, p13, p33):
 
 
 @pytest.mark.parametrize("points", [2, 4])
-def test_height_plane_off_three_points_is_rejected(points):
+def test_height_plane_off_three_points_is_rejected(monkeypatch, points):
     """A cluster whose height plane holds two junior points (one ray's
     height raised by one) or four (a point off the cone given the cluster's
     own height there) cuts no cone of the fan."""
@@ -405,14 +403,11 @@ def test_height_plane_off_three_points_is_rejected(points):
 
     group = parse_group_spec("13:1,5,7")
     graph = build_fan(group).ggraphs[0]
-    rows, planes = divisor_table(group)
-    sx, sy, sz = graph.total
-    heights = [a * sx + b * sy + c * sz for a, b, c, _, _ in planes]
-    ri = next(ri for ri, p in enumerate(planes) if (heights[ri] == p[3]) == (points == 2))
-    a, b, c, _, point = planes[ri]
-    moved = list(planes)
-    moved[ri] = (a, b, c, heights[ri] + (points == 2), point)
-    group._divisor_table = (rows, moved)
+    chart = [dot3(s, graph.total) for s in group.juniors]  # the cluster's heights
+    ri = next(ri for ri, h in enumerate(group.heights) if (chart[ri] == h) == (points == 2))
+    moved = list(group.heights)
+    moved[ri] = chart[ri] + (points == 2)
+    monkeypatch.setattr(group, "heights", tuple(moved))
     assert len(ghilb._height_rays(group, graph.total)) == points
     with pytest.raises(LowerDimensionalCone, match="height plane"):
         cone_of_ggraph(group, GGraph(group, graph.row))
@@ -456,7 +451,7 @@ def test_unbounded_flip_is_exhausted(monkeypatch, p3):
 
 
 def coords_of(group, triple):
-    points = list(junior_table(group).values())
+    points = group.junior_points
     return {points[ri].coords for ri in triple}
 
 
@@ -610,13 +605,12 @@ FRACTION_OPERATORS = (
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
 def test_build_fan_makes_no_fraction_comparison_or_arithmetic(monkeypatch, spec):
-    """On a parsed group the fan is built on junior-table indices and integer
-    triples: with every Fraction operator raising, the junior table and the
-    fan still build, equal to a build without the patch, and a cone's chart
-    generators are looked up through its rays' indices."""
+    """The group's junior points and its fan are built on integer triples
+    and junior indices: with every Fraction operator raising, the group
+    still parses and the fan still builds, equal to a build without the
+    patch, and a cone's chart generators are looked up through its rays'
+    indices."""
     reference = build_fan(parse_group_spec(spec))
-    group = parse_group_spec(spec)
-    assert group._junior_table is None  # built under the patch
 
     def refuse(*args):
         raise AssertionError("a Fraction was compared or computed with")
@@ -625,6 +619,7 @@ def test_build_fan_makes_no_fraction_comparison_or_arithmetic(monkeypatch, spec)
         for name in FRACTION_OPERATORS:
             if name in vars(Fraction):
                 patch.setattr(Fraction, name, refuse)
+        group = parse_group_spec(spec)  # the junior points are built here
         fan = build_fan(group)
         rays = [fan.rays[ri] for ri in fan.cone_rays[0]]
         generators = [chart_generator(fan, rays, chi) for chi in group.characters]
@@ -658,25 +653,21 @@ def test_verify_and_fan_json_make_no_fraction_comparison_or_arithmetic(monkeypat
     assert got == expected
 
 
-def _contents(fan) -> dict:
-    """The fan's attributes, each dict, list or tuple copied."""
+def _contents(obj) -> dict:
+    """An object's attributes, each dict, list or tuple copied."""
     return {
         name: type(value)(value) if isinstance(value, (dict, list, tuple)) else value
-        for name, value in vars(fan).items()
+        for name, value in vars(obj).items()
     }
 
 
-@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
-def test_no_reader_writes_into_a_fan(spec):
-    """Every reader of a fan leaves it as GHilbFan.__init__ made it, so one
-    fan can serve every command on its group."""
+def _read_every_output(fan) -> None:
+    """Run every reader of a fan."""
     from mckay_lab import GroupVerification, QuiverAnalysis, marked_triangulation
     from mckay_lab import transform_profile
     from mckay_lab.diagrams import all_sink_source_dot, marked_simplex_svg, marked_simplex_tikz
     from mckay_lab.serialize import fan_json
 
-    fan = build_fan(parse_group_spec(spec))
-    before = _contents(fan)
     marked = marked_triangulation(fan)
     qa = QuiverAnalysis(fan)
     for chi in fan.group.characters:
@@ -686,4 +677,49 @@ def test_no_reader_writes_into_a_fan(spec):
     marked_simplex_svg(fan, marked)
     marked_simplex_tikz(fan, marked)
     all_sink_source_dot(fan, qa)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_no_reader_writes_into_a_fan(spec):
+    """Every reader of a fan leaves it as GHilbFan.__init__ made it, so one
+    fan can serve every command on its group."""
+    fan = build_fan(parse_group_spec(spec))
+    before = _contents(fan)
+    _read_every_output(fan)
     assert _contents(fan) == before
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_nothing_writes_into_a_group_or_a_character(spec):
+    """Building a fan and reading it adds only the group's own divisor
+    table to the group, and nothing to any character."""
+    group = parse_group_spec(spec)
+    before = _contents(group)
+    _read_every_output(build_fan(group))
+    after = _contents(group)
+    assert set(after) - set(before) == {"divisor_rows", "heights"}
+    assert {name: after[name] for name in before} == before
+    assert all(set(vars(chi)) == {"residues", "moduli"} for chi in group.characters)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_divisor_table_is_built_on_demand_and_once(monkeypatch, capsys, spec):
+    """The quiver commands run no Dijkstra; building the fan and running
+    every reader of it run one per junior point."""
+    from mckay_lab.cli import main
+
+    calls = []
+    least_valuations = GroupData.least_valuations
+
+    def counted(self, weight):
+        calls.append(weight)
+        return least_valuations(self, weight)
+
+    monkeypatch.setattr(GroupData, "least_valuations", counted)
+    assert main(["quiver", "--group", spec]) == 0
+    assert main(["quiver", "--group", spec, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    group = parse_group_spec(spec)
+    _read_every_output(build_fan(group))
+    assert calls == list(group.juniors)

@@ -3,15 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mckay_lab import (
-    WeightVector,
-    group_from_generators,
-    junior_points,
-    parse_group_spec,
-)
+from mckay_lab import WeightVector, group_from_generators, parse_group_spec
 from mckay_lab.errors import DegenerateCone, NotInLattice
+from mckay_lab.groups import CORNERS as CORNER_COORDS
 from mckay_lab.intlin import primitive
-from mckay_lab.lattice import CORNERS as CORNER_COORDS, junior_table
 
 from conftest import REDUNDANT_PRESENTATIONS, RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from oracles import (
@@ -35,7 +30,7 @@ CORNERS = [wv(1, 0, 0), wv(0, 1, 0), wv(0, 0, 1)]
 
 def test_junior_points_picture_group():
     g = parse_group_spec("13:1,5,7")
-    pts = junior_points(g)
+    pts = g.junior_points
     interior = {p.coords for p in pts if not p.is_corner}
     expected = {
         tuple(Fraction(v, 13) for v in triple)
@@ -43,17 +38,17 @@ def test_junior_points_picture_group():
     }
     assert interior == expected
     assert {p.coords for p in pts if p.is_corner} == {c.coords for c in CORNERS}
-    assert pts == sorted(pts)  # deterministic lex order
+    assert list(pts) == sorted(pts)  # deterministic lex order
 
 
 def test_junior_points_trivial_group():
     g = parse_group_spec("1:0,0,0")
-    assert [p.coords for p in junior_points(g)] == sorted(c.coords for c in CORNERS)
+    assert [p.coords for p in g.junior_points] == sorted(c.coords for c in CORNERS)
 
 
 def test_junior_points_4_1_1_2():
     g = parse_group_spec("4:1,1,2")
-    pts = {p.coords for p in junior_points(g) if not p.is_corner}
+    pts = {p.coords for p in g.junior_points if not p.is_corner}
     assert pts == {
         (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
@@ -92,7 +87,7 @@ def sl3_weights():
 def test_junior_counts_match_formula(gen):
     r, weights = gen
     g = group_from_generators([gen])
-    pts = junior_points(g)
+    pts = g.junior_points
     if g.order == r:  # formula as stated applies to a faithful single generator
         assert len(pts) == cyclic_junior_count(r, weights)
     assert {p.coords for p in pts if not p.is_corner} == cyclic_juniors(r, weights)
@@ -104,7 +99,7 @@ def test_interior_valuations_of_invariants_are_positive_integers(gen, mono):
     g = group_from_generators([gen])
     if not is_invariant(g, mono) or mono == (0, 0, 0):
         return
-    for p in junior_points(g):
+    for p in g.junior_points:
         if p.is_interior:
             v = valuation(p, mono)
             assert v.denominator == 1 and v >= 1
@@ -116,7 +111,7 @@ nonnegative_rays = st.tuples(*[st.integers(0, 40)] * 3).filter(any).map(primitiv
 @settings(max_examples=200, deadline=None)
 @given(small_groups, nonnegative_rays)
 def test_junior_lookup_matches_invariant_pairing(group, ray):
-    """The junior table finds r/sum(r) exactly when it pairs integrally with
+    """The junior lookup finds r/sum(r) exactly when it pairs integrally with
     the invariant basis, and then finds that point."""
     point = junior_point(group, ray)
     assert (point is not None) == in_lattice_by_pairing(group, ray)
@@ -127,18 +122,18 @@ def test_junior_lookup_matches_invariant_pairing(group, ray):
 @settings(max_examples=30, deadline=None)
 @given(small_groups)
 def test_junior_lookup_finds_every_junior_point(group):
-    for point in junior_points(group):
+    for point in group.junior_points:
         ray = primitive(point.scaled(group.order))
         assert in_lattice_by_pairing(group, ray)
         assert junior_point(group, ray) is point
 
 
 def test_junior_table_is_built_once_per_group():
+    """The constructor builds the junior points, scaled and as views; the
+    divisor table is built on first read and then kept."""
     g = parse_group_spec("13:1,5,7")
-    table = junior_table(g)
-    assert junior_table(g) is table
-    assert list(table) == [p.scaled(13) for p in junior_points(g)]
-    assert all(a is b for a, b in zip(junior_points(g), table.values()))
+    assert list(g.juniors) == [p.scaled(13) for p in g.junior_points]
+    assert g.divisor_rows is g.divisor_rows
 
 
 def test_scaled_raises_off_the_lattice():
@@ -168,7 +163,7 @@ def test_integer_junior_table_matches_the_fraction_sort(group):
     """The table read off the integer element walk equals the one built by
     sorting Fraction points, key for key and coordinate for coordinate; its
     points hold the group's own coordinate tuples and scale to their keys."""
-    table = junior_table(group)
+    table = dict(zip(group.juniors, group.junior_points))
     reference = junior_table_by_fractions(group)
     assert list(table) == list(reference)
     assert [p.coords for p in table.values()] == [p.coords for p in reference.values()]

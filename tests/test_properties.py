@@ -10,7 +10,6 @@ from mckay_lab import (
     QuiverAnalysis,
     build_fan,
     group_from_generators,
-    junior_points,
     parse_group_spec,
     verify_group,
 )
@@ -26,7 +25,7 @@ def test_fan_structure(gen):
     fan = build_fan(group)
     n = group.order
     assert len(fan.cone_rays) == n
-    assert set(fan.rays) == set(junior_points(group))
+    assert set(fan.rays) == set(group.junior_points)
     # volumes of unimodular cones cover the whole simplex
     from oracles import cone_is_unimodular
 

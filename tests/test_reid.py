@@ -16,8 +16,8 @@ from mckay_lab import (
 )
 from mckay_lab.errors import BoundaryEdge, NotInLattice, UnknownCone, UnmarkedVertex
 from mckay_lab.ghilb import tautological_degrees
+from mckay_lab.groups import WeightVector
 from mckay_lab.intlin import dot3
-from mckay_lab.lattice import WeightVector
 from mckay_lab.reid import product_defect
 from mckay_lab.verify import _oriented_carving_pair
 

@@ -14,7 +14,6 @@ from mckay_lab import (
     verify_group,
 )
 from mckay_lab.errors import ShapeUnrecognized
-from mckay_lab.ghilb import least_valuations
 from mckay_lab.serialize import report_json
 
 from conftest import SQUARE_PRODUCTS, small_groups
@@ -252,7 +251,7 @@ def test_least_valuations_match_box_minima(group, weight):
     """Shortest paths in the McKay quiver give the least weight over each
     character's monomials, as a scan of the whole box does."""
     best = box_least(group, weight)
-    assert least_valuations(group, weight) == [best[chi][0] for chi in group.characters]
+    assert group.least_valuations(weight) == [best[chi][0] for chi in group.characters]
 
 
 # groups whose report_json(verify_group(g)) is held to the manifest's
