@@ -49,7 +49,7 @@ def _reid_payload(fan, marked) -> dict:
         "vertices": [
             {
                 "ray_index": ri,
-                "coords": [str(v) for v in fan.rays[ri].coords],
+                "coords": [str(v) for v in fan.group.junior_points[ri].coords],
                 "case": case.tag,
                 "valency": case.valency,
                 "marking": [chi.label() for chi in case.markings],

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ghilb import GHilbFan
-from .groups import GroupData
-from .quiver import ORIENTATIONS, QuiverAnalysis, torus_positions
+from .groups import GroupData, VARIABLES
+from .quiver import QuiverAnalysis, torus_positions
 from .reid import MarkedTriangulation
 
 FORMAT_TAG = "mckay-lab-diagrams/1"
@@ -43,7 +43,7 @@ def quiver_dot(group: GroupData) -> str:
     for k, (chi, (u, v)) in enumerate(zip(group.characters, torus_positions(group))):
         lines.append(f'  v{k} [label="{chi.label()}", pos="{_place(u, v)}!"];')
     for k, heads in enumerate(group.head_rows):
-        for o, h in zip(ORIENTATIONS, heads):
+        for o, h in zip(VARIABLES, heads):
             lines.append(f'  v{k} -> v{h} [label="{o}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -55,7 +55,7 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, places) -> 
     group = fan.group
     outs = qa.masks(ray_idx)[0]
     classes = qa.classes(ray_idx)
-    ray = fan.rays[ray_idx]
+    ray = group.junior_points[ray_idx]
     lines = [
         f"// {FORMAT_TAG} sink-source group={group.spec_string()} ray={ray_idx} at {ray}",
         f"digraph divisor_{ray_idx} {{",
@@ -66,7 +66,7 @@ def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, places) -> 
         label = f"{chi.label()}\\n{classes[k].label()}"
         lines.append(f'  v{k} [label="{label}", pos="{places[k]}!"];')
     for k, heads in enumerate(group.head_rows):
-        for o, h, vanishing in zip(ORIENTATIONS, heads, outs):
+        for o, h, vanishing in zip(VARIABLES, heads, outs):
             style = "color=black, penwidth=2" if vanishing >> k & 1 else "color=grey"
             lines.append(f'  v{k} -> v{h} [label="{o}", {style}];')
     lines.append("}")
@@ -78,7 +78,7 @@ def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
     positions are formatted once for all of them."""
     places = [_place(u, v) for u, v in torus_positions(fan.group)]
     return "".join(
-        sink_source_dot(fan, qa, ri, places) for ri in fan.exceptional_ray_indices
+        sink_source_dot(fan, qa, ri, places) for ri in fan.group.exceptional_ray_indices
     )
 
 
@@ -90,7 +90,7 @@ def _simplex_points(fan: GHilbFan):
         (Fraction(1, 2), _ROOT3_HALF),
     ]
     out = {}
-    for ri, ray in enumerate(fan.rays):
+    for ri, ray in enumerate(fan.group.junior_points):
         x = sum(c * w for (c, _), w in zip(corners, ray.coords))
         y = sum(c * w for (_, c), w in zip(corners, ray.coords))
         out[ri] = (x, y)
@@ -133,7 +133,7 @@ def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
                 f'<text x="{mx}" y="{my}" font-size="10" fill="#0044aa">'
                 f"{ratio.text()} [{ratio.character.label()}]</text>"
             )
-    for ri, ray in enumerate(fan.rays):
+    for ri, ray in enumerate(fan.group.junior_points):
         x, y = xy[ri]
         lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#000"/>')
         mark = _marking_text(marked, ri)
@@ -168,7 +168,7 @@ def marked_simplex_tikz(fan: GHilbFan, marked: MarkedTriangulation) -> str:
                 f" {{{ratio.text()} [{ratio.character.label()}]}}"
             )
         lines.append(seg + ";")
-    for ri, ray in enumerate(fan.rays):
+    for ri, ray in enumerate(fan.group.junior_points):
         x, y = pts[ri]
         mark = _marking_text(marked, ri)
         label = f"{ray}" + (f" [{mark}]" if mark else "")

@@ -105,51 +105,49 @@ class GGraph:
 
 
 class DivisorCoefficients:
-    """The fan's check of its charts against the group's divisor table:
-    rows[ray][k] = n*q(chi, ray) for the k-th character chi of
-    group.characters, n = |G|, is group.divisor_rows itself.
+    """The fan's check of its charts against group.divisor_rows, run once
+    from the fan's constructor; it keeps nothing, and it is a class only so
+    that its constructor can be timed.
 
-    Every chart must reproduce the row at each of its three rays.  Each term
-    (n*e).r_chi is at least n*q(chi, e), so the chart does exactly when its
-    height (n*e).S, S the sum of its cluster, is the row's sum H(e): one
-    product per ray, and a mismatch names the first character that differs."""
+    Each term (n*e).r_chi of a chart is at least n*q(chi, e), so the chart
+    reproduces the row at each of its three rays e exactly when its height
+    (n*e).S, S the sum of its cluster, is the row's sum H(e): one product
+    per ray, and a mismatch names the first character that differs."""
 
     def __init__(self, fan: "GHilbFan"):
-        rows, heights = fan.group.divisor_rows, fan.group.heights
+        group = fan.group
+        rows, heights, scaled = group.divisor_rows, group.heights, group.juniors
         for graph, triple in zip(fan.ggraphs, fan.cone_rays):
             for ri in triple:
-                e = fan.scaled_rays[ri]
+                e = scaled[ri]
                 if dot3(e, graph.total) != heights[ri]:
                     row = rows[ri]
                     k = next(k for k, m in enumerate(graph.row) if dot3(e, m) != row[k])
                     raise InconsistentCharts(
-                        f"the chart of {graph} at ray {fan.rays[ri]} gives n*q "
-                        f"{dot3(e, graph.row[k])} for {fan.group.characters[k]}, "
+                        f"the chart of {graph} at ray {group.junior_points[ri]} gives n*q "
+                        f"{dot3(e, graph.row[k])} for {group.characters[k]}, "
                         f"not {row[k]}"
                     )
-        self.rows: list[list[int]] = rows
 
 
 class GHilbFan:
     """The validated triangulation of the junior simplex with its cluster charts.
 
-    Besides the charts it holds the integer facts every later layer reads,
-    each a plain table never written after: the group's junior points as its
-    rays and scaled rays n*e, the group's divisor table n*q (one row per
-    ray, indexed like group.characters), checked against every chart, and
-    one carving vector per interior edge, positive on the far ray of the
-    edge's first cone.  Each cone is its ascending ray-index triple,
-    cone_rays[k] that of the chart ggraphs[k]; each edge is its ascending
-    ray-index pair, a key of `edges` in ray-pair order, whose value is the
-    sorted indices of the cones next to it: one cone on the boundary, two
-    inside."""
+    Its rays are the group's junior points, whose every fact is the group's;
+    `rays` is group.junior_points itself, kept only while the benchmark
+    reads it off a built fan.  The fan holds what the triangulation adds,
+    plain tables never written after: the charts, checked against the
+    group's divisor table; the cones, each its ascending ray-index triple,
+    cone_rays[k] that of the chart ggraphs[k]; the edges, each its ascending
+    ray-index pair, a key of `edges` in ray-pair order whose value is the
+    sorted indices of the cones next to it (one on the boundary, two
+    inside); and one carving vector per interior edge, positive on the far
+    ray of the edge's first cone."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays):
         self.group = group
-        n = group.order
         self.rays: tuple[WeightVector, ...] = group.junior_points
-        self.scaled_rays = scaled = group.juniors
-        self._ray_index = {s: i for i, s in enumerate(scaled)}
+        scaled = group.juniors
         self.ggraphs = tuple(ggraphs)
         self.cone_rays: tuple[tuple[int, int, int], ...] = tuple(cone_rays)
         self._cone_index = {rays: ci for ci, rays in enumerate(self.cone_rays)}
@@ -170,12 +168,8 @@ class GHilbFan:
         self.cones_at_ray = tuple(map(tuple, cones_at))
         self.edges_at_ray = tuple(map(tuple, edges_at))  # each in the order of edges
         self.interior_edges = tuple(key for key, cs in self.edges.items() if len(cs) != 1)
-        # exceptional rays are the non-corner junior points (no coordinate
-        # n), interior rays those of compact divisors (no coordinate 0)
-        self.exceptional_ray_indices = tuple(i for i, s in enumerate(scaled) if n not in s)
-        self.interior_ray_indices = tuple(i for i, s in enumerate(scaled) if 0 not in s)
         self._validate()
-        self.q = DivisorCoefficients(self)
+        DivisorCoefficients(self)
         self.carving_vectors: dict[tuple[int, int], tuple[int, int, int]] = {}
         for i, j in self.interior_edges:
             w = invariant_perpendicular(group, scaled[i], scaled[j])
@@ -184,14 +178,6 @@ class GHilbFan:
             self.carving_vectors[i, j] = w if dot3(scaled[far], w) > 0 else tuple(-v for v in w)
 
     # -- lookups ------------------------------------------------------------
-
-    def ray_index(self, ray: WeightVector) -> int:
-        """The one lookup from a point to a ray index: NotInLattice off the
-        lattice (1/n)Z^3, UnknownCone for any other point but the fan's rays."""
-        ri = self._ray_index.get(ray.scaled(self.group.order))
-        if ri is None:
-            raise UnknownCone(f"{ray} is not a ray of the fan")
-        return ri
 
     def edge_between(self, i: int, j: int) -> tuple[int, int]:
         """The one lookup from two ray indices to an edge, its ascending
@@ -211,7 +197,7 @@ class GHilbFan:
 
     def cone_index(self, rays) -> int:
         """The index of the maximal cone on three rays, given in any order."""
-        triple = tuple(sorted(self.ray_index(r) for r in rays))
+        triple = tuple(sorted(map(self.group.ray_index, rays)))
         if triple not in self._cone_index:
             raise UnknownCone(f"rays {triple} do not span a maximal cone of the fan")
         return self._cone_index[triple]
@@ -224,16 +210,17 @@ class GHilbFan:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
-        n = self.group.order
+        group = self.group
+        n = group.order
+        scaled = group.juniors
         if len(self.cone_rays) != n:
             raise FanValidationFailed(f"{len(self.cone_rays)} cones for a group of order {n}")
         if len(self._cone_index) != n:
             raise FanValidationFailed("duplicate maximal cones")
         used_rays = {ri for triple in self.cone_rays for ri in triple}
-        if used_rays != set(range(len(self.rays))):
+        if used_rays != set(range(len(scaled))):
             raise FanValidationFailed("fan rays do not match the junior points")
         # unimodular: the rays are a basis of L, |det(n*e1, n*e2, n*e3)| = n^2
-        scaled = self.scaled_rays
         for a, b, c in self.cone_rays:
             d = det3((scaled[a], scaled[b], scaled[c]))
             if d == 0:
@@ -243,8 +230,8 @@ class GHilbFan:
         for (i, j), cones in self.edges.items():
             if len(cones) != (2 if spans_interior_edge(scaled[i], scaled[j]) else 1):
                 raise FanValidationFailed(f"edge {(i, j)} is glued by {len(cones)} cones")
-        interior = set(self.interior_ray_indices)
-        for ri in range(len(self.rays)):
+        interior = set(group.interior_ray_indices)
+        for ri in range(len(scaled)):
             self._validate_link(ri, ri not in interior)
 
     def _validate_link(self, ray_idx: int, on_boundary: bool) -> None:
@@ -258,7 +245,7 @@ class GHilbFan:
         odd = [v for v, d in degree.items() if d == 1]
         bad = [v for v, d in degree.items() if d > 2]
         if bad or (len(odd) != 0 if not on_boundary else len(odd) != 2):
-            raise FanValidationFailed(f"bad vertex link at ray {self.rays[ray_idx]}")
+            raise FanValidationFailed(f"bad vertex link at ray {self.group.junior_points[ray_idx]}")
         # single component: walk the link graph
         adjacency: dict[int, list[int]] = {v: [] for v in degree}
         for ci in cones_here:
@@ -274,7 +261,7 @@ class GHilbFan:
             seen.add(v)
             stack.extend(adjacency[v])
         if seen != set(adjacency):
-            raise FanValidationFailed(f"disconnected link at ray {self.rays[ray_idx]}")
+            raise FanValidationFailed(f"disconnected link at {self.group.junior_points[ray_idx]}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ three heads and one of three tails per character.
 
 The junior points e (the elements with coordinate sum 1, and the corners)
 are read off the integer element walk in lex order, as n*e (n = |G|) and as
-`WeightVector` views over the elements' own `Fraction`s; a ray index of any
-fan is a position in them.  The divisor table holds n*q(chi, e), the least
-(n*e).m over the monomials m of chi, per junior point and character, and
-each row's sum, the height H(e); it is built on first use.
+`WeightVector` views over the elements' own `Fraction`s.  They are the rays
+of every crepant fan, a ray index being a position in them, so the group
+holds each of their facts: the exceptional and interior ones, the lookup
+from a point, and the divisor table of n*q(chi, e), the least (n*e).m over
+the monomials m of chi, per junior point and character, with each row's sum,
+the height H(e), built on first use as a tuple of tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .errors import EmptyGenerators, InconsistentGroup, NotInLattice, NotInSL3
+from .errors import EmptyGenerators, InconsistentGroup, NotInLattice, NotInSL3, UnknownCone
 from .intlin import det3, dot3, hnf_rows
 
 Monomial = tuple  # (i, j, k) exponents of x^i y^j z^k; Laurent if negatives allowed
@@ -72,10 +74,6 @@ class WeightVector:
         """True on the boundary of the simplex (some coordinate vanishes)."""
         return any(v == 0 for v in self.coords)
 
-    @property
-    def is_interior(self) -> bool:
-        return all(v > 0 for v in self.coords)
-
     def scaled(self, n: int) -> tuple[int, int, int]:
         """Integer coordinates n*l; NotInLattice unless every one is integral."""
         pairs = tuple(divmod(v.numerator * n, v.denominator) for v in self.coords)
@@ -120,7 +118,7 @@ class GroupData:
 
     Built by :func:`group_from_generators` and never written after its
     constructor, but for the divisor table (`divisor_rows` and `heights`),
-    which it builds itself on first use.
+    which it builds itself on first use.  It owns every junior-point fact.
     """
 
     def __init__(self, generators):
@@ -136,6 +134,12 @@ class GroupData:
         self.elements = tuple(tuple(fractions[v] for v in e) for e in self.element_triples)
         self.order = len(self.elements)
         self.juniors, self.junior_points = self._read_juniors()
+        # the exceptional rays are the non-corner points (no coordinate n),
+        # the interior ones those of compact divisors (no coordinate 0)
+        n = self.order
+        self.exceptional_ray_indices = tuple(i for i, s in enumerate(self.juniors) if n not in s)
+        self.interior_ray_indices = tuple(i for i, s in enumerate(self.juniors) if 0 not in s)
+        self._ray_index = {s: i for i, s in enumerate(self.juniors)}
 
         self.invariant_basis = _invariant_basis(gens)
         self._check_indices()
@@ -178,6 +182,14 @@ class GroupData:
         scaled, coords = zip(*points)
         return scaled, tuple(map(WeightVector, coords))
 
+    def ray_index(self, point: WeightVector) -> int:
+        """The one lookup from a point to its position in junior_points:
+        NotInLattice off the lattice (1/n)Z^3, UnknownCone off the juniors."""
+        ri = self._ray_index.get(point.scaled(self.order))
+        if ri is None:
+            raise UnknownCone(f"{point} is not a junior point, so no ray of a fan")
+        return ri
+
     # -- the divisor table -------------------------------------------------
 
     def least_valuations(self, weight) -> list[int]:
@@ -203,10 +215,10 @@ class GroupData:
         return least
 
     @cached_property
-    def divisor_rows(self) -> list[list[int]]:
+    def divisor_rows(self) -> tuple[tuple[int, ...], ...]:
         """One row per junior point e, by position in juniors:
         least_valuations(n*e), that is n*q(chi, e) for every character chi."""
-        return [self.least_valuations(s) for s in self.juniors]
+        return tuple(tuple(self.least_valuations(s)) for s in self.juniors)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:

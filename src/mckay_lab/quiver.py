@@ -10,7 +10,7 @@ two sinks, seven sources, six charges and three tiles.
 Vertices are keyed by position in ``group.characters`` throughout, and the
 arrows are the group's position tables ``head_rows`` and ``tail_rows``.
 QuiverAnalysis derives, once per ray, the arrow orders from the ray's row
-of the fan's divisor table, as bitmasks of vanishing out- and in-arrows per
+of the group's divisor table, as bitmasks of vanishing out- and in-arrows per
 orientation over those positions; a vertex's class depends only on its two
 3-bit spoke patterns.  Charge lines and shapes are sought on
 interior divisors only, where they are theorems; the sink-source graph of a
@@ -31,8 +31,6 @@ from .errors import (
 from .ghilb import GHilbFan, seed_ggraph
 from .groups import GroupData, VARIABLES
 from .intlin import hnf_rows
-
-ORIENTATIONS = VARIABLES  # ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def _classify_pattern(outs: int, ins: int) -> VertexClass:
 
 
 def _orientation(bit: int) -> str:
-    return ORIENTATIONS[bit.bit_length() - 1]
+    return VARIABLES[bit.bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,12 @@ class QuiverAnalysis:
         """n times the order of the o-arrow out of chi is
         n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the ray's row of the
         divisor table; it must be 0 or n."""
-        n = self.group.order
-        e = self.fan.scaled_rays[ray_idx]
-        row = self.fan.q.rows[ray_idx]
+        group = self.group
+        n = group.order
+        e = group.juniors[ray_idx]
+        row = group.divisor_rows[ray_idx]
         outs, ins = [0, 0, 0], [0, 0, 0]
-        for k, heads in enumerate(self.group.head_rows):
+        for k, heads in enumerate(group.head_rows):
             for o, h in enumerate(heads):
                 val = e[o] + row[k] - row[h]
                 if val == n:
@@ -162,7 +161,7 @@ class QuiverAnalysis:
                     ins[o] |= 1 << h
                 elif val:
                     raise MultiplicityOutOfRange(
-                        f"arrow ({self.group.characters[k]},{ORIENTATIONS[o]}) "
+                        f"arrow ({group.characters[k]},{VARIABLES[o]}) "
                         f"has multiplicity {val}/{n} along ray {ray_idx}"
                     )
         return tuple(outs), tuple(ins)
@@ -173,7 +172,7 @@ class QuiverAnalysis:
         the interior edges (i, j) where each dies along i or j but neither ray
         kills all three: one sweep of the masks serves every character."""
         loci = [([], []) for _ in self.group.characters]
-        for ri in self.fan.exceptional_ray_indices:
+        for ri in self.group.exceptional_ray_indices:
             x, y, z = self.masks(ri)[0]
             for k in _bits(x & y & z):
                 loci[k][0].append(ri)
@@ -190,7 +189,7 @@ class QuiverAnalysis:
         """Per character, the exceptional rays whose sink-source graph makes
         it a source: one walk of each ray's classes serves every character."""
         loci = [[] for _ in self.group.characters]
-        for ri in self.fan.exceptional_ray_indices:
+        for ri in self.group.exceptional_ray_indices:
             for k, cls in enumerate(self.classes(ri)):
                 if cls.is_source:
                     loci[k].append(ri)
@@ -238,7 +237,7 @@ class QuiverAnalysis:
         """The classes on every divisor; the charge lines and the shape only
         on interior ones, where the shapes are theorems."""
         ss = SinkSourceGraph(ray_index=ray_idx, classes=self.classes(ray_idx))
-        if 0 not in self.fan.scaled_rays[ray_idx]:  # an interior ray
+        if 0 not in self.group.juniors[ray_idx]:  # an interior ray
             self._walk_lines(ss)
             self._detect_shape(ss)
         return ss
@@ -248,15 +247,15 @@ class QuiverAnalysis:
         for source in ss.sources:
             cls = classes[source]
             if cls == SOURCE33:
-                emitted = [(o, d) for o in ORIENTATIONS for d in (+1, -1)]
+                emitted = [(o, d) for o in VARIABLES for d in (+1, -1)]
             elif cls.bidegree == (1, 2):
                 # vanishing in-spoke: one forward line, two backward ones
                 emitted = [(cls.orientation, +1)] + [
-                    (o, -1) for o in ORIENTATIONS if o != cls.orientation
+                    (o, -1) for o in VARIABLES if o != cls.orientation
                 ]
             else:  # (2,1): vanishing out-spoke
                 emitted = [(cls.orientation, -1)] + [
-                    (o, +1) for o in ORIENTATIONS if o != cls.orientation
+                    (o, +1) for o in VARIABLES if o != cls.orientation
                 ]
             for orientation, direction in emitted:
                 ss.lines.append(self._walk_one(classes, source, orientation, direction))
@@ -272,7 +271,7 @@ class QuiverAnalysis:
 
     def _walk_one(self, classes, source: int, orientation: str, direction: int) -> ChargeLine:
         group = self.group
-        k = ORIENTATIONS.index(orientation)
+        k = VARIABLES.index(orientation)
         step = group.head_rows if direction > 0 else group.tail_rows
         want_chirality = (1, 0) if direction > 0 else (0, 1)
         want_sink = SINK30 if direction > 0 else SINK03
@@ -344,8 +343,8 @@ class QuiverAnalysis:
     def _lengths_a(self, ss: SinkSourceGraph) -> None:
         back = self._backward_lines(ss)
         fwd = {l.orientation: l for l in ss.lines if l.chirality == (1, 0)}
-        a, b, c = (back[o].length for o in ORIENTATIONS)
-        if any(fwd[o].length != back[o].length for o in ORIENTATIONS):
+        a, b, c = (back[o].length for o in VARIABLES)
+        if any(fwd[o].length != back[o].length for o in VARIABLES):
             raise ShapeUnrecognized(
                 f"forward and backward line lengths differ on ray {ss.ray_index}"
             )
@@ -364,7 +363,7 @@ class QuiverAnalysis:
             raise ShapeUnrecognized(
                 f"ray {ss.ray_index}: the two sources disagree on the axis"
             )
-        o1, o2 = [o for o in ORIENTATIONS if o != axis]
+        o1, o2 = [o for o in VARIABLES if o != axis]
         a, b, c = back[o1].length, back[o2].length, back[axis].length
         fwd = {
             l.orientation: l
@@ -379,7 +378,7 @@ class QuiverAnalysis:
 
     def _steps_until(self, start: int, orientation: str, targets: set) -> int:
         """Forward steps from a vertex until first landing on a target vertex."""
-        heads, k = self.group.head_rows, ORIENTATIONS.index(orientation)
+        heads, k = self.group.head_rows, VARIABLES.index(orientation)
         cur = start
         for steps in range(1, self.group.order + 1):
             cur = heads[cur][k]
@@ -391,8 +390,8 @@ class QuiverAnalysis:
 
     def _lengths_c(self, ss: SinkSourceGraph) -> None:
         back = self._backward_lines(ss)
-        a, b, c = (back[o].length for o in ORIENTATIONS)
-        source_of = {o: back[o].source for o in ORIENTATIONS}
+        a, b, c = (back[o].length for o in VARIABLES)
+        source_of = {o: back[o].source for o in VARIABLES}
         fwd: dict[tuple[str, str], int] = {}
         for line in ss.lines:
             if line.chirality == (1, 0):
@@ -400,7 +399,7 @@ class QuiverAnalysis:
                     if line.source == s:
                         fwd[(o, line.orientation)] = line.length
         # the two forward lines of each source have the other two orientations
-        expected = {(o, p) for o in ORIENTATIONS for p in ORIENTATIONS if o != p}
+        expected = {(o, p) for o in VARIABLES for p in VARIABLES if o != p}
         if set(fwd) != expected:
             raise ShapeUnrecognized(
                 f"ray {ss.ray_index}: forward lines {sorted(fwd)} are not the six chords"

@@ -9,9 +9,9 @@ and receive one or two characters accordingly.
 
 An edge is its ray-index pair.  Each interior edge's ratio is read off its
 carving vector once per marked triangulation, into its one table
-`edge_ratios`; collinearity at a vertex is read off the scaled rays n*e.
-The recipe runs on ray indices; a point becomes one only through
-`GHilbFan.ray_index`.
+`edge_ratios`; collinearity at a vertex is read off the scaled junior
+points n*e.  The recipe runs on ray indices; a point becomes one only
+through `GroupData.ray_index`.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def carving_ratio(fan: GHilbFan, rays) -> CarvingRatio:
 def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
     """Classify a non-corner point of the simplex and compute its marking:
     a boundary point is not marked, and an interior one must be a ray of the
-    fan (NotInLattice or UnknownCone from `GHilbFan.ray_index` otherwise).
+    fan (NotInLattice or UnknownCone from `GroupData.ray_index` otherwise).
     A point off the junior simplex raises UnknownCone."""
     if any(v < 0 for v in vertex.coords) or sum(vertex.coords) != 1:
         raise UnknownCone(f"{vertex} is not a point of the junior simplex")
@@ -105,14 +105,14 @@ def classify_fan_vertex(fan: GHilbFan, vertex: WeightVector) -> VertexCase:
         raise UnmarkedVertex(f"{vertex} is a corner of the simplex")
     if vertex.is_boundary:
         return BOUNDARY
-    ri = fan.ray_index(vertex)
+    ri = fan.group.ray_index(vertex)
     return _classify_ray(fan, ri, {e: carving_ratio(fan, e) for e in fan.edges_at_ray[ri]})
 
 
 def _classify_ray(fan: GHilbFan, ray_idx: int, edge_ratios) -> VertexCase:
     """Classify an interior ray of the fan by its edges' ratios, read from
     edge_ratios by ray pair."""
-    vertex = fan.rays[ray_idx]
+    vertex = fan.group.junior_points[ray_idx]
     edges = fan.edges_at_ray[ray_idx]  # all interior: the vertex is interior
     ratios = [edge_ratios[e] for e in edges]
     groups: dict[tuple, list[int]] = {}
@@ -217,7 +217,7 @@ def _case3(group, vertex, ratios) -> VertexCase:
 def _assert_geometric_collinearity(fan, ray_idx, edges, members) -> None:
     """Two edges with equal ratios must be geometrically opposite at the
     vertex: their directions n*f - n*e on the scaled rays are antiparallel."""
-    scaled = fan.scaled_rays
+    scaled = fan.group.juniors
     dirs = []
     for k in members:
         other = [ri for ri in edges[k] if ri != ray_idx][0]
@@ -225,7 +225,7 @@ def _assert_geometric_collinearity(fan, ray_idx, edges, members) -> None:
     cross = cross3(dirs[0], dirs[1])
     if any(cross) or dot3(dirs[0], dirs[1]) >= 0:
         raise RecipeInconsistency(
-            f"edges at {fan.rays[ray_idx]} share a ratio but are not collinear"
+            f"edges at {fan.group.junior_points[ray_idx]} share a ratio but are not collinear"
         )
 
 
@@ -298,9 +298,10 @@ def marked_triangulation(fan: GHilbFan) -> MarkedTriangulation:
     """Compute every carving ratio, once per interior edge, and every vertex
     marking of the fan."""
     ratios = {e: carving_ratio(fan, e) for e in fan.interior_edges}
-    interior = set(fan.interior_ray_indices)
+    group = fan.group
+    interior = set(group.interior_ray_indices)
     cases = {
         ri: _classify_ray(fan, ri, ratios) if ri in interior else BOUNDARY
-        for ri in fan.exceptional_ray_indices
+        for ri in group.exceptional_ray_indices
     }
     return MarkedTriangulation(fan, ratios, cases)

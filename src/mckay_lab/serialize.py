@@ -23,25 +23,26 @@ def fraction_str(value) -> str:
 
 def fan_payload(fan: GHilbFan) -> dict:
     """The fan as plain JSON-ready data."""
-    n = fan.group.order
+    group = fan.group
+    n = group.order
     return {
         "format": FAN_FORMAT,
-        "group": fan.group.spec_string(),
-        "order": fan.group.order,
+        "group": group.spec_string(),
+        "order": n,
         "rays": [
             {
                 "coords": [fraction_str(v) for v in ray.coords],
                 "corner": n in s,
                 "boundary": 0 in s,
             }
-            for ray, s in zip(fan.rays, fan.scaled_rays)
+            for ray, s in zip(group.junior_points, group.juniors)
         ],
         "cones": [
             {
                 "ray_indices": list(fan.cone_rays[ci]),
                 "ggraph": {
                     chi.label(): mono_str(m)
-                    for chi, m in zip(fan.group.characters, graph.row)
+                    for chi, m in zip(group.characters, graph.row)
                 },
             }
             for ci, graph in enumerate(fan.ggraphs)

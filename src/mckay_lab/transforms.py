@@ -60,7 +60,7 @@ def support_h2(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     _require_nontrivial_locus(fan)
     if not chi.is_trivial:
         return []
-    return sorted(divisor_cell(ri) for ri in fan.exceptional_ray_indices)
+    return sorted(divisor_cell(ri) for ri in fan.group.exceptional_ray_indices)
 
 
 # what the transform is in each degree

@@ -15,15 +15,15 @@ from collections import Counter
 from functools import cached_property
 
 from .ghilb import GHilbFan, build_fan, spans_interior_edge, tautological_degrees
-from .groups import Character, GroupData, Monomial, mono_divides
+from .groups import Character, GroupData, Monomial, VARIABLES, mono_divides
 from .intlin import dot3
-from .quiver import ORIENTATIONS, QuiverAnalysis, SINK30
+from .quiver import QuiverAnalysis, SINK30
 from .reid import MarkedTriangulation, marked_triangulation, ratio_key, regular_triangle_defect
 from .transforms import TransformProfile, curve_cell, divisor_cell, transform_profile
 
 
 def _mono(orientation: str, k: int) -> Monomial:
-    return tuple(k if o == orientation else 0 for o in ORIENTATIONS)
+    return tuple(k if o == orientation else 0 for o in VARIABLES)
 
 
 def _mono_sum(*monos) -> Monomial:
@@ -81,15 +81,15 @@ class GroupVerification:
         """Divisor cells of the exceptional rays on at least two of the curves."""
         return sorted(
             divisor_cell(ri)
-            for ri in self.fan.exceptional_ray_indices
+            for ri in self.group.exceptional_ray_indices
             if sum(1 for e in curves if ri in e) >= 2
         )
 
     # -- Reid's recipe against transform profiles (per character) ----------
 
     def _check_characters(self) -> None:
-        fan, marked = self.fan, self.marked
-        exceptional = fan.exceptional_ray_indices
+        marked = self.marked
+        exceptional = self.group.exceptional_ray_indices
         for chi in self.group.characters:
             divisors = marked.marked_divisors(chi)
             curves = marked.marked_edges(chi)
@@ -139,7 +139,7 @@ class GroupVerification:
     # -- shapes against vertex cases (per interior divisor) ----------------
 
     def _check_divisors(self) -> None:
-        for ri in self.fan.interior_ray_indices:
+        for ri in self.group.interior_ray_indices:
             entry = self._shape_entry(ri)
             if not entry["pass"]:
                 self._fail(f"divisor at ray {ri}: shape/case mismatch")
@@ -155,7 +155,7 @@ class GroupVerification:
         )
         entry = {
             "ray": ray_idx,
-            "coords": [str(v) for v in fan.rays[ray_idx].coords],
+            "coords": [str(v) for v in self.group.junior_points[ray_idx].coords],
             "case": case.tag,
             "valency": case.valency,
             "shape": ss.shape,
@@ -179,7 +179,7 @@ class GroupVerification:
         return entry
 
     def _coords_check(self, ray_idx: int, scaled_expected) -> bool:
-        return self.fan.scaled_rays[ray_idx] == tuple(scaled_expected)
+        return self.group.juniors[ray_idx] == tuple(scaled_expected)
 
     def _check_shape_a(self, ray_idx, ss, checks, ratio_multiset) -> None:
         a, b, c = (ss.lengths[k] for k in "abc")
@@ -201,7 +201,7 @@ class GroupVerification:
         o1, o2, axis = lengths["orientations"]
         coords = {o1: b * c, o2: a * c, axis: n - b * c - a * c}
         checks["coordinates"] = self._coords_check(
-            ray_idx, tuple(coords[o] for o in ORIENTATIONS)
+            ray_idx, tuple(coords[o] for o in VARIABLES)
         )
         div_a, div_b = a1 % a == 0, b1 % b == 0
         expected_valency = 4 if (div_a and div_b) else (6 if not (div_a or div_b) else 5)
@@ -261,7 +261,7 @@ class GroupVerification:
         props["vanishing_counts_match_coordinates"] = self._prop_lemma_counts()
         props["one_vanishing_arrow_per_triangle"] = all(
             self.qa.triangles_consistent(ri)
-            for ri in self.fan.exceptional_ray_indices
+            for ri in self.group.exceptional_ray_indices
         )
         props["chart_consistency"] = self._prop_chart_consistency()
         props["generator_division_across_edges"] = self._prop_edge_division()
@@ -291,29 +291,28 @@ class GroupVerification:
         )
 
     def _counts_match_coordinates(self, ray_indices) -> bool:
-        return all(
-            self.qa.vanishing_counts(ri) == self.fan.scaled_rays[ri] for ri in ray_indices
-        )
+        qa, scaled = self.qa, self.group.juniors
+        return all(qa.vanishing_counts(ri) == scaled[ri] for ri in ray_indices)
 
     def _prop_lemma_counts(self) -> bool:
-        return self._counts_match_coordinates(self.fan.exceptional_ray_indices)
+        return self._counts_match_coordinates(self.group.exceptional_ray_indices)
 
     @cached_property
     def _chart_values(self) -> list[list[list[int]]]:
         """Per cluster, at each ray p of its cone, the values (n*p).r_k of
         its monomials by position: the chart's valuations at its rays."""
-        fan = self.fan
+        fan, scaled = self.fan, self.group.juniors
         return [
-            [[dot3(fan.scaled_rays[ri], m) for m in graph.row] for ri in triple]
+            [[dot3(scaled[ri], m) for m in graph.row] for ri in triple]
             for graph, triple in zip(fan.ggraphs, fan.cone_rays)
         ]
 
     def _prop_chart_consistency(self) -> bool:
         """Every chart reproduces the divisor table at each of its three rays,
         entry by entry: (n*e).r_chi = n*q(chi, e) for every character."""
-        rows = self.fan.q.rows
+        rows = self.group.divisor_rows
         return all(
-            v == rows[ri]
+            tuple(v) == rows[ri]
             for at_rays, triple in zip(self._chart_values, self.fan.cone_rays)
             for v, ri in zip(at_rays, triple)
         )
@@ -361,10 +360,11 @@ class GroupVerification:
     def _prop_unique_sink(self) -> bool:
         """Interior divisors: one (0,3)-sink, at the trivial character, and
         one (3,0)-sink for shapes A and B."""
-        for ri in self.fan.exceptional_ray_indices:
+        juniors = self.group.juniors
+        for ri in self.group.exceptional_ray_indices:
             ss = self.qa.sink_source_graph(ri)
             sinks = ss.sink03_vertices()
-            if 0 not in self.fan.scaled_rays[ri]:
+            if 0 not in juniors[ri]:
                 if sinks != [self.group.index[self.group.trivial_character]]:
                     return False
                 if ss.shape in ("A", "B") and ss.sink30_count != 1:
@@ -394,7 +394,7 @@ class GroupVerification:
     def _prop_triangle_defects(self) -> bool:
         """r' >= 0 on every triangle whose three edges are interior."""
         fan = self.fan
-        s = fan.scaled_rays
+        s = self.group.juniors
         return all(
             regular_triangle_defect(fan, ci) >= 0
             for ci, (a, b, c) in enumerate(fan.cone_rays)
@@ -408,10 +408,10 @@ class GroupVerification:
         each edge of T off the octant's boundary has an arrow tight at both
         its ends and positive at the third ray (the cone lies in T).  T is
         unimodular, so it holds no other junior point."""
-        fan = self.fan
+        scaled = self.group.juniors
         columns = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
-        for at_rays, triple in zip(self._chart_values, fan.cone_rays):
-            rays = [fan.scaled_rays[ri] for ri in triple]
+        for at_rays, triple in zip(self._chart_values, self.fan.cone_rays):
+            rays = [scaled[ri] for ri in triple]
             slacks = []
             for s, v in zip(rays, at_rays):
                 slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
@@ -461,7 +461,7 @@ class GroupVerification:
         """Divisor cells of the three-arrow intersection are the (3,0)-sinks,
         these read off one walk of each ray's classes."""
         via_class = [set() for _ in self.group.characters]
-        for ri in self.fan.exceptional_ray_indices:
+        for ri in self.group.exceptional_ray_indices:
             for k, cls in enumerate(self.qa.classes(ri)):
                 if cls == SINK30:
                     via_class[k].add(ri)
@@ -474,7 +474,7 @@ class GroupVerification:
         """No character's three arrows all vanish along a corner ray, in
         either direction: supports stay off the strict-transform planes."""
         n = self.group.order
-        for ri, s in enumerate(self.fan.scaled_rays):
+        for ri, s in enumerate(self.group.juniors):
             if n in s:
                 (x, y, z), (ix, iy, iz) = self.qa.masks(ri)
                 if x & y & z or ix & iy & iz:
@@ -484,7 +484,7 @@ class GroupVerification:
     def _prop_principal_sums(self) -> bool:
         """Summing an orientation's vanishing divisors gives |G| times the
         principal divisor of that coordinate, corner rays included."""
-        return self._counts_match_coordinates(range(len(self.fan.rays)))
+        return self._counts_match_coordinates(range(len(self.group.juniors)))
 
     # -- report ----------------------------------------------------------------
 
@@ -496,9 +496,9 @@ class GroupVerification:
         return {
             "group": self.group.spec_string(),
             "order": n,
-            "rays": len(self.fan.rays),
+            "rays": len(self.group.juniors),
             "cones": len(self.fan.cone_rays),
-            "interior_divisors": len(self.fan.interior_ray_indices),
+            "interior_divisors": len(self.group.interior_ray_indices),
             "per_character": self.per_character,
             "per_divisor": self.per_divisor,
             "properties": self.properties,

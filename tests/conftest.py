@@ -61,7 +61,7 @@ class Pipeline:
 
         from mckay_lab import WeightVector
 
-        return self.fan.ray_index(WeightVector(tuple(Fraction(c) for c in coords)))
+        return self.group.ray_index(WeightVector(tuple(Fraction(c) for c in coords)))
 
     def chi(self, *residues):
         return next(

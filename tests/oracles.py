@@ -236,7 +236,7 @@ def cone_oracle_scan(fan):
         normals = ggraph_inequalities(fan.group, graph)
         inside = {
             ri
-            for ri, s in enumerate(fan.scaled_rays)
+            for ri, s in enumerate(fan.group.juniors)
             if all(dot3(a, s) >= 0 for a in normals)
         }
         if inside != set(fan.cone_rays[ci]):
@@ -345,8 +345,9 @@ def valuation(e, m):
 
 
 def divisor_q(fan, chi, ri):
-    """The exact q(chi, ray) from the fan's integer table n*q."""
-    return Fraction(fan.q.rows[ri][fan.group.index[chi]], fan.group.order)
+    """The exact q(chi, ray) from the group's integer table n*q."""
+    group = fan.group
+    return Fraction(group.divisor_rows[ri][group.index[chi]], group.order)
 
 
 def arrow_order(qa, ri, chi, o):
@@ -484,7 +485,7 @@ def support_h0_scan(fan, qa, chi):
     interior edge, one arrow order at a time."""
     orientations = ("x", "y", "z")
     divisors = []
-    for ri in fan.exceptional_ray_indices:
+    for ri in fan.group.exceptional_ray_indices:
         if all(arrow_order(qa, ri, chi, o) for o in orientations):
             divisors.append(ri)
     cells = [("divisor", ri) for ri in divisors]
@@ -506,7 +507,7 @@ def support_h1_scan(fan, qa, chi):
     vertex classes."""
     return sorted(
         ("divisor", ri)
-        for ri in fan.exceptional_ray_indices
+        for ri in fan.group.exceptional_ray_indices
         if qa.classes(ri)[fan.group.index[chi]].is_source
     )
 
@@ -572,7 +573,7 @@ def tautological_degree_single(fan, chi, rays):
     delta = tuple(b - a for a, b in zip(r, r2))
     w = fan.carving_vectors[rays]
     far = [ri for ri in fan.cone_rays[ci] if ri not in rays][0]
-    if dot3(fan.scaled_rays[far], w) < 0:
+    if dot3(fan.group.juniors[far], w) < 0:
         w = tuple(-v for v in w)
     ks = {d // v for d, v in zip(delta, w) if v}
     if len(ks) != 1 or any(d != next(iter(ks)) * v for d, v in zip(delta, w)):

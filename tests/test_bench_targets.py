@@ -1,7 +1,9 @@
-"""The benchmark's per-layer tracer finds every library name it wraps.
+"""The benchmark finds every library name it reads.
 
 `bench/tracer.py` skips a target it cannot resolve, so a renamed function
-or property check would silently read 0 in its per-layer metric."""
+or property check would silently read 0 in its per-layer metric.  The names
+the benchmark reads besides its targets fail only `pytest bench`, so they
+are held here too."""
 
 import importlib.util
 import json
@@ -45,3 +47,24 @@ def test_every_property_metric_names_a_check():
     }
     assert wanted
     assert wanted <= set(_load_tracer().prop_names(mckay_lab.verify.GroupVerification))
+
+
+def test_every_name_the_bench_reads_besides_its_targets_exists():
+    """`bench/test_bench.py` snapshots two ghilb classes and deletes two
+    names to test skipping, and the tracer's counters read sizes off a
+    built fan and a marked triangulation."""
+    import mckay_lab.ghilb as ghilb
+    import mckay_lab.verify as verify
+    from mckay_lab import build_fan, marked_triangulation, parse_group_spec
+
+    assert all(isinstance(cls, type) for cls in (ghilb.DivisorCoefficients, ghilb.GHilbFan))
+    assert callable(verify.GroupVerification._prop_counts) and callable(ghilb.seed_ggraph)
+    group = parse_group_spec("7:1,2,4")
+    fan = build_fan(group)
+    marked = marked_triangulation(fan)
+    assert len(fan.rays) == len(group.junior_points)
+    assert len(fan.ggraphs) == group.order
+    assert len(fan.edges) and len(marked.edge_ratios)
+    assert {case.tag for case in marked.vertex_cases.values()} <= {
+        "boundary", "case1", "case2", "case3"
+    }

@@ -95,7 +95,7 @@ def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
     group = parse_group_spec(spec)
     fan = build_fan(group)
     interior = {
-        frozenset(fan.scaled_rays[ri] for ri in e) for e in fan.interior_edges
+        frozenset(group.juniors[ri] for ri in e) for e in fan.interior_edges
     }
     assert len(flips) == len(set(flips)) == group.order - 1
     assert set(flips) <= interior
@@ -124,7 +124,7 @@ def test_flip_to_a_cone_without_the_wall_is_inconsistent(monkeypatch, p13):
             ci
             for ci, h in enumerate(fan.ggraphs)
             if h not in reached
-            and not {e, f} <= {fan.scaled_rays[ri] for ri in fan.cone_rays[ci]}
+            and not {e, f} <= {fan.group.juniors[ri] for ri in fan.cone_rays[ci]}
         )
         reached.add(fan.ggraphs[ci])
         return GGraph(group, fan.ggraphs[ci].row)
@@ -141,7 +141,7 @@ def test_cone_rays_are_the_fan_rays(spec):
     fan = build_fan(group)
     points = group.junior_points
     assert all(
-        fan.rays[ri] is points[ri] and fan.ray_index(points[ri]) == ri
+        fan.rays[ri] is points[ri] and group.ray_index(points[ri]) == ri
         for triple in fan.cone_rays
         for ri in triple
     )
@@ -420,9 +420,9 @@ def test_flip_matches_stepping(group):
     the next step leaves the octant, across every interior facet."""
     fan = build_fan(group)
     for edge in fan.interior_edges:
-        e, f = (fan.scaled_rays[ri] for ri in edge)
+        e, f = (group.juniors[ri] for ri in edge)
         for ci in fan.edges[edge]:
-            (g,) = (fan.scaled_rays[ri] for ri in fan.cone_rays[ci] if ri not in edge)
+            (g,) = (group.juniors[ri] for ri in fan.cone_rays[ci] if ri not in edge)
             flipped = flip_ggraph(group, fan.ggraphs[ci], e, f, g)
             assert flipped.row == stepped_flip(group, fan.ggraphs[ci], e, f, g)
 
@@ -557,10 +557,15 @@ def test_tautological_degree_examples(p3, p4):
 
 
 def test_fan_derives_its_index_tuples_once(p13):
-    fan = p13.fan
-    assert fan.exceptional_ray_indices is fan.exceptional_ray_indices
-    assert fan.exceptional_ray_indices == tuple(
-        i for i, r in enumerate(fan.rays) if not r.is_corner
+    """The group derives its exceptional and interior rays, and the fan its
+    interior edges, once each."""
+    group, fan = p13.group, p13.fan
+    assert group.exceptional_ray_indices is group.exceptional_ray_indices
+    assert group.exceptional_ray_indices == tuple(
+        i for i, r in enumerate(group.junior_points) if not r.is_corner
+    )
+    assert group.interior_ray_indices == tuple(
+        i for i, r in enumerate(group.junior_points) if not r.is_boundary
     )
     assert fan.interior_edges is fan.interior_edges
     assert fan.interior_edges == tuple(e for e, cones in fan.edges.items() if len(cones) != 1)
@@ -687,6 +692,22 @@ def test_no_reader_writes_into_a_fan(spec):
     before = _contents(fan)
     _read_every_output(fan)
     assert _contents(fan) == before
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_the_fan_holds_no_second_name_for_a_group_fact(spec):
+    """The group owns every junior-point fact: the fan keeps none of the
+    group's values under a name of its own, and its one alias, rays, is the
+    group's junior points, which the group's lookup inverts."""
+    group = parse_group_spec(spec)
+    fan = build_fan(group)
+    owned = {id(value) for value in vars(group).values()}
+    assert [
+        name for name, value in vars(fan).items()
+        if name not in ("group", "rays") and id(value) in owned
+    ] == []
+    assert fan.rays is group.junior_points
+    assert [group.ray_index(p) for p in group.junior_points] == list(range(len(group.juniors)))
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])

@@ -100,7 +100,7 @@ def test_interior_valuations_of_invariants_are_positive_integers(gen, mono):
     if not is_invariant(g, mono) or mono == (0, 0, 0):
         return
     for p in g.junior_points:
-        if p.is_interior:
+        if not p.is_boundary:
             v = valuation(p, mono)
             assert v.denominator == 1 and v >= 1
 
@@ -134,6 +134,16 @@ def test_junior_table_is_built_once_per_group():
     g = parse_group_spec("13:1,5,7")
     assert list(g.juniors) == [p.scaled(13) for p in g.junior_points]
     assert g.divisor_rows is g.divisor_rows
+
+
+def test_divisor_table_is_frozen():
+    """The table is a tuple of tuples, so no reader can write into the one
+    group every fan of it shares."""
+    rows = parse_group_spec("13:1,5,7").divisor_rows
+    with pytest.raises(TypeError):
+        rows[1][1] += 1
+    with pytest.raises(TypeError):
+        rows[1] = rows[0]
 
 
 def test_scaled_raises_off_the_lattice():

@@ -39,11 +39,15 @@ def test_arrow_vanishing_orders(p3, p4):
     assert arrow_order(p4.qa, p, p4.chi(2), "z") == 1
 
 
-def test_multiplicities_read_the_divisor_table():
-    """The arrow orders come from fan.q alone: one corrupted entry breaks them."""
+def test_multiplicities_read_the_divisor_table(monkeypatch):
+    """The arrow orders come from the group's divisor table alone: one
+    corrupted entry, in a copy put in its place, breaks them."""
     fan = build_fan(parse_group_spec("13:1,5,7"))
-    ri = fan.exceptional_ray_indices[0]
-    fan.q.rows[ri][1] += 1
+    group = fan.group
+    ri = group.exceptional_ray_indices[0]
+    rows = [list(row) for row in group.divisor_rows]
+    rows[ri][1] += 1
+    monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(map(tuple, rows)))
     with pytest.raises(MultiplicityOutOfRange):
         QuiverAnalysis(fan).masks(ri)
 
@@ -55,7 +59,7 @@ def test_vanishing_counts(p3, p4):
 
 
 def test_triangle_identity(p13):
-    for ri in p13.fan.exceptional_ray_indices:
+    for ri in p13.group.exceptional_ray_indices:
         assert p13.qa.triangles_consistent(ri)
 
 

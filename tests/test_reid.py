@@ -116,14 +116,14 @@ def test_a_point_off_the_junior_simplex_is_no_vertex(p3, coords):
     ],
 )
 def test_a_point_that_is_no_ray_is_an_input_error(spec, coords, error):
-    """Every lookup from a point goes through GHilbFan.ray_index, which
+    """Every lookup from a point goes through GroupData.ray_index, which
     refuses a point that is no ray of the fan with an input error, never a
     KeyError or an AssertionError."""
     fan = pipeline(spec).fan
     point = WeightVector(coords)
     cone = (point, *(fan.rays[ri] for ri in fan.cone_rays[0][1:]))
     lookups = (
-        lambda: fan.ray_index(point),
+        lambda: fan.group.ray_index(point),
         lambda: fan.cone_index(cone),
         lambda: classify_fan_vertex(fan, point),
         lambda: vertex_marking(fan, point),
@@ -176,7 +176,7 @@ def test_vertex_markings(p3, p4, p6, p13):
     # age-2-free group: six case-2 vertices, markings pair up with edges
     marks = {
         p13.marked.vertex_cases[ri].markings[0].residues[0]
-        for ri in p13.fan.exceptional_ray_indices
+        for ri in p13.group.exceptional_ray_indices
     }
     assert marks == {3, 6, 8, 9, 11, 12}
 
@@ -238,7 +238,7 @@ def test_each_edge_has_one_oriented_carving_vector(group):
     second, and its lexicographically positive sign is the ratio's m1 - m2;
     the triangle defect does not depend on the sign of any one vector."""
     fan = build_fan(group)
-    scaled = fan.scaled_rays
+    scaled = fan.group.juniors
     for edge in fan.interior_edges:
         w = fan.carving_vectors[edge]
         assert [dot3(scaled[ri], w) for ri in edge] == [0, 0]

@@ -79,7 +79,7 @@ def test_sink_source_dot_places_the_quiver_once(monkeypatch):
     monkeypatch.setattr(diagrams, "torus_positions", counted)
     text = all_sink_source_dot(fan, qa)
     assert len(calls) == 1
-    assert text.count("digraph") == len(fan.exceptional_ray_indices) == 15
+    assert text.count("digraph") == len(fan.group.exceptional_ray_indices) == 15
 
 
 def test_trivial_group_svg(trivial_group):

@@ -68,7 +68,7 @@ def test_connectivity_by_faces_matches_the_cone_scan(group):
     for chi in group.characters:
         for support in (f(fan, qa, chi) for f in (support_h0, support_h1, support_h2)):
             assert _is_connected(fan, support) == is_connected_pairwise(fan, support)
-    cells = [("divisor", ri) for ri in fan.exceptional_ray_indices]
+    cells = [("divisor", ri) for ri in fan.group.exceptional_ray_indices]
     cells += [("curve", e) for e in fan.interior_edges]
     for a, c1 in enumerate(cells):
         for c2 in cells[a + 1:]:

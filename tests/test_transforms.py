@@ -30,7 +30,7 @@ def test_support_h1_reads_the_memoized_classes():
     the one sweep h1_loci: a corrupted entry shows up in the support instead
     of being recomputed."""
     fan = build_fan(parse_group_spec("3:1,1,1"))
-    (center,) = fan.exceptional_ray_indices
+    (center,) = fan.group.exceptional_ray_indices
     sink = fan.group.characters[2]
     assert support_h1(fan, QuiverAnalysis(fan), sink) == []
     qa = QuiverAnalysis(fan)

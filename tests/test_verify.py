@@ -134,7 +134,7 @@ def test_rotated_shape_b_coordinates():
     fan = build_fan(group)
     qa = QuiverAnalysis(fan)
     axes = {}
-    for ri in fan.exceptional_ray_indices:
+    for ri in fan.group.exceptional_ray_indices:
         ss = qa.sink_source_graph(ri)
         axes[ss.shape_axis] = (ri, ss.lengths)
     assert set(axes) == {"x", "y", "z"}
@@ -156,13 +156,16 @@ def test_verification_reads_the_given_fan(p4, monkeypatch):
     assert verification.passed
 
 
-def test_chart_consistency_catches_a_corrupted_coefficient():
+def test_chart_consistency_catches_a_corrupted_coefficient(monkeypatch):
     fan = build_fan(parse_group_spec("13:1,5,7"))
+    group = fan.group
     verification = GroupVerification(fan)
     assert verification._prop_chart_consistency()
-    chi = fan.group.characters[1]
-    ri = fan.exceptional_ray_indices[0]
-    fan.q.rows[ri][fan.group.index[chi]] += 1
+    chi = group.characters[1]
+    ri = group.exceptional_ray_indices[0]
+    rows = [list(row) for row in group.divisor_rows]
+    rows[ri][group.index[chi]] += 1
+    monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(map(tuple, rows)))
     assert not verification._prop_chart_consistency()
 
 
@@ -214,8 +217,9 @@ def test_cone_oracles_reject_swapped_clusters(group, data):
 def _one_cluster_oracle(fan, ci, rays):
     """The three-ray oracle on the ci-th cluster alone, at the given
     scaled rays in place of its triangle's."""
-    alone = SimpleNamespace(ggraphs=(fan.ggraphs[ci],), cone_rays=((0, 1, 2),), scaled_rays=rays)
-    verification = SimpleNamespace(fan=alone, group=fan.group)
+    alone = SimpleNamespace(ggraphs=(fan.ggraphs[ci],), cone_rays=((0, 1, 2),))
+    group = SimpleNamespace(juniors=rays, head_rows=fan.group.head_rows)
+    verification = SimpleNamespace(fan=alone, group=group)
     verification._chart_values = GroupVerification._chart_values.func(verification)
     return GroupVerification._prop_cone_oracle(verification)
 
@@ -230,7 +234,7 @@ def test_cone_oracle_checks_both_inclusions(spec):
     fan = build_fan(parse_group_spec(spec))
     reflected = 0
     for ci, triple in enumerate(fan.cone_rays):
-        rays = [fan.scaled_rays[ri] for ri in triple]
+        rays = [fan.group.juniors[ri] for ri in triple]
         assert _one_cluster_oracle(fan, ci, tuple(rays))
         inner = tuple(map(sum, zip(*rays)))
         for p in range(3):
