@@ -17,7 +17,8 @@ when e lies in the cone.  So one integer scan over the junior points finds
 the cone's rays as their indices, in lex order; it runs once per cluster and
 is kept on it.  All clusters are found by seeding from a generic weight and
 crossing each interior wall (a ray-index pair) that no second found cone has
-closed yet: one flip per new cluster, whose carving vector the fan reuses.
+closed yet: one flip per new cluster.  The flip's carving vector is not
+kept: the fan computes each interior edge's vector again, from its two rays.
 The fan is then validated as a unimodular triangulation, each chart is
 checked against the table at its three rays by the same height identity, and
 the fan derives its integer facts once.  The whole path runs on integers: a
@@ -82,7 +83,7 @@ class GGraph:
         row = self.row
         if len(row) != n or len(set(row)) != n:
             raise SearchExhausted(f"cluster needs exactly {n} distinct monomials")
-        if row[group.index[group.trivial_character]] != MONO_ONE:
+        if row[0] != MONO_ONE:
             raise SearchExhausted("the trivial character must be represented by 1")
         for m, tails in zip(row, group.tail_rows):
             a, b, c = m
@@ -284,7 +285,7 @@ def seed_ggraph(group: GroupData) -> GGraph:
     heads = group.head_rows
     row: list[Monomial | None] = [None] * n
     filled = 0
-    k = group.index[group.trivial_character]
+    k = 0  # the trivial character's position
     for j in range(n):
         start = k  # the position of y^j, where the walk along x closes
         for i in range(n):

@@ -119,6 +119,8 @@ class GroupData:
     Built by :func:`group_from_generators` and never written after its
     constructor, but for the divisor table (`divisor_rows` and `heights`),
     which it builds itself on first use.  It owns every junior-point fact.
+    The characters are sorted by residues, so the trivial one is at
+    position 0 of `characters` and of every per-character table.
     """
 
     def __init__(self, generators):
@@ -203,7 +205,7 @@ class GroupData:
         """
         heads = self.head_rows
         least: list[int | None] = [None] * self.order
-        heap = [(0, self.index[self.trivial_character])]
+        heap = [(0, 0)]  # the trivial character, at distance 0
         while heap:
             d, k = heappop(heap)
             if least[k] is not None:

@@ -108,8 +108,7 @@ class SinkSourceGraph:
     classes: tuple[VertexClass, ...]
     lines: list[ChargeLine] = field(default_factory=list)
     shape: str | None = None  # "A" | "B" | "C", None when unrecognized
-    shape_axis: str | None = None  # B: orientation of the lone third line
-    lengths: dict | None = None
+    lengths: dict | None = None  # as the report writes them
 
     @property
     def sources(self) -> list[int]:
@@ -305,7 +304,7 @@ class QuiverAnalysis:
         classes = ss.classes
         sources = ss.sources
         sink03s = ss.sink03_vertices()
-        if sink03s != [self.group.index[self.group.trivial_character]]:
+        if sink03s != [0]:  # the trivial character's position
             raise ShapeUnrecognized(
                 f"ray {ss.ray_index}: (0,3)-sinks are "
                 f"{[self.group.characters[k] for k in sink03s]}, expected the trivial character"
@@ -328,9 +327,10 @@ class QuiverAnalysis:
 
     # -- shape lengths ---------------------------------------------------------
 
-    def _backward_lines(self, ss: SinkSourceGraph) -> dict[str, ChargeLine]:
-        """The (0,1)-lines into the trivial character, keyed by orientation."""
-        back = {}
+    def _line_table(self, ss: SinkSourceGraph) -> tuple[dict, dict]:
+        """The (0,1)-lines into the trivial character keyed by orientation,
+        and the (1,0)-lines keyed by (source, orientation)."""
+        back, fwd = {}, {}
         for line in ss.lines:
             if line.chirality == (0, 1):
                 if line.orientation in back:
@@ -338,13 +338,15 @@ class QuiverAnalysis:
                         f"two backward {line.orientation}-lines on ray {ss.ray_index}"
                     )
                 back[line.orientation] = line
-        return back
+            else:
+                fwd[line.source, line.orientation] = line
+        return back, fwd
 
     def _lengths_a(self, ss: SinkSourceGraph) -> None:
-        back = self._backward_lines(ss)
-        fwd = {l.orientation: l for l in ss.lines if l.chirality == (1, 0)}
+        back, fwd = self._line_table(ss)
+        (source,) = ss.sources
         a, b, c = (back[o].length for o in VARIABLES)
-        if any(fwd[o].length != back[o].length for o in VARIABLES):
+        if any(fwd[source, o].length != back[o].length for o in VARIABLES):
             raise ShapeUnrecognized(
                 f"forward and backward line lengths differ on ray {ss.ray_index}"
             )
@@ -352,7 +354,7 @@ class QuiverAnalysis:
 
     def _lengths_b(self, ss: SinkSourceGraph) -> None:
         classes = ss.classes
-        back = self._backward_lines(ss)
+        back, fwd = self._line_table(ss)
         double = [s for s in ss.sources if sum(1 for l in back.values() if l.source == s) == 2]
         single = [s for s in ss.sources if s not in double]
         if len(double) != 1 or len(single) != 1:
@@ -365,16 +367,10 @@ class QuiverAnalysis:
             )
         o1, o2 = [o for o in VARIABLES if o != axis]
         a, b, c = back[o1].length, back[o2].length, back[axis].length
-        fwd = {
-            l.orientation: l
-            for l in ss.lines
-            if l.chirality == (1, 0) and l.source == second
-        }
-        a1 = self._steps_until(first, o1, set(fwd[o2].vertices))
-        b1 = self._steps_until(first, o2, set(fwd[o1].vertices))
-        ss.shape_axis = axis
+        a1 = self._steps_until(first, o1, set(fwd[second, o2].vertices))
+        b1 = self._steps_until(first, o2, set(fwd[second, o1].vertices))
         ss.lengths = {"a": a, "b": b, "c": c, "a1": a1, "b1": b1,
-                      "orientations": (o1, o2, axis)}
+                      "orientations": [o1, o2, axis]}
 
     def _steps_until(self, start: int, orientation: str, targets: set) -> int:
         """Forward steps from a vertex until first landing on a target vertex."""
@@ -389,15 +385,15 @@ class QuiverAnalysis:
         )
 
     def _lengths_c(self, ss: SinkSourceGraph) -> None:
-        back = self._backward_lines(ss)
+        back, lines = self._line_table(ss)
         a, b, c = (back[o].length for o in VARIABLES)
-        source_of = {o: back[o].source for o in VARIABLES}
-        fwd: dict[tuple[str, str], int] = {}
-        for line in ss.lines:
-            if line.chirality == (1, 0):
-                for o, s in source_of.items():
-                    if line.source == s:
-                        fwd[(o, line.orientation)] = line.length
+        # the length of the forward p-line emitted by the source of the o-line
+        fwd = {
+            (o, p): line.length
+            for (s, p), line in lines.items()
+            for o in VARIABLES
+            if back[o].source == s
+        }
         # the two forward lines of each source have the other two orientations
         expected = {(o, p) for o in VARIABLES for p in VARIABLES if o != p}
         if set(fwd) != expected:
@@ -406,8 +402,7 @@ class QuiverAnalysis:
             )
         ss.lengths = {
             "a": a, "b": b, "c": c,
-            # length of the forward p-line emitted by the source of the o-line
-            "fwd": fwd,
+            "fwd": {f"{o}->{p}": v for (o, p), v in sorted(fwd.items())},
         }
 
 

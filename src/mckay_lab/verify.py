@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from typing import NamedTuple
 
 from .ghilb import GHilbFan, build_fan, spans_interior_edge, tautological_degrees
-from .groups import Character, GroupData, Monomial, VARIABLES, mono_divides
+from .groups import GroupData, Monomial, VARIABLES, mono_divides
 from .intlin import dot3
-from .quiver import QuiverAnalysis, SINK30
+from .quiver import QuiverAnalysis, SINK30, shape_lengths
 from .reid import MarkedTriangulation, marked_triangulation, ratio_key, regular_triangle_defect
 from .transforms import TransformProfile, curve_cell, divisor_cell, transform_profile
 
@@ -30,6 +31,20 @@ def _mono_sum(*monos) -> Monomial:
     return tuple(sum(m[i] for m in monos) for i in range(3))
 
 
+class _CharacterRow(NamedTuple):
+    """One character's marking and transform facts, derived once per verification."""
+
+    klass: str
+    curves: list
+    profile: TransformProfile
+    multi_curve_divisors: list
+
+
+def _support(profile: TransformProfile, degree: int) -> list:
+    """The profile's support in one degree: transform_profile allows only one."""
+    return list(profile.components) if profile.degree == degree else []
+
+
 class GroupVerification:
     """One group's full pipeline over a built fan, plus every check result."""
 
@@ -38,7 +53,7 @@ class GroupVerification:
         self.fan = fan
         self.qa = QuiverAnalysis(fan)
         self.marked: MarkedTriangulation = marked_triangulation(fan)
-        self._profiles: dict[Character, TransformProfile] = {}
+        self._rows: list[_CharacterRow] = []  # by character position
         self.per_character: list[dict] = []
         self.per_divisor: list[dict] = []
         self.properties: dict[str, bool] = {}
@@ -55,46 +70,29 @@ class GroupVerification:
     def _fail(self, message: str) -> None:
         self.failures.append(message)
 
-    def profile(self, chi: Character) -> TransformProfile:
-        """The transform profile of chi, computed once per verification."""
-        if chi not in self._profiles:
-            self._profiles[chi] = transform_profile(self.fan, self.qa, chi)
-        return self._profiles[chi]
-
     @cached_property
     def _degrees(self) -> dict[tuple[int, int], list[int]]:
         """Every character's tautological degree on each interior edge, in
         the order of group.characters."""
         return {e: tautological_degrees(self.fan, e) for e in self.fan.interior_edges}
 
-    def _supports(self, chi: Character) -> tuple[list, list, list]:
-        """The h0, h1 and h2 supports of chi, read off its profile.
-
-        Exact because transform_profile raises unless exactly one degree
-        has support."""
-        profile = self.profile(chi)
-        return tuple(
-            list(profile.components) if profile.degree == d else [] for d in (0, -1, -2)
-        )
-
     def _multi_curve_divisors(self, curves) -> list:
-        """Divisor cells of the exceptional rays on at least two of the curves."""
-        return sorted(
-            divisor_cell(ri)
-            for ri in self.group.exceptional_ray_indices
-            if sum(1 for e in curves if ri in e) >= 2
-        )
+        """Divisor cells of the exceptional rays that end two or more of the curves."""
+        n, juniors = self.group.order, self.group.juniors
+        ends = Counter(ri for e in curves for ri in e)
+        return sorted(divisor_cell(ri) for ri, k in ends.items() if k > 1 and n not in juniors[ri])
 
     # -- Reid's recipe against transform profiles (per character) ----------
 
     def _check_characters(self) -> None:
         marked = self.marked
-        exceptional = self.group.exceptional_ray_indices
         for chi in self.group.characters:
             divisors = marked.marked_divisors(chi)
             curves = marked.marked_edges(chi)
             klass = marked.marking_class(chi)
-            profile = self.profile(chi)
+            profile = transform_profile(self.fan, self.qa, chi)
+            multi = self._multi_curve_divisors(curves)
+            self._rows.append(_CharacterRow(klass, curves, profile, multi))
             entry = {
                 "character": chi.label(),
                 "residues": list(chi.residues),
@@ -105,13 +103,12 @@ class GroupVerification:
                 "components": [list(c) for c in profile.components],
                 "connected": profile.connected,
             }
-            ok = True
             if chi.is_trivial:
                 ok = (
                     klass == "nothing"
                     and profile.degree == -2
                     and list(profile.components)
-                    == sorted(divisor_cell(ri) for ri in exceptional)
+                    == sorted(divisor_cell(ri) for ri in self.group.exceptional_ray_indices)
                 )
             elif klass == "divisor":
                 ok = (
@@ -125,12 +122,10 @@ class GroupVerification:
                     curve_cell(*curves[0])
                 ]
             elif klass == "curves":
-                expected = self._multi_curve_divisors(curves)
-                ok = profile.degree == -1 and sorted(profile.components) == expected
+                ok = profile.degree == -1 and sorted(profile.components) == multi
             else:  # a nontrivial character marking nothing: trichotomy broken
                 ok = False
-            if not profile.connected:
-                ok = False
+            ok = ok and profile.connected
             entry["pass"] = ok
             if not ok:
                 self._fail(f"character {chi.label()}: {klass} vs degree {profile.degree}")
@@ -159,7 +154,7 @@ class GroupVerification:
             "case": case.tag,
             "valency": case.valency,
             "shape": ss.shape,
-            "lengths": _lengths_for_report(ss.lengths),
+            "lengths": shape_lengths(ss),
             "checks": {},
         }
         checks = entry["checks"]
@@ -227,9 +222,9 @@ class GroupVerification:
         fwd = lengths["fwd"]
         kappa = self.group.kappa
         found = False
-        for a2, a3 in ((fwd[("y", "x")], fwd[("z", "x")]), (fwd[("z", "x")], fwd[("y", "x")])):
-            for b2, b3 in ((fwd[("x", "y")], fwd[("z", "y")]), (fwd[("z", "y")], fwd[("x", "y")])):
-                for c2, c3 in ((fwd[("x", "z")], fwd[("y", "z")]), (fwd[("y", "z")], fwd[("x", "z")])):
+        for a2, a3 in ((fwd["y->x"], fwd["z->x"]), (fwd["z->x"], fwd["y->x"])):
+            for b2, b3 in ((fwd["x->y"], fwd["z->y"]), (fwd["z->y"], fwd["x->y"])):
+                for c2, c3 in ((fwd["x->z"], fwd["y->z"]), (fwd["y->z"], fwd["x->z"])):
                     coords_ok = self._coords_check(
                         ray_idx,
                         (
@@ -349,23 +344,22 @@ class GroupVerification:
     def _prop_tautological_degrees(self) -> bool:
         """Degree 1 for the marking character, >= 0 always, 0 for trivial."""
         index = self.group.index
-        trivial = index[self.group.trivial_character]
         return all(
             min(degrees) >= 0
             and degrees[index[self.marked.edge_ratios[rays].character]] == 1
-            and degrees[trivial] == 0
+            and degrees[0] == 0
             for rays, degrees in self._degrees.items()
         )
 
     def _prop_unique_sink(self) -> bool:
         """Interior divisors: one (0,3)-sink, at the trivial character, and
         one (3,0)-sink for shapes A and B."""
-        juniors = self.group.juniors
+        interior = set(self.group.interior_ray_indices)
         for ri in self.group.exceptional_ray_indices:
             ss = self.qa.sink_source_graph(ri)
             sinks = ss.sink03_vertices()
-            if 0 not in juniors[ri]:
-                if sinks != [self.group.index[self.group.trivial_character]]:
+            if ri in interior:
+                if sinks != [0]:
                     return False
                 if ss.shape in ("A", "B") and ss.sink30_count != 1:
                     return False
@@ -374,31 +368,21 @@ class GroupVerification:
         return True
 
     def _prop_trichotomy(self) -> bool:
-        """Divisor, single-curve and several-curve characters partition G^ \\ 1."""
-        seen = {"divisor": set(), "curve": set(), "curves": set()}
-        for chi in self.group.characters:
-            if chi.is_trivial:
-                if self.marked.marking_class(chi) != "nothing":
-                    return False
-                continue
-            klass = self.marked.marking_class(chi)
-            if klass == "nothing":
-                return False
-            seen[klass].add(chi)
-            # disjointness: a divisor-marking character marks no curves
-            if klass == "divisor" and self.marked.marked_edges(chi):
-                return False
-        total = sum(len(v) for v in seen.values())
-        return total == self.group.order - 1
+        """Divisor, single-curve and several-curve characters partition G^ \\ 1:
+        the trivial character (position 0) alone marks nothing, and no
+        divisor-marking character marks a curve."""
+        return all(
+            (row.klass == "nothing") == (k == 0) and not (row.klass == "divisor" and row.curves)
+            for k, row in enumerate(self._rows)
+        )
 
     def _prop_triangle_defects(self) -> bool:
         """r' >= 0 on every triangle whose three edges are interior."""
         fan = self.fan
-        s = self.group.juniors
         return all(
             regular_triangle_defect(fan, ci) >= 0
             for ci, (a, b, c) in enumerate(fan.cone_rays)
-            if all(spans_interior_edge(s[i], s[j]) for i, j in ((a, b), (a, c), (b, c)))
+            if all(len(fan.edges[e]) == 2 for e in ((a, b), (a, c), (b, c)))
         )
 
     def _prop_cone_oracle(self) -> bool:
@@ -428,16 +412,15 @@ class GroupVerification:
 
     def _prop_degree_sums(self) -> bool:
         """Over a curve-supported degree-0 transform the twist degrees cancel."""
-        for chi in self.group.characters:
-            if chi.is_trivial or self.marked.marking_class(chi) != "curve":
+        for k, row in enumerate(self._rows):
+            if k == 0 or row.klass != "curve":  # position 0 is the trivial character
                 continue
-            profile = self.profile(chi)
-            curves = [c[1] for c in profile.components if c[0] == "curve"]
+            curves = [c[1] for c in row.profile.components if c[0] == "curve"]
             if not curves:
                 return False
             totals = [sum(col) for col in zip(*(self._degrees[pair] for pair in curves))]
             expected = [0] * self.group.order
-            expected[self.group.index[chi]] = len(curves)
+            expected[k] = len(curves)
             if totals != expected:
                 return False
         return True
@@ -445,17 +428,12 @@ class GroupVerification:
     def _prop_exclusive_degree(self) -> bool:
         """Exactly one cohomological degree has nonempty support per character."""
         return all(
-            sum(1 for s in self._supports(chi) if s) == 1
-            for chi in self.group.characters
+            sum(1 for d in (0, -1, -2) if _support(row.profile, d)) == 1 for row in self._rows
         )
 
     def _prop_lemma_sources(self) -> bool:
         """Source divisors of a character are those with >= 2 of its curves."""
-        return all(
-            self._supports(chi)[1]
-            == self._multi_curve_divisors(self.marked.marked_edges(chi))
-            for chi in self.group.characters
-        )
+        return all(_support(row.profile, -1) == row.multi_curve_divisors for row in self._rows)
 
     def _prop_h0_two_routes(self) -> bool:
         """Divisor cells of the three-arrow intersection are the (3,0)-sinks,
@@ -466,8 +444,8 @@ class GroupVerification:
                 if cls == SINK30:
                     via_class[k].add(ri)
         return all(
-            {c[1] for c in self._supports(chi)[0] if c[0] == "divisor"} == via_class[k]
-            for k, chi in enumerate(self.group.characters)
+            {c[1] for c in _support(row.profile, 0) if c[0] == "divisor"} == via_class[k]
+            for k, row in enumerate(self._rows)
         )
 
     def _prop_corner_support(self) -> bool:
@@ -513,16 +491,6 @@ class GroupVerification:
             },
             "pass": self.passed,
         }
-
-
-def _lengths_for_report(lengths):
-    out = {}
-    for key, value in lengths.items():
-        if key == "fwd":
-            out[key] = {f"{a}->{b}": v for (a, b), v in sorted(value.items())}
-        else:
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _oriented_carving_pair(fan: GHilbFan, rays):

@@ -512,6 +512,16 @@ def support_h1_scan(fan, qa, chi):
     )
 
 
+def multi_curve_divisors_scan(group, curves):
+    """Divisor cells of the exceptional rays lying on at least two of the
+    curves, by a scan of every exceptional ray."""
+    return sorted(
+        ("divisor", ri)
+        for ri in group.exceptional_ray_indices
+        if sum(1 for e in curves if ri in e) >= 2
+    )
+
+
 def is_connected_pairwise(fan, cells):
     """Connectivity of a cell set, two cells meeting when some maximal cone
     holds the rays of both."""

@@ -230,6 +230,22 @@ def test_characters_are_the_groups_own_objects(group):
         assert chi is own[chi.residues]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        small_groups,
+        st.sampled_from(
+            SQUARE_PRODUCTS + RECTANGULAR_PRODUCTS + list(REDUNDANT_PRESENTATIONS)
+        ).map(parse_group_spec),
+    )
+)
+def test_the_trivial_character_comes_first(group):
+    """The characters are sorted by residues, so every reader may take
+    position 0 for the trivial character."""
+    assert group.characters[0] is group.trivial_character
+    assert group.index[group.trivial_character] == 0
+
+
 def test_character_hash_is_the_field_hash():
     """The hash kept on each character is the hash of its fields, so an
     equal copy finds the group's own object in a dict."""

@@ -112,7 +112,7 @@ def test_shape_a(p3):
 def test_shape_b_at_p(p4):
     p = p4.ray((f(1, 4), f(1, 4), f(1, 2)))
     ss = p4.qa.sink_source_graph(p)
-    assert ss.shape == "B" and ss.shape_axis == "z"
+    assert ss.shape == "B" and ss.lengths["orientations"][2] == "z"
     lengths = ss.lengths
     assert (lengths["a"], lengths["b"], lengths["c"]) == (1, 1, 1)
     assert (lengths["a1"], lengths["b1"]) == (1, 1)

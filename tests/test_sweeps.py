@@ -20,12 +20,14 @@ from mckay_lab import (
     tautological_degree,
 )
 from mckay_lab.ghilb import tautological_degrees
+from mckay_lab.reid import MarkedTriangulation
 from mckay_lab.transforms import _is_connected
 from mckay_lab.verify import ratio_is_primitive
 
 from conftest import SQUARE_PRODUCTS, small_groups
 from oracles import (
     is_connected_pairwise,
+    multi_curve_divisors_scan,
     ratio_is_primitive_pairwise,
     support_h0_scan,
     support_h1_scan,
@@ -56,6 +58,22 @@ def test_h1_loci_match_the_per_ray_class_scan(group):
         assert [("divisor", ri) for ri in qa.h1_loci[group.index[chi]]] == support_h1_scan(
             fan, qa, chi
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_multi_curve_divisors_from_curve_ends_match_the_ray_scan(group):
+    """For every character, on its marked curves and on all interior edges
+    at once, whose ends include the corner rays."""
+    assume(group.order > 1)
+    verification = GroupVerification(build_fan(group))
+    for chi in group.characters:
+        curves = verification.marked.marked_edges(chi)
+        assert verification._multi_curve_divisors(curves) == multi_curve_divisors_scan(
+            group, curves
+        )
+    edges = verification.fan.interior_edges
+    assert verification._multi_curve_divisors(edges) == multi_curve_divisors_scan(group, edges)
 
 
 @settings(max_examples=20, deadline=None)
@@ -134,11 +152,14 @@ def test_per_edge_degrees_match_the_per_character_reading(group):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
 def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
-    """The quiver triangles once per QuiverAnalysis, and the degrees once
-    per interior edge."""
-    seen = {"triangles": 0, "degrees": []}
+    """The quiver triangles once per QuiverAnalysis, the degrees once per
+    interior edge, and each character's marking class and transform profile
+    once per verification."""
+    seen = {"triangles": 0, "degrees": [], "classes": [], "profiles": []}
     triangles = mckay_lab.quiver.quiver_triangles
     degrees = mckay_lab.verify.tautological_degrees
+    profile = mckay_lab.verify.transform_profile
+    marking_class = MarkedTriangulation.marking_class
 
     def count_triangles(group):
         seen["triangles"] += 1
@@ -148,11 +169,22 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
         seen["degrees"].append(edge)
         return degrees(fan, edge)
 
+    def count_profiles(fan, qa, chi):
+        seen["profiles"].append(chi)
+        return profile(fan, qa, chi)
+
+    def count_classes(marked, chi):
+        seen["classes"].append(chi)
+        return marking_class(marked, chi)
+
     monkeypatch.setattr(mckay_lab.quiver, "quiver_triangles", count_triangles)
     monkeypatch.setattr(mckay_lab.verify, "tautological_degrees", count_degrees)
+    monkeypatch.setattr(mckay_lab.verify, "transform_profile", count_profiles)
+    monkeypatch.setattr(MarkedTriangulation, "marking_class", count_classes)
     group = parse_group_spec(spec)
     fan = build_fan(group)
     verification = GroupVerification(fan)
     assert verification.passed
     assert seen["triangles"] == 1
     assert sorted(seen["degrees"]) == list(fan.interior_edges)
+    assert seen["profiles"] == seen["classes"] == list(group.characters)

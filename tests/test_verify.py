@@ -136,7 +136,7 @@ def test_rotated_shape_b_coordinates():
     axes = {}
     for ri in fan.group.exceptional_ray_indices:
         ss = qa.sink_source_graph(ri)
-        axes[ss.shape_axis] = (ri, ss.lengths)
+        axes[ss.lengths["orientations"][2]] = (ri, ss.lengths)
     assert set(axes) == {"x", "y", "z"}
     ri, lengths = axes["x"]
     a, b, c = lengths["a"], lengths["b"], lengths["c"]
