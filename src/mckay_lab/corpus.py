@@ -6,9 +6,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
-from multiprocessing import Pool
 
-from .errors import McKayLabError
+from .errors import InputError, McKayLabError
 from .groups import parse_group_spec
 from .serialize import report_json
 from .verify import verify_group
@@ -87,13 +86,17 @@ def run_corpus(spec: CorpusSpec) -> dict:
     Reports are merged in corpus order, so the aggregate is independent of
     the worker count; per-group JSON files are written when an output
     directory is configured.  A group whose pipeline raises is recorded in
-    the failures and the sweep goes on.  An output directory that cannot be
-    made fails before any group runs.
+    the failures and the sweep goes on.  A worker count below 1 and an
+    output directory that cannot be made fail before any group runs.
     """
+    if spec.jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {spec.jobs}")
     specs = corpus_specs(spec)
     if spec.output_dir:
         os.makedirs(spec.output_dir, exist_ok=True)
     if spec.jobs > 1 and len(specs) > 1:
+        from multiprocessing import Pool  # only here: every CLI start skips its import
+
         with Pool(min(spec.jobs, len(specs))) as pool:
             reports = pool.map(_verify_spec, specs)
     else:

@@ -9,18 +9,24 @@ two sinks, seven sources, six charges and three tiles.
 
 Vertices are keyed by position in ``group.characters`` throughout, and the
 arrows are the group's position tables ``head_rows`` and ``tail_rows``.
-QuiverAnalysis derives, once per ray, the arrow orders from the ray's row
-of the group's divisor table, as bitmasks of vanishing out- and in-arrows per
-orientation over those positions; a vertex's class depends only on its two
-3-bit spoke patterns.  Charge lines and shapes are sought on
-interior divisors only, where they are theorems; the sink-source graph of a
-boundary divisor holds its vertex classes alone.
+Every per-ray fact is an integer bitmask over those positions.
+QuiverAnalysis reads, once per ray, the arrow orders off the ray's row of
+the group's divisor table, one pass per orientation, as masks of vanishing
+out- and in-arrows, and from them, in integer operations, the triangle
+identity and the class masks: the sources, the (3,0)- and (0,3)-sinks and
+the charges.  A vertex's class is a function of its two 3-bit spoke
+patterns; it is spelled out only where it is printed or where a charge
+line walks.  Charge lines and shapes are sought on interior divisors only,
+where they are theorems; the sink-source graph of a boundary divisor holds
+its class masks alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import (
     InvalidSpokePattern,
@@ -85,6 +91,56 @@ def _orientation(bit: int) -> str:
     return VARIABLES[bit.bit_length() - 1]
 
 
+class _ClassByDigits(dict):
+    """Vertex classes keyed by two hex digits, the 3-bit patterns of vanishing
+    out- and in-spokes; an invalid pair raises InvalidSpokePattern."""
+
+    def __missing__(self, digits: str) -> VertexClass:
+        cls = self[digits] = _classify_pattern(int(digits[0], 16), int(digits[1], 16))
+        return cls
+
+
+_CLASS_BY_DIGITS = _ClassByDigits()
+
+
+def _pattern_digits(masks, n: int) -> str:
+    """One hex digit per position, lowest first: the 3-bit pattern of the
+    three masks there (bit o from masks[o])."""
+    # a mask's binary digits read as hex put bit k in the 4-bit lane k
+    lanes = sum(int(format(m, "b"), 16) << o for o, m in enumerate(masks))
+    return format(lanes, f"0{n}x")[::-1]
+
+
+def _ones(a: int, b: int, c: int) -> int:
+    """The bits set in exactly one of three masks."""
+    return (a ^ b ^ c) & ~(a & b & c)
+
+
+def _through(reading, digits: str) -> int:
+    """The mask whose bit k is digits[column[k]], for a 0/1 string indexed
+    by position and the reversed reading of a column (_getter(column[::-1])),
+    which spells the mask highest bit first, as int(s, 2) reads it."""
+    return int("".join(reading(digits)), 2)
+
+
+def _getter(column):
+    """itemgetter(*column), which returns a tuple for one index too."""
+    if len(column) == 1:
+        (index,) = column
+        return lambda seq: (seq[index],)
+    return itemgetter(*column)
+
+
+class ClassMasks(NamedTuple):
+    """The vertices of a ray's divisor in each class family, as bitmasks over
+    the positions of group.characters."""
+
+    sources: int  # (3,3)-, (2,1)- and (1,2)-sources
+    sink30: int
+    sink03: int
+    charges: int  # (1,0)- and (0,1)-charges of every orientation
+
+
 @dataclass(frozen=True)
 class ChargeLine:
     """A straight run of same-orientation arrows from a source to a sink."""
@@ -102,24 +158,24 @@ class ChargeLine:
 
 @dataclass
 class SinkSourceGraph:
-    """Per-divisor analysis: vertex classes, charge lines, shape and lengths."""
+    """Per-divisor analysis: class masks, charge lines, shape and lengths."""
 
     ray_index: int
-    classes: tuple[VertexClass, ...]
+    masks: ClassMasks
     lines: list[ChargeLine] = field(default_factory=list)
     shape: str | None = None  # "A" | "B" | "C", None when unrecognized
     lengths: dict | None = None  # as the report writes them
 
     @property
     def sources(self) -> list[int]:
-        return [k for k, cls in enumerate(self.classes) if cls.is_source]
+        return list(_bits(self.masks.sources))
 
     @property
     def sink30_count(self) -> int:
-        return self.classes.count(SINK30)
+        return self.masks.sink30.bit_count()
 
     def sink03_vertices(self) -> list[int]:
-        return [k for k, cls in enumerate(self.classes) if cls == SINK03]
+        return list(_bits(self.masks.sink03))
 
 
 class QuiverAnalysis:
@@ -129,10 +185,24 @@ class QuiverAnalysis:
         self.fan = fan
         self.group = fan.group
         self._masks: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
-        self._classes: dict[int, tuple[VertexClass, ...]] = {}
+        self._class_masks: dict[int, ClassMasks] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
+        self._full = (1 << self.group.order) - 1
 
     # -- arrow orders --------------------------------------------------------
+
+    @cached_property
+    def _columns(self) -> tuple[tuple, tuple, object]:
+        """Getters of a sequence indexed by position: per orientation, through
+        the head column; per orientation, through the tail column reversed;
+        and through the x-head column reversed (readings for _through)."""
+        heads = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
+        tails = tuple(zip(*self.group.tail_rows))  # [o][k]: tail of the o-arrow into k
+        return (
+            tuple(map(_getter, heads)),
+            tuple(_getter(col[::-1]) for col in tails),
+            _getter(heads[0][::-1]),
+        )
 
     def masks(self, ray_idx: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """(outs, ins), bitmasks over the index of group.characters: bit k of
@@ -144,26 +214,46 @@ class QuiverAnalysis:
         return self._masks[ray_idx]
 
     def _compute_mult(self, ray_idx: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """n times the order of the o-arrow out of chi is
-        n*e_o + n*q(chi) - n*q(chi*kappa_o), read off the ray's row of the
-        divisor table; it must be 0 or n."""
+        """n times the order of the o-arrow out of the k-th character is
+        n*e_o + n*q(k) - n*q(head), read off the ray's row of the divisor
+        table; it must be 0 or n.
+
+        One pass per orientation spells the orders by position as a 0/1
+        string, from the row's differences through the head column; the
+        in-masks read that string through the tail column."""
         group = self.group
         n = group.order
         e = group.juniors[ray_idx]
         row = group.divisor_rows[ray_idx]
-        outs, ins = [0, 0, 0], [0, 0, 0]
-        for k, heads in enumerate(group.head_rows):
-            for o, h in enumerate(heads):
-                val = e[o] + row[k] - row[h]
-                if val == n:
-                    outs[o] |= 1 << k
-                    ins[o] |= 1 << h
-                elif val:
-                    raise MultiplicityOutOfRange(
-                        f"arrow ({group.characters[k]},{VARIABLES[o]}) "
-                        f"has multiplicity {val}/{n} along ray {ray_idx}"
-                    )
-        return tuple(outs), tuple(ins)
+        heads, tails, _ = self._columns
+        orders = []
+        for eo, head in zip(e, heads):
+            digit = {-eo: "0", n - eo: "1"}.__getitem__
+            try:
+                orders.append("".join(map(digit, map(sub, row, head(row)))))
+            except KeyError:
+                raise self._out_of_range(ray_idx) from None
+        outs = tuple(int(s[::-1], 2) for s in orders)
+        ins = tuple(_through(tail, s) for tail, s in zip(tails, orders))
+        return outs, ins
+
+    def _out_of_range(self, ray_idx: int) -> MultiplicityOutOfRange:
+        """The error naming the first arrow, by (position, orientation), whose
+        order along the ray is neither 0 nor 1."""
+        group = self.group
+        n = group.order
+        e = group.juniors[ray_idx]
+        row = group.divisor_rows[ray_idx]
+        k, o, val = next(
+            (k, o, e[o] + row[k] - row[h])
+            for k, heads in enumerate(group.head_rows)
+            for o, h in enumerate(heads)
+            if e[o] + row[k] - row[h] not in (0, n)
+        )
+        return MultiplicityOutOfRange(
+            f"arrow ({group.characters[k]},{VARIABLES[o]}) "
+            f"has multiplicity {val}/{n} along ray {ray_idx}"
+        )
 
     @cached_property
     def h0_loci(self) -> list[tuple[list[int], list[tuple[int, int]]]]:
@@ -186,44 +276,76 @@ class QuiverAnalysis:
     @cached_property
     def h1_loci(self) -> list[list[int]]:
         """Per character, the exceptional rays whose sink-source graph makes
-        it a source: one walk of each ray's classes serves every character."""
+        it a source: one sweep of each ray's source mask serves every
+        character."""
         loci = [[] for _ in self.group.characters]
         for ri in self.group.exceptional_ray_indices:
-            for k, cls in enumerate(self.classes(ri)):
-                if cls.is_source:
-                    loci[k].append(ri)
+            for k in _bits(self.class_masks(ri).sources):
+                loci[k].append(ri)
         return loci
 
     def vanishing_counts(self, ray_idx: int) -> tuple[int, int, int]:
         """(a, b, c): how many x-, y-, z-arrows vanish along the divisor."""
         return tuple(mask.bit_count() for mask in self.masks(ray_idx)[0])
 
-    @cached_property
-    def _triangles(self) -> list[tuple[tuple[int, int], ...]]:
-        return quiver_triangles(self.group)
-
     def triangles_consistent(self, ray_idx: int) -> bool:
-        """Exactly one vanishing arrow in each of the 2|G| quiver triangles."""
-        outs = self.masks(ray_idx)[0]
-        return all(
-            sum(outs[o] >> k & 1 for k, o in triangle) == 1 for triangle in self._triangles
-        )
+        """Exactly one vanishing arrow in each of the 2|G| quiver triangles.
+
+        The triangles keyed by k run x out of k, then y (or z) out of its
+        x-head, then z (or y) back into k, as the three weights multiply to
+        the trivial character: over all k at once, exactly one of outs_x,
+        the y- (or z-) mask read through the x-head column and the in-mask
+        of the third arrow is set."""
+        (x, y, z), (_, iy, iz) = self.masks(ray_idx)
+        at_x_head = self._columns[2]
+        n, full = self.group.order, self._full
+        y_at_hx, z_at_hx = (_through(at_x_head, format(m, f"0{n}b")[::-1]) for m in (y, z))
+        return _ones(x, y_at_hx, iz) == full and _ones(x, z_at_hx, iy) == full
 
     # -- vertex classes ------------------------------------------------------
 
+    def class_masks(self, ray_idx: int) -> ClassMasks:
+        """The ray's sources, sinks and charges as bitmasks; a vertex whose
+        spokes vanish both ways, other than a tile, raises
+        InvalidSpokePattern at the lowest such position."""
+        if ray_idx not in self._class_masks:
+            self._class_masks[ray_idx] = self._classify(ray_idx)
+        return self._class_masks[ray_idx]
+
+    def _classify(self, ray_idx: int) -> ClassMasks:
+        (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
+        outs, ins = x | y | z, ix | iy | iz
+        all_out, all_in = x & y & z, ix & iy & iz
+        one_out, one_in = _ones(x, y, z), _ones(ix, iy, iz)
+        # spokes vanishing both ways make a tile only as one spoke, out and in
+        tiles = one_out & ~((x ^ ix) | (y ^ iy) | (z ^ iz))
+        mixed = outs & ins & ~tiles
+        if mixed:
+            self.vertex_class(ray_idx, (mixed & -mixed).bit_length() - 1)  # raises
+        # no mixed vertex is left: a vertex with both kinds of spokes is a tile
+        only_out, only_in = outs & ~ins, ins & ~outs
+        return ClassMasks(
+            sources=self._full & ~(outs | ins) | one_out & only_out | one_in & only_in,
+            sink30=all_out,
+            sink03=all_in,
+            charges=only_out & ~one_out & ~all_out | only_in & ~one_in & ~all_in,
+        )
+
+    def vertex_class(self, ray_idx: int, k: int) -> VertexClass:
+        """The class of the k-th vertex along the ray's divisor."""
+        (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
+        return _classify_pattern(
+            (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
+            (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
+        )
+
     def classes(self, ray_idx: int) -> tuple[VertexClass, ...]:
         """The class of every vertex along the ray's divisor, by position in
-        group.characters, from its vanishing out-arrows and in-arrows."""
-        if ray_idx not in self._classes:
-            (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
-            self._classes[ray_idx] = tuple(
-                _classify_pattern(
-                    (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
-                    (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
-                )
-                for k in range(self.group.order)
-            )
-        return self._classes[ray_idx]
+        group.characters, for printing."""
+        n = self.group.order
+        outs, ins = self.masks(ray_idx)
+        pairs = map(add, _pattern_digits(outs, n), _pattern_digits(ins, n))
+        return tuple(map(_CLASS_BY_DIGITS.__getitem__, pairs))
 
     # -- sink-source graphs ---------------------------------------------------
 
@@ -233,18 +355,18 @@ class QuiverAnalysis:
         return self._graphs[ray_idx]
 
     def _build_graph(self, ray_idx: int) -> SinkSourceGraph:
-        """The classes on every divisor; the charge lines and the shape only
-        on interior ones, where the shapes are theorems."""
-        ss = SinkSourceGraph(ray_index=ray_idx, classes=self.classes(ray_idx))
+        """The class masks on every divisor; the charge lines and the shape
+        only on interior ones, where the shapes are theorems."""
+        ss = SinkSourceGraph(ray_index=ray_idx, masks=self.class_masks(ray_idx))
         if 0 not in self.group.juniors[ray_idx]:  # an interior ray
             self._walk_lines(ss)
             self._detect_shape(ss)
         return ss
 
     def _walk_lines(self, ss: SinkSourceGraph) -> None:
-        classes = ss.classes
+        visited = 0
         for source in ss.sources:
-            cls = classes[source]
+            cls = self.vertex_class(ss.ray_index, source)
             if cls == SOURCE33:
                 emitted = [(o, d) for o in VARIABLES for d in (+1, -1)]
             elif cls.bidegree == (1, 2):
@@ -257,30 +379,40 @@ class QuiverAnalysis:
                     (o, +1) for o in VARIABLES if o != cls.orientation
                 ]
             for orientation, direction in emitted:
-                ss.lines.append(self._walk_one(classes, source, orientation, direction))
-        # every charge vertex must lie on exactly one line
-        visits = [0] * len(classes)
-        for line in ss.lines:
-            for v in line.vertices[1:-1]:
-                visits[v] += 1
-        if visits != [int(cls.kind == "charge") for cls in classes]:
+                line = self._walk_one(ss, source, orientation, direction)
+                ss.lines.append(line)
+                for v in line.vertices[1:-1]:
+                    visited |= 1 << v
+        # every charge vertex must lie on a line; on no more than one, as a
+        # line's inner vertices are charges of its own orientation and
+        # chirality, each with one predecessor along it, and no source is one
+        if visited != ss.masks.charges:
             raise InvalidSpokePattern(
                 f"charge vertices not covered exactly once on ray {ss.ray_index}"
             )
 
-    def _walk_one(self, classes, source: int, orientation: str, direction: int) -> ChargeLine:
+    def _walk_one(
+        self, ss: SinkSourceGraph, source: int, orientation: str, direction: int
+    ) -> ChargeLine:
         group = self.group
         k = VARIABLES.index(orientation)
-        step = group.head_rows if direction > 0 else group.tail_rows
-        want_chirality = (1, 0) if direction > 0 else (0, 1)
-        want_sink = SINK30 if direction > 0 else SINK03
+        outs, ins = self.masks(ss.ray_index)
+        if direction > 0:
+            step, want_chirality, sinks = group.head_rows, (1, 0), ss.masks.sink30
+            spokes, other = outs, ins
+        else:
+            step, want_chirality, sinks = group.tail_rows, (0, 1), ss.masks.sink03
+            spokes, other = ins, outs
+        # the charges of this line's class: the two other spokes vanish, on
+        # this line's side only
+        a, b = (m for o, m in enumerate(spokes) if o != k)
+        on_line = a & b & ~spokes[k] & ~(other[0] | other[1] | other[2])
         path = [source]
         cur = source
         for _ in range(group.order + 1):
             cur = step[cur][k]
             path.append(cur)
-            cls = classes[cur]
-            if cls == want_sink:
+            if sinks >> cur & 1:
                 # path runs in propagation order: the source emits, the sink receives
                 return ChargeLine(
                     orientation=orientation,
@@ -289,19 +421,14 @@ class QuiverAnalysis:
                     sink=cur,
                     vertices=tuple(path),
                 )
-            if not (
-                cls.kind == "charge"
-                and cls.orientation == orientation
-                and cls.bidegree == want_chirality
-            ):
+            if not on_line >> cur & 1:
                 raise InvalidSpokePattern(
                     f"line from {group.characters[source]} ({orientation},{direction}) "
-                    f"hits {cls} at {group.characters[cur]}"
+                    f"hits {self.vertex_class(ss.ray_index, cur)} at {group.characters[cur]}"
                 )
         raise WalkDiverged(f"line from {group.characters[source]} exceeded {group.order} steps")
 
     def _detect_shape(self, ss: SinkSourceGraph) -> None:
-        classes = ss.classes
         sources = ss.sources
         sink03s = ss.sink03_vertices()
         if sink03s != [0]:  # the trivial character's position
@@ -310,14 +437,14 @@ class QuiverAnalysis:
                 f"{[self.group.characters[k] for k in sink03s]}, expected the trivial character"
             )
 
-        kinds = sorted(classes[s].bidegree for s in sources)
-        if len(sources) == 1 and classes[sources[0]] == SOURCE33:
+        kinds = sorted(self.vertex_class(ss.ray_index, s).bidegree for s in sources)
+        if kinds == [(3, 3)]:  # one (3,3)-source
             ss.shape = "A"
             self._lengths_a(ss)
-        elif len(sources) == 2 and kinds == [(1, 2), (2, 1)]:
+        elif kinds == [(1, 2), (2, 1)]:
             ss.shape = "B"
             self._lengths_b(ss)
-        elif len(sources) == 3 and kinds in ([(1, 2)] * 3, [(2, 1)] * 3):
+        elif kinds == [(2, 1)] * 3:
             ss.shape = "C"
             self._lengths_c(ss)
         else:
@@ -353,15 +480,14 @@ class QuiverAnalysis:
         ss.lengths = {"a": a, "b": b, "c": c}
 
     def _lengths_b(self, ss: SinkSourceGraph) -> None:
-        classes = ss.classes
         back, fwd = self._line_table(ss)
         double = [s for s in ss.sources if sum(1 for l in back.values() if l.source == s) == 2]
         single = [s for s in ss.sources if s not in double]
         if len(double) != 1 or len(single) != 1:
             raise ShapeUnrecognized(f"ray {ss.ray_index}: bad backward line split")
         first, second = double[0], single[0]
-        axis = classes[second].orientation
-        if classes[first].orientation != axis:
+        axis = self.vertex_class(ss.ray_index, second).orientation
+        if self.vertex_class(ss.ray_index, first).orientation != axis:
             raise ShapeUnrecognized(
                 f"ray {ss.ray_index}: the two sources disagree on the axis"
             )

@@ -10,7 +10,7 @@ exceptional locus.
 
 The degree-0 supports of all characters come from one sweep over the
 bitmasks of vanishing arrows per ray (``QuiverAnalysis.h0_loci``), the
-degree -1 supports from one sweep over each ray's vertex classes
+degree -1 supports from one sweep over each ray's source mask
 (``QuiverAnalysis.h1_loci``), and two cells meet when their rays span a
 face of the fan.
 """
@@ -50,7 +50,7 @@ def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
 
 def support_h1(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     """Divisors whose sink-source graph classifies chi as a source, read off
-    the one sweep of the vertex classes (``QuiverAnalysis.h1_loci``)."""
+    the one sweep of the source masks (``QuiverAnalysis.h1_loci``)."""
     _require_nontrivial_locus(fan)
     return [divisor_cell(ri) for ri in qa.h1_loci[fan.group.index[chi]]]
 

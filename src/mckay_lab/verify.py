@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .ghilb import GHilbFan, build_fan, spans_interior_edge, tautological_degrees
 from .groups import GroupData, Monomial, VARIABLES, mono_divides
 from .intlin import dot3
-from .quiver import QuiverAnalysis, SINK30, shape_lengths
+from .quiver import QuiverAnalysis, _bits, shape_lengths
 from .reid import MarkedTriangulation, marked_triangulation, ratio_key, regular_triangle_defect
 from .transforms import TransformProfile, curve_cell, divisor_cell, transform_profile
 
@@ -437,12 +437,11 @@ class GroupVerification:
 
     def _prop_h0_two_routes(self) -> bool:
         """Divisor cells of the three-arrow intersection are the (3,0)-sinks,
-        these read off one walk of each ray's classes."""
+        these read off each ray's (3,0)-sink mask."""
         via_class = [set() for _ in self.group.characters]
         for ri in self.group.exceptional_ray_indices:
-            for k, cls in enumerate(self.qa.classes(ri)):
-                if cls == SINK30:
-                    via_class[k].add(ri)
+            for k in _bits(self.qa.class_masks(ri).sink30):
+                via_class[k].add(ri)
         return all(
             {c[1] for c in _support(row.profile, 0) if c[0] == "divisor"} == via_class[k]
             for k, row in enumerate(self._rows)

@@ -4,10 +4,11 @@ algorithms, used to compute and freeze expected values."""
 import json
 from fractions import Fraction
 
-from mckay_lab.errors import DegenerateCone, NotInLattice, NotInSL3
+from mckay_lab.errors import DegenerateCone, MultiplicityOutOfRange, NotInLattice, NotInSL3
 from mckay_lab.ghilb import invariant_perpendicular
 from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides
 from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
+from mckay_lab.quiver import _classify_pattern, quiver_triangles
 from mckay_lab.serialize import dumps_canonical
 
 
@@ -504,12 +505,68 @@ def support_h0_scan(fan, qa, chi):
 
 def support_h1_scan(fan, qa, chi):
     """The h1 support of one character by a scan of every exceptional ray's
-    vertex classes."""
+    vertex classes, one vertex at a time."""
+    k = fan.group.index[chi]
     return sorted(
         ("divisor", ri)
         for ri in fan.group.exceptional_ray_indices
-        if qa.classes(ri)[fan.group.index[chi]].is_source
+        if classes_by_vertex(qa.masks(ri), fan.group.order)[k].is_source
     )
+
+
+def arrow_masks_by_loop(group, ri):
+    """(outs, ins) of a ray by a loop over every arrow (k, o), k outer:
+    e_o + n*q(k) - n*q(head) along the ray must be 0 or n, and the first
+    arrow where it is not raises."""
+    n = group.order
+    e = group.juniors[ri]
+    row = group.divisor_rows[ri]
+    outs, ins = [0, 0, 0], [0, 0, 0]
+    for k, heads in enumerate(group.head_rows):
+        for o, h in enumerate(heads):
+            val = e[o] + row[k] - row[h]
+            if val == n:
+                outs[o] |= 1 << k
+                ins[o] |= 1 << h
+            elif val:
+                raise MultiplicityOutOfRange(
+                    f"arrow ({group.characters[k]},{'xyz'[o]}) "
+                    f"has multiplicity {val}/{n} along ray {ri}"
+                )
+    return tuple(outs), tuple(ins)
+
+
+def triangles_consistent_by_sum(group, masks):
+    """Exactly one vanishing arrow in each quiver triangle, by a sum over the
+    three arrows of every triangle, read off the out-masks alone."""
+    outs = masks[0]
+    return all(
+        sum(outs[o] >> k & 1 for k, o in triangle) == 1 for triangle in quiver_triangles(group)
+    )
+
+
+def classes_by_vertex(masks, n):
+    """The class of each of the n vertices from its two 3-bit spoke patterns,
+    one vertex at a time; the first invalid pattern raises."""
+    (x, y, z), (ix, iy, iz) = masks
+    return tuple(
+        _classify_pattern(
+            (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
+            (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
+        )
+        for k in range(n)
+    )
+
+
+def class_scan(classes):
+    """The positions of the sources, (3,0)-sinks, (0,3)-sinks and charges in
+    a per-vertex class tuple."""
+    return {
+        "sources": [k for k, cls in enumerate(classes) if cls.is_source],
+        "sink30": [k for k, cls in enumerate(classes) if cls.label() == "(3,0)-sink"],
+        "sink03": [k for k, cls in enumerate(classes) if cls.label() == "(0,3)-sink"],
+        "charges": [k for k, cls in enumerate(classes) if cls.kind == "charge"],
+    }
 
 
 def multi_curve_divisors_scan(group, curves):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -150,12 +153,36 @@ def test_the_corpus_pool_is_no_larger_than_the_corpus(capsys, monkeypatch):
         def map(self, function, items):
             return list(map(function, items))
 
-    monkeypatch.setattr("mckay_lab.corpus.Pool", FakePool)
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
     code1, out1, _ = run(capsys, "corpus", "--max-order", "3", "--jobs", "4000")
     code2, out2, _ = run(capsys, "corpus", "--max-order", "3", "--jobs", "1")
     assert sizes == [len(enumerate_cyclic(3))]
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_rejects_jobs_below_one_before_any_group_runs(capsys, monkeypatch, jobs):
+    calls = []
+    monkeypatch.setattr("mckay_lab.corpus.verify_group", calls.append)
+    code, out, err = run(capsys, "corpus", "--max-order", "6", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert f"jobs must be at least 1, got {jobs}" in err
+    assert calls == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    """corpus imports multiprocessing only where it starts a pool, so no CLI
+    start pays for it; checked in a fresh interpreter."""
+    path = [str(golden.ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = (
+        "import sys, mckay_lab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_empty_corpus_passes_trivially(capsys):

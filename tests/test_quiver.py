@@ -117,7 +117,7 @@ def test_shape_b_at_p(p4):
     assert (lengths["a"], lengths["b"], lengths["c"]) == (1, 1, 1)
     assert (lengths["a1"], lengths["b1"]) == (1, 1)
     # the (1,2)-source is chi_1 (its z in-spoke dies), the (2,1) is chi_2
-    classes = ss.classes
+    classes = p4.qa.classes(p)
     assert classes[p4.pos(1)].kind == "source"
     assert classes[p4.pos(1)].bidegree == (1, 2)
     assert classes[p4.pos(2)].bidegree == (2, 1)
@@ -134,18 +134,19 @@ def test_boundary_divisor_all_charges(p4):
     ss = p4.qa.sink_source_graph(q)
     assert ss.shape is None
     for k in (p4.pos(1), p4.pos(3)):
-        cls = ss.classes[k]
+        cls = p4.qa.classes(q)[k]
         assert cls.kind == "charge" and cls.orientation == "z"
     assert not ss.sink03_vertices()
 
 
 def test_boundary_divisor_gets_classes_only(p4):
     """On the boundary divisor Q no charge line is walked and no shape is
-    sought: the graph carries the vertex classes alone."""
+    sought: the graph carries the class masks alone."""
     q = p4.ray((f(1, 2), f(1, 2), 0))
     ss = p4.qa.sink_source_graph(q)
-    assert ss.classes == p4.qa.classes(q)
-    assert len(ss.classes) == p4.group.order
+    assert ss.masks == p4.qa.class_masks(q)
+    # every vertex of Q is a charge
+    assert ss.masks == (0, 0, 0, 0b1111)
     assert ss.lines == []
     assert ss.shape is None and ss.lengths is None
 
@@ -159,12 +160,14 @@ def test_shape_c(p33):
     assert [ss.lengths[k] for k in "abc"] == [2, 2, 2]
     assert set(ss.lengths["fwd"].values()) == {1}
     assert len(ss.sources) == 3
-    kinds = {ss.classes[s].bidegree for s in ss.sources}
+    kinds = {p33.qa.vertex_class(center, s).bidegree for s in ss.sources}
     assert len(kinds) == 1  # all three sources share a chirality
     assert ss.sink30_count == 2
     # the two (3,0)-sinks carry exactly the two vertex-marking characters
     sinks = {
-        p33.group.characters[k].residues for k, cls in enumerate(ss.classes) if cls == SINK30
+        p33.group.characters[k].residues
+        for k, cls in enumerate(p33.qa.classes(center))
+        if cls == SINK30
     }
     marks = {c.residues for c in p33.marked.vertex_cases[center].markings}
     assert sinks == marks

@@ -1,0 +1,195 @@
+"""The bit-parallel quiver facts against per-position oracles: the arrow
+masks, the triangle identity, the class masks and everything read off them,
+on every exceptional ray; and seeded faults, each caught where the
+per-position loops catch it."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+
+from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec
+from mckay_lab.errors import InvalidSpokePattern, MultiplicityOutOfRange, ShapeUnrecognized
+from mckay_lab.quiver import SinkSourceGraph, _bits, quiver_triangles
+
+from conftest import RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
+from golden import check as golden
+from oracles import (
+    arrow_masks_by_loop,
+    class_scan,
+    classes_by_vertex,
+    triangles_consistent_by_sum,
+)
+
+PRODUCTS = SQUARE_PRODUCTS + RECTANGULAR_PRODUCTS + ["8:1,7,0+8:0,1,7"]
+MANIFEST_UP_TO_40 = [
+    spec for spec in golden.load()["groups"] if parse_group_spec(spec).order <= 40
+]
+
+
+def _agrees_with_the_oracles(group):
+    qa = QuiverAnalysis(build_fan(group))
+    n = group.order
+    interior = set(group.interior_ray_indices)
+    h1 = [[] for _ in range(n)]
+    for ri in group.exceptional_ray_indices:
+        masks = arrow_masks_by_loop(group, ri)
+        assert qa.masks(ri) == masks
+        assert qa.triangles_consistent(ri) is triangles_consistent_by_sum(group, masks) is True
+        classes = classes_by_vertex(masks, n)
+        assert qa.classes(ri) == classes
+        scan = class_scan(classes)
+        assert {key: list(_bits(mask)) for key, mask in qa.class_masks(ri)._asdict().items()} == scan
+        ss = qa.sink_source_graph(ri)
+        assert ss.sources == scan["sources"]
+        assert ss.sink03_vertices() == scan["sink03"]
+        assert ss.sink30_count == len(scan["sink30"])
+        if ri in interior:  # each charge on exactly one line
+            inner = sorted(v for line in ss.lines for v in line.vertices[1:-1])
+            assert inner == scan["charges"]
+        for k in scan["sources"]:
+            h1[k].append(ri)
+    assert qa.h1_loci == h1
+
+
+@pytest.mark.parametrize("spec", MANIFEST_UP_TO_40 + PRODUCTS)
+def test_masks_match_the_per_position_oracles(spec):
+    _agrees_with_the_oracles(parse_group_spec(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_masks_match_the_per_position_oracles_on_small_groups(group):
+    assume(group.order > 1)
+    _agrees_with_the_oracles(group)
+
+
+def test_the_manifest_gives_the_oracle_test_its_groups():
+    assert len(MANIFEST_UP_TO_40) > 150
+    assert {parse_group_spec(spec).order for spec in MANIFEST_UP_TO_40} >= {31, 36}
+
+
+def _flip(group, masks, k, o):
+    """The arrow masks (outs, ins) with the order of the o-arrow out of
+    position k flipped: its out-bit and its in-partner at the head."""
+    outs, ins = masks
+    h = group.head_rows[k][o]
+    outs = tuple(m ^ (1 << k if p == o else 0) for p, m in enumerate(outs))
+    ins = tuple(m ^ (1 << h if p == o else 0) for p, m in enumerate(ins))
+    return outs, ins
+
+
+def _both_paths_reject(qa, ri, masks):
+    qa._masks[ri] = masks
+    return not triangles_consistent_by_sum(qa.group, masks) and not qa.triangles_consistent(ri)
+
+
+SEEDED = ["13:1,5,7", "4:1,1,2", "3:1,2,0+3:0,1,2", "6:1,2,3"]
+
+
+@pytest.mark.parametrize("spec", SEEDED)
+def test_one_flipped_arrow_breaks_the_triangle_identity(spec):
+    """Each of the two triangles through a flipped arrow then has 0 or 2
+    vanishing arrows, and both paths see it, on every arrow of every
+    exceptional ray."""
+    group = parse_group_spec(spec)
+    fan = build_fan(group)
+    mutants = 0
+    for ri in group.exceptional_ray_indices:
+        qa = QuiverAnalysis(fan)
+        clean = qa.masks(ri)
+        for k in range(group.order):
+            for o in range(3):
+                assert _both_paths_reject(qa, ri, _flip(group, clean, k, o))
+                mutants += 1
+        qa._masks[ri] = clean
+        assert qa.triangles_consistent(ri)
+    assert mutants == 3 * group.order * len(group.exceptional_ray_indices)
+
+
+@pytest.mark.parametrize("spec", SEEDED)
+def test_a_swap_inside_one_triangle_breaks_the_other_chirality(spec):
+    """Move the vanishing arrow of one triangle to another of its arrows:
+    that triangle still loses one arrow, and only the triangles of the other
+    chirality through the two arrows break, so each of the two identities
+    is needed."""
+    group = parse_group_spec(spec)
+    fan = build_fan(group)
+    for ri in group.exceptional_ray_indices:
+        qa = QuiverAnalysis(fan)
+        clean = qa.masks(ri)
+        outs = clean[0]
+        for triangle in quiver_triangles(group):
+            (dead,) = [(k, o) for k, o in triangle if outs[o] >> k & 1]
+            for alive in triangle:
+                if alive != dead:
+                    swapped = _flip(group, _flip(group, clean, *dead), *alive)
+                    assert _both_paths_reject(qa, ri, swapped)
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
+def test_a_corrupted_divisor_entry_names_the_loops_first_arrow(spec, monkeypatch):
+    """One corrupted entry of the divisor table, at each position of each
+    exceptional ray in turn, raises MultiplicityOutOfRange with the message
+    of the loop over every arrow."""
+    fan = build_fan(parse_group_spec(spec))
+    group = fan.group
+    clean = group.divisor_rows
+    for ri in group.exceptional_ray_indices:
+        for k in range(group.order):
+            rows = [list(row) for row in clean]
+            rows[ri][k] += 1
+            monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(map(tuple, rows)))
+            with pytest.raises(MultiplicityOutOfRange) as expected:
+                arrow_masks_by_loop(group, ri)
+            with pytest.raises(MultiplicityOutOfRange) as got:
+                QuiverAnalysis(fan).masks(ri)
+            assert str(got.value) == str(expected.value)
+
+
+def test_a_mixed_spoke_pattern_raises_at_the_loops_vertex():
+    """Seed spokes vanishing both ways at two vertices with different
+    patterns: the class masks raise InvalidSpokePattern with the message of
+    the per-vertex loop, which stops at the lower vertex."""
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    group = fan.group
+    seeds = 0
+    for ri in group.exceptional_ray_indices:
+        outs, ins = QuiverAnalysis(fan).masks(ri)
+        for low in range(group.order):
+            high = (low + 5) % group.order
+            # low: the x out-arrow and the y in-arrow; high: the z out-arrow
+            # and the x and y in-arrows
+            seeded_outs = (outs[0] | 1 << low, outs[1], outs[2] | 1 << high)
+            seeded_ins = (ins[0] | 1 << high, ins[1] | 1 << low | 1 << high, ins[2])
+            seeded = seeded_outs, seeded_ins
+            with pytest.raises(InvalidSpokePattern) as expected:
+                classes_by_vertex(seeded, group.order)
+            qa = QuiverAnalysis(fan)
+            qa._masks[ri] = seeded
+            with pytest.raises(InvalidSpokePattern) as got:
+                qa.class_masks(ri)
+            assert str(got.value) == str(expected.value)
+            first = min(low, high)
+            with pytest.raises(InvalidSpokePattern) as at_first:
+                qa.vertex_class(ri, first)
+            assert str(got.value) == str(at_first.value)
+            seeds += 1
+    assert seeds == group.order * len(group.exceptional_ray_indices)
+
+
+def test_three_12_sources_name_their_pattern(p4):
+    """Three (1,2)-sources and the (0,3)-sink at the trivial character make
+    no shape: each (1,2)-source emits two backward lines, so the pattern is
+    rejected by name, not by a clash of backward lines."""
+    p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    qa = QuiverAnalysis(p4.fan)
+    # the trivial character's three in-arrows vanish, and one in-arrow of
+    # each other vertex: the x-, y- and z-arrow into positions 1, 2 and 3
+    qa._masks[p] = (0, 0, 0), (0b0011, 0b0101, 0b1001)
+    ss = SinkSourceGraph(ray_index=p, masks=qa.class_masks(p))
+    assert ss.sources == [1, 2, 3] and ss.sink03_vertices() == [0]
+    pattern = r"source pattern \[\(1, 2\), \(1, 2\), \(1, 2\)\] matches no shape"
+    with pytest.raises(ShapeUnrecognized, match=pattern):
+        qa._detect_shape(ss)
+    assert ss.shape is None

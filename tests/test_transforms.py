@@ -12,7 +12,6 @@ from mckay_lab import (
     transform_profile,
 )
 from mckay_lab.errors import NoExceptionalLocus
-from mckay_lab.quiver import SOURCE33
 
 f = Fraction
 
@@ -26,17 +25,16 @@ def test_support_h0_examples(p3, p4):
 
 
 def test_support_h1_reads_the_memoized_classes():
-    """support_h1 takes each vertex class from QuiverAnalysis.classes, by
-    the one sweep h1_loci: a corrupted entry shows up in the support instead
-    of being recomputed."""
+    """support_h1 takes each ray's sources from the memoized class masks
+    (QuiverAnalysis.class_masks), by the one sweep h1_loci: a corrupted
+    entry shows up in the support instead of being recomputed."""
     fan = build_fan(parse_group_spec("3:1,1,1"))
     (center,) = fan.group.exceptional_ray_indices
     sink = fan.group.characters[2]
     assert support_h1(fan, QuiverAnalysis(fan), sink) == []
     qa = QuiverAnalysis(fan)
-    classes = list(qa.classes(center))
-    classes[2] = SOURCE33
-    qa._classes[center] = tuple(classes)
+    masks = qa.class_masks(center)
+    qa._class_masks[center] = masks._replace(sources=masks.sources | 1 << 2)
     assert support_h1(fan, qa, sink) == [("divisor", center)]
 
 
