@@ -28,8 +28,6 @@ views, and no `Fraction` is compared.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import (
     BoundaryEdge,
     DegenerateCone,
@@ -47,7 +45,7 @@ from .intlin import cross3, det3, dot3, primitive_signed
 class GGraph:
     """One monomial per character, divisibility-closed and xyz-free, stored
     as a row: row[k] represents the k-th character of group.characters.  The
-    row fixes the monomial set (built on demand), so it keys the cluster."""
+    row fixes the monomial set, so it keys the cluster."""
 
     def __init__(self, group: GroupData, row):
         self.group = group
@@ -56,10 +54,6 @@ class GGraph:
         self.total = tuple(map(sum, zip(*self.row)))
         self._cone_rays: tuple[int, int, int] | None = None  # cone_of_ggraph
         self._validate()
-
-    @cached_property
-    def monomials(self) -> frozenset:
-        return frozenset(self.row)
 
     def representative(self, chi: Character) -> Monomial:
         return self.row[self.group.index[chi]]

@@ -14,18 +14,18 @@ QuiverAnalysis reads, once per ray, the arrow orders off the ray's row of
 the group's divisor table, one pass per orientation, as masks of vanishing
 out- and in-arrows, and from them, in integer operations, the triangle
 identity and the class masks: the sources, the (3,0)- and (0,3)-sinks and
-the charges.  A vertex's class is a function of its two 3-bit spoke
-patterns; it is spelled out only where it is printed or where a charge
-line walks.  Charge lines and shapes are sought on interior divisors only,
-where they are theorems; the sink-source graph of a boundary divisor holds
-its class masks alone.
+the charges.  A vertex's class is _classify_pattern of its two 3-bit spoke
+patterns at its position, read where classes are printed or a line walks,
+and each source emits its lines by its class.  Charge lines and shapes are
+sought on interior divisors only, where they are theorems; the sink-source
+graph of a boundary divisor holds its class masks alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -46,10 +46,6 @@ class VertexClass:
     kind: str  # "sink" | "source" | "charge" | "tile"
     bidegree: tuple[int, int]  # charges emitted/received: (1,0)-type vs (0,1)-type
     orientation: str | None = None  # line orientation, None for (3,0)/(0,3)/(3,3)
-
-    @property
-    def is_source(self) -> bool:
-        return self.kind == "source"
 
     def label(self) -> str:
         deg = f"({self.bidegree[0]},{self.bidegree[1]})"
@@ -89,26 +85,6 @@ def _classify_pattern(outs: int, ins: int) -> VertexClass:
 
 def _orientation(bit: int) -> str:
     return VARIABLES[bit.bit_length() - 1]
-
-
-class _ClassByDigits(dict):
-    """Vertex classes keyed by two hex digits, the 3-bit patterns of vanishing
-    out- and in-spokes; an invalid pair raises InvalidSpokePattern."""
-
-    def __missing__(self, digits: str) -> VertexClass:
-        cls = self[digits] = _classify_pattern(int(digits[0], 16), int(digits[1], 16))
-        return cls
-
-
-_CLASS_BY_DIGITS = _ClassByDigits()
-
-
-def _pattern_digits(masks, n: int) -> str:
-    """One hex digit per position, lowest first: the 3-bit pattern of the
-    three masks there (bit o from masks[o])."""
-    # a mask's binary digits read as hex put bit k in the 4-bit lane k
-    lanes = sum(int(format(m, "b"), 16) << o for o, m in enumerate(masks))
-    return format(lanes, f"0{n}x")[::-1]
 
 
 def _ones(a: int, b: int, c: int) -> int:
@@ -342,10 +318,14 @@ class QuiverAnalysis:
     def classes(self, ray_idx: int) -> tuple[VertexClass, ...]:
         """The class of every vertex along the ray's divisor, by position in
         group.characters, for printing."""
-        n = self.group.order
-        outs, ins = self.masks(ray_idx)
-        pairs = map(add, _pattern_digits(outs, n), _pattern_digits(ins, n))
-        return tuple(map(_CLASS_BY_DIGITS.__getitem__, pairs))
+        (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
+        return tuple(
+            _classify_pattern(
+                (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
+                (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
+            )
+            for k in range(self.group.order)
+        )
 
     # -- sink-source graphs ---------------------------------------------------
 
@@ -481,13 +461,11 @@ class QuiverAnalysis:
 
     def _lengths_b(self, ss: SinkSourceGraph) -> None:
         back, fwd = self._line_table(ss)
-        double = [s for s in ss.sources if sum(1 for l in back.values() if l.source == s) == 2]
-        single = [s for s in ss.sources if s not in double]
-        if len(double) != 1 or len(single) != 1:
-            raise ShapeUnrecognized(f"ray {ss.ray_index}: bad backward line split")
-        first, second = double[0], single[0]
-        axis = self.vertex_class(ss.ray_index, second).orientation
-        if self.vertex_class(ss.ray_index, first).orientation != axis:
+        # the (1,2)-source emits two backward lines, the (2,1)-source one
+        ri = ss.ray_index
+        first, second = sorted(ss.sources, key=lambda s: self.vertex_class(ri, s).bidegree)
+        axis = self.vertex_class(ri, second).orientation
+        if self.vertex_class(ri, first).orientation != axis:
             raise ShapeUnrecognized(
                 f"ray {ss.ray_index}: the two sources disagree on the axis"
             )
@@ -548,9 +526,10 @@ def shape_lengths(ss: SinkSourceGraph) -> dict:
 
 
 def quiver_counts(group: GroupData) -> dict[str, int]:
-    """Vertex, arrow and triangle counts of the McKay quiver."""
+    """Vertex, arrow and triangle counts of the McKay quiver: each vertex is
+    the x-tail of one triangle of each chirality."""
     n = group.order
-    return {"vertices": n, "arrows": 3 * n, "triangles": len(quiver_triangles(group))}
+    return {"vertices": n, "arrows": 3 * n, "triangles": 2 * n}
 
 
 def quiver_triangles(group: GroupData) -> list[tuple[tuple[int, int], ...]]:

@@ -6,7 +6,9 @@ the shape/case correspondence with coordinate and ratio predictions for
 every interior exceptional divisor, and a property suite of the supporting
 combinatorial facts.  Everything is reported; nothing is silently skipped.
 Each per-edge and per-ray fact is derived once, in integers, and the cone
-oracle checks each cluster's inequalities at its own three rays.
+oracle checks each cluster's inequalities at its own three rays.  A shape-C
+divisor's six chord lengths enter its coordinate and ratio identities under
+one labelling, fixed by the source that emits each chord; no other is tried.
 """
 
 from __future__ import annotations
@@ -216,37 +218,29 @@ class GroupVerification:
         checks["ratios"] = sorted(predicted) == ratio_multiset
 
     def _check_shape_c(self, ray_idx, ss, checks, ratio_multiset) -> None:
-        n = self.group.order
+        """One cyclic labelling: fwd["o->p"] is the p-chord from the source
+        of the backward o-line."""
         lengths = ss.lengths
         a, b, c = (lengths[k] for k in "abc")
         fwd = lengths["fwd"]
+        a2, a3 = fwd["y->x"], fwd["z->x"]
+        b2, b3 = fwd["z->y"], fwd["x->y"]
+        c2, c3 = fwd["x->z"], fwd["y->z"]
+        checks["coordinates"] = self._coords_check(
+            ray_idx,
+            (b * c3 + b2 * c - b2 * c3, a * c2 + a3 * c - a3 * c2, a * b3 + a2 * b - a2 * b3),
+        )
+        # each pure power shares its character with the chord monomial facing it
+        sides = (
+            (_mono("x", a), (0, b2, c3)),
+            (_mono("y", b), (a3, 0, c2)),
+            (_mono("z", c), (a2, b3, 0)),
+        )
         kappa = self.group.kappa
-        found = False
-        for a2, a3 in ((fwd["y->x"], fwd["z->x"]), (fwd["z->x"], fwd["y->x"])):
-            for b2, b3 in ((fwd["x->y"], fwd["z->y"]), (fwd["z->y"], fwd["x->y"])):
-                for c2, c3 in ((fwd["x->z"], fwd["y->z"]), (fwd["y->z"], fwd["x->z"])):
-                    coords_ok = self._coords_check(
-                        ray_idx,
-                        (
-                            b * c3 + b2 * c - b2 * c3,
-                            a * c2 + a3 * c - a3 * c2,
-                            a * b3 + a2 * b - a2 * b3,
-                        ),
-                    )
-                    chars_ok = (
-                        kappa(_mono("x", a)) == kappa((0, b2, c3))
-                        and kappa(_mono("y", b)) == kappa((a3, 0, c2))
-                        and kappa(_mono("z", c)) == kappa((a2, b3, 0))
-                    )
-                    predicted = [
-                        ratio_key(_mono("x", a), (0, b2, c3)),
-                        ratio_key(_mono("y", b), (a3, 0, c2)),
-                        ratio_key(_mono("z", c), (a2, b3, 0)),
-                    ]
-                    ratios_ok = sorted(predicted + predicted) == ratio_multiset
-                    found = found or (coords_ok and chars_ok and ratios_ok)
-        checks["coordinates"] = found
-        checks["ratios"] = found
+        checks["ratios"] = (
+            all(kappa(m) == kappa(m2) for m, m2 in sides)
+            and sorted(2 * [ratio_key(*side) for side in sides]) == ratio_multiset
+        )
 
     # -- property suite ------------------------------------------------------
 

@@ -1,11 +1,11 @@
-"""The byte manifest of the CLI: for each listed group and each of eight
+"""The byte manifest of the CLI: for each listed group and each of nine
 outputs, the sha256 of stdout, the sha256 of stderr and the exit code.
 
     python tests/golden/check.py --check    # one line per differing (group, command)
     python tests/golden/check.py --record   # rewrite the digests of the listed groups
 
 Every command runs in process through `mckay_lab.cli.main`.  Each group is
-parsed once and its fan built once, shared by its eight commands: while they
+parsed once and its fan built once, shared by its nine commands: while they
 run, `cli.parse_group_spec`, `cli.build_fan` and `verify.build_fan` return
 that group and that fan (no reader writes into a fan).  The group list
 in manifest.json is the input: `--record` keeps it and rewrites only the
@@ -48,6 +48,7 @@ COMMANDS = {
     "reid_json": ("reid", "--format", "json"),
     "reid_tikz": ("reid", "--format", "tikz"),
     "quiver": ("quiver",),
+    "quiver_json": ("quiver", "--format", "json"),
     "ssgraph": ("ssgraph",),
     "transforms": ("transforms",),
     "verify": ("verify",),

@@ -510,7 +510,7 @@ def support_h1_scan(fan, qa, chi):
     return sorted(
         ("divisor", ri)
         for ri in fan.group.exceptional_ray_indices
-        if classes_by_vertex(qa.masks(ri), fan.group.order)[k].is_source
+        if classes_by_vertex(qa.masks(ri), fan.group.order)[k].kind == "source"
     )
 
 
@@ -562,7 +562,7 @@ def class_scan(classes):
     """The positions of the sources, (3,0)-sinks, (0,3)-sinks and charges in
     a per-vertex class tuple."""
     return {
-        "sources": [k for k, cls in enumerate(classes) if cls.is_source],
+        "sources": [k for k, cls in enumerate(classes) if cls.kind == "source"],
         "sink30": [k for k, cls in enumerate(classes) if cls.label() == "(3,0)-sink"],
         "sink03": [k for k, cls in enumerate(classes) if cls.label() == "(0,3)-sink"],
         "charges": [k for k, cls in enumerate(classes) if cls.kind == "charge"],

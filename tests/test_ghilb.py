@@ -48,7 +48,7 @@ from oracles import (
 
 
 def monoset(graph):
-    return frozenset(graph.monomials)
+    return frozenset(graph.row)
 
 
 def test_enumerate_ggraphs_examples(p3, p4, trivial_group):
@@ -74,7 +74,7 @@ def test_enumerate_ggraphs_examples(p3, p4, trivial_group):
 def test_wall_crossing_matches_naive_search(gen):
     """The production enumeration agrees with the brute-force staircase DFS."""
     group = group_from_generators([gen])
-    ours = {frozenset(g.monomials) for g in enumerate_ggraphs(group)}
+    ours = {frozenset(g.row) for g in enumerate_ggraphs(group)}
     assert ours == set(naive_ggraphs(group))
 
 
@@ -197,7 +197,7 @@ def test_each_cone_is_extracted_once(monkeypatch, spec):
 
 def test_seed_ggraph_is_a_cluster(p13):
     graph = seed_ggraph(p13.group)
-    assert len(graph.monomials) == 13
+    assert len(frozenset(graph.row)) == 13
 
 
 @settings(max_examples=30, deadline=None)

@@ -51,7 +51,7 @@ def test_a_moved_reference_output_names_its_workload_and_key():
 
 
 def test_each_group_is_parsed_once_and_its_fan_built_once(monkeypatch):
-    """The eight commands of a group share its one parse and its one fan,
+    """The nine commands of a group share its one parse and its one fan,
     and the CLI's own functions are back in place afterwards."""
     import mckay_lab.cli as cli
     import mckay_lab.verify as verify

@@ -81,7 +81,7 @@ def test_full_verification_passes_on_products(gen1, gen2):
 
 def _fan_picture(group):
     fan = build_fan(group)
-    return fan.rays, fan.cone_rays, [frozenset(g.monomials) for g in fan.ggraphs]
+    return fan.rays, fan.cone_rays, [frozenset(g.row) for g in fan.ggraphs]
 
 
 @settings(max_examples=20, deadline=None)
@@ -110,7 +110,9 @@ def test_a_redundant_generator_changes_nothing(spec):
     assert groups[0].invariant_basis == groups[1].invariant_basis
     assert groups[0].juniors == groups[1].juniors
     assert fans[0].cone_rays == fans[1].cone_rays
-    assert [g.monomials for g in fans[0].ggraphs] == [g.monomials for g in fans[1].ggraphs]
+    assert [frozenset(g.row) for g in fans[0].ggraphs] == [
+        frozenset(g.row) for g in fans[1].ggraphs
+    ]
 
 
 @pytest.mark.parametrize("spec", RECTANGULAR_PRODUCTS)
@@ -123,7 +125,7 @@ def _charted_cones(fan, sigma):
     """Each cone's rays, mapped by sigma, with its cluster mapped by sigma."""
     return {
         frozenset(sigma(fan.rays[ri].coords) for ri in triple): frozenset(
-            sigma(m) for m in fan.ggraphs[ci].monomials
+            sigma(m) for m in fan.ggraphs[ci].row
         )
         for ci, triple in enumerate(fan.cone_rays)
     }

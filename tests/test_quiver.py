@@ -10,19 +10,28 @@ from mckay_lab import (
     torus_positions,
 )
 from mckay_lab.errors import InvalidSpokePattern, MultiplicityOutOfRange
-from mckay_lab.quiver import SINK03, SINK30, SOURCE33, VertexClass, _classify_pattern
+from mckay_lab.quiver import (
+    SINK03,
+    SINK30,
+    SOURCE33,
+    VertexClass,
+    _classify_pattern,
+    quiver_triangles,
+)
 
 from oracles import arrow_order
 
 f = Fraction
 
 
-def test_quiver_counts_picture_group(p13):
-    assert quiver_counts(p13.group) == {
-        "vertices": 13,
-        "arrows": 39,
-        "triangles": 26,
-    }
+def test_quiver_counts_picture_group():
+    """|G| vertices, 3|G| arrows and the 2|G| directed 3-cycles, one of each
+    chirality per vertex, on a cyclic group and a product."""
+    for spec, order in (("13:1,5,7", 13), ("3:1,2,0+3:0,1,2", 9)):
+        group = parse_group_spec(spec)
+        counts = quiver_counts(group)
+        assert counts == {"vertices": order, "arrows": 3 * order, "triangles": 2 * order}
+        assert counts["triangles"] == len(quiver_triangles(group)) == 2 * group.order
 
 
 def test_trivial_group_has_both_triangles(trivial_group):

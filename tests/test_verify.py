@@ -146,6 +146,29 @@ def test_rotated_shape_b_coordinates():
     assert divisor_entry(GroupVerification(fan), ri)["pass"]
 
 
+@pytest.mark.parametrize(
+    "spec,ray,pair",
+    [
+        ("12:1,3,8", 6, ("z->y", "x->y")),
+        ("15:1,5,9", 8, ("x->z", "y->z")),
+        ("15:1,4,10", 6, ("y->x", "z->x")),
+    ],
+)
+def test_shape_c_reads_each_chord_from_its_own_source(spec, ray, pair):
+    """Each shape-C chord length enters the coordinate and ratio identities
+    from the source that emits it: swapping two unequal chords into one
+    orientation breaks both, so no other labelling is tried."""
+    verification = GroupVerification(build_fan(parse_group_spec(spec)))
+    entry = divisor_entry(verification, ray)
+    assert entry["shape"] == "C" and entry["pass"]
+    fwd = verification.qa.sink_source_graph(ray).lengths["fwd"]
+    p, q = pair
+    assert fwd[p] != fwd[q]
+    fwd[p], fwd[q] = fwd[q], fwd[p]
+    checks = verification._shape_entry(ray)["checks"]
+    assert checks["coordinates"] is False and checks["ratios"] is False
+
+
 def test_verification_reads_the_given_fan(p4, monkeypatch):
     def rebuild(group):
         raise AssertionError("GroupVerification rebuilt the fan")
