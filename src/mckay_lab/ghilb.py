@@ -475,6 +475,9 @@ def tautological_degrees(fan: GHilbFan, rays) -> list[int]:
     i = next(i for i, v in enumerate(w) if v)
     degrees = []
     for r, r2 in zip(row, row2):
+        if r == r2:  # r' - r = 0*w
+            degrees.append(0)
+            continue
         k = (r2[i] - r[i]) // w[i]
         # r' - r must be an integer multiple of w
         if (r2[0] - r[0], r2[1] - r[1], r2[2] - r[2]) != (k * w[0], k * w[1], k * w[2]):

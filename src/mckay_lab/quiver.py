@@ -532,21 +532,6 @@ def quiver_counts(group: GroupData) -> dict[str, int]:
     return {"vertices": n, "arrows": 3 * n, "triangles": 2 * n}
 
 
-def quiver_triangles(group: GroupData) -> list[tuple[tuple[int, int], ...]]:
-    """The 2|G| directed 3-cycles, each as its three arrows in path order,
-    an arrow being (position of its tail, index of its orientation).
-
-    Every triangle uses one arrow of each orientation; the two chiralities
-    contribute |G| cycles each, keyed by the tail of their x-arrow.
-    """
-    heads = group.head_rows
-    triangles = []
-    for k, (hx, _, _) in enumerate(heads):
-        triangles.append(((k, 0), (hx, 1), (heads[hx][1], 2)))
-        triangles.append(((k, 0), (hx, 2), (heads[hx][2], 1)))
-    return triangles
-
-
 def torus_positions(group: GroupData) -> list[tuple[int, int]]:
     """Positions of the quiver vertices in a fundamental domain of the torus.
 

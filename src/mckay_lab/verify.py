@@ -5,10 +5,12 @@ character's marking class against its transform degree and exact support),
 the shape/case correspondence with coordinate and ratio predictions for
 every interior exceptional divisor, and a property suite of the supporting
 combinatorial facts.  Everything is reported; nothing is silently skipped.
-Each per-edge and per-ray fact is derived once, in integers, and the cone
-oracle checks each cluster's inequalities at its own three rays.  A shape-C
-divisor's six chord lengths enter its coordinate and ratio identities under
-one labelling, fixed by the source that emits each chord; no other is tried.
+Each per-edge and per-ray fact is derived once, in integers: the cone
+oracle checks each cluster at its three rays by masks of zero arrow slacks,
+one per ray and chart values; primitivity reads each divisor's character
+off one walk of the quiver's head table; a wall's tautological degrees skip
+the positions it keeps.  A shape-C divisor's six chord lengths enter its
+coordinate and ratio identities under one labelling, fixed by its sources.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import NamedTuple
 
 from .ghilb import GHilbFan, build_fan, spans_interior_edge, tautological_degrees
 from .groups import GroupData, Monomial, VARIABLES, mono_divides
-from .intlin import dot3
 from .quiver import QuiverAnalysis, _bits, shape_lengths
 from .reid import MarkedTriangulation, marked_triangulation, ratio_key, regular_triangle_defect
 from .transforms import TransformProfile, curve_cell, divisor_cell, transform_profile
@@ -287,13 +288,13 @@ class GroupVerification:
         return self._counts_match_coordinates(self.group.exceptional_ray_indices)
 
     @cached_property
-    def _chart_values(self) -> list[list[list[int]]]:
+    def _chart_values(self) -> list[list[tuple[int, ...]]]:
         """Per cluster, at each ray p of its cone, the values (n*p).r_k of
         its monomials by position: the chart's valuations at its rays."""
         fan, scaled = self.fan, self.group.juniors
         return [
-            [[dot3(scaled[ri], m) for m in graph.row] for ri in triple]
-            for graph, triple in zip(fan.ggraphs, fan.cone_rays)
+            [tuple([a * x + b * y + c * z for x, y, z in graph.row]) for a, b, c in rays]
+            for graph, rays in zip(fan.ggraphs, ([scaled[ri] for ri in t] for t in fan.cone_rays))
         ]
 
     def _prop_chart_consistency(self) -> bool:
@@ -301,7 +302,7 @@ class GroupVerification:
         entry by entry: (n*e).r_chi = n*q(chi, e) for every character."""
         rows = self.group.divisor_rows
         return all(
-            tuple(v) == rows[ri]
+            v == rows[ri]
             for at_rays, triple in zip(self._chart_values, self.fan.cone_rays)
             for v, ri in zip(at_rays, triple)
         )
@@ -388,18 +389,26 @@ class GroupVerification:
         unimodular, so it holds no other junior point."""
         scaled = self.group.juniors
         columns = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
-        for at_rays, triple in zip(self._chart_values, self.fan.cone_rays):
-            rays = [scaled[ri] for ri in triple]
-            slacks = []
-            for s, v in zip(rays, at_rays):
+        zero_masks: dict = {}  # zeros(ri, v) by (ri, v), for this call only
+
+        def zeros(ri, v):
+            """The zero slacks at ray ri under chart values v, one bit each in
+            the slack list's order (first highest), or None if one is < 0."""
+            if (ri, v) not in zero_masks:
+                s = scaled[ri]
                 slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
-                if min(slack) < 0:
-                    return False
-                slacks.append(slack)
+                zero_masks[ri, v] = (
+                    None if min(slack) < 0 else int("".join(["0" if x else "1" for x in slack]), 2)
+                )
+            return zero_masks[ri, v]
+
+        for at_rays, triple in zip(self._chart_values, self.fan.cone_rays):
+            masks = [zeros(ri, v) for ri, v in zip(triple, at_rays)]
+            if None in masks:
+                return False
             for i, j, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                if spans_interior_edge(rays[i], rays[j]) and not any(
-                    not si and not sj and st
-                    for si, sj, st in zip(slacks[i], slacks[j], slacks[third])
+                if spans_interior_edge(scaled[triple[i]], scaled[triple[j]]) and not (
+                    masks[i] & masks[j] & ~masks[third]
                 ):
                     return False
         return True
@@ -496,23 +505,30 @@ def _oriented_carving_pair(fan: GHilbFan, rays):
 
 def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:
     """No divisor d1 of m1 shares its character with a divisor d2 of m2, but
-    for d1 = d2 and the pair itself (divisors of m2 grouped by residues)."""
-    gens = group.generators
-    by_character: dict[tuple, list] = {}
-    for d2 in _divisors_of(m2):
-        by_character.setdefault(tuple(dot3(w, d2) % r for r, w in gens), []).append(d2)
+    for d1 = d2 and the pair itself (divisors of m2 grouped by position)."""
+    by_position: dict[int, list] = {}
+    for d2, k in _divisor_positions(group.head_rows, m2):
+        by_position.setdefault(k, []).append(d2)
     return not any(
         d1 != d2 and (d1, d2) != (m1, m2)
-        for d1 in _divisors_of(m1)
-        for d2 in by_character.get(tuple(dot3(w, d1) % r for r, w in gens), ())
+        for d1, k in _divisor_positions(group.head_rows, m1)
+        for d2 in by_position.get(k, ())
     )
 
 
-def _divisors_of(m: Monomial):
+def _divisor_positions(heads, m: Monomial):
+    """Each divisor (i, j, k) of m with its character's position, by one walk
+    through the McKay quiver from position 0: along x, then y, then z."""
+    px = 0
     for i in range(m[0] + 1):
+        py = px
         for j in range(m[1] + 1):
+            pz = py
             for k in range(m[2] + 1):
-                yield (i, j, k)
+                yield (i, j, k), pz
+                pz = heads[pz][2]
+            py = heads[py][1]
+        px = heads[px][0]
 
 
 def verify_group(group: GroupData) -> dict:

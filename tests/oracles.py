@@ -8,7 +8,7 @@ from mckay_lab.errors import DegenerateCone, MultiplicityOutOfRange, NotInLattic
 from mckay_lab.ghilb import invariant_perpendicular
 from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides
 from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
-from mckay_lab.quiver import _classify_pattern, quiver_triangles
+from mckay_lab.quiver import _classify_pattern
 from mckay_lab.serialize import dumps_canonical
 
 
@@ -242,6 +242,33 @@ def cone_oracle_scan(fan):
         }
         if inside != set(fan.cone_rays[ci]):
             return False
+    return True
+
+
+def cone_oracle_slack_loop(fan):
+    """The three-ray cone oracle by one slack list per cluster and ray: every
+    arrow (k, o) with head h has slack (n*p).(r_k + e_o - r_h) >= 0 at each
+    ray p of the cluster's cone, and each edge of the cone with no
+    coordinate zero at both ends has an arrow tight at both ends and
+    positive at the third ray."""
+    scaled = fan.group.juniors
+    columns = tuple(zip(*fan.group.head_rows))  # [o][k]: head of the o-arrow out of k
+    for graph, triple in zip(fan.ggraphs, fan.cone_rays):
+        rays = [scaled[ri] for ri in triple]
+        slacks = []
+        for s in rays:
+            v = [dot3(s, m) for m in graph.row]
+            slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
+            if min(slack) < 0:
+                return False
+            slacks.append(slack)
+        for i, j, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            interior = all(a or b for a, b in zip(rays[i], rays[j]))
+            if interior and not any(
+                not si and not sj and st
+                for si, sj, st in zip(slacks[i], slacks[j], slacks[third])
+            ):
+                return False
     return True
 
 
@@ -534,6 +561,21 @@ def arrow_masks_by_loop(group, ri):
                     f"has multiplicity {val}/{n} along ray {ri}"
                 )
     return tuple(outs), tuple(ins)
+
+
+def quiver_triangles(group):
+    """The 2|G| directed 3-cycles, each as its three arrows in path order,
+    an arrow being (position of its tail, index of its orientation).
+
+    Every triangle uses one arrow of each orientation; the two chiralities
+    contribute |G| cycles each, keyed by the tail of their x-arrow.
+    """
+    heads = group.head_rows
+    triangles = []
+    for k, (hx, _, _) in enumerate(heads):
+        triangles.append(((k, 0), (hx, 1), (heads[hx][1], 2)))
+        triangles.append(((k, 0), (hx, 2), (heads[hx][2], 1)))
+    return triangles
 
 
 def triangles_consistent_by_sum(group, masks):

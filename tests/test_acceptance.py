@@ -9,9 +9,9 @@ import pytest
 
 from mckay_lab import parse_group_spec, quiver_counts
 from mckay_lab.corpus import CorpusSpec, _verify_spec, corpus_specs
-from mckay_lab.quiver import quiver_triangles
 
 from conftest import pipeline
+from oracles import quiver_triangles
 
 f = Fraction
 

@@ -16,10 +16,9 @@ from mckay_lab.quiver import (
     SOURCE33,
     VertexClass,
     _classify_pattern,
-    quiver_triangles,
 )
 
-from oracles import arrow_order
+from oracles import arrow_order, quiver_triangles
 
 f = Fraction
 

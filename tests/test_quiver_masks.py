@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 
 from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec
 from mckay_lab.errors import InvalidSpokePattern, MultiplicityOutOfRange, ShapeUnrecognized
-from mckay_lab.quiver import SinkSourceGraph, _bits, quiver_triangles
+from mckay_lab.quiver import SinkSourceGraph, _bits
 
 from conftest import RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from golden import check as golden
@@ -18,6 +18,7 @@ from oracles import (
     arrow_masks_by_loop,
     class_scan,
     classes_by_vertex,
+    quiver_triangles,
     triangles_consistent_by_sum,
 )
 

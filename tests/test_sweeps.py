@@ -1,11 +1,13 @@
 """The verifier's per-ray and per-edge sweeps against per-character
 references, and a count of the indexes a verification builds."""
 
+import re
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mckay_lab.ghilb
-import mckay_lab.quiver
 import mckay_lab.reid
 import mckay_lab.verify
 from mckay_lab import (
@@ -19,10 +21,12 @@ from mckay_lab import (
     support_h2,
     tautological_degree,
 )
+from mckay_lab.errors import MultiplicityOutOfRange
 from mckay_lab.ghilb import tautological_degrees
+from mckay_lab.intlin import cross3
 from mckay_lab.reid import MarkedTriangulation
 from mckay_lab.transforms import _is_connected
-from mckay_lab.verify import ratio_is_primitive
+from mckay_lab.verify import _divisor_positions, ratio_is_primitive
 
 from conftest import SQUARE_PRODUCTS, small_groups
 from oracles import (
@@ -114,6 +118,41 @@ def test_primitivity_by_residues_matches_the_pair_loop_on_products(spec, m1, m2)
         assert ratio_is_primitive_pairwise(group, ratio.m1, ratio.m2)
 
 
+WRAPPING = ["4:0,2,2", "6:2,2,2", "12:0,1,11", "8:1,7,0+8:0,1,7"]
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _wrap_bound(group):
+    """Twice the largest character order of a variable: the walk along a
+    variable comes back to a position it has passed once its exponent
+    reaches that order (1 for x in 4:0,2,2 and 12:0,1,11)."""
+    return 2 * max(group.character_order(group.kappa(m)) for m in UNITS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WRAPPING), st.data())
+def test_primitivity_walk_wraps_where_a_variable_has_small_order(spec, data):
+    group = parse_group_spec(spec)
+    m1, m2 = (data.draw(st.tuples(*[st.integers(0, _wrap_bound(group))] * 3)) for _ in range(2))
+    assert ratio_is_primitive(group, m1, m2) == ratio_is_primitive_pairwise(group, m1, m2)
+
+
+@pytest.mark.parametrize("spec", WRAPPING)
+def test_primitivity_walk_positions_past_the_wrap(spec):
+    """Every divisor of the cube of side twice the largest variable order
+    gets its character's position, and every pair of pure powers up to that
+    exponent gets the pair loop's answer (1 against z^4 in 6:2,2,2 is not
+    primitive only because the z-walk comes back to 0 at z^3)."""
+    group = parse_group_spec(spec)
+    bound = _wrap_bound(group)
+    for d, k in _divisor_positions(group.head_rows, (bound,) * 3):
+        assert group.characters[k] == group.kappa(d)
+    powers = [tuple(e * v for v in unit) for unit in UNITS for e in range(bound + 1)]
+    for m1 in powers:
+        for m2 in powers:
+            assert ratio_is_primitive(group, m1, m2) == ratio_is_primitive_pairwise(group, m1, m2)
+
+
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
 def test_each_carving_ratio_is_built_once_per_fan(spec, monkeypatch):
     """The markings, the vertex cases and the triangle defects of a
@@ -150,20 +189,45 @@ def test_per_edge_degrees_match_the_per_character_reading(group):
             assert degrees[k] == tautological_degree(fan, chi, edge) == expected
 
 
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_degrees_skip_only_the_positions_a_wall_keeps(spec):
+    """Degree 0 where a position keeps its generator across the wall gives
+    the per-character degrees on every interior edge.  A position moved off
+    the multiples of the carving vector, or by a negative multiple, on the
+    far side of a wall still raises, whether it changed there or not."""
+    fan = build_fan(parse_group_spec(spec))
+    for edge in fan.interior_edges:
+        expected = [tautological_degree_single(fan, chi, edge) for chi in fan.group.characters]
+        assert tautological_degrees(fan, edge) == expected
+    edge = fan.interior_edges[0]
+    ci, cj = fan.edges[edge]
+    row, row2 = fan.ggraphs[ci].row, fan.ggraphs[cj].row
+    w = fan.carving_vector(edge)
+    off = next(d for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if any(cross3(d, w)))
+    ratio = f"generator ratio across {edge} is not a power of the carving ratio"
+    negative = f"negative tautological degree -1 across {edge}"
+    changed = next(p for p, (r, r2) in enumerate(zip(row, row2)) if r != r2)
+    kept = next(p for p, (r, r2) in enumerate(zip(row, row2)) if r == r2)
+    for p, moved, message in (
+        (changed, tuple(a + b for a, b in zip(row2[changed], off)), ratio),
+        (kept, tuple(a + b for a, b in zip(row2[kept], off)), ratio),
+        (changed, tuple(a - b for a, b in zip(row[changed], w)), negative),
+    ):
+        graphs = list(fan.ggraphs)
+        graphs[cj] = SimpleNamespace(row=row2[:p] + (moved,) + row2[p + 1:])
+        fan.ggraphs = tuple(graphs)
+        with pytest.raises(MultiplicityOutOfRange, match=re.escape(message)):
+            tautological_degrees(fan, edge)
+
+
 @pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
 def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
-    """No list of quiver triangles (the triangle identity is two identities
-    of the arrow masks), the degrees once per interior edge, and each
-    character's marking class and transform profile once per verification."""
-    seen = {"triangles": 0, "degrees": [], "classes": [], "profiles": []}
-    triangles = mckay_lab.quiver.quiver_triangles
+    """The degrees once per interior edge, and each character's marking
+    class and transform profile once per verification."""
+    seen = {"degrees": [], "classes": [], "profiles": []}
     degrees = mckay_lab.verify.tautological_degrees
     profile = mckay_lab.verify.transform_profile
     marking_class = MarkedTriangulation.marking_class
-
-    def count_triangles(group):
-        seen["triangles"] += 1
-        return triangles(group)
 
     def count_degrees(fan, edge):
         seen["degrees"].append(edge)
@@ -177,7 +241,6 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
         seen["classes"].append(chi)
         return marking_class(marked, chi)
 
-    monkeypatch.setattr(mckay_lab.quiver, "quiver_triangles", count_triangles)
     monkeypatch.setattr(mckay_lab.verify, "tautological_degrees", count_degrees)
     monkeypatch.setattr(mckay_lab.verify, "transform_profile", count_profiles)
     monkeypatch.setattr(MarkedTriangulation, "marking_class", count_classes)
@@ -185,6 +248,5 @@ def test_build_and_verify_derive_each_index_once(spec, monkeypatch):
     fan = build_fan(group)
     verification = GroupVerification(fan)
     assert verification.passed
-    assert seen["triangles"] == 0
     assert sorted(seen["degrees"]) == list(fan.interior_edges)
     assert seen["profiles"] == seen["classes"] == list(group.characters)

@@ -18,7 +18,7 @@ from mckay_lab.serialize import report_json
 
 from conftest import SQUARE_PRODUCTS, small_groups
 from golden import check as golden
-from oracles import box_least, cone_oracle_scan
+from oracles import box_least, cone_oracle_scan, cone_oracle_slack_loop
 
 f = Fraction
 
@@ -235,6 +235,24 @@ def test_cone_oracles_reject_swapped_clusters(group, data):
         fan.ggraphs = tuple(graphs)
         del verification._chart_values  # memoised from the unswapped clusters
         assert verification._prop_cone_oracle() is cone_oracle_scan(fan) is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_groups, st.sampled_from(SQUARE_PRODUCTS).map(parse_group_spec)), st.data())
+def test_masked_cone_oracle_matches_the_slack_loop(group, data):
+    """The zero-slack masks, computed once per ray and chart values, decide
+    as one slack list per cluster and ray does: on the built fan, and with
+    two clusters traded between their cones."""
+    if group.order > 1:
+        fan = build_fan(group)
+        verification = GroupVerification(fan)
+        assert verification._prop_cone_oracle() is cone_oracle_slack_loop(fan) is True
+        i, j = data.draw(st.lists(st.integers(0, group.order - 1), min_size=2, max_size=2, unique=True))
+        graphs = list(fan.ggraphs)
+        graphs[i], graphs[j] = graphs[j], graphs[i]
+        fan.ggraphs = tuple(graphs)
+        del verification._chart_values
+        assert verification._prop_cone_oracle() is cone_oracle_slack_loop(fan)
 
 
 def _one_cluster_oracle(fan, ci, rays):
