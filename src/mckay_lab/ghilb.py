@@ -17,8 +17,12 @@ when e lies in the cone.  So one integer scan over the junior points finds
 the cone's rays as their indices, in lex order; it runs once per cluster and
 is kept on it.  All clusters are found by seeding from a generic weight and
 crossing each interior wall (a ray-index pair) that no second found cone has
-closed yet: one flip per new cluster.  The flip's carving vector is not
-kept: the fan computes each interior edge's vector again, from its two rays.
+closed yet: one flip per new cluster.  A flip moves only some of the
+representatives; it carries the sum S forward by the moved amount instead of
+re-summing the row, and the tail table is checked only at the moved
+positions and their heads, where alone a comparison can change (the seed is
+checked at every position).  The flip's carving vector is not kept: the fan
+computes each interior edge's vector again, from its two rays.
 The fan is then validated as a unimodular triangulation, each chart is
 checked against the table at its three rays by the same height identity, and
 the fan derives its integer facts once.  The whole path runs on integers: a
@@ -45,15 +49,21 @@ from .intlin import cross3, det3, dot3, primitive_signed
 class GGraph:
     """One monomial per character, divisibility-closed and xyz-free, stored
     as a row: row[k] represents the k-th character of group.characters.  The
-    row fixes the monomial set, so it keys the cluster."""
+    row fixes the monomial set, so it keys the cluster.  A flip passes the
+    sum S of its row, carried from the cluster it left, and the positions
+    it moved; a fresh row is summed here and checked at every position."""
 
-    def __init__(self, group: GroupData, row):
+    def __init__(self, group: GroupData, row, total=None, changed=None):
         self.group = group
         self.row: tuple[Monomial, ...] = tuple(row)
         # the sum S of the monomials: (n*e).S is the chart's height at e
-        self.total = tuple(map(sum, zip(*self.row)))
+        self.total = tuple(map(sum, zip(*self.row))) if total is None else total
         self._cone_rays: tuple[int, int, int] | None = None  # cone_of_ggraph
-        self._validate()
+        if changed is None:
+            self._validate(range(len(self.row)))
+        else:
+            heads = group.head_rows
+            self._validate(set(changed).union(*(heads[k] for k in changed)))
 
     def representative(self, chi: Character) -> Monomial:
         return self.row[self.group.index[chi]]
@@ -67,25 +77,35 @@ class GGraph:
     def __repr__(self) -> str:
         return "{" + ", ".join(mono_str(m) for m in sorted(self.row)) + "}"
 
-    def _validate(self) -> None:
-        """Each m - e_i (m_i > 0) must be the representative at the tail of
-        the i-arrow into m's position.  By induction on degree from 1, that
-        holds exactly when every representative has its own character and
-        the cluster is divisibility-closed."""
+    def _validate(self, positions) -> None:
+        """At each of the given positions, the representative m must be 1
+        exactly at position 0, xyz-free with exponents below n, and each
+        m - e_i (m_i > 0) the representative at the tail of the i-arrow into
+        m's position.  Over every position, by induction on degree from 1,
+        that holds exactly when every representative has its own character
+        and the cluster is divisibility-closed; distinct characters then make
+        the monomials distinct.  The check at a position reads only it and
+        its tails, so after a flip the moved positions and their heads are
+        enough."""
         group = self.group
         n = group.order
         row = self.row
-        if len(row) != n or len(set(row)) != n:
-            raise SearchExhausted(f"cluster needs exactly {n} distinct monomials")
-        if row[0] != MONO_ONE:
-            raise SearchExhausted("the trivial character must be represented by 1")
-        for m, tails in zip(row, group.tail_rows):
+        if len(row) != n:
+            raise SearchExhausted(f"cluster needs exactly {n} monomials")
+        tail_rows = group.tail_rows
+        for k in positions:
+            m = row[k]
+            if (m == MONO_ONE) != (k == 0):
+                raise SearchExhausted(
+                    f"1 must represent the trivial character alone: "
+                    f"{mono_str(m)} represents {group.characters[k]}"
+                )
             a, b, c = m
-            tx, ty, tz = tails
             if a < 0 or b < 0 or c < 0 or (a and b and c):
                 raise SearchExhausted(f"representative {m} is not an xyz-free monomial")
             if a >= n or b >= n or c >= n:
                 raise SearchExhausted(f"representative {m} has an exponent >= {n}")
+            tx, ty, tz = tails = tail_rows[k]
             if (
                 (a and row[tx] != (a - 1, b, c))
                 or (b and row[ty] != (a, b - 1, c))
@@ -314,7 +334,9 @@ def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
     Every representative r moves by the largest power k of the wall's
     carving direction t (positive on g) that keeps it a regular monomial,
     k = min r_i // -t_i over the one or two t_i < 0: smaller shifts fail to
-    generate on the far chart because t has negative valuation there.
+    generate on the far chart because t has negative valuation there.  The
+    new cluster gets its sum S as the old one plus (sum of the k) * t, and is
+    checked only at the positions with k != 0 and their heads.
     """
     t = invariant_perpendicular(group, e, f)
     side = dot3(g, t)
@@ -329,12 +351,18 @@ def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
     # pairs below are the same)
     (i, v), (j, w) = negative[0], negative[-1]
     t0, t1, t2 = t
-    row = []
-    for r in graph.row:
+    row = list(graph.row)
+    changed = []
+    steps = 0  # the sum of the shifts: the new S is the old one plus steps * t
+    for p, r in enumerate(row):
         a, b = r[i] // v, r[j] // w
         k = a if a < b else b
-        row.append((r[0] + k * t0, r[1] + k * t1, r[2] + k * t2))
-    return GGraph(group, row)
+        if k:
+            row[p] = (r[0] + k * t0, r[1] + k * t1, r[2] + k * t2)
+            changed.append(p)
+            steps += k
+    s0, s1, s2 = graph.total
+    return GGraph(group, row, (s0 + steps * t0, s1 + steps * t1, s2 + steps * t2), changed)
 
 
 def enumerate_ggraphs(group: GroupData) -> list[GGraph]:

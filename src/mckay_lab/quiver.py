@@ -99,6 +99,19 @@ def _through(reading, digits: str) -> int:
     return int("".join(reading(digits)), 2)
 
 
+def _classes_at(masks, positions) -> list[VertexClass]:
+    """The class of the vertex at each given position, read off a ray's
+    masks: bit k of the x-, y- and z-masks makes the k-th spoke pattern."""
+    (x, y, z), (ix, iy, iz) = masks
+    return [
+        _classify_pattern(
+            (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
+            (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
+        )
+        for k in positions
+    ]
+
+
 def _getter(column):
     """itemgetter(*column), which returns a tuple for one index too."""
     if len(column) == 1:
@@ -309,23 +322,12 @@ class QuiverAnalysis:
 
     def vertex_class(self, ray_idx: int, k: int) -> VertexClass:
         """The class of the k-th vertex along the ray's divisor."""
-        (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
-        return _classify_pattern(
-            (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
-            (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
-        )
+        return _classes_at(self.masks(ray_idx), (k,))[0]
 
     def classes(self, ray_idx: int) -> tuple[VertexClass, ...]:
         """The class of every vertex along the ray's divisor, by position in
         group.characters, for printing."""
-        (x, y, z), (ix, iy, iz) = self.masks(ray_idx)
-        return tuple(
-            _classify_pattern(
-                (x >> k & 1) | (y >> k & 1) << 1 | (z >> k & 1) << 2,
-                (ix >> k & 1) | (iy >> k & 1) << 1 | (iz >> k & 1) << 2,
-            )
-            for k in range(self.group.order)
-        )
+        return tuple(_classes_at(self.masks(ray_idx), range(self.group.order)))
 
     # -- sink-source graphs ---------------------------------------------------
 

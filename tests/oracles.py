@@ -3,6 +3,7 @@ algorithms, used to compute and freeze expected values."""
 
 import json
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from mckay_lab.errors import DegenerateCone, MultiplicityOutOfRange, NotInLattice, NotInSL3
 from mckay_lab.ghilb import invariant_perpendicular
@@ -176,10 +177,10 @@ def is_cluster_by_kappa(group, row):
     for chi, m in zip(group.characters, row):
         if group.kappa(m) != chi or min(m) > 0 or max(m) >= n:
             return False
-        for i in range(3):
-            lower = tuple(v - (j == i) for j, v in enumerate(m))
-            if m[i] and lower not in monomials:
-                return False
+        a, b, c = m
+        lowers = ((a - 1, b, c), (a, b - 1, c), (a, b, c - 1))
+        if any(m[i] and lowers[i] not in monomials for i in range(3)):
+            return False
     return True
 
 
@@ -364,6 +365,24 @@ def box_least(group, weight):
         if chi not in best or dot3(weight, m) < best[chi][0]:
             best[chi] = (dot3(weight, m), m)
     return best
+
+
+def least_valuations_by_heap(group, weight):
+    """The least weight.m over the monomials of each character, in the order
+    of characters, by Dijkstra with a binary heap over the McKay quiver: an
+    o-arrow costs weight[o]."""
+    heads = group.head_rows
+    least = [None] * group.order
+    heap = [(0, 0)]  # the trivial character, at distance 0
+    while heap:
+        d, k = heappop(heap)
+        if least[k] is not None:
+            continue
+        least[k] = d
+        for w, h in zip(weight, heads[k]):
+            if least[h] is None:
+                heappush(heap, (d + w, h))
+    return least
 
 
 def valuation(e, m):

@@ -259,10 +259,12 @@ def test_unclosed_representative_is_rejected(p3, i):
         GGraph(p3.group, (power(i, 0), power(i, 1), w2))
 
 
-def single_entry_perturbations(row, n):
-    """Rows with one entry moved by one step in a coordinate, or replaced by
-    a pure power v^a with a < n."""
-    for k, m in enumerate(row):
+def single_entry_perturbations(row, n, positions=None):
+    """Rows with one entry (at one of the given positions, by default any)
+    moved by one step in a coordinate, or replaced by a pure power v^a with
+    a < n."""
+    for k in range(len(row)) if positions is None else positions:
+        m = row[k]
         moved = {power(i, a) for i in range(3) for a in range(n)}
         for i in range(3):
             for d in (-1, 1):
@@ -292,6 +294,118 @@ def test_tail_check_matches_kappa_and_closure(group):
         assert is_cluster_by_kappa(group, graph.row)
         for row in single_entry_perturbations(graph.row, group.order):
             assert accepted(group, row) == is_cluster_by_kappa(group, row), row
+
+
+def build_flips(monkeypatch, group):
+    """Build the fan, returning every flip it made as (cluster, neighbor)."""
+    from mckay_lab import ghilb
+
+    flips = []
+    original = ghilb.flip_ggraph
+
+    def recorded(group, graph, e, f, g):
+        flips.append((graph, original(group, graph, e, f, g)))
+        return flips[-1][1]
+
+    monkeypatch.setattr(ghilb, "flip_ggraph", recorded)
+    build_fan(group)
+    monkeypatch.undo()
+    return flips
+
+
+def delta_accepted(group, row, changed):
+    try:
+        GGraph(group, row, None, changed)
+    except SearchExhausted:
+        return False
+    return True
+
+
+def check_flip_deltas(group, graph, neighbor):
+    """The flip's delta check accepts each single-entry perturbation at a
+    changed position or at a head of one (the perturbed position joins the
+    delta) exactly when kappa plus closure does."""
+    n = group.order
+    changed = [k for k in range(n) if graph.row[k] != neighbor.row[k]]
+    assert changed and neighbor.total == tuple(map(sum, zip(*neighbor.row)))
+    heads = sorted(set(changed).union(*(group.head_rows[k] for k in changed)))
+    for p in heads:
+        for row in single_entry_perturbations(neighbor.row, n, [p]):
+            expected = is_cluster_by_kappa(group, row)
+            assert delta_accepted(group, row, changed + [p]) == expected, (p, row[p])
+
+
+FLIP_GROUPS = ["13:1,5,7", "24:1,1,22", "72:1,1,70", "8:1,7,0+8:0,1,7"]
+
+
+@pytest.mark.parametrize("spec", FLIP_GROUPS[:2])
+def test_delta_check_matches_kappa_and_closure_on_every_flip(monkeypatch, spec):
+    group = parse_group_spec(spec)
+    flips = build_flips(monkeypatch, group)
+    assert len(flips) == group.order - 1
+    for graph, neighbor in flips:
+        check_flip_deltas(group, graph, neighbor)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(FLIP_GROUPS[2:]), st.data())
+def test_delta_check_matches_kappa_and_closure_on_large_flips(spec, data):
+    """On the larger groups every changed position and head of a drawn flip:
+    all their flips would make about 774k perturbed rows, each an O(n)
+    oracle call."""
+    group = parse_group_spec(spec)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        flips = build_flips(monkeypatch, group)
+    check_flip_deltas(group, *data.draw(st.sampled_from(flips)))
+
+
+@pytest.mark.parametrize("spec", FLIP_GROUPS)
+def test_build_checks_every_position_only_for_the_seed(monkeypatch, spec):
+    """A build runs the all-positions check once, on the seed; each flip
+    checks exactly the positions where its row differs from the cluster it
+    left, and their heads."""
+    group = parse_group_spec(spec)
+    seed = seed_ggraph(group).row
+    checked = {}
+    validate = GGraph._validate
+
+    def recorded(self, positions):
+        checked[self.row] = positions
+        return validate(self, positions)
+
+    monkeypatch.setattr(GGraph, "_validate", recorded)
+    flips = build_flips(monkeypatch, group)
+    assert [row for row, positions in checked.items() if isinstance(positions, range)] == [seed]
+    assert len(checked) == group.order
+    for graph, neighbor in flips:
+        changed = [k for k in range(group.order) if graph.row[k] != neighbor.row[k]]
+        assert checked[neighbor.row] == set(changed).union(*(group.head_rows[k] for k in changed))
+
+
+@pytest.mark.parametrize("at_head", [False, True])
+def test_flip_fault_on_its_delta_is_exhausted(monkeypatch, at_head):
+    """A flipped row corrupted at its first changed position, or at the
+    first head of a changed position outside the delta (which then joins
+    it), fails the build."""
+    from mckay_lab import ghilb
+
+    group = parse_group_spec("13:1,5,7")
+
+    class Faulty(GGraph):
+        def __init__(self, group, row, total=None, changed=None):
+            if changed is not None:
+                row, p = list(row), changed[0]
+                if at_head:
+                    heads = (h for k in changed for h in group.head_rows[k])
+                    p = next(h for h in heads if h not in changed)
+                    changed = changed + [p]
+                a, b, c = row[p]
+                row[p] = (a + 1, b, c) if not (b and c) else (a, b + 1, c)
+            super().__init__(group, row, total, changed)
+
+    monkeypatch.setattr(ghilb, "GGraph", Faulty)
+    with pytest.raises(SearchExhausted):
+        build_fan(group)
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
@@ -445,7 +559,7 @@ def test_unbounded_flip_is_exhausted(monkeypatch, p3):
     with pytest.raises(SearchExhausted, match="unbounded shift"):
         flip_ggraph(p3.group, graph, *scaled)
     monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (-1, 1, 1))
-    far = SimpleNamespace(row=((3 * 3 + 1, 0, 0),))
+    far = SimpleNamespace(row=((3 * 3 + 1, 0, 0),), total=(3 * 3 + 1, 0, 0))
     with pytest.raises(SearchExhausted):
         flip_ggraph(p3.group, far, *scaled)
 

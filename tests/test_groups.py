@@ -16,6 +16,7 @@ from oracles import (
     character_inverse,
     character_order_by_powers,
     fraction_element_closure,
+    least_valuations_by_heap,
 )
 
 
@@ -255,3 +256,26 @@ def test_character_hash_is_the_field_hash():
         assert copy is not chi and copy == chi
         assert hash(copy) == hash(chi) == hash((chi.residues, chi.moduli))
         assert group.index[copy] == group.index[chi]
+
+
+weights = st.tuples(*[st.one_of(st.just(0), st.integers(0, 40))] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups, weights)
+def test_fifo_least_valuations_match_the_heap(group, weight):
+    """The three FIFO lists give Dijkstra's distances, at every junior point
+    (a corner is (n, 0, 0)) and at weights with zero entries."""
+    for s in group.juniors:
+        assert group.least_valuations(s) == least_valuations_by_heap(group, s)
+    assert group.least_valuations(weight) == least_valuations_by_heap(group, weight)
+
+
+@pytest.mark.parametrize("weight", [(1, 1, 1), (0, 0, 0), (5, 0, 0)])
+def test_unreached_position_is_inconsistent(weight):
+    """A quiver whose arrows all lead back to the trivial character leaves
+    the other positions unreached: the FIFO pass raises, it does not spin."""
+    group = parse_group_spec("5:1,1,3")
+    group.head_rows = ((0, 0, 0),) * group.order
+    with pytest.raises(InconsistentGroup, match="unreached"):
+        group.least_valuations(weight)

@@ -110,7 +110,7 @@ def test_primitivity_by_character_matches_the_pair_loop(group, m1, m2):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SQUARE_PRODUCTS + ["2:1,1,0+4:0,1,3"]), monomials, monomials)
-def test_primitivity_by_residues_matches_the_pair_loop_on_products(spec, m1, m2):
+def test_primitivity_walk_matches_the_pair_loop_on_products(spec, m1, m2):
     group = parse_group_spec(spec)
     assert ratio_is_primitive(group, m1, m2) == ratio_is_primitive_pairwise(group, m1, m2)
     for ratio in marked_triangulation(build_fan(group)).edge_ratios.values():
