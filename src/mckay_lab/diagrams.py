@@ -6,8 +6,6 @@ on the input group and the format version tag.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ghilb import GHilbFan
 from .groups import GroupData, VARIABLES
 from .quiver import QuiverAnalysis, torus_positions
@@ -15,24 +13,20 @@ from .reid import MarkedTriangulation
 
 FORMAT_TAG = "mckay-lab-diagrams/1"
 
-# sqrt(3)/2 to six exact decimal digits, as a rational
-_ROOT3_HALF = Fraction(866025, 1_000_000)
+# sqrt(3)/2 to six exact decimal digits, as ROOT3_NUM / ROOT3_DEN
+_ROOT3_NUM, _ROOT3_DEN = 866025, 1_000_000
 
 
-def _fixed(value: Fraction, digits: int = 3) -> str:
-    """Deterministic fixed-point rendering of an exact rational."""
-    scale = 10 ** digits
-    scaled = Fraction(value) * scale
-    whole = scaled.numerator // scaled.denominator  # floor
-    sign = "-" if whole < 0 else ""
-    whole = abs(whole)
-    return f"{sign}{whole // scale}.{whole % scale:0{digits}d}"
+def _fixed(num: int, den: int) -> str:
+    """num/den (den > 0) in fixed point to three decimals, rounded down."""
+    whole, frac = divmod(abs(num * 1000 // den), 1000)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:03d}"
 
 
 def _place(u: int, v: int) -> str:
     """The formatted cartesian point of a torus position in skew
     coordinates, whose unit steps are at 0 and 120 degrees."""
-    return f"{_fixed(Fraction(2 * u - v, 2))},{_fixed(v * _ROOT3_HALF)}"
+    return f"{_fixed(2 * u - v, 2)},{_fixed(v * _ROOT3_NUM, _ROOT3_DEN)}"
 
 
 def quiver_dot(group: GroupData) -> str:
@@ -49,52 +43,74 @@ def quiver_dot(group: GroupData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis, ray_idx: int, places) -> str:
-    """One divisor's quiver with vanishing arrows black and alive arrows grey,
-    the k-th character placed at places[k], its formatted torus position."""
-    group = fan.group
-    outs = qa.masks(ray_idx)[0]
-    classes = qa.classes(ray_idx)
-    ray = group.junior_points[ray_idx]
-    lines = [
-        f"// {FORMAT_TAG} sink-source group={group.spec_string()} ray={ray_idx} at {ray}",
-        f"digraph divisor_{ray_idx} {{",
-        '  layout=neato; node [shape=circle, fontsize=9];',
-    ]
-    # vertex k is the k-th character, sorted by residues: bit k of a mask
-    for k, chi in enumerate(group.characters):
-        label = f"{chi.label()}\\n{classes[k].label()}"
-        lines.append(f'  v{k} [label="{label}", pos="{places[k]}!"];')
-    for k, heads in enumerate(group.head_rows):
-        for o, h, vanishing in zip(VARIABLES, heads, outs):
-            style = "color=black, penwidth=2" if vanishing >> k & 1 else "color=grey"
-            lines.append(f'  v{k} -> v{h} [label="{o}", {style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
-    """One DOT graph per exceptional divisor, concatenated; the characters'
-    positions are formatted once for all of them."""
-    places = [_place(u, v) for u, v in torus_positions(fan.group)]
-    return "".join(
-        sink_source_dot(fan, qa, ri, places) for ri in fan.group.exceptional_ray_indices
+    """One DOT graph per exceptional divisor, concatenated: each divisor's
+    quiver with vanishing arrows black and alive arrows grey.  The fixed part
+    of every node and arrow line is built once for all of them."""
+    group = fan.group
+    spec = group.spec_string()
+    # vertex k is the k-th character, sorted by residues: bit k of a mask;
+    # a node line is its head, the vertex class along the divisor, its tail
+    nodes = [
+        (f'  v{k} [label="{chi.label()}\\n', f'", pos="{_place(u, v)}!"];')
+        for k, (chi, (u, v)) in enumerate(zip(group.characters, torus_positions(group)))
+    ]
+    arrows = [
+        (f'  v{k} -> v{h} [label="{o}", ', oi, 1 << k)
+        for k, heads in enumerate(group.head_rows)
+        for oi, (o, h) in enumerate(zip(VARIABLES, heads))
+    ]
+    graphs = []
+    for ri in group.exceptional_ray_indices:
+        outs = qa.masks(ri)[0]
+        lines = [
+            f"// {FORMAT_TAG} sink-source group={spec} ray={ri} at {group.junior_points[ri]}",
+            f"digraph divisor_{ri} {{",
+            '  layout=neato; node [shape=circle, fontsize=9];',
+        ]
+        lines += [
+            f"{head}{cls.label()}{tail}" for (head, tail), cls in zip(nodes, qa.classes(ri))
+        ]
+        lines += [
+            prefix + ("color=black, penwidth=2];" if outs[oi] & bit else "color=grey];")
+            for prefix, oi, bit in arrows
+        ]
+        lines.append("}\n")
+        graphs.append("\n".join(lines))
+    return "".join(graphs)
+
+
+# The simplex is drawn in the triangle with corners (0,0), (1,0) and
+# (1/2, sqrt(3)/2): the junior point n*e = (a, b, c) sits at x = (2b + c)/(2n),
+# y = (sqrt(3)/2)(c/n).  Each coordinate below is one floor division over a
+# common denominator: 2kn for x and 10^6*kn for y at the mean of k points.
+# The SVG canvas is _SIZE square, with a margin of _PAD around the simplex.
+_SIZE, _PAD = 640, 60
+_SPAN = _SIZE - 2 * _PAD
+_TIKZ_SCALE = 8
+
+
+def _svg_xy(n: int, *points) -> tuple[str, str]:
+    """The SVG point of the mean of the given junior points n*e; the y axis
+    points down."""
+    k = len(points)
+    x = sum(2 * b + c for _, b, c in points)
+    c = sum(c for _, _, c in points)
+    return (
+        _fixed(2 * k * n * _PAD + _SPAN * x, 2 * k * n),
+        _fixed(
+            _ROOT3_DEN * k * n * _PAD + _SPAN * _ROOT3_NUM * (k * n - c), _ROOT3_DEN * k * n
+        ),
     )
 
 
-def _simplex_points(fan: GHilbFan):
-    """Cartesian positions of the junior points inside a fixed triangle."""
-    corners = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(1, 2), _ROOT3_HALF),
-    ]
-    out = {}
-    for ri, ray in enumerate(fan.group.junior_points):
-        x = sum(c * w for (c, _), w in zip(corners, ray.coords))
-        y = sum(c * w for (_, c), w in zip(corners, ray.coords))
-        out[ri] = (x, y)
-    return out
+def _tikz_xy(n: int, point) -> str:
+    """The TikZ point of the junior point n*e = (a, b, c)."""
+    _, b, c = point
+    return (
+        f"({_fixed(_TIKZ_SCALE * (2 * b + c), 2 * n)},"
+        f"{_fixed(_TIKZ_SCALE * _ROOT3_NUM * c, _ROOT3_DEN * n)})"
+    )
 
 
 def _marking_text(marked: MarkedTriangulation, ri: int) -> str:
@@ -106,16 +122,11 @@ def _marking_text(marked: MarkedTriangulation, ri: int) -> str:
 
 def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
     """The triangulated junior simplex with edge and vertex markings."""
-    size = 640
-    pad = 60
-    pts = _simplex_points(fan)
+    n, juniors = fan.group.order, fan.group.juniors
     # each ray's position, formatted once for its edges and its circle
-    xy = [
-        (_fixed(pad + x * (size - 2 * pad)), _fixed(pad + (_ROOT3_HALF - y) * (size - 2 * pad)))
-        for x, y in pts.values()
-    ]
+    xy = [_svg_xy(n, s) for s in juniors]
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}">',
         f"<!-- {FORMAT_TAG} marked-simplex group={fan.group.spec_string()} -->",
     ]
     for (i, j), cones in fan.edges.items():
@@ -127,8 +138,7 @@ def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
         )
         if not boundary:
             ratio = marked.edge_ratios[i, j]
-            mx = _fixed((pts[i][0] + pts[j][0]) / 2 * (size - 2 * pad) + pad)
-            my = _fixed((_ROOT3_HALF - (pts[i][1] + pts[j][1]) / 2) * (size - 2 * pad) + pad)
+            mx, my = _svg_xy(n, juniors[i], juniors[j])
             lines.append(
                 f'<text x="{mx}" y="{my}" font-size="10" fill="#0044aa">'
                 f"{ratio.text()} [{ratio.character.label()}]</text>"
@@ -147,20 +157,16 @@ def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
 
 def marked_simplex_tikz(fan: GHilbFan, marked: MarkedTriangulation) -> str:
     """TikZ source for the marked junior simplex."""
-    pts = _simplex_points(fan)
-    scale = 8
+    n = fan.group.order
+    xy = [_tikz_xy(n, s) for s in fan.group.juniors]
     lines = [
         f"% {FORMAT_TAG} marked-simplex group={fan.group.spec_string()}",
         "\\begin{tikzpicture}[scale=1]",
     ]
     for (i, j), cones in fan.edges.items():
-        (x1, y1), (x2, y2) = pts[i], pts[j]
         boundary = len(cones) == 1
         style = "gray" if boundary else "black"
-        seg = (
-            f"\\draw[{style}] ({_fixed(x1 * scale)},{_fixed(y1 * scale)})"
-            f" -- ({_fixed(x2 * scale)},{_fixed(y2 * scale)})"
-        )
+        seg = f"\\draw[{style}] {xy[i]} -- {xy[j]}"
         if not boundary:
             ratio = marked.edge_ratios[i, j]
             seg += (
@@ -169,13 +175,12 @@ def marked_simplex_tikz(fan: GHilbFan, marked: MarkedTriangulation) -> str:
             )
         lines.append(seg + ";")
     for ri, ray in enumerate(fan.group.junior_points):
-        x, y = pts[ri]
         mark = _marking_text(marked, ri)
         label = f"{ray}" + (f" [{mark}]" if mark else "")
         lines.append(
             f"\\node[circle, fill, inner sep=1pt, "
             f"label={{[font=\\tiny]above:{{{label}}}}}] at "
-            f"({_fixed(x * scale)},{_fixed(y * scale)}) {{}};"
+            f"{xy[ri]} {{}};"
         )
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

@@ -7,10 +7,10 @@ from heapq import heappop, heappush
 
 from mckay_lab.errors import DegenerateCone, MultiplicityOutOfRange, NotInLattice, NotInSL3
 from mckay_lab.ghilb import invariant_perpendicular
-from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides
+from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides, mono_str
 from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
 from mckay_lab.quiver import _classify_pattern
-from mckay_lab.serialize import dumps_canonical
+from mckay_lab.serialize import FAN_FORMAT
 
 
 def mono_degree(m):
@@ -86,9 +86,100 @@ def parse_fraction(text):
     return Fraction(int(num), int(den))
 
 
+def canonical_json(payload):
+    """Canonical JSON as json itself writes it: sorted keys, two-space
+    indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def reemit(text):
     """Parse serialized JSON and re-emit it canonically (a byte identity)."""
-    return dumps_canonical(json.loads(text))
+    return canonical_json(json.loads(text))
+
+
+def fraction_str(value):
+    f = Fraction(value)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def fan_payload(fan):
+    """The fan as plain JSON-ready data, from the fan's own objects."""
+    group = fan.group
+    n = group.order
+    return {
+        "format": FAN_FORMAT,
+        "group": group.spec_string(),
+        "order": n,
+        "rays": [
+            {
+                "coords": [fraction_str(v) for v in ray.coords],
+                "corner": n in s,
+                "boundary": 0 in s,
+            }
+            for ray, s in zip(group.junior_points, group.juniors)
+        ],
+        "cones": [
+            {
+                "ray_indices": list(fan.cone_rays[ci]),
+                "ggraph": {
+                    chi.label(): mono_str(m)
+                    for chi, m in zip(group.characters, graph.row)
+                },
+            }
+            for ci, graph in enumerate(fan.ggraphs)
+        ],
+        "edges": [
+            {
+                "ray_indices": list(rays),
+                "adjacent_cones": list(cones),
+                "boundary": len(cones) == 1,
+            }
+            for rays, cones in fan.edges.items()
+        ],
+    }
+
+
+# sqrt(3)/2 to six exact decimal digits, the diagrams' rational
+ROOT3_HALF = Fraction(866025, 1_000_000)
+
+
+def fixed_point(value, digits=3):
+    """Fixed-point text of an exact rational, rounded down."""
+    scale = 10 ** digits
+    scaled = Fraction(value) * scale
+    whole = scaled.numerator // scaled.denominator  # floor
+    sign = "-" if whole < 0 else ""
+    whole = abs(whole)
+    return f"{sign}{whole // scale}.{whole % scale:0{digits}d}"
+
+
+def simplex_point(ray):
+    """Cartesian position of a junior point inside the triangle with corners
+    (0,0), (1,0) and (1/2, sqrt(3)/2), as Fractions."""
+    corners = [
+        (Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(0)),
+        (Fraction(1, 2), ROOT3_HALF),
+    ]
+    x = sum(c * w for (c, _), w in zip(corners, ray.coords))
+    y = sum(c * w for (_, c), w in zip(corners, ray.coords))
+    return x, y
+
+
+def svg_point(x, y, size=640, pad=60):
+    """The SVG text of a cartesian point of the simplex, y pointing down."""
+    span = size - 2 * pad
+    return fixed_point(pad + x * span), fixed_point(pad + (ROOT3_HALF - y) * span)
+
+
+def tikz_point(x, y, scale=8):
+    """The TikZ text of a cartesian point of the simplex."""
+    return f"({fixed_point(x * scale)},{fixed_point(y * scale)})"
+
+
+def torus_place(u, v):
+    """The cartesian text of a torus position in skew coordinates."""
+    return f"{fixed_point(Fraction(2 * u - v, 2))},{fixed_point(v * ROOT3_HALF)}"
 
 
 def box_monomials(n):
