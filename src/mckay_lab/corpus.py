@@ -86,9 +86,12 @@ def run_corpus(spec: CorpusSpec) -> dict:
     Reports are merged in corpus order, so the aggregate is independent of
     the worker count; per-group JSON files are written when an output
     directory is configured.  A group whose pipeline raises is recorded in
-    the failures and the sweep goes on.  A worker count below 1 and an
-    output directory that cannot be made fail before any group runs.
+    the failures and the sweep goes on.  A negative maximum order, a worker
+    count below 1 and an output directory that cannot be made fail before
+    any group runs.
     """
+    if spec.max_order < 0:
+        raise InputError(f"max order must be at least 0, got {spec.max_order}")
     if spec.jobs < 1:
         raise InputError(f"jobs must be at least 1, got {spec.jobs}")
     specs = corpus_specs(spec)

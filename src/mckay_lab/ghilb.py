@@ -15,14 +15,15 @@ of the cluster's monomials, (n*e).S >= H(e) at every junior point, term by
 term, with equality exactly when every representative is least on e, that is
 when e lies in the cone.  So one integer scan over the junior points finds
 the cone's rays as their indices, in lex order; it runs once per cluster and
-is kept on it.  All clusters are found by seeding from a generic weight and
-crossing each interior wall (a ray-index pair) that no second found cone has
-closed yet: one flip per new cluster.  A flip moves only some of the
-representatives; it carries the sum S forward by the moved amount instead of
-re-summing the row, and the tail table is checked only at the moved
-positions and their heads, where alone a comparison can change (the seed is
-checked at every position).  The flip's carving vector is not kept: the fan
-computes each interior edge's vector again, from its two rays.
+is kept on it.  All clusters are found from the seed, the group's lifts
+x^i y^j (the cluster of a generic weight), by crossing each interior wall (a
+ray-index pair) that no second found cone has closed yet: one flip per new
+cluster.  A flip moves only some of the representatives; it carries the sum
+S forward by the moved amount instead of re-summing the row, and the tail
+table is checked only at the moved positions and their heads, where alone a
+comparison can change (the seed is checked at every position).  The flip's
+carving vector is not kept: the fan computes each interior edge's vector
+again, from its two rays.
 The fan is then validated as a unimodular triangulation, each chart is
 checked against the table at its three rays by the same height identity, and
 the fan derives its integer facts once.  The whole path runs on integers: a
@@ -284,35 +285,11 @@ class GHilbFan:
 
 
 def seed_ggraph(group: GroupData) -> GGraph:
-    """The cluster of the chart containing a fixed generic interior weight.
-
-    With v = (1, n, n^2), n the group order, every character has a unique
-    valuation-minimizing monomial (distinct bounded exponent vectors cannot
-    pair to the same base-n value), and the minimizers form a cluster: a
-    divisor of a minimizer is the minimizer of its own character.  Since xyz
-    is invariant, x and y generate the characters, so each minimizer is z-free
-    (x^i y^j with i, j < n weighs less than n^2) and is the first x^i y^j of
-    its character in (j, i) order, stepped to along x and y by the arrow table;
-    each row's walk along x stops where it closes, at the order of x.
-    """
-    n = group.order
-    heads = group.head_rows
-    row: list[Monomial | None] = [None] * n
-    filled = 0
-    k = 0  # the trivial character's position
-    for j in range(n):
-        start = k  # the position of y^j, where the walk along x closes
-        for i in range(n):
-            if row[k] is None:
-                row[k] = (i, j, 0)
-                filled += 1
-            k = heads[k][0]
-            if k == start:
-                break
-        if filled == n:
-            break
-        k = heads[k][1]
-    return GGraph(group, row)
+    """The cluster of the chart containing the generic weight (1, n, n^2), n
+    the group order: each character's least monomial there is its lift
+    x^i y^j (GroupData.lifts), and a divisor of one is the least of its own
+    character.  It is checked at every position."""
+    return GGraph(group, group.lifts)
 
 
 def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:

@@ -7,8 +7,11 @@ monomials, M = {m : (a,b,c).m = 0 mod r for every generator}, held as its
 Hermite basis.  Characters are the classes of Z^3/M, represented by their
 pairing residues against the given generators, so that for a cyclic
 1/r(a,b,c) the monomial x^i y^j z^k has character (a*i + b*j + c*k) mod r.
-The McKay quiver is kept by position in the sorted characters: one row of
-three heads and one of three tails per character.
+Every character has one lift x^i y^j with i < d = ord kappa(x) and j < n/d,
+and one pass over the lifts' residues gives the sorted characters, their
+positions and the McKay quiver by position: one row of three heads and one
+of three tails per character.  The lifts are also the seed cluster and the
+quiver's torus positions.
 
 The junior points e (the elements with coordinate sum 1, and the corners)
 are read off the integer element walk in lex order, as n*e (n = |G|) and as
@@ -145,20 +148,38 @@ class GroupData:
         self.invariant_basis = _invariant_basis(gens)
         self._check_indices()
 
-        self._by_residues: dict[tuple, Character] = {}
-        self.trivial_character = self.kappa(MONO_ONE)
-        # the characters sorted by residues, and the McKay quiver's arrows by
-        # position in them, indexed like VARIABLES: head_rows[k][o] is the
-        # position of the k-th character times kappa(o-th variable), and
-        # tail_rows[k][o] the position of the tail of the o-arrow into it
-        self.characters, heads = self._character_closure()
-        self._by_residues = {chi.residues: chi for chi in self.characters}
-        # each character's position: the bit or entry that stands for it in
-        # every per-ray table
+        # xyz is invariant, so y steps through the cosets of <kappa(x)>; least
+        # in j, then in i, the lifts are the (1, n, n^2)-least monomials
+        d = self.character_order(Character(tuple([w[0] for _, w in gens]), self.moduli))
+        lifts = {
+            tuple([(a * i + b * j) % r for r, (a, b, _) in gens]): (i, j, 0)
+            for j in range(n // d)
+            for i in range(d)
+        }
+        if len(lifts) != n:
+            raise InconsistentGroup(
+                f"{len(lifts)} distinct characters among the lifts x^i y^j "
+                f"(i < {d}, j < {n // d}) != group order {n}"
+            )
+        # head_rows[k][o] is the position of the k-th character times
+        # kappa(o-th variable), tail_rows[k][o] the position of the tail of
+        # the o-arrow into it
+        keys = sorted(lifts)
+        self.characters = tuple(Character(key, self.moduli) for key in keys)
+        self.trivial_character = self.characters[0]
+        self.lifts = tuple(map(lifts.get, keys))
+        self._by_residues = dict(zip(keys, self.characters))
         self.index = {chi: k for k, chi in enumerate(self.characters)}
-        self.head_rows = tuple(
-            tuple(self.index[h] for h in heads[chi]) for chi in self.characters
-        )
+        position = dict(zip(keys, range(n)))
+        steps = [[(w[o], r) for r, w in gens] for o in range(3)]
+
+        def head(key, step):
+            return position[tuple([(a + s) % r for a, (s, r) in zip(key, step)])]
+
+        try:
+            self.head_rows = tuple(tuple([head(key, s) for s in steps]) for key in keys)
+        except KeyError as exc:
+            raise InconsistentGroup(f"head {exc} not among the {n} lifted characters") from None
         tails = [[0, 0, 0] for _ in self.characters]
         for k, row in enumerate(self.head_rows):
             for o, h in enumerate(row):
@@ -264,32 +285,12 @@ class GroupData:
 
     def kappa(self, m: Monomial) -> Character:
         """Character of a (Laurent) monomial: its class in Z^3/M, the group's own object."""
-        residues = tuple(dot3(w, m) % r for r, w in self.generators)
-        chi = self._by_residues.get(residues)
-        return Character(residues, self.moduli) if chi is None else chi
+        return self._by_residues[tuple([dot3(w, m) % r for r, w in self.generators])]
 
     def character_order(self, chi: Character) -> int:
         """The lcm over the generators of r/gcd(a, r), a the residue of chi
         against a generator of order r."""
         return math.lcm(*(r // math.gcd(a, r) for a, r in zip(chi.residues, self.moduli)))
-
-    def _character_closure(self):
-        """The characters, sorted by residues, and each one's three heads: x,
-        y and z generate the characters, so the closure multiplies every
-        character by all three."""
-        units = tuple(self.kappa(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        heads = {}
-        frontier = [self.trivial_character]
-        while frontier:
-            cur = frontier.pop()
-            if cur not in heads:
-                heads[cur] = tuple(cur * g for g in units)
-                frontier.extend(heads[cur])
-        if len(heads) != self.order:
-            raise InconsistentGroup(
-                f"character count {len(heads)} != group order {self.order}"
-            )
-        return tuple(sorted(heads, key=lambda c: c.residues)), heads
 
     def spec_string(self) -> str:
         """Round-trippable 'r:a,b,c+...' syntax."""

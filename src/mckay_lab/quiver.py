@@ -18,7 +18,9 @@ the charges.  A vertex's class is _classify_pattern of its two 3-bit spoke
 patterns at its position, read where classes are printed or a line walks,
 and each source emits its lines by its class.  Charge lines and shapes are
 sought on interior divisors only, where they are theorems; the sink-source
-graph of a boundary divisor holds its class masks alone.
+graph of a boundary divisor holds its class masks alone.  The vertices'
+torus positions, for drawing, are the group's lifts x^i y^j reduced modulo
+the projected invariant lattice.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     ShapeUnrecognized,
     WalkDiverged,
 )
-from .ghilb import GHilbFan, seed_ggraph
+from .ghilb import GHilbFan
 from .groups import GroupData, VARIABLES
 from .intlin import hnf_rows
 
@@ -540,16 +542,13 @@ def torus_positions(group: GroupData) -> list[tuple[int, int]]:
     A monomial exponent (a, b, c) sits at a*u + b*v + c*w for unit steps u, v
     at 0 and 120 degrees and w = -(u+v); in the (u, v) basis that is
     (a-c, b-c).  Projected invariant monomials form a rank-2 lattice (xyz
-    projects to zero), and reducing any exponent lift of a character against
-    a reduced basis of that lattice gives one well-defined point per
+    projects to zero), and reducing the group's lift x^i y^j of a character,
+    at (i, j), against a reduced basis of that lattice gives one point per
     character, by position in group.characters, inside a half-open
     fundamental parallelogram.
     """
     basis = _reduced_projected_lattice(group)
-    return [
-        _reduce_mod_lattice((w[0] - w[2], w[1] - w[2]), basis)
-        for w in seed_ggraph(group).row
-    ]
+    return [_reduce_mod_lattice((i, j), basis) for i, j, _ in group.lifts]
 
 
 def _reduced_projected_lattice(group: GroupData):

@@ -39,6 +39,30 @@ def character_inverse(chi):
     return character_power(chi, -1)
 
 
+def character_closure(group):
+    """The characters sorted by residues, with the head and tail rows by
+    position in them: a walk from the trivial character that multiplies
+    every character it reaches by the characters of x, y and z, built from
+    the generators' weights and never looked up in the group."""
+    moduli = group.moduli
+    units = [Character(tuple(w[o] % r for r, w in group.generators), moduli) for o in range(3)]
+    heads = {}
+    frontier = [Character(tuple(0 for _ in moduli), moduli)]
+    while frontier:
+        cur = frontier.pop()
+        if cur not in heads:
+            heads[cur] = [cur * u for u in units]
+            frontier.extend(heads[cur])
+    characters = tuple(sorted(heads, key=lambda chi: chi.residues))
+    position = {chi: k for k, chi in enumerate(characters)}
+    head_rows = tuple(tuple(position[h] for h in heads[chi]) for chi in characters)
+    tails = [[None] * 3 for _ in characters]
+    for k, row in enumerate(head_rows):
+        for o, h in enumerate(row):
+            tails[h][o] = k
+    return characters, head_rows, tuple(map(tuple, tails))
+
+
 def in_weight_lattice(group, l):
     """Membership in the weight lattice L, the dual of M: l.m is an
     integer for every row m of the M basis."""

@@ -171,6 +171,17 @@ def test_corpus_rejects_jobs_below_one_before_any_group_runs(capsys, monkeypatch
     assert calls == []
 
 
+def test_corpus_rejects_a_negative_max_order_before_any_group_runs(capsys, monkeypatch):
+    """A negative maximum order is an input error, not an empty corpus that
+    passes."""
+    calls = []
+    monkeypatch.setattr("mckay_lab.corpus.verify_group", calls.append)
+    code, out, err = run(capsys, "corpus", "--max-order", "-3", "--group", "3:1,1,1")
+    assert code == 2 and out == ""
+    assert "max order must be at least 0, got -3" in err
+    assert calls == []
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
     """corpus imports multiprocessing only where it starts a pool, so no CLI
     start pays for it; checked in a fresh interpreter."""

@@ -1,10 +1,32 @@
-"""The runtime depends on the standard library only."""
+"""The runtime depends on the standard library only, and the closed-form
+family oracles share no code with the engine."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mckay_lab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mckay_lab"
+
+
+def non_stdlib_imports(path, relative_ok):
+    """Each import in a file that names no standard-library module at its
+    top level, as 'file:line name'; a relative import is one unless
+    relative_ok."""
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and relative_ok:
+                continue
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in sys.stdlib_module_names:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    return outside
 
 
 def test_runtime_imports_only_the_stdlib():
@@ -12,16 +34,10 @@ def test_runtime_imports_only_the_stdlib():
     at its top level (relative imports stay inside the package)."""
     sources = sorted(SRC.glob("*.py"))
     assert sources
-    outside = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                if name.split(".")[0] not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}:{node.lineno} {name}")
-    assert outside == []
+    assert [bad for path in sources for bad in non_stdlib_imports(path, relative_ok=True)] == []
+
+
+def test_the_family_oracles_import_nothing_from_the_engine():
+    """tests/families.py writes its fans down from the standard library
+    alone: no mckay_lab module, and no relative import."""
+    assert non_stdlib_imports(TESTS / "families.py", relative_ok=False) == []

@@ -1,0 +1,92 @@
+"""The engine's fans against the closed-form families of tests/families.py:
+the same cones, and the wall relation across every line edge."""
+
+import pytest
+
+from mckay_lab import build_fan, parse_group_spec
+
+from families import line_family, surface_family
+
+FAMILIES = [line_family, surface_family]
+
+
+def edge_thirds(cones):
+    """Each edge of the cones, as a sorted point pair, with the sorted third
+    rays of the cones that have it."""
+    thirds = {}
+    for cone in cones:
+        for g in cone:
+            thirds.setdefault(tuple(sorted(p for p in cone if p != g)), []).append(g)
+    return {edge: sorted(gs) for edge, gs in thirds.items()}
+
+
+def check_family(juniors, cone_rays, family):
+    """Fail, naming the edge, where the cones (ray-index triples into the
+    scaled junior points) break the family's wall relation or leave its
+    cones."""
+    assert sorted(juniors) == sorted(family.rays), "the junior points differ"
+    got = edge_thirds([[juniors[i] for i in cone] for cone in cone_rays])
+    for (p, q), (a, b) in family.walls.items():
+        thirds = got.get((p, q), [])
+        assert len(thirds) == 2, f"edge {(p, q)}: third rays {thirds}, not two"
+        total = tuple(map(sum, zip(*thirds)))
+        expected = tuple(a * u + b * v for u, v in zip(p, q))
+        assert total == expected, f"edge {(p, q)}: g + g' = {total} != {a} p + {b} q"
+    want = edge_thirds(family.cones)
+    for edge in sorted(got.keys() | want.keys()):
+        assert got.get(edge) == want.get(edge), (
+            f"edge {edge}: third rays {got.get(edge)}, expected {want.get(edge)}"
+        )
+
+
+@pytest.mark.parametrize("r", range(2, 61))
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+def test_build_fan_gives_the_closed_form_fan(family, r):
+    fam = family(r)
+    group = parse_group_spec(fam.spec)
+    check_family(group.juniors, build_fan(group).cone_rays, fam)
+
+
+def test_the_line_family_has_a_wall_relation_on_every_line_edge():
+    """r//2 line edges, from the corner z on: 900 relations for r <= 60."""
+    assert all(len(line_family(r).walls) == r // 2 for r in range(2, 61))
+    assert sum(len(line_family(r).walls) for r in range(2, 61)) == 900
+
+
+@pytest.mark.parametrize(
+    "family, r, k, far",
+    [
+        # (x, p_k, p_{k+1}) -> (y, p_k, p_{k+1}), so the edge's third rays are y twice
+        (line_family, 9, 2, lambda r, k: (0, r, 0)),
+        (line_family, 12, 0, lambda r, k: (0, r, 0)),
+        (line_family, 12, 5, lambda r, k: (0, r, 0)),
+        # (x, p_k, p_{k+1}) -> (p_{k+2}, p_k, p_{k+1})
+        (surface_family, 7, 3, lambda r, k: (0, k + 2, r - k - 2)),
+    ],
+)
+def test_a_moved_third_ray_fails_and_names_its_edge(family, r, k, far):
+    """Move the third ray x of the fan's cone at the line edge (p_k, p_{k+1})."""
+    fam = family(r)
+    group = parse_group_spec(fam.spec)
+    juniors = group.juniors
+    index = {p: i for i, p in enumerate(juniors)}
+    _, p, q = fam.cones[(2 if fam.walls else 1) * k]
+    cone = tuple(sorted(index[v] for v in ((r, 0, 0), p, q)))
+    moved = tuple(sorted(index[v] for v in (far(r, k), p, q)))
+    cone_rays = list(build_fan(group).cone_rays)
+    cone_rays[cone_rays.index(cone)] = moved
+    with pytest.raises(AssertionError) as caught:
+        check_family(juniors, cone_rays, fam)
+    assert str(caught.value).startswith(f"edge {(p, q)}: ")
+
+
+@pytest.mark.parametrize("r, k", [(9, 0), (9, 3), (12, 5)])
+def test_a_moved_wall_coefficient_fails_and_names_its_edge(r, k):
+    fam = line_family(r)
+    group = parse_group_spec(fam.spec)
+    edge = list(fam.walls)[k]
+    a, b = fam.walls[edge]
+    fam.walls[edge] = (a + 1, b)
+    with pytest.raises(AssertionError) as caught:
+        check_family(group.juniors, build_fan(group).cone_rays, fam)
+    assert str(caught.value).startswith(f"edge {edge}: g + g'")

@@ -212,8 +212,9 @@ def test_seed_ggraph_is_the_box_argmin(group):
 @pytest.mark.parametrize("spec", ["12:0,1,11", "30:0,1,29", "4:0,2,2", "3:1,2,0+3:0,1,2"])
 def test_seed_row_is_the_first_xy_monomial_of_each_character(spec):
     """The seed's row is the first x^i y^j of each character in (j, i) order,
-    and each row's walk along x stops where it closes: with x invariant, the
-    seed reads the arrow table O(n) times, not n^2."""
+    and building it reads the arrow table fewer than 3n times where x is
+    invariant: the row is the group's lifts, read off residues when the
+    group is built."""
 
     class Counted(list):
         reads = 0

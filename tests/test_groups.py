@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 import mckay_lab.groups
 from mckay_lab import group_from_generators, parse_group_spec
 from mckay_lab.errors import EmptyGenerators, InconsistentGroup, NotInLattice, NotInSL3
-from mckay_lab.groups import Character, _element_closure, mono_str
+from mckay_lab.groups import Character, GroupData, _element_closure, mono_str
 from mckay_lab.intlin import det3, dot3, hnf_rows
 
 from conftest import REDUNDANT_PRESENTATIONS, RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from oracles import (
     age,
+    box_least,
     box_monomials,
+    character_closure,
     character_inverse,
     character_order_by_powers,
     fraction_element_closure,
@@ -279,3 +281,68 @@ def test_unreached_position_is_inconsistent(weight):
     group.head_rows = ((0, 0, 0),) * group.order
     with pytest.raises(InconsistentGroup, match="unreached"):
         group.least_valuations(weight)
+
+
+# x-invariant, trivial and product groups beside the drawn ones
+LIFT_SPECS = (
+    SQUARE_PRODUCTS
+    + RECTANGULAR_PRODUCTS
+    + list(REDUNDANT_PRESENTATIONS)
+    + ["1:0,0,0", "12:0,1,11", "4:0,2,2"]
+)
+
+
+def _check_lifts(group):
+    """The lifts give the closure's characters and arrows, and each lift is
+    its character's (1, n, n^2)-least monomial in the box."""
+    characters, head_rows, tail_rows = character_closure(group)
+    assert group.characters == characters
+    assert group.head_rows == head_rows
+    assert group.tail_rows == tail_rows
+    n = group.order
+    best = box_least(group, (1, n, n * n))
+    assert group.lifts == tuple(best[chi][1] for chi in group.characters)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_groups)
+def test_lifts_match_the_closure_and_the_box_argmin(group):
+    _check_lifts(group)
+
+
+@pytest.mark.parametrize("spec", LIFT_SPECS)
+def test_lifts_match_the_closure_and_the_box_argmin_on_products(spec):
+    _check_lifts(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize(
+    "spec, walk, message",
+    [
+        # the element walk counts every element twice: y^j for j < 24 repeats
+        # the 12 characters
+        pytest.param(
+            "12:0,1,11", lambda t: t + t, r"12 distinct characters .* != group order 24", id="collide"
+        ),
+        # one element too many: the 13 lifts x^i fall short of 14
+        pytest.param(
+            "13:1,5,7", lambda t: t + t[:1], r"13 distinct characters .* != group order 14", id="short"
+        ),
+        # half the walk: y^j for j < 6 are 6 distinct characters, not closed
+        pytest.param(
+            "12:0,1,11", lambda t: t[:6], r"head \(11,\) not among the 6 lifted", id="unclosed"
+        ),
+    ],
+)
+def test_lift_guards_reject_a_wrong_element_count(monkeypatch, spec, walk, message):
+    """With the index check off, an element walk of the wrong size gives
+    lifts that collide, fall short or are not closed under the arrows: a
+    seeded internal fault, so an internal guard fires and names the count."""
+    closure = mckay_lab.groups._element_closure
+    monkeypatch.setattr(
+        mckay_lab.groups,
+        "_element_closure",
+        lambda gens: (lambda modulus, triples: (modulus, walk(triples)))(*closure(gens)),
+    )
+    monkeypatch.setattr(GroupData, "_check_indices", lambda self: None)
+    with pytest.raises(InconsistentGroup, match=message):
+        parse_group_spec(spec)
