@@ -218,11 +218,6 @@ class GHilbFan:
             raise UnknownCone(f"rays {triple} do not span a maximal cone of the fan")
         return self._cone_index[triple]
 
-    def is_face(self, rays) -> bool:
-        """Whether a set of ray indices spans a ray, an edge or a cone of the fan."""
-        key = tuple(sorted(rays))
-        return len(key) == 1 or key in self.edges or key in self._cone_index
-
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:

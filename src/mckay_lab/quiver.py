@@ -15,17 +15,21 @@ the group's divisor table, one pass per orientation, as masks of vanishing
 out- and in-arrows, and from them, in integer operations, the triangle
 identity and the class masks: the sources, the (3,0)- and (0,3)-sinks and
 the charges.  A vertex's class is _classify_pattern of its two 3-bit spoke
-patterns at its position, read where classes are printed or a line walks,
-and each source emits its lines by its class.  Charge lines and shapes are
-sought on interior divisors only, where they are theorems; the sink-source
-graph of a boundary divisor holds its class masks alone.  The vertices'
-torus positions, for drawing, are the group's lifts x^i y^j reduced modulo
-the projected invariant lattice.
+patterns at its position, read where classes are printed and once per
+source of a sink-source graph, and each source emits its lines by its
+class.  A sink-source graph is a frozen value, built in one call.  Charge
+lines and shapes are sought on interior divisors only, where they are
+theorems: the sorted source bidegrees name the shape before any line is
+walked, and each line is walked once into its table, the backward lines
+keyed by orientation and the forward ones by source and orientation, which
+the lengths are read off.  The graph of a boundary divisor holds its class
+masks alone.  The vertices' torus positions, for drawing, are the group's
+lifts x^i y^j reduced modulo the projected invariant lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import itemgetter, sub
 from typing import NamedTuple
@@ -147,14 +151,30 @@ class ChargeLine:
         return len(self.vertices) - 1
 
 
-@dataclass
+# the shape of an interior divisor, named by its sorted source bidegrees
+_SHAPES = {((3, 3),): "A", ((1, 2), (2, 1)): "B", ((2, 1),) * 3: "C"}
+
+
+def _emitted(cls: VertexClass) -> list[tuple[str, int]]:
+    """The (orientation, direction) of each line a source of the class
+    emits, +1 along the arrows and -1 against them: a vanishing in-spoke
+    keeps one forward line and two backward ones, a vanishing out-spoke
+    one backward line and two forward ones."""
+    if cls == SOURCE33:
+        return [(o, d) for o in VARIABLES for d in (+1, -1)]
+    one = +1 if cls.bidegree == (1, 2) else -1
+    return [(cls.orientation, one)] + [(o, -one) for o in VARIABLES if o != cls.orientation]
+
+
+@dataclass(frozen=True)
 class SinkSourceGraph:
-    """Per-divisor analysis: class masks, charge lines, shape and lengths."""
+    """Per-divisor analysis: class masks, charge lines, shape and lengths,
+    built whole by QuiverAnalysis._build_graph."""
 
     ray_index: int
     masks: ClassMasks
-    lines: list[ChargeLine] = field(default_factory=list)
-    shape: str | None = None  # "A" | "B" | "C", None when unrecognized
+    lines: tuple[ChargeLine, ...] = ()  # the backward lines, then the forward ones
+    shape: str | None = None  # "A" | "B" | "C", None on a boundary divisor
     lengths: dict | None = None  # as the report writes them
 
     @property
@@ -339,53 +359,61 @@ class QuiverAnalysis:
         return self._graphs[ray_idx]
 
     def _build_graph(self, ray_idx: int) -> SinkSourceGraph:
-        """The class masks on every divisor; the charge lines and the shape
-        only on interior ones, where the shapes are theorems."""
-        ss = SinkSourceGraph(ray_index=ray_idx, masks=self.class_masks(ray_idx))
-        if 0 not in self.group.juniors[ray_idx]:  # an interior ray
-            self._walk_lines(ss)
-            self._detect_shape(ss)
-        return ss
+        """The class masks on every divisor; the charge lines, the shape and
+        its lengths only on interior ones, where the shapes are theorems.
 
-    def _walk_lines(self, ss: SinkSourceGraph) -> None:
-        visited = 0
-        for source in ss.sources:
-            cls = self.vertex_class(ss.ray_index, source)
-            if cls == SOURCE33:
-                emitted = [(o, d) for o in VARIABLES for d in (+1, -1)]
-            elif cls.bidegree == (1, 2):
-                # vanishing in-spoke: one forward line, two backward ones
-                emitted = [(cls.orientation, +1)] + [
-                    (o, -1) for o in VARIABLES if o != cls.orientation
-                ]
-            else:  # (2,1): vanishing out-spoke
-                emitted = [(cls.orientation, -1)] + [
-                    (o, +1) for o in VARIABLES if o != cls.orientation
-                ]
-            for orientation, direction in emitted:
-                line = self._walk_one(ss, source, orientation, direction)
-                ss.lines.append(line)
+        The (0,3)-sink must be the trivial character alone.  Each source is
+        classified once, and the sorted source bidegrees name the shape
+        before any line is walked.  Each line is then walked once, straight
+        into its table: a backward line by its orientation, which no other
+        backward line may share, a forward one by (source, orientation).
+        The lengths are read off those two tables."""
+        masks = self.class_masks(ray_idx)
+        if 0 in self.group.juniors[ray_idx]:  # a boundary ray
+            return SinkSourceGraph(ray_idx, masks)
+        sink03s = list(_bits(masks.sink03))
+        if sink03s != [0]:  # the trivial character's position
+            raise ShapeUnrecognized(
+                f"ray {ray_idx}: (0,3)-sinks are "
+                f"{[self.group.characters[k] for k in sink03s]}, expected the trivial character"
+            )
+        sources = list(_bits(masks.sources))
+        classes = _classes_at(self.masks(ray_idx), sources)
+        kinds = sorted(cls.bidegree for cls in classes)
+        shape = _SHAPES.get(tuple(kinds))
+        if shape is None:
+            raise ShapeUnrecognized(f"ray {ray_idx}: source pattern {kinds} matches no shape")
+        back, fwd, visited = {}, {}, 0
+        for source, cls in zip(sources, classes):
+            for orientation, direction in _emitted(cls):
+                if direction < 0 and orientation in back:
+                    raise ShapeUnrecognized(f"two backward {orientation}-lines on ray {ray_idx}")
+                line = self._walk_one(ray_idx, masks, source, orientation, direction)
+                if direction > 0:
+                    fwd[source, orientation] = line
+                else:
+                    back[orientation] = line
                 for v in line.vertices[1:-1]:
                     visited |= 1 << v
         # every charge vertex must lie on a line; on no more than one, as a
         # line's inner vertices are charges of its own orientation and
         # chirality, each with one predecessor along it, and no source is one
-        if visited != ss.masks.charges:
-            raise InvalidSpokePattern(
-                f"charge vertices not covered exactly once on ray {ss.ray_index}"
-            )
+        if visited != masks.charges:
+            raise InvalidSpokePattern(f"charge vertices not covered exactly once on ray {ray_idx}")
+        lengths = self._lengths(ray_idx, shape, zip(sources, classes), back, fwd)
+        return SinkSourceGraph(ray_idx, masks, (*back.values(), *fwd.values()), shape, lengths)
 
     def _walk_one(
-        self, ss: SinkSourceGraph, source: int, orientation: str, direction: int
+        self, ray_idx: int, masks: ClassMasks, source: int, orientation: str, direction: int
     ) -> ChargeLine:
         group = self.group
         k = VARIABLES.index(orientation)
-        outs, ins = self.masks(ss.ray_index)
+        outs, ins = self.masks(ray_idx)
         if direction > 0:
-            step, want_chirality, sinks = group.head_rows, (1, 0), ss.masks.sink30
+            step, want_chirality, sinks = group.head_rows, (1, 0), masks.sink30
             spokes, other = outs, ins
         else:
-            step, want_chirality, sinks = group.tail_rows, (0, 1), ss.masks.sink03
+            step, want_chirality, sinks = group.tail_rows, (0, 1), masks.sink03
             spokes, other = ins, outs
         # the charges of this line's class: the two other spokes vanish, on
         # this line's side only
@@ -408,77 +436,41 @@ class QuiverAnalysis:
             if not on_line >> cur & 1:
                 raise InvalidSpokePattern(
                     f"line from {group.characters[source]} ({orientation},{direction}) "
-                    f"hits {self.vertex_class(ss.ray_index, cur)} at {group.characters[cur]}"
+                    f"hits {self.vertex_class(ray_idx, cur)} at {group.characters[cur]}"
                 )
         raise WalkDiverged(f"line from {group.characters[source]} exceeded {group.order} steps")
 
-    def _detect_shape(self, ss: SinkSourceGraph) -> None:
-        sources = ss.sources
-        sink03s = ss.sink03_vertices()
-        if sink03s != [0]:  # the trivial character's position
-            raise ShapeUnrecognized(
-                f"ray {ss.ray_index}: (0,3)-sinks are "
-                f"{[self.group.characters[k] for k in sink03s]}, expected the trivial character"
-            )
-
-        kinds = sorted(self.vertex_class(ss.ray_index, s).bidegree for s in sources)
-        if kinds == [(3, 3)]:  # one (3,3)-source
-            ss.shape = "A"
-            self._lengths_a(ss)
-        elif kinds == [(1, 2), (2, 1)]:
-            ss.shape = "B"
-            self._lengths_b(ss)
-        elif kinds == [(2, 1)] * 3:
-            ss.shape = "C"
-            self._lengths_c(ss)
-        else:
-            raise ShapeUnrecognized(
-                f"ray {ss.ray_index}: source pattern {kinds} matches no shape"
-            )
-
     # -- shape lengths ---------------------------------------------------------
 
-    def _line_table(self, ss: SinkSourceGraph) -> tuple[dict, dict]:
-        """The (0,1)-lines into the trivial character keyed by orientation,
-        and the (1,0)-lines keyed by (source, orientation)."""
-        back, fwd = {}, {}
-        for line in ss.lines:
-            if line.chirality == (0, 1):
-                if line.orientation in back:
-                    raise ShapeUnrecognized(
-                        f"two backward {line.orientation}-lines on ray {ss.ray_index}"
-                    )
-                back[line.orientation] = line
-            else:
-                fwd[line.source, line.orientation] = line
-        return back, fwd
-
-    def _lengths_a(self, ss: SinkSourceGraph) -> None:
-        back, fwd = self._line_table(ss)
-        (source,) = ss.sources
+    def _lengths(self, ray_idx: int, shape: str, emitters, back: dict, fwd: dict) -> dict:
+        """The shape's length record from the backward lines by orientation
+        and the forward lines by (source, orientation); emitters pairs each
+        source with its class.  The sources of every shape emit three
+        backward lines, no two alike: one along each orientation."""
         a, b, c = (back[o].length for o in VARIABLES)
-        if any(fwd[source, o].length != back[o].length for o in VARIABLES):
-            raise ShapeUnrecognized(
-                f"forward and backward line lengths differ on ray {ss.ray_index}"
-            )
-        ss.lengths = {"a": a, "b": b, "c": c}
-
-    def _lengths_b(self, ss: SinkSourceGraph) -> None:
-        back, fwd = self._line_table(ss)
-        # the (1,2)-source emits two backward lines, the (2,1)-source one
-        ri = ss.ray_index
-        first, second = sorted(ss.sources, key=lambda s: self.vertex_class(ri, s).bidegree)
-        axis = self.vertex_class(ri, second).orientation
-        if self.vertex_class(ri, first).orientation != axis:
-            raise ShapeUnrecognized(
-                f"ray {ss.ray_index}: the two sources disagree on the axis"
-            )
+        if shape == "A":
+            if any(line.length != back[o].length for (_, o), line in fwd.items()):
+                raise ShapeUnrecognized(
+                    f"forward and backward line lengths differ on ray {ray_idx}"
+                )
+            return {"a": a, "b": b, "c": c}
+        if shape == "C":
+            # the forward p-line of the source of the backward o-line: each
+            # source emits one backward line and forward lines on the others
+            chords = [(o, p) for o in VARIABLES for p in VARIABLES if o != p]
+            return {
+                "a": a, "b": b, "c": c,
+                "fwd": {f"{o}->{p}": fwd[back[o].source, p].length for o, p in chords},
+            }
+        # the (1,2)-source emits the two backward lines off the axis, the
+        # (2,1)-source the one along it
+        (first, _), (second, cls) = sorted(emitters, key=lambda e: e[1].bidegree)
+        axis = cls.orientation
         o1, o2 = [o for o in VARIABLES if o != axis]
-        a, b, c = back[o1].length, back[o2].length, back[axis].length
         a1 = self._steps_until(first, o1, set(fwd[second, o2].vertices))
         b1 = self._steps_until(first, o2, set(fwd[second, o1].vertices))
-        ss.lengths = {"a": a, "b": b, "c": c, "a1": a1, "b1": b1,
-                      "orientations": [o1, o2, axis]}
+        return {"a": back[o1].length, "b": back[o2].length, "c": back[axis].length,
+                "a1": a1, "b1": b1, "orientations": [o1, o2, axis]}
 
     def _steps_until(self, start: int, orientation: str, targets: set) -> int:
         """Forward steps from a vertex until first landing on a target vertex."""
@@ -492,27 +484,6 @@ class QuiverAnalysis:
             f"no target reached from {self.group.characters[start]} along {orientation}"
         )
 
-    def _lengths_c(self, ss: SinkSourceGraph) -> None:
-        back, lines = self._line_table(ss)
-        a, b, c = (back[o].length for o in VARIABLES)
-        # the length of the forward p-line emitted by the source of the o-line
-        fwd = {
-            (o, p): line.length
-            for (s, p), line in lines.items()
-            for o in VARIABLES
-            if back[o].source == s
-        }
-        # the two forward lines of each source have the other two orientations
-        expected = {(o, p) for o in VARIABLES for p in VARIABLES if o != p}
-        if set(fwd) != expected:
-            raise ShapeUnrecognized(
-                f"ray {ss.ray_index}: forward lines {sorted(fwd)} are not the six chords"
-            )
-        ss.lengths = {
-            "a": a, "b": b, "c": c,
-            "fwd": {f"{o}->{p}": v for (o, p), v in sorted(fwd.items())},
-        }
-
 
 def _bits(mask: int):
     """The indices of the set bits of a nonnegative integer, ascending."""
@@ -524,7 +495,7 @@ def _bits(mask: int):
 
 def shape_lengths(ss: SinkSourceGraph) -> dict:
     """The shape-specific length record of a recognized sink-source graph."""
-    if ss.shape is None or ss.lengths is None:
+    if ss.lengths is None:
         raise ShapeUnrecognized(f"ray {ss.ray_index} has no recognized shape")
     return dict(ss.lengths)
 

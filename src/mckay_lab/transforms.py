@@ -11,8 +11,8 @@ exceptional locus.
 The degree-0 supports of all characters come from one sweep over the
 bitmasks of vanishing arrows per ray (``QuiverAnalysis.h0_loci``), the
 degree -1 supports from one sweep over each ray's source mask
-(``QuiverAnalysis.h1_loci``), and two cells meet when their rays span a
-face of the fan.
+(``QuiverAnalysis.h1_loci``), and two cells meet when one maximal cone of
+the fan holds the rays of both.
 """
 
 from __future__ import annotations
@@ -107,20 +107,26 @@ def _require_nontrivial_locus(fan: GHilbFan) -> None:
         raise NoExceptionalLocus("the trivial group has no exceptional locus")
 
 
-def _cell_rays(cell: Cell) -> tuple[int, ...]:
-    return (cell[1],) if cell[0] == "divisor" else cell[1]
+def _cones_at(fan: GHilbFan, cell: Cell) -> tuple[int, ...]:
+    """The maximal cones holding the rays of a cell."""
+    return fan.cones_at_ray[cell[1]] if cell[0] == "divisor" else fan.edges[cell[1]]
 
 
 def _is_connected(fan: GHilbFan, cells) -> bool:
     """Connectivity of a cell set under nonempty scheme intersection: two
-    cells meet when their rays together span a ray, an edge or a cone."""
-    if not cells:
+    cells meet exactly when one maximal cone holds the rays of both, so the
+    search steps from a cell through the cones next to it."""
+    if len(cells) < 2:
         return True
+    at_cone: dict[int, list[Cell]] = {}
+    for cell in cells:
+        for ci in _cones_at(fan, cell):
+            at_cone.setdefault(ci, []).append(cell)
     stack, seen = [cells[0]], {cells[0]}
     while stack:
-        rays = set(_cell_rays(stack.pop()))
-        for cell in cells:
-            if cell not in seen and fan.is_face(rays | set(_cell_rays(cell))):
-                seen.add(cell)
-                stack.append(cell)
+        for ci in _cones_at(fan, stack.pop()):
+            for cell in at_cone.pop(ci, ()):
+                if cell not in seen:
+                    seen.add(cell)
+                    stack.append(cell)
     return len(seen) == len(set(cells))

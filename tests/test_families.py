@@ -1,5 +1,6 @@
 """The engine's fans against the closed-form families of tests/families.py:
-the same cones, and the wall relation across every line edge."""
+the same cones, and the relation of the third rays across every line edge
+and every interior spoke."""
 
 import pytest
 
@@ -22,11 +23,11 @@ def edge_thirds(cones):
 
 def check_family(juniors, cone_rays, family):
     """Fail, naming the edge, where the cones (ray-index triples into the
-    scaled junior points) break the family's wall relation or leave its
-    cones."""
+    scaled junior points) break one of the family's wall or spoke relations
+    or leave its cones."""
     assert sorted(juniors) == sorted(family.rays), "the junior points differ"
     got = edge_thirds([[juniors[i] for i in cone] for cone in cone_rays])
-    for (p, q), (a, b) in family.walls.items():
+    for (p, q), (a, b) in [*family.walls.items(), *family.spokes.items()]:
         thirds = got.get((p, q), [])
         assert len(thirds) == 2, f"edge {(p, q)}: third rays {thirds}, not two"
         total = tuple(map(sum, zip(*thirds)))
@@ -51,6 +52,13 @@ def test_the_line_family_has_a_wall_relation_on_every_line_edge():
     """r//2 line edges, from the corner z on: 900 relations for r <= 60."""
     assert all(len(line_family(r).walls) == r // 2 for r in range(2, 61))
     assert sum(len(line_family(r).walls) for r in range(2, 61)) == 900
+
+
+def test_the_line_family_has_a_spoke_relation_on_every_interior_spoke():
+    """r - 2 spokes from x and y for even r, r - 1 for odd r: 1740 relations
+    for 3 <= r <= 60."""
+    assert all(len(line_family(r).spokes) == r - 2 + r % 2 for r in range(3, 61))
+    assert sum(len(line_family(r).spokes) for r in range(3, 61)) == 1740
 
 
 @pytest.mark.parametrize(
@@ -87,6 +95,20 @@ def test_a_moved_wall_coefficient_fails_and_names_its_edge(r, k):
     edge = list(fam.walls)[k]
     a, b = fam.walls[edge]
     fam.walls[edge] = (a + 1, b)
+    with pytest.raises(AssertionError) as caught:
+        check_family(group.juniors, build_fan(group).cone_rays, fam)
+    assert str(caught.value).startswith(f"edge {edge}: g + g'")
+
+
+@pytest.mark.parametrize("r, k", [(9, 0), (9, 6), (9, 7), (12, 9)])
+def test_a_moved_spoke_coefficient_fails_and_names_its_edge(r, k):
+    """Spokes 6 and 7 of r = 9 are (x, p_4) and (y, p_4), at the last
+    point of odd r."""
+    fam = line_family(r)
+    group = parse_group_spec(fam.spec)
+    edge = list(fam.spokes)[k]
+    a, b = fam.spokes[edge]
+    fam.spokes[edge] = (a, b + 1)
     with pytest.raises(AssertionError) as caught:
         check_family(group.juniors, build_fan(group).cone_rays, fam)
     assert str(caught.value).startswith(f"edge {edge}: g + g'")

@@ -155,7 +155,7 @@ def test_boundary_divisor_gets_classes_only(p4):
     assert ss.masks == p4.qa.class_masks(q)
     # every vertex of Q is a charge
     assert ss.masks == (0, 0, 0, 0b1111)
-    assert ss.lines == []
+    assert ss.lines == ()
     assert ss.shape is None and ss.lengths is None
 
 

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 
 from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec
 from mckay_lab.errors import InvalidSpokePattern, MultiplicityOutOfRange, ShapeUnrecognized
-from mckay_lab.quiver import SinkSourceGraph, _bits
+from mckay_lab.groups import VARIABLES
+from mckay_lab.quiver import _bits
 
 from conftest import RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from golden import check as golden
@@ -182,15 +183,78 @@ def test_a_mixed_spoke_pattern_raises_at_the_loops_vertex():
 def test_three_12_sources_name_their_pattern(p4):
     """Three (1,2)-sources and the (0,3)-sink at the trivial character make
     no shape: each (1,2)-source emits two backward lines, so the pattern is
-    rejected by name, not by a clash of backward lines."""
+    rejected by name, not by a clash of backward lines, and no graph is
+    kept."""
     p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     qa = QuiverAnalysis(p4.fan)
     # the trivial character's three in-arrows vanish, and one in-arrow of
     # each other vertex: the x-, y- and z-arrow into positions 1, 2 and 3
     qa._masks[p] = (0, 0, 0), (0b0011, 0b0101, 0b1001)
-    ss = SinkSourceGraph(ray_index=p, masks=qa.class_masks(p))
-    assert ss.sources == [1, 2, 3] and ss.sink03_vertices() == [0]
+    masks = qa.class_masks(p)
+    assert list(_bits(masks.sources)) == [1, 2, 3] and masks.sink03 == 0b0001
     pattern = r"source pattern \[\(1, 2\), \(1, 2\), \(1, 2\)\] matches no shape"
     with pytest.raises(ShapeUnrecognized, match=pattern):
-        qa._detect_shape(ss)
-    assert ss.shape is None
+        qa.sink_source_graph(p)
+    assert p not in qa._graphs
+
+
+def _moved_out_spoke(qa, ri, k, to):
+    """The ray's masks with the vanishing out-spoke of the (2,1)-source at
+    position k moved to orientation `to`."""
+    outs, ins = qa.masks(ri)
+    outs = tuple(m & ~(1 << k) for m in outs)
+    return tuple(m | 1 << k if o == to else m for o, m in zip(VARIABLES, outs)), ins
+
+
+def test_shape_b_sources_on_two_axes_clash_on_a_backward_line(p4):
+    """The (1,2)-source at P emits backward x- and y-lines; moving the
+    (2,1)-source's out-spoke from the axis z to x makes it emit a second
+    backward x-line, rejected before it is walked."""
+    p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    qa = QuiverAnalysis(p4.fan)
+    first, second = qa.sink_source_graph(p).sources
+    assert qa.vertex_class(p, first).bidegree == (1, 2)
+    assert qa.vertex_class(p, second).label() == "z-(2,1)-source"
+    qa = QuiverAnalysis(p4.fan)
+    qa._masks[p] = _moved_out_spoke(qa, p, second, "x")
+    assert qa.vertex_class(p, second).label() == "x-(2,1)-source"
+    with pytest.raises(ShapeUnrecognized, match=f"^two backward x-lines on ray {p}$"):
+        qa.sink_source_graph(p)
+
+
+def test_shape_c_sources_sharing_an_orientation_clash_on_a_backward_line(p33):
+    """Of the three (2,1)-sources of the shape-C divisor, the second takes
+    the out-spoke orientation of the first: the two backward lines clash."""
+    center = p33.ray((Fraction(1, 3),) * 3)
+    qa = QuiverAnalysis(p33.fan)
+    first, second, _ = qa.sink_source_graph(center).sources
+    orientation = qa.vertex_class(center, first).orientation
+    assert qa.vertex_class(center, second).orientation != orientation
+    qa = QuiverAnalysis(p33.fan)
+    qa._masks[center] = _moved_out_spoke(qa, center, second, orientation)
+    assert qa.class_masks(center).sources.bit_count() == 3
+    with pytest.raises(
+        ShapeUnrecognized, match=f"^two backward {orientation}-lines on ray {center}$"
+    ):
+        qa.sink_source_graph(center)
+
+
+def test_shape_a_rejects_a_forward_line_shorter_than_its_backward_one():
+    """On the shape-A divisor of 1/5(1,1,3) the z-lines have length 2 both
+    ways; making the forward z-line's inner vertex a (3,0)-sink ends that
+    line one step early, while every charge left is still on one line."""
+    fan = build_fan(parse_group_spec("5:1,1,3"))
+    qa = QuiverAnalysis(fan)
+    (ri,) = (ri for ri in fan.group.interior_ray_indices
+             if qa.sink_source_graph(ri).shape == "A")
+    (line,) = (line for line in qa.sink_source_graph(ri).lines
+               if line.chirality == (1, 0) and line.length == 2)
+    (inner,) = line.vertices[1:-1]
+    qa = QuiverAnalysis(fan)
+    outs, ins = qa.masks(ri)
+    qa._masks[ri] = tuple(m | 1 << inner for m in outs), ins
+    assert qa.vertex_class(ri, inner).label() == "(3,0)-sink"
+    with pytest.raises(
+        ShapeUnrecognized, match=f"^forward and backward line lengths differ on ray {ri}$"
+    ):
+        qa.sink_source_graph(ri)

@@ -5,7 +5,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mckay_lab.ghilb
 import mckay_lab.reid
@@ -82,8 +82,11 @@ def test_multi_curve_divisors_from_curve_ends_match_the_ray_scan(group):
 
 @settings(max_examples=20, deadline=None)
 @given(small_groups)
-def test_connectivity_by_faces_matches_the_cone_scan(group):
-    """On every support, and on every pair of divisor and curve cells."""
+@example(parse_group_spec("72:1,1,70"))
+def test_connectivity_through_the_cones_matches_the_cone_scan(group):
+    """On every support, and on every pair of divisor and curve cells; by
+    example on 1/72(1,1,70), whose trivial character is supported on all 36
+    exceptional divisors."""
     assume(group.order > 1)
     fan = build_fan(group)
     qa = QuiverAnalysis(fan)
