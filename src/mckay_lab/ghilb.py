@@ -21,9 +21,10 @@ ray-index pair) that no second found cone has closed yet: one flip per new
 cluster.  A flip moves only some of the representatives; it carries the sum
 S forward by the moved amount instead of re-summing the row, and the tail
 table is checked only at the moved positions and their heads, where alone a
-comparison can change (the seed is checked at every position).  The flip's
-carving vector is not kept: the fan computes each interior edge's vector
-again, from its two rays.
+comparison can change (the seed is checked at every position).  A wall's
+carving vector is the dual basis vector of its cone (dual_vector), one cross
+product divided exactly by n: the flip and the fan each take it so, and no
+monomial's character is looked up.
 The fan is then validated as a unimodular triangulation, each chart is
 checked against the table at its three rays by the same height identity, and
 the fan derives its integer facts once.  The whole path runs on integers: a
@@ -44,7 +45,7 @@ from .errors import (
     UnknownCone,
 )
 from .groups import Character, GroupData, Monomial, MONO_ONE, WeightVector, mono_str
-from .intlin import cross3, det3, dot3, primitive_signed
+from .intlin import cross3, det3, dot3
 
 
 class GGraph:
@@ -187,11 +188,11 @@ class GHilbFan:
         self._validate()
         DivisorCoefficients(self)
         self.carving_vectors: dict[tuple[int, int], tuple[int, int, int]] = {}
+        n = group.order
         for i, j in self.interior_edges:
-            w = invariant_perpendicular(group, scaled[i], scaled[j])
-            first = self.edges[i, j][0]
-            (far,) = set(self.cone_rays[first]) - {i, j}  # w is not 0 there: unimodular
-            self.carving_vectors[i, j] = w if dot3(scaled[far], w) > 0 else tuple(-v for v in w)
+            a, b, c = self.cone_rays[self.edges[i, j][0]]
+            far = a + b + c - i - j  # the first cone's third ray
+            self.carving_vectors[i, j] = dual_vector(n, scaled[i], scaled[j], scaled[far])
 
     # -- lookups ------------------------------------------------------------
 
@@ -247,22 +248,20 @@ class GHilbFan:
 
     def _validate_link(self, ray_idx: int, on_boundary: bool) -> None:
         """The triangles around a vertex must close into a disc (or half-disc)."""
-        cones_here = self.cones_at_ray[ray_idx]
-        degree: dict[int, int] = {}
-        for ci in cones_here:
-            for other in self.cone_rays[ci]:
-                if other != ray_idx:
-                    degree[other] = degree.get(other, 0) + 1
-        odd = [v for v, d in degree.items() if d == 1]
-        bad = [v for v, d in degree.items() if d > 2]
-        if bad or (len(odd) != 0 if not on_boundary else len(odd) != 2):
+        # the link graph: a vertex's degree is the number of cones that hold it
+        adjacency: dict[int, list[int]] = {}
+        for ci in self.cones_at_ray[ray_idx]:
+            a, b, c = self.cone_rays[ci]
+            if a == ray_idx:
+                a = c
+            elif b == ray_idx:
+                b = c
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        degrees = [len(nbrs) for nbrs in adjacency.values()]
+        if max(degrees) > 2 or degrees.count(1) != (2 if on_boundary else 0):
             raise FanValidationFailed(f"bad vertex link at ray {self.group.junior_points[ray_idx]}")
         # single component: walk the link graph
-        adjacency: dict[int, list[int]] = {v: [] for v in degree}
-        for ci in cones_here:
-            a, b = [v for v in self.cone_rays[ci] if v != ray_idx]
-            adjacency[a].append(b)
-            adjacency[b].append(a)
         seen = set()
         stack = [next(iter(adjacency))]
         while stack:
@@ -271,7 +270,7 @@ class GHilbFan:
                 continue
             seen.add(v)
             stack.extend(adjacency[v])
-        if seen != set(adjacency):
+        if len(seen) != len(adjacency):
             raise FanValidationFailed(f"disconnected link at {self.group.junior_points[ray_idx]}")
 
 
@@ -287,16 +286,23 @@ def seed_ggraph(group: GroupData) -> GGraph:
     return GGraph(group, group.lifts)
 
 
-def invariant_perpendicular(group: GroupData, e, f) -> tuple[int, int, int]:
-    """Primitive invariant-lattice vector perpendicular to two scaled junior
-    points n*e and n*f: the direction of the flip across their wall and the
-    fan's carving vector of their edge.
+def dual_vector(n: int, e, f, g) -> tuple[int, int, int]:
+    """The carving vector t of the wall (e, f) of the cone (e, f, g), all
+    three scaled junior points n*e: zero on e and f, and t.g = n.
 
-    Sign is lexicographic; callers orient as needed.
+    The rays of a unimodular cone are a basis of L, so d = det(e, f, g) is
+    +-n^2, and t is the dual basis vector n*(e x f)/d: an integer vector of
+    M, the cross product divided exactly by n with the sign of d, and
+    primitive, since it pairs to 1 with the point g/n of L.
     """
-    u = primitive_signed(cross3(e, f))
-    order = group.character_order(group.kappa(u))
-    return tuple(w * order for w in u)
+    c0, c1, c2 = cross3(e, f)
+    d = c0 * g[0] + c1 * g[1] + c2 * g[2]
+    if d == 0:
+        raise LowerDimensionalCone(f"wall {(e, f)} is not a facet of a cone with third ray {g}")
+    if d != n * n and d != -n * n:
+        raise FanValidationFailed(f"non-unimodular cone {(e, f, g)}")
+    q = n if d > 0 else -n
+    return (c0 // q, c1 // q, c2 // q)
 
 
 def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
@@ -304,18 +310,14 @@ def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
     g its third ray, all three as scaled junior points n*e.
 
     Every representative r moves by the largest power k of the wall's
-    carving direction t (positive on g) that keeps it a regular monomial,
-    k = min r_i // -t_i over the one or two t_i < 0: smaller shifts fail to
-    generate on the far chart because t has negative valuation there.  The
-    new cluster gets its sum S as the old one plus (sum of the k) * t, and is
-    checked only at the positions with k != 0 and their heads.
+    carving vector t (dual_vector, positive on g) that keeps it a regular
+    monomial, k = min r_i // -t_i over the one or two t_i < 0: smaller
+    shifts fail to generate on the far chart because t has negative
+    valuation there.  The new cluster gets its sum S as the old one plus
+    (sum of the k) * t, and is checked only at the positions with k != 0
+    and their heads.
     """
-    t = invariant_perpendicular(group, e, f)
-    side = dot3(g, t)
-    if side < 0:
-        t = tuple(-v for v in t)
-    elif side == 0:
-        raise LowerDimensionalCone(f"wall {(e, f)} is not a facet of a cone with third ray {g}")
+    t = dual_vector(group.order, e, f, g)
     negative = [(i, -v) for i, v in enumerate(t) if v < 0]
     if not negative:
         raise SearchExhausted(f"unbounded shift across facet {(e, f)}")
@@ -353,20 +355,21 @@ def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
     found: dict[tuple, GGraph] = {}
     open_walls: set[tuple[int, int]] = set()
 
-    def add(graph: GGraph) -> tuple[int, int, int]:
+    def add(graph: GGraph):
+        """Keep a found cluster; return its cone and the cone's interior walls."""
         cone = cone_of_ggraph(group, graph)
         found[graph.row] = graph
         if len(found) > n:
             raise SearchExhausted(f"more than {n} clusters reached by wall crossing")
-        open_walls.symmetric_difference_update(wall for wall, _ in _interior_walls(cone, scaled))
-        return cone
+        walls = list(_interior_walls(cone, scaled))
+        open_walls.symmetric_difference_update(wall for wall, _ in walls)
+        return cone, walls
 
     seed = seed_ggraph(group)
-    add(seed)
-    queue = [seed]
+    queue = [(seed, add(seed)[1])]
     while queue:
-        graph = queue.pop()
-        for wall, g in _interior_walls(graph._cone_rays, scaled):
+        graph, walls = queue.pop()
+        for wall, g in walls:
             if wall not in open_walls:
                 continue  # closed by a cone found since
             neighbor = flip_ggraph(group, graph, scaled[wall[0]], scaled[wall[1]], scaled[g])
@@ -374,13 +377,13 @@ def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
                 raise InconsistentCharts(
                     f"the flip across wall {wall} reaches {neighbor}, already found"
                 )
-            far = add(neighbor)
+            far, far_walls = add(neighbor)
             if wall in open_walls:
                 raise InconsistentCharts(
                     f"the flip across wall {wall} reaches {neighbor}, whose cone "
                     f"{far} does not have the wall"
                 )
-            queue.append(neighbor)
+            queue.append((neighbor, far_walls))
     if len(found) != n:
         raise SearchExhausted(f"found {len(found)} clusters, expected {n}")
     return list(found.values())

@@ -171,13 +171,16 @@ class GroupData:
         self._by_residues = dict(zip(keys, self.characters))
         self.index = {chi: k for k, chi in enumerate(self.characters)}
         position = dict(zip(keys, range(n)))
-        steps = [[(w[o], r) for r, w in gens] for o in range(3)]
-
-        def head(key, step):
-            return position[tuple([(a + s) % r for a, (s, r) in zip(key, step)])]
-
+        # per variable, every key shifted by it, one residue column per
+        # generator (with no generator every key is ()); the lookups run in
+        # row order, so a miss names the first missing head
+        columns = list(zip(*keys))
+        shifted = [
+            list(zip(*[[(a + w[o]) % r for a in col] for col, (r, w) in zip(columns, gens)])) or keys
+            for o in range(3)
+        ]
         try:
-            self.head_rows = tuple(tuple([head(key, s) for s in steps]) for key in keys)
+            self.head_rows = tuple(zip(*[map(position.__getitem__, c) for c in shifted]))
         except KeyError as exc:
             raise InconsistentGroup(f"head {exc} not among the {n} lifted characters") from None
         tails = [[0, 0, 0] for _ in self.characters]

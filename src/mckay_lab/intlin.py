@@ -7,8 +7,6 @@ of rows, so the implementations favour clarity over asymptotics.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 Vec3 = tuple  # length-3 tuple of ints
 
@@ -26,23 +24,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
-
-
-def primitive(v: Vec3) -> Vec3:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = gcd(*v)
-    if g == 0:
-        return tuple(v)
-    return tuple(a // g for a in v)
-
-
-def primitive_signed(v: Vec3) -> Vec3:
-    """Primitive vector with the first nonzero entry positive."""
-    w = primitive(v)
-    for a in w:
-        if a:
-            return w if a > 0 else tuple(-b for b in w)
-    return w
 
 
 def dot3(u: Vec3, v: Vec3):

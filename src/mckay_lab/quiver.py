@@ -494,10 +494,12 @@ def _bits(mask: int):
 
 
 def shape_lengths(ss: SinkSourceGraph) -> dict:
-    """The shape-specific length record of a recognized sink-source graph."""
+    """The shape-specific length record of a recognized sink-source graph,
+    a copy down to its `fwd` and `orientations`: no caller writes into the
+    memoized graph's record."""
     if ss.lengths is None:
         raise ShapeUnrecognized(f"ray {ss.ray_index} has no recognized shape")
-    return dict(ss.lengths)
+    return {k: v.copy() if isinstance(v, (dict, list)) else v for k, v in ss.lengths.items()}
 
 
 def quiver_counts(group: GroupData) -> dict[str, int]:

@@ -4,13 +4,30 @@ algorithms, used to compute and freeze expected values."""
 import json
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 
 from mckay_lab.errors import DegenerateCone, MultiplicityOutOfRange, NotInLattice, NotInSL3
-from mckay_lab.ghilb import invariant_perpendicular
 from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides, mono_str
-from mckay_lab.intlin import cross3, det3, dot3, primitive, primitive_signed
+from mckay_lab.intlin import cross3, det3, dot3
 from mckay_lab.quiver import _classify_pattern
 from mckay_lab.serialize import FAN_FORMAT
+
+
+def primitive(v):
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = gcd(*v)
+    if g == 0:
+        return tuple(v)
+    return tuple(a // g for a in v)
+
+
+def primitive_signed(v):
+    """Primitive vector with the first nonzero entry positive."""
+    w = primitive(v)
+    for a in w:
+        if a:
+            return w if a > 0 else tuple(-b for b in w)
+    return w
 
 
 def mono_degree(m):
@@ -446,6 +463,16 @@ def extreme_rays_dd(normals):
             if all(dot3(b, r) >= 0 for b in seen) and is_extreme(r)
         ]
     return rays
+
+
+def invariant_perpendicular(group, e, f):
+    """The primitive invariant-lattice vector perpendicular to two scaled
+    junior points n*e and n*f, by the group's characters: the primitive
+    integer vector u on the line, times the order of its character.  Its
+    sign is lexicographic; callers orient it."""
+    u = primitive_signed(cross3(e, f))
+    order = group.character_order(group.kappa(u))
+    return tuple(w * order for w in u)
 
 
 def stepped_flip(group, graph, e, f, g):

@@ -1,12 +1,13 @@
 """The engine's fans against the closed-form families of tests/families.py:
-the same cones, and the relation of the third rays across every line edge
-and every interior spoke."""
+the same cones, the relation of the third rays across every line edge and
+every interior spoke, and the fan's carving vector across every interior
+edge pairing to +n and -n with the edge's two third rays."""
 
 import pytest
 
 from mckay_lab import build_fan, parse_group_spec
 
-from families import line_family, surface_family
+from families import line_family, square_family, surface_family
 
 FAMILIES = [line_family, surface_family]
 
@@ -40,12 +41,39 @@ def check_family(juniors, cone_rays, family):
         )
 
 
+def check_carving_vectors(fan):
+    """Each interior edge's carving vector t pairs to n with the scaled third
+    ray of the edge's first cone and to -n with that of its second."""
+    n, scaled = fan.group.order, fan.group.juniors
+    assert len(fan.carving_vectors) == len(fan.interior_edges)
+    for (i, j), t in fan.carving_vectors.items():
+        pairs = []
+        for ci in fan.edges[i, j]:
+            (g,) = set(fan.cone_rays[ci]) - {i, j}
+            pairs.append(sum(a * b for a, b in zip(t, scaled[g])))
+        assert pairs == [n, -n], f"edge {(i, j)}: t = {t} pairs to {pairs}"
+
+
 @pytest.mark.parametrize("r", range(2, 61))
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 def test_build_fan_gives_the_closed_form_fan(family, r):
     fam = family(r)
     group = parse_group_spec(fam.spec)
-    check_family(group.juniors, build_fan(group).cone_rays, fam)
+    fan = build_fan(group)
+    check_family(group.juniors, fan.cone_rays, fam)
+    check_carving_vectors(fan)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_build_fan_gives_the_regular_tessellation(m):
+    """Z/m x Z/m: m^2 triangles, and g + g' = e + f across each of the
+    3m(m-1)/2 interior edges."""
+    fam = square_family(m)
+    assert len(fam.cones) == m * m and len(fam.walls) == 3 * m * (m - 1) // 2
+    group = parse_group_spec(fam.spec)
+    fan = build_fan(group)
+    check_family(group.juniors, fan.cone_rays, fam)
+    check_carving_vectors(fan)
 
 
 def test_the_line_family_has_a_wall_relation_on_every_line_edge():
@@ -109,6 +137,17 @@ def test_a_moved_spoke_coefficient_fails_and_names_its_edge(r, k):
     edge = list(fam.spokes)[k]
     a, b = fam.spokes[edge]
     fam.spokes[edge] = (a, b + 1)
+    with pytest.raises(AssertionError) as caught:
+        check_family(group.juniors, build_fan(group).cone_rays, fam)
+    assert str(caught.value).startswith(f"edge {edge}: g + g'")
+
+
+@pytest.mark.parametrize("m, k", [(4, 0), (4, 11), (6, 30)])
+def test_a_moved_square_wall_coefficient_fails_and_names_its_edge(m, k):
+    fam = square_family(m)
+    group = parse_group_spec(fam.spec)
+    edge = list(fam.walls)[k]
+    fam.walls[edge] = (1, 2)
     with pytest.raises(AssertionError) as caught:
         check_family(group.juniors, build_fan(group).cone_rays, fam)
     assert str(caught.value).startswith(f"edge {edge}: g + g'")

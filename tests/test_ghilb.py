@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +18,7 @@ from mckay_lab import (
 )
 from mckay_lab.errors import (
     BoundaryEdge,
+    FanValidationFailed,
     InconsistentCharts,
     LowerDimensionalCone,
     SearchExhausted,
@@ -26,6 +27,7 @@ from mckay_lab.errors import (
 from mckay_lab.ghilb import (
     GGraph,
     GHilbFan,
+    dual_vector,
     flip_ggraph,
     seed_ggraph,
 )
@@ -40,6 +42,7 @@ from oracles import (
     extreme_rays_clipped,
     extreme_rays_dd,
     ggraph_inequalities,
+    invariant_perpendicular,
     is_cluster_by_kappa,
     minimal_monomial_normals,
     naive_ggraphs,
@@ -408,10 +411,10 @@ def test_flip_fault_on_its_delta_is_exhausted(monkeypatch, at_head):
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
-def test_fan_build_calls_kappa_for_seed_and_carving_only(monkeypatch, spec):
-    """Flipped clusters are checked by the tail table, cones by the arrow
-    table, the seed by the head table: the carving vectors are kappa's only
-    caller."""
+def test_fan_build_makes_no_kappa_call(monkeypatch, spec):
+    """Flipped clusters are checked by the tail table, cones by the height
+    scan, the seed by the head table, and every carving vector is a cone's
+    dual basis vector: building the fan asks no monomial for its character."""
     group = parse_group_spec(spec)
     callers = []
     kappa = GroupData.kappa
@@ -422,7 +425,7 @@ def test_fan_build_calls_kappa_for_seed_and_carving_only(monkeypatch, spec):
 
     monkeypatch.setattr(GroupData, "kappa", counted)
     build_fan(group)
-    assert set(callers) == {"invariant_perpendicular"}
+    assert callers == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -540,27 +543,87 @@ def test_flip_matches_stepping(group):
             assert flipped.row == stepped_flip(group, fan.ggraphs[ci], e, f, g)
 
 
-def test_unbounded_flip_is_exhausted(monkeypatch, p3):
-    """A carving direction with no negative entry exhausts the search, and
-    so does a shift that leaves no cluster (here a one-monomial row)."""
+@settings(max_examples=20, deadline=None)
+@given(small_groups)
+@example(parse_group_spec("72:1,1,70"))
+@example(parse_group_spec("8:1,7,0+8:0,1,7"))
+@example(parse_group_spec("4:0,2,2"))
+def test_dual_vectors_are_the_invariant_perpendiculars(group):
+    """The closed-form carving vector of every interior wall of every cone
+    is the primitive invariant vector perpendicular to the wall, found by
+    the group's characters, oriented positive on the cone's third ray; the
+    fan's table holds it oriented on the far ray of the edge's first cone."""
+    fan = build_fan(group)
+    n, scaled = group.order, group.juniors
+
+    def oriented(i, j, g):
+        t = invariant_perpendicular(group, scaled[i], scaled[j])
+        return t if dot3(scaled[g], t) > 0 else tuple(-v for v in t)
+
+    for triple in fan.cone_rays:
+        for i, j in combinations(triple, 2):
+            if (i, j) in fan.carving_vectors:
+                (g,) = set(triple) - {i, j}
+                assert dual_vector(n, scaled[i], scaled[j], scaled[g]) == oriented(i, j, g)
+    for (i, j), t in fan.carving_vectors.items():
+        (g,) = set(fan.cone_rays[fan.edges[i, j][0]]) - {i, j}
+        assert t == oriented(i, j, g)
+
+
+def test_dual_vector_guards(p3):
+    """On 1/3(1,1,1): a third ray in the wall's plane is no cone, in the
+    flip as well, and the corner cone (x, y, z), with |det| = 27, not 9, is
+    not unimodular."""
+    center, x, y, z = (1, 1, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3)
+    with pytest.raises(LowerDimensionalCone, match="is not a facet of a cone"):
+        dual_vector(3, y, z, y)
+    with pytest.raises(LowerDimensionalCone, match="is not a facet of a cone"):
+        flip_ggraph(p3.group, p3.fan.ggraphs[0], center, y, center)
+    with pytest.raises(FanValidationFailed, match="non-unimodular cone"):
+        dual_vector(3, x, y, z)
+
+
+@pytest.mark.parametrize(
+    "cones, on_boundary, message",
+    [
+        ([(0, 1, 2), (0, 2, 3), (0, 3, 1)], False, None),  # a disc
+        ([(0, 1, 2), (0, 2, 3)], True, None),  # a half-disc
+        ([(0, 1, 2), (0, 2, 3)], False, "bad vertex link"),  # an interior path
+        ([(0, 1, 2), (0, 2, 3), (0, 3, 1)], True, "bad vertex link"),  # a boundary cycle
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], True, "bad vertex link"),  # an edge in three cones
+        ([(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5), (0, 5, 6), (0, 6, 4)], False,
+         "disconnected link"),
+    ],
+)
+def test_vertex_links_must_close(p3, cones, on_boundary, message):
+    """The cones at a vertex, here ray 0, must form one cycle of link
+    vertices around an interior vertex and one path around a boundary one."""
     from types import SimpleNamespace
 
-    from mckay_lab import ghilb
+    fan = SimpleNamespace(group=p3.group, cone_rays=cones, cones_at_ray=[range(len(cones))])
+    if message is None:
+        GHilbFan._validate_link(fan, 0, on_boundary)
+    else:
+        with pytest.raises(FanValidationFailed, match=message):
+            GHilbFan._validate_link(fan, 0, on_boundary)
 
-    center, y, z = (
-        WeightVector(tuple(Fraction(c) for c in coords))
-        for coords in ((Fraction(1, 3),) * 3, (0, 1, 0), (0, 0, 1))
-    )
-    cone = (center, y, z)  # the facet (center, y) is positive on z
-    graph = p3.fan.ggraphs[p3.fan.cone_index(cone)]
-    scaled = (center.scaled(3), y.scaled(3), z.scaled(3))  # the wall, then z
-    monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (1, 1, 1))
+
+def test_unbounded_flip_is_exhausted(p3):
+    """A carving vector with no negative entry exhausts the search: in
+    1/3(1,1,1) the boundary wall (y, z), with the centre as third ray, has
+    t = (3, 0, 0).  So does a shift that leaves no cluster (here a
+    one-monomial row across the wall (centre, y) of the cone with z)."""
+    from types import SimpleNamespace
+
+    center, y, z = (1, 1, 1), (0, 3, 0), (0, 0, 3)
+    graph = p3.fan.ggraphs[0]
+    assert dual_vector(3, y, z, center) == (3, 0, 0)
     with pytest.raises(SearchExhausted, match="unbounded shift"):
-        flip_ggraph(p3.group, graph, *scaled)
-    monkeypatch.setattr(ghilb, "invariant_perpendicular", lambda group, e, f: (-1, 1, 1))
+        flip_ggraph(p3.group, graph, y, z, center)
+    assert dual_vector(3, center, y, z) == (-1, 0, 1)
     far = SimpleNamespace(row=((3 * 3 + 1, 0, 0),), total=(3 * 3 + 1, 0, 0))
-    with pytest.raises(SearchExhausted):
-        flip_ggraph(p3.group, far, *scaled)
+    with pytest.raises(SearchExhausted, match="exactly 3 monomials"):
+        flip_ggraph(p3.group, far, center, y, z)
 
 
 def coords_of(group, triple):

@@ -5,12 +5,10 @@ from mckay_lab.intlin import (
     det3,
     dot3,
     hnf_rows,
-    primitive,
-    primitive_signed,
     xgcd,
 )
 
-from oracles import rank_of
+from oracles import primitive, primitive_signed, rank_of
 
 ints = st.integers(min_value=-40, max_value=40)
 

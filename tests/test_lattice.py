@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from mckay_lab import WeightVector, group_from_generators, parse_group_spec
 from mckay_lab.errors import DegenerateCone, NotInLattice
 from mckay_lab.groups import CORNERS as CORNER_COORDS
-from mckay_lab.intlin import primitive
 
 from conftest import REDUNDANT_PRESENTATIONS, RECTANGULAR_PRODUCTS, SQUARE_PRODUCTS, small_groups
 from oracles import (
@@ -17,6 +16,7 @@ from oracles import (
     in_lattice_by_pairing,
     is_invariant,
     junior_point,
+    primitive,
     valuation,
 )
 

@@ -71,6 +71,24 @@ def test_shape_lengths_accessor(p3, p4):
         shape_lengths(p4.qa.sink_source_graph(q_ray))
 
 
+def test_shape_lengths_cannot_write_into_the_memoized_graph(p4, p33):
+    """The record's nested `fwd` (shape C) and `orientations` (shape B) are
+    copies: writing into them leaves the memoized graph's record as it was."""
+    from copy import deepcopy
+
+    for pipe, coords, key in (
+        (p33, (f(1, 3),) * 3, "fwd"),
+        (p4, (f(1, 4), f(1, 4), f(1, 2)), "orientations"),
+    ):
+        ri = pipe.ray(coords)
+        before = deepcopy(pipe.qa.sink_source_graph(ri).lengths)
+        record = shape_lengths(pipe.qa.sink_source_graph(ri))
+        record[key].clear()
+        record["a"] = -1
+        assert pipe.qa.sink_source_graph(ri).lengths == before
+        assert before[key]
+
+
 def test_case3_shape_lengths_reported(p33):
     center = p33.ray((f(1, 3),) * 3)
     entry = divisor_entry(GroupVerification(p33.fan), center)
