@@ -1,4 +1,4 @@
-"""G-Hilb fan construction from torus-fixed clusters.
+"""G-Hilb fan construction from the group's divisor table.
 
 A cluster is a monomial set that is divisibility-closed, contains one
 monomial per character, and avoids multiples of xyz.  It is stored as a row,
@@ -7,29 +7,27 @@ table: each m/x_i must be the representative at the tail of the x_i-arrow
 into m's position, which by induction on degree gives both closure and every
 representative's character without computing one.
 
-The junior points and the divisor table belong to the group: per junior
-point e, n*q(chi, e) is the least (n*e).m over the monomials m of chi, and
-the row's sum is the height H(e) (GroupData.divisor_rows and heights).  A
-cluster's cone is read off the table (Nakamura; Craw-Reid): with S the sum
-of the cluster's monomials, (n*e).S >= H(e) at every junior point, term by
-term, with equality exactly when every representative is least on e, that is
-when e lies in the cone.  So one integer scan over the junior points finds
-the cone's rays as their indices, in lex order; it runs once per cluster and
-is kept on it.  All clusters are found from the seed, the group's lifts
-x^i y^j (the cluster of a generic weight), by crossing each interior wall (a
-ray-index pair) that no second found cone has closed yet: one flip per new
-cluster.  A flip moves only some of the representatives; it carries the sum
-S forward by the moved amount instead of re-summing the row, and the tail
-table is checked only at the moved positions and their heads, where alone a
-comparison can change (the seed is checked at every position).  A wall's
-carving vector is the dual basis vector of its cone (dual_vector), one cross
-product divided exactly by n: the flip and the fan each take it so, and no
-monomial's character is looked up.
-The fan is then validated as a unimodular triangulation, each chart is
-checked against the table at its three rays by the same height identity, and
-the fan derives its integer facts once.  The whole path runs on integers: a
-cone is its ascending ray-index triple, the `WeightVector`s are output
-views, and no `Fraction` is compared.
+The divisor table belongs to the group: per junior point e, n*q(chi, e) is
+the least (n*e).m over the monomials m of chi, and the row's sum is the
+height H(e) (GroupData.divisor_rows and heights).  With S the sum of a
+cluster's monomials, (n*e).S >= H(e) term by term, with equality exactly on
+the cluster's cone (Nakamura; Craw-Reid, math/9909085): the fan is the
+regular triangulation cut by the heights, each cone a face of the upper hull
+of the lifted junior points (e, H(e)).  The seed, the group's lifts x^i y^j,
+finds its cone by one scan of the junior points for the plane of its S.
+Every other cluster is reached, with its cone, by a hull step (cross_wall)
+across an interior wall (a ray-index pair) that no second found cone has
+closed yet: the far ray is read off the heights along one lattice line, and
+each representative moves by the multiple of the wall's carving vector
+(dual_vector, the cone's dual basis vector) that the table's row there
+fixes.  The step carries S forward by the moved amount, and the tail table
+is checked only at the moved positions and their heads, where alone a
+comparison can change.  The fan is then validated as a unimodular
+triangulation, each chart is checked against the table at its three rays,
+and the fan derives its integer facts once.  The whole path runs on
+integers: a cone is its ascending ray-index triple, the `WeightVector`s are
+output views, no `Fraction` is compared and no monomial's character is
+looked up.
 """
 
 from __future__ import annotations
@@ -50,17 +48,16 @@ from .intlin import cross3, det3, dot3
 
 class GGraph:
     """One monomial per character, divisibility-closed and xyz-free, stored
-    as a row: row[k] represents the k-th character of group.characters.  The
-    row fixes the monomial set, so it keys the cluster.  A flip passes the
-    sum S of its row, carried from the cluster it left, and the positions
-    it moved; a fresh row is summed here and checked at every position."""
+    as a row: row[k] represents the k-th character of group.characters.  A
+    hull step passes the sum S of its row, carried from the cluster it left,
+    and the positions it moved; a fresh row is summed and fully checked."""
 
     def __init__(self, group: GroupData, row, total=None, changed=None):
         self.group = group
         self.row: tuple[Monomial, ...] = tuple(row)
         # the sum S of the monomials: (n*e).S is the chart's height at e
         self.total = tuple(map(sum, zip(*self.row))) if total is None else total
-        self._cone_rays: tuple[int, int, int] | None = None  # cone_of_ggraph
+        self._cone_rays: tuple[int, int, int] | None = None  # kept by cone_of_ggraph
         if changed is None:
             self._validate(range(len(self.row)))
         else:
@@ -69,12 +66,6 @@ class GGraph:
 
     def representative(self, chi: Character) -> Monomial:
         return self.row[self.group.index[chi]]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GGraph) and self.row == other.row
-
-    def __hash__(self) -> int:
-        return hash(self.row)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(mono_str(m) for m in sorted(self.row)) + "}"
@@ -87,7 +78,7 @@ class GGraph:
         that holds exactly when every representative has its own character
         and the cluster is divisibility-closed; distinct characters then make
         the monomials distinct.  The check at a position reads only it and
-        its tails, so after a flip the moved positions and their heads are
+        its tails, so after a hull step the moved positions and their heads are
         enough."""
         group = self.group
         n = group.order
@@ -129,7 +120,8 @@ class DivisorCoefficients:
     Each term (n*e).r_chi of a chart is at least n*q(chi, e), so the chart
     reproduces the row at each of its three rays e exactly when its height
     (n*e).S, S the sum of its cluster, is the row's sum H(e): one product
-    per ray, and a mismatch names the first character that differs."""
+    per ray, and a mismatch names the first character that differs, or,
+    where every term is the row's, the height that is not the row's sum."""
 
     def __init__(self, fan: "GHilbFan"):
         group = fan.group
@@ -138,12 +130,15 @@ class DivisorCoefficients:
             for ri in triple:
                 e = scaled[ri]
                 if dot3(e, graph.total) != heights[ri]:
-                    row = rows[ri]
-                    k = next(k for k, m in enumerate(graph.row) if dot3(e, m) != row[k])
+                    point, row = group.junior_points[ri], rows[ri]
+                    for k, m in enumerate(graph.row):
+                        if dot3(e, m) != row[k]:
+                            raise InconsistentCharts(
+                                f"the chart of {graph} at ray {point} gives n*q "
+                                f"{dot3(e, m)} for {group.characters[k]}, not {row[k]}"
+                            )
                     raise InconsistentCharts(
-                        f"the chart of {graph} at ray {group.junior_points[ri]} gives n*q "
-                        f"{dot3(e, graph.row[k])} for {group.characters[k]}, "
-                        f"not {row[k]}"
+                        f"the height {heights[ri]} at ray {point} is not its row's sum {sum(row)}"
                     )
 
 
@@ -275,14 +270,14 @@ class GHilbFan:
 
 
 # ---------------------------------------------------------------------------
-# seed cluster and cluster enumeration
+# the seed cluster and the hull steps
 
 
 def seed_ggraph(group: GroupData) -> GGraph:
     """The cluster of the chart containing the generic weight (1, n, n^2), n
     the group order: each character's least monomial there is its lift
     x^i y^j (GroupData.lifts), and a divisor of one is the least of its own
-    character.  It is checked at every position."""
+    character."""
     return GGraph(group, group.lifts)
 
 
@@ -305,97 +300,111 @@ def dual_vector(n: int, e, f, g) -> tuple[int, int, int]:
     return (c0 // q, c1 // q, c2 // q)
 
 
-def flip_ggraph(group: GroupData, graph: GGraph, e, f, g) -> GGraph:
-    """The cluster of the chart across the wall (e, f) of a cluster's cone,
-    g its third ray, all three as scaled junior points n*e.
+def cross_wall(group: GroupData, graph: GGraph, wall, g: int) -> GGraph:
+    """The hull step: the cluster, with its cone, across the interior wall
+    (i, j) of a found cluster's cone (i, j, g), all ray indices.
 
-    Every representative r moves by the largest power k of the wall's
-    carving vector t (dual_vector, positive on g) that keeps it a regular
-    monomial, k = min r_i // -t_i over the one or two t_i < 0: smaller
-    shifts fail to generate on the far chart because t has negative
-    valuation there.  The new cluster gets its sum S as the old one plus
-    (sum of the k) * t, and is checked only at the positions with k != 0
-    and their heads.
-    """
-    t = dual_vector(group.order, e, f, g)
-    negative = [(i, -v) for i, v in enumerate(t) if v < 0]
-    if not negative:
-        raise SearchExhausted(f"unbounded shift across facet {(e, f)}")
-    # t vanishes on two nonnegative rays, so one or two t_i < 0 (one: both
-    # pairs below are the same)
-    (i, v), (j, w) = negative[0], negative[-1]
-    t0, t1, t2 = t
+    The far cone is unimodular, so its third ray is on the lattice line
+    G_b = e + f - g + b*(e - f) of scaled points: the G_b that maximises
+    H(G_b) - b*(H(e) - H(f)), concave in b (H is a sum of minima of linear
+    functions), found by a walk uphill from b = 0 or the nearest b in the
+    octant; a tie raises.  The wall's carving vector t (dual_vector) is -n
+    on G_b, so each representative r moves by k*t, n*k = G.r - n*q(chi, G)
+    at the far ray G: the new chart meets the table's row there term by
+    term, at e and f it is the old one's, and a k not whole and >= 0 raises."""
+    n = group.order
+    scaled, heights, index = group.juniors, group.heights, group.junior_index
+    i, j = wall
+    (e0, e1, e2), (f0, f1, f2), (g0, g1, g2) = scaled[i], scaled[j], scaled[g]
+    t0, t1, t2 = dual_vector(n, scaled[i], scaled[j], scaled[g])
+    c0, c1, c2 = e0 + f0 - g0, e1 + f1 - g1, e2 + f2 - g2
+    d0, d1, d2 = e0 - f0, e1 - f1, e2 - f2
+    # the b that keep G_b in the octant, never none: a unimodular triangulation of
+    # the junior points beyond the wall has a triangle on it, its third ray on the line
+    lo, hi = -2 * n, 2 * n
+    for c, d in ((c0, d0), (c1, d1), (c2, d2)):
+        if d > 0:
+            lo = max(lo, -(c // d))
+        elif d < 0:
+            hi = min(hi, c // -d)
+    slope = heights[i] - heights[j]
+
+    def lift(b):
+        return heights[index[c0 + b * d0, c1 + b * d1, c2 + b * d2]] - b * slope
+
+    b = min(max(0, lo), hi)
+    best = lift(b)
+    for s in (1, -1):  # uphill, up or down
+        while lo <= b + s <= hi and (value := lift(b + s)) >= best:
+            if value == best:
+                raise InconsistentCharts(f"the heights tie on the far side of wall {wall}")
+            b, best = b + s, value
+    far = index[c0 + b * d0, c1 + b * d1, c2 + b * d2]
+    x, y, z = scaled[far]
     row = list(graph.row)
-    changed = []
-    steps = 0  # the sum of the shifts: the new S is the old one plus steps * t
-    for p, r in enumerate(row):
-        a, b = r[i] // v, r[j] // w
-        k = a if a < b else b
-        if k:
-            row[p] = (r[0] + k * t0, r[1] + k * t1, r[2] + k * t2)
-            changed.append(p)
-            steps += k
+    gaps = [x * a + y * b + z * c - q for (a, b, c), q in zip(row, group.divisor_rows[far])]
+    changed = [p for p, gap in enumerate(gaps) if gap]
+    for p in changed:
+        k, rest = divmod(gaps[p], n)
+        if rest or k < 0:
+            raise InconsistentCharts(
+                f"across wall {wall} the representative of {group.characters[p]} "
+                f"moves by {gaps[p]}/{n} carving vectors, not a whole number >= 0"
+            )
+        r0, r1, r2 = row[p]
+        row[p] = (r0 + k * t0, r1 + k * t1, r2 + k * t2)
+    steps = sum(gaps) // n  # the sum of the k: the new S is the old one plus steps * t
     s0, s1, s2 = graph.total
-    return GGraph(group, row, (s0 + steps * t0, s1 + steps * t1, s2 + steps * t2), changed)
+    neighbor = GGraph(group, row, (s0 + steps * t0, s1 + steps * t1, s2 + steps * t2), changed)
+    neighbor._cone_rays = tuple(sorted((i, j, far)))
+    return neighbor
 
 
 def enumerate_ggraphs(group: GroupData) -> list[GGraph]:
-    """All torus-fixed clusters, by wall-crossing closure, in the order found.
+    """All torus-fixed clusters, by hull steps from the seed, in the order
+    found, each with its cone.
 
-    Each cluster's cone is extracted when the cluster is found.  An interior
-    wall (an edge off the octant's boundary, a ray-index pair) is open from
-    the first found cone that has it until the second; a cluster flips only
-    across its walls still open, so |G| clusters take |G| - 1 flips, and the
-    dual graph is connected, so no wall stays open.  A flip that reaches a
-    cluster already found (by row), or one whose cone does not have the wall
-    it crossed, raises InconsistentCharts naming the wall.
+    An interior wall (an edge off the octant's boundary, a ray-index pair)
+    is open from the first found cone that has it until the second; a
+    cluster steps only across its walls still open, so |G| clusters take
+    |G| - 1 steps, and the dual graph is connected, so no wall stays open.
+    The clusters are keyed by their cones: a step onto a cone already found
+    raises InconsistentCharts naming the wall.
     """
     n = group.order
     scaled = group.juniors
-    found: dict[tuple, GGraph] = {}
+    found: dict[tuple[int, int, int], GGraph] = {}
     open_walls: set[tuple[int, int]] = set()
 
-    def add(graph: GGraph):
-        """Keep a found cluster; return its cone and the cone's interior walls."""
+    def add(graph: GGraph, wall=None):
+        """Keep a found cluster; return its cone's interior walls and third rays."""
         cone = cone_of_ggraph(group, graph)
-        found[graph.row] = graph
+        if cone in found:
+            raise InconsistentCharts(f"the step across wall {wall} reaches {cone}, already found")
+        found[cone] = graph
         if len(found) > n:
             raise SearchExhausted(f"more than {n} clusters reached by wall crossing")
-        walls = list(_interior_walls(cone, scaled))
+        a, b, c = cone
+        walls = [
+            ((i, j), g)
+            for i, j, g in ((a, b, c), (a, c, b), (b, c, a))
+            if spans_interior_edge(scaled[i], scaled[j])
+        ]
         open_walls.symmetric_difference_update(wall for wall, _ in walls)
-        return cone, walls
+        return walls
 
     seed = seed_ggraph(group)
-    queue = [(seed, add(seed)[1])]
+    queue = [(seed, add(seed))]
     while queue:
         graph, walls = queue.pop()
         for wall, g in walls:
             if wall not in open_walls:
                 continue  # closed by a cone found since
-            neighbor = flip_ggraph(group, graph, scaled[wall[0]], scaled[wall[1]], scaled[g])
-            if neighbor.row in found:
-                raise InconsistentCharts(
-                    f"the flip across wall {wall} reaches {neighbor}, already found"
-                )
-            far, far_walls = add(neighbor)
-            if wall in open_walls:
-                raise InconsistentCharts(
-                    f"the flip across wall {wall} reaches {neighbor}, whose cone "
-                    f"{far} does not have the wall"
-                )
-            queue.append((neighbor, far_walls))
+            neighbor = cross_wall(group, graph, wall, g)
+            queue.append((neighbor, add(neighbor, wall)))
     if len(found) != n:
         raise SearchExhausted(f"found {len(found)} clusters, expected {n}")
     return list(found.values())
-
-
-def _interior_walls(triple, scaled):
-    """The cone's edges off the octant's boundary, each as its ray-index
-    pair and the index of the third ray."""
-    a, b, c = triple
-    for i, j, g in ((a, b, c), (a, c, b), (b, c, a)):
-        if spans_interior_edge(scaled[i], scaled[j]):
-            yield (i, j), g
 
 
 def spans_interior_edge(e, f) -> bool:
@@ -404,38 +413,27 @@ def spans_interior_edge(e, f) -> bool:
     return bool((e[0] or f[0]) and (e[1] or f[1]) and (e[2] or f[2]))
 
 
-# ---------------------------------------------------------------------------
-# the cones of clusters, read off the group's divisor table
-
-
 def cone_of_ggraph(group: GroupData, graph: GGraph) -> tuple[int, int, int]:
     """The maximal cone whose chart carries the given cluster, as the
     ascending indices of its rays in group.juniors.
 
-    With S the sum of the cluster's monomials, (n*e).S >= H(e) at every
-    junior point e, with equality exactly on the cone (see the module
-    docstring): the rays are the junior points on that height plane, which
-    must be three linearly independent ones.  Extracted once per cluster and
-    kept on it, found in the order of group.juniors, which is lex order.
-    """
+    A hull step keeps the cone it found on its cluster.  Any other cluster
+    (the seed) is scanned once: its rays are the junior points e with
+    (n*e).S = H(e), S the sum of its monomials (the module docstring), which
+    must be three linearly independent ones, found in lex order."""
     if graph._cone_rays is None:
-        triple = _height_rays(group, graph.total)
+        sx, sy, sz = graph.total
         juniors = group.juniors
+        triple = [
+            ri
+            for ri, ((a, b, c), height) in enumerate(zip(juniors, group.heights))
+            if a * sx + b * sy + c * sz == height
+        ]
         if len(triple) != 3 or not det3([juniors[ri] for ri in triple]):
             rays = [group.junior_points[ri] for ri in triple]
             raise LowerDimensionalCone(f"cluster {graph} has the height plane of {rays}")
         graph._cone_rays = tuple(triple)
     return graph._cone_rays
-
-
-def _height_rays(group: GroupData, total) -> list[int]:
-    """The indices of the junior points e with (n*e).total equal to H(e)."""
-    sx, sy, sz = total
-    return [
-        ri
-        for ri, ((a, b, c), height) in enumerate(zip(group.juniors, group.heights))
-        if a * sx + b * sy + c * sz == height
-    ]
 
 
 def build_fan(group: GroupData) -> GHilbFan:

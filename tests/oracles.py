@@ -6,7 +6,14 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
 
-from mckay_lab.errors import DegenerateCone, MultiplicityOutOfRange, NotInLattice, NotInSL3
+from mckay_lab.errors import (
+    DegenerateCone,
+    MultiplicityOutOfRange,
+    NotInLattice,
+    NotInSL3,
+    SearchExhausted,
+)
+from mckay_lab.ghilb import GGraph, dual_vector
 from mckay_lab.groups import CORNERS, MONO_ONE, Character, WeightVector, mono_divides, mono_str
 from mckay_lab.intlin import cross3, det3, dot3
 from mckay_lab.quiver import _classify_pattern
@@ -496,6 +503,71 @@ def stepped_flip(group, graph, e, f, g):
             raise AssertionError(f"unbounded shift across facet {(e, f)}")
         shifted.append(cur)
     return tuple(shifted)
+
+
+def flip_ggraph(group, graph, e, f, g):
+    """The cluster across the wall (e, f) of a cluster's cone, g its third
+    ray, all three scaled junior points n*e, by the exponent rule: every
+    representative r moves by the largest power k of the wall's carving
+    vector t (dual_vector, positive on g) that keeps it a regular monomial,
+    k = min r_i // -t_i over the one or two t_i < 0.  The new cluster is
+    checked at the positions with k != 0 and their heads."""
+    t = dual_vector(group.order, e, f, g)
+    negative = [(i, -v) for i, v in enumerate(t) if v < 0]
+    if not negative:
+        raise SearchExhausted(f"unbounded shift across facet {(e, f)}")
+    (i, v), (j, w) = negative[0], negative[-1]
+    row = list(graph.row)
+    changed = []
+    for p, r in enumerate(row):
+        k = min(r[i] // v, r[j] // w)
+        if k:
+            row[p] = tuple(a + k * b for a, b in zip(r, t))
+            changed.append(p)
+    return GGraph(group, row, tuple(map(sum, zip(*row))), changed)
+
+
+def height_cone(group, total):
+    """The indices of the junior points e where a cluster whose monomials
+    sum to `total` meets the heights, (n*e).total = H(e): a scan of every
+    junior point."""
+    pairs = zip(group.juniors, group.heights)
+    return tuple(ri for ri, (s, h) in enumerate(pairs) if dot3(s, total) == h)
+
+
+def wall_crossing(group):
+    """Every cluster's row by its cone, by the exponent-rule flip from the
+    seed (the group's lifts): each interior wall of a found cone is crossed
+    until a second found cone closes it, and every cluster's cone is a scan
+    of the junior points (height_cone).  A flip onto a row already found,
+    or onto a cone that has not three rays or not the crossed wall, fails
+    an assertion naming the wall."""
+    scaled = group.juniors
+    found = {}
+    open_walls = set()
+    pending = []  # (cluster, wall, third ray) for each wall opened
+
+    def add(graph, wall=None):
+        cone = height_cone(group, graph.total)
+        assert graph.row not in found, f"the flip across {wall} reaches a row already found"
+        assert len(cone) == 3 and set(wall or ()) <= set(cone), f"across {wall}: cone {cone}"
+        found[graph.row] = cone
+        a, b, c = cone
+        for edge, g in (((a, b), c), ((a, c), b), ((b, c), a)):
+            if all(u or v for u, v in zip(scaled[edge[0]], scaled[edge[1]])):
+                if edge in open_walls:
+                    open_walls.remove(edge)
+                else:
+                    open_walls.add(edge)
+                    pending.append((graph, edge, g))
+
+    add(GGraph(group, group.lifts))
+    while pending:
+        graph, (i, j), g = pending.pop()
+        if (i, j) in open_walls:
+            add(flip_ggraph(group, graph, scaled[i], scaled[j], scaled[g]), (i, j))
+    assert len(found) == group.order, f"{len(found)} clusters for order {group.order}"
+    return {cone: row for row, cone in found.items()}
 
 
 def box_least(group, weight):

@@ -68,3 +68,40 @@ def test_every_name_the_bench_reads_besides_its_targets_exists():
     assert {case.tag for case in marked.vertex_cases.values()} <= {
         "boundary", "case1", "case2", "case3"
     }
+
+
+def test_the_build_keeps_the_call_counts_the_bench_pins(monkeypatch):
+    """`bench/test_bench.py` pins, on 7:1,2,4, one enumerate_ggraphs call
+    returning the |G| clusters and two cone_of_ggraph calls per cluster;
+    the junior points are scanned once, for the seed's cone (a scan is the
+    one pass over all the heights)."""
+    import mckay_lab.ghilb as ghilb
+    from mckay_lab import build_fan, parse_group_spec
+
+    class Scanned(tuple):
+        scans = 0
+
+        def __iter__(self):
+            Scanned.scans += 1
+            return tuple.__iter__(self)
+
+    calls = {"enumerate_ggraphs": [], "cone_of_ggraph": []}
+
+    def counting(name):
+        original = getattr(ghilb, name)
+
+        def counted(*args):
+            result = original(*args)
+            calls[name].append(result)
+            return result
+
+        monkeypatch.setattr(ghilb, name, counted)
+
+    counting("enumerate_ggraphs")
+    counting("cone_of_ggraph")
+    group = parse_group_spec("7:1,2,4")
+    monkeypatch.setitem(group.__dict__, "heights", Scanned(group.heights))
+    build_fan(group)
+    assert [len(clusters) for clusters in calls["enumerate_ggraphs"]] == [7]
+    assert len(calls["cone_of_ggraph"]) == 14
+    assert Scanned.scans == 1

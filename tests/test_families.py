@@ -8,6 +8,7 @@ import pytest
 from mckay_lab import build_fan, parse_group_spec
 
 from families import line_family, square_family, surface_family
+from oracles import wall_crossing
 
 FAMILIES = [line_family, surface_family]
 
@@ -74,6 +75,23 @@ def test_build_fan_gives_the_regular_tessellation(m):
     fan = build_fan(group)
     check_family(group.juniors, fan.cone_rays, fam)
     check_carving_vectors(fan)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [line_family(r) for r in range(2, 31)]
+    + [surface_family(r) for r in range(2, 31)]
+    + [square_family(m) for m in range(2, 7)],
+    ids=lambda fam: fam.spec,
+)
+def test_hull_steps_match_the_oracle_wall_crossing_on_the_families(fam):
+    """The oracle's wall crossing (the exponent-rule flip and a scan per
+    cluster) gives the fan's cones and chart rows on the three families."""
+    group = parse_group_spec(fam.spec)
+    fan = build_fan(group)
+    assert wall_crossing(group) == {
+        cone: graph.row for cone, graph in zip(fan.cone_rays, fan.ggraphs)
+    }
 
 
 def test_the_line_family_has_a_wall_relation_on_every_line_edge():

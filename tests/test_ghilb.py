@@ -1,6 +1,9 @@
+import json
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,14 +24,15 @@ from mckay_lab.errors import (
     FanValidationFailed,
     InconsistentCharts,
     LowerDimensionalCone,
+    McKayLabError,
     SearchExhausted,
     UnknownCone,
 )
 from mckay_lab.ghilb import (
     GGraph,
     GHilbFan,
+    cross_wall,
     dual_vector,
-    flip_ggraph,
     seed_ggraph,
 )
 from mckay_lab.groups import GroupData
@@ -41,12 +45,15 @@ from oracles import (
     divisor_q,
     extreme_rays_clipped,
     extreme_rays_dd,
+    flip_ggraph,
     ggraph_inequalities,
+    height_cone,
     invariant_perpendicular,
     is_cluster_by_kappa,
     minimal_monomial_normals,
     naive_ggraphs,
     stepped_flip,
+    wall_crossing,
 )
 
 
@@ -83,58 +90,77 @@ def test_wall_crossing_matches_naive_search(gen):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
 def test_each_interior_wall_is_crossed_once(monkeypatch, spec):
-    """Wall crossing flips once per new cluster: |G| - 1 flips, on distinct
-    walls, each an interior edge of the fan."""
+    """The enumeration makes one hull step per new cluster: |G| - 1 steps,
+    on distinct walls, each an interior edge of the fan."""
     from mckay_lab import ghilb
 
-    flips = []
-    original = ghilb.flip_ggraph
+    walls = []
+    original = ghilb.cross_wall
 
-    def counted(group, graph, e, f, g):
-        flips.append(frozenset((e, f)))
-        return original(group, graph, e, f, g)
+    def counted(group, graph, wall, g):
+        walls.append(wall)
+        return original(group, graph, wall, g)
 
-    monkeypatch.setattr(ghilb, "flip_ggraph", counted)
+    monkeypatch.setattr(ghilb, "cross_wall", counted)
     group = parse_group_spec(spec)
     fan = build_fan(group)
-    interior = {
-        frozenset(group.juniors[ri] for ri in e) for e in fan.interior_edges
-    }
-    assert len(flips) == len(set(flips)) == group.order - 1
-    assert set(flips) <= interior
+    assert len(walls) == len(set(walls)) == group.order - 1
+    assert set(walls) <= set(fan.interior_edges)
 
 
 def test_flip_to_a_found_cluster_is_inconsistent(monkeypatch, p13):
-    """A flip that leads back to a cluster already found is refused, naming
-    the wall."""
+    """A hull step that leads back to a cone already found (here the cluster
+    it left) is refused, naming the wall."""
     from mckay_lab import ghilb
 
-    monkeypatch.setattr(ghilb, "flip_ggraph", lambda group, graph, e, f, g: graph)
-    with pytest.raises(InconsistentCharts, match="the flip across wall .* already found"):
+    monkeypatch.setattr(ghilb, "cross_wall", lambda group, graph, wall, g: graph)
+    found = r"the step across wall \(\d+, \d+\) reaches .* already found"
+    with pytest.raises(InconsistentCharts, match=found):
         build_fan(p13.group)
 
 
-def test_flip_to_a_cone_without_the_wall_is_inconsistent(monkeypatch, p13):
-    """A flip that leads to a new cluster whose cone does not have the
-    crossed wall is refused, naming the wall."""
-    from mckay_lab import ghilb
+def far_line_neighbour(group, fan):
+    """An interior wall (i, j) of the fan, the cone ci on one side with its
+    third ray g, and a junior point next to the far ray on the wall's
+    lattice line, with its step b off the far ray."""
+    scaled = group.juniors
+    for (i, j), (ci, cj) in ((w, fan.edges[w]) for w in fan.interior_edges):
+        (g,) = set(fan.cone_rays[ci]) - {i, j}
+        (far,) = set(fan.cone_rays[cj]) - {i, j}
+        for b in (1, -1):
+            point = tuple(u + b * (v - w) for u, v, w in zip(scaled[far], scaled[i], scaled[j]))
+            if point in group.junior_index:
+                return (i, j), ci, g, far, group.junior_index[point], b
+    raise AssertionError("no wall with a second junior point on its far line")
 
-    fan = p13.fan
-    reached = {seed_ggraph(p13.group)}
 
-    def elsewhere(group, graph, e, f, g):
-        ci = next(
-            ci
-            for ci, h in enumerate(fan.ggraphs)
-            if h not in reached
-            and not {e, f} <= {fan.group.juniors[ri] for ri in fan.cone_rays[ci]}
-        )
-        reached.add(fan.ggraphs[ci])
-        return GGraph(group, fan.ggraphs[ci].row)
+def test_a_tie_on_the_far_line_is_inconsistent(monkeypatch):
+    """Heights under which two junior points on a wall's far line both
+    maximise H(G_b) - b*(H(e) - H(f)) cut no triangulation: the hull step
+    refuses them, naming the wall."""
+    group = parse_group_spec("13:1,5,7")
+    fan = build_fan(group)
+    wall, ci, g, far, other, b = far_line_neighbour(group, fan)
+    heights = list(group.heights)
+    heights[other] = heights[far] + b * (heights[wall[0]] - heights[wall[1]])
+    monkeypatch.setitem(group.__dict__, "heights", tuple(heights))
+    with pytest.raises(InconsistentCharts, match=rf"tie .* wall \({wall[0]}, {wall[1]}\)"):
+        cross_wall(group, fan.ggraphs[ci], wall, g)
 
-    monkeypatch.setattr(ghilb, "flip_ggraph", elsewhere)
-    with pytest.raises(InconsistentCharts, match="the flip across wall .* does not have the wall"):
-        build_fan(p13.group)
+
+def test_a_shift_off_the_lattice_is_inconsistent(monkeypatch):
+    """A table entry at the far ray moved by one gives a shift k that is not
+    a whole number of carving vectors: the hull step refuses it, naming the
+    character and the wall."""
+    group = parse_group_spec("13:1,5,7")
+    fan = build_fan(group)
+    wall, ci, g, far, _, _ = far_line_neighbour(group, fan)
+    rows = list(group.divisor_rows)
+    rows[far] = (rows[far][0],) + tuple(q + 1 for q in rows[far][1:])
+    monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(rows))
+    chi = group.characters[1]
+    with pytest.raises(InconsistentCharts, match=rf"wall \({wall[0]}, {wall[1]}\) .* {chi} .*/13"):
+        cross_wall(group, fan.ggraphs[ci], wall, g)
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
@@ -175,26 +201,35 @@ def test_a_cone_is_its_ray_index_triple(group):
         ]
 
 
+class Scanned(tuple):
+    """The heights, counting the scans over all of them."""
+
+    scans = 0
+
+    def __iter__(self):
+        Scanned.scans += 1
+        return tuple.__iter__(self)
+
+
 @pytest.mark.parametrize("spec", ["13:1,5,7", "6:1,2,3", "4:1,3,0+4:0,1,3"])
 def test_each_cone_is_extracted_once(monkeypatch, spec):
     """build_fan asks for each cluster's cone twice but scans the heights
-    once per cluster."""
+    once, for the seed: every other cone comes with its hull step."""
     from mckay_lab import ghilb
 
-    calls = {"cone": 0, "scan": 0}
-
-    def counting(name, f):
-        def counted(*args):
-            calls[name] += 1
-            return f(*args)
-
-        return counted
-
-    monkeypatch.setattr(ghilb, "cone_of_ggraph", counting("cone", ghilb.cone_of_ggraph))
-    monkeypatch.setattr(ghilb, "_height_rays", counting("scan", ghilb._height_rays))
     group = parse_group_spec(spec)
+    monkeypatch.setitem(group.__dict__, "heights", Scanned(group.heights))
+    calls = []
+    cone_of_ggraph_ = ghilb.cone_of_ggraph
+
+    def counted(group, graph):
+        calls.append(graph)
+        return cone_of_ggraph_(group, graph)
+
+    monkeypatch.setattr(ghilb, "cone_of_ggraph", counted)
+    Scanned.scans = 0
     fan = build_fan(group)
-    assert calls == {"cone": 2 * group.order, "scan": group.order}
+    assert len(calls) == 2 * group.order and Scanned.scans == 1
     assert all(cone_of_ggraph(group, g) is c for g, c in zip(fan.ggraphs, fan.cone_rays))
 
 
@@ -299,17 +334,17 @@ def test_tail_check_matches_kappa_and_closure(group):
 
 
 def build_flips(monkeypatch, group):
-    """Build the fan, returning every flip it made as (cluster, neighbor)."""
+    """Build the fan, returning every hull step it made as (cluster, neighbor)."""
     from mckay_lab import ghilb
 
     flips = []
-    original = ghilb.flip_ggraph
+    original = ghilb.cross_wall
 
-    def recorded(group, graph, e, f, g):
-        flips.append((graph, original(group, graph, e, f, g)))
+    def recorded(group, graph, wall, g):
+        flips.append((graph, original(group, graph, wall, g)))
         return flips[-1][1]
 
-    monkeypatch.setattr(ghilb, "flip_ggraph", recorded)
+    monkeypatch.setattr(ghilb, "cross_wall", recorded)
     build_fan(group)
     monkeypatch.undo()
     return flips
@@ -324,7 +359,7 @@ def delta_accepted(group, row, changed):
 
 
 def check_flip_deltas(group, graph, neighbor):
-    """The flip's delta check accepts each single-entry perturbation at a
+    """The hull step's delta check accepts each single-entry perturbation at a
     changed position or at a head of one (the perturbed position joins the
     delta) exactly when kappa plus closure does."""
     n = group.order
@@ -352,9 +387,9 @@ def test_delta_check_matches_kappa_and_closure_on_every_flip(monkeypatch, spec):
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from(FLIP_GROUPS[2:]), st.data())
 def test_delta_check_matches_kappa_and_closure_on_large_flips(spec, data):
-    """On the larger groups every changed position and head of a drawn flip:
-    all their flips would make about 774k perturbed rows, each an O(n)
-    oracle call."""
+    """On the larger groups every changed position and head of a drawn hull
+    step: all their steps would make about 774k perturbed rows, each an
+    O(n) oracle call."""
     group = parse_group_spec(spec)
     with pytest.MonkeyPatch.context() as monkeypatch:
         flips = build_flips(monkeypatch, group)
@@ -363,9 +398,9 @@ def test_delta_check_matches_kappa_and_closure_on_large_flips(spec, data):
 
 @pytest.mark.parametrize("spec", FLIP_GROUPS)
 def test_build_checks_every_position_only_for_the_seed(monkeypatch, spec):
-    """A build runs the all-positions check once, on the seed; each flip
-    checks exactly the positions where its row differs from the cluster it
-    left, and their heads."""
+    """A build runs the all-positions check once, on the seed; each hull
+    step checks exactly the positions where its row differs from the
+    cluster it left, and their heads."""
     group = parse_group_spec(spec)
     seed = seed_ggraph(group).row
     checked = {}
@@ -386,7 +421,7 @@ def test_build_checks_every_position_only_for_the_seed(monkeypatch, spec):
 
 @pytest.mark.parametrize("at_head", [False, True])
 def test_flip_fault_on_its_delta_is_exhausted(monkeypatch, at_head):
-    """A flipped row corrupted at its first changed position, or at the
+    """A stepped row corrupted at its first changed position, or at the
     first head of a changed position outside the delta (which then joins
     it), fails the build."""
     from mckay_lab import ghilb
@@ -412,9 +447,10 @@ def test_flip_fault_on_its_delta_is_exhausted(monkeypatch, at_head):
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
 def test_fan_build_makes_no_kappa_call(monkeypatch, spec):
-    """Flipped clusters are checked by the tail table, cones by the height
-    scan, the seed by the head table, and every carving vector is a cone's
-    dual basis vector: building the fan asks no monomial for its character."""
+    """Stepped clusters are checked by the tail table, the seed's cone is the
+    height scan and every other the hull step's, and every carving vector is
+    a cone's dual basis vector: building the fan asks no monomial for its
+    character."""
     group = parse_group_spec(spec)
     callers = []
     kappa = GroupData.kappa
@@ -515,8 +551,6 @@ def test_height_plane_off_three_points_is_rejected(monkeypatch, points):
     """A cluster whose height plane holds two junior points (one ray's
     height raised by one) or four (a point off the cone given the cluster's
     own height there) cuts no cone of the fan."""
-    from mckay_lab import ghilb
-
     group = parse_group_spec("13:1,5,7")
     graph = build_fan(group).ggraphs[0]
     chart = [dot3(s, graph.total) for s in group.juniors]  # the cluster's heights
@@ -524,7 +558,7 @@ def test_height_plane_off_three_points_is_rejected(monkeypatch, points):
     moved = list(group.heights)
     moved[ri] = chart[ri] + (points == 2)
     monkeypatch.setattr(group, "heights", tuple(moved))
-    assert len(ghilb._height_rays(group, graph.total)) == points
+    assert len(height_cone(group, graph.total)) == points
     with pytest.raises(LowerDimensionalCone, match="height plane"):
         cone_of_ggraph(group, GGraph(group, graph.row))
 
@@ -532,15 +566,22 @@ def test_height_plane_off_three_points_is_rejected(monkeypatch, points):
 @settings(max_examples=20, deadline=None)
 @given(small_groups)
 def test_flip_matches_stepping(group):
-    """The closed-form shift k = min r_i // -t_i equals stepping by t until
-    the next step leaves the octant, across every interior facet."""
+    """Across every interior facet, from either side, the hull step (the
+    shift read off the table at the far ray), the oracle's exponent rule
+    k = min r_i // -t_i, and stepping by t until the next step leaves the
+    octant move the cluster to the same row, and the step to the other
+    cone."""
     fan = build_fan(group)
     for edge in fan.interior_edges:
         e, f = (group.juniors[ri] for ri in edge)
-        for ci in fan.edges[edge]:
-            (g,) = (group.juniors[ri] for ri in fan.cone_rays[ci] if ri not in edge)
-            flipped = flip_ggraph(group, fan.ggraphs[ci], e, f, g)
-            assert flipped.row == stepped_flip(group, fan.ggraphs[ci], e, f, g)
+        for ci, cj in (fan.edges[edge], fan.edges[edge][::-1]):
+            (gi,) = set(fan.cone_rays[ci]) - set(edge)
+            g = group.juniors[gi]
+            stepped = stepped_flip(group, fan.ggraphs[ci], e, f, g)
+            assert flip_ggraph(group, fan.ggraphs[ci], e, f, g).row == stepped
+            step = cross_wall(group, fan.ggraphs[ci], edge, gi)
+            assert step.row == stepped == fan.ggraphs[cj].row
+            assert cone_of_ggraph(group, step) == fan.cone_rays[cj]
 
 
 @settings(max_examples=20, deadline=None)
@@ -572,13 +613,14 @@ def test_dual_vectors_are_the_invariant_perpendiculars(group):
 
 def test_dual_vector_guards(p3):
     """On 1/3(1,1,1): a third ray in the wall's plane is no cone, in the
-    flip as well, and the corner cone (x, y, z), with |det| = 27, not 9, is
-    not unimodular."""
+    hull step as well, and the corner cone (x, y, z), with |det| = 27, not
+    9, is not unimodular."""
     center, x, y, z = (1, 1, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3)
     with pytest.raises(LowerDimensionalCone, match="is not a facet of a cone"):
         dual_vector(3, y, z, y)
+    ci, yi = (p3.group.junior_index[p] for p in (center, y))
     with pytest.raises(LowerDimensionalCone, match="is not a facet of a cone"):
-        flip_ggraph(p3.group, p3.fan.ggraphs[0], center, y, center)
+        cross_wall(p3.group, p3.fan.ggraphs[0], (ci, yi), ci)
     with pytest.raises(FanValidationFailed, match="non-unimodular cone"):
         dual_vector(3, x, y, z)
 
@@ -609,10 +651,12 @@ def test_vertex_links_must_close(p3, cones, on_boundary, message):
 
 
 def test_unbounded_flip_is_exhausted(p3):
-    """A carving vector with no negative entry exhausts the search: in
-    1/3(1,1,1) the boundary wall (y, z), with the centre as third ray, has
-    t = (3, 0, 0).  So does a shift that leaves no cluster (here a
-    one-monomial row across the wall (centre, y) of the cone with z)."""
+    """In the oracle's exponent-rule flip, a carving vector with no negative
+    entry exhausts the search: in 1/3(1,1,1) the boundary wall (y, z), with
+    the centre as third ray, has t = (3, 0, 0).  So does a shift that leaves
+    no cluster (here a one-monomial row across the wall (centre, y) of the
+    cone with z).  The hull step crosses interior walls only, where e + f
+    is positive in every coordinate, so t always has a negative entry."""
     from types import SimpleNamespace
 
     center, y, z = (1, 1, 1), (0, 3, 0), (0, 0, 3)
@@ -708,6 +752,86 @@ def test_divisor_coefficients_examples(p3, p4):
     assert all(divisor_q(p3.fan, p3.chi(0), ri) == 0 for ri in range(len(p3.fan.rays)))
     p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     assert divisor_q(p4.fan, p4.chi(3), p) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("delta", [1, -1, 13, -13])
+def test_a_height_off_its_row_sum_is_inconsistent(monkeypatch, delta):
+    """A height that is not its row's sum, with every chart term equal to the
+    row, names the ray, the height and the row's sum."""
+    group = parse_group_spec("13:1,5,7")
+    fan = build_fan(group)
+    ri = fan.cone_rays[0][0]
+    heights = list(group.heights)
+    heights[ri] += delta
+    monkeypatch.setitem(group.__dict__, "heights", tuple(heights))
+    point, total = group.junior_points[ri], sum(group.divisor_rows[ri])
+    with pytest.raises(InconsistentCharts) as caught:
+        GHilbFan(group, fan.ggraphs, fan.cone_rays)
+    assert str(caught.value) == (
+        f"the height {total + delta} at ray {point} is not its row's sum {total}"
+    )
+
+
+FAULT_GROUPS = ["13:1,5,7", "12:1,1,10", "24:1,1,22", "3:1,2,0+3:0,1,2", "30:1,7,22", "79:1,11,67"]
+
+
+@pytest.mark.parametrize("spec", FAULT_GROUPS)
+def test_a_height_moved_off_its_row_fails_the_build(monkeypatch, spec):
+    """Each height moved by +-1 or +-n, the rows kept, fails the build with
+    a guard of the library, never a bare StopIteration or a fan."""
+    group = parse_group_spec(spec)
+    n, heights = group.order, group.heights
+    for ri in range(len(heights)):
+        for delta in (1, -1, n, -n):
+            moved = heights[:ri] + (heights[ri] + delta,) + heights[ri + 1:]
+            monkeypatch.setitem(group.__dict__, "heights", moved)
+            with pytest.raises(McKayLabError):
+                build_fan(group)
+
+
+@pytest.mark.parametrize("spec", FAULT_GROUPS)
+def test_a_fault_in_one_table_entry_fails_the_build(monkeypatch, spec):
+    """A divisor-table entry moved by +-1 or +-n, the heights kept as the
+    rows' sums, fails the build with a guard of the library: twenty entries
+    drawn per move and group, seeded by the group."""
+    group = parse_group_spec(spec)
+    n, rows = group.order, group.divisor_rows
+    cells = [(ri, k) for ri in range(len(rows)) for k in range(n)]
+    rng = random.Random(spec)
+    for delta in (1, -1, n, -n):
+        for ri, k in rng.sample(cells, 20):
+            row = rows[ri][:k] + (rows[ri][k] + delta,) + rows[ri][k + 1:]
+            faulty = rows[:ri] + (row,) + rows[ri + 1:]
+            monkeypatch.setitem(group.__dict__, "divisor_rows", faulty)
+            monkeypatch.setitem(group.__dict__, "heights", tuple(map(sum, faulty)))
+            with pytest.raises(McKayLabError):
+                build_fan(group)
+
+
+def by_cone(fan):
+    """The fan's chart rows keyed by their cones."""
+    return {cone: graph.row for cone, graph in zip(fan.cone_rays, fan.ggraphs)}
+
+
+MANIFEST_GROUPS = json.loads(
+    (Path(__file__).parent / "golden" / "manifest.json").read_text()
+)["groups"]
+
+
+def test_hull_steps_match_the_oracle_wall_crossing_on_the_manifest():
+    """On every group of the byte manifest, the oracle's wall crossing (the
+    exponent-rule flip and a scan per cluster) gives the fan's cones and
+    rows."""
+    for spec in MANIFEST_GROUPS:
+        group = parse_group_spec(spec)
+        assert wall_crossing(group) == by_cone(build_fan(group)), spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups)
+@square_products
+def test_hull_steps_match_the_oracle_wall_crossing(group):
+    assert wall_crossing(group) == by_cone(build_fan(group))
 
 
 def test_disagreeing_charts_are_rejected(p13):
