@@ -312,48 +312,44 @@ def cross_wall(group: GroupData, graph: GGraph, wall, g: int) -> GGraph:
     on G_b, so each representative r moves by k*t, n*k = G.r - n*q(chi, G)
     at the far ray G: the new chart meets the table's row there term by
     term, at e and f it is the old one's, and a k not whole and >= 0 raises."""
-    n = group.order
-    scaled, heights, index = group.juniors, group.heights, group.junior_index
+    n, scaled, heights, index = group.order, group.juniors, group.heights, group._ray_index
     i, j = wall
-    (e0, e1, e2), (f0, f1, f2), (g0, g1, g2) = scaled[i], scaled[j], scaled[g]
     t0, t1, t2 = dual_vector(n, scaled[i], scaled[j], scaled[g])
-    c0, c1, c2 = e0 + f0 - g0, e1 + f1 - g1, e2 + f2 - g2
-    d0, d1, d2 = e0 - f0, e1 - f1, e2 - f2
+    (e0, e1, e2), (f0, f1, f2), (h0, h1, h2) = scaled[i], scaled[j], scaled[g]
+    c0, c1, c2, d0, d1, d2 = e0 + f0 - h0, e1 + f1 - h1, e2 + f2 - h2, e0 - f0, e1 - f1, e2 - f2
     # the b that keep G_b in the octant, never none: a unimodular triangulation of
     # the junior points beyond the wall has a triangle on it, its third ray on the line
-    lo, hi = -2 * n, 2 * n
-    for c, d in ((c0, d0), (c1, d1), (c2, d2)):
-        if d > 0:
-            lo = max(lo, -(c // d))
-        elif d < 0:
-            hi = min(hi, c // -d)
+    lo = max(-(c // d) for c, d in ((c0, d0), (c1, d1), (c2, d2)) if d > 0)
+    hi = min(c // -d for c, d in ((c0, d0), (c1, d1), (c2, d2)) if d < 0)
     slope = heights[i] - heights[j]
 
-    def lift(b):
-        return heights[index[c0 + b * d0, c1 + b * d1, c2 + b * d2]] - b * slope
+    def ray(b):  # the index of G_b, None off the octant
+        return index.get((c0 + b * d0, c1 + b * d1, c2 + b * d2))
 
     b = min(max(0, lo), hi)
-    best = lift(b)
+    far = ray(b)
+    best = heights[far] - b * slope
     for s in (1, -1):  # uphill, up or down
-        while lo <= b + s <= hi and (value := lift(b + s)) >= best:
+        while (up := ray(b + s)) is not None and (value := heights[up] - (b + s) * slope) >= best:
             if value == best:
                 raise InconsistentCharts(f"the heights tie on the far side of wall {wall}")
-            b, best = b + s, value
-    far = index[c0 + b * d0, c1 + b * d1, c2 + b * d2]
+            b, far, best = b + s, up, value
     x, y, z = scaled[far]
     row = list(graph.row)
-    gaps = [x * a + y * b + z * c - q for (a, b, c), q in zip(row, group.divisor_rows[far])]
-    changed = [p for p, gap in enumerate(gaps) if gap]
-    for p in changed:
-        k, rest = divmod(gaps[p], n)
-        if rest or k < 0:
-            raise InconsistentCharts(
-                f"across wall {wall} the representative of {group.characters[p]} "
-                f"moves by {gaps[p]}/{n} carving vectors, not a whole number >= 0"
-            )
-        r0, r1, r2 = row[p]
-        row[p] = (r0 + k * t0, r1 + k * t1, r2 + k * t2)
-    steps = sum(gaps) // n  # the sum of the k: the new S is the old one plus steps * t
+    changed = []
+    steps = 0  # the sum of the k: the new S is the old one plus steps * t
+    for p, ((r0, r1, r2), q) in enumerate(zip(graph.row, group.divisor_rows[far])):
+        gap = x * r0 + y * r1 + z * r2 - q
+        if gap:
+            k, rest = divmod(gap, n)
+            if rest or k < 0:
+                raise InconsistentCharts(
+                    f"across wall {wall} the representative of {group.characters[p]} "
+                    f"moves by {gap}/{n} carving vectors, not a whole number >= 0"
+                )
+            row[p] = (r0 + k * t0, r1 + k * t1, r2 + k * t2)
+            changed.append(p)
+            steps += k
     s0, s1, s2 = graph.total
     neighbor = GGraph(group, row, (s0 + steps * t0, s1 + steps * t1, s2 + steps * t2), changed)
     neighbor._cone_rays = tuple(sorted((i, j, far)))

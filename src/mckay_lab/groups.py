@@ -143,7 +143,7 @@ class GroupData:
         n = self.order
         self.exceptional_ray_indices = tuple(i for i, s in enumerate(self.juniors) if n not in s)
         self.interior_ray_indices = tuple(i for i, s in enumerate(self.juniors) if 0 not in s)
-        self.junior_index = {s: i for i, s in enumerate(self.juniors)}
+        self._ray_index = {s: i for i, s in enumerate(self.juniors)}
 
         self.invariant_basis = _invariant_basis(gens)
         self._check_indices()
@@ -210,7 +210,7 @@ class GroupData:
     def ray_index(self, point: WeightVector) -> int:
         """The one lookup from a point to its position in junior_points:
         NotInLattice off the lattice (1/n)Z^3, UnknownCone off the juniors."""
-        ri = self.junior_index.get(point.scaled(self.order))
+        ri = self._ray_index.get(point.scaled(self.order))
         if ri is None:
             raise UnknownCone(f"{point} is not a junior point, so no ray of a fan")
         return ri

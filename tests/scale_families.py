@@ -1,14 +1,13 @@
 """The closed-form families of tests/families.py at order about 2000.
 
-    python tests/scale_families.py            # the three groups below
-    python tests/scale_families.py 1000       # line and surface at r = 1000
+    python tests/scale_families.py
 
-For 1/r(1,1,r-2), 1/r(0,1,r-1) (r = 2000 by default) and Z/45 x Z/45 it
-builds the fan, checks its cones and wall relations against the family
-(`check_family`) and its carving vectors (`check_carving_vectors`), and
-compares its cones and chart rows with the oracle's wall crossing
-(`oracles.wall_crossing`).  It prints one line per group with the seconds
-each stage took, and exits 1 on the first disagreement.  The name keeps it
+For 1/2000(1,1,1998), 1/2000(0,1,1999) and Z/45 x Z/45 it builds the fan,
+checks its cones and wall relations against the family (`check_family`) and
+its carving vectors (`check_carving_vectors`), and compares its cones and
+chart rows with the oracle's wall crossing (`oracles.wall_crossing`).  It
+prints one line per group with the seconds each stage took, and exits 1 on
+the first disagreement.  The name keeps it
 out of pytest's collection: a run takes about a minute.
 """
 
@@ -35,9 +34,8 @@ def timed(f, *args):
     return result, time.perf_counter() - start
 
 
-def main(argv) -> int:
-    r = int(argv[0]) if argv else 2000
-    for fam in (line_family(r), surface_family(r), square_family(45)):
+def main() -> int:
+    for fam in (line_family(2000), surface_family(2000), square_family(45)):
         group, parse_s = timed(parse_group_spec, fam.spec)
         _, table_s = timed(lambda: group.divisor_rows)
         fan, fan_s = timed(build_fan, group)
@@ -61,4 +59,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

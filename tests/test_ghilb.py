@@ -129,8 +129,8 @@ def far_line_neighbour(group, fan):
         (far,) = set(fan.cone_rays[cj]) - {i, j}
         for b in (1, -1):
             point = tuple(u + b * (v - w) for u, v, w in zip(scaled[far], scaled[i], scaled[j]))
-            if point in group.junior_index:
-                return (i, j), ci, g, far, group.junior_index[point], b
+            if point in group._ray_index:
+                return (i, j), ci, g, far, group._ray_index[point], b
     raise AssertionError("no wall with a second junior point on its far line")
 
 
@@ -618,7 +618,7 @@ def test_dual_vector_guards(p3):
     center, x, y, z = (1, 1, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3)
     with pytest.raises(LowerDimensionalCone, match="is not a facet of a cone"):
         dual_vector(3, y, z, y)
-    ci, yi = (p3.group.junior_index[p] for p in (center, y))
+    ci, yi = (p3.group._ray_index[p] for p in (center, y))
     with pytest.raises(LowerDimensionalCone, match="is not a facet of a cone"):
         cross_wall(p3.group, p3.fan.ggraphs[0], (ci, yi), ci)
     with pytest.raises(FanValidationFailed, match="non-unimodular cone"):
