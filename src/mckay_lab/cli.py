@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and all checks passed), 1 verification failure (in
 corpus, also a group whose pipeline raised), 2 invalid input (an InputError
-or an OSError), 3 a failed internal guard (an InternalGuardError: a bug).
+or an OSError), 3 a failed internal guard (an InternalGuardError: a bug), 4
+out of memory (a MemoryError: the group is too large for the machine).
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def main(argv=None) -> int:
     except InternalGuardError as exc:
         print(f"error: internal guard {type(exc).__name__} failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory: the group is too large for this machine", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args) -> int:

@@ -73,10 +73,11 @@ def corpus_specs(spec: CorpusSpec) -> list[str]:
 
 
 def _verify_spec(group_spec: str) -> dict:
-    """One group's report, or its error as {group, error_type, message}."""
+    """One group's report, or its error, a MemoryError too, as {group,
+    error_type, message}."""
     try:
         return verify_group(parse_group_spec(group_spec))
-    except McKayLabError as exc:
+    except (McKayLabError, MemoryError) as exc:
         return {"group": group_spec, "error_type": type(exc).__name__, "message": str(exc)}
 
 

@@ -22,12 +22,12 @@ each representative moves by the multiple of the wall's carving vector
 (dual_vector, the cone's dual basis vector) that the table's row there
 fixes.  The step carries S forward by the moved amount, and the tail table
 is checked only at the moved positions and their heads, where alone a
-comparison can change.  The fan is then validated as a unimodular
-triangulation, each chart is checked against the table at its three rays,
-and the fan derives its integer facts once.  The whole path runs on
-integers: a cone is its ascending ray-index triple, the `WeightVector`s are
-output views, no `Fraction` is compared and no monomial's character is
-looked up.
+comparison can change.  The glue counts and the +-n pairings of carving
+vectors then certify the triangulation, each chart is checked against the
+table at its three rays, and the fan derives its integer facts once.  The
+whole path runs on integers: a cone is its ascending ray-index triple, the
+`WeightVector`s are output views, no `Fraction` is compared and no
+monomial's character is looked up.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ class GHilbFan:
     cone_rays[k] that of the chart ggraphs[k]; the edges, each its ascending
     ray-index pair, a key of `edges` in ray-pair order whose value is the
     sorted indices of the cones next to it (one on the boundary, two
-    inside); and one carving vector per interior edge, positive on the far
-    ray of the edge's first cone."""
+    inside); and one carving vector per interior edge, n on the far ray of
+    the edge's first cone and -n, checked, on the second's."""
 
     def __init__(self, group: GroupData, ggraphs: list[GGraph], cone_rays):
         self.group = group
@@ -180,14 +180,9 @@ class GHilbFan:
         self.cones_at_ray = tuple(map(tuple, cones_at))
         self.edges_at_ray = tuple(map(tuple, edges_at))  # each in the order of edges
         self.interior_edges = tuple(key for key, cs in self.edges.items() if len(cs) != 1)
+        self.carving_vectors: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._validate()
         DivisorCoefficients(self)
-        self.carving_vectors: dict[tuple[int, int], tuple[int, int, int]] = {}
-        n = group.order
-        for i, j in self.interior_edges:
-            a, b, c = self.cone_rays[self.edges[i, j][0]]
-            far = a + b + c - i - j  # the first cone's third ray
-            self.carving_vectors[i, j] = dual_vector(n, scaled[i], scaled[j], scaled[far])
 
     # -- lookups ------------------------------------------------------------
 
@@ -217,9 +212,11 @@ class GHilbFan:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
-        group = self.group
-        n = group.order
-        scaled = group.juniors
+        """The cones tile the simplex: n distinct unimodular ones on every ray,
+        one on each boundary edge, two on opposite sides of each interior one
+        (carving_vectors, filled here), so the count over a point is constant,
+        and n cones of |det| n^2 fill the simplex's n^3 once."""
+        n, scaled = self.group.order, self.group.juniors
         if len(self.cone_rays) != n:
             raise FanValidationFailed(f"{len(self.cone_rays)} cones for a group of order {n}")
         if len(self._cone_index) != n:
@@ -237,36 +234,12 @@ class GHilbFan:
         for (i, j), cones in self.edges.items():
             if len(cones) != (2 if spans_interior_edge(scaled[i], scaled[j]) else 1):
                 raise FanValidationFailed(f"edge {(i, j)} is glued by {len(cones)} cones")
-        interior = set(group.interior_ray_indices)
-        for ri in range(len(scaled)):
-            self._validate_link(ri, ri not in interior)
-
-    def _validate_link(self, ray_idx: int, on_boundary: bool) -> None:
-        """The triangles around a vertex must close into a disc (or half-disc)."""
-        # the link graph: a vertex's degree is the number of cones that hold it
-        adjacency: dict[int, list[int]] = {}
-        for ci in self.cones_at_ray[ray_idx]:
-            a, b, c = self.cone_rays[ci]
-            if a == ray_idx:
-                a = c
-            elif b == ray_idx:
-                b = c
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        degrees = [len(nbrs) for nbrs in adjacency.values()]
-        if max(degrees) > 2 or degrees.count(1) != (2 if on_boundary else 0):
-            raise FanValidationFailed(f"bad vertex link at ray {self.group.junior_points[ray_idx]}")
-        # single component: walk the link graph
-        seen = set()
-        stack = [next(iter(adjacency))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adjacency[v])
-        if len(seen) != len(adjacency):
-            raise FanValidationFailed(f"disconnected link at {self.group.junior_points[ray_idx]}")
+        # t.g = n on the first cone's third ray g, so -n on g2 by g + g2 = a*e + b*f
+        for i, j in self.interior_edges:
+            g, g2 = (sum(self.cone_rays[ci]) - i - j for ci in self.edges[i, j])
+            t = self.carving_vectors[i, j] = dual_vector(n, scaled[i], scaled[j], scaled[g])
+            if dot3(t, scaled[g2]) != -n:
+                raise FanValidationFailed(f"the two cones on edge {(i, j)} lie on one side of it")
 
 
 # ---------------------------------------------------------------------------

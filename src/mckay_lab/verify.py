@@ -277,7 +277,7 @@ class GroupVerification:
         return (
             len(self.fan.ggraphs) == n
             and len(self.fan.cone_rays) == n
-            and len(set(self.fan.ggraphs)) == n
+            and len({g.row for g in self.fan.ggraphs}) == n
         )
 
     def _counts_match_coordinates(self, ray_indices) -> bool:

@@ -8,6 +8,7 @@ from math import gcd
 
 from mckay_lab.errors import (
     DegenerateCone,
+    FanValidationFailed,
     MultiplicityOutOfRange,
     NotInLattice,
     NotInSL3,
@@ -118,6 +119,37 @@ def cone_is_unimodular(group, rays):
     if d == 0:
         raise DegenerateCone("cone rays are linearly dependent")
     return abs(d) == n * n
+
+
+def vertex_links_close(cone_rays, boundary):
+    """The per-ray link walk the fan's validation once ran, kept as the
+    reference for its pairing check: for each ray index of `boundary`, a
+    dict to whether the ray lies on the simplex's boundary, the edges
+    opposite it in its cones must form one cycle (a disc around it) or, on
+    the boundary, one path (a half-disc).  FanValidationFailed names the
+    first ray whose link does not."""
+    cones_at = {}
+    for triple in cone_rays:
+        for ri in triple:
+            cones_at.setdefault(ri, []).append(triple)
+    for ri, on_boundary in boundary.items():
+        # the link graph: a vertex's degree is the number of cones that hold it
+        adjacency = {}
+        for triple in cones_at.get(ri, ()):
+            a, b = (v for v in triple if v != ri)
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        degrees = [len(nbrs) for nbrs in adjacency.values()]
+        if not degrees or max(degrees) > 2 or degrees.count(1) != (2 if on_boundary else 0):
+            raise FanValidationFailed(f"bad vertex link at ray {ri}")
+        seen, stack = set(), [next(iter(adjacency))]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adjacency[v])
+        if len(seen) != len(adjacency):
+            raise FanValidationFailed(f"disconnected link at ray {ri}")
 
 
 def junior_table_by_fractions(group):

@@ -4,7 +4,8 @@
 
 For 1/2000(1,1,1998), 1/2000(0,1,1999) and Z/45 x Z/45 it builds the fan,
 checks its cones and wall relations against the family (`check_family`) and
-its carving vectors (`check_carving_vectors`), and compares its cones and
+its carving vectors (`check_carving_vectors`), runs the per-ray link walk
+(`oracles.vertex_links_close`) on its cones, and compares its cones and
 chart rows with the oracle's wall crossing (`oracles.wall_crossing`).  It
 prints one line per group with the seconds each stage took, and exits 1 on
 the first disagreement.  The name keeps it
@@ -22,9 +23,10 @@ try:
 except ImportError:  # run from a checkout without the package installed
     sys.path.insert(0, str(TESTS.parent / "src"))
     from mckay_lab import build_fan, parse_group_spec
+from mckay_lab.errors import FanValidationFailed
 
 from families import line_family, square_family, surface_family
-from oracles import wall_crossing
+from oracles import vertex_links_close, wall_crossing
 from test_families import check_carving_vectors, check_family
 
 
@@ -42,17 +44,19 @@ def main() -> int:
         try:
             _, family_s = timed(check_family, group.juniors, fan.cone_rays, fam)
             _, carving_s = timed(check_carving_vectors, fan)
+            boundary = {ri: 0 in e for ri, e in enumerate(group.juniors)}
+            _, links_s = timed(vertex_links_close, fan.cone_rays, boundary)
             oracle, oracle_s = timed(wall_crossing, group)
             charts = {cone: graph.row for cone, graph in zip(fan.cone_rays, fan.ggraphs)}
             assert oracle == charts, "the oracle's wall crossing differs from the fan"
-        except AssertionError as exc:
+        except (AssertionError, FanValidationFailed) as exc:
             print(f"{fam.spec}: FAILED: {exc}")
             return 1
         print(
             f"{fam.spec}: order {group.order}, {len(fan.cone_rays)} cones; "
             f"parse {parse_s:.2f} s, table {table_s:.2f} s, build_fan {fan_s:.2f} s, "
             f"check_family {family_s:.2f} s, check_carving_vectors {carving_s:.2f} s, "
-            f"oracle {oracle_s:.2f} s"
+            f"link walk {links_s:.2f} s, oracle {oracle_s:.2f} s"
         )
         del group, fan, oracle, charts
     return 0

@@ -271,6 +271,40 @@ def test_corpus_records_a_raising_group_and_goes_on(capsys, monkeypatch):
     assert all(g["pass"] for g in aggregate["per_group"])
 
 
+def out_of_memory(self, weight):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["fan", "verify"])
+def test_running_out_of_memory_exits_4(capsys, monkeypatch, command):
+    """A MemoryError, seeded where the divisor table is built, is neither a
+    pass nor a failed verification: one stderr line and exit 4."""
+    monkeypatch.setattr("mckay_lab.groups.GroupData.least_valuations", out_of_memory)
+    code, out, err = run(capsys, command, "--group", "13:1,5,7")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_corpus_records_a_group_out_of_memory_and_goes_on(capsys, monkeypatch):
+    import mckay_lab.groups
+
+    least_valuations = mckay_lab.groups.GroupData.least_valuations
+
+    def flaky(self, weight):
+        if self.spec_string() == "3:1,1,1":
+            raise MemoryError
+        return least_valuations(self, weight)
+
+    monkeypatch.setattr(mckay_lab.groups.GroupData, "least_valuations", flaky)
+    code, out, _ = run(capsys, "corpus", "--max-order", "4", "--jobs", "1")
+    assert code == 1
+    aggregate = json.loads(out)
+    assert aggregate["failures"] == [{"group": "3:1,1,1", "error_type": "MemoryError", "message": ""}]
+    assert [g["group"] for g in aggregate["per_group"]] == [
+        "2:0,1,1", "3:0,1,2", "4:0,1,3", "4:1,1,2"
+    ]
+
+
 # groups whose query outputs each run as a case of its own; the digest each
 # case expects is the manifest's, which is the one byte pin
 QUERY_GROUPS = (

@@ -36,7 +36,7 @@ from mckay_lab.ghilb import (
     seed_ggraph,
 )
 from mckay_lab.groups import GroupData
-from mckay_lab.intlin import dot3
+from mckay_lab.intlin import det3, dot3
 
 from conftest import SQUARE_PRODUCTS, sl3_cyclic, small_groups
 from oracles import (
@@ -53,6 +53,7 @@ from oracles import (
     minimal_monomial_normals,
     naive_ggraphs,
     stepped_flip,
+    vertex_links_close,
     wall_crossing,
 )
 
@@ -637,17 +638,126 @@ def test_dual_vector_guards(p3):
          "disconnected link"),
     ],
 )
-def test_vertex_links_must_close(p3, cones, on_boundary, message):
-    """The cones at a vertex, here ray 0, must form one cycle of link
-    vertices around an interior vertex and one path around a boundary one."""
-    from types import SimpleNamespace
-
-    fan = SimpleNamespace(group=p3.group, cone_rays=cones, cones_at_ray=[range(len(cones))])
+def test_vertex_links_must_close(cones, on_boundary, message):
+    """In the reference walk, the cones at a vertex, here ray 0, must form
+    one cycle of link vertices around an interior vertex and one path around
+    a boundary one."""
     if message is None:
-        GHilbFan._validate_link(fan, 0, on_boundary)
+        vertex_links_close(cones, {0: on_boundary})
     else:
         with pytest.raises(FanValidationFailed, match=message):
-            GHilbFan._validate_link(fan, 0, on_boundary)
+            vertex_links_close(cones, {0: on_boundary})
+
+
+def cone_faults(group, cone_rays, rng, count):
+    """`count` seeded faults of a fan's cone list, the four kinds in turn:
+    one cone replaced by a random unimodular one, the two cones on an
+    interior edge by the other diagonal of their quadrilateral, one ray of a
+    cone moved to a random ray, and two cones replaced by random unimodular
+    ones."""
+    n, scaled = group.order, group.juniors
+    rays = range(len(scaled))
+    sides = {}  # an edge's cones, each with its third ray
+    for ci, (a, b, c) in enumerate(cone_rays):
+        for edge, g in (((a, b), c), ((a, c), b), ((b, c), a)):
+            sides.setdefault(edge, []).append((ci, g))
+    quads = [(edge, pair) for edge, pair in sides.items() if len(pair) == 2]
+
+    def unimodular():
+        a, b = rng.sample(rays, 2)
+        thirds = [c for c in rays if abs(det3((scaled[a], scaled[b], scaled[c]))) == n * n]
+        return tuple(sorted((a, b, rng.choice(thirds or rays))))
+
+    for k in range(count):
+        cones = list(cone_rays)
+        if k % 4 == 0:
+            cones[rng.randrange(n)] = unimodular()
+        elif k % 4 == 1 and quads:
+            (i, j), ((ci, g), (cj, g2)) = rng.choice(quads)
+            cones[ci], cones[cj] = tuple(sorted((i, g, g2))), tuple(sorted((j, g, g2)))
+        elif k % 4 == 2:
+            ci = rng.randrange(n)
+            triple = list(cones[ci])
+            triple[rng.randrange(3)] = rng.choice(rays)
+            cones[ci] = tuple(sorted(triple))
+        else:
+            for ci in rng.sample(range(n), min(2, n)):
+                cones[ci] = unimodular()
+        yield cones
+
+
+def fan_check(group, cones):
+    """The error GHilbFan's triangulation checks raise on a cone list, or
+    None; its charts are placeholders, read only after those checks."""
+    try:
+        GHilbFan(group, [None] * len(cones), cones)
+    except McKayLabError as exc:
+        return exc
+    return None
+
+
+def boundary_flags(group):
+    return {ri: 0 in e for ri, e in enumerate(group.juniors)}
+
+
+def test_the_pairing_rejects_a_cone_list_exactly_when_the_link_walk_did(monkeypatch):
+    """On every group of the byte manifest, seeded faults of the fan's cone
+    list: the fan rejects one exactly when its other guards or the old per-ray
+    link walk (oracles.vertex_links_close) reject it.  In this sample a fault
+    that passes the other guards is a triangulation (a flip of a convex
+    quadrilateral), which both accept; the fold of
+    test_two_cones_on_one_side_of_an_interior_edge_are_rejected, which passes
+    them too, is added, and both reject it."""
+    monkeypatch.setattr("mckay_lab.ghilb.DivisorCoefficients", lambda fan: None)
+    rng = random.Random(20)
+    verdicts = {"accepted": 0, "by the other guards": 0, "by the pairing": 0}
+    for spec in MANIFEST_GROUPS:
+        group = parse_group_spec(spec)
+        faults = list(cone_faults(group, build_fan(group).cone_rays, rng, 16))
+        if spec == FOLD_SPEC:
+            faults.append(fold_cones())
+        for cones in faults:
+            error = fan_check(group, cones)
+            if error is not None and "one side" not in str(error):
+                verdicts["by the other guards"] += 1
+                continue
+            try:
+                vertex_links_close(cones, boundary_flags(group))
+            except FanValidationFailed:
+                assert error is not None, (spec, cones)
+                verdicts["by the pairing"] += 1
+            else:
+                assert error is None, (spec, cones, error)
+                verdicts["accepted"] += 1
+    assert min(verdicts.values()) > 0, verdicts
+
+
+# 1/20(1,3,16): five unimodular parallelograms of junior points, no two
+# sharing an edge, every edge off the boundary, together on all 14 rays
+FOLD_SPEC = "20:1,3,16"
+FOLD_PARALLELOGRAMS = ((1, 4, 5, 7), (5, 6, 8, 9), (0, 7, 8, 12), (2, 3, 9, 10), (2, 7, 11, 13))
+
+
+def fold_cones():
+    """Each parallelogram taken with both diagonals: four cones, each edge
+    in two of them, both on one side of each of its four sides."""
+    return sorted(t for quad in FOLD_PARALLELOGRAMS for t in combinations(quad, 3))
+
+
+def test_two_cones_on_one_side_of_an_interior_edge_are_rejected():
+    """The fold passes every guard but the pairing: 20 distinct unimodular
+    cones on every ray, two on each edge, none on the boundary.  The first
+    interior edge's carving vector pairs to +n with both its third rays, and
+    the fan names that edge.  The link walk rejected it at a corner, whose
+    link is a cycle."""
+    group = parse_group_spec(FOLD_SPEC)
+    cones = fold_cones()
+    assert len(set(cones)) == group.order
+    assert {ri for t in cones for ri in t} == set(range(len(group.juniors)))
+    with pytest.raises(FanValidationFailed, match=r"cones on edge \(0, 7\) lie on one side"):
+        GHilbFan(group, [None] * len(cones), cones)
+    with pytest.raises(FanValidationFailed, match="bad vertex link at ray 0"):
+        vertex_links_close(cones, boundary_flags(group))
 
 
 def test_unbounded_flip_is_exhausted(p3):

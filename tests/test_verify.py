@@ -14,6 +14,7 @@ from mckay_lab import (
     verify_group,
 )
 from mckay_lab.errors import ShapeUnrecognized
+from mckay_lab.ghilb import GGraph
 from mckay_lab.serialize import report_json
 
 from conftest import SQUARE_PRODUCTS, small_groups
@@ -208,6 +209,17 @@ def test_chart_consistency_catches_a_corrupted_coefficient(monkeypatch):
     rows[ri][group.index[chi]] += 1
     monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(map(tuple, rows)))
     assert not verification._prop_chart_consistency()
+
+
+def test_counts_compare_clusters_by_row(monkeypatch):
+    """A fan whose second cluster is a fresh GGraph with the first one's row
+    holds n objects but n - 1 clusters: the counts property fails."""
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    verification = GroupVerification(fan)
+    assert verification._prop_counts()
+    first = fan.ggraphs[0]
+    monkeypatch.setattr(fan, "ggraphs", (first, GGraph(fan.group, first.row), *fan.ggraphs[2:]))
+    assert not verification._prop_counts()
 
 
 def test_corner_in_arrows_all_vanishing_break_strict_transforms():
