@@ -192,18 +192,16 @@ class GroupData:
     def _read_juniors(self):
         """The junior points e in lex order, corners included: as n*e and as
         `WeightVector`s.  An element N*e (N = modulus) is junior when it sums
-        to N, and n*e = n*(N*e)//N; the corners go first, after the elements
-        with x = 0, and last."""
+        to N, and n*e = n*(N*e)//N; the scaled points are distinct, so they
+        alone set the order."""
         n, modulus = self.order, self.modulus
-        x, y, z = ((tuple(n * (i == k) for i in range(3)), c) for k, c in enumerate(CORNERS))
-        points = [z]
-        for (a, b, c), coords in zip(self.element_triples, self.elements):
-            if a + b + c == modulus:
-                if a and y:
-                    points.append(y)
-                    y = None
-                points.append(((a * n // modulus, b * n // modulus, c * n // modulus), coords))
-        points += [y, x] if y else [x]
+        points = [(tuple(n * (i == k) for i in range(3)), c) for k, c in enumerate(CORNERS)]
+        points += [
+            ((a * n // modulus, b * n // modulus, c * n // modulus), coords)
+            for (a, b, c), coords in zip(self.element_triples, self.elements)
+            if a + b + c == modulus
+        ]
+        points.sort()
         scaled, coords = zip(*points)
         return scaled, tuple(map(WeightVector, coords))
 

@@ -11,7 +11,9 @@ An edge is its ray-index pair.  Each interior edge's ratio is read off its
 carving vector once per marked triangulation, into its one table
 `edge_ratios`; collinearity at a vertex is read off the scaled junior
 points n*e.  The recipe runs on ray indices; a point becomes one only
-through `GroupData.ray_index`.
+through `GroupData.ray_index`.  A triangle's defect is the one inward sum of
+its three carving vectors, each signed into the triangle by the fan's edge
+orientation: the cone's dual basis, which sums to (1, 1, 1).
 """
 
 from __future__ import annotations
@@ -230,29 +232,26 @@ def _assert_geometric_collinearity(fan, ray_idx, edges, members) -> None:
 
 
 def regular_triangle_defect(fan: GHilbFan, cone_index: int) -> int:
-    """The exponent r' with the three edge ratios multiplying to (xyz)^r'.
+    """The exponent r' with the three edge ratios multiplying to (xyz)^r',
+    for a maximal cone all of whose edges are interior.
 
-    Defined for maximal cones all of whose edges are interior; searches the
-    eight orientation choices of the three carving vectors.
+    Each carving vector, +t on the edge's first cone and -t on its second,
+    points into the cone: it is the dual basis vector u of the cone's rays
+    n*e with u.(n*e) = n on the third ray.  Every n*e sums to n, so the
+    three sum to (1, 1, 1) and r' = 1 on a valid fan; a sum with unequal
+    coordinates raises NoOrientationWorks.
     """
     a, b, c = fan.cone_rays[cone_index]
-    return product_defect([fan.carving_vector(e) for e in ((a, b), (a, c), (b, c))])
-
-
-def product_defect(vectors) -> int:
-    """Smallest r' >= 0 with some signing of the vectors summing to (r',r',r')."""
-    best = None
-    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
-        total = tuple(
-            sum(s * v[i] for s, v in zip(signs, vectors)) for i in range(3)
+    inward = [
+        (fan.carving_vector(e), 1 if fan.edges[e][0] == cone_index else -1)
+        for e in ((a, b), (a, c), (b, c))
+    ]
+    total = tuple(sum(s * t[i] for t, s in inward) for i in range(3))
+    if not total[0] == total[1] == total[2]:
+        raise NoOrientationWorks(
+            f"the inward carving vectors of cone {cone_index} {(a, b, c)} sum to {total}"
         )
-        if total[0] == total[1] == total[2]:
-            r = abs(total[0])
-            if best is None or r < best:
-                best = r
-    if best is None:
-        raise NoOrientationWorks(f"no signing of {vectors} gives a power of xyz")
-    return best
+    return total[0]
 
 
 @dataclass

@@ -10,6 +10,7 @@ from mckay_lab.errors import (
     DegenerateCone,
     FanValidationFailed,
     MultiplicityOutOfRange,
+    NoOrientationWorks,
     NotInLattice,
     NotInSL3,
     SearchExhausted,
@@ -771,6 +772,24 @@ def brute_carving_vector(group, e_coords, f_coords, bound):
                 if best is None or size < best[0]:
                     best = (size, v)
     return best[1] if best else None
+
+
+def product_defect(vectors) -> int:
+    """Smallest r' >= 0 with some signing of the vectors summing to (r',r',r'):
+    the triangle defect by a search over the four signings up to a global
+    sign, blind to the fan's edge orientation."""
+    best = None
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
+        total = tuple(
+            sum(s * v[i] for s, v in zip(signs, vectors)) for i in range(3)
+        )
+        if total[0] == total[1] == total[2]:
+            r = abs(total[0])
+            if best is None or r < best:
+                best = r
+    if best is None:
+        raise NoOrientationWorks(f"no signing of {vectors} gives a power of xyz")
+    return best
 
 
 def support_h0_scan(fan, qa, chi):

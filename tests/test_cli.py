@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import mckay_lab.errors as errors
+from mckay_lab import GroupVerification
 from mckay_lab.cli import main
 from mckay_lab.corpus import enumerate_cyclic
 
@@ -115,6 +116,24 @@ def test_corpus_command(capsys, tmp_path):
     specs = {g["group"] for g in aggregate["per_group"]}
     # 1/2(1,1,0) appears through its sorted-weight representative
     assert {"2:0,1,1", "3:1,1,1", "4:1,1,2", "2:1,1,0+2:0,1,1"} <= specs
+
+
+def test_a_failed_property_fails_the_report_the_corpus_and_the_cli(capsys, monkeypatch):
+    """One property seeded False on 13:1,5,7 is the report's one failure
+    line, the group's entry in the corpus failures, and exit 1 with FAIL."""
+    monkeypatch.setattr(GroupVerification, "_prop_triangle_defects", lambda self: False)
+    failures = ["property regular_triangle_defects"]
+    code, out, err = run(capsys, "verify", "--group", "13:1,5,7")
+    report = json.loads(out)
+    assert code == 1 and err.endswith("\nFAIL 13:1,5,7\n")
+    assert report["pass"] is report["summary"]["pass"] is False
+    assert report["properties"]["regular_triangle_defects"] is False
+    assert report["failures"] == failures
+    code, out, _ = run(capsys, "corpus", "--max-order", "0", "--group", "13:1,5,7")
+    aggregate = json.loads(out)
+    assert code == 1 and aggregate["pass"] is False
+    assert aggregate["failures"] == [{"group": "13:1,5,7", "failures": failures}]
+    assert aggregate["per_group"] == [{"group": "13:1,5,7", "order": 13, "pass": False}]
 
 
 def test_the_shared_parser_keeps_no_group_between_calls(capsys):

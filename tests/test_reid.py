@@ -14,15 +14,21 @@ from mckay_lab import (
     tautological_degree,
     vertex_marking,
 )
-from mckay_lab.errors import BoundaryEdge, NotInLattice, UnknownCone, UnmarkedVertex
+from mckay_lab.errors import (
+    BoundaryEdge,
+    NoOrientationWorks,
+    NotInLattice,
+    UnknownCone,
+    UnmarkedVertex,
+)
 from mckay_lab.ghilb import tautological_degrees
 from mckay_lab.groups import WeightVector
 from mckay_lab.intlin import dot3
-from mckay_lab.reid import product_defect
 from mckay_lab.verify import _oriented_carving_pair
 
 from conftest import SQUARE_PRODUCTS, pipeline, small_groups
-from oracles import brute_carving_vector
+from golden import check as golden
+from oracles import brute_carving_vector, product_defect
 
 f = Fraction
 
@@ -210,24 +216,56 @@ def test_product_defect_telescoping():
     assert product_defect(vectors) == 0
 
 
-def test_regular_triangle_defect_on_interior_cones():
-    pipe_spec = "7:1,2,4"
-    from conftest import pipeline
+def interior_cones(fan):
+    """The indices of the cones whose three edges are interior."""
+    return [
+        ci
+        for ci, (a, b, c) in enumerate(fan.cone_rays)
+        if all(len(fan.edges[e]) == 2 for e in ((a, b), (a, c), (b, c)))
+    ]
 
-    pipe = pipeline(pipe_spec)
-    fan = pipe.fan
-    defects = []
-    for ci, triple in enumerate(fan.cone_rays):
-        edges = [
-            fan.edge_between(triple[a], triple[b])
-            for a in range(3)
-            for b in range(a + 1, 3)
-        ]
-        if any(len(fan.edges[e]) == 1 for e in edges):
-            continue
-        defects.append(regular_triangle_defect(fan, ci))
+
+def test_regular_triangle_defect_on_interior_cones():
+    fan = pipeline("7:1,2,4").fan
+    defects = [regular_triangle_defect(fan, ci) for ci in interior_cones(fan)]
     # 1/7(1,2,4) has four all-interior triangles, each basic: defect 1
     assert defects == [1, 1, 1, 1]
+
+
+def check_inward_defects(fan) -> int:
+    """Each all-interior cone's inward sum is 1, the least defect the
+    four-signing search finds; returns the number of cones checked."""
+    cones = interior_cones(fan)
+    for ci in cones:
+        a, b, c = fan.cone_rays[ci]
+        vectors = [fan.carving_vector(e) for e in ((a, b), (a, c), (b, c))]
+        assert regular_triangle_defect(fan, ci) == product_defect(vectors) == 1, ci
+    return len(cones)
+
+
+def test_inward_defect_is_one_on_the_manifest_groups():
+    specs = golden.load()["groups"] + SQUARE_PRODUCTS
+    assert sum(check_inward_defects(build_fan(parse_group_spec(s))) for s in specs) > 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups)
+def test_inward_defect_is_one_on_small_groups(group):
+    check_inward_defects(build_fan(group))
+
+
+def test_a_flipped_carving_vector_breaks_the_inward_sum(monkeypatch):
+    """One interior edge's vector negated: the search still finds a signing,
+    but the cone's inward sum has unequal coordinates."""
+    fan = build_fan(parse_group_spec("7:1,2,4"))
+    ci = interior_cones(fan)[0]
+    a, b, c = fan.cone_rays[ci]
+    flipped = tuple(-v for v in fan.carving_vectors[a, b])
+    vectors = [flipped, fan.carving_vector((a, c)), fan.carving_vector((b, c))]
+    assert product_defect(vectors) == 1
+    monkeypatch.setitem(fan.carving_vectors, (a, b), flipped)
+    with pytest.raises(NoOrientationWorks, match=rf"cone {ci} \("):
+        regular_triangle_defect(fan, ci)
 
 
 @settings(max_examples=30, deadline=None)

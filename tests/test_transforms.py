@@ -11,7 +11,7 @@ from mckay_lab import (
     support_h2,
     transform_profile,
 )
-from mckay_lab.errors import NoExceptionalLocus
+from mckay_lab.errors import EmptySupport, MultiDegreeSupport, NoExceptionalLocus
 
 f = Fraction
 
@@ -108,6 +108,26 @@ def test_exclusivity(p13):
         h2 = support_h2(p13.fan, p13.qa, chi)
         assert sum(bool(s) for s in (h0, h1, h2)) == 1
         assert prof.components == tuple(h0 or h1 or h2)
+
+
+def test_a_support_in_two_degrees_or_none_is_refused(monkeypatch):
+    """On 1/3(1,1,1) the character chi_1 is a source on the central divisor,
+    in degree -1: seeded as a sink there too it has two degrees, and with
+    its degree -1 locus emptied it has none."""
+    fan = build_fan(parse_group_spec("3:1,1,1"))
+    qa = QuiverAnalysis(fan)
+    chi = fan.group.characters[1]
+    k = fan.group.index[chi]
+    assert transform_profile(fan, qa, chi).degree == -1
+    h0, h1 = list(qa.h0_loci), list(qa.h1_loci)
+    h0[k] = (h1[k], [])
+    monkeypatch.setattr(qa, "h0_loci", h0)
+    with pytest.raises(MultiDegreeSupport, match=r"degrees \[0, -1\]"):
+        transform_profile(fan, qa, chi)
+    h0[k], h1[k] = ([], []), []
+    monkeypatch.setattr(qa, "h1_loci", h1)
+    with pytest.raises(EmptySupport, match="empty support in all degrees"):
+        transform_profile(fan, qa, chi)
 
 
 def test_trivial_group_rejected(trivial_group):

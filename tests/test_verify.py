@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -196,6 +197,31 @@ def test_verification_reads_the_given_fan(p4, monkeypatch):
     verification = GroupVerification(p4.fan)
     assert verification.fan is p4.fan
     assert verification.passed
+
+
+def test_failed_character_and_divisor_checks_name_their_witness(monkeypatch):
+    """A profile seeded disconnected fails its character's entry, and a
+    coordinates check seeded False every divisor's, each with its own line."""
+    group = parse_group_spec("13:1,5,7")
+    chi = group.characters[1]
+    profile_of = mckay_lab.verify.transform_profile
+
+    def disconnected(fan, qa, character):
+        profile = profile_of(fan, qa, character)
+        return replace(profile, connected=False) if character == chi else profile
+
+    monkeypatch.setattr(mckay_lab.verify, "transform_profile", disconnected)
+    monkeypatch.setattr(GroupVerification, "_coords_check", lambda self, ri, expected: False)
+    verification = GroupVerification(build_fan(group))
+    entry = verification.per_character[1]
+    assert [e["pass"] for e in verification.per_character].count(False) == 1
+    assert not entry["pass"] and entry["connected"] is False
+    assert not any(e["pass"] for e in verification.per_divisor)
+    assert verification.failures == [
+        f"character {chi.label()}: {entry['marking_class']} vs degree {entry['degree']}",
+        *(f"divisor at ray {ri}: shape/case mismatch" for ri in group.interior_ray_indices),
+    ]
+    assert not verification.passed
 
 
 def test_chart_consistency_catches_a_corrupted_coefficient(monkeypatch):
