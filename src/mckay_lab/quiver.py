@@ -10,34 +10,36 @@ two sinks, seven sources, six charges and three tiles.
 Vertices are keyed by position in ``group.characters`` throughout, and the
 arrows are the group's position tables ``head_rows`` and ``tail_rows``.
 Every per-ray fact is an integer bitmask over those positions.
-QuiverAnalysis reads, once per ray, the arrow orders off the ray's row of
-the group's divisor table, one pass per orientation, as masks of vanishing
-out- and in-arrows, and from them, in integer operations, the triangle
-identity and the class masks: the sources, the (3,0)- and (0,3)-sinks and
-the charges.  A vertex's class is _classify_pattern of its two 3-bit spoke
-patterns at its position, read where classes are printed and once per
-source of a sink-source graph, and each source emits its lines by its
-class.  A sink-source graph is a frozen value, built in one call.  Charge
-lines and shapes are sought on interior divisors only, where they are
-theorems: the sorted source bidegrees name the shape before any line is
-walked, and each line is walked once into its table, the backward lines
-keyed by orientation and the forward ones by source and orientation, which
-the lengths are read off.  The graph of a boundary divisor holds its class
-masks alone.  The vertices' torus positions, for drawing, are the group's
-lifts x^i y^j reduced modulo the projected invariant lattice.
+QuiverAnalysis reads, once per ray, the order of each arrow (k, o) off the
+ray's row of the group's divisor table, in one loop over the arrows, into
+masks of vanishing out- and in-arrows; an order other than 0 or 1 raises
+at its arrow.  From the masks it reads, in integer operations, the
+triangle identity and the class masks: the sources, the (3,0)- and
+(0,3)-sinks and the charges.  A vertex's class is _classify_pattern of its
+two 3-bit spoke patterns at its position, read where classes are printed
+and once per source of a sink-source graph, and each source emits its
+lines by its class.  A sink-source graph is a frozen value, built in one
+call.  Charge lines and shapes are sought on interior divisors only, where
+they are theorems: the sorted source bidegrees name the shape before any
+line is walked, and each line is walked once into its table, the backward
+lines keyed by orientation and the forward ones by source and
+orientation, which the lengths are read off.  The graph of a boundary
+divisor holds its class masks alone.  The vertices' torus positions, for
+drawing, are the group's lifts x^i y^j reduced modulo the projected
+invariant lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
     InvalidSpokePattern,
     MultiplicityOutOfRange,
     ShapeUnrecognized,
+    UnknownCone,
     WalkDiverged,
 )
 from .ghilb import GHilbFan
@@ -98,13 +100,6 @@ def _ones(a: int, b: int, c: int) -> int:
     return (a ^ b ^ c) & ~(a & b & c)
 
 
-def _through(reading, digits: str) -> int:
-    """The mask whose bit k is digits[column[k]], for a 0/1 string indexed
-    by position and the reversed reading of a column (_getter(column[::-1])),
-    which spells the mask highest bit first, as int(s, 2) reads it."""
-    return int("".join(reading(digits)), 2)
-
-
 def _classes_at(masks, positions) -> list[VertexClass]:
     """The class of the vertex at each given position, read off a ray's
     masks: bit k of the x-, y- and z-masks makes the k-th spoke pattern."""
@@ -116,14 +111,6 @@ def _classes_at(masks, positions) -> list[VertexClass]:
         )
         for k in positions
     ]
-
-
-def _getter(column):
-    """itemgetter(*column), which returns a tuple for one index too."""
-    if len(column) == 1:
-        (index,) = column
-        return lambda seq: (seq[index],)
-    return itemgetter(*column)
 
 
 class ClassMasks(NamedTuple):
@@ -202,69 +189,41 @@ class QuiverAnalysis:
 
     # -- arrow orders --------------------------------------------------------
 
-    @cached_property
-    def _columns(self) -> tuple[tuple, tuple, object]:
-        """Getters of a sequence indexed by position: per orientation, through
-        the head column; per orientation, through the tail column reversed;
-        and through the x-head column reversed (readings for _through)."""
-        heads = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
-        tails = tuple(zip(*self.group.tail_rows))  # [o][k]: tail of the o-arrow into k
-        return (
-            tuple(map(_getter, heads)),
-            tuple(_getter(col[::-1]) for col in tails),
-            _getter(heads[0][::-1]),
-        )
-
     def masks(self, ray_idx: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """(outs, ins), bitmasks over the index of group.characters: bit k of
         outs[o] is set when the o-arrow out of the k-th character vanishes
         along the ray's divisor, bit k of ins[o] when the o-arrow into it
-        does.  Every arrow vanishes to order 0 or 1."""
+        does.  Every arrow vanishes to order 0 or 1.  An index outside the
+        junior points raises UnknownCone."""
         if ray_idx not in self._masks:
+            if not 0 <= ray_idx < len(self.group.juniors):
+                raise UnknownCone(f"ray {ray_idx} is not a ray of the fan")
             self._masks[ray_idx] = self._compute_mult(ray_idx)
         return self._masks[ray_idx]
 
     def _compute_mult(self, ray_idx: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """n times the order of the o-arrow out of the k-th character is
         n*e_o + n*q(k) - n*q(head), read off the ray's row of the divisor
-        table; it must be 0 or n.
-
-        One pass per orientation spells the orders by position as a 0/1
-        string, from the row's differences through the head column; the
-        in-masks read that string through the tail column."""
+        table in one loop over the arrows (k, o), k outer.  Order 1 sets bit
+        k of outs[o] and bit head of ins[o]; an order other than 0 or 1
+        raises at its arrow."""
         group = self.group
         n = group.order
         e = group.juniors[ray_idx]
         row = group.divisor_rows[ray_idx]
-        heads, tails, _ = self._columns
-        orders = []
-        for eo, head in zip(e, heads):
-            digit = {-eo: "0", n - eo: "1"}.__getitem__
-            try:
-                orders.append("".join(map(digit, map(sub, row, head(row)))))
-            except KeyError:
-                raise self._out_of_range(ray_idx) from None
-        outs = tuple(int(s[::-1], 2) for s in orders)
-        ins = tuple(_through(tail, s) for tail, s in zip(tails, orders))
-        return outs, ins
-
-    def _out_of_range(self, ray_idx: int) -> MultiplicityOutOfRange:
-        """The error naming the first arrow, by (position, orientation), whose
-        order along the ray is neither 0 nor 1."""
-        group = self.group
-        n = group.order
-        e = group.juniors[ray_idx]
-        row = group.divisor_rows[ray_idx]
-        k, o, val = next(
-            (k, o, e[o] + row[k] - row[h])
-            for k, heads in enumerate(group.head_rows)
-            for o, h in enumerate(heads)
-            if e[o] + row[k] - row[h] not in (0, n)
-        )
-        return MultiplicityOutOfRange(
-            f"arrow ({group.characters[k]},{VARIABLES[o]}) "
-            f"has multiplicity {val}/{n} along ray {ray_idx}"
-        )
+        outs, ins = [0, 0, 0], [0, 0, 0]
+        for k, (qk, heads) in enumerate(zip(row, group.head_rows)):
+            for o, h in enumerate(heads):
+                val = e[o] + qk - row[h]
+                if val == n:
+                    outs[o] |= 1 << k
+                    ins[o] |= 1 << h
+                elif val:
+                    raise MultiplicityOutOfRange(
+                        f"arrow ({group.characters[k]},{VARIABLES[o]}) "
+                        f"has multiplicity {val}/{n} along ray {ray_idx}"
+                    )
+        return tuple(outs), tuple(ins)
 
     @cached_property
     def h0_loci(self) -> list[tuple[list[int], list[tuple[int, int]]]]:
@@ -305,12 +264,13 @@ class QuiverAnalysis:
         The triangles keyed by k run x out of k, then y (or z) out of its
         x-head, then z (or y) back into k, as the three weights multiply to
         the trivial character: over all k at once, exactly one of outs_x,
-        the y- (or z-) mask read through the x-head column and the in-mask
-        of the third arrow is set."""
+        the y- (or z-) mask moved back along the x-arrows (bit p to the
+        x-tail of p, a permutation, so the sum is an or) and the in-mask of
+        the third arrow is set."""
         (x, y, z), (_, iy, iz) = self.masks(ray_idx)
-        at_x_head = self._columns[2]
-        n, full = self.group.order, self._full
-        y_at_hx, z_at_hx = (_through(at_x_head, format(m, f"0{n}b")[::-1]) for m in (y, z))
+        tails = self.group.tail_rows
+        y_at_hx, z_at_hx = (sum(1 << tails[p][0] for p in _bits(m)) for m in (y, z))
+        full = self._full
         return _ones(x, y_at_hx, iz) == full and _ones(x, z_at_hx, iy) == full
 
     # -- vertex classes ------------------------------------------------------

@@ -273,11 +273,13 @@ class GroupVerification:
                 self._fail(f"property {name}")
 
     def _prop_counts(self) -> bool:
-        n = self.group.order
+        """n clusters and n cones.  Distinct sums S make distinct rows, so the
+        rows are hashed only when two clusters share a sum."""
+        n, graphs = self.group.order, self.fan.ggraphs
         return (
-            len(self.fan.ggraphs) == n
+            len(graphs) == n
             and len(self.fan.cone_rays) == n
-            and len({g.row for g in self.fan.ggraphs}) == n
+            and (len({g.total for g in graphs}) == n or len({g.row for g in graphs}) == n)
         )
 
     def _counts_match_coordinates(self, ray_indices) -> bool:

@@ -8,8 +8,10 @@ its carving vectors (`check_carving_vectors`), runs the per-ray link walk
 (`oracles.vertex_links_close`) on its cones, checks that
 `regular_triangle_defect` is 1 on every cone whose three edges are
 interior, and compares its cones and chart rows with the oracle's wall
-crossing (`oracles.wall_crossing`).  It prints one line per group with the
-seconds each stage took, and exits 1 on the first disagreement.  The name
+crossing (`oracles.wall_crossing`).  It also times the quiver's arrow masks
+at every junior point and the triangle identity on every exceptional ray.
+It prints one line per group with the seconds each stage took, and exits 1
+on the first disagreement.  The name
 keeps it out of pytest's collection: a run takes about a minute.
 """
 
@@ -20,10 +22,10 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 try:
-    from mckay_lab import build_fan, parse_group_spec, regular_triangle_defect
+    from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec, regular_triangle_defect
 except ImportError:  # run from a checkout without the package installed
     sys.path.insert(0, str(TESTS.parent / "src"))
-    from mckay_lab import build_fan, parse_group_spec, regular_triangle_defect
+    from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec, regular_triangle_defect
 from mckay_lab.errors import FanValidationFailed, NoOrientationWorks
 
 from families import line_family, square_family, surface_family
@@ -51,6 +53,13 @@ def main() -> int:
             cones = interior_cones(fan)
             defects, defect_s = timed(lambda: [regular_triangle_defect(fan, ci) for ci in cones])
             assert set(defects) <= {1}, f"triangle defects {sorted(set(defects))}, not 1"
+            qa = QuiverAnalysis(fan)
+            _, masks_s = timed(lambda: [qa.masks(ri) for ri in range(len(group.juniors))])
+            exceptional = group.exceptional_ray_indices
+            consistent, triangles_s = timed(
+                lambda: all(qa.triangles_consistent(ri) for ri in exceptional)
+            )
+            assert consistent, "a quiver triangle does not lose exactly one arrow"
             oracle, oracle_s = timed(wall_crossing, group)
             charts = {cone: graph.row for cone, graph in zip(fan.cone_rays, fan.ggraphs)}
             assert oracle == charts, "the oracle's wall crossing differs from the fan"
@@ -62,9 +71,11 @@ def main() -> int:
             f"parse {parse_s:.2f} s, table {table_s:.2f} s, build_fan {fan_s:.2f} s, "
             f"check_family {family_s:.2f} s, check_carving_vectors {carving_s:.2f} s, "
             f"link walk {links_s:.2f} s, "
-            f"{len(cones)} triangle defects {defect_s:.2f} s, oracle {oracle_s:.2f} s"
+            f"{len(cones)} triangle defects {defect_s:.2f} s, "
+            f"{len(group.juniors)} arrow masks {masks_s:.2f} s, "
+            f"{len(exceptional)} triangle identities {triangles_s:.2f} s, oracle {oracle_s:.2f} s"
         )
-        del group, fan, oracle, charts
+        del group, fan, qa, oracle, charts
     return 0
 
 

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 
 from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec
-from mckay_lab.errors import InvalidSpokePattern, MultiplicityOutOfRange, ShapeUnrecognized
+from mckay_lab.errors import (
+    InvalidSpokePattern,
+    MultiplicityOutOfRange,
+    ShapeUnrecognized,
+    UnknownCone,
+)
 from mckay_lab.groups import VARIABLES
 from mckay_lab.quiver import _bits
 
@@ -132,12 +137,14 @@ def test_a_swap_inside_one_triangle_breaks_the_other_chirality(spec):
 @pytest.mark.parametrize("spec", ["13:1,5,7", "3:1,2,0+3:0,1,2"])
 def test_a_corrupted_divisor_entry_names_the_loops_first_arrow(spec, monkeypatch):
     """One corrupted entry of the divisor table, at each position of each
-    exceptional ray in turn, raises MultiplicityOutOfRange with the message
-    of the loop over every arrow."""
+    exceptional ray and of the three corner rays in turn, raises
+    MultiplicityOutOfRange with the message of the loop over every arrow."""
     fan = build_fan(parse_group_spec(spec))
     group = fan.group
     clean = group.divisor_rows
-    for ri in group.exceptional_ray_indices:
+    corners = [ri for ri, e in enumerate(group.juniors) if group.order in e]
+    assert len(corners) == 3
+    for ri in (*group.exceptional_ray_indices, *corners):
         for k in range(group.order):
             rows = [list(row) for row in clean]
             rows[ri][k] += 1
@@ -147,6 +154,18 @@ def test_a_corrupted_divisor_entry_names_the_loops_first_arrow(spec, monkeypatch
             with pytest.raises(MultiplicityOutOfRange) as got:
                 QuiverAnalysis(fan).masks(ri)
             assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("ray_idx", [-1, 999])
+def test_an_index_off_the_rays_is_refused(ray_idx):
+    """An index outside the junior points names no ray: the masks and the
+    sink-source graph raise UnknownCone and keep nothing, where a negative
+    index would read the last rays from the end."""
+    qa = QuiverAnalysis(build_fan(parse_group_spec("13:1,5,7")))
+    for read in (qa.masks, qa.sink_source_graph):
+        with pytest.raises(UnknownCone, match=f"^ray {ray_idx} is not a ray of the fan$"):
+            read(ray_idx)
+    assert not qa._masks and not qa._class_masks and not qa._graphs
 
 
 def test_a_mixed_spoke_pattern_raises_at_the_loops_vertex():

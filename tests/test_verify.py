@@ -248,6 +248,21 @@ def test_counts_compare_clusters_by_row(monkeypatch):
     assert not verification._prop_counts()
 
 
+class _UnhashableRow(tuple):
+    def __hash__(self):
+        raise AssertionError("a chart row was hashed")
+
+
+def test_counts_hash_no_row_on_a_valid_fan(monkeypatch):
+    """On a valid fan the clusters' sums S are distinct, one per cone of the
+    hull, so the counts property decides without hashing a chart row."""
+    for spec in ("13:1,5,7", "72:1,1,70", "3:1,2,0+3:0,1,2"):
+        fan = build_fan(parse_group_spec(spec))
+        for graph in fan.ggraphs:
+            monkeypatch.setattr(graph, "row", _UnhashableRow(graph.row))
+        assert GroupVerification(fan)._prop_counts()
+
+
 def test_corner_in_arrows_all_vanishing_break_strict_transforms():
     """A character whose three in-arrows all vanish along a corner ray, with
     no character losing all three out-arrows there, fails the property."""
