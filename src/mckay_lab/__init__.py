@@ -3,8 +3,8 @@
 The pipeline, in dependency order: groups (characters via lattice quotients,
 the junior simplex and the divisor table), ghilb (torus-fixed clusters and
 the fan), reid (carving ratios and markings), quiver (arrow vanishing and
-sink-source graphs), transforms (degrees and supports), verify (the
-correspondence theorems, machine-checked).
+sink-source graphs, from the group alone), transforms (degrees and
+supports), verify (the correspondence theorems, machine-checked).
 """
 
 from .errors import McKayLabError

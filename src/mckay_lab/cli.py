@@ -176,15 +176,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ssgraph":
-        fan = build_fan(group)
-        qa = QuiverAnalysis(fan)
-        _write(all_sink_source_dot(fan, qa), args.out)
+        _write(all_sink_source_dot(QuiverAnalysis(group)), args.out)
         return 0
 
     if args.command == "transforms":
-        fan = build_fan(group)
-        qa = QuiverAnalysis(fan)
-        _write(dumps_canonical(_transforms_payload(fan, qa, args.char)), args.out)
+        payload = _transforms_payload(build_fan(group), QuiverAnalysis(group), args.char)
+        _write(dumps_canonical(payload), args.out)
         return 0
 
     if args.command == "verify":

@@ -43,11 +43,11 @@ def quiver_dot(group: GroupData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def all_sink_source_dot(fan: GHilbFan, qa: QuiverAnalysis) -> str:
-    """One DOT graph per exceptional divisor, concatenated: each divisor's
-    quiver with vanishing arrows black and alive arrows grey.  The fixed part
-    of every node and arrow line is built once for all of them."""
-    group = fan.group
+def all_sink_source_dot(qa: QuiverAnalysis) -> str:
+    """One DOT graph per exceptional divisor of qa's group, read without a fan:
+    each divisor's quiver, vanishing arrows black and alive ones grey.  The
+    fixed part of every node and arrow line is built once for all of them."""
+    group = qa.group
     spec = group.spec_string()
     # vertex k is the k-th character, sorted by residues: bit k of a mask;
     # a node line is its head, the vertex class along the divisor, its tail

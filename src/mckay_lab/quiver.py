@@ -7,26 +7,22 @@ first order, every quiver triangle loses exactly one of its three arrows,
 and the vanishing pattern around a vertex places it in one of 18 classes:
 two sinks, seven sources, six charges and three tiles.
 
-Vertices are keyed by position in ``group.characters`` throughout, and the
-arrows are the group's position tables ``head_rows`` and ``tail_rows``.
-Every per-ray fact is an integer bitmask over those positions.
-QuiverAnalysis reads, once per ray, the order of each arrow (k, o) off the
-ray's row of the group's divisor table, in one loop over the arrows, into
-masks of vanishing out- and in-arrows; an order other than 0 or 1 raises
-at its arrow.  From the masks it reads, in integer operations, the
-triangle identity and the class masks: the sources, the (3,0)- and
+Vertices are keyed by position in ``group.characters``, the arrows are the
+group's tables ``head_rows`` and ``tail_rows``, and every per-ray fact is an
+integer bitmask over the positions.  Every fact here is the group's alone:
+only ``QuiverAnalysis.h0_loci(fan)`` reads a fan, for its interior edges.
+One loop over the arrows (k, o) reads a ray's arrow orders off its row of
+the divisor table into masks of vanishing out- and in-arrows; an order
+other than 0 or 1 raises at its arrow.  Integer operations on the masks
+give the triangle identity and the class masks: the sources, the (3,0)- and
 (0,3)-sinks and the charges.  A vertex's class is _classify_pattern of its
-two 3-bit spoke patterns at its position, read where classes are printed
-and once per source of a sink-source graph, and each source emits its
-lines by its class.  A sink-source graph is a frozen value, built in one
-call.  Charge lines and shapes are sought on interior divisors only, where
-they are theorems: the sorted source bidegrees name the shape before any
-line is walked, and each line is walked once into its table, the backward
-lines keyed by orientation and the forward ones by source and
-orientation, which the lengths are read off.  The graph of a boundary
-divisor holds its class masks alone.  The vertices' torus positions, for
-drawing, are the group's lifts x^i y^j reduced modulo the projected
-invariant lattice.
+two 3-bit spoke patterns.  A sink-source graph is a frozen value, built in
+one call; its charge lines and shape are sought on interior divisors only,
+where they are theorems: the sorted source bidegrees name the shape before
+any line is walked, and each line is walked once into its table, which the
+lengths are read off.  A boundary divisor's graph holds its class masks
+alone.  The torus positions, for drawing, are the group's lifts x^i y^j
+reduced modulo the projected invariant lattice.
 """
 
 from __future__ import annotations
@@ -36,13 +32,13 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import (
+    InputError,
     InvalidSpokePattern,
     MultiplicityOutOfRange,
     ShapeUnrecognized,
     UnknownCone,
     WalkDiverged,
 )
-from .ghilb import GHilbFan
 from .groups import GroupData, VARIABLES
 from .intlin import hnf_rows
 
@@ -177,11 +173,11 @@ class SinkSourceGraph:
 
 
 class QuiverAnalysis:
-    """Arrow vanishing data of the cluster family over one fan, all divisors."""
+    """Arrow vanishing data along every divisor of one group; only h0_loci reads a fan."""
 
-    def __init__(self, fan: GHilbFan):
-        self.fan = fan
-        self.group = fan.group
+    def __init__(self, group: GroupData):
+        self.group = group
+        self._h0 = (None, None)  # the fan h0_loci last swept, and its loci
         self._masks: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
         self._class_masks: dict[int, ClassMasks] = {}
         self._graphs: dict[int, SinkSourceGraph] = {}
@@ -225,23 +221,27 @@ class QuiverAnalysis:
                     )
         return tuple(outs), tuple(ins)
 
-    @cached_property
-    def h0_loci(self) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    def h0_loci(self, fan) -> list[tuple[list[int], list[tuple[int, int]]]]:
         """Per character, the exceptional rays killing its three out-arrows and
-        the interior edges (i, j) where each dies along i or j but neither ray
-        kills all three: one sweep of the masks serves every character."""
-        loci = [([], []) for _ in self.group.characters]
-        for ri in self.group.exceptional_ray_indices:
-            x, y, z = self.masks(ri)[0]
-            for k in _bits(x & y & z):
-                loci[k][0].append(ri)
-        for i, j in self.fan.interior_edges:
-            xi, yi, zi = self.masks(i)[0]
-            xj, yj, zj = self.masks(j)[0]
-            dead = (xi | xj) & (yi | yj) & (zi | zj) & ~(xi & yi & zi) & ~(xj & yj & zj)
-            for k in _bits(dead):
-                loci[k][1].append((i, j))
-        return loci
+        the fan's interior edges (i, j) where each dies along i or j but
+        neither ray kills all three: one sweep, kept for the last fan given."""
+        if fan.group is not self.group:
+            theirs, mine = fan.group.spec_string(), self.group.spec_string()
+            raise InputError(f"a fan of {theirs} given to the quiver of {mine}")
+        if self._h0[0] is not fan:
+            loci = [([], []) for _ in self.group.characters]
+            for ri in self.group.exceptional_ray_indices:
+                x, y, z = self.masks(ri)[0]
+                for k in _bits(x & y & z):
+                    loci[k][0].append(ri)
+            for i, j in fan.interior_edges:
+                xi, yi, zi = self.masks(i)[0]
+                xj, yj, zj = self.masks(j)[0]
+                dead = (xi | xj) & (yi | yj) & (zi | zj) & ~(xi & yi & zi) & ~(xj & yj & zj)
+                for k in _bits(dead):
+                    loci[k][1].append((i, j))
+            self._h0 = (fan, loci)
+        return self._h0[1]
 
     @cached_property
     def h1_loci(self) -> list[list[int]]:
@@ -303,7 +303,9 @@ class QuiverAnalysis:
         )
 
     def vertex_class(self, ray_idx: int, k: int) -> VertexClass:
-        """The class of the k-th vertex along the ray's divisor."""
+        """The class of the k-th vertex along the ray's divisor, k in range(order)."""
+        if not 0 <= k < self.group.order:
+            raise InputError(f"character position {k} out of range")
         return _classes_at(self.masks(ray_idx), (k,))[0]
 
     def classes(self, ray_idx: int) -> tuple[VertexClass, ...]:

@@ -8,11 +8,11 @@ curve components), degree -1 on the divisors where the character is a
 source, and degree -2 only for the trivial character, on the whole
 exceptional locus.
 
-The degree-0 supports of all characters come from one sweep over the
-bitmasks of vanishing arrows per ray (``QuiverAnalysis.h0_loci``), the
-degree -1 supports from one sweep over each ray's source mask
-(``QuiverAnalysis.h1_loci``), and two cells meet when one maximal cone of
-the fan holds the rays of both.
+The degree-0 supports of all characters come from one sweep of the arrow
+masks over the exceptional rays and the fan's interior edges
+(``QuiverAnalysis.h0_loci(fan)``), the degree -1 supports from one sweep of
+the source masks (``QuiverAnalysis.h1_loci``), and two cells meet when one
+maximal cone of the fan holds the rays of both.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     (x_i | x_j) & (y_i | y_j) & (z_i | z_j) & ~all_i & ~all_j).
     """
     _require_nontrivial_locus(fan)
-    divisors, curves = qa.h0_loci[fan.group.index[chi]]
+    divisors, curves = qa.h0_loci(fan)[fan.group.index[chi]]
     return sorted([divisor_cell(ri) for ri in divisors] + [curve_cell(*e) for e in curves])
 
 

@@ -54,7 +54,7 @@ class GroupVerification:
     def __init__(self, fan: GHilbFan):
         self.group: GroupData = fan.group
         self.fan = fan
-        self.qa = QuiverAnalysis(fan)
+        self.qa = QuiverAnalysis(fan.group)
         self.marked: MarkedTriangulation = marked_triangulation(fan)
         self._rows: list[_CharacterRow] = []  # by character position
         self.per_character: list[dict] = []

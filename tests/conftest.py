@@ -53,7 +53,7 @@ class Pipeline:
     def __init__(self, spec):
         self.group = parse_group_spec(spec)
         self.fan = build_fan(self.group)
-        self.qa = QuiverAnalysis(self.fan)
+        self.qa = QuiverAnalysis(self.group)
         self.marked = marked_triangulation(self.fan)
 
     def ray(self, coords):

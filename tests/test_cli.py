@@ -352,3 +352,20 @@ def test_query_bytes_are_pinned(capsys, spec, command):
     code, out, _ = run(capsys, name, "--group", spec, *options)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden.load()["digests"][spec][command]["stdout"]
+
+
+def test_ssgraph_builds_no_fan(capsys, monkeypatch):
+    """The sink-source graphs are read off the group alone: with the fan
+    build and the cluster enumeration made to raise, `ssgraph` still writes
+    the manifest's bytes."""
+    import mckay_lab.cli
+    import mckay_lab.ghilb
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ssgraph built a fan")
+
+    monkeypatch.setattr(mckay_lab.cli, "build_fan", refuse)
+    monkeypatch.setattr(mckay_lab.ghilb, "enumerate_ggraphs", refuse)
+    code, out, _ = run(capsys, "ssgraph", "--group", "13:1,5,7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden.load()["digests"]["13:1,5,7"]["ssgraph"]["stdout"]

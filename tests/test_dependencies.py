@@ -41,3 +41,16 @@ def test_the_family_oracles_import_nothing_from_the_engine():
     """tests/families.py writes its fans down from the standard library
     alone: no mckay_lab module, and no relative import."""
     assert non_stdlib_imports(TESTS / "families.py", relative_ok=False) == []
+
+
+def test_the_quiver_imports_nothing_from_the_fan():
+    """The quiver layer depends on the group alone: quiver.py imports
+    nothing from ghilb, relatively or by the package's name."""
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "quiver.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "groups" in imported
+    assert [name for name in imported if "ghilb" in name.split(".")] == []

@@ -1084,14 +1084,14 @@ def _read_every_output(fan) -> None:
     from mckay_lab.serialize import fan_json
 
     marked = marked_triangulation(fan)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(fan.group)
     for chi in fan.group.characters:
         transform_profile(fan, qa, chi)
     assert GroupVerification(fan).passed
     fan_json(fan)
     marked_simplex_svg(fan, marked)
     marked_simplex_tikz(fan, marked)
-    all_sink_source_dot(fan, qa)
+    all_sink_source_dot(qa)
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])

@@ -54,7 +54,7 @@ def test_divisor_table_agrees_with_every_chart(group):
     """The table-read arrow orders and q equal the pairings of each chart at
     each ray, not only the first."""
     fan = build_fan(group)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(group)
     for ri, ray in enumerate(fan.rays):
         mult = {
             (chi, o): arrow_order(qa, ri, chi, o) for chi in group.characters for o in "xyz"

@@ -4,7 +4,6 @@ import pytest
 
 from mckay_lab import (
     QuiverAnalysis,
-    build_fan,
     parse_group_spec,
     quiver_counts,
     torus_positions,
@@ -50,14 +49,13 @@ def test_arrow_vanishing_orders(p3, p4):
 def test_multiplicities_read_the_divisor_table(monkeypatch):
     """The arrow orders come from the group's divisor table alone: one
     corrupted entry, in a copy put in its place, breaks them."""
-    fan = build_fan(parse_group_spec("13:1,5,7"))
-    group = fan.group
+    group = parse_group_spec("13:1,5,7")
     ri = group.exceptional_ray_indices[0]
     rows = [list(row) for row in group.divisor_rows]
     rows[ri][1] += 1
     monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(map(tuple, rows)))
     with pytest.raises(MultiplicityOutOfRange):
-        QuiverAnalysis(fan).masks(ri)
+        QuiverAnalysis(group).masks(ri)
 
 
 def test_vanishing_counts(p3, p4):

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
-from mckay_lab import QuiverAnalysis, build_fan, parse_group_spec
+from mckay_lab import QuiverAnalysis, parse_group_spec
 from mckay_lab.errors import (
+    InputError,
     InvalidSpokePattern,
     MultiplicityOutOfRange,
     ShapeUnrecognized,
@@ -35,7 +36,7 @@ MANIFEST_UP_TO_40 = [
 
 
 def _agrees_with_the_oracles(group):
-    qa = QuiverAnalysis(build_fan(group))
+    qa = QuiverAnalysis(group)
     n = group.order
     interior = set(group.interior_ray_indices)
     h1 = [[] for _ in range(n)]
@@ -100,10 +101,9 @@ def test_one_flipped_arrow_breaks_the_triangle_identity(spec):
     vanishing arrows, and both paths see it, on every arrow of every
     exceptional ray."""
     group = parse_group_spec(spec)
-    fan = build_fan(group)
     mutants = 0
     for ri in group.exceptional_ray_indices:
-        qa = QuiverAnalysis(fan)
+        qa = QuiverAnalysis(group)
         clean = qa.masks(ri)
         for k in range(group.order):
             for o in range(3):
@@ -121,9 +121,8 @@ def test_a_swap_inside_one_triangle_breaks_the_other_chirality(spec):
     chirality through the two arrows break, so each of the two identities
     is needed."""
     group = parse_group_spec(spec)
-    fan = build_fan(group)
     for ri in group.exceptional_ray_indices:
-        qa = QuiverAnalysis(fan)
+        qa = QuiverAnalysis(group)
         clean = qa.masks(ri)
         outs = clean[0]
         for triangle in quiver_triangles(group):
@@ -139,8 +138,7 @@ def test_a_corrupted_divisor_entry_names_the_loops_first_arrow(spec, monkeypatch
     """One corrupted entry of the divisor table, at each position of each
     exceptional ray and of the three corner rays in turn, raises
     MultiplicityOutOfRange with the message of the loop over every arrow."""
-    fan = build_fan(parse_group_spec(spec))
-    group = fan.group
+    group = parse_group_spec(spec)
     clean = group.divisor_rows
     corners = [ri for ri, e in enumerate(group.juniors) if group.order in e]
     assert len(corners) == 3
@@ -152,7 +150,7 @@ def test_a_corrupted_divisor_entry_names_the_loops_first_arrow(spec, monkeypatch
             with pytest.raises(MultiplicityOutOfRange) as expected:
                 arrow_masks_by_loop(group, ri)
             with pytest.raises(MultiplicityOutOfRange) as got:
-                QuiverAnalysis(fan).masks(ri)
+                QuiverAnalysis(group).masks(ri)
             assert str(got.value) == str(expected.value)
 
 
@@ -161,22 +159,34 @@ def test_an_index_off_the_rays_is_refused(ray_idx):
     """An index outside the junior points names no ray: the masks and the
     sink-source graph raise UnknownCone and keep nothing, where a negative
     index would read the last rays from the end."""
-    qa = QuiverAnalysis(build_fan(parse_group_spec("13:1,5,7")))
+    qa = QuiverAnalysis(parse_group_spec("13:1,5,7"))
     for read in (qa.masks, qa.sink_source_graph):
         with pytest.raises(UnknownCone, match=f"^ray {ray_idx} is not a ray of the fan$"):
             read(ray_idx)
     assert not qa._masks and not qa._class_masks and not qa._graphs
 
 
+@pytest.mark.parametrize("k", [-1, 999])
+def test_a_position_off_the_characters_is_refused(k):
+    """vertex_class names a vertex by its position in group.characters: a
+    position outside range(order) raises InputError, where 999 would read
+    the zero bits past n as a (3,3)-source and -1 would shift by a
+    negative count."""
+    group = parse_group_spec("13:1,5,7")
+    qa = QuiverAnalysis(group)
+    ri = group.exceptional_ray_indices[0]
+    with pytest.raises(InputError, match=f"^character position {k} out of range$"):
+        qa.vertex_class(ri, k)
+
+
 def test_a_mixed_spoke_pattern_raises_at_the_loops_vertex():
     """Seed spokes vanishing both ways at two vertices with different
     patterns: the class masks raise InvalidSpokePattern with the message of
     the per-vertex loop, which stops at the lower vertex."""
-    fan = build_fan(parse_group_spec("13:1,5,7"))
-    group = fan.group
+    group = parse_group_spec("13:1,5,7")
     seeds = 0
     for ri in group.exceptional_ray_indices:
-        outs, ins = QuiverAnalysis(fan).masks(ri)
+        outs, ins = QuiverAnalysis(group).masks(ri)
         for low in range(group.order):
             high = (low + 5) % group.order
             # low: the x out-arrow and the y in-arrow; high: the z out-arrow
@@ -186,7 +196,7 @@ def test_a_mixed_spoke_pattern_raises_at_the_loops_vertex():
             seeded = seeded_outs, seeded_ins
             with pytest.raises(InvalidSpokePattern) as expected:
                 classes_by_vertex(seeded, group.order)
-            qa = QuiverAnalysis(fan)
+            qa = QuiverAnalysis(group)
             qa._masks[ri] = seeded
             with pytest.raises(InvalidSpokePattern) as got:
                 qa.class_masks(ri)
@@ -205,7 +215,7 @@ def test_three_12_sources_name_their_pattern(p4):
     rejected by name, not by a clash of backward lines, and no graph is
     kept."""
     p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    qa = QuiverAnalysis(p4.fan)
+    qa = QuiverAnalysis(p4.group)
     # the trivial character's three in-arrows vanish, and one in-arrow of
     # each other vertex: the x-, y- and z-arrow into positions 1, 2 and 3
     qa._masks[p] = (0, 0, 0), (0b0011, 0b0101, 0b1001)
@@ -230,11 +240,11 @@ def test_shape_b_sources_on_two_axes_clash_on_a_backward_line(p4):
     (2,1)-source's out-spoke from the axis z to x makes it emit a second
     backward x-line, rejected before it is walked."""
     p = p4.ray((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    qa = QuiverAnalysis(p4.fan)
+    qa = QuiverAnalysis(p4.group)
     first, second = qa.sink_source_graph(p).sources
     assert qa.vertex_class(p, first).bidegree == (1, 2)
     assert qa.vertex_class(p, second).label() == "z-(2,1)-source"
-    qa = QuiverAnalysis(p4.fan)
+    qa = QuiverAnalysis(p4.group)
     qa._masks[p] = _moved_out_spoke(qa, p, second, "x")
     assert qa.vertex_class(p, second).label() == "x-(2,1)-source"
     with pytest.raises(ShapeUnrecognized, match=f"^two backward x-lines on ray {p}$"):
@@ -245,11 +255,11 @@ def test_shape_c_sources_sharing_an_orientation_clash_on_a_backward_line(p33):
     """Of the three (2,1)-sources of the shape-C divisor, the second takes
     the out-spoke orientation of the first: the two backward lines clash."""
     center = p33.ray((Fraction(1, 3),) * 3)
-    qa = QuiverAnalysis(p33.fan)
+    qa = QuiverAnalysis(p33.group)
     first, second, _ = qa.sink_source_graph(center).sources
     orientation = qa.vertex_class(center, first).orientation
     assert qa.vertex_class(center, second).orientation != orientation
-    qa = QuiverAnalysis(p33.fan)
+    qa = QuiverAnalysis(p33.group)
     qa._masks[center] = _moved_out_spoke(qa, center, second, orientation)
     assert qa.class_masks(center).sources.bit_count() == 3
     with pytest.raises(
@@ -262,14 +272,14 @@ def test_shape_a_rejects_a_forward_line_shorter_than_its_backward_one():
     """On the shape-A divisor of 1/5(1,1,3) the z-lines have length 2 both
     ways; making the forward z-line's inner vertex a (3,0)-sink ends that
     line one step early, while every charge left is still on one line."""
-    fan = build_fan(parse_group_spec("5:1,1,3"))
-    qa = QuiverAnalysis(fan)
-    (ri,) = (ri for ri in fan.group.interior_ray_indices
+    group = parse_group_spec("5:1,1,3")
+    qa = QuiverAnalysis(group)
+    (ri,) = (ri for ri in group.interior_ray_indices
              if qa.sink_source_graph(ri).shape == "A")
     (line,) = (line for line in qa.sink_source_graph(ri).lines
                if line.chirality == (1, 0) and line.length == 2)
     (inner,) = line.vertices[1:-1]
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(group)
     outs, ins = qa.masks(ri)
     qa._masks[ri] = tuple(m | 1 << inner for m in outs), ins
     assert qa.vertex_class(ri, inner).label() == "(3,0)-sink"

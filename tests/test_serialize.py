@@ -164,18 +164,17 @@ def test_quiver_dot_deterministic(p13):
 
 
 def test_sink_source_dot(p4):
-    text = all_sink_source_dot(p4.fan, p4.qa)
+    text = all_sink_source_dot(p4.qa)
     assert text.count("digraph") == 2  # one graph per exceptional divisor
     assert "penwidth=2" in text and "color=grey" in text
-    assert text == all_sink_source_dot(p4.fan, p4.qa)
+    assert text == all_sink_source_dot(p4.qa)
 
 
 def test_sink_source_dot_places_the_quiver_once(monkeypatch):
     """The torus positions are shared by every divisor's graph."""
-    from mckay_lab import QuiverAnalysis, build_fan, diagrams, parse_group_spec
+    from mckay_lab import QuiverAnalysis, diagrams, parse_group_spec
 
-    fan = build_fan(parse_group_spec("31:1,5,25"))
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(parse_group_spec("31:1,5,25"))
     calls = []
     original = diagrams.torus_positions
 
@@ -184,9 +183,9 @@ def test_sink_source_dot_places_the_quiver_once(monkeypatch):
         return original(group)
 
     monkeypatch.setattr(diagrams, "torus_positions", counted)
-    text = all_sink_source_dot(fan, qa)
+    text = all_sink_source_dot(qa)
     assert len(calls) == 1
-    assert text.count("digraph") == len(fan.group.exceptional_ray_indices) == 15
+    assert text.count("digraph") == len(qa.group.exceptional_ray_indices) == 15
 
 
 def test_trivial_group_svg(trivial_group):

@@ -46,7 +46,7 @@ monomials = st.tuples(*[st.integers(0, 4)] * 3)
 def test_h0_supports_from_masks_match_the_scan(group):
     assume(group.order > 1)
     fan = build_fan(group)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(group)
     for chi in group.characters:
         assert support_h0(fan, qa, chi) == support_h0_scan(fan, qa, chi)
 
@@ -56,7 +56,7 @@ def test_h0_supports_from_masks_match_the_scan(group):
 def test_h1_loci_match_the_per_ray_class_scan(group):
     assume(group.order > 1)
     fan = build_fan(group)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(group)
     for chi in group.characters:
         assert support_h1(fan, qa, chi) == support_h1_scan(fan, qa, chi)
         assert [("divisor", ri) for ri in qa.h1_loci[group.index[chi]]] == support_h1_scan(
@@ -89,7 +89,7 @@ def test_connectivity_through_the_cones_matches_the_cone_scan(group):
     exceptional divisors."""
     assume(group.order > 1)
     fan = build_fan(group)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(group)
     for chi in group.characters:
         for support in (f(fan, qa, chi) for f in (support_h0, support_h1, support_h2)):
             assert _is_connected(fan, support) == is_connected_pairwise(fan, support)

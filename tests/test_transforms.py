@@ -11,7 +11,7 @@ from mckay_lab import (
     support_h2,
     transform_profile,
 )
-from mckay_lab.errors import EmptySupport, MultiDegreeSupport, NoExceptionalLocus
+from mckay_lab.errors import EmptySupport, InputError, MultiDegreeSupport, NoExceptionalLocus
 
 f = Fraction
 
@@ -31,8 +31,8 @@ def test_support_h1_reads_the_memoized_classes():
     fan = build_fan(parse_group_spec("3:1,1,1"))
     (center,) = fan.group.exceptional_ray_indices
     sink = fan.group.characters[2]
-    assert support_h1(fan, QuiverAnalysis(fan), sink) == []
-    qa = QuiverAnalysis(fan)
+    assert support_h1(fan, QuiverAnalysis(fan.group), sink) == []
+    qa = QuiverAnalysis(fan.group)
     masks = qa.class_masks(center)
     qa._class_masks[center] = masks._replace(sources=masks.sources | 1 << 2)
     assert support_h1(fan, qa, sink) == [("divisor", center)]
@@ -115,13 +115,13 @@ def test_a_support_in_two_degrees_or_none_is_refused(monkeypatch):
     in degree -1: seeded as a sink there too it has two degrees, and with
     its degree -1 locus emptied it has none."""
     fan = build_fan(parse_group_spec("3:1,1,1"))
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(fan.group)
     chi = fan.group.characters[1]
     k = fan.group.index[chi]
     assert transform_profile(fan, qa, chi).degree == -1
-    h0, h1 = list(qa.h0_loci), list(qa.h1_loci)
+    h0, h1 = list(qa.h0_loci(fan)), list(qa.h1_loci)
     h0[k] = (h1[k], [])
-    monkeypatch.setattr(qa, "h0_loci", h0)
+    monkeypatch.setattr(qa, "h0_loci", lambda _fan: h0)
     with pytest.raises(MultiDegreeSupport, match=r"degrees \[0, -1\]"):
         transform_profile(fan, qa, chi)
     h0[k], h1[k] = ([], []), []
@@ -130,9 +130,29 @@ def test_a_support_in_two_degrees_or_none_is_refused(monkeypatch):
         transform_profile(fan, qa, chi)
 
 
+def test_the_degree_0_loci_sweep_the_groups_fan_once():
+    """h0_loci reads the interior edges of the fan it is given and keeps its
+    sweep for that fan: the same fan gets the kept loci back, a second fan
+    of the group is swept again to equal loci, and a fan of another group
+    is refused by both specs."""
+    group = parse_group_spec("13:1,5,7")
+    fan = build_fan(group)
+    qa = QuiverAnalysis(group)
+    loci = qa.h0_loci(fan)
+    assert qa.h0_loci(fan) is loci
+    second = build_fan(group)
+    assert second is not fan
+    again = qa.h0_loci(second)
+    assert again == loci and again is not loci
+    assert any(curves for _, curves in loci)
+    with pytest.raises(InputError, match="^a fan of 7:1,2,4 given to the quiver of 13:1,5,7$"):
+        qa.h0_loci(build_fan(parse_group_spec("7:1,2,4")))
+    assert qa.h0_loci(second) is again
+
+
 def test_trivial_group_rejected(trivial_group):
     fan = build_fan(trivial_group)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(trivial_group)
     with pytest.raises(NoExceptionalLocus):
         transform_profile(fan, qa, trivial_group.trivial_character)
     with pytest.raises(NoExceptionalLocus):

@@ -152,7 +152,7 @@ def test_rotated_shape_b_coordinates():
 
     group = parse_group_spec("7:1,2,4")
     fan = build_fan(group)
-    qa = QuiverAnalysis(fan)
+    qa = QuiverAnalysis(group)
     axes = {}
     for ri in fan.group.exceptional_ray_indices:
         ss = qa.sink_source_graph(ri)
