@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InputError, McKayLabError
 from .groups import parse_group_spec
@@ -16,12 +16,11 @@ from .verify import verify_group
 HISTOGRAMS = ("case_histogram", "shape_histogram", "marking_histogram")
 
 
-@dataclass
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """Which groups to sweep, and how."""
 
     max_order: int = 0
-    groups: list[str] = field(default_factory=list)  # explicit 'r:a,b,c' specs
+    groups: tuple[str, ...] = ()  # explicit 'r:a,b,c' specs, any sequence
     jobs: int = 1
     output_dir: str | None = None
 

@@ -26,9 +26,9 @@ the height H(e), built on first use as a tuple of tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyGenerators, InconsistentGroup, NotInLattice, NotInSL3, UnknownCone
 from .intlin import det3, dot3, hnf_rows
@@ -61,8 +61,7 @@ CORNERS = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """A point of the junior simplex: l in L with l >= 0 and sum(l) = 1."""
 
     coords: tuple[Fraction, Fraction, Fraction]
@@ -87,8 +86,7 @@ class WeightVector:
         return "(" + ",".join(str(v) for v in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """An element of Z^3/M, as pairing residues against the group generators."""
 
     residues: tuple[int, ...]

@@ -27,7 +27,6 @@ reduced modulo the projected invariant lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -43,8 +42,7 @@ from .groups import GroupData, VARIABLES
 from .intlin import hnf_rows
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """One of the 18 vanishing patterns around a quiver vertex."""
 
     kind: str  # "sink" | "source" | "charge" | "tile"
@@ -119,8 +117,7 @@ class ClassMasks(NamedTuple):
     charges: int  # (1,0)- and (0,1)-charges of every orientation
 
 
-@dataclass(frozen=True)
-class ChargeLine:
+class ChargeLine(NamedTuple):
     """A straight run of same-orientation arrows from a source to a sink."""
 
     orientation: str
@@ -149,8 +146,7 @@ def _emitted(cls: VertexClass) -> list[tuple[str, int]]:
     return [(cls.orientation, one)] + [(o, -one) for o in VARIABLES if o != cls.orientation]
 
 
-@dataclass(frozen=True)
-class SinkSourceGraph:
+class SinkSourceGraph(NamedTuple):
     """Per-divisor analysis: class masks, charge lines, shape and lengths,
     built whole by QuiverAnalysis._build_graph."""
 

@@ -19,8 +19,8 @@ orientation: the cone's dual basis, which sums to (1, 1, 1).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     NoOrientationWorks,
@@ -39,8 +39,7 @@ def ratio_key(m1: Monomial, m2: Monomial) -> tuple[Monomial, Monomial]:
     return (m1, m2) if m1 < m2 else (m2, m1)
 
 
-@dataclass(frozen=True)
-class CarvingRatio:
+class CarvingRatio(NamedTuple):
     """The coprime monomial pair m1:m2 generating the lattice line of an edge."""
 
     m1: Monomial
@@ -66,8 +65,7 @@ class CarvingRatio:
         return self.text()
 
 
-@dataclass(frozen=True)
-class VertexCase:
+class VertexCase(NamedTuple):
     """Local pattern of a non-corner vertex, with its Reid marking."""
 
     tag: str  # "case1" | "case2" | "case3" | "boundary"
@@ -254,13 +252,13 @@ def regular_triangle_defect(fan: GHilbFan, cone_index: int) -> int:
     return total[0]
 
 
-@dataclass
 class MarkedTriangulation:
     """All edge and vertex markings of a fan, plus per-character tallies."""
 
-    fan: GHilbFan
-    edge_ratios: dict[tuple[int, int], CarvingRatio]  # the one ratio of each interior edge
-    vertex_cases: dict[int, VertexCase]
+    def __init__(self, fan: GHilbFan, edge_ratios: dict, vertex_cases: dict[int, VertexCase]):
+        self.fan = fan
+        self.edge_ratios = edge_ratios  # the one CarvingRatio of each interior edge, by ray pair
+        self.vertex_cases = vertex_cases
 
     @cached_property
     def _marks(self) -> tuple[list, list]:

@@ -17,7 +17,7 @@ maximal cone of the fan holds the rays of both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptySupport, MultiDegreeSupport, NoExceptionalLocus
 from .ghilb import GHilbFan
@@ -67,8 +67,7 @@ def support_h2(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
 DESCRIPTORS = {0: "L_chi^{-1} (x) O_supp", -1: "sheaf[1]", -2: "O_Y(Exc) (x) O_Exc[2]"}
 
 
-@dataclass(frozen=True)
-class TransformProfile:
+class TransformProfile(NamedTuple):
     """Unique nonzero cohomological degree and support of one transform."""
 
     character: Character

@@ -507,14 +507,17 @@ def _oriented_carving_pair(fan: GHilbFan, rays):
 
 def ratio_is_primitive(group: GroupData, m1: Monomial, m2: Monomial) -> bool:
     """No divisor d1 of m1 shares its character with a divisor d2 of m2, but
-    for d1 = d2 and the pair itself (divisors of m2 grouped by position)."""
+    for d1 = d2 and the pair itself.  The side with fewer divisors, prod(m_i
+    + 1), is grouped by position; the other is walked up to the first
+    collision."""
+    small, big = sorted((m1, m2), key=lambda m: (m[0] + 1) * (m[1] + 1) * (m[2] + 1))
     by_position: dict[int, list] = {}
-    for d2, k in _divisor_positions(group.head_rows, m2):
-        by_position.setdefault(k, []).append(d2)
+    for d, k in _divisor_positions(group.head_rows, small):
+        by_position.setdefault(k, []).append(d)
     return not any(
-        d1 != d2 and (d1, d2) != (m1, m2)
-        for d1, k in _divisor_positions(group.head_rows, m1)
-        for d2 in by_position.get(k, ())
+        d != e and (e, d) != (small, big)
+        for d, k in _divisor_positions(group.head_rows, big)
+        for e in by_position.get(k, ())
     )
 
 

@@ -63,6 +63,39 @@ def test_quiver_and_ssgraph(capsys):
     assert code == 0 and out.count("digraph") == 2
 
 
+JSON_TYPES = {str, int, bool, type(None), list, dict, tuple}
+
+
+def _value_types(value) -> set:
+    """The exact types of a payload, its keys and everything inside it."""
+    types = {type(value)}
+    if isinstance(value, dict):
+        types |= {type(key) for key in value}
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        types = types.union(*map(_value_types, value))
+    return types
+
+
+@pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
+def test_no_value_object_leaks_into_a_json_payload(spec, monkeypatch, capsys):
+    """The writers emit a NamedTuple as a list without a word, so every value
+    in the payloads of the JSON commands has a plain JSON type as its exact
+    type: a value object never stands in for its fields.  Ray pairs stay
+    plain tuples."""
+    import mckay_lab.cli as cli
+
+    payloads = []
+    for name in ("dumps_canonical", "report_json"):
+        write = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p, write=write: payloads.append(p) or write(p))
+    for command in (["reid", "--format", "json"], ["transforms"], ["quiver", "--format", "json"], ["verify"]):
+        assert main([command[0], "--group", spec, *command[1:]]) == 0
+    capsys.readouterr()
+    assert len(payloads) == 4
+    assert set().union(*map(_value_types, payloads)) <= JSON_TYPES
+
+
 def test_transforms_char_restriction(capsys):
     code, out, _ = run(capsys, "transforms", "--group", "4:1,1,2", "--char", "3")
     assert code == 0

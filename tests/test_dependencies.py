@@ -2,6 +2,8 @@
 family oracles share no code with the engine."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +56,38 @@ def test_the_quiver_imports_nothing_from_the_fan():
             imported += [alias.name for alias in node.names]
     assert "groups" in imported
     assert [name for name in imported if "ghilb" in name.split(".")] == []
+
+
+def test_no_module_imports_dataclasses():
+    """The value types are NamedTuples and the rest plain classes: no
+    module of the package imports dataclasses, by either import form."""
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+# modules a start of the command line has no use for: dataclasses and the
+# introspection chain it pulls in, and the process pool of `corpus --jobs`
+STARTUP_UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "multiprocessing")
+
+
+def test_a_fresh_interpreter_starts_the_cli_without_the_unused_modules():
+    """Importing mckay_lab.cli in a new interpreter loads none of
+    STARTUP_UNUSED, so every command's start skips them."""
+    code = (
+        "import sys, mckay_lab.cli; "
+        f"print(' '.join(m for m in {STARTUP_UNUSED!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -1069,9 +1069,11 @@ def test_verify_and_fan_json_make_no_fraction_comparison_or_arithmetic(monkeypat
 
 
 def _contents(obj) -> dict:
-    """An object's attributes, each dict, list or tuple copied."""
+    """An object's attributes, each dict, list or tuple copied (a NamedTuple,
+    such as the trivial character, through its own _make)."""
     return {
-        name: type(value)(value) if isinstance(value, (dict, list, tuple)) else value
+        name: getattr(value, "_make", type(value))(value)
+        if isinstance(value, (dict, list, tuple)) else value
         for name, value in vars(obj).items()
     }
 
@@ -1123,14 +1125,51 @@ def test_the_fan_holds_no_second_name_for_a_group_fact(spec):
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
 def test_nothing_writes_into_a_group_or_a_character(spec):
     """Building a fan and reading it adds only the group's own divisor
-    table to the group, and nothing to any character."""
+    table to the group, and nothing to any character: a character is a
+    NamedTuple of its residues and moduli, with no __dict__ to write into."""
     group = parse_group_spec(spec)
     before = _contents(group)
     _read_every_output(build_fan(group))
     after = _contents(group)
     assert set(after) - set(before) == {"divisor_rows", "heights"}
     assert {name: after[name] for name in before} == before
-    assert all(set(vars(chi)) == {"residues", "moduli"} for chi in group.characters)
+    assert all(not hasattr(chi, "__dict__") for chi in group.characters)
+    assert all(chi._fields == ("residues", "moduli") for chi in group.characters)
+
+
+def _value_objects():
+    """One instance of each value type of the package, built on 13:1,5,7."""
+    from mckay_lab import QuiverAnalysis, marked_triangulation, transform_profile
+    from mckay_lab.corpus import CorpusSpec
+
+    group = parse_group_spec("13:1,5,7")
+    fan = build_fan(group)
+    qa = QuiverAnalysis(group)
+    marked = marked_triangulation(fan)
+    ri = group.interior_ray_indices[0]
+    graph = qa.sink_source_graph(ri)
+    return [
+        group.junior_points[ri],
+        group.characters[1],
+        qa.vertex_class(ri, 0),
+        graph.lines[0],
+        graph,
+        next(iter(marked.edge_ratios.values())),
+        marked.vertex_cases[ri],
+        transform_profile(fan, qa, group.characters[1]),
+        CorpusSpec(max_order=4),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_objects(), ids=lambda value: type(value).__name__)
+def test_no_field_of_a_value_type_can_be_set(value):
+    """Each value type is a NamedTuple: setting a field raises, and no
+    attribute can be added beside its fields."""
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])

@@ -156,6 +156,25 @@ def test_primitivity_walk_positions_past_the_wrap(spec):
             assert ratio_is_primitive(group, m1, m2) == ratio_is_primitive_pairwise(group, m1, m2)
 
 
+@pytest.mark.parametrize("pair", [((0, 0, 8), (40, 40, 40)), ((40, 40, 40), (0, 0, 8))])
+def test_primitivity_tables_the_side_with_fewer_divisors(pair, monkeypatch):
+    """A collision that shows at once costs the small side's divisors and no
+    more, on either side: on 8:1,7,0+8:0,1,7, z^8 meets 1 at the big side's
+    first divisor, where tabling the big side draws all 41^3 of them."""
+    group = parse_group_spec("8:1,7,0+8:0,1,7")
+    drawn = []
+
+    def counted(heads, m):
+        for item in _divisor_positions(heads, m):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(mckay_lab.verify, "_divisor_positions", counted)
+    assert not ratio_is_primitive(group, *pair)
+    assert len(drawn) <= 50
+    assert not ratio_is_primitive_pairwise(group, *pair)
+
+
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])
 def test_each_carving_ratio_is_built_once_per_fan(spec, monkeypatch):
     """The markings, the vertex cases and the triangle defects of a

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -208,7 +207,7 @@ def test_failed_character_and_divisor_checks_name_their_witness(monkeypatch):
 
     def disconnected(fan, qa, character):
         profile = profile_of(fan, qa, character)
-        return replace(profile, connected=False) if character == chi else profile
+        return profile._replace(connected=False) if character == chi else profile
 
     monkeypatch.setattr(mckay_lab.verify, "transform_profile", disconnected)
     monkeypatch.setattr(GroupVerification, "_coords_check", lambda self, ri, expected: False)
