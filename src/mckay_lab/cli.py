@@ -3,7 +3,8 @@
 Exit codes: 0 success (and all checks passed), 1 verification failure (in
 corpus, also a group whose pipeline raised), 2 invalid input (an InputError
 or an OSError), 3 a failed internal guard (an InternalGuardError: a bug), 4
-out of memory (a MemoryError: the group is too large for the machine).
+out of memory (a MemoryError: the group is too large for the machine, or a
+WorkerLost: a corpus worker process died, most often killed for its memory).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .corpus import CorpusSpec, run_corpus
+from .corpus import CorpusSpec, WorkerLost, run_corpus
 from .diagrams import (
     all_sink_source_dot,
     marked_simplex_svg,
@@ -135,6 +136,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory: the group is too large for this machine", file=sys.stderr)
+        return 4
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 4
 
 

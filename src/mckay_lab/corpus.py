@@ -16,6 +16,11 @@ from .verify import verify_group
 HISTOGRAMS = ("case_histogram", "shape_histogram", "marking_histogram")
 
 
+class WorkerLost(RuntimeError):
+    """A corpus worker process died, most often killed for its memory, before
+    the named group's report came back (CLI exit 4)."""
+
+
 class CorpusSpec(NamedTuple):
     """Which groups to sweep, and how."""
 
@@ -83,12 +88,16 @@ def _verify_spec(group_spec: str) -> dict:
 def run_corpus(spec: CorpusSpec) -> dict:
     """Verify every corpus group and aggregate deterministically.
 
-    Reports are merged in corpus order, so the aggregate is independent of
-    the worker count; per-group JSON files are written when an output
-    directory is configured.  A group whose pipeline raises is recorded in
-    the failures and the sweep goes on.  A negative maximum order, a worker
-    count below 1 and an output directory that cannot be made fail before
-    any group runs.
+    Each report is folded into the aggregate as it arrives, in corpus
+    order, written to its JSON file when an output directory is configured,
+    and dropped, so the sweep holds one report at a time and the aggregate
+    is independent of the worker count.  A group whose pipeline raises is
+    recorded in the failures and the sweep goes on.  A negative maximum
+    order, a worker count below 1 and an output directory that cannot be
+    made fail before any group runs.  With more than one worker the groups
+    run on a process pool; a worker that dies, killed for its memory say,
+    raises WorkerLost naming the first group whose report was lost, and the
+    reports folded before it stay written.
     """
     if spec.max_order < 0:
         raise InputError(f"max order must be at least 0, got {spec.max_order}")
@@ -97,21 +106,14 @@ def run_corpus(spec: CorpusSpec) -> dict:
     specs = corpus_specs(spec)
     if spec.output_dir:
         os.makedirs(spec.output_dir, exist_ok=True)
-    if spec.jobs > 1 and len(specs) > 1:
-        from multiprocessing import Pool  # only here: every CLI start skips its import
-
-        with Pool(min(spec.jobs, len(specs))) as pool:
-            reports = pool.map(_verify_spec, specs)
-    else:
-        reports = [_verify_spec(s) for s in specs]
-
     histograms = {key: Counter() for key in HISTOGRAMS}
     failures = []
     per_group = []
-    for group_spec, report in zip(specs, reports):
+
+    def fold(group_spec: str, report: dict) -> None:
         if "error_type" in report:
             failures.append(report)
-            continue
+            return
         for key, counts in histograms.items():
             counts.update(report["summary"][key])
         if not report["pass"]:
@@ -125,6 +127,25 @@ def run_corpus(spec: CorpusSpec) -> dict:
         )
         if spec.output_dir:
             _write_group_report(spec.output_dir, group_spec, report)
+
+    # each report is passed straight to fold, so no name holds it past its fold
+    if spec.jobs > 1 and len(specs) > 1:
+        # only here: every CLI start skips the import of multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(spec.jobs, len(specs))) as pool:
+            reports = pool.map(_verify_spec, specs)
+            try:
+                for group_spec in specs:
+                    fold(group_spec, next(reports))
+            except BrokenProcessPool:
+                raise WorkerLost(
+                    f"a corpus worker died before the report of {group_spec} came back"
+                ) from None
+    else:
+        reports = map(_verify_spec, specs)
+        for group_spec in specs:
+            fold(group_spec, next(reports))
 
     return {
         "max_order": spec.max_order,

@@ -5,12 +5,14 @@ character's marking class against its transform degree and exact support),
 the shape/case correspondence with coordinate and ratio predictions for
 every interior exceptional divisor, and a property suite of the supporting
 combinatorial facts.  Everything is reported; nothing is silently skipped.
-Each per-edge and per-ray fact is derived once, in integers: the cone
-oracle checks each cluster at its three rays by masks of zero arrow slacks,
-one per ray and chart values; primitivity reads each divisor's character
-off one walk of the quiver's head table; a wall's tautological degrees skip
-the positions it keeps.  A shape-C divisor's six chord lengths enter its
-coordinate and ratio identities under one labelling, fixed by its sources.
+Each per-edge and per-ray fact is derived once, in integers: the chart
+check keeps only the chart values that disagree with the divisor table; the
+cone oracle checks each cluster at its three rays by masks of zero arrow
+slacks, read off the quiver's arrow masks wherever the chart agrees;
+primitivity reads each divisor's character off one walk of the quiver's
+head table; a wall's tautological degrees skip the positions it keeps.  A
+shape-C divisor's six chord lengths enter its coordinate and ratio
+identities under one labelling, fixed by its sources.
 """
 
 from __future__ import annotations
@@ -290,24 +292,25 @@ class GroupVerification:
         return self._counts_match_coordinates(self.group.exceptional_ray_indices)
 
     @cached_property
-    def _chart_values(self) -> list[list[tuple[int, ...]]]:
-        """Per cluster, at each ray p of its cone, the values (n*p).r_k of
-        its monomials by position: the chart's valuations at its rays."""
-        fan, scaled = self.fan, self.group.juniors
-        return [
-            [tuple([a * x + b * y + c * z for x, y, z in graph.row]) for a, b, c in rays]
-            for graph, rays in zip(fan.ggraphs, ([scaled[ri] for ri in t] for t in fan.cone_rays))
-        ]
+    def _chart_mismatches(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The chart values that disagree with the divisor table: by (cluster,
+        p) for the p-th ray of its cone, the values (n*e).r_k of its monomials
+        by position, kept only where they differ from the ray's row.  One pass
+        over the clusters, so no agreeing list outlives its comparison."""
+        fan, rows, scaled = self.fan, self.group.divisor_rows, self.group.juniors
+        mismatches = {}
+        for ci, (graph, triple) in enumerate(zip(fan.ggraphs, fan.cone_rays)):
+            for p, ri in enumerate(triple):
+                a, b, c = scaled[ri]
+                values = tuple([a * x + b * y + c * z for x, y, z in graph.row])
+                if values != rows[ri]:
+                    mismatches[ci, p] = values
+        return mismatches
 
     def _prop_chart_consistency(self) -> bool:
         """Every chart reproduces the divisor table at each of its three rays,
         entry by entry: (n*e).r_chi = n*q(chi, e) for every character."""
-        rows = self.group.divisor_rows
-        return all(
-            v == rows[ri]
-            for at_rays, triple in zip(self._chart_values, self.fan.cone_rays)
-            for v, ri in zip(at_rays, triple)
-        )
+        return not self._chart_mismatches
 
     def _prop_edge_division(self) -> bool:
         """Across each interior edge the changed generators divide as m | r, m' | r'."""
@@ -389,23 +392,32 @@ class GroupVerification:
         each edge of T off the octant's boundary has an arrow tight at both
         its ends and positive at the third ray (the cone lies in T).  T is
         unimodular, so it holds no other junior point."""
-        scaled = self.group.juniors
+        scaled, mismatches = self.group.juniors, self._chart_mismatches
         columns = tuple(zip(*self.group.head_rows))  # [o][k]: head of the o-arrow out of k
-        zero_masks: dict = {}  # zeros(ri, v) by (ri, v), for this call only
+        n = len(columns[0])
+        agreeing: dict = {}  # zeros at each ray under its table row, for this call only
 
-        def zeros(ri, v):
-            """The zero slacks at ray ri under chart values v, one bit each in
-            the slack list's order (first highest), or None if one is < 0."""
-            if (ri, v) not in zero_masks:
-                s = scaled[ri]
-                slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
-                zero_masks[ri, v] = (
-                    None if min(slack) < 0 else int("".join(["0" if x else "1" for x in slack]), 2)
-                )
-            return zero_masks[ri, v]
+        def zeros(ci, p, ri):
+            """The zero slacks of the ci-th cluster at its p-th ray ri, bit
+            o*n + k for the o-arrow out of position k, or None if one is < 0.
+            Where the chart agrees with the table the slack is n times the
+            arrow's order along the ray, so the zeros are the arrows that do
+            not vanish there: the quiver's out-masks, complemented."""
+            v = mismatches.get((ci, p))
+            if v is None:
+                if ri not in agreeing:
+                    full = (1 << n) - 1
+                    outs = self.qa.masks(ri)[0]
+                    agreeing[ri] = sum((full ^ out) << o * n for o, out in enumerate(outs))
+                return agreeing[ri]
+            s = scaled[ri]
+            slack = [vk + so - v[h] for so, col in zip(s, columns) for vk, h in zip(v, col)]
+            if min(slack) < 0:
+                return None
+            return int("".join(["0" if x else "1" for x in reversed(slack)]), 2)
 
-        for at_rays, triple in zip(self._chart_values, self.fan.cone_rays):
-            masks = [zeros(ri, v) for ri, v in zip(triple, at_rays)]
+        for ci, triple in enumerate(self.fan.cone_rays):
+            masks = [zeros(ci, p, ri) for p, ri in enumerate(triple)]
             if None in masks:
                 return False
             for i, j, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):

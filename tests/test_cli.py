@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -189,12 +190,12 @@ def test_corpus_determinism_across_jobs(capsys):
 
 def test_the_corpus_pool_is_no_larger_than_the_corpus(capsys, monkeypatch):
     """--jobs beyond the number of groups asks for one worker per group; a
-    fake Pool records the size asked for and maps in process."""
+    fake executor records the size asked for and maps in process."""
     sizes = []
 
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -203,14 +204,63 @@ def test_the_corpus_pool_is_no_larger_than_the_corpus(capsys, monkeypatch):
             return False
 
         def map(self, function, items):
-            return list(map(function, items))
+            return map(function, items)
 
-    monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", FakeExecutor)
     code1, out1, _ = run(capsys, "corpus", "--max-order", "3", "--jobs", "4000")
     code2, out2, _ = run(capsys, "corpus", "--max-order", "3", "--jobs", "1")
     assert sizes == [len(enumerate_cyclic(3))]
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_the_corpus_holds_one_report_at_a_time(capsys, monkeypatch, tmp_path):
+    """Each report is folded, written and dropped before the next group
+    starts: when a group starts, no earlier report is alive."""
+    import mckay_lab.corpus
+
+    class Report(dict):
+        pass
+
+    verify_group = mckay_lab.corpus.verify_group
+    refs, alive = [], []
+
+    def weakly_held(group):
+        alive.append(sum(ref() is not None for ref in refs))
+        report = Report(verify_group(group))
+        refs.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(mckay_lab.corpus, "verify_group", weakly_held)
+    code, _, _ = run(capsys, "corpus", "--max-order", "6", "--jobs", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert alive == [0] * len(enumerate_cyclic(6))
+    assert len(list(tmp_path.iterdir())) == len(alive)
+
+
+def test_a_killed_corpus_worker_exits_4(capsys, monkeypatch, tmp_path):
+    """A worker that dies under --jobs 2 ends the sweep at once with exit 4,
+    one stderr line naming the first group whose report was lost, and the
+    reports before it written.  The worker is forked, so it runs the patch."""
+    import mckay_lab.corpus
+
+    verify_group = mckay_lab.corpus.verify_group
+
+    def killed(group):
+        if group.spec_string() == "4:1,1,2":
+            os._exit(137)
+        return verify_group(group)
+
+    monkeypatch.setattr(mckay_lab.corpus, "verify_group", killed)
+    specs = enumerate_cyclic(6)
+    code, out, err = run(capsys, "corpus", "--max-order", "6", "--jobs", "2", "--out", str(tmp_path))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    lost = [s for s in specs if f" {s} " in err]
+    assert len(lost) == 1 and specs.index(lost[0]) <= specs.index("4:1,1,2")
+    written = sorted(p.name for p in tmp_path.iterdir())
+    kept = specs[: specs.index(lost[0])]
+    assert written == sorted(s.replace(":", "_").replace(",", "-") + ".json" for s in kept)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

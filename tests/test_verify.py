@@ -233,6 +233,7 @@ def test_chart_consistency_catches_a_corrupted_coefficient(monkeypatch):
     rows = [list(row) for row in group.divisor_rows]
     rows[ri][group.index[chi]] += 1
     monkeypatch.setitem(group.__dict__, "divisor_rows", tuple(map(tuple, rows)))
+    del verification._chart_mismatches  # memoised from the clean table
     assert not verification._prop_chart_consistency()
 
 
@@ -303,7 +304,7 @@ def test_cone_oracles_reject_swapped_clusters(group, data):
         graphs = list(fan.ggraphs)
         graphs[i], graphs[j] = graphs[j], graphs[i]
         fan.ggraphs = tuple(graphs)
-        del verification._chart_values  # memoised from the unswapped clusters
+        del verification._chart_mismatches  # memoised from the unswapped clusters
         assert verification._prop_cone_oracle() is cone_oracle_scan(fan) is False
 
 
@@ -321,17 +322,18 @@ def test_masked_cone_oracle_matches_the_slack_loop(group, data):
         graphs = list(fan.ggraphs)
         graphs[i], graphs[j] = graphs[j], graphs[i]
         fan.ggraphs = tuple(graphs)
-        del verification._chart_values
+        del verification._chart_mismatches
         assert verification._prop_cone_oracle() is cone_oracle_slack_loop(fan)
 
 
 def _one_cluster_oracle(fan, ci, rays):
     """The three-ray oracle on the ci-th cluster alone, at the given
-    scaled rays in place of its triangle's."""
+    scaled rays in place of its triangle's.  The group has no table rows, so
+    every chart value list is kept and its slacks are computed."""
     alone = SimpleNamespace(ggraphs=(fan.ggraphs[ci],), cone_rays=((0, 1, 2),))
-    group = SimpleNamespace(juniors=rays, head_rows=fan.group.head_rows)
+    group = SimpleNamespace(juniors=rays, head_rows=fan.group.head_rows, divisor_rows=(None,) * 3)
     verification = SimpleNamespace(fan=alone, group=group)
-    verification._chart_values = GroupVerification._chart_values.func(verification)
+    verification._chart_mismatches = GroupVerification._chart_mismatches.func(verification)
     return GroupVerification._prop_cone_oracle(verification)
 
 
@@ -396,3 +398,28 @@ REPORT_GROUPS = (
 def test_report_bytes_are_pinned(spec):
     text = report_json(verify_group(parse_group_spec(spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == golden.load()["digests"][spec]["verify"]["stdout"]
+
+
+@pytest.mark.parametrize("spec", sorted(REPORT_GROUPS))
+def test_a_passing_verification_keeps_no_chart_values(spec):
+    """Every chart agrees with the divisor table at its three rays, so the
+    chart check keeps nothing."""
+    verification = GroupVerification(build_fan(parse_group_spec(spec)))
+    assert verification.passed
+    assert verification._chart_mismatches == {}
+
+
+@pytest.mark.parametrize("spec", sorted(REPORT_GROUPS))
+def test_swapped_clusters_fill_the_chart_record(spec):
+    """The first and last clusters traded between their cones: the chart
+    check keeps their value lists, and it and the cone oracle fail."""
+    fan = build_fan(parse_group_spec(spec))
+    verification = GroupVerification(fan)
+    graphs = list(fan.ggraphs)
+    graphs[0], graphs[-1] = graphs[-1], graphs[0]
+    fan.ggraphs = tuple(graphs)
+    del verification._chart_mismatches
+    assert verification._chart_mismatches
+    assert {ci for ci, _ in verification._chart_mismatches} <= {0, len(graphs) - 1}
+    assert verification._prop_chart_consistency() is False
+    assert verification._prop_cone_oracle() is False
