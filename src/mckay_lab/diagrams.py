@@ -29,37 +29,39 @@ def _place(u: int, v: int) -> str:
     return f"{_fixed(2 * u - v, 2)},{_fixed(v * _ROOT3_NUM, _ROOT3_DEN)}"
 
 
+def _quiver_parts(group: GroupData) -> tuple[list[tuple[str, str]], list[tuple[str, int, int]]]:
+    """The quiver's node lines, split where a sink-source graph puts the
+    vertex class, and each arrow line's head with its orientation index and
+    the bit of its tail; vertex k is the k-th character, sorted by residues."""
+    nodes = [
+        (f'  v{k} [label="{chi.label()}', f'", pos="{_place(u, v)}!"];')
+        for k, (chi, (u, v)) in enumerate(zip(group.characters, torus_positions(group)))
+    ]
+    arrows = [
+        (f'  v{k} -> v{h} [label="{o}"', oi, 1 << k)
+        for k, heads in enumerate(group.head_rows)
+        for oi, (o, h) in enumerate(zip(VARIABLES, heads))
+    ]
+    return nodes, arrows
+
+
 def quiver_dot(group: GroupData) -> str:
     """The McKay quiver with its unrolled torus positions."""
+    nodes, arrows = _quiver_parts(group)
     lines = [f"// {FORMAT_TAG} quiver group={group.spec_string()}", "digraph mckay_quiver {"]
     lines.append('  layout=neato; node [shape=circle, fontsize=10];')
-    # vertex k is the k-th character, sorted by residues
-    for k, (chi, (u, v)) in enumerate(zip(group.characters, torus_positions(group))):
-        lines.append(f'  v{k} [label="{chi.label()}", pos="{_place(u, v)}!"];')
-    for k, heads in enumerate(group.head_rows):
-        for o, h in zip(VARIABLES, heads):
-            lines.append(f'  v{k} -> v{h} [label="{o}"];')
-    lines.append("}")
+    lines += [head + tail for head, tail in nodes]
+    lines += [head + "];" for head, _, _ in arrows] + ["}"]
     return "\n".join(lines) + "\n"
 
 
 def all_sink_source_dot(qa: QuiverAnalysis) -> str:
     """One DOT graph per exceptional divisor of qa's group, read without a fan:
-    each divisor's quiver, vanishing arrows black and alive ones grey.  The
-    fixed part of every node and arrow line is built once for all of them."""
+    each divisor's quiver, vanishing arrows black and alive ones grey, with
+    each node's vertex class along the divisor."""
     group = qa.group
     spec = group.spec_string()
-    # vertex k is the k-th character, sorted by residues: bit k of a mask;
-    # a node line is its head, the vertex class along the divisor, its tail
-    nodes = [
-        (f'  v{k} [label="{chi.label()}\\n', f'", pos="{_place(u, v)}!"];')
-        for k, (chi, (u, v)) in enumerate(zip(group.characters, torus_positions(group)))
-    ]
-    arrows = [
-        (f'  v{k} -> v{h} [label="{o}", ', oi, 1 << k)
-        for k, heads in enumerate(group.head_rows)
-        for oi, (o, h) in enumerate(zip(VARIABLES, heads))
-    ]
+    nodes, arrows = _quiver_parts(group)
     graphs = []
     for ri in group.exceptional_ray_indices:
         outs = qa.masks(ri)[0]
@@ -69,14 +71,13 @@ def all_sink_source_dot(qa: QuiverAnalysis) -> str:
             '  layout=neato; node [shape=circle, fontsize=9];',
         ]
         lines += [
-            f"{head}{cls.label()}{tail}" for (head, tail), cls in zip(nodes, qa.classes(ri))
+            f"{head}\\n{cls.label()}{tail}" for (head, tail), cls in zip(nodes, qa.classes(ri))
         ]
         lines += [
-            prefix + ("color=black, penwidth=2];" if outs[oi] & bit else "color=grey];")
-            for prefix, oi, bit in arrows
+            head + (", color=black, penwidth=2];" if outs[oi] & bit else ", color=grey];")
+            for head, oi, bit in arrows
         ]
-        lines.append("}\n")
-        graphs.append("\n".join(lines))
+        graphs.append("\n".join(lines) + "\n}\n")
     return "".join(graphs)
 
 
@@ -113,74 +114,64 @@ def _tikz_xy(n: int, point) -> str:
     )
 
 
-def _marking_text(marked: MarkedTriangulation, ri: int) -> str:
-    case = marked.vertex_cases.get(ri)
-    if case is None or case.tag == "boundary":
-        return ""
-    return ",".join(chi.label() for chi in case.markings)
+def _simplex_parts(fan: GHilbFan, marked: MarkedTriangulation):
+    """Each edge (i, j) of the fan with its ratio label (None on the
+    boundary), and each ray's label with its markings."""
+    ratios = marked.edge_ratios
+    edges = [
+        (i, j, None if len(cones) == 1 else
+         f"{ratios[i, j].text()} [{ratios[i, j].character.label()}]")
+        for (i, j), cones in fan.edges.items()
+    ]
+    labels = []
+    for ri, ray in enumerate(fan.group.junior_points):
+        case = marked.vertex_cases.get(ri)
+        marks = () if case is None or case.tag == "boundary" else case.markings
+        labels.append(f"{ray} [{','.join(chi.label() for chi in marks)}]" if marks else f"{ray}")
+    return edges, labels
 
 
 def marked_simplex_svg(fan: GHilbFan, marked: MarkedTriangulation) -> str:
     """The triangulated junior simplex with edge and vertex markings."""
     n, juniors = fan.group.order, fan.group.juniors
+    edges, labels = _simplex_parts(fan, marked)
     # each ray's position, formatted once for its edges and its circle
     xy = [_svg_xy(n, s) for s in juniors]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}">',
         f"<!-- {FORMAT_TAG} marked-simplex group={fan.group.spec_string()} -->",
     ]
-    for (i, j), cones in fan.edges.items():
+    for i, j, ratio in edges:
         (x1, y1), (x2, y2) = xy[i], xy[j]
-        boundary = len(cones) == 1
         lines.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="{"#999" if boundary else "#333"}" stroke-width="1"/>'
+            f'stroke="{"#999" if ratio is None else "#333"}" stroke-width="1"/>'
         )
-        if not boundary:
-            ratio = marked.edge_ratios[i, j]
+        if ratio is not None:
             mx, my = _svg_xy(n, juniors[i], juniors[j])
-            lines.append(
-                f'<text x="{mx}" y="{my}" font-size="10" fill="#0044aa">'
-                f"{ratio.text()} [{ratio.character.label()}]</text>"
-            )
-    for ri, ray in enumerate(fan.group.junior_points):
-        x, y = xy[ri]
+            lines.append(f'<text x="{mx}" y="{my}" font-size="10" fill="#0044aa">{ratio}</text>')
+    for (x, y), label in zip(xy, labels):
         lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#000"/>')
-        mark = _marking_text(marked, ri)
-        label = f"{ray}" + (f" [{mark}]" if mark else "")
-        lines.append(
-            f'<text x="{x}" y="{y}" dx="4" dy="-4" font-size="10">{label}</text>'
-        )
+        lines.append(f'<text x="{x}" y="{y}" dx="4" dy="-4" font-size="10">{label}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
 def marked_simplex_tikz(fan: GHilbFan, marked: MarkedTriangulation) -> str:
     """TikZ source for the marked junior simplex."""
-    n = fan.group.order
-    xy = [_tikz_xy(n, s) for s in fan.group.juniors]
+    edges, labels = _simplex_parts(fan, marked)
+    xy = [_tikz_xy(fan.group.order, s) for s in fan.group.juniors]
     lines = [
         f"% {FORMAT_TAG} marked-simplex group={fan.group.spec_string()}",
         "\\begin{tikzpicture}[scale=1]",
     ]
-    for (i, j), cones in fan.edges.items():
-        boundary = len(cones) == 1
-        style = "gray" if boundary else "black"
-        seg = f"\\draw[{style}] {xy[i]} -- {xy[j]}"
-        if not boundary:
-            ratio = marked.edge_ratios[i, j]
-            seg += (
-                " node[midway, font=\\tiny, sloped, above]"
-                f" {{{ratio.text()} [{ratio.character.label()}]}}"
-            )
-        lines.append(seg + ";")
-    for ri, ray in enumerate(fan.group.junior_points):
-        mark = _marking_text(marked, ri)
-        label = f"{ray}" + (f" [{mark}]" if mark else "")
-        lines.append(
-            f"\\node[circle, fill, inner sep=1pt, "
-            f"label={{[font=\\tiny]above:{{{label}}}}}] at "
-            f"{xy[ri]} {{}};"
-        )
+    for i, j, ratio in edges:
+        node = "" if ratio is None else f" node[midway, font=\\tiny, sloped, above] {{{ratio}}}"
+        lines.append(f"\\draw[{'gray' if ratio is None else 'black'}] {xy[i]} -- {xy[j]}{node};")
+    lines += [
+        f"\\node[circle, fill, inner sep=1pt, label={{[font=\\tiny]above:{{{label}}}}}]"
+        f" at {p} {{}};"
+        for p, label in zip(xy, labels)
+    ]
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

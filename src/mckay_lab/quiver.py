@@ -217,13 +217,17 @@ class QuiverAnalysis:
                     )
         return tuple(outs), tuple(ins)
 
+    def require_fan(self, fan) -> None:
+        """InputError unless fan is a fan of this analysis's group."""
+        if fan.group is not self.group:
+            theirs, mine = fan.group.spec_string(), self.group.spec_string()
+            raise InputError(f"a fan of {theirs} given to the quiver of {mine}")
+
     def h0_loci(self, fan) -> list[tuple[list[int], list[tuple[int, int]]]]:
         """Per character, the exceptional rays killing its three out-arrows and
         the fan's interior edges (i, j) where each dies along i or j but
         neither ray kills all three: one sweep, kept for the last fan given."""
-        if fan.group is not self.group:
-            theirs, mine = fan.group.spec_string(), self.group.spec_string()
-            raise InputError(f"a fan of {theirs} given to the quiver of {mine}")
+        self.require_fan(fan)
         if self._h0[0] is not fan:
             loci = [([], []) for _ in self.group.characters]
             for ri in self.group.exceptional_ray_indices:

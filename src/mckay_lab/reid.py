@@ -237,8 +237,10 @@ def regular_triangle_defect(fan: GHilbFan, cone_index: int) -> int:
     points into the cone: it is the dual basis vector u of the cone's rays
     n*e with u.(n*e) = n on the third ray.  Every n*e sums to n, so the
     three sum to (1, 1, 1) and r' = 1 on a valid fan; a sum with unequal
-    coordinates raises NoOrientationWorks.
+    coordinates raises NoOrientationWorks, an index off the cones UnknownCone.
     """
+    if not 0 <= cone_index < len(fan.cone_rays):
+        raise UnknownCone(f"cone {cone_index} is not a maximal cone of the fan")
     a, b, c = fan.cone_rays[cone_index]
     inward = [
         (fan.carving_vector(e), 1 if fan.edges[e][0] == cone_index else -1)

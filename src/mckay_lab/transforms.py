@@ -43,7 +43,7 @@ def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     dies on i or j but neither kills all three (chi's bit is in
     (x_i | x_j) & (y_i | y_j) & (z_i | z_j) & ~all_i & ~all_j).
     """
-    _require_nontrivial_locus(fan)
+    _require_locus(fan, qa)
     divisors, curves = qa.h0_loci(fan)[fan.group.index[chi]]
     return sorted([divisor_cell(ri) for ri in divisors] + [curve_cell(*e) for e in curves])
 
@@ -51,13 +51,13 @@ def support_h0(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
 def support_h1(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     """Divisors whose sink-source graph classifies chi as a source, read off
     the one sweep of the source masks (``QuiverAnalysis.h1_loci``)."""
-    _require_nontrivial_locus(fan)
+    _require_locus(fan, qa)
     return [divisor_cell(ri) for ri in qa.h1_loci[fan.group.index[chi]]]
 
 
 def support_h2(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> list[Cell]:
     """The full exceptional locus for the trivial character, else empty."""
-    _require_nontrivial_locus(fan)
+    _require_locus(fan, qa)
     if not chi.is_trivial:
         return []
     return sorted(divisor_cell(ri) for ri in fan.group.exceptional_ray_indices)
@@ -101,9 +101,11 @@ def transform_profile(fan: GHilbFan, qa: QuiverAnalysis, chi: Character) -> Tran
     )
 
 
-def _require_nontrivial_locus(fan: GHilbFan) -> None:
+def _require_locus(fan: GHilbFan, qa: QuiverAnalysis) -> None:
+    """A nontrivial group, and a fan and quiver analysis of that one group."""
     if fan.group.order < 2:
         raise NoExceptionalLocus("the trivial group has no exceptional locus")
+    qa.require_fan(fan)
 
 
 def _cones_at(fan: GHilbFan, cell: Cell) -> tuple[int, ...]:

@@ -47,6 +47,29 @@ REDUNDANT_PRESENTATIONS = {
 }
 
 
+# groups whose report_json(verify_group(g)) is held to the manifest's
+# `verify` stdout digest: the library's report is the CLI's, byte for byte
+REPORT_GROUPS = (
+    "4:1,1,2",
+    "7:1,2,4",
+    "6:1,2,3",
+    "13:1,5,7",
+    "3:1,2,0+3:0,1,2",
+    "4:1,3,0+4:0,1,3",
+    # non-isolated: zero-weight arrows in the Dijkstra rows of its boundary rays
+    "12:1,1,10",
+    # Z/2 x Z/4, a product of two different orders
+    "2:1,1,0+4:0,1,3",
+    # the three groups of the verify_large benchmark workload
+    "79:1,11,67",
+    "72:1,1,70",
+    "8:1,7,0+8:0,1,7",
+    # unreduced generators: the lcm N of the generator orders differs from |G|
+    "4:0,2,2",
+    "6:2,2,2",
+)
+
+
 class Pipeline:
     """Everything computed for one group, for compact test access."""
 

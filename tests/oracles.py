@@ -972,3 +972,35 @@ def tautological_degree_single(fan, chi, rays):
     if len(ks) != 1 or any(d != next(iter(ks)) * v for d, v in zip(delta, w)):
         raise AssertionError(f"generator ratio across {rays} is not a power")
     return ks.pop()
+
+
+def wall_relation(fan, edge):
+    """(a, b, g, g2) for an interior edge (e, f) whose two cones have third
+    rays g and g2: the toric wall relation g + g2 = a*e + b*f on the scaled
+    rays, with a + b = 2, solved by Cramer's rule over the basis e, f, g."""
+    e, f = edge
+    (g,), (g2,) = ([ri for ri in fan.cone_rays[ci] if ri not in edge] for ci in fan.edges[edge])
+    s = fan.group.juniors
+    total = tuple(x + y for x, y in zip(s[g], s[g2]))
+    d = det3((s[e], s[f], s[g]))
+    a, ra = divmod(det3((total, s[f], s[g])), d)
+    b, rb = divmod(det3((s[e], total, s[g])), d)
+    if ra or rb or a + b != 2 or total != tuple(a * x + b * y for x, y in zip(s[e], s[f])):
+        raise AssertionError(f"no wall relation across {edge}")
+    return a, b, g, g2
+
+
+def table_degrees(fan, edge):
+    """Every character's tautological degree on the curve of an interior
+    edge, in the order of group.characters, read off the divisor table R
+    (entries n*q(chi, e)) and the wall relation alone:
+    (a*R[e] + b*R[f] - R[g] - R[g2]) / n, the quotient exact."""
+    a, b, g, g2 = wall_relation(fan, edge)
+    rows, n = fan.group.divisor_rows, fan.group.order
+    degrees = []
+    for q_e, q_f, q_g, q_g2 in zip(rows[edge[0]], rows[edge[1]], rows[g], rows[g2]):
+        degree, rest = divmod(a * q_e + b * q_f - q_g - q_g2, n)
+        if rest:
+            raise AssertionError(f"the table degree across {edge} is not an integer")
+        degrees.append(degree)
+    return degrees

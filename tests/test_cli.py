@@ -36,6 +36,23 @@ def test_verify_rejects_non_sl3(capsys):
     assert "sum to 0 mod 5" in err
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--group", "7:1,2"], "cannot parse group factor '7:1,2'"),
+        (["--group", "7:1,2,4,5"], "cannot parse group factor '7:1,2,4,5'"),
+        (["--group=0:1,1,-2"], "generator order 0 must be >= 1"),
+    ],
+)
+def test_a_malformed_group_exits_2_with_one_error_line(capsys, option, message):
+    assert run(capsys, "fan", *option) == (2, "", f"error: {message}\n")
+
+
+def test_an_empty_factor_names_no_generator(capsys):
+    """A trailing '+' adds nothing: 7:1,2,4+ is the group 7:1,2,4."""
+    assert run(capsys, "fan", "--group", "7:1,2,4+") == run(capsys, "fan", "--group", "7:1,2,4")
+
+
 def test_fan_output(capsys, tmp_path):
     out_file = tmp_path / "fan.json"
     code, _, _ = run(capsys, "fan", "--group", "13:1,5,7", "--out", str(out_file))

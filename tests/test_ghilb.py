@@ -446,6 +446,44 @@ def test_flip_fault_on_its_delta_is_exhausted(monkeypatch, at_head):
         build_fan(group)
 
 
+def test_a_fan_one_cluster_short_fails_the_count():
+    fan = build_fan(parse_group_spec("7:1,2,4"))
+    with pytest.raises(FanValidationFailed, match="^6 cones for a group of order 7$"):
+        GHilbFan(fan.group, fan.ggraphs[:-1], fan.cone_rays[:-1])
+
+
+def test_a_search_that_opens_no_wall_fails_the_count(monkeypatch):
+    from mckay_lab import ghilb
+
+    monkeypatch.setattr(ghilb, "spans_interior_edge", lambda e, f: False)
+    with pytest.raises(SearchExhausted, match="^found 1 clusters, expected 7$"):
+        enumerate_ggraphs(parse_group_spec("7:1,2,4"))
+
+
+def test_a_search_past_n_clusters_fails_the_count(monkeypatch):
+    """One patch of cone_of_ggraph: every cone it returns equals only
+    itself, so no step is seen to reach a found cone, and every other one
+    is reversed, so a wall one side opens as (i, j) the other side does not
+    close as (j, i) and is crossed again."""
+    from mckay_lab import ghilb
+
+    class Unseen(tuple):
+        __hash__ = object.__hash__
+        __eq__ = object.__eq__
+
+    calls = []
+    original = ghilb.cone_of_ggraph
+
+    def patched(group, graph):
+        calls.append(graph)
+        cone = original(group, graph)
+        return Unseen(cone[::-1] if len(calls) % 2 else cone)
+
+    monkeypatch.setattr(ghilb, "cone_of_ggraph", patched)
+    with pytest.raises(SearchExhausted, match="^more than 7 clusters reached by wall crossing$"):
+        enumerate_ggraphs(parse_group_spec("7:1,2,4"))
+
+
 @pytest.mark.parametrize("spec", ["13:1,5,7", "4:1,3,0+4:0,1,3"])
 def test_fan_build_makes_no_kappa_call(monkeypatch, spec):
     """Stepped clusters are checked by the tail table, the seed's cone is the

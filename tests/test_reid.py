@@ -268,6 +268,14 @@ def test_a_flipped_carving_vector_breaks_the_inward_sum(monkeypatch):
         regular_triangle_defect(fan, ci)
 
 
+@pytest.mark.parametrize("ci", [*range(-13, 0), 13, 14])
+def test_a_defect_off_the_cones_is_an_unknown_cone(p13, ci):
+    """An index outside the 13 cones of 13:1,5,7 is an input error: a
+    negative one is not read from the end of the cone list."""
+    with pytest.raises(UnknownCone, match=f"^cone {ci} is not a maximal cone of the fan$"):
+        regular_triangle_defect(p13.fan, ci)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(small_groups, st.sampled_from(SQUARE_PRODUCTS).map(parse_group_spec)))
 def test_each_edge_has_one_oriented_carving_vector(group):

@@ -28,13 +28,14 @@ from mckay_lab.reid import MarkedTriangulation
 from mckay_lab.transforms import _is_connected
 from mckay_lab.verify import _divisor_positions, ratio_is_primitive
 
-from conftest import SQUARE_PRODUCTS, small_groups
+from conftest import REPORT_GROUPS, SQUARE_PRODUCTS, small_groups
 from oracles import (
     is_connected_pairwise,
     multi_curve_divisors_scan,
     ratio_is_primitive_pairwise,
     support_h0_scan,
     support_h1_scan,
+    table_degrees,
     tautological_degree_single,
 )
 
@@ -209,6 +210,24 @@ def test_per_edge_degrees_match_the_per_character_reading(group):
         for k, chi in enumerate(group.characters):
             expected = tautological_degree_single(fan, chi, edge)
             assert degrees[k] == tautological_degree(fan, chi, edge) == expected
+
+
+def test_degrees_match_the_table_formula_on_the_report_groups():
+    """On every interior edge (e, f) of each report group, with third rays
+    g and g2 and wall relation g + g2 = a*e + b*f, the chart degrees are
+    (a*R[e] + b*R[f] - R[g] - R[g2]) / n for the divisor table R."""
+    for spec in REPORT_GROUPS:
+        fan = build_fan(parse_group_spec(spec))
+        for edge in fan.interior_edges:
+            assert tautological_degrees(fan, edge) == table_degrees(fan, edge), (spec, edge)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_degrees_match_the_table_formula(group):
+    fan = build_fan(group)
+    for edge in fan.interior_edges:
+        assert tautological_degrees(fan, edge) == table_degrees(fan, edge), edge
 
 
 @pytest.mark.parametrize("spec", ["13:1,5,7", "12:1,1,10", "3:1,2,0+3:0,1,2"])

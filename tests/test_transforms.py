@@ -150,6 +150,22 @@ def test_the_degree_0_loci_sweep_the_groups_fan_once():
     assert qa.h0_loci(second) is again
 
 
+@pytest.mark.parametrize("support", [support_h0, support_h1, support_h2])
+def test_every_support_refuses_the_quiver_of_another_group(support):
+    """A fan of 7:1,2,4 with the quiver analysis of 7:1,1,5: every support
+    refuses the pair as h0_loci does, instead of reading the other group's
+    loci (chi_1's degree -1 support there is [2, 3, 4], here [3, 4])."""
+    fan = build_fan(parse_group_spec("7:1,2,4"))
+    qa = QuiverAnalysis(parse_group_spec("7:1,1,5"))
+    assert support_h1(fan, QuiverAnalysis(fan.group), fan.group.characters[1]) == [
+        ("divisor", 3),
+        ("divisor", 4),
+    ]
+    for chi in fan.group.characters:
+        with pytest.raises(InputError, match="^a fan of 7:1,2,4 given to the quiver of 7:1,1,5$"):
+            support(fan, qa, chi)
+
+
 def test_trivial_group_rejected(trivial_group):
     fan = build_fan(trivial_group)
     qa = QuiverAnalysis(trivial_group)

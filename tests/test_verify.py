@@ -17,7 +17,7 @@ from mckay_lab.errors import ShapeUnrecognized
 from mckay_lab.ghilb import GGraph
 from mckay_lab.serialize import report_json
 
-from conftest import SQUARE_PRODUCTS, small_groups
+from conftest import REPORT_GROUPS, SQUARE_PRODUCTS, small_groups
 from golden import check as golden
 from oracles import box_least, cone_oracle_scan, cone_oracle_slack_loop
 
@@ -369,29 +369,6 @@ def test_least_valuations_match_box_minima(group, weight):
     character's monomials, as a scan of the whole box does."""
     best = box_least(group, weight)
     assert group.least_valuations(weight) == [best[chi][0] for chi in group.characters]
-
-
-# groups whose report_json(verify_group(g)) is held to the manifest's
-# `verify` stdout digest: the library's report is the CLI's, byte for byte
-REPORT_GROUPS = (
-    "4:1,1,2",
-    "7:1,2,4",
-    "6:1,2,3",
-    "13:1,5,7",
-    "3:1,2,0+3:0,1,2",
-    "4:1,3,0+4:0,1,3",
-    # non-isolated: zero-weight arrows in the Dijkstra rows of its boundary rays
-    "12:1,1,10",
-    # Z/2 x Z/4, a product of two different orders
-    "2:1,1,0+4:0,1,3",
-    # the three groups of the verify_large benchmark workload
-    "79:1,11,67",
-    "72:1,1,70",
-    "8:1,7,0+8:0,1,7",
-    # unreduced generators: the lcm N of the generator orders differs from |G|
-    "4:0,2,2",
-    "6:2,2,2",
-)
 
 
 @pytest.mark.parametrize("spec", sorted(REPORT_GROUPS))
