@@ -4,7 +4,9 @@ The pipeline, in dependency order: groups (characters via lattice quotients,
 the junior simplex and the divisor table), ghilb (torus-fixed clusters and
 the fan), reid (carving ratios and markings), quiver (arrow vanishing and
 sink-source graphs, from the group alone), transforms (degrees and
-supports), verify (the correspondence theorems, machine-checked).
+supports), verify (the correspondence theorems, machine-checked).  The
+verifier is imported on first use of its names, so a program that never
+verifies never compiles it.
 """
 
 from .errors import McKayLabError
@@ -25,7 +27,6 @@ from .reid import (
 )
 from .quiver import QuiverAnalysis, quiver_counts, shape_lengths, torus_positions
 from .transforms import support_h0, support_h1, support_h2, transform_profile
-from .verify import GroupVerification, verify_group
 
 __version__ = "0.1.0"
 
@@ -55,3 +56,13 @@ __all__ = [
     "verify_group",
     "vertex_marking",
 ]
+
+
+def __getattr__(name: str):
+    """GroupVerification and verify_group, read from the verify module,
+    which is imported on the first such read (PEP 562)."""
+    if name in ("GroupVerification", "verify_group"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,6 @@ from .quiver import QuiverAnalysis, quiver_counts
 from .reid import marked_triangulation
 from .serialize import dumps_canonical, fan_json, report_json
 from .transforms import transform_profile
-from .verify import verify_group
 
 
 def _write(text: str, out: str | None) -> None:
@@ -189,6 +188,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
+        # only here: the read commands never compile the verifier
+        from .verify import verify_group
+
         report = verify_group(group)
         _write(report_json(report), args.out)
         for entry in report["per_character"]:

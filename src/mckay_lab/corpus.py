@@ -8,9 +8,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError, McKayLabError
-from .groups import parse_group_spec
+from .groups import GroupData, parse_group_spec
 from .serialize import report_json
-from .verify import verify_group
 
 # the histograms of each report's summary, added up over the corpus
 HISTOGRAMS = ("case_histogram", "shape_histogram", "marking_histogram")
@@ -76,6 +75,15 @@ def corpus_specs(spec: CorpusSpec) -> list[str]:
     return specs
 
 
+def verify_group(group: GroupData) -> dict:
+    """verify.verify_group, imported on the first call, so a start that
+    sweeps no corpus never compiles the verifier.  _verify_spec calls
+    through this name, which the corpus tests and the benchmark patch."""
+    from . import verify
+
+    return verify.verify_group(group)
+
+
 def _verify_spec(group_spec: str) -> dict:
     """One group's report, or its error, a MemoryError too, as {group,
     error_type, message}."""
@@ -130,8 +138,11 @@ def run_corpus(spec: CorpusSpec) -> dict:
 
     # each report is passed straight to fold, so no name holds it past its fold
     if spec.jobs > 1 and len(specs) > 1:
-        # only here: every CLI start skips the import of multiprocessing
+        # only here: every CLI start skips the import of multiprocessing; the
+        # verifier is loaded before the fork, so no worker compiles it
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        from . import verify  # noqa: F401
 
         with ProcessPoolExecutor(min(spec.jobs, len(specs))) as pool:
             reports = pool.map(_verify_spec, specs)

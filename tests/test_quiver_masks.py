@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
-from mckay_lab import QuiverAnalysis, parse_group_spec
+from mckay_lab import QuiverAnalysis, parse_group_spec, torus_positions
 from mckay_lab.errors import (
     InputError,
     InvalidSpokePattern,
     MultiplicityOutOfRange,
     ShapeUnrecognized,
     UnknownCone,
+    WalkDiverged,
 )
 from mckay_lab.groups import VARIABLES
 from mckay_lab.quiver import _bits
@@ -287,3 +288,119 @@ def test_shape_a_rejects_a_forward_line_shorter_than_its_backward_one():
         ShapeUnrecognized, match=f"^forward and backward line lengths differ on ray {ri}$"
     ):
         qa.sink_source_graph(ri)
+
+
+def _ray_of_shape(qa, shape):
+    (ri,) = (ri for ri in qa.group.interior_ray_indices if qa.sink_source_graph(ri).shape == shape)
+    return ri
+
+
+def test_a_second_03_sink_is_no_shape():
+    """On the shape-A divisor of 1/5(1,1,3) the x- and y-arrows into chi_3
+    vanish; seeding its z-arrow in as vanishing too makes chi_3 a second
+    (0,3)-sink, named before any line is walked."""
+    group = parse_group_spec("5:1,1,3")
+    ri = _ray_of_shape(QuiverAnalysis(group), "A")
+    qa = QuiverAnalysis(group)
+    outs, (ix, iy, iz) = qa.masks(ri)
+    assert qa.vertex_class(ri, 3).label() == "z-(0,1)-charge"
+    qa._masks[ri] = outs, (ix, iy, iz | 1 << 3)
+    assert qa.vertex_class(ri, 3).label() == "(0,3)-sink"
+    with pytest.raises(
+        ShapeUnrecognized,
+        match=rf"^ray {ri}: \(0,3\)-sinks are \[chi_0, chi_3\], expected the trivial character$",
+    ):
+        qa.sink_source_graph(ri)
+
+
+def test_a_charge_off_every_line_is_not_covered():
+    """On the shape-B divisor of 1/5(1,1,3), chi_2 is a z-tile.  Seeding its
+    x-arrow out as vanishing and its z-arrow in as not makes it a
+    y-(1,0)-charge that no line reaches, while every line still ends at a
+    sink."""
+    group = parse_group_spec("5:1,1,3")
+    ri = _ray_of_shape(QuiverAnalysis(group), "B")
+    qa = QuiverAnalysis(group)
+    (x, y, z), (ix, iy, iz) = qa.masks(ri)
+    assert qa.vertex_class(ri, 2).label() == "z-(0,0)-tile"
+    qa._masks[ri] = (x | 1 << 2, y, z), (ix, iy, iz & ~(1 << 2))
+    assert qa.vertex_class(ri, 2).label() == "y-(1,0)-charge"
+    with pytest.raises(
+        InvalidSpokePattern, match=f"^charge vertices not covered exactly once on ray {ri}$"
+    ):
+        qa.sink_source_graph(ri)
+
+
+def test_a_line_through_a_lost_sink_hits_another_line():
+    """On the shape-A divisor of 1/5(1,1,3) the forward x-line from the
+    source chi_1 ends at the (3,0)-sink chi_2.  Seeding chi_2's x-arrow out
+    as not vanishing makes it an x-(1,0)-charge, so the line runs on to
+    chi_3, a charge of the backward z-line."""
+    group = parse_group_spec("5:1,1,3")
+    ri = _ray_of_shape(QuiverAnalysis(group), "A")
+    qa = QuiverAnalysis(group)
+    (x, y, z), ins = qa.masks(ri)
+    assert qa.vertex_class(ri, 1).label() == "(3,3)-source"
+    assert qa.vertex_class(ri, 2).label() == "(3,0)-sink"
+    qa._masks[ri] = (x & ~(1 << 2), y, z), ins
+    assert qa.vertex_class(ri, 2).label() == "x-(1,0)-charge"
+    with pytest.raises(
+        InvalidSpokePattern, match=r"^line from chi_1 \(x,1\) hits z-\(0,1\)-charge at chi_3$"
+    ):
+        qa.sink_source_graph(ri)
+
+
+def _head_seeded(monkeypatch, group, k, o):
+    """The group's head table with the o-arrow out of position k made a
+    loop, so the table is no longer a permutation along o."""
+    rows = [list(row) for row in group.head_rows]
+    rows[k][VARIABLES.index(o)] = k
+    monkeypatch.setattr(group, "head_rows", tuple(map(tuple, rows)))
+
+
+def test_a_line_looping_on_a_charge_diverges(monkeypatch):
+    """The forward z-line of the shape-A divisor of 1/5(1,1,3) runs chi_1,
+    chi_4, chi_2.  With the head table's z-arrow out of chi_4 a loop, read
+    after the arrow masks, the walk stays on the charge chi_4 and gives up
+    after |G| + 1 steps.  A head table that is a permutation cannot do this:
+    the walk returns to its source, which is off every line."""
+    group = parse_group_spec("5:1,1,3")
+    qa = QuiverAnalysis(group)
+    ri = _ray_of_shape(qa, "A")
+    (line,) = (line for line in qa.sink_source_graph(ri).lines
+               if line.orientation == "z" and line.chirality == (1, 0))
+    assert line.vertices == (1, 4, 2)
+    qa = QuiverAnalysis(group)
+    qa.class_masks(ri)
+    _head_seeded(monkeypatch, group, 4, "z")
+    with pytest.raises(WalkDiverged, match="^line from chi_1 exceeded 5 steps$"):
+        qa.sink_source_graph(ri)
+
+
+def test_a_shape_b_chord_that_meets_no_line_diverges(monkeypatch):
+    """On the shape-B divisor of 1/5(1,1,3) the length a1 counts the steps
+    along x from the (1,2)-source chi_1 to the forward y-line of the
+    (2,1)-source.  With the head table's x-arrow out of chi_1 a loop, read
+    after the arrow masks, that walk never lands on the line."""
+    group = parse_group_spec("5:1,1,3")
+    qa = QuiverAnalysis(group)
+    ri = _ray_of_shape(qa, "B")
+    assert [qa.vertex_class(ri, k).label() for k in (1, 3)] == [
+        "z-(1,2)-source",
+        "z-(2,1)-source",
+    ]
+    qa = QuiverAnalysis(group)
+    qa.class_masks(ri)
+    _head_seeded(monkeypatch, group, 1, "x")
+    with pytest.raises(WalkDiverged, match="^no target reached from chi_1 along x$"):
+        qa.sink_source_graph(ri)
+
+
+def test_a_projected_lattice_of_rank_one_is_refused(monkeypatch):
+    """An invariant basis whose members all project onto one line of the
+    (u, v)-plane (xyz projects to zero) gives no fundamental domain for the
+    torus positions.  No group's does, as its invariants have rank 3."""
+    group = parse_group_spec("3:1,1,1")
+    monkeypatch.setattr(group, "invariant_basis", ((3, 0, 0), (6, 0, 0), (1, 1, 1)))
+    with pytest.raises(InvalidSpokePattern, match="^projected invariant lattice is not rank 2$"):
+        torus_positions(group)

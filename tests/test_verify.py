@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,14 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 import mckay_lab.verify
 from mckay_lab import (
     GroupVerification,
+    QuiverAnalysis,
     build_fan,
     parse_group_spec,
     shape_lengths,
     verify_group,
 )
-from mckay_lab.errors import ShapeUnrecognized
+from mckay_lab.cli import main
+from mckay_lab.errors import MultiplicityOutOfRange, ShapeUnrecognized
 from mckay_lab.ghilb import GGraph
+from mckay_lab.reid import MarkedTriangulation
 from mckay_lab.serialize import report_json
+from mckay_lab.verify import _oriented_carving_pair
 
 from conftest import REPORT_GROUPS, SQUARE_PRODUCTS, small_groups
 from golden import check as golden
@@ -400,3 +405,118 @@ def test_swapped_clusters_fill_the_chart_record(spec):
     assert {ci for ci, _ in verification._chart_mismatches} <= {0, len(graphs) - 1}
     assert verification._prop_chart_consistency() is False
     assert verification._prop_cone_oracle() is False
+
+
+# -- seeded faults that reach each failure branch -------------------------------
+
+
+def test_a_nontrivial_character_marking_nothing_fails_verify(capsys, monkeypatch):
+    """chi_3 of 13:1,5,7 marks divisor 6 alone; with that marking dropped it
+    marks nothing, which only the trivial character may do: its entry
+    fails, the trichotomy fails, and `mckay-lab verify` exits 1."""
+    marked_divisors = MarkedTriangulation.marked_divisors
+
+    def dropped(self, chi):
+        return [] if chi.label() == "chi_3" else marked_divisors(self, chi)
+
+    monkeypatch.setattr(MarkedTriangulation, "marked_divisors", dropped)
+    code = main(["verify", "--group", "13:1,5,7"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "character chi_3: nothing vs degree 0",
+        "property marking_trichotomy",
+    ]
+    assert "FAIL chi_3 nothing degree 0\n" in err
+    assert err.endswith("FAIL 13:1,5,7\n")
+
+
+def test_generator_division_is_forced_by_the_tautological_degrees():
+    """The carving vector of the edge (0, 2) of 13:1,5,7 negated: the carving
+    pair is read as y : x^5 against generators x^5 and y, so the division
+    and the marking generators both fail.  No report can carry the division
+    failure: r' - r = k(m' - m) with k >= 0 is what tautological_degrees
+    checks, and k >= 1 makes m | r and m' | r', so across this edge the
+    degrees raise, and the verification with them."""
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    verification = GroupVerification(fan)
+    edge = fan.interior_edges[0]
+    assert edge == (0, 2) and _oriented_carving_pair(fan, edge) == ((5, 0, 0), (0, 1, 0))
+    fan.carving_vectors[edge] = tuple(-v for v in fan.carving_vectors[edge])
+    assert verification._prop_edge_division() is False
+    assert verification._prop_edge_marking_generators() is False
+    with pytest.raises(MultiplicityOutOfRange, match=r"^negative tautological degree -1 across \(0, 2\)$"):
+        GroupVerification(fan)
+
+
+def test_an_invariant_factor_on_a_generator_fails_the_marking_generators(monkeypatch):
+    """chi_4's generator times the invariant xyz in every cluster of 13:1,5,7:
+    each wall keeps its carving pair and degrees, but the generators of the
+    curve chi_4 marks are no longer the pair; the chart check and the cone
+    oracle see the changed rows too."""
+    fan = build_fan(parse_group_spec("13:1,5,7"))
+    k = 4
+    assert fan.group.characters[k].label() == "chi_4"
+    for graph in fan.ggraphs:
+        row = list(graph.row)
+        row[k] = tuple(v + 1 for v in row[k])
+        monkeypatch.setattr(graph, "row", tuple(row))
+    assert GroupVerification(fan).failures == [
+        "property chart_consistency",
+        "property marking_generators_across_edges",
+        "property cone_membership_oracle",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [
+        ("B", lambda masks: masks._replace(sink03=masks.sink03 | 0b10)),  # chi_1 a second one
+        ("A", lambda masks: masks._replace(sink30=0)),  # no (3,0)-sink
+        (None, lambda masks: masks._replace(sink03=0b1)),  # one off the compact divisors
+    ],
+)
+def test_a_misplaced_sink_fails_the_unique_trivial_sink(monkeypatch, kind, seed):
+    """On 8:1,2,5 (divisors of shapes A and B, and a boundary divisor), one
+    ray's sink masks seeded wrong fail the unique-sink property alone."""
+    group = parse_group_spec("8:1,2,5")
+    fan = build_fan(group)
+    ri = next(
+        ri for ri in group.exceptional_ray_indices
+        if QuiverAnalysis(group).sink_source_graph(ri).shape == kind
+    )
+
+    class Seeded(QuiverAnalysis):
+        def _build_graph(self, ray_idx):
+            ss = super()._build_graph(ray_idx)
+            return ss._replace(masks=seed(ss.masks)) if ray_idx == ri else ss
+
+    monkeypatch.setattr(mckay_lab.verify, "QuiverAnalysis", Seeded)
+    assert GroupVerification(fan).failures == ["property unique_trivial_sink"]
+
+
+@pytest.mark.parametrize(
+    "components, failures",
+    [
+        ((), ["property degree_sums_on_curve_supports", "property transform_degree_exclusive"]),
+        ((("curve", (0, 2)),), ["property degree_sums_on_curve_supports"]),
+    ],
+)
+def test_a_curve_support_off_its_curve_fails_the_degree_sums(monkeypatch, components, failures):
+    """chi_4 of 13:1,5,7 marks the curve (4, 5) alone.  Its degree-0
+    transform seeded with no curve in its support, or on the curve (0, 2)
+    marked by chi_5, fails its entry and the degree sums; an empty support
+    fails the exclusive degree too."""
+    group = parse_group_spec("13:1,5,7")
+    profile_of = mckay_lab.verify.transform_profile
+
+    def seeded(fan, qa, chi):
+        profile = profile_of(fan, qa, chi)
+        if chi.label() != "chi_4":
+            return profile
+        assert profile.components == (("curve", (4, 5)),)
+        return profile._replace(components=components)
+
+    monkeypatch.setattr(mckay_lab.verify, "transform_profile", seeded)
+    verification = GroupVerification(build_fan(group))
+    assert verification.failures == ["character chi_4: curve vs degree 0", *failures]
